@@ -5,14 +5,18 @@ JUMPDEST and after every jump or halting instruction).  Jump targets are
 resolved where a bounded constant-stack simulation of the block can prove
 them; everything else is marked unresolved and may later be filled in from
 edges observed at run time via `augment_edges`.  Distances to critical
-instructions are computed at block granularity with a reverse breadth-first
-search and drive the directed fuzzing schedule.
+instructions are computed at block granularity with one reverse
+breadth-first search; as run-time edges arrive, `relax_distances` lowers
+only the hop counts those edges shorten, so keeping the directed fuzzing
+schedule current costs time proportional to what changed, not to code size.
 """
 
 from __future__ import annotations
 
+import heapq
 import logging
-from collections import Counter, deque
+import math
+from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -118,7 +122,8 @@ class Cfg:
 
     `unresolved` lists starts of blocks whose jump target could not be
     proven statically; observed edges can be merged in later without
-    mutating this instance.
+    mutating this instance.  Every cached property derives from `blocks`
+    alone, so `with_edges` hands them on to the refined copy.
     """
 
     code: bytes
@@ -139,9 +144,28 @@ class Cfg:
         """Every instruction pc in the code."""
         return frozenset(self._block_of)
 
+    @cached_property
+    def jump_site_starts(self) -> dict[int, int]:
+        """pc of each block-ending JUMP/JUMPI -> start of its block."""
+        return {block.instructions[-1].pc: block.start for block in self.blocks
+                if block.instructions[-1].opcode in (op.JUMP, op.JUMPI)}
+
+    @cached_property
+    def jumpdest_starts(self) -> frozenset[int]:
+        """Starts of blocks led by a JUMPDEST: the only valid jump targets."""
+        return frozenset(block.start for block in self.blocks
+                         if block.instructions[0].opcode == op.JUMPDEST)
+
     def block_at(self, pc: int) -> BasicBlock:
         """Block containing the instruction at `pc` (KeyError otherwise)."""
         return self._block_of[pc]
+
+    def with_edges(self, edges: frozenset[tuple[int, int]]) -> Cfg:
+        """Copy with another edge set, keeping the block-derived caches."""
+        refined = replace(self, edges=edges)
+        for name, value in self.__dict__.items():
+            refined.__dict__.setdefault(name, value)  # fields are already set
+        return refined
 
 
 def _ends_block(opcode: int) -> bool:
@@ -286,23 +310,22 @@ def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
     Only pairs that are genuine jumps are kept: the source must be the
     jump instruction ending a block and the destination a JUMPDEST block
     start.  Returns `cfg` itself when nothing new was learned, so callers
-    can use identity to detect novelty.
+    can use identity to detect novelty.  The cost is proportional to
+    `observed`: the jump indexes are cached on the `Cfg` and carried into
+    the refined copy, so callers should pass only pairs not offered
+    before.  Feed the new edges to `relax_distances` to bring hop counts
+    up to date instead of recomputing `distance_map`.
     """
-    jump_site_to_start = {
-        block.instructions[-1].pc: block.start
-        for block in cfg.blocks
-        if block.instructions[-1].opcode in (op.JUMP, op.JUMPI)
-    }
-    jumpdest_starts = {block.start for block in cfg.blocks
-                       if block.instructions[0].opcode == op.JUMPDEST}
+    jump_site_starts = cfg.jump_site_starts
+    jumpdest_starts = cfg.jumpdest_starts
     extra = {
-        (jump_site_to_start[src], dst)
+        (jump_site_starts[src], dst)
         for src, dst in observed
-        if src in jump_site_to_start and dst in jumpdest_starts
+        if src in jump_site_starts and dst in jumpdest_starts
     }
     if extra <= cfg.edges:
         return cfg
-    return replace(cfg, edges=cfg.edges | extra)
+    return cfg.with_edges(cfg.edges | extra)
 
 
 # --- critical instructions and distances ----------------------------------
@@ -313,13 +336,6 @@ def critical_sites(cfg: Cfg) -> list[int]:
             if ins.opcode in op.CRITICAL]
 
 
-def count_critical(cfg: Cfg) -> dict[str, int]:
-    counts = Counter(
-        ins.mnemonic for block in cfg.blocks for ins in block.instructions
-        if ins.opcode in op.CRITICAL)
-    return dict(counts)
-
-
 def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
     """pc -> block-granular hop count to the nearest site, by reverse BFS.
 
@@ -327,10 +343,7 @@ def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
     cannot reach any site are omitted.
     """
     site_starts = {cfg.block_at(pc).start for pc in sites if pc in cfg.pcs}
-    predecessors: dict[int, set[int]] = {}
-    for src, dst in cfg.edges:
-        predecessors.setdefault(dst, set()).add(src)
-
+    predecessors = predecessor_map(cfg.edges)
     hops = {start: 0 for start in site_starts}
     frontier = deque(sorted(site_starts))
     while frontier:
@@ -342,6 +355,46 @@ def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
 
     return {pc: hops[block.start] for block in cfg.blocks
             if block.start in hops for pc in block.pcs}
+
+
+def predecessor_map(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """Block start -> starts of the blocks with an edge into it."""
+    predecessors: dict[int, set[int]] = {}
+    for src, dst in edges:
+        predecessors.setdefault(dst, set()).add(src)
+    return predecessors
+
+
+def relax_distances(hops: dict[int, int], predecessors: dict[int, set[int]],
+                    new_edges: Iterable[tuple[int, int]]) -> None:
+    """Fold new block edges into block-level hop counts, in place.
+
+    `hops` maps block starts to their hop count to the nearest site, as
+    `distance_map` gives it at block starts, and `predecessors` is the
+    `predecessor_map` of the same edges; both are updated to include
+    `new_edges`.  Adding edges can only shorten distances, so relaxation
+    starts from each source whose count drops and walks backwards through
+    predecessors in order of the new count.  The result is the reverse-BFS
+    fixpoint of the enlarged graph, at a cost proportional to the counts
+    that changed.
+    """
+    frontier: list[tuple[int, int]] = []
+    for src, dst in new_edges:
+        predecessors.setdefault(dst, set()).add(src)
+        if dst in hops:
+            candidate = hops[dst] + 1
+            if candidate < hops.get(src, math.inf):
+                hops[src] = candidate
+                frontier.append((candidate, src))
+    heapq.heapify(frontier)
+    while frontier:
+        dist, current = heapq.heappop(frontier)
+        if dist > hops[current]:
+            continue  # lowered again after this entry was queued
+        for pred in predecessors.get(current, ()):
+            if dist + 1 < hops.get(pred, math.inf):
+                hops[pred] = dist + 1
+                heapq.heappush(frontier, (dist + 1, pred))
 
 
 # --- export ---------------------------------------------------------------

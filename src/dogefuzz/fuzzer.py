@@ -6,8 +6,9 @@ of one plus the number of previously unseen edges it exercised, admits a
 mutant only when it strictly out-scores its parent, and picks parents with
 probability proportional to energy.  DirectedGreyBox adds a proximity
 bonus of ``10 / (1 + d)`` where ``d`` is the seed's closest block distance
-to a money- or control-transferring instruction, recomputed as run-time
-jumps refine the static graph.
+to a money- or control-transferring instruction.  Distances are computed
+once per campaign and lowered incrementally as run-time jumps add edges to
+the static graph.
 
 Each cycle executes eight mutants against the unchanged base state plus a
 ninth whose effects are kept when it succeeds, so storage-dependent bugs
@@ -29,7 +30,14 @@ from .abi import (
     generate_value,
     mutate_value,
 )
-from .cfg import Cfg, augment_edges, critical_sites, distance_map
+from .cfg import (
+    Cfg,
+    augment_edges,
+    critical_sites,
+    distance_map,
+    predecessor_map,
+    relax_distances,
+)
 from .evm import (
     AgentPolicy,
     BlockContext,
@@ -236,8 +244,14 @@ class _Campaign:
         self.rng = random.Random(config.rng_seed)
         self.base_state = restore_state(snapshot_state(target.state))
         self.cfg = target.cfg
-        self.sites = tuple(critical_sites(target.cfg))
-        self.distances = distance_map(target.cfg, self.sites)
+        if config.strategy is Strategy.DIRECTED:
+            # block start -> hops to the nearest critical site, kept current
+            # by `relax_distances` as run-time jumps refine `self.cfg`
+            distances = distance_map(target.cfg, critical_sites(target.cfg))
+            self.hops = {start: distances[start]
+                         for start in target.cfg.block_starts
+                         if start in distances}
+            self.predecessors = predecessor_map(target.cfg.edges)
         self.covered_pcs: set[int] = set()
         self.covered_edges: set[tuple[int, int]] = set()
         self.executions = 0
@@ -298,12 +312,17 @@ class _Campaign:
         self.covered_edges |= trace.dynamic_edges
 
         if self.config.strategy is Strategy.DIRECTED:
-            refined = augment_edges(self.cfg, trace.dynamic_edges)
+            # older edges were offered to augment_edges when first seen
+            refined = augment_edges(self.cfg, fresh_edges)
             if refined is not self.cfg:
+                relax_distances(self.hops, self.predecessors,
+                                refined.edges - self.cfg.edges)
                 self.cfg = refined
-                self.distances = distance_map(refined, self.sites)
-            reached = [self.distances[pc] for pc in pcs if pc in self.distances]
-            seed.d_min = min(reached) if reached else None
+            # blocks are entered only at their start, so the executed block
+            # starts name every block the transaction touched
+            hops = self.hops
+            seed.d_min = min((hops[start] for start in hops.keys() & pcs),
+                             default=None)
 
         tick = self.executions
         detected = detect_trace(trace)

@@ -14,11 +14,12 @@ from dogefuzz.cfg import (
     Terminator,
     augment_edges,
     build_cfg,
-    count_critical,
     critical_sites,
     disassemble,
     distance_map,
+    predecessor_map,
     reassemble,
+    relax_distances,
     to_dot,
 )
 
@@ -202,13 +203,11 @@ def test_critical_sites_ascending_with_counts() -> None:
     sites = critical_sites(cfg)
     assert sites == sorted(sites)
     assert len(sites) == 3
-    assert count_critical(cfg) == {"CALL": 1, "DELEGATECALL": 1, "SELFDESTRUCT": 1}
 
 
 def test_no_critical_sites_yields_empty_dict() -> None:
     cfg = build_cfg(code(P1, 1, op.POP, op.STOP))
     assert critical_sites(cfg) == []
-    assert count_critical(cfg) == {}
 
 
 # --- distances ------------------------------------------------------------
@@ -287,6 +286,107 @@ def test_augmented_edges_extend_distances() -> None:
     updated = augment_edges(cfg, [(jump_pc, dest_pc)])
     distances = distance_map(updated, [dest_pc])
     assert distances[0] == 1
+
+
+def test_refinement_keeps_block_indexes() -> None:
+    raw, jump_pc, dest_pc = _unresolved_cfg()
+    cfg = build_cfg(raw)
+    assert cfg.jump_site_starts == {jump_pc: 0}
+    assert cfg.jumpdest_starts == {dest_pc}
+    assert cfg.pcs == {0, 2, 3, 4, 5}
+    updated = augment_edges(cfg, [(jump_pc, dest_pc)])
+    assert updated == cfg.with_edges(cfg.edges | {(0, dest_pc)})
+    # the indexes depend only on the blocks and are handed on, not rebuilt
+    assert updated.jump_site_starts is cfg.jump_site_starts
+    assert updated.jumpdest_starts is cfg.jumpdest_starts
+    assert updated.pcs is cfg.pcs
+
+
+# --- incremental distances ------------------------------------------------
+
+def _block_hops(cfg, sites) -> dict[int, int]:
+    distances = distance_map(cfg, sites)
+    return {start: distances[start] for start in cfg.block_starts
+            if start in distances}
+
+
+def _refine(cfg, hops, predecessors, observed):
+    refined = augment_edges(cfg, observed)
+    relax_distances(hops, predecessors, refined.edges - cfg.edges)
+    return refined
+
+
+def _jump_pc(cfg, start: int) -> int:
+    return cfg.block_at(start).instructions[-1].pc
+
+
+def test_relax_distances_batches_by_kind() -> None:
+    a = Assembler()
+    a.push(0).op("CALLDATALOAD").op("JUMP")            # entry: unresolved
+    a.dest("far").push_label("mid").op("JUMP")
+    a.dest("mid").push_label("site").op("JUMP")
+    a.dest("site")
+    for _ in range(7):
+        a.push(0)
+    a.op("CALL", "POP", "STOP")
+    a.dest("dead").push_label("sink").op("JUMP")        # cannot reach a site
+    a.dest("sink").op("STOP")
+    a.dest("lone").push(0).op("CALLDATALOAD", "JUMP")   # unresolved, unlinked
+    cfg = build_cfg(a.assemble())
+    start = {name: cfg.blocks[i].start for i, name in enumerate(
+        ("entry", "far", "mid", "site", "dead", "sink", "lone"))}
+    sites = critical_sites(cfg)
+    site_starts = {cfg.block_at(pc).start for pc in sites}
+    hops = _block_hops(cfg, sites)
+    predecessors = predecessor_map(cfg.edges)
+    assert hops == {start["far"]: 2, start["mid"]: 1, start["site"]: 0}
+
+    def jump(src: str, dst: str) -> tuple[int, int]:
+        return _jump_pc(cfg, start[src]), start[dst]
+
+    batches = [
+        # a new edge that shortens nothing
+        ([jump("mid", "far")], {}),
+        # edges into a region that cannot reach a site
+        ([jump("far", "dead"), jump("entry", "lone")], {}),
+        # an edge that links previously unreachable blocks, transitively
+        ([jump("lone", "mid")], {"lone": 2, "entry": 3}),
+        # a shortcut lowers an already reached block
+        ([jump("entry", "site")], {"entry": 1}),
+    ]
+    for observed, lowered in batches:
+        before = dict(hops)
+        refined = _refine(cfg, hops, predecessors, observed)
+        assert refined is not cfg, "every batch adds an edge"
+        cfg = refined
+        expected = distance_fixpoint(set(cfg.edges), set(cfg.block_starts),
+                                     site_starts)
+        assert hops == expected == _block_hops(cfg, sites)
+        changed = {pc: d for pc, d in hops.items() if before.get(pc) != d}
+        assert changed == {start[name]: d for name, d in lowered.items()}
+    assert predecessors == predecessor_map(cfg.edges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False))
+def test_relax_distances_matches_fixpoint_oracle(rng: random.Random) -> None:
+    cfg = build_cfg(random_block_graph(rng))
+    pcs = sorted(cfg.pcs)
+    sites = rng.sample(pcs, k=rng.randrange(0, min(3, len(pcs)) + 1))
+    site_starts = {cfg.block_at(pc).start for pc in sites}
+    hops = _block_hops(cfg, sites)
+    predecessors = predecessor_map(cfg.edges)
+    jump_sites = sorted(cfg.jump_site_starts)
+    targets = sorted(cfg.jumpdest_starts)
+    if not jump_sites:
+        return
+    for _ in range(rng.randrange(1, 6)):
+        observed = [(rng.choice(jump_sites), rng.choice(targets))
+                    for _ in range(rng.randrange(1, 5))]
+        cfg = _refine(cfg, hops, predecessors, observed)
+        assert hops == distance_fixpoint(
+            set(cfg.edges), set(cfg.block_starts), site_starts)
+    assert predecessors == predecessor_map(cfg.edges)
 
 
 # --- export ---------------------------------------------------------------

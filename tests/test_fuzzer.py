@@ -7,8 +7,10 @@ import random
 
 import pytest
 
-from dogefuzz.abi import ValuePools, parse_abi
-from dogefuzz.cfg import build_cfg
+from dogefuzz import fuzzer
+from dogefuzz.abi import ValuePools, parse_abi, selector
+from dogefuzz.asm import Assembler
+from dogefuzz.cfg import build_cfg, critical_sites, distance_map
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
@@ -305,3 +307,93 @@ def test_directed_outpaces_blackbox_on_gated_guards() -> None:
     directed = sorted(first_hit(Strategy.DIRECTED, s) for s in range(5))
     blind = sorted(first_hit(Strategy.BLACKBOX, s) for s in range(5))
     assert directed[len(directed) // 2] < blind[len(blind) // 2]
+
+
+# --- incremental directed feedback ----------------------------------------
+
+def _shared_return_target() -> FuzzTarget:
+    """Four functions call one subroutine whose return JUMP is unresolved.
+
+    Function i returns into a chain of i padding jumps, then a guard whose
+    passing branch jumps, again through a label pushed on entry, to a
+    stipend send.  Return edges are learned on each function's first call,
+    the edges to the sends only once a guard passes.
+    """
+    names = [f"f{i}" for i in range(4)]
+    a = Assembler()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    for name in names:
+        sel = int.from_bytes(selector(f"{name}(uint256)"), "big")
+        a.op("DUP1").push(sel, width=4).op("EQ").push_label(name).op("JUMPI")
+    a.op("STOP")
+    a.dest("sub").op("CALLER", "POP", "JUMP")  # returns to a pushed label
+    for i, name in enumerate(names):
+        a.dest(name).push_label(f"send{i}").push_label(f"ret{i}")
+        a.push_label("sub").op("JUMP")
+        a.dest(f"ret{i}")
+        for k in range(i):
+            a.push_label(f"pad{i}.{k}").op("JUMP").dest(f"pad{i}.{k}")
+        a.push(4).op("CALLDATALOAD").push(1 << 128).op("GT")
+        a.push_label(f"guard{i}").op("JUMPI", "STOP")
+        a.dest(f"guard{i}").op("JUMP")
+        a.dest(f"send{i}")
+        a.push(0).push(0).push(0).push(0).push(1).op("CALLER").push(0)
+        a.op("CALL", "POP", "STOP")
+    runtime = a.assemble()
+    abi = [{"type": "function", "name": name,
+            "inputs": [{"name": "x", "type": "uint256"}], "outputs": [],
+            "stateMutability": "nonpayable"} for name in names]
+    state = WorldState()
+    state.account(AGENT_ADDRESS).balance = 10 ** 18
+    state.account(DEPLOYER_ADDRESS).balance = 10 ** 18
+    address = deploy_contract(state, runtime, endowment=10 ** 6)
+    return FuzzTarget(name="shared_return", address=address, state=state,
+                      specs=tuple(parse_abi(abi)), cfg=build_cfg(runtime),
+                      pools=POOLS)
+
+
+def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
+    target = _shared_return_target()
+    assert target.cfg.unresolved
+    traces = []
+    real_execute = fuzzer.execute_transaction
+
+    def execute(*args, **kwargs):
+        traces.append(real_execute(*args, **kwargs))
+        return traces[-1]
+
+    steps = []
+    real_step = fuzzer._Campaign._execute
+
+    def step(campaign, seed, persist):
+        real_step(campaign, seed, persist)
+        steps.append((campaign, seed.d_min, campaign.cfg, traces[-1]))
+
+    monkeypatch.setattr(fuzzer, "execute_transaction", execute)
+    monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
+    run_campaign(target, CampaignConfig(strategy=Strategy.DIRECTED,
+                                        budget=150, rng_seed=1))
+    assert len(steps) == 150
+
+    # the old algorithm: a full distance map per refinement, then a
+    # minimum over every executed pc
+    sites = critical_sites(target.cfg)
+    full_maps: dict[int, dict[int, int]] = {}
+    for _, d_min, cfg, trace in steps:
+        if id(cfg) not in full_maps:
+            full_maps[id(cfg)] = distance_map(cfg, sites)
+        distances = full_maps[id(cfg)]
+        reached = [distances[pc] for pc in
+                   trace.executed_pcs.get(target.address, ()) if pc in distances]
+        assert d_min == (min(reached) if reached else None)
+    refined_at = [i for i in range(1, len(steps))
+                  if steps[i][2] is not steps[i - 1][2]]
+    assert len(refined_at) >= 4 and refined_at[-1] >= 8, \
+        "edges were learned in the initial corpus and after it"
+    assert len({d_min for _, d_min, _, _ in steps}) > 2
+
+    campaign, _, final_cfg, _ = steps[-1]
+    distances = distance_map(final_cfg, sites)
+    assert campaign.hops == {start: distances[start]
+                             for start in final_cfg.block_starts
+                             if start in distances}
