@@ -175,13 +175,8 @@ class DeploymentError(Exception):
 # --- state lifecycle ------------------------------------------------------
 
 def snapshot_state(state: WorldState) -> WorldState:
-    """Deep copy of the world state, reusable across many restores."""
+    """Deep copy of the world state; copy and original evolve independently."""
     return WorldState({address: acct.copy() for address, acct in state.accounts.items()})
-
-
-def restore_state(snapshot: WorldState) -> WorldState:
-    """Fresh mutable state equal to the snapshot; the snapshot stays intact."""
-    return snapshot_state(snapshot)
 
 
 def contract_address(deployer: bytes, nonce: int) -> bytes:

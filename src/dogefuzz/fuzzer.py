@@ -45,7 +45,6 @@ from .evm import (
     Transaction,
     WorldState,
     execute_transaction,
-    restore_state,
     snapshot_state,
 )
 from .oracles import BugFinding, FineBugClass, dedupe_findings, detect_trace
@@ -242,7 +241,7 @@ class _Campaign:
         self.target = target
         self.config = config
         self.rng = random.Random(config.rng_seed)
-        self.base_state = restore_state(snapshot_state(target.state))
+        self.base_state = snapshot_state(target.state)
         self.cfg = target.cfg
         if config.strategy is Strategy.DIRECTED:
             # block start -> hops to the nearest critical site, kept current

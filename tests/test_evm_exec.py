@@ -25,7 +25,6 @@ from dogefuzz.evm import (
     contract_address,
     deploy_contract,
     execute_transaction,
-    restore_state,
     snapshot_state,
 )
 
@@ -148,7 +147,7 @@ def test_snapshot_restore_roundtrip() -> None:
     snap = snapshot_state(state)
     execute_transaction(state, Transaction(target=vault, value=100))
     assert state != snap
-    restored = restore_state(snap)
+    restored = snapshot_state(snap)
     assert restored == snap
     # the snapshot survives mutations of the restored copy
     restored.account(vault).storage[99] = 1
@@ -210,8 +209,8 @@ def test_trace_is_deterministic_from_equal_states() -> None:
     snap = snapshot_state(state)
     tx = Transaction(target=vault, calldata=WITHDRAW,
                      agent_policy=AgentPolicy(PolicyKind.REENTRANT))
-    first = execute_transaction(restore_state(snap), tx)
-    second = execute_transaction(restore_state(snap), tx)
+    first = execute_transaction(snapshot_state(snap), tx)
+    second = execute_transaction(snapshot_state(snap), tx)
     assert first.events == second.events
     assert first.executed_pcs == second.executed_pcs
     assert first.dynamic_edges == second.dynamic_edges

@@ -90,3 +90,44 @@ def test_random_messages_match_reference() -> None:
 @given(st.binary(min_size=0, max_size=500))
 def test_implementations_agree(message: bytes) -> None:
     assert keccak256(message) == keccak256_reference(message)
+
+
+def test_multi_block_lengths_match_reference() -> None:
+    # one byte short of, exactly at and one byte past each rate multiple,
+    # so every block count from one to five is absorbed
+    rng = random.Random(4321)
+    for n in range(1, 5):
+        for length in (n * 136 - 1, n * 136, n * 136 + 1):
+            m = rng.randbytes(length)
+            assert keccak256(m) == keccak256_reference(m), length
+
+
+def test_repeated_call_hits_the_memo() -> None:
+    message = b"\x5a" * 64
+    first = keccak256(message)
+    hits = keccak256.cache_info().hits
+    assert keccak256(message) == first == keccak256_reference(message)
+    assert keccak256.cache_info().hits == hits + 1
+
+
+def test_buffer_types_hash_like_bytes() -> None:
+    for message in (b"", b"abc", bytes(range(136)), bytes(range(200))):
+        digest = keccak256(message)
+        assert keccak256(bytearray(message)) == digest
+        assert keccak256(memoryview(message)) == digest
+
+
+def test_memo_stays_within_maxsize() -> None:
+    maxsize = keccak256.cache_info().maxsize
+    for i in range(maxsize + 50):
+        keccak256(b"memo-bound" + i.to_bytes(4, "big"))
+    assert keccak256.cache_info().currsize <= maxsize
+
+
+def test_inputs_longer_than_a_block_bypass_the_memo() -> None:
+    before = keccak256.cache_info()
+    for message in (b"\x01" * 137, b"\x02" * (1 << 20)):
+        keccak256(message)
+    after = keccak256.cache_info()
+    assert (after.currsize, after.hits, after.misses) == (
+        before.currsize, before.hits, before.misses)
