@@ -242,13 +242,6 @@ def parse_abi(entries: Iterable[dict]) -> list[FunctionSpec]:
     return specs
 
 
-def constructor_inputs(entries: Iterable[dict]) -> tuple[AbiType, ...] | None:
-    for entry in entries:
-        if entry.get("type") == "constructor":
-            return _entry_inputs(entry)
-    return None
-
-
 @lru_cache(maxsize=4096)
 def selector(signature: str) -> bytes:
     return keccak256(signature.encode("ascii"))[:4]

@@ -1,7 +1,11 @@
 """Static control-flow recovery for EVM bytecode.
 
-A linear sweep partitions code into basic blocks (new block at every
-JUMPDEST and after every jump or halting instruction).  Jump targets are
+`analyze` is the only decoder: one linear sweep per code, cached by code
+bytes, partitions it into basic blocks (new block at every JUMPDEST and
+after every jump, halting or undefined instruction) of pre-decoded
+(pc, opcode, PUSH operand, base gas) instructions.  The interpreter runs
+on these blocks and records coverage from their pc tuples and pc pairs;
+`build_cfg` adds edges to the same blocks.  Jump targets are
 resolved where a bounded constant-stack simulation of the block can prove
 them; everything else is marked unresolved and may later be filled in from
 edges observed at run time via `augment_edges`.  Distances to critical
@@ -19,8 +23,8 @@ import math
 from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple
 
 from . import opcodes as op
 
@@ -30,66 +34,17 @@ logger = logging.getLogger(__name__)
 SIM_STACK_DEPTH = 32
 
 
-# --- disassembly ----------------------------------------------------------
+# --- shared decode --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Instruction:
-    """One decoded instruction; `immediate` holds PUSH payload bytes."""
+# (pc, opcode, PUSH operand or None, base gas)
+Instruction = tuple[int, int, int | None, int]
 
-    pc: int
-    opcode: int
-    immediate: bytes | None = None
-    truncated: bool = False
+# opcodes after which a new block starts: jumps, halts and undefined bytes
+_ENDS_BLOCK = frozenset(
+    byte for byte in range(256)
+    if byte in (op.JUMP, op.JUMPI) or byte in op.HALTING
+    or byte not in op.MNEMONICS)
 
-    @property
-    def mnemonic(self) -> str:
-        return op.MNEMONICS.get(self.opcode, f"UNKNOWN_0x{self.opcode:02x}")
-
-    @property
-    def size(self) -> int:
-        return 1 + (len(self.immediate) if self.immediate is not None else 0)
-
-    @property
-    def push_value(self) -> int | None:
-        """PUSH operand as an integer; truncated immediates zero-pad."""
-        if not op.is_push(self.opcode):
-            return None
-        width = op.push_size(self.opcode)
-        return int.from_bytes((self.immediate or b"").ljust(width, b"\x00"), "big")
-
-    def __str__(self) -> str:
-        if self.immediate is not None:
-            return f"{self.pc:#06x} {self.mnemonic} 0x{self.immediate.hex() or '00'}"
-        return f"{self.pc:#06x} {self.mnemonic}"
-
-
-def disassemble(code: bytes) -> list[Instruction]:
-    """Linear sweep; a PUSH cut off by end-of-code keeps its partial bytes."""
-    out: list[Instruction] = []
-    pc, n = 0, len(code)
-    while pc < n:
-        byte = code[pc]
-        if op.is_push(byte):
-            width = op.push_size(byte)
-            chunk = code[pc + 1:pc + 1 + width]
-            out.append(Instruction(pc, byte, chunk, truncated=len(chunk) < width))
-            pc += 1 + len(chunk)
-        else:
-            out.append(Instruction(pc, byte))
-            pc += 1
-    return out
-
-
-def reassemble(instructions: Iterable[Instruction]) -> bytes:
-    parts = []
-    for ins in instructions:
-        parts.append(bytes([ins.opcode]))
-        if ins.immediate is not None:
-            parts.append(ins.immediate)
-    return b"".join(parts)
-
-
-# --- block structure ------------------------------------------------------
 
 class Terminator(str, Enum):
     JUMP = "Jump"
@@ -101,20 +56,91 @@ class Terminator(str, Enum):
 
 @dataclass(frozen=True)
 class BasicBlock:
+    """A straight run of pre-decoded instructions entered only at `start`.
+
+    `pcs` and `pairs` (each instruction with its successor) are what running
+    the whole block adds to coverage.  `fallthrough` is the pc where
+    execution continues when the block neither jumps nor halts, None at the
+    end of the code.
+    """
+
     start: int
     instructions: tuple[Instruction, ...]
-    terminator: Terminator
+    pcs: tuple[int, ...]
+    pairs: tuple[tuple[int, int], ...]
+    fallthrough: int | None
+
+    @cached_property
+    def jump_target(self) -> int | None:
+        """Constant destination of a closing JUMP/JUMPI, if provable."""
+        if self.instructions[-1][1] not in (op.JUMP, op.JUMPI):
+            return None
+        return _resolve_jump_target(self.instructions)
 
     @property
-    def end(self) -> int:
-        """First pc past the block."""
-        last = self.instructions[-1]
-        return last.pc + last.size
+    def terminator(self) -> Terminator:
+        last = self.instructions[-1][1]
+        if last == op.JUMP:
+            if self.jump_target is None:
+                return Terminator.UNRESOLVED
+            return Terminator.JUMP
+        if last == op.JUMPI:
+            return Terminator.JUMPI
+        if last in _ENDS_BLOCK or self.fallthrough is None:
+            return Terminator.HALT  # running off the end stops cleanly
+        return Terminator.FALLTHROUGH
 
-    @property
-    def pcs(self) -> tuple[int, ...]:
-        return tuple(ins.pc for ins in self.instructions)
 
+class CodeAnalysis(NamedTuple):
+    """Blocks by start pc, ascending, and the JUMPDEST-led ones among them,
+    which are the only valid jump destinations."""
+
+    blocks: dict[int, BasicBlock]
+    jumpdests: dict[int, BasicBlock]
+
+
+@lru_cache(maxsize=4096)
+def analyze(code: bytes) -> CodeAnalysis:
+    """Decode `code` into basic blocks in one linear sweep, once per code.
+
+    A block starts at pc 0, at every JUMPDEST and after every JUMP, JUMPI,
+    halting or undefined byte.  A PUSH cut off by end-of-code reads as
+    zero-padded.  The interpreter and `build_cfg` share the result.
+    """
+    base_gas = op.BASE_GAS
+    blocks: dict[int, BasicBlock] = {}
+    body: list[Instruction] = []
+
+    def close(fallthrough: int | None) -> None:
+        pcs = tuple(ins[0] for ins in body)
+        blocks[pcs[0]] = BasicBlock(pcs[0], tuple(body), pcs,
+                                    tuple(zip(pcs, pcs[1:])), fallthrough)
+        body.clear()
+
+    pc, n = 0, len(code)
+    while pc < n:
+        byte = code[pc]
+        if byte == op.JUMPDEST and body:
+            close(pc)
+        if op.PUSH1 <= byte <= op.PUSH32:
+            width = byte - op.PUSH1 + 1
+            chunk = code[pc + 1:pc + 1 + width]
+            body.append((pc, byte, int.from_bytes(chunk.ljust(width, b"\x00"), "big"),
+                         base_gas[byte]))
+            pc += 1 + width
+        else:
+            body.append((pc, byte, None, base_gas[byte]))
+            pc += 1
+            if byte in _ENDS_BLOCK:
+                close(pc if pc < n else None)
+    if body:
+        close(None)
+    jumpdests = {start: block for start, block in blocks.items()
+                 if block.instructions[0][1] == op.JUMPDEST}
+    return CodeAnalysis(blocks, jumpdests)
+
+
+# --- control-flow graph ---------------------------------------------------
 
 @dataclass(frozen=True)
 class Cfg:
@@ -147,14 +173,14 @@ class Cfg:
     @cached_property
     def jump_site_starts(self) -> dict[int, int]:
         """pc of each block-ending JUMP/JUMPI -> start of its block."""
-        return {block.instructions[-1].pc: block.start for block in self.blocks
-                if block.instructions[-1].opcode in (op.JUMP, op.JUMPI)}
+        return {block.pcs[-1]: block.start for block in self.blocks
+                if block.instructions[-1][1] in (op.JUMP, op.JUMPI)}
 
     @cached_property
     def jumpdest_starts(self) -> frozenset[int]:
         """Starts of blocks led by a JUMPDEST: the only valid jump targets."""
         return frozenset(block.start for block in self.blocks
-                         if block.instructions[0].opcode == op.JUMPDEST)
+                         if block.instructions[0][1] == op.JUMPDEST)
 
     def block_at(self, pc: int) -> BasicBlock:
         """Block containing the instruction at `pc` (KeyError otherwise)."""
@@ -168,44 +194,6 @@ class Cfg:
         return refined
 
 
-def _ends_block(opcode: int) -> bool:
-    if opcode in (op.JUMP, op.JUMPI):
-        return True
-    if opcode in op.HALTING:
-        return True
-    return opcode not in op.MNEMONICS  # undefined bytes abort execution
-
-
-# Stack arity (pops, pushes) for block-local jump target inference.
-def _stack_effects() -> dict[int, tuple[int, int]]:
-    table: dict[int, tuple[int, int]] = {}
-
-    def fill(names: str, pops: int, pushes: int) -> None:
-        for name in names.split():
-            table[getattr(op, name)] = (pops, pushes)
-
-    fill("STOP JUMPDEST INVALID", 0, 0)
-    fill("ADD MUL SUB DIV SDIV MOD SMOD EXP SIGNEXTEND LT GT SLT SGT EQ "
-         "AND OR XOR BYTE SHL SHR SAR SHA3", 2, 1)
-    fill("ADDMOD MULMOD", 3, 1)
-    fill("ISZERO NOT BALANCE CALLDATALOAD MLOAD SLOAD", 1, 1)
-    fill("ADDRESS ORIGIN CALLER CALLVALUE CALLDATASIZE CODESIZE "
-         "RETURNDATASIZE COINBASE TIMESTAMP NUMBER DIFFICULTY GASLIMIT "
-         "PC MSIZE GAS", 0, 1)
-    fill("CALLDATACOPY CODECOPY RETURNDATACOPY", 3, 0)
-    fill("POP SELFDESTRUCT JUMP", 1, 0)
-    fill("MSTORE MSTORE8 SSTORE RETURN REVERT JUMPI", 2, 0)
-    fill("CREATE", 3, 1)
-    fill("CALL CALLCODE", 7, 1)
-    fill("DELEGATECALL STATICCALL", 6, 1)
-    for n in range(5):
-        table[op.LOG0 + n] = (n + 2, 0)
-    return table
-
-
-_STACK_EFFECTS = _stack_effects()
-
-
 def _resolve_jump_target(instructions: tuple[Instruction, ...]) -> int | None:
     """Constant the block provably leaves on top of the stack, if any.
 
@@ -214,10 +202,9 @@ def _resolve_jump_target(instructions: tuple[Instruction, ...]) -> int | None:
     clobbers per its arity.
     """
     stack: list[int | None] = []
-    for ins in instructions[:-1]:
-        byte = ins.opcode
-        if op.is_push(byte):
-            stack.append(ins.push_value)
+    for _, byte, value, _ in instructions[:-1]:
+        if value is not None:
+            stack.append(value)
         elif op.DUP1 <= byte <= op.DUP16:
             depth = byte - op.DUP1 + 1
             while len(stack) < depth:
@@ -229,7 +216,7 @@ def _resolve_jump_target(instructions: tuple[Instruction, ...]) -> int | None:
                 stack.insert(0, None)
             stack[-1], stack[-depth - 1] = stack[-depth - 1], stack[-1]
         else:
-            pops, pushes = _STACK_EFFECTS.get(byte, (0, 0))
+            pops, pushes = op.STACK_EFFECTS.get(byte, (0, 0))
             for _ in range(pops):
                 if stack:
                     stack.pop()
@@ -240,63 +227,23 @@ def _resolve_jump_target(instructions: tuple[Instruction, ...]) -> int | None:
 
 
 def build_cfg(code: bytes) -> Cfg:
-    instructions = disassemble(code)
-    if not instructions:
-        return Cfg(code=code, blocks=(), edges=frozenset(), unresolved=frozenset())
-
-    leaders = {0}
-    for i, ins in enumerate(instructions):
-        if ins.opcode == op.JUMPDEST:
-            leaders.add(ins.pc)
-        if _ends_block(ins.opcode) and i + 1 < len(instructions):
-            leaders.add(instructions[i + 1].pc)
-
-    groups: list[list[Instruction]] = []
-    for ins in instructions:
-        if ins.pc in leaders:
-            groups.append([ins])
-        else:
-            groups[-1].append(ins)
-
-    starts = [group[0].pc for group in groups]
-    jumpdest_starts = {group[0].pc for group in groups
-                       if group[0].opcode == op.JUMPDEST}
+    """Graph over the shared block decode, with statically resolved jumps."""
+    analysis = analyze(code)
     edges: set[tuple[int, int]] = set()
     unresolved: set[int] = set()
-    blocks: list[BasicBlock] = []
-    for idx, group in enumerate(groups):
-        start, last = group[0].pc, group[-1]
-        following = starts[idx + 1] if idx + 1 < len(groups) else None
-        body = tuple(group)
-        if last.opcode == op.JUMP:
-            target = _resolve_jump_target(body)
-            if target is None:
-                terminator = Terminator.UNRESOLVED
-                unresolved.add(start)
-            else:
-                terminator = Terminator.JUMP
-                if target in jumpdest_starts:
-                    edges.add((start, target))
-        elif last.opcode == op.JUMPI:
-            terminator = Terminator.JUMPI
-            if following is not None:
-                edges.add((start, following))
-            target = _resolve_jump_target(body)
+    for start, block in analysis.blocks.items():
+        if block.instructions[-1][1] in (op.JUMP, op.JUMPI):
+            target = block.jump_target
             if target is None:
                 unresolved.add(start)
-            elif target in jumpdest_starts:
+            elif target in analysis.jumpdests:
                 edges.add((start, target))
-        elif _ends_block(last.opcode):
-            terminator = Terminator.HALT
-        elif following is not None:
-            terminator = Terminator.FALLTHROUGH
-            edges.add((start, following))
-        else:
-            terminator = Terminator.HALT  # running off the end stops cleanly
-        blocks.append(BasicBlock(start, body, terminator))
+        if (block.terminator in (Terminator.JUMPI, Terminator.FALLTHROUGH)
+                and block.fallthrough is not None):
+            edges.add((start, block.fallthrough))
 
-    cfg = Cfg(code=code, blocks=tuple(blocks), edges=frozenset(edges),
-              unresolved=frozenset(unresolved))
+    cfg = Cfg(code=code, blocks=tuple(analysis.blocks.values()),
+              edges=frozenset(edges), unresolved=frozenset(unresolved))
     logger.debug("built cfg: %d blocks, %d edges, %d unresolved",
                  len(cfg.blocks), len(cfg.edges), len(cfg.unresolved))
     return cfg
@@ -332,8 +279,8 @@ def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
 
 def critical_sites(cfg: Cfg) -> list[int]:
     """pcs of money- or control-transferring instructions, ascending."""
-    return [ins.pc for block in cfg.blocks for ins in block.instructions
-            if ins.opcode in op.CRITICAL]
+    return [pc for block in cfg.blocks for pc, opcode, _, _ in block.instructions
+            if opcode in op.CRITICAL]
 
 
 def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
@@ -399,12 +346,20 @@ def relax_distances(hops: dict[int, int], predecessors: dict[int, set[int]],
 
 # --- export ---------------------------------------------------------------
 
+def _listing(code: bytes, ins: Instruction) -> str:
+    pc, opcode, value, _ = ins
+    text = f"{pc:#06x} {op.mnemonic(opcode)}"
+    if value is None:
+        return text
+    return f"{text} 0x{code[pc + 1:pc + 1 + op.push_size(opcode)].hex() or '00'}"
+
+
 def to_dot(cfg: Cfg, highlight: Iterable[int] = ()) -> str:
     """Graphviz rendering; blocks containing `highlight` pcs get a border."""
     marked = {cfg.block_at(pc).start for pc in highlight if pc in cfg.pcs}
     lines = ["digraph cfg {", '    node [shape=box, fontname="monospace"];']
     for block in cfg.blocks:
-        listing = "\\l".join(str(ins) for ins in block.instructions)
+        listing = "\\l".join(_listing(cfg.code, ins) for ins in block.instructions)
         attrs = f'label="{listing}\\l[{block.terminator.value}]"'
         if block.start in marked:
             attrs += ", color=red, penwidth=2"

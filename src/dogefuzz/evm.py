@@ -1,10 +1,19 @@
 """Bytecode interpreter with execution instrumentation for fuzzing.
 
 Implements an Istanbul-era stack machine over a journaled world state and
-records, besides coverage (executed offsets and dynamic edges), the nine
-event kinds the bug oracles consume: Delegate, GaslessSend, SendOp,
+records, besides coverage (executed offsets and dynamic edges), the eight
+event kinds the bug oracles consume: Delegate, GaslessSend,
 ExceptionDisorder, BlockNumber, Timestamp, Reentrancy, StorageChanged,
 EtherTransfer.
+
+Each frame runs over `cfg.analyze`, the one decode of its code into basic
+blocks shared with `build_cfg`: instructions come pre-decoded with their
+PUSH operands and base gas, and JUMP/JUMPI end a block.  Gas is still
+charged per instruction, but coverage is recorded once per block, from the
+block's precomputed pcs and instruction pairs plus one pair per transition
+between blocks of the frame; a block that faults adds only its prefix up to
+the faulting instruction.  Dynamic edges are therefore exactly the pairs of
+successive instructions within each frame of the fuzzed target.
 
 Transactions originate from a built-in agent account whose behavior on being
 called back is driven by a per-transaction policy (accept, re-enter the
@@ -21,6 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from . import opcodes as op
+from .cfg import analyze
 from .keccak import keccak256
 
 logger = logging.getLogger(__name__)
@@ -63,7 +73,6 @@ class TxStatus(str, Enum):
 class EventKind(str, Enum):
     DELEGATE = "Delegate"
     GASLESS_SEND = "GaslessSend"
-    SEND_OP = "SendOp"
     EXCEPTION_DISORDER = "ExceptionDisorder"
     BLOCK_NUMBER = "BlockNumber"
     TIMESTAMP = "Timestamp"
@@ -122,7 +131,6 @@ class ExecutionTrace:
     executed_pcs: dict[bytes, set[int]]
     dynamic_edges: set[tuple[int, int]]
     events: list[ExecutionEvent]
-    storage_diff: list[tuple[bytes, int, int, int]]
     return_data: bytes = b""
 
 
@@ -182,40 +190,6 @@ def snapshot_state(state: WorldState) -> WorldState:
 def contract_address(deployer: bytes, nonce: int) -> bytes:
     """Deterministic deployment address from deployer and nonce."""
     return keccak256(deployer + nonce.to_bytes(8, "big"))[12:]
-
-
-# --- per-code static analysis cache ---------------------------------------
-
-_CODE_INFO: dict[bytes, tuple[frozenset[int], dict[int, tuple[int, int]]]] = {}
-
-
-def _code_info(code: bytes) -> tuple[frozenset[int], dict[int, tuple[int, int]]]:
-    """(valid jump destinations, PUSH site -> (value, next pc)) for `code`."""
-    cached = _CODE_INFO.get(code)
-    if cached is not None:
-        return cached
-    jumpdests = set()
-    pushes: dict[int, tuple[int, int]] = {}
-    pc = 0
-    n = len(code)
-    while pc < n:
-        byte = code[pc]
-        if op.PUSH1 <= byte <= op.PUSH32:
-            width = byte - op.PUSH1 + 1
-            chunk = code[pc + 1:pc + 1 + width]
-            # immediates truncated by end-of-code read as zero-padded
-            value = int.from_bytes(chunk.ljust(width, b"\x00"), "big")
-            pushes[pc] = (value, pc + 1 + width)
-            pc += 1 + width
-        else:
-            if byte == op.JUMPDEST:
-                jumpdests.add(pc)
-            pc += 1
-    if len(_CODE_INFO) > 4096:
-        _CODE_INFO.clear()
-    info = (frozenset(jumpdests), pushes)
-    _CODE_INFO[code] = info
-    return info
 
 
 # --- interpreter ----------------------------------------------------------
@@ -322,19 +296,15 @@ class _Machine:
                        depth: int, static: bool) -> tuple[TxStatus, bytes, int]:
         state = self.state
         tx = self.tx
-        base_gas = op.BASE_GAS
-        jumpdests, pushes = _code_info(code)
+        blocks, jumpdests = analyze(code)
         pcs = self.executed.setdefault(code_address, set())
-        track_edges = code_address == self.track
-        edges = self.edges
+        edges = self.edges if code_address == self.track else None
 
         stack: list[int] = []
         mem = bytearray()
         mem_words = 0
         returndata = b""
         swallowed: list[int] = []
-        pc = 0
-        prev = -1
         n = len(code)
 
         def touch(offset: int, size: int) -> None:
@@ -355,288 +325,292 @@ class _Machine:
                     self.emit(EventKind.EXCEPTION_DISORDER, site, depth)
             return status, ret, gas
 
-        while True:
-            if pc >= n:
-                return finish(TxStatus.SUCCESS, b"")
-            opcode = code[pc]
-            pcs.add(pc)
-            if track_edges:
-                if prev >= 0:
-                    edges.add((prev, pc))
-                prev = pc
-            gas -= base_gas[opcode]
-            if gas < 0:
-                raise _OutOfGas
-
-            if opcode >= 0x60:
-                if opcode <= 0x7F:  # PUSH1..PUSH32
-                    if len(stack) >= STACK_LIMIT:
-                        raise _InvalidOp
-                    val, nxt = pushes[pc]
-                    stack.append(val)
-                    pc = nxt
-                    continue
-                if opcode <= 0x8F:  # DUP1..DUP16
-                    if len(stack) >= STACK_LIMIT:
-                        raise _InvalidOp
-                    stack.append(stack[-(opcode - 0x7F)])
-                elif opcode <= 0x9F:  # SWAP1..SWAP16
-                    k = opcode - 0x8F
-                    stack[-1], stack[-1 - k] = stack[-1 - k], stack[-1]
-                elif opcode <= 0xA4:  # LOG0..LOG4
-                    if static:
-                        raise _InvalidOp
-                    offset, size = stack.pop(), stack.pop()
-                    touch(offset, size)
-                    for _ in range(opcode - 0xA0):
+        block = blocks.get(0)
+        while block is not None:
+            nxt = None  # a taken jump's destination block
+            try:
+                # literal opcodes, most frequent first; gas is charged per
+                # instruction so a fault stops at the exact pc
+                for pc, opcode, push, cost in block.instructions:
+                    gas -= cost
+                    if gas < 0:
+                        raise _OutOfGas
+                    if push is not None:  # PUSH1..PUSH32
+                        if len(stack) >= STACK_LIMIT:
+                            raise _InvalidOp
+                        stack.append(push)
+                    elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
+                        if len(stack) >= STACK_LIMIT:
+                            raise _InvalidOp
+                        stack.append(stack[0x7F - opcode])
+                    elif opcode == 0x57:  # JUMPI
+                        dest, cond = stack.pop(), stack.pop()
+                        if cond:
+                            nxt = jumpdests.get(dest)
+                            if nxt is None:
+                                raise _InvalidOp
+                    elif opcode == 0x14:  # EQ
+                        stack.append(1 if stack.pop() == stack.pop() else 0)
+                    elif opcode == 0x5B:  # JUMPDEST
+                        pass
+                    elif opcode == 0x35:  # CALLDATALOAD
+                        offset = stack.pop()
+                        if offset >= len(calldata):
+                            stack.append(0)
+                        else:
+                            stack.append(int.from_bytes(
+                                calldata[offset:offset + 32].ljust(32, b"\x00"), "big"))
+                    elif opcode == 0x50:  # POP
                         stack.pop()
-                elif opcode == op.RETURN:
-                    offset, size = stack.pop(), stack.pop()
-                    touch(offset, size)
-                    return finish(TxStatus.SUCCESS, bytes(mem[offset:offset + size]))
-                elif opcode == op.REVERT:
-                    offset, size = stack.pop(), stack.pop()
-                    touch(offset, size)
-                    return TxStatus.REVERTED, bytes(mem[offset:offset + size]), gas
-                elif opcode in (op.CALL, op.CALLCODE, op.DELEGATECALL, op.STATICCALL):
-                    gas, returndata = self._do_call(
-                        opcode, stack, mem, touch, gas, pc, depth, static,
-                        code_address, self_address, caller, value, calldata,
-                        swallowed)
-                elif opcode == op.CREATE:
-                    gas = self._do_create(stack, mem, touch, gas, pc, depth,
-                                          static, self_address, swallowed)
-                elif opcode == op.SELFDESTRUCT:
-                    if static:
+                    elif opcode == 0x1C:  # SHR
+                        shift, v = stack.pop(), stack.pop()
+                        stack.append(v >> shift if shift < 256 else 0)
+                    elif opcode == 0x58:  # PC
+                        stack.append(pc)
+                    elif opcode == 0x56:  # JUMP
+                        nxt = jumpdests.get(stack.pop())
+                        if nxt is None:
+                            raise _InvalidOp
+                    elif opcode == 0x00:  # STOP
+                        return finish(TxStatus.SUCCESS, b"")
+                    elif opcode == 0x52:  # MSTORE
+                        offset, val = stack.pop(), stack.pop()
+                        touch(offset, 32)
+                        mem[offset:offset + 32] = val.to_bytes(32, "big")
+                    elif opcode == 0x33:  # CALLER
+                        stack.append(int.from_bytes(caller, "big"))
+                    elif opcode == 0x01:  # ADD
+                        stack.append((stack.pop() + stack.pop()) & UINT256_MASK)
+                    elif opcode == 0x15:  # ISZERO
+                        stack.append(1 if stack.pop() == 0 else 0)
+                    elif opcode == 0x55:  # SSTORE
+                        if static:
+                            raise _InvalidOp
+                        key, val = stack.pop(), stack.pop()
+                        acct = self.touch_account(self_address)
+                        old = acct.storage.get(key, 0)
+                        gas -= op.GAS_SSTORE_FRESH if (old == 0 and val != 0) else op.GAS_SSTORE_UPDATE
+                        if gas < 0:
+                            raise _OutOfGas
+                        if val != old:
+                            self.journal.append(("storage", self_address, key, old))
+                            if val:
+                                acct.storage[key] = val
+                            else:
+                                del acct.storage[key]
+                            self.emit(EventKind.STORAGE_CHANGED, pc, depth,
+                                      (self_address, key, old, val))
+                    elif opcode == 0x54:  # SLOAD
+                        key = stack.pop()
+                        acct = state.accounts.get(self_address)
+                        stack.append(acct.storage.get(key, 0) if acct is not None else 0)
+                    elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
+                        k = opcode - 0x8F
+                        stack[-1], stack[-1 - k] = stack[-1 - k], stack[-1]
+                    elif opcode == 0x20:  # SHA3
+                        offset, size = stack.pop(), stack.pop()
+                        gas -= op.GAS_SHA3_WORD * ((size + 31) >> 5)
+                        if gas < 0:
+                            raise _OutOfGas
+                        touch(offset, size)
+                        stack.append(int.from_bytes(keccak256(bytes(mem[offset:offset + size])), "big"))
+                    elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # CALL CALLCODE DELEGATECALL STATICCALL
+                        gas, returndata = self._do_call(
+                            opcode, stack, mem, touch, gas, pc, depth, static,
+                            code_address, self_address, caller, value, calldata,
+                            swallowed)
+                    elif opcode == 0x16:  # AND
+                        stack.append(stack.pop() & stack.pop())
+                    elif opcode == 0x10:  # LT
+                        a, b = stack.pop(), stack.pop()
+                        stack.append(1 if a < b else 0)
+                    elif opcode == 0x11:  # GT
+                        a, b = stack.pop(), stack.pop()
+                        stack.append(1 if a > b else 0)
+                    elif opcode == 0x03:  # SUB
+                        a, b = stack.pop(), stack.pop()
+                        stack.append((a - b) & UINT256_MASK)
+                    elif opcode == 0x5A:  # GAS
+                        stack.append(gas)
+                    elif opcode == 0x34:  # CALLVALUE
+                        stack.append(value)
+                    elif opcode == 0x51:  # MLOAD
+                        offset = stack.pop()
+                        touch(offset, 32)
+                        stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
+                    elif opcode == 0xF3:  # RETURN
+                        offset, size = stack.pop(), stack.pop()
+                        touch(offset, size)
+                        return finish(TxStatus.SUCCESS, bytes(mem[offset:offset + size]))
+                    elif opcode == 0xFD:  # REVERT
+                        offset, size = stack.pop(), stack.pop()
+                        touch(offset, size)
+                        return TxStatus.REVERTED, bytes(mem[offset:offset + size]), gas
+                    elif opcode == 0x30:  # ADDRESS
+                        stack.append(int.from_bytes(self_address, "big"))
+                    elif opcode == 0x36:  # CALLDATASIZE
+                        stack.append(len(calldata))
+                    elif opcode == 0x42:  # TIMESTAMP
+                        self.emit(EventKind.TIMESTAMP, pc, depth)
+                        stack.append(tx.block.timestamp)
+                    elif opcode == 0x43:  # NUMBER
+                        self.emit(EventKind.BLOCK_NUMBER, pc, depth)
+                        stack.append(tx.block.number)
+                    # --- the rest, by opcode value ---
+                    elif opcode == 0x02:  # MUL
+                        stack.append((stack.pop() * stack.pop()) & UINT256_MASK)
+                    elif opcode == 0x04:  # DIV
+                        a, b = stack.pop(), stack.pop()
+                        stack.append(a // b if b else 0)
+                    elif opcode == 0x05:  # SDIV
+                        a, b = _signed(stack.pop()), _signed(stack.pop())
+                        if b == 0:
+                            stack.append(0)
+                        else:
+                            q = abs(a) // abs(b)
+                            stack.append((-q if (a < 0) != (b < 0) else q) & UINT256_MASK)
+                    elif opcode == 0x06:  # MOD
+                        a, b = stack.pop(), stack.pop()
+                        stack.append(a % b if b else 0)
+                    elif opcode == 0x07:  # SMOD
+                        a, b = _signed(stack.pop()), _signed(stack.pop())
+                        if b == 0:
+                            stack.append(0)
+                        else:
+                            r = abs(a) % abs(b)
+                            stack.append((-r if a < 0 else r) & UINT256_MASK)
+                    elif opcode == 0x08:  # ADDMOD
+                        a, b, m = stack.pop(), stack.pop(), stack.pop()
+                        stack.append((a + b) % m if m else 0)
+                    elif opcode == 0x09:  # MULMOD
+                        a, b, m = stack.pop(), stack.pop(), stack.pop()
+                        stack.append((a * b) % m if m else 0)
+                    elif opcode == 0x0A:  # EXP
+                        a, b = stack.pop(), stack.pop()
+                        stack.append(pow(a, b, 1 << 256))
+                    elif opcode == 0x0B:  # SIGNEXTEND
+                        b, x = stack.pop(), stack.pop()
+                        if b > 31:
+                            stack.append(x)
+                        else:
+                            bit = 8 * b + 7
+                            mask = (1 << (bit + 1)) - 1
+                            if x & (1 << bit):
+                                stack.append((x | ~mask) & UINT256_MASK)
+                            else:
+                                stack.append(x & mask)
+                    elif opcode == 0x12:  # SLT
+                        a, b = _signed(stack.pop()), _signed(stack.pop())
+                        stack.append(1 if a < b else 0)
+                    elif opcode == 0x13:  # SGT
+                        a, b = _signed(stack.pop()), _signed(stack.pop())
+                        stack.append(1 if a > b else 0)
+                    elif opcode == 0x17:  # OR
+                        stack.append(stack.pop() | stack.pop())
+                    elif opcode == 0x18:  # XOR
+                        stack.append(stack.pop() ^ stack.pop())
+                    elif opcode == 0x19:  # NOT
+                        stack.append(stack.pop() ^ UINT256_MASK)
+                    elif opcode == 0x1A:  # BYTE
+                        i, x = stack.pop(), stack.pop()
+                        stack.append((x >> (8 * (31 - i))) & 0xFF if i < 32 else 0)
+                    elif opcode == 0x1B:  # SHL
+                        shift, v = stack.pop(), stack.pop()
+                        stack.append((v << shift) & UINT256_MASK if shift < 256 else 0)
+                    elif opcode == 0x1D:  # SAR
+                        shift, v = stack.pop(), _signed(stack.pop())
+                        if shift > 255:
+                            stack.append(0 if v >= 0 else UINT256_MASK)
+                        else:
+                            stack.append((v >> shift) & UINT256_MASK)
+                    elif opcode == 0x31:  # BALANCE
+                        stack.append(state.balance_of((stack.pop() & ADDRESS_MASK).to_bytes(20, "big")))
+                    elif opcode == 0x32:  # ORIGIN
+                        stack.append(int.from_bytes(tx.sender, "big"))
+                    elif opcode == 0x37:  # CALLDATACOPY
+                        dst, src, size = stack.pop(), stack.pop(), stack.pop()
+                        touch(dst, size)
+                        if size:
+                            chunk = calldata[src:src + size] if src < len(calldata) else b""
+                            mem[dst:dst + size] = chunk.ljust(size, b"\x00")
+                    elif opcode == 0x38:  # CODESIZE
+                        stack.append(n)
+                    elif opcode == 0x39:  # CODECOPY
+                        dst, src, size = stack.pop(), stack.pop(), stack.pop()
+                        touch(dst, size)
+                        if size:
+                            chunk = code[src:src + size] if src < n else b""
+                            mem[dst:dst + size] = chunk.ljust(size, b"\x00")
+                    elif opcode == 0x3D:  # RETURNDATASIZE
+                        stack.append(len(returndata))
+                    elif opcode == 0x3E:  # RETURNDATACOPY
+                        dst, src, size = stack.pop(), stack.pop(), stack.pop()
+                        if src + size > len(returndata):
+                            raise _InvalidOp
+                        touch(dst, size)
+                        if size:
+                            mem[dst:dst + size] = returndata[src:src + size]
+                    elif opcode == 0x41:  # COINBASE
+                        stack.append(int.from_bytes(COINBASE_ADDRESS, "big"))
+                    elif opcode == 0x44:  # DIFFICULTY
+                        stack.append(0)
+                    elif opcode == 0x45:  # GASLIMIT
+                        stack.append(tx.block.gas_limit)
+                    elif opcode == 0x53:  # MSTORE8
+                        offset, val = stack.pop(), stack.pop()
+                        touch(offset, 1)
+                        mem[offset] = val & 0xFF
+                    elif opcode == 0x59:  # MSIZE
+                        stack.append(mem_words << 5)
+                    elif 0xA0 <= opcode <= 0xA4:  # LOG0..LOG4
+                        if static:
+                            raise _InvalidOp
+                        offset, size = stack.pop(), stack.pop()
+                        touch(offset, size)
+                        for _ in range(opcode - 0xA0):
+                            stack.pop()
+                    elif opcode == 0xF0:  # CREATE
+                        gas = self._do_create(stack, mem, touch, gas, pc, depth,
+                                              static, self_address, swallowed)
+                    elif opcode == 0xFF:  # SELFDESTRUCT
+                        if static:
+                            raise _InvalidOp
+                        beneficiary = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
+                        held = state.balance_of(self_address)
+                        if held > 0:
+                            self.emit(EventKind.ETHER_TRANSFER, pc, depth,
+                                      (self_address, beneficiary, held))
+                            self.transfer(self_address, beneficiary, held)
+                        acct = state.accounts.get(self_address)
+                        if acct is not None:
+                            self.journal.append(("destroyed", self_address, acct.copy()))
+                            acct.code = b""
+                            acct.storage = {}
+                            acct.balance = 0
+                        return finish(TxStatus.SUCCESS, b"")
+                    else:  # INVALID and undefined bytes
+                        gas = 0
                         raise _InvalidOp
-                    beneficiary = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
-                    held = state.balance_of(self_address)
-                    if held > 0:
-                        self.emit(EventKind.ETHER_TRANSFER, pc, depth,
-                                  (self_address, beneficiary, held))
-                        self.transfer(self_address, beneficiary, held)
-                    acct = state.accounts.get(self_address)
-                    if acct is not None:
-                        self.journal.append(("destroyed", self_address, acct.copy()))
-                        acct.code = b""
-                        acct.storage = {}
-                        acct.balance = 0
-                    return finish(TxStatus.SUCCESS, b"")
+            finally:
+                # coverage once per block, up to the instruction that ran
+                # last, which is the faulting one when the block did not end
+                if pc == block.pcs[-1]:
+                    pcs.update(block.pcs)
+                    if edges is not None:
+                        edges.update(block.pairs)
                 else:
-                    gas = 0
-                    raise _InvalidOp
-                pc += 1
-                continue
-
-            # opcodes below 0x60
-            if opcode == op.STOP:
-                return finish(TxStatus.SUCCESS, b"")
-            if opcode == op.ADD:
-                stack.append((stack.pop() + stack.pop()) & UINT256_MASK)
-            elif opcode == op.MUL:
-                stack.append((stack.pop() * stack.pop()) & UINT256_MASK)
-            elif opcode == op.SUB:
-                a, b = stack.pop(), stack.pop()
-                stack.append((a - b) & UINT256_MASK)
-            elif opcode == op.DIV:
-                a, b = stack.pop(), stack.pop()
-                stack.append(a // b if b else 0)
-            elif opcode == op.SDIV:
-                a, b = _signed(stack.pop()), _signed(stack.pop())
-                if b == 0:
-                    stack.append(0)
-                else:
-                    q = abs(a) // abs(b)
-                    stack.append((-q if (a < 0) != (b < 0) else q) & UINT256_MASK)
-            elif opcode == op.MOD:
-                a, b = stack.pop(), stack.pop()
-                stack.append(a % b if b else 0)
-            elif opcode == op.SMOD:
-                a, b = _signed(stack.pop()), _signed(stack.pop())
-                if b == 0:
-                    stack.append(0)
-                else:
-                    r = abs(a) % abs(b)
-                    stack.append((-r if a < 0 else r) & UINT256_MASK)
-            elif opcode == op.ADDMOD:
-                a, b, m = stack.pop(), stack.pop(), stack.pop()
-                stack.append((a + b) % m if m else 0)
-            elif opcode == op.MULMOD:
-                a, b, m = stack.pop(), stack.pop(), stack.pop()
-                stack.append((a * b) % m if m else 0)
-            elif opcode == op.EXP:
-                a, b = stack.pop(), stack.pop()
-                stack.append(pow(a, b, 1 << 256))
-            elif opcode == op.SIGNEXTEND:
-                b, x = stack.pop(), stack.pop()
-                if b > 31:
-                    stack.append(x)
-                else:
-                    bit = 8 * b + 7
-                    mask = (1 << (bit + 1)) - 1
-                    if x & (1 << bit):
-                        stack.append((x | ~mask) & UINT256_MASK)
-                    else:
-                        stack.append(x & mask)
-            elif opcode == op.LT:
-                a, b = stack.pop(), stack.pop()
-                stack.append(1 if a < b else 0)
-            elif opcode == op.GT:
-                a, b = stack.pop(), stack.pop()
-                stack.append(1 if a > b else 0)
-            elif opcode == op.SLT:
-                a, b = _signed(stack.pop()), _signed(stack.pop())
-                stack.append(1 if a < b else 0)
-            elif opcode == op.SGT:
-                a, b = _signed(stack.pop()), _signed(stack.pop())
-                stack.append(1 if a > b else 0)
-            elif opcode == op.EQ:
-                stack.append(1 if stack.pop() == stack.pop() else 0)
-            elif opcode == op.ISZERO:
-                stack.append(1 if stack.pop() == 0 else 0)
-            elif opcode == op.AND:
-                stack.append(stack.pop() & stack.pop())
-            elif opcode == op.OR:
-                stack.append(stack.pop() | stack.pop())
-            elif opcode == op.XOR:
-                stack.append(stack.pop() ^ stack.pop())
-            elif opcode == op.NOT:
-                stack.append(stack.pop() ^ UINT256_MASK)
-            elif opcode == op.BYTE:
-                i, x = stack.pop(), stack.pop()
-                stack.append((x >> (8 * (31 - i))) & 0xFF if i < 32 else 0)
-            elif opcode == op.SHL:
-                shift, v = stack.pop(), stack.pop()
-                stack.append((v << shift) & UINT256_MASK if shift < 256 else 0)
-            elif opcode == op.SHR:
-                shift, v = stack.pop(), stack.pop()
-                stack.append(v >> shift if shift < 256 else 0)
-            elif opcode == op.SAR:
-                shift, v = stack.pop(), _signed(stack.pop())
-                if shift > 255:
-                    stack.append(0 if v >= 0 else UINT256_MASK)
-                else:
-                    stack.append((v >> shift) & UINT256_MASK)
-            elif opcode == op.SHA3:
-                offset, size = stack.pop(), stack.pop()
-                gas -= op.GAS_SHA3_WORD * ((size + 31) >> 5)
-                if gas < 0:
-                    raise _OutOfGas
-                touch(offset, size)
-                stack.append(int.from_bytes(keccak256(bytes(mem[offset:offset + size])), "big"))
-            elif opcode == op.ADDRESS:
-                stack.append(int.from_bytes(self_address, "big"))
-            elif opcode == op.BALANCE:
-                stack.append(state.balance_of((stack.pop() & ADDRESS_MASK).to_bytes(20, "big")))
-            elif opcode == op.ORIGIN:
-                stack.append(int.from_bytes(tx.sender, "big"))
-            elif opcode == op.CALLER:
-                stack.append(int.from_bytes(caller, "big"))
-            elif opcode == op.CALLVALUE:
-                stack.append(value)
-            elif opcode == op.CALLDATALOAD:
-                offset = stack.pop()
-                if offset >= len(calldata):
-                    stack.append(0)
-                else:
-                    stack.append(int.from_bytes(calldata[offset:offset + 32].ljust(32, b"\x00"), "big"))
-            elif opcode == op.CALLDATASIZE:
-                stack.append(len(calldata))
-            elif opcode == op.CALLDATACOPY:
-                dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                touch(dst, size)
-                if size:
-                    chunk = calldata[src:src + size] if src < len(calldata) else b""
-                    mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-            elif opcode == op.CODESIZE:
-                stack.append(n)
-            elif opcode == op.CODECOPY:
-                dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                touch(dst, size)
-                if size:
-                    chunk = code[src:src + size] if src < n else b""
-                    mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-            elif opcode == op.RETURNDATASIZE:
-                stack.append(len(returndata))
-            elif opcode == op.RETURNDATACOPY:
-                dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                if src + size > len(returndata):
-                    raise _InvalidOp
-                touch(dst, size)
-                if size:
-                    mem[dst:dst + size] = returndata[src:src + size]
-            elif opcode == op.COINBASE:
-                stack.append(int.from_bytes(COINBASE_ADDRESS, "big"))
-            elif opcode == op.TIMESTAMP:
-                self.emit(EventKind.TIMESTAMP, pc, depth)
-                stack.append(tx.block.timestamp)
-            elif opcode == op.NUMBER:
-                self.emit(EventKind.BLOCK_NUMBER, pc, depth)
-                stack.append(tx.block.number)
-            elif opcode == op.DIFFICULTY:
-                stack.append(0)
-            elif opcode == op.GASLIMIT:
-                stack.append(tx.block.gas_limit)
-            elif opcode == op.POP:
-                stack.pop()
-            elif opcode == op.MLOAD:
-                offset = stack.pop()
-                touch(offset, 32)
-                stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
-            elif opcode == op.MSTORE:
-                offset, val = stack.pop(), stack.pop()
-                touch(offset, 32)
-                mem[offset:offset + 32] = val.to_bytes(32, "big")
-            elif opcode == op.MSTORE8:
-                offset, val = stack.pop(), stack.pop()
-                touch(offset, 1)
-                mem[offset] = val & 0xFF
-            elif opcode == op.SLOAD:
-                key = stack.pop()
-                acct = state.accounts.get(self_address)
-                stack.append(acct.storage.get(key, 0) if acct is not None else 0)
-            elif opcode == op.SSTORE:
-                if static:
-                    raise _InvalidOp
-                key, val = stack.pop(), stack.pop()
-                acct = self.touch_account(self_address)
-                old = acct.storage.get(key, 0)
-                gas -= op.GAS_SSTORE_FRESH if (old == 0 and val != 0) else op.GAS_SSTORE_UPDATE
-                if gas < 0:
-                    raise _OutOfGas
-                if val != old:
-                    self.journal.append(("storage", self_address, key, old))
-                    if val:
-                        acct.storage[key] = val
-                    else:
-                        del acct.storage[key]
-                    self.emit(EventKind.STORAGE_CHANGED, pc, depth,
-                              (self_address, key, old, val))
-            elif opcode == op.JUMP:
-                dest = stack.pop()
-                if dest not in jumpdests:
-                    raise _InvalidOp
-                pc = dest
-                continue
-            elif opcode == op.JUMPI:
-                dest, cond = stack.pop(), stack.pop()
-                if cond:
-                    if dest not in jumpdests:
-                        raise _InvalidOp
-                    pc = dest
-                    continue
-            elif opcode == op.PC:
-                stack.append(pc)
-            elif opcode == op.MSIZE:
-                stack.append(mem_words << 5)
-            elif opcode == op.GAS:
-                stack.append(gas)
-            elif opcode == op.JUMPDEST:
-                pass
-            else:
-                gas = 0
-                raise _InvalidOp
-            pc += 1
+                    ran = block.pcs.index(pc) + 1
+                    pcs.update(block.pcs[:ran])
+                    if edges is not None:
+                        edges.update(block.pairs[:ran - 1])
+            if nxt is None:
+                nxt = blocks.get(block.fallthrough)
+                if nxt is None:  # ran off the end of the code
+                    break
+            if edges is not None:
+                edges.add((pc, nxt.start))
+            block = nxt
+        return finish(TxStatus.SUCCESS, b"")
 
     # -- call-family helper --
 
@@ -697,8 +671,6 @@ class _Machine:
                 return gas + forwarded, b""
             self.emit(EventKind.ETHER_TRANSFER, pc, depth,
                       (self_address, self_address, call_value))
-        if is_send:
-            self.emit(EventKind.SEND_OP, pc, depth, (target,))
 
         if opcode == op.CALL:
             child_self = target
@@ -864,20 +836,7 @@ def execute_transaction(state: WorldState, tx: Transaction,
     else:
         status, ret, gas_left = TxStatus.SUCCESS, b"", tx.gas_limit
 
-    storage_diff: list[tuple[bytes, int, int, int]] = []
-    if status is TxStatus.SUCCESS:
-        first_old: dict[tuple[bytes, int], int] = {}
-        for entry in machine.journal[mark:]:
-            if entry[0] == "storage":
-                first_old.setdefault((entry[1], entry[2]), entry[3])
-        for (address, key), old in first_old.items():
-            acct = state.accounts.get(address)
-            new = acct.storage.get(key, 0) if acct is not None else 0
-            if new != old:
-                storage_diff.append((address, key, old, new))
-        if not persist:
-            machine.rollback(mark)
-    else:
+    if status is not TxStatus.SUCCESS or not persist:
         machine.rollback(mark)
 
     return ExecutionTrace(
@@ -886,7 +845,6 @@ def execute_transaction(state: WorldState, tx: Transaction,
         executed_pcs=machine.executed,
         dynamic_edges=machine.edges,
         events=machine.events,
-        storage_diff=storage_diff,
         return_data=ret,
     )
 

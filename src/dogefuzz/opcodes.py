@@ -129,6 +129,11 @@ def push_size(op: int) -> int:
     return op - PUSH1 + 1 if is_push(op) else 0
 
 
+def mnemonic(op: int) -> str:
+    """Name of an opcode byte; undefined bytes get a placeholder."""
+    return MNEMONICS.get(op, f"UNKNOWN_0x{op:02x}")
+
+
 # --- gas schedule ---------------------------------------------------------
 
 GAS_STIPEND = 2300
@@ -160,6 +165,31 @@ _BASE_GAS: dict[int, int] = {
 BASE_GAS: list[int] = [3] * 256
 for _op, _cost in _BASE_GAS.items():
     BASE_GAS[_op] = _cost
+
+# --- stack arity ----------------------------------------------------------
+
+# (pops, pushes) per opcode; PUSH, DUP and SWAP are left out because their
+# effect on a simulated stack depends on which slots they read
+STACK_EFFECTS: dict[int, tuple[int, int]] = {}
+for _names, _effect in (
+        ("STOP JUMPDEST INVALID", (0, 0)),
+        ("ADD MUL SUB DIV SDIV MOD SMOD EXP SIGNEXTEND LT GT SLT SGT EQ "
+         "AND OR XOR BYTE SHL SHR SAR SHA3", (2, 1)),
+        ("ADDMOD MULMOD", (3, 1)),
+        ("ISZERO NOT BALANCE CALLDATALOAD MLOAD SLOAD", (1, 1)),
+        ("ADDRESS ORIGIN CALLER CALLVALUE CALLDATASIZE CODESIZE "
+         "RETURNDATASIZE COINBASE TIMESTAMP NUMBER DIFFICULTY GASLIMIT "
+         "PC MSIZE GAS", (0, 1)),
+        ("CALLDATACOPY CODECOPY RETURNDATACOPY", (3, 0)),
+        ("POP SELFDESTRUCT JUMP", (1, 0)),
+        ("MSTORE MSTORE8 SSTORE RETURN REVERT JUMPI", (2, 0)),
+        ("CREATE", (3, 1)),
+        ("CALL CALLCODE", (7, 1)),
+        ("DELEGATECALL STATICCALL", (6, 1))):
+    for _name in _names.split():
+        STACK_EFFECTS[OPCODES[_name]] = _effect
+for _i in range(5):
+    STACK_EFFECTS[LOG0 + _i] = (_i + 2, 0)
 
 # --- classification used by the CFG and the fuzzer ------------------------
 

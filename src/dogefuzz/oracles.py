@@ -47,18 +47,6 @@ CLASSIFICATION: dict[FineBugClass, tuple[str, CoarseClass]] = {
 
 
 @dataclass(frozen=True)
-class TransactionSnapshot:
-    """The slice of a trace the detection rules look at."""
-
-    status: TxStatus
-    events: tuple[ExecutionEvent, ...]
-
-    @classmethod
-    def from_trace(cls, trace: ExecutionTrace) -> "TransactionSnapshot":
-        return cls(status=trace.status, events=tuple(trace.events))
-
-
-@dataclass(frozen=True)
 class BugFinding:
     fine: FineBugClass
     swc: str
@@ -73,10 +61,10 @@ def _finding(fine: FineBugClass, pc: int) -> BugFinding:
 
 # --- detection rules ------------------------------------------------------
 
-def detect(snapshot: TransactionSnapshot) -> list[BugFinding]:
+def detect(trace: ExecutionTrace) -> list[BugFinding]:
     """All findings for one transaction, at most one per fine class."""
-    events = snapshot.events
-    succeeded = snapshot.status is TxStatus.SUCCESS
+    events = trace.events
+    succeeded = trace.status is TxStatus.SUCCESS
     findings: list[BugFinding] = []
 
     def first(kind: EventKind) -> ExecutionEvent | None:
@@ -125,8 +113,8 @@ def detect(snapshot: TransactionSnapshot) -> list[BugFinding]:
     return findings
 
 
-def detect_trace(trace: ExecutionTrace) -> list[BugFinding]:
-    return detect(TransactionSnapshot.from_trace(trace))
+# the name campaigns look detection up by
+detect_trace = detect
 
 
 # --- campaign aggregation -------------------------------------------------

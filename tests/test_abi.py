@@ -16,7 +16,6 @@ from dogefuzz.abi import (
     Mutability,
     TypeKind,
     ValuePools,
-    constructor_inputs,
     encode_arguments,
     encode_call,
     generate_value,
@@ -129,13 +128,6 @@ def test_parse_abi_functions_and_fallback() -> None:
     assert withdraw.signature == "withdraw(uint256)"
     assert balance_of.is_view
     assert fallback.is_fallback and fallback.is_payable
-
-
-def test_constructor_inputs_extracted() -> None:
-    inputs = constructor_inputs(VAULT_ABI)
-    assert inputs is not None
-    assert [t.canonical for t in inputs] == ["address"]
-    assert constructor_inputs([{"type": "function", "name": "f"}]) is None
 
 
 def test_legacy_mutability_flags() -> None:

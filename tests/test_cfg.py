@@ -12,13 +12,12 @@ from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
 from dogefuzz.cfg import (
     Terminator,
+    analyze,
     augment_edges,
     build_cfg,
     critical_sites,
-    disassemble,
     distance_map,
     predecessor_map,
-    reassemble,
     relax_distances,
     to_dot,
 )
@@ -32,39 +31,49 @@ P1 = op.PUSH1
 
 # --- disassembly ----------------------------------------------------------
 
+def instructions(raw: bytes) -> list[tuple]:
+    return [ins for block in analyze(raw).blocks.values()
+            for ins in block.instructions]
+
+
 def test_disassemble_simple_sequence() -> None:
-    instructions = disassemble(code(P1, 7, op.POP, op.STOP))
-    assert [(i.pc, i.mnemonic) for i in instructions] == [
+    decoded = instructions(code(P1, 7, op.POP, op.STOP))
+    assert [(pc, op.mnemonic(opcode)) for pc, opcode, _, _ in decoded] == [
         (0, "PUSH1"), (2, "POP"), (3, "STOP")]
-    assert instructions[0].immediate == b"\x07"
-    assert instructions[0].push_value == 7
+    assert decoded[0] == (0, P1, 7, op.BASE_GAS[P1])
+    assert decoded[1][2] is None
 
 
 def test_truncated_push_keeps_partial_bytes_and_pads_value() -> None:
-    instructions = disassemble(code(op.PUSH1 + 3, 0xAB, 0xCD))
-    (ins,) = instructions
-    assert ins.truncated
-    assert ins.immediate == b"\xab\xcd"
-    assert ins.push_value == 0xABCD0000
-    assert ins.size == 3
+    (block,) = analyze(code(op.PUSH1 + 3, 0xAB, 0xCD)).blocks.values()
+    (ins,) = block.instructions
+    assert ins[2] == 0xABCD0000
+    assert block.fallthrough is None
 
 
 def test_unknown_byte_gets_placeholder_mnemonic() -> None:
-    (ins,) = disassemble(b"\x0c")
-    assert ins.mnemonic == "UNKNOWN_0x0c"
-    assert ins.immediate is None
+    (ins,) = instructions(b"\x0c")
+    assert op.mnemonic(ins[1]) == "UNKNOWN_0x0c"
+    assert ins[2] is None
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.binary(min_size=0, max_size=300))
 def test_disassembly_round_trips(raw: bytes) -> None:
-    instructions = disassemble(raw)
-    assert reassemble(instructions) == raw
-    pcs = [i.pc for i in instructions]
+    decoded = instructions(raw)
+    joined = b"".join(
+        bytes([opcode]) + (b"" if value is None
+                           else value.to_bytes(op.push_size(opcode), "big"))
+        for _, opcode, value, _ in decoded)
+    # a PUSH cut off by end-of-code reads as zero-padded
+    assert joined[:len(raw)] == raw
+    assert not any(joined[len(raw):])
+    pcs = [ins[0] for ins in decoded]
     assert pcs == sorted(set(pcs))
-    if instructions:
-        last = instructions[-1]
-        assert last.pc + last.size == len(raw)
+    if decoded:
+        last_pc, last_opcode = decoded[-1][:2]
+        assert last_pc < len(raw) <= last_pc + 1 + op.push_size(last_opcode)
+    assert all(gas == op.BASE_GAS[opcode] for _, opcode, _, gas in decoded)
 
 
 # --- block partition ------------------------------------------------------
@@ -73,14 +82,20 @@ def test_disassembly_round_trips(raw: bytes) -> None:
 @given(st.binary(min_size=0, max_size=300))
 def test_blocks_tile_the_instruction_stream(raw: bytes) -> None:
     cfg = build_cfg(raw)
-    flattened = [ins for block in cfg.blocks for ins in block.instructions]
-    assert flattened == disassemble(raw)
-    for block in cfg.blocks:
+    starts, pc = [], 0
+    while pc < len(raw):
+        starts.append(pc)
+        pc += 1 + op.push_size(raw[pc])
+    assert [pc for block in cfg.blocks for pc in block.pcs] == starts
+    for block, following in zip(cfg.blocks, cfg.blocks[1:] + (None,)):
         assert block.instructions, "blocks are never empty"
-        assert block.start == block.instructions[0].pc
+        assert block.pcs == tuple(ins[0] for ins in block.instructions)
+        assert block.start == block.pcs[0]
+        assert block.pairs == tuple(zip(block.pcs, block.pcs[1:]))
+        assert block.fallthrough == (following.start if following else None)
     for block in cfg.blocks:
-        for ins in block.instructions[:-1]:
-            assert ins.opcode != op.JUMPDEST or ins.pc == block.start
+        for pc, opcode, _, _ in block.instructions[:-1]:
+            assert opcode != op.JUMPDEST or pc == block.start
     for src, dst in cfg.edges:
         assert src in cfg.block_starts and dst in cfg.block_starts
 
@@ -317,7 +332,7 @@ def _refine(cfg, hops, predecessors, observed):
 
 
 def _jump_pc(cfg, start: int) -> int:
-    return cfg.block_at(start).instructions[-1].pc
+    return cfg.block_at(start).pcs[-1]
 
 
 def test_relax_distances_batches_by_kind() -> None:

@@ -1,0 +1,235 @@
+"""Coverage at basic-block boundaries: faults inside a block, fall-through
+after a JUMPI, rejected jumps, truncated pushes, reentrant frames, and the
+order of `executed_pcs` keys."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dogefuzz import opcodes as op
+from dogefuzz.asm import Assembler
+from dogefuzz.evm import (
+    AGENT_ADDRESS,
+    AgentPolicy,
+    EventKind,
+    PolicyKind,
+    Transaction,
+    TxStatus,
+    WorldState,
+    contract_address,
+    deploy_contract,
+    execute_transaction,
+)
+
+from evm_utils import P, code, run
+
+
+def _instruction_starts(raw: bytes) -> list[int]:
+    """Independent linear sweep: the pc of every instruction in `raw`."""
+    starts, pc = [], 0
+    while pc < len(raw):
+        starts.append(pc)
+        pc += 1 + op.push_size(raw[pc])
+    return starts
+
+
+def _blocks(raw: bytes) -> list[list[int]]:
+    """Instruction pcs grouped by the leader rule: a block starts at pc 0,
+    at each JUMPDEST and after each jump, halting or undefined byte."""
+    blocks: list[list[int]] = []
+    ends_previous = True
+    for pc in _instruction_starts(raw):
+        byte = raw[pc]
+        if ends_previous or byte == op.JUMPDEST:
+            blocks.append([])
+        blocks[-1].append(pc)
+        ends_previous = (byte in (op.JUMP, op.JUMPI) or byte in op.HALTING
+                         or byte not in op.MNEMONICS)
+    return blocks
+
+
+def _chain(*pcs: int) -> set[tuple[int, int]]:
+    return set(zip(pcs, pcs[1:]))
+
+
+# --- faults inside a block ------------------------------------------------
+
+def test_out_of_gas_on_third_instruction_stops_coverage() -> None:
+    # one five-instruction block: PUSH1, PUSH1, ADD, POP, STOP
+    snippet = code(P(1), P(2), op.ADD, op.POP, op.STOP)
+    assert _blocks(snippet) == [[0, 2, 4, 5, 6]]
+    trace, _, address = run(snippet, gas=8)  # the ADD needs gas 9
+    assert trace.status is TxStatus.OUT_OF_GAS
+    assert trace.gas_used == 8
+    assert trace.executed_pcs == {address: {0, 2, 4}}
+    assert trace.dynamic_edges == _chain(0, 2, 4)
+
+
+def test_stack_underflow_mid_block_stops_coverage() -> None:
+    snippet = code(P(1), op.ADD, P(3), op.STOP)
+    trace, _, address = run(snippet, gas=50_000)
+    assert trace.status is TxStatus.INVALID_OPCODE
+    assert trace.gas_used == 50_000
+    assert trace.executed_pcs == {address: {0, 2}}
+    assert trace.dynamic_edges == _chain(0, 2)
+
+
+@pytest.mark.parametrize("probe,kind,fault", [
+    (op.TIMESTAMP, EventKind.TIMESTAMP, code(P(1), P(0), op.SSTORE)),
+    (op.NUMBER, EventKind.BLOCK_NUMBER, code(P(1 << 20, 3), op.MLOAD)),
+], ids=["sstore", "memory"])
+def test_dynamic_out_of_gas_keeps_earlier_event(probe: int, kind: EventKind,
+                                                fault: bytes) -> None:
+    snippet = code(probe, op.POP, fault, op.STOP)
+    faulting = len(snippet) - 2
+    expected = [pc for pc in _instruction_starts(snippet) if pc <= faulting]
+    assert len(_blocks(snippet)) == 1
+    trace, state, address = run(snippet, gas=5_000)
+    assert trace.status is TxStatus.OUT_OF_GAS
+    assert [(e.kind, e.pc) for e in trace.events] == [(kind, 0)]
+    assert trace.executed_pcs == {address: set(expected)}
+    assert trace.dynamic_edges == _chain(*expected)
+    assert state.account(address).storage == {}
+
+
+# --- control transfer -----------------------------------------------------
+
+def test_untaken_jumpi_falls_into_plain_block() -> None:
+    # 0 PUSH1 0; 2 PUSH1 9; 4 JUMPI; 5 PUSH1 1; 7 POP; 8 STOP; 9 JUMPDEST; 10 STOP
+    snippet = code(P(0), P(9), op.JUMPI, P(1), op.POP, op.STOP,
+                   op.JUMPDEST, op.STOP)
+    assert _blocks(snippet) == [[0, 2, 4], [5, 7, 8], [9, 10]]
+    trace, _, address = run(snippet)
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.executed_pcs == {address: {0, 2, 4, 5, 7, 8}}
+    assert trace.dynamic_edges == _chain(0, 2, 4, 5, 7, 8)
+
+
+def test_taken_jump_records_the_site_to_jumpdest_pair() -> None:
+    snippet = code(P(1), P(9), op.JUMPI, P(1), op.POP, op.STOP,
+                   op.JUMPDEST, op.STOP)
+    trace, _, address = run(snippet)
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.executed_pcs == {address: {0, 2, 4, 9, 10}}
+    assert trace.dynamic_edges == _chain(0, 2, 4, 9, 10)
+
+
+def test_jump_into_push_data_is_rejected() -> None:
+    # 0 PUSH1 4; 2 JUMP; 3 PUSH2 0x5b00 (the 0x5b at pc 4 is data); 6 STOP
+    snippet = code(P(4), op.JUMP, bytes([op.PUSH1 + 1, op.JUMPDEST, 0x00]),
+                   op.STOP)
+    trace, _, address = run(snippet, gas=50_000)
+    assert trace.status is TxStatus.INVALID_OPCODE
+    assert trace.gas_used == 50_000
+    assert trace.executed_pcs == {address: {0, 2}}
+    assert trace.dynamic_edges == _chain(0, 2)
+
+
+def test_truncated_final_push_runs_off_the_end() -> None:
+    # PUSH3 with two of its three immediate bytes, then end of code
+    snippet = code(P(1), op.POP, op.PUSH1 + 2, 0xAB, 0xCD)
+    assert _instruction_starts(snippet) == [0, 2, 3]
+    trace, _, address = run(snippet)
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.gas_used == 3 + 2 + 3
+    assert trace.executed_pcs == {address: {0, 2, 3}}
+    assert trace.dynamic_edges == _chain(0, 2, 3)
+
+
+# --- frames ---------------------------------------------------------------
+
+def _flagged_reentry() -> tuple[bytes, dict[str, int]]:
+    """Set a flag and call the agent; a frame entered with the flag set
+    jumps straight to `inner` and stops."""
+    a = Assembler()
+    a.push(1).op("SLOAD").push_label("inner").op("JUMPI")
+    a.push(1).push(1).op("SSTORE")
+    a.push(0).push(0).push(0).push(0).push(0)
+    a.push_address(AGENT_ADDRESS).op("GAS", "CALL")
+    a.op("POP", "STOP")
+    a.dest("inner").op("STOP")
+    raw = a.assemble()
+    call = raw.index(bytes([op.GAS, op.CALL])) + 1
+    inner = len(raw) - 2
+    return raw, {"jumpi": 6, "call": call, "inner": inner}
+
+
+def test_reentrant_frame_adds_its_own_edges() -> None:
+    raw, at = _flagged_reentry()
+    policy = AgentPolicy(PolicyKind.REENTRANT)
+    trace, _, address = run(raw, policy=policy)
+    assert trace.status is TxStatus.SUCCESS
+    assert any(e.kind is EventKind.REENTRANCY for e in trace.events)
+    edges = trace.dynamic_edges
+    # only the reentrant frame takes the JUMPI into `inner`
+    assert (at["jumpi"], at["inner"]) in edges
+    assert (at["inner"], at["inner"] + 1) in edges
+    assert {at["inner"], at["inner"] + 1} <= trace.executed_pcs[address]
+    # no pair joins the outer frame's CALL to the inner frame or back
+    assert all(dst != 0 for _, dst in edges)
+    assert (at["call"], at["call"] + 1) in edges
+    assert all(src != at["inner"] + 1 for src, _ in edges)
+    benign, _, _ = run(raw)
+    assert (at["jumpi"], at["inner"]) not in benign.dynamic_edges
+    assert benign.dynamic_edges < edges
+
+
+def test_executed_pcs_keys_follow_frame_entry_order() -> None:
+    state = WorldState()
+    state.account(AGENT_ADDRESS).balance = 10 ** 18
+    first = deploy_contract(state, code(P(1), op.POP, op.STOP))
+    second = deploy_contract(state, code(op.STOP))
+
+    def call(to: bytes) -> bytes:
+        return code(P(0), P(0), P(0), P(0), P(0), bytes([op.PUSH1 + 19]) + to,
+                    op.GAS, op.CALL, op.POP)
+
+    # calls `second`, then `first`, then CREATE with empty init code
+    caller_code = code(call(second), call(first), P(0), P(0), P(0), op.CREATE,
+                       op.POP, op.STOP)
+    caller = deploy_contract(state, caller_code)
+    created = contract_address(caller, 0)
+    trace = execute_transaction(state, Transaction(target=caller))
+    assert trace.status is TxStatus.SUCCESS
+    assert list(trace.executed_pcs) == [caller, second, first, created]
+    assert trace.executed_pcs[first] == {0, 2, 3}
+    assert trace.executed_pcs[second] == {0}
+    assert trace.executed_pcs[created] == set()
+    # edges come from the target's frame only: its straight-line run
+    assert trace.dynamic_edges == _chain(*_instruction_starts(caller_code))
+
+
+# --- random bytecode ------------------------------------------------------
+
+_ATOMS = st.one_of(
+    st.sampled_from([op.JUMPDEST, op.JUMP, op.JUMPI, op.POP, op.ADD, op.DUP1,
+                     op.SWAP1, op.ISZERO, op.CALLVALUE, op.SLOAD, op.SSTORE,
+                     op.MSTORE, op.TIMESTAMP, op.STOP, op.INVALID, 0x0C])
+    .map(lambda byte: bytes([byte])),
+    st.integers(0, 63).map(lambda v: bytes([op.PUSH1, v])),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_ATOMS, max_size=40).map(b"".join),
+       st.sampled_from(list(PolicyKind)),
+       st.integers(30, 200_000))
+def test_random_code_coverage_is_block_consistent(raw: bytes,
+                                                  policy: PolicyKind,
+                                                  gas: int) -> None:
+    trace, _, address = run(raw, gas=gas, policy=AgentPolicy(policy))
+    starts = _instruction_starts(raw)
+    executed = trace.executed_pcs.get(address, set())
+    assert executed <= set(starts)
+    for block in _blocks(raw):
+        ran = [pc in executed for pc in block]
+        assert ran == sorted(ran, reverse=True), (block, executed)
+    following = dict(zip(starts, starts[1:]))
+    for src, dst in trace.dynamic_edges:
+        assert {src, dst} <= executed
+        jumped = (raw[src] in (op.JUMP, op.JUMPI) and dst in starts
+                  and raw[dst] == op.JUMPDEST)
+        assert dst == following.get(src) or jumped, (src, dst)

@@ -170,7 +170,8 @@ def test_persist_false_rolls_back_but_reports_diff() -> None:
     trace = execute_transaction(
         state, Transaction(target=vault, value=100), persist=False)
     assert trace.status is TxStatus.SUCCESS
-    assert trace.storage_diff == [(vault, int.from_bytes(AGENT_ADDRESS, "big"), 0, 100)]
+    assert [e.data for e in trace.events if e.kind is EventKind.STORAGE_CHANGED] == [
+        (vault, int.from_bytes(AGENT_ADDRESS, "big"), 0, 100)]
     assert state == snap
 
 

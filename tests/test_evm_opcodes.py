@@ -263,16 +263,6 @@ def test_sstore_zeroing_deletes_slot() -> None:
     trace, state, address = run(code(P(0), P(0), op.SSTORE, op.STOP), storage={0: 9})
     assert trace.events[0].data[2:] == (9, 0)
     assert state.account(address).storage == {}
-    assert trace.storage_diff == [(address, 0, 9, 0)]
-
-
-def test_storage_diff_ignores_net_unchanged_slots() -> None:
-    # write 5 then write back 0: net no-op must not appear in the diff
-    snippet = code(P(5), P(0), op.SSTORE, P(0), P(0), op.SSTORE, op.STOP)
-    trace, _, _ = run(snippet)
-    assert trace.status is TxStatus.SUCCESS
-    assert trace.storage_diff == []
-    assert len(trace.events) == 2
 
 
 # --- control flow and halting --------------------------------------------
@@ -326,7 +316,6 @@ def test_revert_returns_data_and_rolls_back() -> None:
     trace, state, address = run(snippet)
     assert trace.status is TxStatus.REVERTED
     assert trace.return_data == b"\xAB"
-    assert trace.storage_diff == []
     assert state.account(address).storage == {}
 
 
@@ -358,7 +347,6 @@ def test_out_of_gas_rolls_back_state() -> None:
     snippet = code(P(7), P(0), op.SSTORE, P(0), P(2 ** 20), op.MSTORE, op.STOP)
     trace, state, address = run(snippet, gas=21_000)
     assert trace.status is TxStatus.OUT_OF_GAS
-    assert trace.storage_diff == []
     assert state.account(address).storage == {}
 
 
@@ -466,16 +454,6 @@ def test_forwarded_gas_is_min_of_requested_and_remaining() -> None:
     assert seen == gas_limit - spent_before_call - op.BASE_GAS[op.GAS]
 
 
-def test_sendop_event_requires_bare_stipend_and_value() -> None:
-    sink = b"\x00" * 19 + b"\x09"
-    bare, _, _ = run(_call_args(0, sink, 1) + code(op.CALL, op.STOP), endowment=5)
-    assert any(e.kind is EventKind.SEND_OP for e in bare.events)
-    extra_gas, _, _ = run(_call_args(5_000, sink, 1) + code(op.CALL, op.STOP), endowment=5)
-    assert all(e.kind is not EventKind.SEND_OP for e in extra_gas.events)
-    no_value, _, _ = run(_call_args(0, sink, 0) + code(op.CALL, op.STOP))
-    assert all(e.kind is not EventKind.SEND_OP for e in no_value.events)
-
-
 STORAGE_WRITER = code(P(7), P(1), op.SSTORE, op.STOP)
 
 
@@ -488,7 +466,6 @@ def test_gasless_send_event_on_stipend_oog() -> None:
     assert trace.status is TxStatus.SUCCESS
     kinds = [e.kind for e in trace.events]
     assert EventKind.GASLESS_SEND in kinds
-    assert EventKind.SEND_OP in kinds
     assert state.account(writer).storage == {}
 
 

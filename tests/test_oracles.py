@@ -11,6 +11,7 @@ from dogefuzz.evm import (
     AgentPolicy,
     EventKind,
     ExecutionEvent,
+    ExecutionTrace,
     PolicyKind,
     Transaction,
     TxStatus,
@@ -21,7 +22,6 @@ from dogefuzz.oracles import (
     BugFinding,
     CoarseClass,
     FineBugClass,
-    TransactionSnapshot,
     dedupe_findings,
     detect,
     detect_trace,
@@ -36,8 +36,9 @@ def ev(kind: EventKind, pc: int = 0, depth: int = 1) -> ExecutionEvent:
 
 
 def snap(*events: ExecutionEvent,
-         status: TxStatus = TxStatus.SUCCESS) -> TransactionSnapshot:
-    return TransactionSnapshot(status=status, events=events)
+         status: TxStatus = TxStatus.SUCCESS) -> ExecutionTrace:
+    return ExecutionTrace(status=status, gas_used=0, executed_pcs={},
+                          dynamic_edges=set(), events=list(events))
 
 
 def classes(findings: list[BugFinding]) -> set[FineBugClass]:
