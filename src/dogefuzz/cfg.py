@@ -1,15 +1,18 @@
 """Static control-flow recovery for EVM bytecode.
 
-`analyze` is the only decoder: one linear sweep per code, cached by code
+`analyze` is the only decoder and the one owner of every index that
+derives from code bytes alone: one linear sweep per code, cached by code
 bytes, partitions it into basic blocks (new block at every JUMPDEST and
 after every jump, halting or undefined instruction) of pre-decoded
-(pc, opcode, PUSH operand, base gas) instructions.  The interpreter runs
-on these blocks and records coverage from their pc tuples and pc pairs;
-`build_cfg` adds edges to the same blocks.  Jump targets are
+(pc, opcode, PUSH operand, base gas) instructions, indexed by start pc,
+by JUMPDEST, by pc and by closing jump.  The interpreter runs on these
+blocks and records coverage from their pc tuples and pc pairs.  A `Cfg` is
+that analysis plus what `build_cfg` decides: edges between block starts
+and the blocks whose jump is unresolved.  Jump targets are
 resolved where a bounded constant-stack simulation of the block can prove
 them; everything else is marked unresolved and may later be filled in from
 edges observed at run time via `augment_edges`.  Distances to critical
-instructions are computed at block granularity with one reverse
+instructions are hop counts per block start from one reverse
 breadth-first search; as run-time edges arrive, `relax_distances` lowers
 only the hop counts those edges shorten, so keeping the directed fuzzing
 schedule current costs time proportional to what changed, not to code size.
@@ -24,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, KeysView, NamedTuple, ValuesView
 
 from . import opcodes as op
 
@@ -92,11 +95,16 @@ class BasicBlock:
 
 
 class CodeAnalysis(NamedTuple):
-    """Blocks by start pc, ascending, and the JUMPDEST-led ones among them,
-    which are the only valid jump destinations."""
+    """Every index that derives from code bytes alone: blocks by start pc,
+    ascending; the JUMPDEST-led ones among them, the only valid jump
+    destinations; the block of every instruction pc; and the block start
+    of every pc holding a block-ending JUMP/JUMPI."""
 
+    code: bytes
     blocks: dict[int, BasicBlock]
     jumpdests: dict[int, BasicBlock]
+    block_of: dict[int, BasicBlock]
+    jump_sites: dict[int, int]
 
 
 @lru_cache(maxsize=4096)
@@ -105,7 +113,8 @@ def analyze(code: bytes) -> CodeAnalysis:
 
     A block starts at pc 0, at every JUMPDEST and after every JUMP, JUMPI,
     halting or undefined byte.  A PUSH cut off by end-of-code reads as
-    zero-padded.  The interpreter and `build_cfg` share the result.
+    zero-padded.  The interpreter, `build_cfg` and everything that reads a
+    `Cfg` share the result.
     """
     base_gas = op.BASE_GAS
     blocks: dict[int, BasicBlock] = {}
@@ -137,61 +146,43 @@ def analyze(code: bytes) -> CodeAnalysis:
         close(None)
     jumpdests = {start: block for start, block in blocks.items()
                  if block.instructions[0][1] == op.JUMPDEST}
-    return CodeAnalysis(blocks, jumpdests)
+    block_of = {pc: block for block in blocks.values() for pc in block.pcs}
+    jump_sites = {block.pcs[-1]: start for start, block in blocks.items()
+                  if block.instructions[-1][1] in (op.JUMP, op.JUMPI)}
+    return CodeAnalysis(code, blocks, jumpdests, block_of, jump_sites)
 
 
 # --- control-flow graph ---------------------------------------------------
 
 @dataclass(frozen=True)
 class Cfg:
-    """Blocks plus edges between block start pcs.
+    """Edges between block start pcs over the shared analysis of one code.
 
     `unresolved` lists starts of blocks whose jump target could not be
-    proven statically; observed edges can be merged in later without
-    mutating this instance.  Every cached property derives from `blocks`
-    alone, so `with_edges` hands them on to the refined copy.
+    proven statically.  Observed edges are merged in by `augment_edges`,
+    which returns a copy with another edge set and the same `analysis`.
     """
 
-    code: bytes
-    blocks: tuple[BasicBlock, ...]
+    analysis: CodeAnalysis
     edges: frozenset[tuple[int, int]]
     unresolved: frozenset[int]
 
-    @cached_property
-    def _block_of(self) -> dict[int, BasicBlock]:
-        return {pc: block for block in self.blocks for pc in block.pcs}
+    @property
+    def code(self) -> bytes:
+        return self.analysis.code
 
-    @cached_property
-    def block_starts(self) -> frozenset[int]:
-        return frozenset(block.start for block in self.blocks)
+    @property
+    def blocks(self) -> ValuesView[BasicBlock]:
+        return self.analysis.blocks.values()
 
-    @cached_property
-    def pcs(self) -> frozenset[int]:
+    @property
+    def pcs(self) -> KeysView[int]:
         """Every instruction pc in the code."""
-        return frozenset(self._block_of)
-
-    @cached_property
-    def jump_site_starts(self) -> dict[int, int]:
-        """pc of each block-ending JUMP/JUMPI -> start of its block."""
-        return {block.pcs[-1]: block.start for block in self.blocks
-                if block.instructions[-1][1] in (op.JUMP, op.JUMPI)}
-
-    @cached_property
-    def jumpdest_starts(self) -> frozenset[int]:
-        """Starts of blocks led by a JUMPDEST: the only valid jump targets."""
-        return frozenset(block.start for block in self.blocks
-                         if block.instructions[0][1] == op.JUMPDEST)
+        return self.analysis.block_of.keys()
 
     def block_at(self, pc: int) -> BasicBlock:
         """Block containing the instruction at `pc` (KeyError otherwise)."""
-        return self._block_of[pc]
-
-    def with_edges(self, edges: frozenset[tuple[int, int]]) -> Cfg:
-        """Copy with another edge set, keeping the block-derived caches."""
-        refined = replace(self, edges=edges)
-        for name, value in self.__dict__.items():
-            refined.__dict__.setdefault(name, value)  # fields are already set
-        return refined
+        return self.analysis.block_of[pc]
 
 
 def _resolve_jump_target(instructions: tuple[Instruction, ...]) -> int | None:
@@ -242,8 +233,7 @@ def build_cfg(code: bytes) -> Cfg:
                 and block.fallthrough is not None):
             edges.add((start, block.fallthrough))
 
-    cfg = Cfg(code=code, blocks=tuple(analysis.blocks.values()),
-              edges=frozenset(edges), unresolved=frozenset(unresolved))
+    cfg = Cfg(analysis, frozenset(edges), frozenset(unresolved))
     logger.debug("built cfg: %d blocks, %d edges, %d unresolved",
                  len(cfg.blocks), len(cfg.edges), len(cfg.unresolved))
     return cfg
@@ -257,22 +247,22 @@ def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
     Only pairs that are genuine jumps are kept: the source must be the
     jump instruction ending a block and the destination a JUMPDEST block
     start.  Returns `cfg` itself when nothing new was learned, so callers
-    can use identity to detect novelty.  The cost is proportional to
-    `observed`: the jump indexes are cached on the `Cfg` and carried into
-    the refined copy, so callers should pass only pairs not offered
-    before.  Feed the new edges to `relax_distances` to bring hop counts
-    up to date instead of recomputing `distance_map`.
+    can use identity to detect novelty.  The jump indexes live on the
+    shared analysis, so the cost is proportional to `observed` and callers
+    should pass only pairs not offered before.  Feed the new edges to
+    `relax_distances` to bring hop counts up to date instead of recomputing
+    `distance_map`.
     """
-    jump_site_starts = cfg.jump_site_starts
-    jumpdest_starts = cfg.jumpdest_starts
+    jump_sites = cfg.analysis.jump_sites
+    jumpdests = cfg.analysis.jumpdests
     extra = {
-        (jump_site_starts[src], dst)
+        (jump_sites[src], dst)
         for src, dst in observed
-        if src in jump_site_starts and dst in jumpdest_starts
+        if src in jump_sites and dst in jumpdests
     }
     if extra <= cfg.edges:
         return cfg
-    return cfg.with_edges(cfg.edges | extra)
+    return replace(cfg, edges=cfg.edges | extra)
 
 
 # --- critical instructions and distances ----------------------------------
@@ -284,12 +274,13 @@ def critical_sites(cfg: Cfg) -> list[int]:
 
 
 def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
-    """pc -> block-granular hop count to the nearest site, by reverse BFS.
+    """Block start -> hop count to the nearest site, by reverse BFS.
 
-    Every pc inside a block containing a site maps to zero; blocks that
-    cannot reach any site are omitted.
+    A block containing a site counts zero, whichever of its pcs the site
+    is; blocks that cannot reach any site are omitted.
     """
-    site_starts = {cfg.block_at(pc).start for pc in sites if pc in cfg.pcs}
+    block_of = cfg.analysis.block_of
+    site_starts = {block_of[pc].start for pc in sites if pc in block_of}
     predecessors = predecessor_map(cfg.edges)
     hops = {start: 0 for start in site_starts}
     frontier = deque(sorted(site_starts))
@@ -299,9 +290,7 @@ def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
             if pred not in hops:
                 hops[pred] = hops[current] + 1
                 frontier.append(pred)
-
-    return {pc: hops[block.start] for block in cfg.blocks
-            if block.start in hops for pc in block.pcs}
+    return hops
 
 
 def predecessor_map(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
@@ -317,7 +306,7 @@ def relax_distances(hops: dict[int, int], predecessors: dict[int, set[int]],
     """Fold new block edges into block-level hop counts, in place.
 
     `hops` maps block starts to their hop count to the nearest site, as
-    `distance_map` gives it at block starts, and `predecessors` is the
+    `distance_map` returns it, and `predecessors` is the
     `predecessor_map` of the same edges; both are updated to include
     `new_edges`.  Adding edges can only shorten distances, so relaxation
     starts from each source whose count drops and walks backwards through

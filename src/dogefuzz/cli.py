@@ -26,7 +26,7 @@ from .harness import (
     run_benchmark,
     score_results,
 )
-from .oracles import CLASSIFICATION, BugFinding, CoarseClass, FineBugClass
+from .oracles import BugFinding, CoarseClass, FineBugClass
 
 logger = logging.getLogger(__name__)
 
@@ -125,11 +125,8 @@ def _parse_report_findings(
     for campaign in document["campaigns"]:
         per_contract = by_strategy.setdefault(campaign["strategy"], {})
         rows = per_contract.setdefault(campaign["contract"], [])
-        for entry in campaign["findings"]:
-            fine = FineBugClass(entry["fine"])
-            swc, coarse = CLASSIFICATION[fine]
-            rows.append(BugFinding(fine=fine, swc=swc, coarse=coarse,
-                                   pc=entry["pc"]))
+        rows.extend(BugFinding(FineBugClass(entry["fine"]), entry["pc"])
+                    for entry in campaign["findings"])
     return by_strategy
 
 
@@ -169,13 +166,13 @@ def _cmd_cfg(args: argparse.Namespace) -> int:
     if args.dot:
         Path(args.dot).write_text(to_dot(graph, highlight=sites))
     if args.distances:
-        dmap = distance_map(graph, sites)
+        hops = distance_map(graph, sites)
         with Path(args.distances).open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["pc", "distance"])
             for pc in sorted(graph.pcs):
-                value = dmap.get(pc)
-                writer.writerow([pc, "Unreachable" if value is None else value])
+                value = hops.get(graph.block_at(pc).start, "Unreachable")
+                writer.writerow([pc, value])
     print(f"{len(graph.blocks)} blocks, {len(graph.edges)} edges, "
           f"{len(graph.unresolved)} unresolved, {len(sites)} critical sites")
     return 0

@@ -171,9 +171,7 @@ class WorldState:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WorldState):
             return NotImplemented
-        mine = {a: (x.balance, x.code, x.storage, x.nonce) for a, x in self.accounts.items()}
-        theirs = {a: (x.balance, x.code, x.storage, x.nonce) for a, x in other.accounts.items()}
-        return mine == theirs
+        return self.accounts == other.accounts
 
 
 class DeploymentError(Exception):
@@ -296,7 +294,8 @@ class _Machine:
                        depth: int, static: bool) -> tuple[TxStatus, bytes, int]:
         state = self.state
         tx = self.tx
-        blocks, jumpdests = analyze(code)
+        _, blocks, jumpdests, _, _ = analyze(code)
+        pushes_one = op.PUSHES_ONE
         pcs = self.executed.setdefault(code_address, set())
         edges = self.edges if code_address == self.track else None
 
@@ -365,8 +364,41 @@ class _Machine:
                     elif opcode == 0x1C:  # SHR
                         shift, v = stack.pop(), stack.pop()
                         stack.append(v >> shift if shift < 256 else 0)
-                    elif opcode == 0x58:  # PC
-                        stack.append(pc)
+                    elif opcode in pushes_one:  # the (0, 1) row: one word from context
+                        if len(stack) >= STACK_LIMIT:
+                            raise _InvalidOp
+                        if opcode == 0x58:  # PC
+                            stack.append(pc)
+                        elif opcode == 0x33:  # CALLER
+                            stack.append(int.from_bytes(caller, "big"))
+                        elif opcode == 0x5A:  # GAS
+                            stack.append(gas)
+                        elif opcode == 0x34:  # CALLVALUE
+                            stack.append(value)
+                        elif opcode == 0x30:  # ADDRESS
+                            stack.append(int.from_bytes(self_address, "big"))
+                        elif opcode == 0x36:  # CALLDATASIZE
+                            stack.append(len(calldata))
+                        elif opcode == 0x42:  # TIMESTAMP
+                            self.emit(EventKind.TIMESTAMP, pc, depth)
+                            stack.append(tx.block.timestamp)
+                        elif opcode == 0x43:  # NUMBER
+                            self.emit(EventKind.BLOCK_NUMBER, pc, depth)
+                            stack.append(tx.block.number)
+                        elif opcode == 0x32:  # ORIGIN
+                            stack.append(int.from_bytes(tx.sender, "big"))
+                        elif opcode == 0x38:  # CODESIZE
+                            stack.append(n)
+                        elif opcode == 0x3D:  # RETURNDATASIZE
+                            stack.append(len(returndata))
+                        elif opcode == 0x41:  # COINBASE
+                            stack.append(int.from_bytes(COINBASE_ADDRESS, "big"))
+                        elif opcode == 0x44:  # DIFFICULTY
+                            stack.append(0)
+                        elif opcode == 0x45:  # GASLIMIT
+                            stack.append(tx.block.gas_limit)
+                        elif opcode == 0x59:  # MSIZE
+                            stack.append(mem_words << 5)
                     elif opcode == 0x56:  # JUMP
                         nxt = jumpdests.get(stack.pop())
                         if nxt is None:
@@ -377,8 +409,6 @@ class _Machine:
                         offset, val = stack.pop(), stack.pop()
                         touch(offset, 32)
                         mem[offset:offset + 32] = val.to_bytes(32, "big")
-                    elif opcode == 0x33:  # CALLER
-                        stack.append(int.from_bytes(caller, "big"))
                     elif opcode == 0x01:  # ADD
                         stack.append((stack.pop() + stack.pop()) & UINT256_MASK)
                     elif opcode == 0x15:  # ISZERO
@@ -430,10 +460,6 @@ class _Machine:
                     elif opcode == 0x03:  # SUB
                         a, b = stack.pop(), stack.pop()
                         stack.append((a - b) & UINT256_MASK)
-                    elif opcode == 0x5A:  # GAS
-                        stack.append(gas)
-                    elif opcode == 0x34:  # CALLVALUE
-                        stack.append(value)
                     elif opcode == 0x51:  # MLOAD
                         offset = stack.pop()
                         touch(offset, 32)
@@ -446,16 +472,6 @@ class _Machine:
                         offset, size = stack.pop(), stack.pop()
                         touch(offset, size)
                         return TxStatus.REVERTED, bytes(mem[offset:offset + size]), gas
-                    elif opcode == 0x30:  # ADDRESS
-                        stack.append(int.from_bytes(self_address, "big"))
-                    elif opcode == 0x36:  # CALLDATASIZE
-                        stack.append(len(calldata))
-                    elif opcode == 0x42:  # TIMESTAMP
-                        self.emit(EventKind.TIMESTAMP, pc, depth)
-                        stack.append(tx.block.timestamp)
-                    elif opcode == 0x43:  # NUMBER
-                        self.emit(EventKind.BLOCK_NUMBER, pc, depth)
-                        stack.append(tx.block.number)
                     # --- the rest, by opcode value ---
                     elif opcode == 0x02:  # MUL
                         stack.append((stack.pop() * stack.pop()) & UINT256_MASK)
@@ -525,24 +541,18 @@ class _Machine:
                             stack.append((v >> shift) & UINT256_MASK)
                     elif opcode == 0x31:  # BALANCE
                         stack.append(state.balance_of((stack.pop() & ADDRESS_MASK).to_bytes(20, "big")))
-                    elif opcode == 0x32:  # ORIGIN
-                        stack.append(int.from_bytes(tx.sender, "big"))
                     elif opcode == 0x37:  # CALLDATACOPY
                         dst, src, size = stack.pop(), stack.pop(), stack.pop()
                         touch(dst, size)
                         if size:
                             chunk = calldata[src:src + size] if src < len(calldata) else b""
                             mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-                    elif opcode == 0x38:  # CODESIZE
-                        stack.append(n)
                     elif opcode == 0x39:  # CODECOPY
                         dst, src, size = stack.pop(), stack.pop(), stack.pop()
                         touch(dst, size)
                         if size:
                             chunk = code[src:src + size] if src < n else b""
                             mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-                    elif opcode == 0x3D:  # RETURNDATASIZE
-                        stack.append(len(returndata))
                     elif opcode == 0x3E:  # RETURNDATACOPY
                         dst, src, size = stack.pop(), stack.pop(), stack.pop()
                         if src + size > len(returndata):
@@ -550,18 +560,10 @@ class _Machine:
                         touch(dst, size)
                         if size:
                             mem[dst:dst + size] = returndata[src:src + size]
-                    elif opcode == 0x41:  # COINBASE
-                        stack.append(int.from_bytes(COINBASE_ADDRESS, "big"))
-                    elif opcode == 0x44:  # DIFFICULTY
-                        stack.append(0)
-                    elif opcode == 0x45:  # GASLIMIT
-                        stack.append(tx.block.gas_limit)
                     elif opcode == 0x53:  # MSTORE8
                         offset, val = stack.pop(), stack.pop()
                         touch(offset, 1)
                         mem[offset] = val & 0xFF
-                    elif opcode == 0x59:  # MSIZE
-                        stack.append(mem_words << 5)
                     elif 0xA0 <= opcode <= 0xA4:  # LOG0..LOG4
                         if static:
                             raise _InvalidOp

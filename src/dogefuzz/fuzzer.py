@@ -5,14 +5,14 @@ cycle.  GreyBox keeps a seed queue, assigns each executed input an energy
 of one plus the number of previously unseen edges it exercised, admits a
 mutant only when it strictly out-scores its parent, and picks parents with
 probability proportional to energy.  DirectedGreyBox adds a proximity
-bonus of ``10 / (1 + d)`` where ``d`` is the seed's closest block distance
-to a money- or control-transferring instruction.  Distances are computed
-once per campaign and lowered incrementally as run-time jumps add edges to
-the static graph.
+bonus of ``10 / (1 + d)`` where ``d`` is the lowest hop count, among the
+blocks the seed executed, to a money- or control-transferring instruction.
+Hop counts are kept per block start: computed once per campaign and
+lowered incrementally as run-time jumps add edges to the static graph.
 
-Each cycle executes eight mutants against the unchanged base state plus a
-ninth whose effects are kept when it succeeds, so storage-dependent bugs
-stay reachable without giving up reproducibility.
+Each cycle executes `MUTANTS_PER_CYCLE` mutants against the unchanged base
+state plus one more whose effects are kept when it succeeds, so
+storage-dependent bugs stay reachable without giving up reproducibility.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ DIRECTED_BONUS_WEIGHT = 10.0
 TIMESTAMP_OFFSETS = (-86_400, -3_600, -1, 1, 3_600, 86_400)
 NUMBER_OFFSETS = (-256, -1, 1, 256)
 SEEDS_PER_FUNCTION = 2
+MUTANTS_PER_CYCLE = 8           # plus one mutant whose effects are kept
+COVERAGE_SAMPLE_INTERVAL = 50   # executions between coverage samples
+MAX_REENTRIES = 1               # agent re-entries per transaction
 
 _POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
 
@@ -106,9 +109,6 @@ class CampaignConfig:
     budget: int | None = 1000           # execution count
     seconds: float | None = None        # wall-clock alternative
     rng_seed: int = 0
-    mutants_per_cycle: int = 8
-    coverage_sample_interval: int = 50
-    max_reentries: int = 1
     stop_classes: frozenset[FineBugClass] = frozenset()
 
 
@@ -246,10 +246,7 @@ class _Campaign:
         if config.strategy is Strategy.DIRECTED:
             # block start -> hops to the nearest critical site, kept current
             # by `relax_distances` as run-time jumps refine `self.cfg`
-            distances = distance_map(target.cfg, critical_sites(target.cfg))
-            self.hops = {start: distances[start]
-                         for start in target.cfg.block_starts
-                         if start in distances}
+            self.hops = distance_map(target.cfg, critical_sites(target.cfg))
             self.predecessors = predecessor_map(target.cfg.edges)
         self.covered_pcs: set[int] = set()
         self.covered_edges: set[tuple[int, int]] = set()
@@ -286,8 +283,7 @@ class _Campaign:
                 self.last_second_sampled = second
                 self.coverage_rows.append((second, self._coverage_fraction()))
             return
-        interval = self.config.coverage_sample_interval
-        due = tick % interval == 0 or tick == self.config.budget
+        due = tick % COVERAGE_SAMPLE_INTERVAL == 0 or tick == self.config.budget
         already = self.coverage_rows and self.coverage_rows[-1][0] == tick
         if due and not already:
             self.coverage_rows.append((tick, self._coverage_fraction()))
@@ -297,8 +293,7 @@ class _Campaign:
             target=self.target.address,
             calldata=seed.calldata(),
             value=seed.value,
-            agent_policy=AgentPolicy(seed.policy,
-                                     max_reentries=self.config.max_reentries),
+            agent_policy=AgentPolicy(seed.policy, max_reentries=MAX_REENTRIES),
             block=seed.block,
         )
         trace = execute_transaction(self.base_state, tx, persist=persist)
@@ -363,10 +358,10 @@ class _Campaign:
             blind = self.config.strategy is Strategy.BLACKBOX
             parent = None if blind else select_seed(
                 rng, self.config.strategy, queue)
-            for lane in range(self.config.mutants_per_cycle + 1):
+            for lane in range(MUTANTS_PER_CYCLE + 1):
                 if not self._within_budget():
                     break
-                persist = lane == self.config.mutants_per_cycle
+                persist = lane == MUTANTS_PER_CYCLE
                 if blind:
                     child = generate_seed(rng, rng.choice(eligible),
                                           self.target.pools,

@@ -35,7 +35,15 @@ from .evm import (
     WorldState,
     deploy_contract,
 )
-from .fuzzer import CampaignConfig, CampaignResult, FuzzTarget, run_campaign
+from .fuzzer import (
+    COVERAGE_SAMPLE_INTERVAL,
+    MAX_REENTRIES,
+    MUTANTS_PER_CYCLE,
+    CampaignConfig,
+    CampaignResult,
+    FuzzTarget,
+    run_campaign,
+)
 from .oracles import CLASSIFICATION, BugFinding, CoarseClass, FineBugClass
 
 logger = logging.getLogger(__name__)
@@ -60,8 +68,12 @@ class TargetBundle:
     specs: tuple[FunctionSpec, ...]
     constructor_args: bytes = b""
     initial_balance: int = 0
-    labels: tuple[CoarseClass, ...] = ()        # taxonomy, one per planted bug
-    fine_labels: tuple[FineBugClass, ...] = ()
+    fine_labels: tuple[FineBugClass, ...] = ()  # one per planted bug
+
+    @property
+    def labels(self) -> tuple[CoarseClass, ...]:
+        """Taxonomy class of each planted bug."""
+        return tuple(CLASSIFICATION[fine][1] for fine in self.fine_labels)
 
 
 def _read_json(path: Path) -> object:
@@ -130,7 +142,6 @@ def load_bundle(directory: str | Path) -> TargetBundle:
         specs=specs,
         constructor_args=constructor_args,
         initial_balance=balance,
-        labels=tuple(CLASSIFICATION[fine][1] for fine in fine_labels),
         fine_labels=tuple(fine_labels),
     )
 
@@ -290,9 +301,9 @@ def _config_document(config: CampaignConfig) -> dict:
         "budget": config.budget,
         "seconds": config.seconds,
         "rng_seed": config.rng_seed,
-        "mutants_per_cycle": config.mutants_per_cycle,
-        "coverage_sample_interval": config.coverage_sample_interval,
-        "max_reentries": config.max_reentries,
+        "mutants_per_cycle": MUTANTS_PER_CYCLE,
+        "coverage_sample_interval": COVERAGE_SAMPLE_INTERVAL,
+        "max_reentries": MAX_REENTRIES,
         "stop_classes": sorted(cls.value for cls in config.stop_classes),
     }
 

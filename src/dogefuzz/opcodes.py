@@ -191,6 +191,9 @@ for _names, _effect in (
 for _i in range(5):
     STACK_EFFECTS[LOG0 + _i] = (_i + 2, 0)
 
+# opcodes that push one word without popping, bar PUSH and DUP
+PUSHES_ONE = frozenset(b for b, effect in STACK_EFFECTS.items() if effect == (0, 1))
+
 # --- classification used by the CFG and the fuzzer ------------------------
 
 # instructions that end a basic block unconditionally

@@ -49,14 +49,15 @@ CLASSIFICATION: dict[FineBugClass, tuple[str, CoarseClass]] = {
 @dataclass(frozen=True)
 class BugFinding:
     fine: FineBugClass
-    swc: str
-    coarse: CoarseClass
     pc: int
 
+    @property
+    def swc(self) -> str:
+        return CLASSIFICATION[self.fine][0]
 
-def _finding(fine: FineBugClass, pc: int) -> BugFinding:
-    swc, coarse = CLASSIFICATION[fine]
-    return BugFinding(fine=fine, swc=swc, coarse=coarse, pc=pc)
+    @property
+    def coarse(self) -> CoarseClass:
+        return CLASSIFICATION[self.fine][1]
 
 
 # --- detection rules ------------------------------------------------------
@@ -80,33 +81,33 @@ def detect(trace: ExecutionTrace) -> list[BugFinding]:
             and e.depth >= event.depth
             for e in events)
         if deep:
-            findings.append(_finding(FineBugClass.REENTRANCY, event.pc))
+            findings.append(BugFinding(FineBugClass.REENTRANCY, event.pc))
             break
 
     delegate = first(EventKind.DELEGATE)
     if delegate is not None:
         findings.append(
-            _finding(FineBugClass.DANGEROUS_DELEGATE_CALL, delegate.pc))
+            BugFinding(FineBugClass.DANGEROUS_DELEGATE_CALL, delegate.pc))
 
     if succeeded:
         gasless = first(EventKind.GASLESS_SEND)
         if gasless is not None:
-            findings.append(_finding(FineBugClass.GASLESS_SEND, gasless.pc))
+            findings.append(BugFinding(FineBugClass.GASLESS_SEND, gasless.pc))
         disorder = first(EventKind.EXCEPTION_DISORDER)
         if disorder is not None:
             findings.append(
-                _finding(FineBugClass.EXCEPTION_DISORDER, disorder.pc))
+                BugFinding(FineBugClass.EXCEPTION_DISORDER, disorder.pc))
 
     transferred = any(e.kind is EventKind.ETHER_TRANSFER for e in events)
     if transferred:
         stamp = first(EventKind.TIMESTAMP)
         if stamp is not None:
             findings.append(
-                _finding(FineBugClass.TIMESTAMP_DEPENDENCY, stamp.pc))
+                BugFinding(FineBugClass.TIMESTAMP_DEPENDENCY, stamp.pc))
         number = first(EventKind.BLOCK_NUMBER)
         if number is not None:
             findings.append(
-                _finding(FineBugClass.NUMBER_DEPENDENCY, number.pc))
+                BugFinding(FineBugClass.NUMBER_DEPENDENCY, number.pc))
 
     if findings:
         logger.debug("detected %s", [f.fine.value for f in findings])

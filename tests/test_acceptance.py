@@ -33,7 +33,6 @@ from dogefuzz.harness import (
 )
 from dogefuzz.microbench import Fixture, fixture
 from dogefuzz.oracles import (
-    CLASSIFICATION,
     BugFinding,
     CoarseClass,
     FineBugClass,
@@ -42,11 +41,6 @@ from dogefuzz.oracles import (
 from cfg_oracle import distance_fixpoint, random_block_graph
 from keccak_oracle import keccak256_reference
 from test_abi import ENCODING_VECTORS
-
-
-def _finding(fine: FineBugClass, pc: int) -> BugFinding:
-    swc, coarse = CLASSIFICATION[fine]
-    return BugFinding(fine=fine, swc=swc, coarse=coarse, pc=pc)
 
 
 def _target(fx: Fixture) -> FuzzTarget:
@@ -102,8 +96,8 @@ def test_scoring_reproduces_reference_accuracy_rows() -> None:
         fine = FINE_FOR[coarse]
         # one contract holding the true sites, one holding only noise
         findings = {
-            "hit": [_finding(fine, pc) for pc in range(tp)],
-            "noise": [_finding(fine, pc) for pc in range(fp)],
+            "hit": [BugFinding(fine, pc) for pc in range(tp)],
+            "noise": [BugFinding(fine, pc) for pc in range(fp)],
         }
         labels = {"hit": (coarse,) * (tp + fn), "noise": ()}
         metrics = score_results(findings, labels)[coarse]
@@ -183,12 +177,9 @@ def test_distance_map_matches_relaxation_oracle_at_scale() -> None:
         sites = rng.sample(pcs, k=min(3, len(pcs)))
         got = distance_map(cfg, sites)
         site_starts = {cfg.block_at(pc).start for pc in sites}
-        by_block = distance_fixpoint(
-            set(cfg.edges), set(cfg.block_starts), site_starts)
-        expected = {pc: by_block[block.start]
-                    for block in cfg.blocks if block.start in by_block
-                    for pc in block.pcs}
-        # pc-for-pc, with absence meaning unreachable on both sides
+        expected = distance_fixpoint(
+            set(cfg.edges), set(cfg.analysis.blocks), site_starts)
+        # block for block, with absence meaning unreachable on both sides
         assert got == expected
     assert time.perf_counter() - start < 10.0
 

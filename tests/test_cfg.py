@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -87,7 +88,8 @@ def test_blocks_tile_the_instruction_stream(raw: bytes) -> None:
         starts.append(pc)
         pc += 1 + op.push_size(raw[pc])
     assert [pc for block in cfg.blocks for pc in block.pcs] == starts
-    for block, following in zip(cfg.blocks, cfg.blocks[1:] + (None,)):
+    blocks = list(cfg.blocks)
+    for block, following in zip(blocks, blocks[1:] + [None]):
         assert block.instructions, "blocks are never empty"
         assert block.pcs == tuple(ins[0] for ins in block.instructions)
         assert block.start == block.pcs[0]
@@ -97,7 +99,7 @@ def test_blocks_tile_the_instruction_stream(raw: bytes) -> None:
         for pc, opcode, _, _ in block.instructions[:-1]:
             assert opcode != op.JUMPDEST or pc == block.start
     for src, dst in cfg.edges:
-        assert src in cfg.block_starts and dst in cfg.block_starts
+        assert src in cfg.analysis.blocks and dst in cfg.analysis.blocks
 
 
 def test_leaders_at_jumpdest_and_after_terminators() -> None:
@@ -124,7 +126,7 @@ def test_static_jump_resolves_to_edge() -> None:
     a.dest("done").op("STOP")
     cfg = build_cfg(a.assemble())
     starts = [b.start for b in cfg.blocks]
-    assert cfg.blocks[0].terminator is Terminator.JUMP
+    assert list(cfg.blocks)[0].terminator is Terminator.JUMP
     assert cfg.edges == {(0, starts[2])}
     assert not cfg.unresolved
 
@@ -135,22 +137,21 @@ def test_jumpi_gets_both_edges() -> None:
     a.op("STOP")
     a.dest("yes").op("STOP")
     cfg = build_cfg(a.assemble())
-    fallthrough = cfg.blocks[1].start
-    taken = cfg.blocks[2].start
-    assert cfg.blocks[0].terminator is Terminator.JUMPI
+    first, fallthrough, taken = (block.start for block in cfg.blocks)
+    assert cfg.block_at(first).terminator is Terminator.JUMPI
     assert cfg.edges == {(0, fallthrough), (0, taken)}
 
 
 def test_resolved_but_invalid_target_has_no_edge() -> None:
     cfg = build_cfg(code(P1, 3, op.JUMP, op.STOP))
-    assert cfg.blocks[0].terminator is Terminator.JUMP
+    assert list(cfg.blocks)[0].terminator is Terminator.JUMP
     assert cfg.edges == set()
     assert not cfg.unresolved
 
 
 def test_dynamic_target_is_unresolved() -> None:
     cfg = build_cfg(code(P1, 0, op.CALLDATALOAD, op.JUMP, op.JUMPDEST, op.STOP))
-    assert cfg.blocks[0].terminator is Terminator.UNRESOLVED
+    assert list(cfg.blocks)[0].terminator is Terminator.UNRESOLVED
     assert cfg.unresolved == {0}
     assert cfg.edges == set()
 
@@ -158,9 +159,9 @@ def test_dynamic_target_is_unresolved() -> None:
 def test_unresolved_jumpi_keeps_fallthrough() -> None:
     cfg = build_cfg(code(P1, 0, op.CALLDATALOAD, op.DUP1, op.JUMPI,
                          op.STOP, op.JUMPDEST, op.STOP))
-    assert cfg.blocks[0].terminator is Terminator.JUMPI
+    assert list(cfg.blocks)[0].terminator is Terminator.JUMPI
     assert 0 in cfg.unresolved
-    assert (0, cfg.blocks[1].start) in cfg.edges
+    assert (0, list(cfg.blocks)[1].start) in cfg.edges
 
 
 def test_constants_survive_dup_and_swap() -> None:
@@ -168,13 +169,13 @@ def test_constants_survive_dup_and_swap() -> None:
     a.push(0).push_label("out").op("SWAP1", "POP", "JUMP")
     a.dest("out").op("STOP")
     cfg = build_cfg(a.assemble())
-    assert cfg.edges == {(0, cfg.blocks[1].start)}
+    assert cfg.edges == {(0, list(cfg.blocks)[1].start)}
 
     b = Assembler()
     b.push_label("out").op("DUP1", "POP", "JUMP")
     b.dest("out").op("STOP")
     cfg2 = build_cfg(b.assemble())
-    assert cfg2.edges == {(0, cfg2.blocks[1].start)}
+    assert cfg2.edges == {(0, list(cfg2.blocks)[1].start)}
 
 
 def test_simulation_depth_is_bounded() -> None:
@@ -188,7 +189,7 @@ def test_simulation_depth_is_bounded() -> None:
     a.dest("out").op("STOP")
     cfg = build_cfg(a.assemble())
     # the target constant fell out of the bounded window
-    assert cfg.blocks[0].terminator is Terminator.UNRESOLVED
+    assert list(cfg.blocks)[0].terminator is Terminator.UNRESOLVED
     assert cfg.edges == set()
 
 
@@ -233,12 +234,11 @@ def test_distance_map_block_granularity() -> None:
     assert len(sites) == 1
     distances = distance_map(cfg, sites)
     call_block = cfg.block_at(sites[0])
-    # all pcs of the site block score zero, including ones before the site
-    assert all(distances[pc] == 0 for pc in call_block.pcs)
-    assert distances[0] == 1
+    # the site block scores zero at its start, before the site itself
+    assert sites[0] != call_block.start
     # the revert block cannot reach the call and is omitted
-    revert_start = cfg.blocks[1].start
-    assert revert_start not in distances
+    assert list(cfg.blocks)[1].start not in distances
+    assert distances == {0: 1, call_block.start: 0}
 
 
 def test_distance_map_empty_without_sites() -> None:
@@ -256,12 +256,10 @@ def test_distance_map_matches_fixpoint_oracle(seed: int) -> None:
     distances = distance_map(cfg, sites)
 
     site_starts = {cfg.block_at(pc).start for pc in sites}
-    expected = distance_fixpoint(set(cfg.edges), set(cfg.block_starts), site_starts)
-    for block in cfg.blocks:
-        block_values = {distances.get(pc) for pc in block.pcs}
-        assert len(block_values) == 1, "distance is uniform within a block"
-        (value,) = block_values
-        assert value == expected.get(block.start)
+    expected = distance_fixpoint(set(cfg.edges), set(cfg.analysis.blocks),
+                                 site_starts)
+    # block for block, with absence meaning unreachable on both sides
+    assert distances == expected
 
 
 # --- dynamic augmentation -------------------------------------------------
@@ -297,7 +295,7 @@ def test_augment_is_idempotent() -> None:
 def test_augmented_edges_extend_distances() -> None:
     raw, jump_pc, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)
-    assert distance_map(cfg, [dest_pc]) == {dest_pc: 0, dest_pc + 1: 0}
+    assert distance_map(cfg, [dest_pc]) == {dest_pc: 0}
     updated = augment_edges(cfg, [(jump_pc, dest_pc)])
     distances = distance_map(updated, [dest_pc])
     assert distances[0] == 1
@@ -306,24 +304,18 @@ def test_augmented_edges_extend_distances() -> None:
 def test_refinement_keeps_block_indexes() -> None:
     raw, jump_pc, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)
-    assert cfg.jump_site_starts == {jump_pc: 0}
-    assert cfg.jumpdest_starts == {dest_pc}
+    assert cfg.analysis.jump_sites == {jump_pc: 0}
+    assert set(cfg.analysis.jumpdests) == {dest_pc}
     assert cfg.pcs == {0, 2, 3, 4, 5}
+    assert cfg.code == raw and cfg.block_at(jump_pc).start == 0
     updated = augment_edges(cfg, [(jump_pc, dest_pc)])
-    assert updated == cfg.with_edges(cfg.edges | {(0, dest_pc)})
-    # the indexes depend only on the blocks and are handed on, not rebuilt
-    assert updated.jump_site_starts is cfg.jump_site_starts
-    assert updated.jumpdest_starts is cfg.jumpdest_starts
-    assert updated.pcs is cfg.pcs
+    assert updated == replace(cfg, edges=cfg.edges | {(0, dest_pc)})
+    # the indexes depend only on the code: one analysis per code owns them
+    assert updated.analysis is cfg.analysis is analyze(raw)
+    assert build_cfg(raw).analysis is cfg.analysis
 
 
 # --- incremental distances ------------------------------------------------
-
-def _block_hops(cfg, sites) -> dict[int, int]:
-    distances = distance_map(cfg, sites)
-    return {start: distances[start] for start in cfg.block_starts
-            if start in distances}
-
 
 def _refine(cfg, hops, predecessors, observed):
     refined = augment_edges(cfg, observed)
@@ -348,11 +340,11 @@ def test_relax_distances_batches_by_kind() -> None:
     a.dest("sink").op("STOP")
     a.dest("lone").push(0).op("CALLDATALOAD", "JUMP")   # unresolved, unlinked
     cfg = build_cfg(a.assemble())
-    start = {name: cfg.blocks[i].start for i, name in enumerate(
-        ("entry", "far", "mid", "site", "dead", "sink", "lone"))}
+    start = {name: block.start for name, block in zip(
+        ("entry", "far", "mid", "site", "dead", "sink", "lone"), cfg.blocks)}
     sites = critical_sites(cfg)
     site_starts = {cfg.block_at(pc).start for pc in sites}
-    hops = _block_hops(cfg, sites)
+    hops = distance_map(cfg, sites)
     predecessors = predecessor_map(cfg.edges)
     assert hops == {start["far"]: 2, start["mid"]: 1, start["site"]: 0}
 
@@ -374,9 +366,9 @@ def test_relax_distances_batches_by_kind() -> None:
         refined = _refine(cfg, hops, predecessors, observed)
         assert refined is not cfg, "every batch adds an edge"
         cfg = refined
-        expected = distance_fixpoint(set(cfg.edges), set(cfg.block_starts),
+        expected = distance_fixpoint(set(cfg.edges), set(cfg.analysis.blocks),
                                      site_starts)
-        assert hops == expected == _block_hops(cfg, sites)
+        assert hops == expected == distance_map(cfg, sites)
         changed = {pc: d for pc, d in hops.items() if before.get(pc) != d}
         assert changed == {start[name]: d for name, d in lowered.items()}
     assert predecessors == predecessor_map(cfg.edges)
@@ -389,10 +381,10 @@ def test_relax_distances_matches_fixpoint_oracle(rng: random.Random) -> None:
     pcs = sorted(cfg.pcs)
     sites = rng.sample(pcs, k=rng.randrange(0, min(3, len(pcs)) + 1))
     site_starts = {cfg.block_at(pc).start for pc in sites}
-    hops = _block_hops(cfg, sites)
+    hops = distance_map(cfg, sites)
     predecessors = predecessor_map(cfg.edges)
-    jump_sites = sorted(cfg.jump_site_starts)
-    targets = sorted(cfg.jumpdest_starts)
+    jump_sites = sorted(cfg.analysis.jump_sites)
+    targets = sorted(cfg.analysis.jumpdests)
     if not jump_sites:
         return
     for _ in range(rng.randrange(1, 6)):
@@ -400,7 +392,7 @@ def test_relax_distances_matches_fixpoint_oracle(rng: random.Random) -> None:
                     for _ in range(rng.randrange(1, 5))]
         cfg = _refine(cfg, hops, predecessors, observed)
         assert hops == distance_fixpoint(
-            set(cfg.edges), set(cfg.block_starts), site_starts)
+            set(cfg.edges), set(cfg.analysis.blocks), site_starts)
     assert predecessors == predecessor_map(cfg.edges)
 
 

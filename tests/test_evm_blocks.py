@@ -94,6 +94,33 @@ def test_dynamic_out_of_gas_keeps_earlier_event(probe: int, kind: EventKind,
     assert state.account(address).storage == {}
 
 
+# every opcode that pushes one word without popping, bar PUSH and DUP
+CONTEXT_PUSHES = ("ADDRESS ORIGIN CALLER CALLVALUE CALLDATASIZE CODESIZE "
+                  "RETURNDATASIZE COINBASE TIMESTAMP NUMBER DIFFICULTY "
+                  "GASLIMIT PC MSIZE GAS").split()
+
+
+def test_context_pushes_are_the_zero_in_one_out_row() -> None:
+    assert {op.OPCODES[name] for name in CONTEXT_PUSHES} == {
+        byte for byte, effect in op.STACK_EFFECTS.items() if effect == (0, 1)}
+
+
+@pytest.mark.parametrize("name", CONTEXT_PUSHES)
+def test_push_past_the_stack_limit_faults_at_its_pc(name: str) -> None:
+    opcode = op.OPCODES[name]
+    trace, _, _ = run(code(bytes([opcode]) * 1024, op.STOP))
+    assert trace.status is TxStatus.SUCCESS, "1024 slots are allowed"
+
+    snippet = code(bytes([opcode]) * 1030, op.STOP)
+    trace, _, address = run(snippet, gas=50_000)
+    assert trace.status is TxStatus.INVALID_OPCODE
+    assert trace.gas_used == 50_000
+    # the 1025th push is the faulting instruction; nothing after it runs
+    assert trace.executed_pcs == {address: set(range(1025))}
+    assert trace.dynamic_edges == _chain(*range(1025))
+    assert all(event.pc < 1024 for event in trace.events)
+
+
 # --- control transfer -----------------------------------------------------
 
 def test_untaken_jumpi_falls_into_plain_block() -> None:

@@ -216,8 +216,7 @@ def test_campaign_is_deterministic() -> None:
 
 def test_campaign_budget_and_sampling_grid() -> None:
     target = make_target(fixture("timestamp_fixed"))
-    config = CampaignConfig(strategy=Strategy.GREYBOX, budget=130,
-                            coverage_sample_interval=50, rng_seed=1)
+    config = CampaignConfig(strategy=Strategy.GREYBOX, budget=130, rng_seed=1)
     result = run_campaign(target, config)
     assert result.executions == 130
     assert [tick for tick, _ in result.coverage_curve] == [50, 100, 130]
@@ -376,15 +375,16 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     assert len(steps) == 150
 
     # the old algorithm: a full distance map per refinement, then a
-    # minimum over every executed pc
+    # minimum over the blocks of every executed pc
     sites = critical_sites(target.cfg)
     full_maps: dict[int, dict[int, int]] = {}
     for _, d_min, cfg, trace in steps:
         if id(cfg) not in full_maps:
             full_maps[id(cfg)] = distance_map(cfg, sites)
         distances = full_maps[id(cfg)]
-        reached = [distances[pc] for pc in
-                   trace.executed_pcs.get(target.address, ()) if pc in distances]
+        starts = {cfg.block_at(pc).start
+                  for pc in trace.executed_pcs.get(target.address, ())}
+        reached = [distances[start] for start in starts if start in distances]
         assert d_min == (min(reached) if reached else None)
     refined_at = [i for i in range(1, len(steps))
                   if steps[i][2] is not steps[i - 1][2]]
@@ -393,7 +393,4 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     assert len({d_min for _, d_min, _, _ in steps}) > 2
 
     campaign, _, final_cfg, _ = steps[-1]
-    distances = distance_map(final_cfg, sites)
-    assert campaign.hops == {start: distances[start]
-                             for start in final_cfg.block_starts
-                             if start in distances}
+    assert campaign.hops == distance_map(final_cfg, sites)

@@ -1,0 +1,61 @@
+"""Golden digests: output bytes that refactors must leave unchanged.
+
+The digests were recorded before the control-flow graph was reduced to
+edges over the shared code analysis.  A change that moves one of them
+changes what users see (a report, a graph rendering, a distance table)
+and must say why instead of re-recording the value.  CI runs this file
+under every Python version of its matrix.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+from dogefuzz import cli
+from dogefuzz.fuzzer import CampaignConfig, Strategy
+from dogefuzz.harness import (
+    emit_report,
+    load_benchmark,
+    run_benchmark,
+    score_results,
+)
+from dogefuzz.microbench import write_benchmark
+
+from test_fuzzer import _shared_return_target
+
+MICRO_REPORT_SHA256 = (
+    "7dcf1e62d4edd4d1a438c7d512aadf0e05f32c48aa9e07cab5eca98e79dc0a24")
+CFG_DOT_SHA256 = (
+    "961bbe8dd853557d6360290e4fda7050c6b1986c85eea3f0e0c157120ad28142")
+CFG_DISTANCES_SHA256 = (
+    "2b94d6011c251e4082cdf97c366e92cef23e27593dbad8134ba22a679d1eafe2")
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_micro_suite_report_is_unchanged(tmp_path) -> None:
+    bundles = load_benchmark(write_benchmark(tmp_path / "bench"))
+    assert len(bundles) == 13
+    reports = []
+    for strategy in Strategy:
+        config = CampaignConfig(strategy=strategy, budget=300, rng_seed=11)
+        done, failures = run_benchmark(bundles, config)
+        assert failures == []
+        reports.extend(done)
+    metrics = score_results(
+        {r.contract: [row[1] for row in r.result.findings] for r in reports},
+        {b.name: b.labels for b in bundles})
+    report, _, _ = emit_report(reports, metrics, tmp_path / "out")
+    assert _sha256(report) == MICRO_REPORT_SHA256
+
+
+def test_cfg_command_output_is_unchanged(tmp_path) -> None:
+    code_path = tmp_path / "code.hex"
+    code_path.write_text(_shared_return_target().cfg.code.hex())
+    dot, distances = tmp_path / "cfg.dot", tmp_path / "distances.csv"
+    assert cli.main(["cfg", "--code", str(code_path), "--dot", str(dot),
+                     "--distances", str(distances)]) == 0
+    assert _sha256(dot) == CFG_DOT_SHA256
+    assert _sha256(distances) == CFG_DISTANCES_SHA256

@@ -31,17 +31,11 @@ from dogefuzz.harness import (
 )
 from dogefuzz.microbench import all_fixtures, fixture, write_benchmark
 from dogefuzz.oracles import (
-    CLASSIFICATION,
     BugFinding,
     CoarseClass,
     FineBugClass,
     detect_trace,
 )
-
-
-def finding(fine: FineBugClass, pc: int) -> BugFinding:
-    swc, coarse = CLASSIFICATION[fine]
-    return BugFinding(fine=fine, swc=swc, coarse=coarse, pc=pc)
 
 
 @pytest.fixture()
@@ -258,8 +252,8 @@ def test_metrics_formulas(tp, fp, fn, precision, recall, f1) -> None:
 def test_score_results_consumption_matching() -> None:
     RE = FineBugClass.REENTRANCY
     metrics = score_results(
-        {"a": [finding(RE, 5)], "b": [finding(RE, 1), finding(RE, 9),
-                                      finding(RE, 12)]},
+        {"a": [BugFinding(RE, 5)], "b": [BugFinding(RE, 1), BugFinding(RE, 9),
+                                      BugFinding(RE, 12)]},
         {"a": (CoarseClass.RE, CoarseClass.RE), "b": (CoarseClass.RE,)},
     )
     # a: two labels, one site -> 1 TP 1 FN; b: one label, three sites -> 2 FP
@@ -271,7 +265,7 @@ def test_score_results_consumption_matching() -> None:
 def test_score_results_duplicate_sites_count_once() -> None:
     RE = FineBugClass.REENTRANCY
     metrics = score_results(
-        {"a": [finding(RE, 5), finding(RE, 5), finding(RE, 5)]},
+        {"a": [BugFinding(RE, 5), BugFinding(RE, 5), BugFinding(RE, 5)]},
         {"a": (CoarseClass.RE,)},
     )
     assert metrics[CoarseClass.RE] == Metrics(tp=1, fp=0, fn=0)
@@ -279,7 +273,7 @@ def test_score_results_duplicate_sites_count_once() -> None:
 
 def test_score_results_unlabeled_findings_are_false_positives() -> None:
     metrics = score_results(
-        {"clean": [finding(FineBugClass.TIMESTAMP_DEPENDENCY, 3)]},
+        {"clean": [BugFinding(FineBugClass.TIMESTAMP_DEPENDENCY, 3)]},
         {"clean": ()},
     )
     assert metrics[CoarseClass.BD] == Metrics(tp=0, fp=1, fn=0)
@@ -296,7 +290,7 @@ def test_score_results_silent_labels_are_false_negatives() -> None:
 
 def test_score_results_classes_do_not_cross_match() -> None:
     metrics = score_results(
-        {"a": [finding(FineBugClass.GASLESS_SEND, 2)]},
+        {"a": [BugFinding(FineBugClass.GASLESS_SEND, 2)]},
         {"a": (CoarseClass.RE,)},
     )
     assert metrics[CoarseClass.RE] == Metrics(tp=0, fp=0, fn=1)
@@ -306,8 +300,8 @@ def test_score_results_classes_do_not_cross_match() -> None:
 def test_score_results_order_invariance() -> None:
     RE, TS = FineBugClass.REENTRANCY, FineBugClass.TIMESTAMP_DEPENDENCY
     findings = {
-        "a": [finding(RE, 5), finding(TS, 2)],
-        "b": [finding(RE, 8)],
+        "a": [BugFinding(RE, 5), BugFinding(TS, 2)],
+        "b": [BugFinding(RE, 8)],
         "c": [],
     }
     labels = {

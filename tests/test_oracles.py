@@ -61,6 +61,8 @@ def test_every_fine_class_is_classified() -> None:
 ])
 def test_classification_table(fine, swc, coarse) -> None:
     assert CLASSIFICATION[fine] == (swc, coarse)
+    finding = BugFinding(fine, 7)
+    assert (finding.swc, finding.coarse) == (swc, coarse)
 
 
 # --- rule: re-entered frame with deep effects -----------------------------
@@ -157,21 +159,16 @@ def test_multiple_classes_one_snapshot() -> None:
 
 # --- deduplication --------------------------------------------------------
 
-def _f(fine: FineBugClass, pc: int) -> BugFinding:
-    swc, coarse = CLASSIFICATION[fine]
-    return BugFinding(fine, swc, coarse, pc)
-
-
 def test_dedupe_keeps_earliest_iteration() -> None:
-    a = _f(FineBugClass.GASLESS_SEND, 12)
+    a = BugFinding(FineBugClass.GASLESS_SEND, 12)
     merged = dedupe_findings([(5, a), (2, a), (9, a)])
     assert merged == [(2, a)]
 
 
 def test_dedupe_distinguishes_sites_and_classes() -> None:
-    near = _f(FineBugClass.GASLESS_SEND, 12)
-    far = _f(FineBugClass.GASLESS_SEND, 90)
-    other = _f(FineBugClass.EXCEPTION_DISORDER, 12)
+    near = BugFinding(FineBugClass.GASLESS_SEND, 12)
+    far = BugFinding(FineBugClass.GASLESS_SEND, 90)
+    other = BugFinding(FineBugClass.EXCEPTION_DISORDER, 12)
     merged = dedupe_findings([(4, far), (1, near), (3, other)])
     assert merged == [(1, near), (3, other), (4, far)]
 
