@@ -14,7 +14,7 @@ import random
 import string as string_mod
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Any, Iterable, Sequence
 
 from .keccak import keccak256
@@ -181,11 +181,12 @@ class FunctionSpec:
     inputs: tuple[AbiType, ...] = ()
     mutability: Mutability = Mutability.NONPAYABLE
 
-    @property
+    # computed on first use and kept on the instance: every encode needs them
+    @cached_property
     def signature(self) -> str:
         return f"{self.name}({','.join(t.canonical for t in self.inputs)})"
 
-    @property
+    @cached_property
     def selector_bytes(self) -> bytes:
         if self.is_fallback:
             raise AbiError("the fallback has no selector")

@@ -5,7 +5,8 @@ derives from code bytes alone: one linear sweep per code, cached by code
 bytes, partitions it into basic blocks (new block at every JUMPDEST and
 after every jump, halting or undefined instruction) of pre-decoded
 (pc, opcode, PUSH operand, base gas) instructions, indexed by start pc,
-by JUMPDEST, by pc and by closing jump.  The interpreter runs on these
+by JUMPDEST, by pc and by closing jump, and lists the critical
+instructions' pcs.  The interpreter runs on these
 blocks and records coverage from their pc tuples and pc pairs.  A `Cfg` is
 that analysis plus what `build_cfg` decides: edges between block starts
 and the blocks whose jump is unresolved.  Jump targets are
@@ -97,14 +98,16 @@ class BasicBlock:
 class CodeAnalysis(NamedTuple):
     """Every index that derives from code bytes alone: blocks by start pc,
     ascending; the JUMPDEST-led ones among them, the only valid jump
-    destinations; the block of every instruction pc; and the block start
-    of every pc holding a block-ending JUMP/JUMPI."""
+    destinations; the block of every instruction pc; the block start
+    of every pc holding a block-ending JUMP/JUMPI; and the pcs of the
+    critical (money- or control-transferring) instructions, ascending."""
 
     code: bytes
     blocks: dict[int, BasicBlock]
     jumpdests: dict[int, BasicBlock]
     block_of: dict[int, BasicBlock]
     jump_sites: dict[int, int]
+    critical: tuple[int, ...]
 
 
 @lru_cache(maxsize=4096)
@@ -117,8 +120,10 @@ def analyze(code: bytes) -> CodeAnalysis:
     `Cfg` share the result.
     """
     base_gas = op.BASE_GAS
+    critical_ops = op.CRITICAL
     blocks: dict[int, BasicBlock] = {}
     body: list[Instruction] = []
+    critical: list[int] = []
 
     def close(fallthrough: int | None) -> None:
         pcs = tuple(ins[0] for ins in body)
@@ -139,6 +144,8 @@ def analyze(code: bytes) -> CodeAnalysis:
             pc += 1 + width
         else:
             body.append((pc, byte, None, base_gas[byte]))
+            if byte in critical_ops:
+                critical.append(pc)
             pc += 1
             if byte in _ENDS_BLOCK:
                 close(pc if pc < n else None)
@@ -149,7 +156,8 @@ def analyze(code: bytes) -> CodeAnalysis:
     block_of = {pc: block for block in blocks.values() for pc in block.pcs}
     jump_sites = {block.pcs[-1]: start for start, block in blocks.items()
                   if block.instructions[-1][1] in (op.JUMP, op.JUMPI)}
-    return CodeAnalysis(code, blocks, jumpdests, block_of, jump_sites)
+    return CodeAnalysis(code, blocks, jumpdests, block_of, jump_sites,
+                        tuple(critical))
 
 
 # --- control-flow graph ---------------------------------------------------
@@ -269,8 +277,7 @@ def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
 
 def critical_sites(cfg: Cfg) -> list[int]:
     """pcs of money- or control-transferring instructions, ascending."""
-    return [pc for block in cfg.blocks for pc, opcode, _, _ in block.instructions
-            if opcode in op.CRITICAL]
+    return list(cfg.analysis.critical)
 
 
 def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:

@@ -294,7 +294,7 @@ class _Machine:
                        depth: int, static: bool) -> tuple[TxStatus, bytes, int]:
         state = self.state
         tx = self.tx
-        _, blocks, jumpdests, _, _ = analyze(code)
+        _, blocks, jumpdests, _, _, _ = analyze(code)
         pushes_one = op.PUSHES_ONE
         pcs = self.executed.setdefault(code_address, set())
         edges = self.edges if code_address == self.track else None

@@ -13,6 +13,11 @@ lowered incrementally as run-time jumps add edges to the static graph.
 Each cycle executes `MUTANTS_PER_CYCLE` mutants against the unchanged base
 state plus one more whose effects are kept when it succeeds, so
 storage-dependent bugs stay reachable without giving up reproducibility.
+
+A seed carries the calldata it runs with.  It is encoded once when the
+seed is generated; a mutant inherits its parent's bytes and is re-encoded
+only when the mutation changed an argument, so mutants that vary the
+value, the agent policy or the block cost no ABI work.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from __future__ import annotations
 import logging
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .abi import (
@@ -60,6 +65,8 @@ COVERAGE_SAMPLE_INTERVAL = 50   # executions between coverage samples
 MAX_REENTRIES = 1               # agent re-entries per transaction
 
 _POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
+_AGENT_POLICIES = {kind: AgentPolicy(kind, max_reentries=MAX_REENTRIES)
+                   for kind in _POLICY_CYCLE}
 
 
 class Strategy(str, Enum):
@@ -68,24 +75,25 @@ class Strategy(str, Enum):
     DIRECTED = "DirectedGreyBox"
 
 
-@dataclass
+@dataclass(slots=True)
 class Seed:
-    """One input point: function, arguments, and transaction context."""
+    """One input point: function, arguments, and transaction context.
+
+    `calldata` is the transaction input the seed runs with: the selector
+    plus the encoded `args`, or for a fallback seed the raw bytes sent
+    instead of arguments.  `generate_seed` and `mutate_seed` keep it in
+    step with `args`; a seed built by hand starts with empty calldata.
+    """
 
     spec: FunctionSpec
     args: tuple = ()
-    raw_calldata: bytes = b""       # used by fallback seeds instead of args
+    calldata: bytes = b""
     value: int = 0
     policy: PolicyKind = PolicyKind.BENIGN
     block: BlockContext = BlockContext()
     # filled in after execution
     new_edges: int = 0
     d_min: int | None = None
-
-    def calldata(self) -> bytes:
-        if self.spec.is_fallback:
-            return self.raw_calldata
-        return encode_call(self.spec, list(self.args))
 
 
 @dataclass(frozen=True)
@@ -151,11 +159,12 @@ def generate_seed(rng: random.Random, spec: FunctionSpec, pools: ValuePools,
     """Fresh input for `spec`; ordinal 1 favors a value-carrying variant."""
     if spec.is_fallback:
         raw = rng.randbytes(8) if ordinal else b""
-        return Seed(spec=spec, raw_calldata=raw,
+        return Seed(spec=spec, calldata=raw,
                     value=ordinal if spec.is_payable else 0)
     args = tuple(generate_value(rng, t, pools) for t in spec.inputs)
     value = ordinal if spec.is_payable else 0
-    return Seed(spec=spec, args=args, value=value)
+    return Seed(spec=spec, args=args, calldata=encode_call(spec, args),
+                value=value)
 
 
 def initial_corpus(rng: random.Random, target: FuzzTarget) -> list[Seed]:
@@ -181,7 +190,11 @@ def _mutate_blob_bytes(rng: random.Random, raw: bytes) -> bytes:
 
 
 def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
-    """Change exactly one dimension of the input."""
+    """Change exactly one dimension of the input.
+
+    The child starts from the parent's calldata: only an argument mutation
+    re-encodes it, and only a raw-bytes mutation of a fallback seed edits it.
+    """
     dims: list[object] = []
     if seed.spec.is_fallback:
         dims.append("raw")
@@ -192,10 +205,10 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
     dims.extend(("policy", "block"))
     choice = rng.choice(dims)
 
-    child = Seed(spec=seed.spec, args=seed.args, raw_calldata=seed.raw_calldata,
-                 value=seed.value, policy=seed.policy, block=seed.block)
+    child = Seed(seed.spec, seed.args, seed.calldata, seed.value, seed.policy,
+                 seed.block)
     if choice == "raw":
-        child.raw_calldata = _mutate_blob_bytes(rng, seed.raw_calldata)
+        child.calldata = _mutate_blob_bytes(rng, seed.calldata)
     elif choice == "value":
         child.value = rng.choice([0, 1, 2, seed.value + 1,
                                   max(seed.value - 1, 0), seed.value * 2])
@@ -203,20 +216,26 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
         index = _POLICY_CYCLE.index(seed.policy)
         child.policy = _POLICY_CYCLE[(index + 1) % len(_POLICY_CYCLE)]
     elif choice == "block":
+        block = seed.block
         if rng.random() < 0.5:
             offset = rng.choice(TIMESTAMP_OFFSETS)
-            child.block = replace(seed.block, timestamp=max(
-                0, seed.block.timestamp + offset))
+            child.block = BlockContext(
+                number=block.number,
+                timestamp=max(0, block.timestamp + offset),
+                gas_limit=block.gas_limit)
         else:
             offset = rng.choice(NUMBER_OFFSETS)
-            child.block = replace(seed.block, number=max(
-                0, seed.block.number + offset))
+            child.block = BlockContext(
+                number=max(0, block.number + offset),
+                timestamp=block.timestamp,
+                gas_limit=block.gas_limit)
     else:
         _, index = choice
         args = list(seed.args)
         args[index] = mutate_value(rng, seed.spec.inputs[index], args[index],
                                    pools)
         child.args = tuple(args)
+        child.calldata = encode_call(seed.spec, child.args)
     return child
 
 
@@ -291,9 +310,9 @@ class _Campaign:
     def _execute(self, seed: Seed, persist: bool) -> None:
         tx = Transaction(
             target=self.target.address,
-            calldata=seed.calldata(),
+            calldata=seed.calldata,
             value=seed.value,
-            agent_policy=AgentPolicy(seed.policy, max_reentries=MAX_REENTRIES),
+            agent_policy=_AGENT_POLICIES[seed.policy],
             block=seed.block,
         )
         trace = execute_transaction(self.base_state, tx, persist=persist)
@@ -303,7 +322,7 @@ class _Campaign:
         fresh_edges = trace.dynamic_edges - self.covered_edges
         seed.new_edges = len(fresh_edges)
         self.covered_pcs |= pcs
-        self.covered_edges |= trace.dynamic_edges
+        self.covered_edges |= fresh_edges
 
         if self.config.strategy is Strategy.DIRECTED:
             # older edges were offered to augment_edges when first seen

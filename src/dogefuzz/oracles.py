@@ -63,48 +63,58 @@ class BugFinding:
 # --- detection rules ------------------------------------------------------
 
 def detect(trace: ExecutionTrace) -> list[BugFinding]:
-    """All findings for one transaction, at most one per fine class."""
-    events = trace.events
-    succeeded = trace.status is TxStatus.SUCCESS
-    findings: list[BugFinding] = []
+    """All findings for one transaction, at most one per fine class.
 
-    def first(kind: EventKind) -> ExecutionEvent | None:
-        return next((e for e in events if e.kind is kind), None)
+    One pass over the events records the first event of each kind, the
+    re-entry events, and the deepest depth that moved money or rewrote
+    storage; the rules then read only those.  Findings come out in the
+    order RE, DDC, GS, ED, TD, ND.
+    """
+    events = trace.events
+    if not events:
+        return []
+    firsts: dict[EventKind, ExecutionEvent] = {}
+    reentries: list[ExecutionEvent] = []
+    deepest_effect: int | None = None
+    for event in events:
+        kind = event.kind
+        if kind not in firsts:
+            firsts[kind] = event
+        if kind is EventKind.REENTRANCY:
+            reentries.append(event)
+        elif kind in (EventKind.ETHER_TRANSFER, EventKind.STORAGE_CHANGED):
+            if deepest_effect is None or event.depth > deepest_effect:
+                deepest_effect = event.depth
+    findings: list[BugFinding] = []
 
     # a frame was entered twice and the nested execution moved money or
     # rewrote storage at or below the re-entered depth
-    for event in events:
-        if event.kind is not EventKind.REENTRANCY:
-            continue
-        deep = any(
-            e.kind in (EventKind.ETHER_TRANSFER, EventKind.STORAGE_CHANGED)
-            and e.depth >= event.depth
-            for e in events)
-        if deep:
-            findings.append(BugFinding(FineBugClass.REENTRANCY, event.pc))
-            break
+    if deepest_effect is not None:
+        for event in reentries:
+            if event.depth <= deepest_effect:
+                findings.append(BugFinding(FineBugClass.REENTRANCY, event.pc))
+                break
 
-    delegate = first(EventKind.DELEGATE)
+    delegate = firsts.get(EventKind.DELEGATE)
     if delegate is not None:
         findings.append(
             BugFinding(FineBugClass.DANGEROUS_DELEGATE_CALL, delegate.pc))
 
-    if succeeded:
-        gasless = first(EventKind.GASLESS_SEND)
+    if trace.status is TxStatus.SUCCESS:
+        gasless = firsts.get(EventKind.GASLESS_SEND)
         if gasless is not None:
             findings.append(BugFinding(FineBugClass.GASLESS_SEND, gasless.pc))
-        disorder = first(EventKind.EXCEPTION_DISORDER)
+        disorder = firsts.get(EventKind.EXCEPTION_DISORDER)
         if disorder is not None:
             findings.append(
                 BugFinding(FineBugClass.EXCEPTION_DISORDER, disorder.pc))
 
-    transferred = any(e.kind is EventKind.ETHER_TRANSFER for e in events)
-    if transferred:
-        stamp = first(EventKind.TIMESTAMP)
+    if EventKind.ETHER_TRANSFER in firsts:
+        stamp = firsts.get(EventKind.TIMESTAMP)
         if stamp is not None:
             findings.append(
                 BugFinding(FineBugClass.TIMESTAMP_DEPENDENCY, stamp.pc))
-        number = first(EventKind.BLOCK_NUMBER)
+        number = firsts.get(EventKind.BLOCK_NUMBER)
         if number is not None:
             findings.append(
                 BugFinding(FineBugClass.NUMBER_DEPENDENCY, number.pc))

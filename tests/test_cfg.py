@@ -221,6 +221,16 @@ def test_critical_sites_ascending_with_counts() -> None:
     assert len(sites) == 3
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(sorted(op.CRITICAL)),
+                          st.integers(0, 255)), max_size=300).map(bytes))
+def test_critical_sites_match_a_full_scan(raw: bytes) -> None:
+    scanned = [pc for block in analyze(raw).blocks.values()
+               for pc, opcode, _, _ in block.instructions
+               if opcode in op.CRITICAL]
+    assert critical_sites(build_cfg(raw)) == scanned
+
+
 def test_no_critical_sites_yields_empty_dict() -> None:
     cfg = build_cfg(code(P1, 1, op.POP, op.STOP))
     assert critical_sites(cfg) == []

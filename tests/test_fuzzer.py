@@ -8,7 +8,7 @@ import random
 import pytest
 
 from dogefuzz import fuzzer
-from dogefuzz.abi import ValuePools, parse_abi, selector
+from dogefuzz.abi import ValuePools, encode_call, parse_abi, selector
 from dogefuzz.asm import Assembler
 from dogefuzz.cfg import build_cfg, critical_sites, distance_map
 from dogefuzz.evm import (
@@ -20,6 +20,7 @@ from dogefuzz.evm import (
     deploy_contract,
 )
 from dogefuzz.fuzzer import (
+    SEEDS_PER_FUNCTION,
     CampaignConfig,
     FuzzTarget,
     Seed,
@@ -104,12 +105,65 @@ def test_fallback_seeds_use_raw_calldata() -> None:
     specs = parse_abi([{"type": "fallback", "stateMutability": "payable"}])
     first = generate_seed(random.Random(1), specs[0], POOLS, ordinal=0)
     second = generate_seed(random.Random(1), specs[0], POOLS, ordinal=1)
-    assert first.raw_calldata == b"" and first.value == 0
-    assert len(second.raw_calldata) == 8 and second.value == 1
-    assert first.calldata() == b""
+    assert first.calldata == b"" and first.value == 0
+    assert len(second.calldata) == 8 and second.value == 1
 
 
 # --- mutation -------------------------------------------------------------
+
+RICH_ABI = [{
+    "type": "function", "name": "rich", "stateMutability": "payable",
+    "inputs": [
+        {"type": "bytes"}, {"type": "string"}, {"type": "uint8[]"},
+        {"type": "address[2]"},
+        {"type": "tuple", "components": [{"type": "uint256"},
+                                         {"type": "bool"}]},
+    ],
+}]
+
+
+def _stale_check_specs():
+    for fx in all_fixtures():
+        yield from parse_abi(list(fx.abi))
+    yield from parse_abi(RICH_ABI)
+    yield from parse_abi([{"type": "fallback", "stateMutability": "payable"}])
+
+
+def _one_byte_edit(parent: bytes, child: bytes) -> bool:
+    if len(child) == len(parent) + 1:
+        return child[:-1] == parent
+    if len(child) == len(parent) - 1:
+        return child == parent[:-1]
+    return len(child) == len(parent) and \
+        sum(a != b for a, b in zip(parent, child)) == 1
+
+
+def test_mutant_calldata_is_never_stale() -> None:
+    rng = random.Random(11)
+    for spec in _stale_check_specs():
+        changed = 0
+        for ordinal in range(SEEDS_PER_FUNCTION):
+            seed = generate_seed(rng, spec, POOLS, ordinal)
+            if not spec.is_fallback:
+                assert seed.calldata == encode_call(spec, seed.args)
+            for _ in range(40):
+                child = mutate_seed(rng, seed, POOLS)
+                changed += child.calldata != seed.calldata
+                if spec.is_fallback:
+                    # the raw bytes are the calldata: when they change,
+                    # nothing else does, and by one grown, dropped or
+                    # flipped byte
+                    assert child.args == ()
+                    if child.calldata != seed.calldata:
+                        assert (child.value, child.policy, child.block) == \
+                            (seed.value, seed.policy, seed.block)
+                        assert _one_byte_edit(seed.calldata, child.calldata)
+                else:
+                    assert child.calldata == encode_call(spec, child.args)
+                seed = child
+        # the walk re-encoded arguments (or edited raw bytes) along the way
+        assert changed or not (spec.inputs or spec.is_fallback)
+
 
 def _withdraw_seed() -> Seed:
     target = make_target(fixture("reentrancy_vulnerable"))

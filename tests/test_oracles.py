@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
@@ -27,6 +29,7 @@ from dogefuzz.oracles import (
     detect_trace,
 )
 
+from detect_oracle import detect_reference
 from evm_utils import run
 from test_evm_exec import WITHDRAW, deploy_vault
 
@@ -155,6 +158,20 @@ def test_multiple_classes_one_snapshot() -> None:
     }
     gasless = [f for f in findings if f.fine is FineBugClass.GASLESS_SEND]
     assert [f.pc for f in gasless] == [10]
+
+
+# --- one pass agrees with the per-rule reference --------------------------
+
+_EVENTS = st.builds(ExecutionEvent, kind=st.sampled_from(list(EventKind)),
+                    pc=st.integers(0, 64), depth=st.integers(1, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EVENTS, max_size=12))
+def test_one_pass_detect_matches_reference(events) -> None:
+    for status in TxStatus:
+        trace = snap(*events, status=status)
+        assert detect(trace) == detect_reference(trace)
 
 
 # --- deduplication --------------------------------------------------------
