@@ -181,7 +181,8 @@ class FunctionSpec:
     inputs: tuple[AbiType, ...] = ()
     mutability: Mutability = Mutability.NONPAYABLE
 
-    # computed on first use and kept on the instance: every encode needs them
+    # computed on first use and kept on the instance: every encode or
+    # mutation needs them
     @cached_property
     def signature(self) -> str:
         return f"{self.name}({','.join(t.canonical for t in self.inputs)})"
@@ -191,6 +192,18 @@ class FunctionSpec:
         if self.is_fallback:
             raise AbiError("the fallback has no selector")
         return selector(self.signature)
+
+    @cached_property
+    def mutation_dims(self) -> tuple:
+        """What one mutation of a call may change, in draw order: each
+        argument (the raw calldata for the fallback), the value when
+        payable, the agent policy and the block."""
+        dims: list[object] = (
+            ["raw"] if self.is_fallback
+            else [("arg", i) for i in range(len(self.inputs))])
+        if self.is_payable:
+            dims.append("value")
+        return (*dims, "policy", "block")
 
     @property
     def is_fallback(self) -> bool:

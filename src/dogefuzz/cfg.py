@@ -7,7 +7,9 @@ after every jump, halting or undefined instruction) of pre-decoded
 (pc, opcode, PUSH operand, base gas) instructions, indexed by start pc,
 by JUMPDEST, by pc and by closing jump, and lists the critical
 instructions' pcs.  The interpreter runs on these
-blocks and records coverage from their pc tuples and pc pairs.  A `Cfg` is
+blocks and records coverage once per block: the block's start and how many
+of its instructions ran, so a block's pc tuple is all it needs to turn
+coverage back into pcs.  A `Cfg` is
 that analysis plus what `build_cfg` decides: edges between block starts
 and the blocks whose jump is unresolved.  Jump targets are
 resolved where a bounded constant-stack simulation of the block can prove
@@ -62,16 +64,14 @@ class Terminator(str, Enum):
 class BasicBlock:
     """A straight run of pre-decoded instructions entered only at `start`.
 
-    `pcs` and `pairs` (each instruction with its successor) are what running
-    the whole block adds to coverage.  `fallthrough` is the pc where
-    execution continues when the block neither jumps nor halts, None at the
-    end of the code.
+    `pcs` lists the instructions' pcs; a run of its first `r` instructions
+    covers `pcs[:r]`.  `fallthrough` is the pc where execution continues
+    when the block neither jumps nor halts, None at the end of the code.
     """
 
     start: int
     instructions: tuple[Instruction, ...]
     pcs: tuple[int, ...]
-    pairs: tuple[tuple[int, int], ...]
     fallthrough: int | None
 
     @cached_property
@@ -127,8 +127,7 @@ def analyze(code: bytes) -> CodeAnalysis:
 
     def close(fallthrough: int | None) -> None:
         pcs = tuple(ins[0] for ins in body)
-        blocks[pcs[0]] = BasicBlock(pcs[0], tuple(body), pcs,
-                                    tuple(zip(pcs, pcs[1:])), fallthrough)
+        blocks[pcs[0]] = BasicBlock(pcs[0], tuple(body), pcs, fallthrough)
         body.clear()
 
     pc, n = 0, len(code)
@@ -249,25 +248,35 @@ def build_cfg(code: bytes) -> Cfg:
 
 # --- dynamic refinement ---------------------------------------------------
 
-def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
-    """Merge run-time (from_pc, to_pc) pairs into the static edge set.
+def jump_edges(analysis: CodeAnalysis,
+               observed: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """Block edges of the run-time (from_pc, to_pc) pairs that are jumps.
 
-    Only pairs that are genuine jumps are kept: the source must be the
-    jump instruction ending a block and the destination a JUMPDEST block
-    start.  Returns `cfg` itself when nothing new was learned, so callers
-    can use identity to detect novelty.  The jump indexes live on the
-    shared analysis, so the cost is proportional to `observed` and callers
-    should pass only pairs not offered before.  Feed the new edges to
-    `relax_distances` to bring hop counts up to date instead of recomputing
-    `distance_map`.
+    A pair is a jump when its source is the JUMP/JUMPI ending a block and
+    its destination a JUMPDEST block start; it maps to the edge from that
+    block's start.  Any other pair, such as two successive instructions of
+    one block, is dropped.
     """
-    jump_sites = cfg.analysis.jump_sites
-    jumpdests = cfg.analysis.jumpdests
-    extra = {
+    jump_sites = analysis.jump_sites
+    jumpdests = analysis.jumpdests
+    return {
         (jump_sites[src], dst)
         for src, dst in observed
         if src in jump_sites and dst in jumpdests
     }
+
+
+def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
+    """Merge the `jump_edges` of run-time pairs into the static edge set.
+
+    Returns `cfg` itself when nothing new was learned, so callers can use
+    identity to detect novelty.  The jump indexes live on the shared
+    analysis, so the cost is proportional to `observed` and callers should
+    pass only pairs not offered before.  Feed the jump edges to
+    `relax_distances` to bring hop counts up to date instead of recomputing
+    `distance_map`.
+    """
+    extra = jump_edges(cfg.analysis, observed)
     if extra <= cfg.edges:
         return cfg
     return replace(cfg, edges=cfg.edges | extra)
@@ -280,15 +289,19 @@ def critical_sites(cfg: Cfg) -> list[int]:
     return list(cfg.analysis.critical)
 
 
-def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
+def distance_map(cfg: Cfg, sites: Iterable[int],
+                 predecessors: dict[int, set[int]] | None = None,
+                 ) -> dict[int, int]:
     """Block start -> hop count to the nearest site, by reverse BFS.
 
     A block containing a site counts zero, whichever of its pcs the site
-    is; blocks that cannot reach any site are omitted.
+    is; blocks that cannot reach any site are omitted.  `predecessors` is
+    the `predecessor_map` of `cfg.edges`, built here when not given.
     """
     block_of = cfg.analysis.block_of
     site_starts = {block_of[pc].start for pc in sites if pc in block_of}
-    predecessors = predecessor_map(cfg.edges)
+    if predecessors is None:
+        predecessors = predecessor_map(cfg.edges)
     hops = {start: 0 for start in site_starts}
     frontier = deque(sorted(site_starts))
     while frontier:
@@ -315,11 +328,11 @@ def relax_distances(hops: dict[int, int], predecessors: dict[int, set[int]],
     `hops` maps block starts to their hop count to the nearest site, as
     `distance_map` returns it, and `predecessors` is the
     `predecessor_map` of the same edges; both are updated to include
-    `new_edges`.  Adding edges can only shorten distances, so relaxation
-    starts from each source whose count drops and walks backwards through
-    predecessors in order of the new count.  The result is the reverse-BFS
-    fixpoint of the enlarged graph, at a cost proportional to the counts
-    that changed.
+    `new_edges`, of which those already in the graph change nothing.
+    Adding edges can only shorten distances, so relaxation starts from
+    each source whose count drops and walks backwards through predecessors
+    in order of the new count.  The result is the reverse-BFS fixpoint of
+    the enlarged graph, at a cost proportional to the counts that changed.
     """
     frontier: list[tuple[int, int]] = []
     for src, dst in new_edges:

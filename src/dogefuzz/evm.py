@@ -1,19 +1,22 @@
 """Bytecode interpreter with execution instrumentation for fuzzing.
 
 Implements an Istanbul-era stack machine over a journaled world state and
-records, besides coverage (executed offsets and dynamic edges), the eight
-event kinds the bug oracles consume: Delegate, GaslessSend,
-ExceptionDisorder, BlockNumber, Timestamp, Reentrancy, StorageChanged,
-EtherTransfer.
+records, besides coverage, the eight event kinds the bug oracles consume:
+Delegate, GaslessSend, ExceptionDisorder, BlockNumber, Timestamp,
+Reentrancy, StorageChanged, EtherTransfer.
 
 Each frame runs over `cfg.analyze`, the one decode of its code into basic
 blocks shared with `build_cfg`: instructions come pre-decoded with their
-PUSH operands and base gas, and JUMP/JUMPI end a block.  Gas is still
-charged per instruction, but coverage is recorded once per block, from the
-block's precomputed pcs and instruction pairs plus one pair per transition
-between blocks of the frame; a block that faults adds only its prefix up to
-the faulting instruction.  Dynamic edges are therefore exactly the pairs of
-successive instructions within each frame of the fuzzed target.
+PUSH operands and base gas, and JUMP/JUMPI end a block.  Gas is charged
+per instruction, but coverage is recorded once per block.  Per code
+address and code, a trace keeps each block start that ran with how many of
+its instructions ran: all of them, or for a block that faulted the prefix
+up to the faulting instruction, the longest run winning.  For frames of
+the fuzzed target it also keeps each transition between blocks as a
+(last pc, next block start) pair.  A block's instructions always run
+together, so the executed pcs are the covered prefixes, and the pairs of
+successive instructions within each target frame are the pairs inside
+those prefixes plus the transitions.
 
 Transactions originate from a built-in agent account whose behavior on being
 called back is driven by a per-transaction policy (accept, re-enter the
@@ -126,12 +129,30 @@ class ExecutionEvent:
 
 @dataclass
 class ExecutionTrace:
+    """Outcome and instrumentation of one transaction.
+
+    `block_runs` maps (code address, code) to {block start: instructions
+    run}, in frame entry order; `transitions` holds the (last pc, next
+    block start) pairs of the target's frames.
+    """
+
     status: TxStatus
     gas_used: int
-    executed_pcs: dict[bytes, set[int]]
-    dynamic_edges: set[tuple[int, int]]
+    block_runs: dict[tuple[bytes, bytes], dict[int, int]]
+    transitions: set[tuple[int, int]]
     events: list[ExecutionEvent]
     return_data: bytes = b""
+
+    @property
+    def executed_pcs(self) -> dict[bytes, set[int]]:
+        """Code address -> executed instruction pcs, derived from the runs."""
+        executed: dict[bytes, set[int]] = {}
+        for (address, code), runs in self.block_runs.items():
+            pcs = executed.setdefault(address, set())
+            blocks = analyze(code).blocks
+            for start, ran in runs.items():
+                pcs.update(blocks[start].pcs[:ran])
+        return executed
 
 
 @dataclass
@@ -213,8 +234,8 @@ class _Machine:
         self.track = track
         self.journal: list[tuple] = []
         self.events: list[ExecutionEvent] = []
-        self.executed: dict[bytes, set[int]] = {}
-        self.edges: set[tuple[int, int]] = set()
+        self.block_runs: dict[tuple[bytes, bytes], dict[int, int]] = {}
+        self.transitions: set[tuple[int, int]] = set()
         self.address_stack: list[bytes] = []
         self.reentries_used = 0
 
@@ -296,8 +317,8 @@ class _Machine:
         tx = self.tx
         _, blocks, jumpdests, _, _, _ = analyze(code)
         pushes_one = op.PUSHES_ONE
-        pcs = self.executed.setdefault(code_address, set())
-        edges = self.edges if code_address == self.track else None
+        runs = self.block_runs.setdefault((code_address, code), {})
+        transitions = self.transitions if code_address == self.track else None
 
         stack: list[int] = []
         mem = bytearray()
@@ -594,23 +615,22 @@ class _Machine:
                         gas = 0
                         raise _InvalidOp
             finally:
-                # coverage once per block, up to the instruction that ran
-                # last, which is the faulting one when the block did not end
-                if pc == block.pcs[-1]:
-                    pcs.update(block.pcs)
-                    if edges is not None:
-                        edges.update(block.pairs)
+                # coverage once per block: how many of its instructions ran,
+                # the faulting one included; a shorter run of the block in
+                # another frame never lowers a longer one
+                block_pcs = block.pcs
+                if pc == block_pcs[-1]:
+                    runs[block.start] = len(block_pcs)
                 else:
-                    ran = block.pcs.index(pc) + 1
-                    pcs.update(block.pcs[:ran])
-                    if edges is not None:
-                        edges.update(block.pairs[:ran - 1])
+                    ran = block_pcs.index(pc) + 1
+                    if runs.get(block.start, 0) < ran:
+                        runs[block.start] = ran
             if nxt is None:
                 nxt = blocks.get(block.fallthrough)
                 if nxt is None:  # ran off the end of the code
                     break
-            if edges is not None:
-                edges.add((pc, nxt.start))
+            if transitions is not None:
+                transitions.add((pc, nxt.start))
             block = nxt
         return finish(TxStatus.SUCCESS, b"")
 
@@ -844,8 +864,8 @@ def execute_transaction(state: WorldState, tx: Transaction,
     return ExecutionTrace(
         status=status,
         gas_used=tx.gas_limit - gas_left,
-        executed_pcs=machine.executed,
-        dynamic_edges=machine.edges,
+        block_runs=machine.block_runs,
+        transitions=machine.transitions,
         events=machine.events,
         return_data=ret,
     )

@@ -10,6 +10,9 @@ blocks the seed executed, to a money- or control-transferring instruction.
 Hop counts are kept per block start: computed once per campaign and
 lowered incrementally as run-time jumps add edges to the static graph.
 
+An edge is a pair of successive instructions within a frame of the
+target; `BlockCoverage` counts them from the interpreter's block runs.
+
 Each cycle executes `MUTANTS_PER_CYCLE` mutants against the unchanged base
 state plus one more whose effects are kept when it succeeds, so
 storage-dependent bugs stay reachable without giving up reproducibility.
@@ -40,6 +43,7 @@ from .cfg import (
     augment_edges,
     critical_sites,
     distance_map,
+    jump_edges,
     predecessor_map,
     relax_distances,
 )
@@ -143,6 +147,43 @@ class CampaignResult:
     elapsed: float
 
 
+class BlockCoverage:
+    """Coverage of one code: the longest run of each block and every
+    block transition seen, with the count of covered pcs.
+
+    A run of `r` instructions of a block whose first `h` were covered adds
+    `r - h` pcs and `r - max(h, 1)` pairs inside the block; a transition
+    not seen before adds one more edge.
+    """
+
+    __slots__ = ("runs", "transitions", "pcs")
+
+    def __init__(self) -> None:
+        self.runs: dict[int, int] = {}
+        self.transitions: set[tuple[int, int]] = set()
+        self.pcs = 0
+
+    def add(self, runs: dict[int, int], transitions: set[tuple[int, int]],
+            ) -> tuple[int, set[tuple[int, int]]]:
+        """Fold in one trace's block runs and transitions of the code.
+
+        Returns the number of edges not seen before and the transitions
+        among them.
+        """
+        fresh = transitions - self.transitions
+        self.transitions |= fresh
+        new_edges = len(fresh)
+        covered = self.runs
+        if not runs.items() <= covered.items():
+            for start, ran in runs.items():
+                had = covered.get(start, 0)
+                if ran > had:
+                    covered[start] = ran
+                    self.pcs += ran - had
+                    new_edges += ran - (had or 1)
+        return new_edges, fresh
+
+
 # --- seed construction ----------------------------------------------------
 
 def score_seed(strategy: Strategy, seed: Seed) -> float:
@@ -195,15 +236,7 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
     The child starts from the parent's calldata: only an argument mutation
     re-encodes it, and only a raw-bytes mutation of a fallback seed edits it.
     """
-    dims: list[object] = []
-    if seed.spec.is_fallback:
-        dims.append("raw")
-    else:
-        dims.extend(("arg", i) for i in range(len(seed.args)))
-    if seed.spec.is_payable:
-        dims.append("value")
-    dims.extend(("policy", "block"))
-    choice = rng.choice(dims)
+    choice = rng.choice(seed.spec.mutation_dims)
 
     child = Seed(seed.spec, seed.args, seed.calldata, seed.value, seed.policy,
                  seed.block)
@@ -239,10 +272,12 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
     return child
 
 
-def select_seed(rng: random.Random, strategy: Strategy,
-                queue: list[Seed]) -> Seed:
-    """Energy-proportional draw, scanning newest entries first."""
-    total = sum(score_seed(strategy, seed) for seed in queue)
+def select_seed(rng: random.Random, strategy: Strategy, queue: list[Seed],
+                total: float) -> Seed:
+    """Energy-proportional draw, scanning newest entries first.
+
+    `total` is the sum of the queue's scores, added front to back.
+    """
     point = rng.uniform(0.0, total)
     for seed in reversed(queue):
         point -= score_seed(strategy, seed)
@@ -265,10 +300,14 @@ class _Campaign:
         if config.strategy is Strategy.DIRECTED:
             # block start -> hops to the nearest critical site, kept current
             # by `relax_distances` as run-time jumps refine `self.cfg`
-            self.hops = distance_map(target.cfg, critical_sites(target.cfg))
             self.predecessors = predecessor_map(target.cfg.edges)
-        self.covered_pcs: set[int] = set()
-        self.covered_edges: set[tuple[int, int]] = set()
+            self.hops = distance_map(target.cfg, critical_sites(target.cfg),
+                                     self.predecessors)
+        # the code object the interpreter runs, so lookups match by identity
+        self.runs_key = (target.address,
+                         self.base_state.code_of(target.address))
+        self.coverage = BlockCoverage()
+        self.queue_score = 0.0  # sum of the queue's scores, front to back
         self.executions = 0
         self.admitted = 0
         self.raw_findings: list[tuple[int, BugFinding, Reproducer]] = []
@@ -281,7 +320,7 @@ class _Campaign:
 
     def _coverage_fraction(self) -> float:
         total = len(self.cfg.pcs)
-        return len(self.covered_pcs) / total if total else 0.0
+        return self.coverage.pcs / total if total else 0.0
 
     def _within_budget(self) -> bool:
         if self.stop:
@@ -318,23 +357,19 @@ class _Campaign:
         trace = execute_transaction(self.base_state, tx, persist=persist)
         self.executions += 1
 
-        pcs = trace.executed_pcs.get(self.target.address, set())
-        fresh_edges = trace.dynamic_edges - self.covered_edges
-        seed.new_edges = len(fresh_edges)
-        self.covered_pcs |= pcs
-        self.covered_edges |= fresh_edges
+        runs = trace.block_runs.get(self.runs_key, {})
+        seed.new_edges, fresh = self.coverage.add(runs, trace.transitions)
 
         if self.config.strategy is Strategy.DIRECTED:
-            # older edges were offered to augment_edges when first seen
-            refined = augment_edges(self.cfg, fresh_edges)
+            # only a transition can be a jump, and older ones were offered
+            # to augment_edges when first seen
+            refined = augment_edges(self.cfg, fresh)
             if refined is not self.cfg:
                 relax_distances(self.hops, self.predecessors,
-                                refined.edges - self.cfg.edges)
+                                jump_edges(self.cfg.analysis, fresh))
                 self.cfg = refined
-            # blocks are entered only at their start, so the executed block
-            # starts name every block the transaction touched
             hops = self.hops
-            seed.d_min = min((hops[start] for start in hops.keys() & pcs),
+            seed.d_min = min((hops[start] for start in hops.keys() & runs),
                              default=None)
 
         tick = self.executions
@@ -360,8 +395,10 @@ class _Campaign:
         strategy = self.config.strategy
         if strategy is Strategy.BLACKBOX:
             return
-        if score_seed(strategy, child) > score_seed(strategy, parent):
+        score = score_seed(strategy, child)
+        if score > score_seed(strategy, parent):
             queue.append(child)
+            self.queue_score += score
             self.admitted += 1
 
     def run(self) -> CampaignResult:
@@ -371,12 +408,15 @@ class _Campaign:
             if not self._within_budget():
                 break
             self._execute(seed, persist=False)
+        # a seed's score is fixed once it has run
+        for seed in queue:
+            self.queue_score += score_seed(self.config.strategy, seed)
 
         eligible = self.target.eligible_specs()
         while self._within_budget():
             blind = self.config.strategy is Strategy.BLACKBOX
             parent = None if blind else select_seed(
-                rng, self.config.strategy, queue)
+                rng, self.config.strategy, queue, self.queue_score)
             for lane in range(MUTANTS_PER_CYCLE + 1):
                 if not self._within_budget():
                     break

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dogefuzz import opcodes as op
+from dogefuzz.cfg import analyze
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
@@ -69,3 +70,17 @@ def run_top(code_bytes: bytes, **kwargs) -> int:
     trace, _, _ = run(code_bytes + RETURN_TOP, **kwargs)
     assert trace.status.value == "Success", trace.status
     return int.from_bytes(trace.return_data, "big")
+
+
+def dynamic_edges(trace: ExecutionTrace, address: bytes) -> set[tuple[int, int]]:
+    """Pairs of successive instructions run in the frames of `address`, the
+    transaction's target: the pairs inside each covered block prefix plus
+    the transitions between blocks."""
+    edges = set(trace.transitions)
+    for (code_address, code_bytes), runs in trace.block_runs.items():
+        if code_address == address:
+            blocks = analyze(code_bytes).blocks
+            for start, ran in runs.items():
+                pcs = blocks[start].pcs[:ran]
+                edges.update(zip(pcs, pcs[1:]))
+    return edges

@@ -93,7 +93,6 @@ def test_blocks_tile_the_instruction_stream(raw: bytes) -> None:
         assert block.instructions, "blocks are never empty"
         assert block.pcs == tuple(ins[0] for ins in block.instructions)
         assert block.start == block.pcs[0]
-        assert block.pairs == tuple(zip(block.pcs, block.pcs[1:]))
         assert block.fallthrough == (following.start if following else None)
     for block in cfg.blocks:
         for pc, opcode, _, _ in block.instructions[:-1]:

@@ -23,7 +23,7 @@ from dogefuzz.evm import (
     execute_transaction,
 )
 
-from evm_utils import P, code, run
+from evm_utils import P, code, dynamic_edges, run
 
 
 def _instruction_starts(raw: bytes) -> list[int]:
@@ -64,7 +64,7 @@ def test_out_of_gas_on_third_instruction_stops_coverage() -> None:
     assert trace.status is TxStatus.OUT_OF_GAS
     assert trace.gas_used == 8
     assert trace.executed_pcs == {address: {0, 2, 4}}
-    assert trace.dynamic_edges == _chain(0, 2, 4)
+    assert dynamic_edges(trace, address) == _chain(0, 2, 4)
 
 
 def test_stack_underflow_mid_block_stops_coverage() -> None:
@@ -73,7 +73,7 @@ def test_stack_underflow_mid_block_stops_coverage() -> None:
     assert trace.status is TxStatus.INVALID_OPCODE
     assert trace.gas_used == 50_000
     assert trace.executed_pcs == {address: {0, 2}}
-    assert trace.dynamic_edges == _chain(0, 2)
+    assert dynamic_edges(trace, address) == _chain(0, 2)
 
 
 @pytest.mark.parametrize("probe,kind,fault", [
@@ -90,7 +90,7 @@ def test_dynamic_out_of_gas_keeps_earlier_event(probe: int, kind: EventKind,
     assert trace.status is TxStatus.OUT_OF_GAS
     assert [(e.kind, e.pc) for e in trace.events] == [(kind, 0)]
     assert trace.executed_pcs == {address: set(expected)}
-    assert trace.dynamic_edges == _chain(*expected)
+    assert dynamic_edges(trace, address) == _chain(*expected)
     assert state.account(address).storage == {}
 
 
@@ -117,7 +117,7 @@ def test_push_past_the_stack_limit_faults_at_its_pc(name: str) -> None:
     assert trace.gas_used == 50_000
     # the 1025th push is the faulting instruction; nothing after it runs
     assert trace.executed_pcs == {address: set(range(1025))}
-    assert trace.dynamic_edges == _chain(*range(1025))
+    assert dynamic_edges(trace, address) == _chain(*range(1025))
     assert all(event.pc < 1024 for event in trace.events)
 
 
@@ -131,7 +131,7 @@ def test_untaken_jumpi_falls_into_plain_block() -> None:
     trace, _, address = run(snippet)
     assert trace.status is TxStatus.SUCCESS
     assert trace.executed_pcs == {address: {0, 2, 4, 5, 7, 8}}
-    assert trace.dynamic_edges == _chain(0, 2, 4, 5, 7, 8)
+    assert dynamic_edges(trace, address) == _chain(0, 2, 4, 5, 7, 8)
 
 
 def test_taken_jump_records_the_site_to_jumpdest_pair() -> None:
@@ -140,7 +140,7 @@ def test_taken_jump_records_the_site_to_jumpdest_pair() -> None:
     trace, _, address = run(snippet)
     assert trace.status is TxStatus.SUCCESS
     assert trace.executed_pcs == {address: {0, 2, 4, 9, 10}}
-    assert trace.dynamic_edges == _chain(0, 2, 4, 9, 10)
+    assert dynamic_edges(trace, address) == _chain(0, 2, 4, 9, 10)
 
 
 def test_jump_into_push_data_is_rejected() -> None:
@@ -151,7 +151,7 @@ def test_jump_into_push_data_is_rejected() -> None:
     assert trace.status is TxStatus.INVALID_OPCODE
     assert trace.gas_used == 50_000
     assert trace.executed_pcs == {address: {0, 2}}
-    assert trace.dynamic_edges == _chain(0, 2)
+    assert dynamic_edges(trace, address) == _chain(0, 2)
 
 
 def test_truncated_final_push_runs_off_the_end() -> None:
@@ -162,7 +162,7 @@ def test_truncated_final_push_runs_off_the_end() -> None:
     assert trace.status is TxStatus.SUCCESS
     assert trace.gas_used == 3 + 2 + 3
     assert trace.executed_pcs == {address: {0, 2, 3}}
-    assert trace.dynamic_edges == _chain(0, 2, 3)
+    assert dynamic_edges(trace, address) == _chain(0, 2, 3)
 
 
 # --- frames ---------------------------------------------------------------
@@ -189,7 +189,7 @@ def test_reentrant_frame_adds_its_own_edges() -> None:
     trace, _, address = run(raw, policy=policy)
     assert trace.status is TxStatus.SUCCESS
     assert any(e.kind is EventKind.REENTRANCY for e in trace.events)
-    edges = trace.dynamic_edges
+    edges = dynamic_edges(trace, address)
     # only the reentrant frame takes the JUMPI into `inner`
     assert (at["jumpi"], at["inner"]) in edges
     assert (at["inner"], at["inner"] + 1) in edges
@@ -198,9 +198,10 @@ def test_reentrant_frame_adds_its_own_edges() -> None:
     assert all(dst != 0 for _, dst in edges)
     assert (at["call"], at["call"] + 1) in edges
     assert all(src != at["inner"] + 1 for src, _ in edges)
-    benign, _, _ = run(raw)
-    assert (at["jumpi"], at["inner"]) not in benign.dynamic_edges
-    assert benign.dynamic_edges < edges
+    benign, _, benign_address = run(raw)
+    benign_edges = dynamic_edges(benign, benign_address)
+    assert (at["jumpi"], at["inner"]) not in benign_edges
+    assert benign_edges < edges
 
 
 def test_executed_pcs_keys_follow_frame_entry_order() -> None:
@@ -225,7 +226,8 @@ def test_executed_pcs_keys_follow_frame_entry_order() -> None:
     assert trace.executed_pcs[second] == {0}
     assert trace.executed_pcs[created] == set()
     # edges come from the target's frame only: its straight-line run
-    assert trace.dynamic_edges == _chain(*_instruction_starts(caller_code))
+    assert dynamic_edges(trace, caller) == \
+        _chain(*_instruction_starts(caller_code))
 
 
 # --- random bytecode ------------------------------------------------------
@@ -255,7 +257,7 @@ def test_random_code_coverage_is_block_consistent(raw: bytes,
         ran = [pc in executed for pc in block]
         assert ran == sorted(ran, reverse=True), (block, executed)
     following = dict(zip(starts, starts[1:]))
-    for src, dst in trace.dynamic_edges:
+    for src, dst in dynamic_edges(trace, address):
         assert {src, dst} <= executed
         jumped = (raw[src] in (op.JUMP, op.JUMPI) and dst in starts
                   and raw[dst] == op.JUMPDEST)

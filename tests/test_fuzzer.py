@@ -240,7 +240,9 @@ def test_selection_is_energy_proportional() -> None:
     strong = Seed(spec=spec)
     strong.new_edges = 99
     rng = random.Random(11)
-    picks = [select_seed(rng, Strategy.GREYBOX, [weak, strong])
+    total = score_seed(Strategy.GREYBOX, weak) + \
+        score_seed(Strategy.GREYBOX, strong)
+    picks = [select_seed(rng, Strategy.GREYBOX, [weak, strong], total)
              for _ in range(300)]
     ratio = sum(1 for p in picks if p is strong) / len(picks)
     assert ratio > 0.9
@@ -250,7 +252,7 @@ def test_selection_covers_low_energy_seeds_eventually() -> None:
     spec = parse_abi([{"type": "fallback"}])[0]
     seeds = [Seed(spec=spec) for _ in range(3)]
     rng = random.Random(2)
-    picked = {id(select_seed(rng, Strategy.GREYBOX, seeds))
+    picked = {id(select_seed(rng, Strategy.GREYBOX, seeds, 3.0))
               for _ in range(100)}
     assert len(picked) == 3
 

@@ -1,7 +1,9 @@
 """Golden digests: output bytes that refactors must leave unchanged.
 
-The digests were recorded before the control-flow graph was reduced to
-edges over the shared code analysis.  A change that moves one of them
+The report and `cfg` digests were recorded before the control-flow graph
+was reduced to edges over the shared code analysis; the Directed campaign
+digest, whose run learns jump edges at run time, before coverage was
+recorded per basic block.  A change that moves one of them
 changes what users see (a report, a graph rendering, a distance table)
 and must say why instead of re-recording the value.  CI runs this file
 under every Python version of its matrix.
@@ -10,8 +12,9 @@ under every Python version of its matrix.
 from __future__ import annotations
 
 import hashlib
+import json
 
-from dogefuzz import cli
+from dogefuzz import cli, fuzzer
 from dogefuzz.fuzzer import CampaignConfig, Strategy
 from dogefuzz.harness import (
     emit_report,
@@ -29,6 +32,8 @@ CFG_DOT_SHA256 = (
     "961bbe8dd853557d6360290e4fda7050c6b1986c85eea3f0e0c157120ad28142")
 CFG_DISTANCES_SHA256 = (
     "2b94d6011c251e4082cdf97c366e92cef23e27593dbad8134ba22a679d1eafe2")
+DIRECTED_CAMPAIGN_SHA256 = (
+    "48da49695637ffd32cef8967466586001a981008fbc2cb5100557ed1628da869")
 
 
 def _sha256(path) -> str:
@@ -59,3 +64,24 @@ def test_cfg_command_output_is_unchanged(tmp_path) -> None:
                      "--distances", str(distances)]) == 0
     assert _sha256(dot) == CFG_DOT_SHA256
     assert _sha256(distances) == CFG_DISTANCES_SHA256
+
+
+def test_refining_directed_campaign_is_unchanged() -> None:
+    target = _shared_return_target()
+    campaign = fuzzer._Campaign(target, CampaignConfig(
+        strategy=Strategy.DIRECTED, budget=300, rng_seed=1))
+    result = campaign.run()
+    assert len(campaign.cfg.edges) > len(target.cfg.edges), \
+        "the campaign learns run-time jump edges"
+    outcome = {
+        "findings": [
+            [tick, finding.fine.value, finding.pc, repro.function,
+             repro.calldata.hex(), repro.value, repro.policy.value,
+             repro.block.number, repro.block.timestamp]
+            for tick, finding, repro in result.findings],
+        "coverage_curve": result.coverage_curve,
+        "admitted_seeds": result.admitted_seeds,
+        "hops": sorted(campaign.hops.items()),
+    }
+    digest = hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+    assert digest == DIRECTED_CAMPAIGN_SHA256

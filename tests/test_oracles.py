@@ -40,8 +40,8 @@ def ev(kind: EventKind, pc: int = 0, depth: int = 1) -> ExecutionEvent:
 
 def snap(*events: ExecutionEvent,
          status: TxStatus = TxStatus.SUCCESS) -> ExecutionTrace:
-    return ExecutionTrace(status=status, gas_used=0, executed_pcs={},
-                          dynamic_edges=set(), events=list(events))
+    return ExecutionTrace(status=status, gas_used=0, block_runs={},
+                          transitions=set(), events=list(events))
 
 
 def classes(findings: list[BugFinding]) -> set[FineBugClass]:
