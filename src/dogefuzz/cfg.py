@@ -9,16 +9,23 @@ by JUMPDEST, by pc and by closing jump, and lists the critical
 instructions' pcs.  The interpreter runs on these
 blocks and records coverage once per block: the block's start and how many
 of its instructions ran, so a block's pc tuple is all it needs to turn
-coverage back into pcs.  A `Cfg` is
-that analysis plus what `build_cfg` decides: edges between block starts
-and the blocks whose jump is unresolved.  Jump targets are
+coverage back into pcs.
+
+A `Cfg` is that analysis plus what `build_cfg` decides: edges between
+block starts and the blocks whose jump is unresolved.  Jump targets are
 resolved where a bounded constant-stack simulation of the block can prove
 them; everything else is marked unresolved and may later be filled in from
-edges observed at run time via `augment_edges`.  Distances to critical
-instructions are hop counts per block start from one reverse
-breadth-first search; as run-time edges arrive, `relax_distances` lowers
-only the hop counts those edges shorten, so keeping the directed fuzzing
-schedule current costs time proportional to what changed, not to code size.
+edges observed at run time via `augment_edges`.  `build_cfg` is cached per
+code like `analyze`, so every target, strategy and campaign over one code
+shares one immutable static graph, and with it the predecessor map that
+its distance searches read.  What a campaign learns at run time is an
+overlay: a refined `Cfg` shares the static edges and holds only the
+learned jump edges beside them.  Distances to critical instructions are
+hop counts per block start from one reverse breadth-first search; as
+run-time edges arrive, `relax_distances` lowers only the hop counts those
+edges shorten, reading the shared static predecessors and writing only the
+campaign's own learned ones, so keeping the directed fuzzing schedule
+current costs time proportional to what changed, not to code size.
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from collections import deque
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Iterable, KeysView, NamedTuple, ValuesView
 
 from . import opcodes as op
@@ -165,14 +173,33 @@ def analyze(code: bytes) -> CodeAnalysis:
 class Cfg:
     """Edges between block start pcs over the shared analysis of one code.
 
-    `unresolved` lists starts of blocks whose jump target could not be
-    proven statically.  Observed edges are merged in by `augment_edges`,
-    which returns a copy with another edge set and the same `analysis`.
+    `static_edges` are the edges `build_cfg` resolves, and `unresolved`
+    lists starts of blocks whose jump target could not be proven
+    statically.  `build_cfg` returns one static graph per code, with no
+    `learned_edges`.  Jump edges observed at run time are overlaid by
+    `augment_edges`, which returns a copy sharing `analysis` and
+    `static_edges` whose `learned_edges` hold only what the static graph
+    lacks, so the two sets are disjoint.
     """
 
     analysis: CodeAnalysis
-    edges: frozenset[tuple[int, int]]
+    static_edges: frozenset[tuple[int, int]]
     unresolved: frozenset[int]
+    learned_edges: frozenset[tuple[int, int]] = frozenset()
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Static and learned edges together, derived on first read."""
+        if not self.learned_edges:
+            return self.static_edges
+        return self.static_edges | self.learned_edges
+
+    @cached_property
+    def predecessors(self) -> dict[int, tuple[int, ...]]:
+        """Block start -> starts of the blocks with an edge into it,
+        ascending; built once per graph, and read-only like the graph."""
+        return {dst: tuple(sorted(srcs))
+                for dst, srcs in predecessor_map(self.edges).items()}
 
     @property
     def code(self) -> bytes:
@@ -224,8 +251,13 @@ def _resolve_jump_target(instructions: tuple[Instruction, ...]) -> int | None:
     return stack[-1] if stack else None
 
 
+@lru_cache(maxsize=4096)
 def build_cfg(code: bytes) -> Cfg:
-    """Graph over the shared block decode, with statically resolved jumps."""
+    """Graph over the shared block decode, with statically resolved jumps.
+
+    Cached by code bytes like `analyze`: every caller over one code shares
+    one static graph, which nothing may mutate.
+    """
     analysis = analyze(code)
     edges: set[tuple[int, int]] = set()
     unresolved: set[int] = set()
@@ -267,19 +299,22 @@ def jump_edges(analysis: CodeAnalysis,
 
 
 def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
-    """Merge the `jump_edges` of run-time pairs into the static edge set.
+    """Overlay the `jump_edges` of run-time pairs that `cfg` lacks.
 
-    Returns `cfg` itself when nothing new was learned, so callers can use
-    identity to detect novelty.  The jump indexes live on the shared
-    analysis, so the cost is proportional to `observed` and callers should
-    pass only pairs not offered before.  Feed the jump edges to
-    `relax_distances` to bring hop counts up to date instead of recomputing
-    `distance_map`.
+    Returns a copy sharing `cfg`'s analysis and static edges whose
+    `learned_edges` add the new ones, or `cfg` itself when nothing new was
+    learned, so callers can use identity to detect novelty.  The cost is
+    proportional to `observed` plus the learned edges, never to the static
+    graph, and callers should pass only pairs not offered before.  Feed
+    the newly learned edges to `relax_distances` to bring hop counts up to
+    date instead of recomputing `distance_map`.
     """
-    extra = jump_edges(cfg.analysis, observed)
-    if extra <= cfg.edges:
+    # `-` walks the small left operand; `-=` would walk the static edges
+    extra = (jump_edges(cfg.analysis, observed) - cfg.static_edges
+             - cfg.learned_edges)
+    if not extra:
         return cfg
-    return replace(cfg, edges=cfg.edges | extra)
+    return replace(cfg, learned_edges=cfg.learned_edges | extra)
 
 
 # --- critical instructions and distances ----------------------------------
@@ -289,26 +324,25 @@ def critical_sites(cfg: Cfg) -> list[int]:
     return list(cfg.analysis.critical)
 
 
-def distance_map(cfg: Cfg, sites: Iterable[int],
-                 predecessors: dict[int, set[int]] | None = None,
-                 ) -> dict[int, int]:
+def distance_map(cfg: Cfg, sites: Iterable[int]) -> dict[int, int]:
     """Block start -> hop count to the nearest site, by reverse BFS.
 
     A block containing a site counts zero, whichever of its pcs the site
-    is; blocks that cannot reach any site are omitted.  `predecessors` is
-    the `predecessor_map` of `cfg.edges`, built here when not given.
+    is; blocks that cannot reach any site are omitted.  The search reads
+    `cfg.predecessors`, built once per graph; the result is the caller's
+    to update.
     """
     block_of = cfg.analysis.block_of
     site_starts = {block_of[pc].start for pc in sites if pc in block_of}
-    if predecessors is None:
-        predecessors = predecessor_map(cfg.edges)
+    predecessors = cfg.predecessors
     hops = {start: 0 for start in site_starts}
     frontier = deque(sorted(site_starts))
     while frontier:
         current = frontier.popleft()
-        for pred in sorted(predecessors.get(current, ())):
+        hop = hops[current] + 1
+        for pred in predecessors.get(current, ()):
             if pred not in hops:
-                hops[pred] = hops[current] + 1
+                hops[pred] = hop
                 frontier.append(pred)
     return hops
 
@@ -321,22 +355,26 @@ def predecessor_map(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
     return predecessors
 
 
-def relax_distances(hops: dict[int, int], predecessors: dict[int, set[int]],
+def relax_distances(hops: dict[int, int],
+                    predecessors: dict[int, tuple[int, ...]],
+                    learned: dict[int, set[int]],
                     new_edges: Iterable[tuple[int, int]]) -> None:
     """Fold new block edges into block-level hop counts, in place.
 
     `hops` maps block starts to their hop count to the nearest site, as
-    `distance_map` returns it, and `predecessors` is the
-    `predecessor_map` of the same edges; both are updated to include
-    `new_edges`, of which those already in the graph change nothing.
-    Adding edges can only shorten distances, so relaxation starts from
-    each source whose count drops and walks backwards through predecessors
-    in order of the new count.  The result is the reverse-BFS fixpoint of
-    the enlarged graph, at a cost proportional to the counts that changed.
+    `distance_map` returns it for the graph whose `predecessors` are
+    given; that map is shared and only read.  `learned` is the
+    `predecessor_map` of the edges added since, and it and `hops` are
+    updated to include `new_edges`, which should be edges neither map
+    holds yet.  Adding edges can only shorten distances, so relaxation
+    starts from each source whose count drops and walks backwards through
+    both maps in order of the new count.  The result is the reverse-BFS
+    fixpoint of the enlarged graph, at a cost proportional to the counts
+    that changed.
     """
     frontier: list[tuple[int, int]] = []
     for src, dst in new_edges:
-        predecessors.setdefault(dst, set()).add(src)
+        learned.setdefault(dst, set()).add(src)
         if dst in hops:
             candidate = hops[dst] + 1
             if candidate < hops.get(src, math.inf):
@@ -347,7 +385,8 @@ def relax_distances(hops: dict[int, int], predecessors: dict[int, set[int]],
         dist, current = heapq.heappop(frontier)
         if dist > hops[current]:
             continue  # lowered again after this entry was queued
-        for pred in predecessors.get(current, ()):
+        for pred in chain(predecessors.get(current, ()),
+                          learned.get(current, ())):
             if dist + 1 < hops.get(pred, math.inf):
                 hops[pred] = dist + 1
                 heapq.heappush(frontier, (dist + 1, pred))

@@ -31,6 +31,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import opcodes as op
 from .cfg import analyze
@@ -108,8 +109,7 @@ class BlockContext:
 DEFAULT_BLOCK = BlockContext()
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     target: bytes
     calldata: bytes = b""
     value: int = 0
@@ -119,8 +119,7 @@ class Transaction:
     block: BlockContext = DEFAULT_BLOCK
 
 
-@dataclass(frozen=True)
-class ExecutionEvent:
+class ExecutionEvent(NamedTuple):
     kind: EventKind
     pc: int
     depth: int

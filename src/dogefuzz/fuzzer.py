@@ -7,8 +7,9 @@ mutant only when it strictly out-scores its parent, and picks parents with
 probability proportional to energy.  DirectedGreyBox adds a proximity
 bonus of ``10 / (1 + d)`` where ``d`` is the lowest hop count, among the
 blocks the seed executed, to a money- or control-transferring instruction.
-Hop counts are kept per block start: computed once per campaign and
-lowered incrementally as run-time jumps add edges to the static graph.
+Hop counts are kept per block start: computed once per campaign over the
+static graph every campaign on the code shares, and lowered incrementally
+as run-time jumps add learned edges to the campaign's own overlay of it.
 
 An edge is a pair of successive instructions within a frame of the
 target; `BlockCoverage` counts them from the interpreter's block runs.
@@ -26,10 +27,12 @@ value, the agent policy or the block cost no ABI work.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import time
 from dataclasses import dataclass
 from enum import Enum
+from itertools import repeat
 
 from .abi import (
     FunctionSpec,
@@ -43,8 +46,6 @@ from .cfg import (
     augment_edges,
     critical_sites,
     distance_map,
-    jump_edges,
-    predecessor_map,
     relax_distances,
 )
 from .evm import (
@@ -299,10 +300,11 @@ class _Campaign:
         self.cfg = target.cfg
         if config.strategy is Strategy.DIRECTED:
             # block start -> hops to the nearest critical site, kept current
-            # by `relax_distances` as run-time jumps refine `self.cfg`
-            self.predecessors = predecessor_map(target.cfg.edges)
-            self.hops = distance_map(target.cfg, critical_sites(target.cfg),
-                                     self.predecessors)
+            # by `relax_distances` as run-time jumps refine `self.cfg`; the
+            # target graph's predecessors are shared and only read, the
+            # learned edges' predecessors are this campaign's own
+            self.hops = distance_map(target.cfg, critical_sites(target.cfg))
+            self.learned_predecessors: dict[int, set[int]] = {}
         # the code object the interpreter runs, so lookups match by identity
         self.runs_key = (target.address,
                          self.base_state.code_of(target.address))
@@ -365,12 +367,14 @@ class _Campaign:
             # to augment_edges when first seen
             refined = augment_edges(self.cfg, fresh)
             if refined is not self.cfg:
-                relax_distances(self.hops, self.predecessors,
-                                jump_edges(self.cfg.analysis, fresh))
+                relax_distances(
+                    self.hops, self.target.cfg.predecessors,
+                    self.learned_predecessors,
+                    refined.learned_edges - self.cfg.learned_edges)
                 self.cfg = refined
-            hops = self.hops
-            seed.d_min = min((hops[start] for start in hops.keys() & runs),
-                             default=None)
+            d_min = min(map(self.hops.get, runs, repeat(math.inf)),
+                        default=math.inf)
+            seed.d_min = None if d_min == math.inf else d_min
 
         tick = self.executions
         detected = detect_trace(trace)

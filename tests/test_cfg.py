@@ -318,7 +318,9 @@ def test_refinement_keeps_block_indexes() -> None:
     assert cfg.pcs == {0, 2, 3, 4, 5}
     assert cfg.code == raw and cfg.block_at(jump_pc).start == 0
     updated = augment_edges(cfg, [(jump_pc, dest_pc)])
-    assert updated == replace(cfg, edges=cfg.edges | {(0, dest_pc)})
+    assert updated == replace(cfg, learned_edges=frozenset({(0, dest_pc)}))
+    # a refinement overlays learned edges on the one static edge set
+    assert updated.static_edges is cfg.static_edges
     # the indexes depend only on the code: one analysis per code owns them
     assert updated.analysis is cfg.analysis is analyze(raw)
     assert build_cfg(raw).analysis is cfg.analysis
@@ -326,10 +328,20 @@ def test_refinement_keeps_block_indexes() -> None:
 
 # --- incremental distances ------------------------------------------------
 
-def _refine(cfg, hops, predecessors, observed):
+def _refine(cfg, hops, predecessors, learned, observed):
     refined = augment_edges(cfg, observed)
-    relax_distances(hops, predecessors, refined.edges - cfg.edges)
+    relax_distances(hops, predecessors, learned,
+                    refined.learned_edges - cfg.learned_edges)
     return refined
+
+
+def _assert_overlay(static, refined, learned, static_predecessors) -> None:
+    """The campaign-side maps cover exactly the learned edges, and the
+    static graph they overlay is untouched."""
+    assert learned == predecessor_map(refined.learned_edges)
+    assert static.predecessors == static_predecessors
+    assert refined.edges == static.static_edges | refined.learned_edges
+    assert not static.static_edges & refined.learned_edges
 
 
 def _jump_pc(cfg, start: int) -> int:
@@ -348,13 +360,14 @@ def test_relax_distances_batches_by_kind() -> None:
     a.dest("dead").push_label("sink").op("JUMP")        # cannot reach a site
     a.dest("sink").op("STOP")
     a.dest("lone").push(0).op("CALLDATALOAD", "JUMP")   # unresolved, unlinked
-    cfg = build_cfg(a.assemble())
+    cfg = static = build_cfg(a.assemble())
     start = {name: block.start for name, block in zip(
         ("entry", "far", "mid", "site", "dead", "sink", "lone"), cfg.blocks)}
     sites = critical_sites(cfg)
     site_starts = {cfg.block_at(pc).start for pc in sites}
     hops = distance_map(cfg, sites)
-    predecessors = predecessor_map(cfg.edges)
+    predecessors, learned = static.predecessors, {}
+    static_before = dict(predecessors)
     assert hops == {start["far"]: 2, start["mid"]: 1, start["site"]: 0}
 
     def jump(src: str, dst: str) -> tuple[int, int]:
@@ -372,7 +385,7 @@ def test_relax_distances_batches_by_kind() -> None:
     ]
     for observed, lowered in batches:
         before = dict(hops)
-        refined = _refine(cfg, hops, predecessors, observed)
+        refined = _refine(cfg, hops, predecessors, learned, observed)
         assert refined is not cfg, "every batch adds an edge"
         cfg = refined
         expected = distance_fixpoint(set(cfg.edges), set(cfg.analysis.blocks),
@@ -380,18 +393,19 @@ def test_relax_distances_batches_by_kind() -> None:
         assert hops == expected == distance_map(cfg, sites)
         changed = {pc: d for pc, d in hops.items() if before.get(pc) != d}
         assert changed == {start[name]: d for name, d in lowered.items()}
-    assert predecessors == predecessor_map(cfg.edges)
+        _assert_overlay(static, cfg, learned, static_before)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.randoms(use_true_random=False))
 def test_relax_distances_matches_fixpoint_oracle(rng: random.Random) -> None:
-    cfg = build_cfg(random_block_graph(rng))
+    cfg = static = build_cfg(random_block_graph(rng))
     pcs = sorted(cfg.pcs)
     sites = rng.sample(pcs, k=rng.randrange(0, min(3, len(pcs)) + 1))
     site_starts = {cfg.block_at(pc).start for pc in sites}
     hops = distance_map(cfg, sites)
-    predecessors = predecessor_map(cfg.edges)
+    predecessors, learned = static.predecessors, {}
+    static_before = dict(predecessors)
     jump_sites = sorted(cfg.analysis.jump_sites)
     targets = sorted(cfg.analysis.jumpdests)
     if not jump_sites:
@@ -399,10 +413,10 @@ def test_relax_distances_matches_fixpoint_oracle(rng: random.Random) -> None:
     for _ in range(rng.randrange(1, 6)):
         observed = [(rng.choice(jump_sites), rng.choice(targets))
                     for _ in range(rng.randrange(1, 5))]
-        cfg = _refine(cfg, hops, predecessors, observed)
+        cfg = _refine(cfg, hops, predecessors, learned, observed)
         assert hops == distance_fixpoint(
             set(cfg.edges), set(cfg.analysis.blocks), site_starts)
-    assert predecessors == predecessor_map(cfg.edges)
+        _assert_overlay(static, cfg, learned, static_before)
 
 
 # --- export ---------------------------------------------------------------

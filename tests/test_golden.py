@@ -15,6 +15,7 @@ import hashlib
 import json
 
 from dogefuzz import cli, fuzzer
+from dogefuzz.cfg import build_cfg, critical_sites, distance_map
 from dogefuzz.fuzzer import CampaignConfig, Strategy
 from dogefuzz.harness import (
     emit_report,
@@ -66,8 +67,7 @@ def test_cfg_command_output_is_unchanged(tmp_path) -> None:
     assert _sha256(distances) == CFG_DISTANCES_SHA256
 
 
-def test_refining_directed_campaign_is_unchanged() -> None:
-    target = _shared_return_target()
+def _directed_campaign_digest(target) -> str:
     campaign = fuzzer._Campaign(target, CampaignConfig(
         strategy=Strategy.DIRECTED, budget=300, rng_seed=1))
     result = campaign.run()
@@ -83,5 +83,26 @@ def test_refining_directed_campaign_is_unchanged() -> None:
         "admitted_seeds": result.admitted_seeds,
         "hops": sorted(campaign.hops.items()),
     }
-    digest = hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
-    assert digest == DIRECTED_CAMPAIGN_SHA256
+    return hashlib.sha256(json.dumps(outcome).encode()).hexdigest()
+
+
+def test_refining_directed_campaign_is_unchanged() -> None:
+    assert _directed_campaign_digest(_shared_return_target()) == \
+        DIRECTED_CAMPAIGN_SHA256
+
+
+def test_campaigns_never_mutate_the_shared_static_graph() -> None:
+    first, second = _shared_return_target(), _shared_return_target()
+    static = first.cfg
+    assert second.cfg is static, "one static graph per code"
+    assert build_cfg(static.code) is build_cfg(bytes(bytearray(static.code)))
+    # had the first campaign written into the shared graph, the second
+    # would start from its learned edges and miss the digest
+    for target in (first, second):
+        assert _directed_campaign_digest(target) == DIRECTED_CAMPAIGN_SHA256
+    fresh = build_cfg.__wrapped__(static.code)
+    assert fresh is not static and not static.learned_edges
+    assert static.edges == fresh.edges
+    assert static.predecessors == fresh.predecessors
+    assert distance_map(static, critical_sites(static)) == \
+        distance_map(fresh, critical_sites(fresh))
