@@ -18,6 +18,10 @@ together, so the executed pcs are the covered prefixes, and the pairs of
 successive instructions within each target frame are the pairs inside
 those prefixes plus the transitions.
 
+Every frame is entered through `_Machine.run_frame`, which keeps its address
+on the stack of live frames that the reentrancy check reads; every contract,
+by CREATE or by creation-mode deployment, is made by `_Machine.create`.
+
 Transactions originate from a built-in agent account whose behavior on being
 called back is driven by a per-transaction policy (accept, re-enter the
 caller, or throw). Every plain call into the agent pays a fixed storage-write
@@ -49,6 +53,7 @@ ADDRESS_MASK = (1 << 160) - 1
 CALL_DEPTH_LIMIT = 1024
 STACK_LIMIT = 1024
 DEFAULT_TX_GAS = 1_000_000
+DEPLOY_GAS = 5_000_000  # init code budget of a creation-mode deployment
 
 # cost of the agent's virtual logging fallback on any plain call into it
 AGENT_CALL_GAS = 20_000
@@ -195,7 +200,7 @@ class WorldState:
 
 
 class DeploymentError(Exception):
-    """Raised when contract creation fails (init code halted abnormally)."""
+    """Raised when a creation-mode deployment fails."""
 
 
 # --- state lifecycle ------------------------------------------------------
@@ -298,9 +303,13 @@ class _Machine:
     def run_frame(self, code: bytes, code_address: bytes, self_address: bytes,
                   caller: bytes, value: int, calldata: bytes, gas: int,
                   depth: int, static: bool) -> tuple[TxStatus, bytes, int]:
-        """Execute one call frame; returns (status, return data, gas left)."""
+        """Execute one call frame; returns (status, return data, gas left).
+
+        The only way into a frame: `self_address` is on `address_stack` while
+        the frame runs, and a fault ends the frame with a status."""
         if depth > CALL_DEPTH_LIMIT:
             return TxStatus.DEPTH_EXCEEDED, b"", gas
+        self.address_stack.append(self_address)
         try:
             return self._dispatch_loop(code, code_address, self_address, caller,
                                        value, calldata, gas, depth, static)
@@ -308,6 +317,38 @@ class _Machine:
             return TxStatus.OUT_OF_GAS, b"", 0
         except (_InvalidOp, IndexError):
             return TxStatus.INVALID_OPCODE, b"", 0
+        finally:
+            self.address_stack.pop()
+
+    def create(self, creator: bytes, endowment: int, init_code: bytes, gas: int,
+               depth: int) -> tuple[TxStatus | None, bytes, int]:
+        """Create a contract at the address the creator's nonce names.
+
+        Bumps the nonce, then refuses with status None and all gas kept at
+        the depth limit, on an address holding code, or on a balance below
+        the endowment.  Otherwise moves the endowment, runs `init_code` with
+        all of `gas`, and installs the returned code or rolls back.  Returns
+        (status, address, gas left).
+        """
+        acct = self.touch_account(creator)
+        self.journal.append(("nonce", creator, acct.nonce))
+        address = contract_address(creator, acct.nonce)
+        acct.nonce += 1
+        if (depth + 1 > CALL_DEPTH_LIMIT or self.state.code_of(address)
+                or self.state.balance_of(creator) < endowment):
+            return None, address, gas
+        mark = self.checkpoint()
+        self.touch_account(address)
+        self.transfer(creator, address, endowment)
+        status, ret, gas = self.run_frame(init_code, address, address, creator,
+                                          endowment, b"", gas, depth + 1, False)
+        if status is TxStatus.SUCCESS:
+            created = self.state.accounts[address]
+            self.journal.append(("code", address, created.code))
+            created.code = ret
+        else:
+            self.rollback(mark)
+        return status, address, gas
 
     def _dispatch_loop(self, code: bytes, code_address: bytes, self_address: bytes,
                        caller: bytes, value: int, calldata: bytes, gas: int,
@@ -467,8 +508,7 @@ class _Machine:
                     elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # CALL CALLCODE DELEGATECALL STATICCALL
                         gas, returndata = self._do_call(
                             opcode, stack, mem, touch, gas, pc, depth, static,
-                            code_address, self_address, caller, value, calldata,
-                            swallowed)
+                            self_address, caller, value, calldata, swallowed)
                     elif opcode == 0x16:  # AND
                         stack.append(stack.pop() & stack.pop())
                     elif opcode == 0x10:  # LT
@@ -637,19 +677,17 @@ class _Machine:
 
     def _do_call(self, opcode: int, stack: list[int], mem: bytearray, touch,
                  gas: int, pc: int, depth: int, static: bool,
-                 code_address: bytes, self_address: bytes, caller: bytes,
-                 value: int, calldata: bytes,
-                 swallowed: list[int]) -> tuple[int, bytes]:
+                 self_address: bytes, caller: bytes, value: int,
+                 calldata: bytes, swallowed: list[int]) -> tuple[int, bytes]:
         """Shared handler for CALL/CALLCODE/DELEGATECALL/STATICCALL.
 
         Returns the caller's remaining gas and its new return-data buffer;
         pushes the success flag.
         """
         state = self.state
-        has_value_slot = opcode in (op.CALL, op.CALLCODE)
         gas_req = stack.pop()
         target = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
-        call_value = stack.pop() if has_value_slot else 0
+        call_value = stack.pop() if opcode in (op.CALL, op.CALLCODE) else 0
         in_off, in_size = stack.pop(), stack.pop()
         out_off, out_size = stack.pop(), stack.pop()
         if static and opcode == op.CALL and call_value > 0:
@@ -658,14 +696,13 @@ class _Machine:
         touch(out_off, out_size)
         args = bytes(mem[in_off:in_off + in_size])
 
-        if has_value_slot and call_value > 0:
+        if call_value:
             gas -= op.GAS_VALUE_SURCHARGE
             if gas < 0:
                 raise _OutOfGas
         forwarded = gas_req if gas_req < gas else gas
         gas -= forwarded
-        stipend = op.GAS_STIPEND if (has_value_slot and call_value > 0) else 0
-        callee_gas = forwarded + stipend
+        callee_gas = forwarded + op.GAS_STIPEND if call_value else forwarded
         is_send = opcode == op.CALL and call_value > 0 and callee_gas == op.GAS_STIPEND
 
         # a delegated call whose target is spelled out in the transaction
@@ -678,61 +715,35 @@ class _Machine:
             return gas + callee_gas, b""
 
         mark = self.checkpoint()
-        if opcode == op.CALL and call_value > 0:
+        if call_value:
             if state.balance_of(self_address) < call_value:
                 stack.append(0)
                 return gas + forwarded, b""
+            # CALLCODE's value stays within the account, still an observable move
+            receiver = target if opcode == op.CALL else self_address
             self.emit(EventKind.ETHER_TRANSFER, pc, depth,
-                      (self_address, target, call_value))
-            self.transfer(self_address, target, call_value)
-        elif opcode == op.CALLCODE and call_value > 0:
-            # value stays within the account; still an observable transfer op
-            if state.balance_of(self_address) < call_value:
-                stack.append(0)
-                return gas + forwarded, b""
-            self.emit(EventKind.ETHER_TRANSFER, pc, depth,
-                      (self_address, self_address, call_value))
+                      (self_address, receiver, call_value))
+            self.transfer(self_address, receiver, call_value)
 
-        if opcode == op.CALL:
-            child_self = target
-            child_caller = self_address
-            child_value = call_value
-            child_static = static
-        elif opcode == op.CALLCODE:
-            child_self = self_address
-            child_caller = self_address
-            child_value = call_value
-            child_static = static
-        elif opcode == op.DELEGATECALL:
-            child_self = self_address
-            child_caller = caller
-            child_value = value
-            child_static = static
-        else:  # STATICCALL
-            child_self = target
-            child_caller = self_address
-            child_value = 0
-            child_static = True
+        child_self = target if opcode in (op.CALL, op.STATICCALL) else self_address
+        delegated = opcode == op.DELEGATECALL  # inherits caller and value
+        child_caller = caller if delegated else self_address
+        child_value = value if delegated else call_value
+        child_static = static or opcode == op.STATICCALL
+        child_code = state.code_of(target)
 
-        if opcode in (op.CALL, op.STATICCALL) and target == AGENT_ADDRESS:
-            if opcode == op.CALL and target in self.address_stack:
-                self.emit(EventKind.REENTRANCY, 0, depth + 1, (target,))
+        if (opcode == op.CALL and target in self.address_stack
+                and (target == AGENT_ADDRESS or child_code)):
+            self.emit(EventKind.REENTRANCY, 0, depth + 1, (target,))
+        if child_self == AGENT_ADDRESS:  # CALL or STATICCALL into the agent
             status, ret, child_left = self._run_agent(
                 callee_gas, depth + 1, self_address, calldata, child_static)
+        elif child_code:
+            status, ret, child_left = self.run_frame(
+                child_code, target, child_self, child_caller,
+                child_value, args, callee_gas, depth + 1, child_static)
         else:
-            child_code = state.code_of(target)
-            if not child_code:
-                status, ret, child_left = TxStatus.SUCCESS, b"", callee_gas
-            else:
-                if opcode == op.CALL and child_self in self.address_stack:
-                    self.emit(EventKind.REENTRANCY, 0, depth + 1, (child_self,))
-                self.address_stack.append(child_self)
-                try:
-                    status, ret, child_left = self.run_frame(
-                        child_code, target, child_self, child_caller,
-                        child_value, args, callee_gas, depth + 1, child_static)
-                finally:
-                    self.address_stack.pop()
+            status, ret, child_left = TxStatus.SUCCESS, b"", callee_gas
 
         gas += child_left
         if status is TxStatus.SUCCESS:
@@ -767,64 +778,35 @@ class _Machine:
             gas -= op.GAS_CALL_BASE
             if gas < 0:
                 return TxStatus.OUT_OF_GAS, b"", 0
-            self.address_stack.append(AGENT_ADDRESS)
-            if caller_address in self.address_stack:
-                self.emit(EventKind.REENTRANCY, 0, depth + 1, (caller_address,))
-            self.address_stack.append(caller_address)
+            # the caller's frame is live below the agent: re-entering it
+            self.emit(EventKind.REENTRANCY, 0, depth + 1, (caller_address,))
             mark = self.checkpoint()
-            try:
-                status, _, child_left = self.run_frame(
-                    self.state.code_of(caller_address), caller_address,
-                    caller_address, AGENT_ADDRESS, 0, caller_calldata,
-                    gas, depth + 1, static)
-            finally:
-                self.address_stack.pop()
-                self.address_stack.pop()
+            self.address_stack.append(AGENT_ADDRESS)
+            status, _, gas = self.run_frame(
+                self.state.code_of(caller_address), caller_address,
+                caller_address, AGENT_ADDRESS, 0, caller_calldata,
+                gas, depth + 1, static)
+            self.address_stack.pop()
             if status is not TxStatus.SUCCESS:
                 self.rollback(mark)
-            gas = child_left
         return TxStatus.SUCCESS, b"", gas
 
     def _do_create(self, stack: list[int], mem: bytearray, touch, gas: int,
                    pc: int, depth: int, static: bool, self_address: bytes,
                    swallowed: list[int]) -> int:
+        """CREATE over `create`: pushes the new address, or 0 on failure."""
         if static:
             raise _InvalidOp
         endowment, offset, size = stack.pop(), stack.pop(), stack.pop()
         touch(offset, size)
-        init_code = bytes(mem[offset:offset + size])
-        creator = self.touch_account(self_address)
-        self.journal.append(("nonce", self_address, creator.nonce))
-        new_address = contract_address(self_address, creator.nonce)
-        creator.nonce += 1
-        if depth + 1 > CALL_DEPTH_LIMIT or self.state.code_of(new_address):
-            stack.append(0)
-            return gas
-        if endowment and self.state.balance_of(self_address) < endowment:
-            stack.append(0)
-            return gas
-        mark = self.checkpoint()
-        self.touch_account(new_address)
-        self.transfer(self_address, new_address, endowment)
-        forwarded = gas
-        gas = 0
-        self.address_stack.append(new_address)
-        try:
-            status, ret, child_left = self.run_frame(
-                init_code, new_address, new_address, self_address, endowment,
-                b"", forwarded, depth + 1, False)
-        finally:
-            self.address_stack.pop()
-        gas += child_left
+        status, address, gas = self.create(
+            self_address, endowment, bytes(mem[offset:offset + size]), gas, depth)
         if status is TxStatus.SUCCESS:
-            acct = self.state.accounts[new_address]
-            self.journal.append(("code", new_address, acct.code))
-            acct.code = ret
-            stack.append(int.from_bytes(new_address, "big"))
-        else:
-            self.rollback(mark)
+            stack.append(int.from_bytes(address, "big"))
+            return gas
+        if status is not None:  # the init code ran and failed
             swallowed.append(pc)
-            stack.append(0)
+        stack.append(0)
         return gas
 
 
@@ -849,11 +831,9 @@ def execute_transaction(state: WorldState, tx: Transaction,
         machine.transfer(tx.sender, tx.target, tx.value)
     code = state.code_of(tx.target)
     if code:
-        machine.address_stack.append(tx.target)
         status, ret, gas_left = machine.run_frame(
             code, tx.target, tx.target, tx.sender, tx.value, tx.calldata,
             tx.gas_limit, 1, False)
-        machine.address_stack.pop()
     else:
         status, ret, gas_left = TxStatus.SUCCESS, b"", tx.gas_limit
 
@@ -871,47 +851,37 @@ def execute_transaction(state: WorldState, tx: Transaction,
 
 
 def deploy_contract(state: WorldState, code: bytes, mode: str = "runtime",
-                    constructor_args: bytes = b"", endowment: int = 0,
-                    deployer: bytes = DEPLOYER_ADDRESS,
-                    gas_limit: int = 5_000_000) -> bytes:
-    """Install a contract and return its address.
+                    constructor_args: bytes = b"", endowment: int = 0) -> bytes:
+    """Install a contract from `DEPLOYER_ADDRESS` and return its address.
 
     `mode` is "runtime" (bytes become the account code verbatim) or
-    "creation" (bytes plus appended constructor args run as init code and the
-    returned buffer becomes the account code). The address derives from the
-    deployer's nonce. Raises DeploymentError when init code halts abnormally.
+    "creation" (bytes plus appended constructor args run as init code with
+    `DEPLOY_GAS`, as CREATE runs it, and the returned buffer becomes the
+    account code). The address derives from the deployer's nonce. A failed
+    creation raises DeploymentError and leaves `state` as it was.
     """
     if mode not in ("runtime", "creation"):
         raise ValueError(f"unknown deployment mode {mode!r}")
-    if endowment and state.balance_of(deployer) < endowment:
+    if endowment and state.balance_of(DEPLOYER_ADDRESS) < endowment:
         raise ValueError("deployer balance below endowment")
 
-    deployer_acct = state.account(deployer)
-    address = contract_address(deployer, deployer_acct.nonce)
-    deployer_acct.nonce += 1
-
     if mode == "runtime":
+        deployer_acct = state.account(DEPLOYER_ADDRESS)
+        address = contract_address(DEPLOYER_ADDRESS, deployer_acct.nonce)
+        deployer_acct.nonce += 1
         acct = state.account(address)
         acct.code = code
         if endowment:
-            state.account(deployer).balance -= endowment
+            deployer_acct.balance -= endowment
             acct.balance = endowment
         return address
 
-    tx = Transaction(target=address)
-    machine = _Machine(state, tx, track=None)
-    mark = machine.checkpoint()
-    machine.touch_account(address)
-    if endowment:
-        machine.transfer(deployer, address, endowment)
-    machine.address_stack.append(address)
-    status, runtime, _ = machine.run_frame(
-        code + constructor_args, address, address, deployer, endowment, b"",
-        gas_limit, 1, False)
-    machine.address_stack.pop()
+    # a creation has no target; the agent stays the origin
+    machine = _Machine(state, Transaction(target=ZERO_ADDRESS), track=None)
+    status, address, _ = machine.create(DEPLOYER_ADDRESS, endowment,
+                                        code + constructor_args, DEPLOY_GAS, 0)
     if status is not TxStatus.SUCCESS:
-        machine.rollback(mark)
-        state.account(deployer).nonce -= 1
-        raise DeploymentError(f"init code halted with {status.value}")
-    state.account(address).code = runtime
+        machine.rollback(0)
+        raise DeploymentError(f"{address.hex()} already holds code" if status is None
+                              else f"init code halted with {status.value}")
     return address

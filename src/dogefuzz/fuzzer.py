@@ -35,7 +35,9 @@ from enum import Enum
 from itertools import repeat
 
 from .abi import (
+    AbiType,
     FunctionSpec,
+    TypeKind,
     ValuePools,
     encode_call,
     generate_value,
@@ -72,6 +74,8 @@ MAX_REENTRIES = 1               # agent re-entries per transaction
 _POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
 _AGENT_POLICIES = {kind: AgentPolicy(kind, max_reentries=MAX_REENTRIES)
                    for kind in _POLICY_CYCLE}
+# a fallback seed's raw calldata mutates as an ABI `bytes` value
+_RAW_CALLDATA = AbiType(TypeKind.BYTES)
 
 
 class Strategy(str, Enum):
@@ -219,18 +223,6 @@ def initial_corpus(rng: random.Random, target: FuzzTarget) -> list[Seed]:
             for ordinal in range(SEEDS_PER_FUNCTION)]
 
 
-def _mutate_blob_bytes(rng: random.Random, raw: bytes) -> bytes:
-    moves = ["grow"] + (["flip", "shrink"] if raw else [])
-    move = rng.choice(moves)
-    if move == "grow":
-        return raw + rng.randbytes(1)
-    if move == "shrink":
-        return raw[:-1]
-    index = rng.randrange(len(raw))
-    return raw[:index] + bytes([raw[index] ^ rng.randrange(1, 256)]) \
-        + raw[index + 1:]
-
-
 def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
     """Change exactly one dimension of the input.
 
@@ -242,7 +234,7 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
     child = Seed(seed.spec, seed.args, seed.calldata, seed.value, seed.policy,
                  seed.block)
     if choice == "raw":
-        child.calldata = _mutate_blob_bytes(rng, seed.calldata)
+        child.calldata = mutate_value(rng, _RAW_CALLDATA, seed.calldata, pools)
     elif choice == "value":
         child.value = rng.choice([0, 1, 2, seed.value + 1,
                                   max(seed.value - 1, 0), seed.value * 2])

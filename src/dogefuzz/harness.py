@@ -179,14 +179,14 @@ def load_benchmark(
 
 # --- deployment -----------------------------------------------------------
 
-def prepare_target(bundle: TargetBundle, *, funding: int = FUNDING) -> FuzzTarget:
+def prepare_target(bundle: TargetBundle) -> FuzzTarget:
     """Deploy a bundle into a fresh world and wrap it for fuzzing.
 
     Raises DeploymentError when creation-mode init code halts abnormally.
     """
     state = WorldState()
-    state.account(DEPLOYER_ADDRESS).balance = funding + bundle.initial_balance
-    state.account(AGENT_ADDRESS).balance = funding
+    state.account(DEPLOYER_ADDRESS).balance = FUNDING + bundle.initial_balance
+    state.account(AGENT_ADDRESS).balance = FUNDING
     address = deploy_contract(
         state,
         bundle.code,
@@ -221,8 +221,6 @@ class ContractReport:
 def run_benchmark(
     bundles: list[TargetBundle],
     config: CampaignConfig,
-    *,
-    funding: int = FUNDING,
 ) -> tuple[list[ContractReport], list[tuple[str, str]]]:
     """Fuzz every bundle with one shared config.
 
@@ -233,7 +231,7 @@ def run_benchmark(
     failures: list[tuple[str, str]] = []
     for bundle in bundles:
         try:
-            target = prepare_target(bundle, funding=funding)
+            target = prepare_target(bundle)
             result = run_campaign(target, config)
         except (DeploymentError, ValueError) as exc:
             logger.warning("campaign on %s failed: %s", bundle.name, exc)

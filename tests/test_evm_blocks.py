@@ -235,10 +235,20 @@ def test_executed_pcs_keys_follow_frame_entry_order() -> None:
 _ATOMS = st.one_of(
     st.sampled_from([op.JUMPDEST, op.JUMP, op.JUMPI, op.POP, op.ADD, op.DUP1,
                      op.SWAP1, op.ISZERO, op.CALLVALUE, op.SLOAD, op.SSTORE,
-                     op.MSTORE, op.TIMESTAMP, op.STOP, op.INVALID, 0x0C])
+                     op.MSTORE, op.TIMESTAMP, op.STOP, op.INVALID, 0x0C,
+                     # child frames, the agent and init code
+                     op.CALL, op.CALLCODE, op.DELEGATECALL, op.STATICCALL,
+                     op.CREATE, op.ADDRESS, op.CALLER, op.GAS])
     .map(lambda byte: bytes([byte])),
     st.integers(0, 63).map(lambda v: bytes([op.PUSH1, v])),
     st.binary(min_size=1, max_size=4),
+    # whole call and create sites, so that programs do reach child frames:
+    # themselves (ADDRESS), the agent (CALLER) and init code from memory
+    st.builds(lambda opcode, to: P(0) * (5 if opcode in (op.CALL, op.CALLCODE) else 4)
+              + bytes([to, op.GAS, opcode]),
+              st.sampled_from([op.CALL, op.CALLCODE, op.DELEGATECALL, op.STATICCALL]),
+              st.sampled_from([op.ADDRESS, op.CALLER])),
+    st.integers(0, 64).map(lambda size: code(P(size), P(0), P(0), op.CREATE)),
 )
 
 

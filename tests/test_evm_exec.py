@@ -287,6 +287,15 @@ def test_creation_failure_raises_and_rolls_back() -> None:
     assert state == snap
 
 
+def test_failed_creation_into_empty_world_leaves_it_unchanged() -> None:
+    # the deployer's account and nonce bump roll back with the init code
+    state = WorldState()
+    snap = snapshot_state(state)
+    with pytest.raises(DeploymentError):
+        deploy_contract(state, code(P(0), P(0), op.REVERT), "creation")
+    assert state == snap
+
+
 def test_unknown_mode_rejected() -> None:
     with pytest.raises(ValueError):
         deploy_contract(fresh_state(), code(op.STOP), "linked")

@@ -15,6 +15,7 @@ from dogefuzz.evm import (
     Transaction,
     TxStatus,
     WorldState,
+    contract_address,
     deploy_contract,
     execute_transaction,
     _Machine,
@@ -560,6 +561,17 @@ def test_callcode_emits_delegate_event_too() -> None:
     assert any(e.kind is EventKind.DELEGATE for e in trace.events)
 
 
+def test_callcode_value_moves_to_self() -> None:
+    helper = b"\x00" * 19 + b"\x09"
+    trace, state, address = run(
+        _call_args(50_000, helper, 40) + code(op.CALLCODE, op.POP, op.STOP),
+        endowment=100)
+    assert trace.status is TxStatus.SUCCESS
+    assert state.balance_of(address) == 100
+    ether = [e for e in trace.events if e.kind is EventKind.ETHER_TRANSFER]
+    assert [e.data for e in ether] == [(address, address, 40)]
+
+
 def test_staticcall_rejects_writes() -> None:
     state = _fresh_state()
     writer = deploy_contract(state, STORAGE_WRITER)
@@ -607,16 +619,16 @@ def test_returndatacopy_out_of_bounds_fails() -> None:
     assert trace.status is TxStatus.INVALID_OPCODE
 
 
+def _create_site(init: bytes, endowment: int = 0) -> bytes:
+    """Store `init` (at most 32 bytes) in memory and push CREATE's operands."""
+    return code(bytes([op.PUSH1 + len(init) - 1]) + init, P(0), op.MSTORE,
+                P(len(init)), P(32 - len(init)), P(endowment))
+
+
 def test_create_installs_returned_code() -> None:
-    from dogefuzz.evm import contract_address
     # init code returning the single byte 0x00 (STOP)
     init = code(P(op.STOP), P(0), op.MSTORE8, P(1), P(0), op.RETURN)
-    creator_code = (
-        code(bytes([op.PUSH1 + len(init) - 1]) + init, P(0), op.MSTORE)
-        + code(P(len(init)), P(32 - len(init)), P(0), op.CREATE)
-        + RETURN_TOP
-    )
-    trace, state, address = run(creator_code)
+    trace, state, address = run(_create_site(init) + code(op.CREATE) + RETURN_TOP)
     assert trace.status is TxStatus.SUCCESS
     created = int.from_bytes(trace.return_data, "big").to_bytes(32, "big")[-20:]
     assert created == contract_address(address, 0)
@@ -624,15 +636,47 @@ def test_create_installs_returned_code() -> None:
 
 
 def test_create_failure_pushes_zero() -> None:
-    init = code(P(0), P(0), op.REVERT)
-    creator_code = (
-        code(bytes([op.PUSH1 + len(init) - 1]) + init, P(0), op.MSTORE)
-        + code(P(len(init)), P(32 - len(init)), P(0), op.CREATE)
-        + RETURN_TOP
-    )
-    trace, _, _ = run(creator_code)
+    site = _create_site(code(P(0), P(0), op.REVERT))
+    trace, _, _ = run(site + code(op.CREATE) + RETURN_TOP)
     assert trace.status is TxStatus.SUCCESS
     assert int.from_bytes(trace.return_data, "big") == 0
+    # the init code ran and failed: a swallowed exception at the CREATE
+    disorder = [e for e in trace.events if e.kind is EventKind.EXCEPTION_DISORDER]
+    assert [e.pc for e in disorder] == [len(site)]
+
+
+# store the two stack words below the top (created address, then GAS) at
+# memory 0 and 32 and return both
+_RETURN_CREATED_AND_GAS = code(P(32), op.MSTORE, P(0), op.MSTORE,
+                               P(64), P(0), op.RETURN)
+
+
+def test_create_refused_for_short_endowment_keeps_gas() -> None:
+    site = _create_site(code(P(0), P(0), op.REVERT), endowment=50)
+    gas_limit = 100_000
+    trace, _, _ = run(site + code(op.CREATE, op.GAS) + _RETURN_CREATED_AND_GAS,
+                      endowment=10, gas=gas_limit)
+    assert trace.status is TxStatus.SUCCESS
+    created = int.from_bytes(trace.return_data[:32], "big")
+    seen = int.from_bytes(trace.return_data[32:], "big")
+    assert created == 0
+    spent_before_gas = (5 * 3 + op.BASE_GAS[op.MSTORE] + op.GAS_MEMORY_WORD
+                        + op.BASE_GAS[op.CREATE])
+    assert seen == gas_limit - spent_before_gas - op.BASE_GAS[op.GAS]
+    assert all(e.kind is not EventKind.EXCEPTION_DISORDER for e in trace.events)
+
+
+def test_call_from_init_code_to_its_own_address_is_not_reentrancy() -> None:
+    # the init code calls its own address, which holds no code yet, then
+    # returns a one-byte STOP runtime
+    init = code(P(0), P(0), P(0), P(0), P(0), op.ADDRESS, op.GAS, op.CALL,
+                op.POP, P(op.STOP), P(0), op.MSTORE8, P(1), P(0), op.RETURN)
+    trace, state, address = run(_create_site(init) + code(op.CREATE) + RETURN_TOP)
+    assert trace.status is TxStatus.SUCCESS
+    created = contract_address(address, 0)
+    assert trace.return_data[-20:] == created
+    assert state.code_of(created) == code(op.STOP)
+    assert all(e.kind is not EventKind.REENTRANCY for e in trace.events)
 
 
 def test_selfdestruct_transfers_balance_and_clears_account() -> None:

@@ -165,6 +165,24 @@ def test_mutant_calldata_is_never_stale() -> None:
         assert changed or not (spec.inputs or spec.is_fallback)
 
 
+# calldata of 50 chained mutants of a payable fallback seed under
+# random.Random(2024): one grown, two shrunk and two flipped bytes
+FALLBACK_WALK = (["86dd57786e49842e"] * 7 + ["86dd57786e4984"] * 4
+                 + ["86dd57786e2284"] * 8 + ["86dd57786e22"] * 14
+                 + ["86dd57786e22f0"] * 15 + ["863857786e22f0"] * 2)
+
+
+def test_fallback_raw_mutation_walk_is_pinned() -> None:
+    spec = parse_abi([{"type": "fallback", "stateMutability": "payable"}])[0]
+    rng = random.Random(2024)
+    seed = generate_seed(rng, spec, POOLS, ordinal=1)
+    walk = []
+    for _ in range(50):
+        seed = mutate_seed(rng, seed, POOLS)
+        walk.append(seed.calldata.hex())
+    assert walk == FALLBACK_WALK
+
+
 def _withdraw_seed() -> Seed:
     target = make_target(fixture("reentrancy_vulnerable"))
     return initial_corpus(random.Random(0), target)[2]
