@@ -96,16 +96,14 @@ class PolicyKind(str, Enum):
     THROWER = "Thrower"
 
 
-@dataclass(frozen=True)
-class AgentPolicy:
+class AgentPolicy(NamedTuple):
     """Behavior of the agent account when a contract calls it back."""
 
     kind: PolicyKind = PolicyKind.BENIGN
     max_reentries: int = 1
 
 
-@dataclass(frozen=True)
-class BlockContext:
+class BlockContext(NamedTuple):
     number: int = 1_000_000
     timestamp: int = 1_600_000_000
     gas_limit: int = 8_000_000
@@ -137,7 +135,10 @@ class ExecutionTrace:
 
     `block_runs` maps (code address, code) to {block start: instructions
     run}, in frame entry order; `transitions` holds the (last pc, next
-    block start) pairs of the target's frames.
+    block start) pairs of the target's frames.  `changes_state` is true
+    when the transaction succeeded with a state write left in its journal,
+    whether or not it was persisted; when false, persisting it leaves the
+    state as it was.
     """
 
     status: TxStatus
@@ -146,6 +147,7 @@ class ExecutionTrace:
     transitions: set[tuple[int, int]]
     events: list[ExecutionEvent]
     return_data: bytes = b""
+    changes_state: bool = False
 
     @property
     def executed_pcs(self) -> dict[bytes, set[int]]:
@@ -837,6 +839,9 @@ def execute_transaction(state: WorldState, tx: Transaction,
     else:
         status, ret, gas_left = TxStatus.SUCCESS, b"", tx.gas_limit
 
+    # every mutation is journaled and a failed child frame pops its own
+    # entries, so what is left above the mark is what the transaction wrote
+    changes_state = status is TxStatus.SUCCESS and len(machine.journal) > mark
     if status is not TxStatus.SUCCESS or not persist:
         machine.rollback(mark)
 
@@ -847,6 +852,7 @@ def execute_transaction(state: WorldState, tx: Transaction,
         transitions=machine.transitions,
         events=machine.events,
         return_data=ret,
+        changes_state=changes_state,
     )
 
 
@@ -876,8 +882,9 @@ def deploy_contract(state: WorldState, code: bytes, mode: str = "runtime",
             acct.balance = endowment
         return address
 
-    # a creation has no target; the agent stays the origin
-    machine = _Machine(state, Transaction(target=ZERO_ADDRESS), track=None)
+    # a creation has no target; the deployer is its origin and its caller
+    machine = _Machine(state, Transaction(target=ZERO_ADDRESS,
+                                          sender=DEPLOYER_ADDRESS), track=None)
     status, address, _ = machine.create(DEPLOYER_ADDRESS, endowment,
                                         code + constructor_args, DEPLOY_GAS, 0)
     if status is not TxStatus.SUCCESS:

@@ -18,6 +18,17 @@ Each cycle executes `MUTANTS_PER_CYCLE` mutants against the unchanged base
 state plus one more whose effects are kept when it succeeds, so
 storage-dependent bugs stay reachable without giving up reproducibility.
 
+Many mutants repeat an earlier transaction: a policy mutation of a parent
+always yields the same child, and value and block mutations draw from a
+few choices.  The interpreter is deterministic, so a campaign keeps, per
+transaction run against the current base state, the outcome a repeat
+needs: the target's block runs, the findings and whether it changes
+state.  A repeat is replayed from that outcome without running the
+interpreter or the oracles; it adds no coverage, since its first run was
+already folded in.  A kept execution that changes state clears the cache,
+as does reaching `OUTCOME_CACHE_SIZE` entries; a kept lane whose outcome
+changes nothing is replayed too.
+
 A seed carries the calldata it runs with.  It is encoded once when the
 seed is generated; a mutant inherits its parent's bytes and is re-encoded
 only when the mutation changed an argument, so mutants that vary the
@@ -70,6 +81,12 @@ SEEDS_PER_FUNCTION = 2
 MUTANTS_PER_CYCLE = 8           # plus one mutant whose effects are kept
 COVERAGE_SAMPLE_INTERVAL = 50   # executions between coverage samples
 MAX_REENTRIES = 1               # agent re-entries per transaction
+OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
+
+# what a repeat of a transaction against an unchanged state needs: the
+# target's block runs, the findings and whether the transaction changes
+# state; a plain tuple, as one is built for every execution that runs
+_Outcome = tuple[dict[int, int], list[BugFinding], bool]
 
 _POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
 _AGENT_POLICIES = {kind: AgentPolicy(kind, max_reentries=MAX_REENTRIES)
@@ -150,6 +167,7 @@ class CampaignResult:
     admitted_seeds: int
     final_coverage: float
     elapsed: float
+    replayed: int                   # executions served from the cache
 
 
 class BlockCoverage:
@@ -301,6 +319,9 @@ class _Campaign:
         self.runs_key = (target.address,
                          self.base_state.code_of(target.address))
         self.coverage = BlockCoverage()
+        # transaction -> outcome against the current base state
+        self.outcomes: dict[Transaction, _Outcome] = {}
+        self.replayed = 0
         self.queue_score = 0.0  # sum of the queue's scores, front to back
         self.executions = 0
         self.admitted = 0
@@ -340,7 +361,9 @@ class _Campaign:
         if due and not already:
             self.coverage_rows.append((tick, self._coverage_fraction()))
 
-    def _execute(self, seed: Seed, persist: bool) -> None:
+    def _execute(self, seed: Seed, persist: bool) -> _Outcome:
+        """Run `seed`, or replay it from the outcome cache; returns the
+        outcome the step used."""
         tx = Transaction(
             target=self.target.address,
             calldata=seed.calldata,
@@ -348,11 +371,26 @@ class _Campaign:
             agent_policy=_AGENT_POLICIES[seed.policy],
             block=seed.block,
         )
-        trace = execute_transaction(self.base_state, tx, persist=persist)
         self.executions += 1
-
-        runs = trace.block_runs.get(self.runs_key, {})
-        seed.new_edges, fresh = self.coverage.add(runs, trace.transitions)
+        outcomes = self.outcomes
+        outcome = outcomes.get(tx)
+        # a kept lane must run a transaction that changes state to apply it
+        if outcome is None or persist and outcome[2]:
+            trace = execute_transaction(self.base_state, tx, persist=persist)
+            runs = trace.block_runs.get(self.runs_key, {})
+            findings = detect_trace(trace)
+            outcome = runs, findings, trace.changes_state
+            seed.new_edges, fresh = self.coverage.add(runs, trace.transitions)
+            if persist and trace.changes_state:
+                outcomes.clear()
+            else:
+                if len(outcomes) >= OUTCOME_CACHE_SIZE:
+                    outcomes.clear()
+                outcomes[tx] = outcome
+        else:
+            runs, findings, _ = outcome
+            self.replayed += 1
+            seed.new_edges, fresh = 0, ()
 
         if self.config.strategy is Strategy.DIRECTED:
             # only a transition can be a jump, and older ones were offered
@@ -369,8 +407,7 @@ class _Campaign:
             seed.d_min = None if d_min == math.inf else d_min
 
         tick = self.executions
-        detected = detect_trace(trace)
-        if detected:
+        if findings:
             repro = Reproducer(
                 function=seed.spec.signature,
                 calldata=tx.calldata,
@@ -378,11 +415,12 @@ class _Campaign:
                 policy=seed.policy,
                 block=seed.block,
             )
-            for finding in detected:
+            for finding in findings:
                 self.raw_findings.append((tick, finding, repro))
                 if finding.fine in self.config.stop_classes:
                     self.stop = True
         self._sample_coverage()
+        return outcome
 
     # -- cycles ------------------------------------------------------------
 
@@ -435,6 +473,7 @@ class _Campaign:
             admitted_seeds=self.admitted,
             final_coverage=self._coverage_fraction(),
             elapsed=time.monotonic() - self.started,
+            replayed=self.replayed,
         )
 
 
@@ -442,7 +481,8 @@ def run_campaign(target: FuzzTarget, config: CampaignConfig) -> CampaignResult:
     """Fuzz one contract; deterministic for a fixed config and target."""
     result = _Campaign(target, config).run()
     logger.info(
-        "%s on %s: %d executions, %.1f%% coverage, %d finding sites",
+        "%s on %s: %d executions (%d replayed), %.1f%% coverage, "
+        "%d finding sites",
         config.strategy.value, target.name, result.executions,
-        100.0 * result.final_coverage, len(result.findings))
+        result.replayed, 100.0 * result.final_coverage, len(result.findings))
     return result

@@ -175,6 +175,56 @@ def test_persist_false_rolls_back_but_reports_diff() -> None:
     assert state == snap
 
 
+def _child_writes_then_reverts() -> tuple[WorldState, bytes]:
+    """A parent that calls a child which stores a new value and reverts."""
+    state = fresh_state()
+    child = deploy_contract(state, code(P(1), P(0), op.SSTORE,
+                                        P(0), P(0), op.REVERT))
+    parent = deploy_contract(state, code(
+        P(0), P(0), P(0), P(0), P(0), bytes([op.PUSH1 + 19]) + child,
+        P(100_000, 4), op.CALL, op.POP, op.STOP))
+    return state, parent
+
+
+def _changes_state_case(name: str) -> tuple[WorldState, Transaction]:
+    if name == "child_reverts":
+        state, target = _child_writes_then_reverts()
+        return state, Transaction(target=target)
+    state = fresh_state()
+    value = 0
+    if name == "same_value":
+        body = code(P(5), P(0), op.SSTORE, op.STOP)
+    elif name == "revert":
+        body = code(P(5), P(1), op.SSTORE, P(0), P(0), op.REVERT)
+    elif name == "transfer":
+        body, value = code(op.STOP), 7
+    elif name == "new_value":
+        body = code(P(6), P(0), op.SSTORE, op.STOP)
+    else:  # create: an empty-init CREATE bumps the nonce and makes an account
+        body = code(P(0), P(0), P(0), op.CREATE, op.POP, op.STOP)
+    target = deploy_contract(state, body)
+    state.account(target).storage[0] = 5
+    return state, Transaction(target=target, value=value)
+
+
+@pytest.mark.parametrize("persist", [True, False])
+@pytest.mark.parametrize("name,changes", [
+    ("same_value", False), ("revert", False), ("child_reverts", False),
+    ("transfer", True), ("new_value", True), ("create", True),
+])
+def test_changes_state_flags_left_journal_writes(name, changes, persist) -> None:
+    state, tx = _changes_state_case(name)
+    snap = snapshot_state(state)
+    trace = execute_transaction(state, tx, persist=persist)
+    assert trace.status is (TxStatus.REVERTED if name == "revert"
+                            else TxStatus.SUCCESS)
+    assert trace.changes_state is changes
+    if persist:
+        assert (state != snap) is changes
+    else:
+        assert state == snap
+
+
 def test_value_above_sender_balance_is_rejected() -> None:
     state, vault = deploy_vault()
     with pytest.raises(ValueError):
@@ -277,6 +327,15 @@ def test_creation_mode_runs_init_code() -> None:
     # the installed runtime serves transactions
     trace = execute_transaction(state, Transaction(target=address))
     assert int.from_bytes(trace.return_data, "big") == int.from_bytes(DEPLOYER_ADDRESS, "big")
+
+
+def test_creation_mode_origin_and_caller_are_the_deployer() -> None:
+    state = fresh_state()
+    init = code(op.ORIGIN, P(0), op.SSTORE, op.CALLER, P(1), op.SSTORE,
+                P(0), P(0), op.RETURN)
+    address = deploy_contract(state, init, "creation")
+    deployer = int.from_bytes(DEPLOYER_ADDRESS, "big")
+    assert state.account(address).storage == {0: deployer, 1: deployer}
 
 
 def test_creation_failure_raises_and_rolls_back() -> None:

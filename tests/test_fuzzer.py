@@ -14,12 +14,18 @@ from dogefuzz.cfg import build_cfg, critical_sites, distance_map
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
+    AgentPolicy,
     BlockContext,
     PolicyKind,
+    Transaction,
     WorldState,
     deploy_contract,
+    execute_transaction,
+    snapshot_state,
 )
 from dogefuzz.fuzzer import (
+    MAX_REENTRIES,
+    OUTCOME_CACHE_SIZE,
     SEEDS_PER_FUNCTION,
     CampaignConfig,
     FuzzTarget,
@@ -33,7 +39,7 @@ from dogefuzz.fuzzer import (
     select_seed,
 )
 from dogefuzz.microbench import Fixture, GATED_GUARDS, all_fixtures, fixture
-from dogefuzz.oracles import FineBugClass
+from dogefuzz.oracles import FineBugClass, detect_trace
 
 
 EOA = b"\x5e" * 20
@@ -428,19 +434,25 @@ def _shared_return_target() -> FuzzTarget:
 def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     target = _shared_return_target()
     assert target.cfg.unresolved
-    traces = []
+    # the latest trace of each transaction: a step replayed from the
+    # outcome cache maps to the run that filled its entry, since any change
+    # of the base state clears the cache
+    traces = {}
     real_execute = fuzzer.execute_transaction
 
-    def execute(*args, **kwargs):
-        traces.append(real_execute(*args, **kwargs))
-        return traces[-1]
+    def execute(state, tx, persist=True):
+        trace = real_execute(state, tx, persist=persist)
+        traces[tx.calldata, tx.value, tx.agent_policy.kind, tx.block] = trace
+        return trace
 
     steps = []
     real_step = fuzzer._Campaign._execute
 
     def step(campaign, seed, persist):
-        real_step(campaign, seed, persist)
-        steps.append((campaign, seed.d_min, campaign.cfg, traces[-1]))
+        outcome = real_step(campaign, seed, persist)
+        trace = traces[seed.calldata, seed.value, seed.policy, seed.block]
+        steps.append((campaign, seed.d_min, campaign.cfg, trace))
+        return outcome
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
     monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
@@ -468,3 +480,171 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
 
     campaign, _, final_cfg, _ = steps[-1]
     assert campaign.hops == distance_map(final_cfg, sites)
+    assert campaign.replayed > 0, "some steps were replayed from the cache"
+
+
+# --- outcome cache --------------------------------------------------------
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_replayed_outcomes_match_fresh_executions(monkeypatch,
+                                                  strategy) -> None:
+    """Every step, hit or miss, equals a fresh run on a copy of the base
+    state it started from, and leaves the same base state behind."""
+    real_step = fuzzer._Campaign._execute
+    checked = []
+
+    def step(campaign, seed, persist):
+        before = snapshot_state(campaign.base_state)
+        coverage = fuzzer.BlockCoverage()
+        coverage.runs = dict(campaign.coverage.runs)
+        coverage.transitions = set(campaign.coverage.transitions)
+        outcome = real_step(campaign, seed, persist)
+        replayed_runs, findings, changes_state = outcome
+        tx = Transaction(target=campaign.target.address,
+                         calldata=seed.calldata, value=seed.value,
+                         agent_policy=AgentPolicy(seed.policy, MAX_REENTRIES),
+                         block=seed.block)
+        trace = execute_transaction(before, tx, persist=persist)
+        runs = trace.block_runs.get(campaign.runs_key, {})
+        assert replayed_runs == runs
+        assert findings == detect_trace(trace)
+        assert [f for tick, f, _ in campaign.raw_findings
+                if tick == campaign.executions] == findings
+        assert changes_state is trace.changes_state
+        assert seed.new_edges == coverage.add(runs, trace.transitions)[0]
+        if strategy is Strategy.DIRECTED:
+            reached = [campaign.hops[s] for s in runs if s in campaign.hops]
+            assert seed.d_min == (min(reached) if reached else None)
+        assert campaign.base_state == before
+        checked.append(campaign)
+        return outcome
+
+    monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
+    executions = replayed = 0
+    for fx in all_fixtures():
+        for rng_seed in (0, 1):
+            result = run_campaign(make_target(fx), CampaignConfig(
+                strategy=strategy, budget=400, rng_seed=rng_seed))
+            executions += result.executions
+            replayed += result.replayed
+    assert len(checked) == executions
+    assert 0 < replayed < executions
+
+
+def _cache_target() -> FuzzTarget:
+    """`bump()` adds one to slot 0, `keep()` stores slot 0's own value
+    back, `fail()` writes slot 1 and reverts."""
+    names = ("bump", "keep", "fail")
+    a = Assembler()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    for name in names:
+        sel = int.from_bytes(selector(f"{name}()"), "big")
+        a.op("DUP1").push(sel, width=4).op("EQ").push_label(name).op("JUMPI")
+    a.op("STOP")
+    a.dest("bump").push(0).op("SLOAD").push(1).op("ADD").push(0)
+    a.op("SSTORE", "STOP")
+    a.dest("keep").push(0).op("SLOAD").push(0).op("SSTORE", "STOP")
+    a.dest("fail").push(1).push(1).op("SSTORE").push(0).push(0).op("REVERT")
+    runtime = a.assemble()
+    abi = [{"type": "function", "name": name, "inputs": [], "outputs": [],
+            "stateMutability": "nonpayable"} for name in names]
+    state = WorldState()
+    state.account(AGENT_ADDRESS).balance = 10 ** 18
+    state.account(DEPLOYER_ADDRESS).balance = 10 ** 18
+    address = deploy_contract(state, runtime)
+    return FuzzTarget(name="cache", address=address, state=state,
+                      specs=tuple(parse_abi(abi)), cfg=build_cfg(runtime),
+                      pools=POOLS)
+
+
+def _cache_campaign(monkeypatch):
+    """A GreyBox campaign on `_cache_target`, its seeds by function name,
+    and the list of interpreter runs it makes."""
+    target = _cache_target()
+    campaign = fuzzer._Campaign(target, CampaignConfig(budget=100))
+    ran = []
+    real_execute = fuzzer.execute_transaction
+
+    def execute(state, tx, persist=True):
+        ran.append(tx.calldata)
+        return real_execute(state, tx, persist=persist)
+
+    monkeypatch.setattr(fuzzer, "execute_transaction", execute)
+
+    def seed(name: str, block: BlockContext = BlockContext()) -> Seed:
+        spec = next(s for s in target.specs if s.name == name)
+        return Seed(spec=spec, calldata=encode_call(spec, ()), block=block)
+
+    return campaign, seed, ran
+
+
+def _counter(campaign) -> int:
+    return campaign.base_state.account(campaign.target.address).storage.get(0, 0)
+
+
+def test_outcome_cache_replays_a_repeat(monkeypatch) -> None:
+    campaign, seed, ran = _cache_campaign(monkeypatch)
+    keep = seed("keep")
+    first = campaign._execute(keep, persist=False)
+    assert keep.new_edges > 0
+    again = seed("keep")
+    assert campaign._execute(again, persist=False) is first
+    assert again.new_edges == 0
+    assert len(ran) == 1 and campaign.replayed == 1
+    assert campaign.executions == 2
+
+
+def test_persisted_counter_write_invalidates_the_cache(monkeypatch) -> None:
+    campaign, seed, ran = _cache_campaign(monkeypatch)
+    campaign._execute(seed("keep"), persist=False)
+    _, _, changes_state = campaign._execute(seed("bump"), persist=False)
+    assert changes_state
+    assert len(campaign.outcomes) == 2 and _counter(campaign) == 0
+    # the cached outcome of `bump` changes state, so a kept lane runs it
+    campaign._execute(seed("bump"), persist=True)
+    assert _counter(campaign) == 1 and campaign.outcomes == {}
+    campaign._execute(seed("bump"), persist=True)
+    assert _counter(campaign) == 2 and campaign.outcomes == {}
+    campaign._execute(seed("keep"), persist=False)
+    assert len(ran) == 5 and campaign.replayed == 0
+
+
+def test_persisted_success_without_writes_keeps_the_cache(monkeypatch) -> None:
+    campaign, seed, ran = _cache_campaign(monkeypatch)
+    campaign._execute(seed("bump"), persist=False)
+    campaign._execute(seed("keep"), persist=True)
+    assert len(campaign.outcomes) == 2
+    campaign._execute(seed("keep"), persist=True)
+    campaign._execute(seed("bump"), persist=False)
+    assert len(ran) == 2 and campaign.replayed == 2
+    assert _counter(campaign) == 0
+
+
+def test_reverted_persisted_lane_keeps_the_cache(monkeypatch) -> None:
+    campaign, seed, ran = _cache_campaign(monkeypatch)
+    campaign._execute(seed("bump"), persist=False)
+    _, _, changes_state = campaign._execute(seed("fail"), persist=True)
+    assert not changes_state
+    assert len(campaign.outcomes) == 2
+    campaign._execute(seed("fail"), persist=True)
+    campaign._execute(seed("bump"), persist=False)
+    assert len(ran) == 2 and campaign.replayed == 2
+    assert campaign.base_state.account(campaign.target.address).storage == {}
+
+
+def test_outcome_cache_is_bounded(monkeypatch) -> None:
+    campaign, seed, ran = _cache_campaign(monkeypatch)
+    sizes = []
+    for timestamp in range(3 * OUTCOME_CACHE_SIZE):
+        campaign._execute(seed("keep", BlockContext(timestamp=timestamp)),
+                          persist=False)
+        sizes.append(len(campaign.outcomes))
+    assert sizes == list(range(1, OUTCOME_CACHE_SIZE + 1)) * 3
+    assert len(ran) == 3 * OUTCOME_CACHE_SIZE and campaign.replayed == 0
+
+
+def test_campaign_replays_some_steps() -> None:
+    result = run_campaign(_cache_target(), CampaignConfig(budget=300,
+                                                          rng_seed=2))
+    assert result.executions == 300
+    assert 0 < result.replayed < result.executions
