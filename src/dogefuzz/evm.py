@@ -18,6 +18,14 @@ together, so the executed pcs are the covered prefixes, and the pairs of
 successive instructions within each target frame are the pairs inside
 those prefixes plus the transitions.
 
+A trace also says what the transaction observed of the world state, so a
+cached outcome can outlive state changes it never read.  Storage slots
+(SLOAD, and SSTORE's old value) and exact balances (BALANCE, SELFDESTRUCT)
+are reads of a location; so are an account's code, nonce and presence.  A
+value move only tests `balance >= amount`, and is recorded as that test
+against the balance the transaction started with.  Opcodes that do not
+touch the world state record nothing.
+
 Every frame is entered through `_Machine.run_frame`, which keeps its address
 on the stack of live frames that the reentrancy check reads; every contract,
 by CREATE or by creation-mode deployment, is made by `_Machine.create`.
@@ -111,6 +119,12 @@ class BlockContext(NamedTuple):
 
 DEFAULT_BLOCK = BlockContext()
 
+# the second half of a world-state location: a storage slot is
+# (address, key), and these name an account's other fields
+BALANCE = "balance"
+ACCOUNT = "account"     # code, nonce and presence
+Location = tuple[bytes, int | str]
+
 
 class Transaction(NamedTuple):
     target: bytes
@@ -139,6 +153,19 @@ class ExecutionTrace:
     when the transaction succeeded with a state write left in its journal,
     whether or not it was persisted; when false, persisting it leaves the
     state as it was.
+
+    `reads` holds every location the transaction read: (address, key) for
+    a storage slot, (address, BALANCE) for an exact balance and
+    (address, ACCOUNT) for an account's code, nonce or presence.  Each
+    `balance_tests` entry (address, need, passed) says a value move
+    tested the address's balance and whether it held enough: it does
+    exactly when the balance the transaction starts with is at least
+    `need`.  Rerun against a state that differs in none of its reads and
+    fails none of its tests, the transaction takes the same path with the
+    same outcome.  `writes` holds the locations a kept state change
+    wrote, empty when nothing was kept, and is None when the change
+    reaches every location: a SELFDESTRUCT clears all of an account's
+    storage.
     """
 
     status: TxStatus
@@ -148,6 +175,9 @@ class ExecutionTrace:
     events: list[ExecutionEvent]
     return_data: bytes = b""
     changes_state: bool = False
+    reads: set[Location] = field(default_factory=set)
+    balance_tests: list[tuple[bytes, int, bool]] = field(default_factory=list)
+    writes: frozenset[Location] | None = frozenset()
 
     @property
     def executed_pcs(self) -> dict[bytes, set[int]]:
@@ -244,6 +274,10 @@ class _Machine:
         self.transitions: set[tuple[int, int]] = set()
         self.address_stack: list[bytes] = []
         self.reentries_used = 0
+        self.reads: set[Location] = set()
+        self.balance_tests: list[tuple[bytes, int, bool]] = []
+        # each address's balance before the transaction first moved value
+        self.start_balances: dict[bytes, int] = {}
 
     # -- journaled state mutation --
 
@@ -275,23 +309,57 @@ class _Machine:
                 _, address, acct = entry
                 accounts[address] = acct
 
+    def written(self, mark: int) -> frozenset[Location] | None:
+        """The locations the journal above `mark` wrote; None after a
+        SELFDESTRUCT, which clears every storage slot of its account."""
+        writes = set()
+        for entry in self.journal[mark:]:
+            kind = entry[0]
+            if kind == "storage":
+                writes.add((entry[1], entry[2]))
+            elif kind == "balance":
+                writes.add((entry[1], BALANCE))
+            elif kind == "destroyed":
+                return None
+            else:  # nonce, code, created
+                writes.add((entry[1], ACCOUNT))
+        return frozenset(writes)
+
     def touch_account(self, address: bytes) -> Account:
         acct = self.state.accounts.get(address)
         if acct is None:
+            # absence is read; a present account can only go away by a
+            # SELFDESTRUCT, whose write covers every location
+            self.reads.add((address, ACCOUNT))
             acct = Account()
             self.state.accounts[address] = acct
             self.journal.append(("created", address))
         return acct
 
+    def code_of(self, address: bytes) -> bytes:
+        self.reads.add((address, ACCOUNT))
+        return self.state.code_of(address)
+
+    def has_balance(self, address: bytes, amount: int) -> bool:
+        """Whether `address` holds at least `amount`; recorded as a test of
+        the balance it started with, which every move shifts by a fixed
+        amount along the same path."""
+        balance = self.state.balance_of(address)
+        start = self.start_balances.get(address, balance)
+        passed = balance >= amount
+        self.balance_tests.append((address, amount - balance + start, passed))
+        return passed
+
     def set_balance(self, address: bytes, value: int) -> None:
         acct = self.touch_account(address)
+        self.start_balances.setdefault(address, acct.balance)
         self.journal.append(("balance", address, acct.balance))
         acct.balance = value
 
     def transfer(self, src: bytes, dst: bytes, value: int) -> bool:
         if value == 0:
             return True
-        if self.state.balance_of(src) < value:
+        if not self.has_balance(src, value):
             return False
         self.set_balance(src, self.state.balance_of(src) - value)
         self.set_balance(dst, self.state.balance_of(dst) + value)
@@ -333,11 +401,12 @@ class _Machine:
         (status, address, gas left).
         """
         acct = self.touch_account(creator)
+        self.reads.add((creator, ACCOUNT))
         self.journal.append(("nonce", creator, acct.nonce))
         address = contract_address(creator, acct.nonce)
         acct.nonce += 1
-        if (depth + 1 > CALL_DEPTH_LIMIT or self.state.code_of(address)
-                or self.state.balance_of(creator) < endowment):
+        if (depth + 1 > CALL_DEPTH_LIMIT or self.code_of(address)
+                or endowment and not self.has_balance(creator, endowment)):
             return None, address, gas
         mark = self.checkpoint()
         self.touch_account(address)
@@ -361,6 +430,7 @@ class _Machine:
         pushes_one = op.PUSHES_ONE
         runs = self.block_runs.setdefault((code_address, code), {})
         transitions = self.transitions if code_address == self.track else None
+        reads = self.reads
 
         stack: list[int] = []
         mem = bytearray()
@@ -480,6 +550,7 @@ class _Machine:
                         if static:
                             raise _InvalidOp
                         key, val = stack.pop(), stack.pop()
+                        reads.add((self_address, key))
                         acct = self.touch_account(self_address)
                         old = acct.storage.get(key, 0)
                         gas -= op.GAS_SSTORE_FRESH if (old == 0 and val != 0) else op.GAS_SSTORE_UPDATE
@@ -495,6 +566,7 @@ class _Machine:
                                       (self_address, key, old, val))
                     elif opcode == 0x54:  # SLOAD
                         key = stack.pop()
+                        reads.add((self_address, key))
                         acct = state.accounts.get(self_address)
                         stack.append(acct.storage.get(key, 0) if acct is not None else 0)
                     elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
@@ -602,7 +674,9 @@ class _Machine:
                         else:
                             stack.append((v >> shift) & UINT256_MASK)
                     elif opcode == 0x31:  # BALANCE
-                        stack.append(state.balance_of((stack.pop() & ADDRESS_MASK).to_bytes(20, "big")))
+                        address = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
+                        reads.add((address, BALANCE))
+                        stack.append(state.balance_of(address))
                     elif opcode == 0x37:  # CALLDATACOPY
                         dst, src, size = stack.pop(), stack.pop(), stack.pop()
                         touch(dst, size)
@@ -640,6 +714,7 @@ class _Machine:
                         if static:
                             raise _InvalidOp
                         beneficiary = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
+                        reads.add((self_address, BALANCE))
                         held = state.balance_of(self_address)
                         if held > 0:
                             self.emit(EventKind.ETHER_TRANSFER, pc, depth,
@@ -686,7 +761,6 @@ class _Machine:
         Returns the caller's remaining gas and its new return-data buffer;
         pushes the success flag.
         """
-        state = self.state
         gas_req = stack.pop()
         target = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
         call_value = stack.pop() if opcode in (op.CALL, op.CALLCODE) else 0
@@ -718,21 +792,20 @@ class _Machine:
 
         mark = self.checkpoint()
         if call_value:
-            if state.balance_of(self_address) < call_value:
-                stack.append(0)
-                return gas + forwarded, b""
             # CALLCODE's value stays within the account, still an observable move
             receiver = target if opcode == op.CALL else self_address
+            if not self.transfer(self_address, receiver, call_value):
+                stack.append(0)
+                return gas + forwarded, b""
             self.emit(EventKind.ETHER_TRANSFER, pc, depth,
                       (self_address, receiver, call_value))
-            self.transfer(self_address, receiver, call_value)
 
         child_self = target if opcode in (op.CALL, op.STATICCALL) else self_address
         delegated = opcode == op.DELEGATECALL  # inherits caller and value
         child_caller = caller if delegated else self_address
         child_value = value if delegated else call_value
         child_static = static or opcode == op.STATICCALL
-        child_code = state.code_of(target)
+        child_code = self.code_of(target)
 
         if (opcode == op.CALL and target in self.address_stack
                 and (target == AGENT_ADDRESS or child_code)):
@@ -775,7 +848,7 @@ class _Machine:
             return TxStatus.OUT_OF_GAS, b"", 0
         if (policy.kind is PolicyKind.REENTRANT and not static
                 and self.reentries_used < policy.max_reentries
-                and self.state.code_of(caller_address)):
+                and self.code_of(caller_address)):
             self.reentries_used += 1
             gas -= op.GAS_CALL_BASE
             if gas < 0:
@@ -785,7 +858,7 @@ class _Machine:
             mark = self.checkpoint()
             self.address_stack.append(AGENT_ADDRESS)
             status, _, gas = self.run_frame(
-                self.state.code_of(caller_address), caller_address,
+                self.code_of(caller_address), caller_address,
                 caller_address, AGENT_ADDRESS, 0, caller_calldata,
                 gas, depth + 1, static)
             self.address_stack.pop()
@@ -824,14 +897,12 @@ def execute_transaction(state: WorldState, tx: Transaction,
     """
     if tx.value < 0:
         raise ValueError("negative transaction value")
-    if state.balance_of(tx.sender) < tx.value:
-        raise ValueError("sender balance below transaction value")
 
     machine = _Machine(state, tx, track=tx.target)
     mark = machine.checkpoint()
-    if tx.value:
-        machine.transfer(tx.sender, tx.target, tx.value)
-    code = state.code_of(tx.target)
+    if tx.value and not machine.transfer(tx.sender, tx.target, tx.value):
+        raise ValueError("sender balance below transaction value")
+    code = machine.code_of(tx.target)
     if code:
         status, ret, gas_left = machine.run_frame(
             code, tx.target, tx.target, tx.sender, tx.value, tx.calldata,
@@ -842,8 +913,11 @@ def execute_transaction(state: WorldState, tx: Transaction,
     # every mutation is journaled and a failed child frame pops its own
     # entries, so what is left above the mark is what the transaction wrote
     changes_state = status is TxStatus.SUCCESS and len(machine.journal) > mark
+    writes = frozenset()
     if status is not TxStatus.SUCCESS or not persist:
         machine.rollback(mark)
+    elif changes_state:
+        writes = machine.written(mark)
 
     return ExecutionTrace(
         status=status,
@@ -853,6 +927,9 @@ def execute_transaction(state: WorldState, tx: Transaction,
         events=machine.events,
         return_data=ret,
         changes_state=changes_state,
+        reads=machine.reads,
+        balance_tests=machine.balance_tests,
+        writes=writes,
     )
 
 

@@ -21,13 +21,15 @@ storage-dependent bugs stay reachable without giving up reproducibility.
 Many mutants repeat an earlier transaction: a policy mutation of a parent
 always yields the same child, and value and block mutations draw from a
 few choices.  The interpreter is deterministic, so a campaign keeps, per
-transaction run against the current base state, the outcome a repeat
-needs: the target's block runs, the findings and whether it changes
-state.  A repeat is replayed from that outcome without running the
+transaction, the outcome a repeat needs: the target's block runs, the
+findings and whether it changes state, with what the run read of the
+world state.  A repeat is replayed from that outcome without running the
 interpreter or the oracles; it adds no coverage, since its first run was
-already folded in.  A kept execution that changes state clears the cache,
-as does reaching `OUTCOME_CACHE_SIZE` entries; a kept lane whose outcome
-changes nothing is replayed too.
+already folded in.  An outcome stays valid while the base state keeps
+what it read, so a kept state change drops the outcomes that read what it
+wrote, and those whose balance tests it flips; reaching
+`OUTCOME_CACHE_SIZE` entries clears the cache.  A kept lane whose
+outcome changes nothing is replayed too.
 
 A seed carries the calldata it runs with.  It is encoded once when the
 seed is generated; a mutant inherits its parent's bytes and is re-encoded
@@ -64,6 +66,7 @@ from .cfg import (
 from .evm import (
     AgentPolicy,
     BlockContext,
+    Location,
     PolicyKind,
     Transaction,
     WorldState,
@@ -83,10 +86,15 @@ COVERAGE_SAMPLE_INTERVAL = 50   # executions between coverage samples
 MAX_REENTRIES = 1               # agent re-entries per transaction
 OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 
-# what a repeat of a transaction against an unchanged state needs: the
-# target's block runs, the findings and whether the transaction changes
-# state; a plain tuple, as one is built for every execution that runs
-_Outcome = tuple[dict[int, int], list[BugFinding], bool]
+# what a repeat of a transaction needs: the target's block runs, the
+# findings and whether the transaction changes state, then the trace's
+# `reads` and `balance_tests` that say when the first three still hold; a
+# plain tuple, as one is built for every execution that runs
+_Outcome = tuple[dict[int, int], list[BugFinding], bool, set[Location],
+                 list[tuple[bytes, int, bool]]]
+# a seed's calldata, value, policy and block: with the campaign's fixed
+# target and `MAX_REENTRIES` they name the transaction
+_TxKey = tuple[bytes, int, PolicyKind, BlockContext]
 
 _POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
 _AGENT_POLICIES = {kind: AgentPolicy(kind, max_reentries=MAX_REENTRIES)
@@ -254,8 +262,8 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
     if choice == "raw":
         child.calldata = mutate_value(rng, _RAW_CALLDATA, seed.calldata, pools)
     elif choice == "value":
-        child.value = rng.choice([0, 1, 2, seed.value + 1,
-                                  max(seed.value - 1, 0), seed.value * 2])
+        child.value = rng.choice((0, 1, 2, seed.value + 1,
+                                  max(seed.value - 1, 0), seed.value * 2))
     elif choice == "policy":
         index = _POLICY_CYCLE.index(seed.policy)
         child.policy = _POLICY_CYCLE[(index + 1) % len(_POLICY_CYCLE)]
@@ -319,8 +327,8 @@ class _Campaign:
         self.runs_key = (target.address,
                          self.base_state.code_of(target.address))
         self.coverage = BlockCoverage()
-        # transaction -> outcome against the current base state
-        self.outcomes: dict[Transaction, _Outcome] = {}
+        # transaction -> its outcome, valid against the current base state
+        self.outcomes: dict[_TxKey, _Outcome] = {}
         self.replayed = 0
         self.queue_score = 0.0  # sum of the queue's scores, front to back
         self.executions = 0
@@ -349,46 +357,61 @@ class _Campaign:
         return True
 
     def _sample_coverage(self) -> None:
-        tick = self.executions
+        """Add a coverage row at this tick, or in seconds mode at most one
+        per second; called when a row may be due."""
         if self.config.seconds is not None:
             second = int(time.monotonic() - self.started)
             if second > self.last_second_sampled:
                 self.last_second_sampled = second
                 self.coverage_rows.append((second, self._coverage_fraction()))
             return
-        due = tick % COVERAGE_SAMPLE_INTERVAL == 0 or tick == self.config.budget
-        already = self.coverage_rows and self.coverage_rows[-1][0] == tick
-        if due and not already:
-            self.coverage_rows.append((tick, self._coverage_fraction()))
+        self.coverage_rows.append((self.executions, self._coverage_fraction()))
+
+    def _invalidate(self, writes: frozenset[Location] | None) -> None:
+        """Drop the outcomes a kept state change may alter: those that read
+        a location it wrote or whose balance test now answers otherwise."""
+        outcomes = self.outcomes
+        if writes is None:
+            outcomes.clear()
+            return
+        balance_of = self.base_state.balance_of
+        stale = [key for key, (_, _, _, reads, tests) in outcomes.items()
+                 if not reads.isdisjoint(writes)
+                 or tests and any((balance_of(address) >= need) is not passed
+                                  for address, need, passed in tests)]
+        for key in stale:
+            del outcomes[key]
 
     def _execute(self, seed: Seed, persist: bool) -> _Outcome:
         """Run `seed`, or replay it from the outcome cache; returns the
         outcome the step used."""
-        tx = Transaction(
-            target=self.target.address,
-            calldata=seed.calldata,
-            value=seed.value,
-            agent_policy=_AGENT_POLICIES[seed.policy],
-            block=seed.block,
-        )
+        key = (seed.calldata, seed.value, seed.policy, seed.block)
         self.executions += 1
         outcomes = self.outcomes
-        outcome = outcomes.get(tx)
+        outcome = outcomes.get(key)
         # a kept lane must run a transaction that changes state to apply it
         if outcome is None or persist and outcome[2]:
+            tx = Transaction(
+                target=self.target.address,
+                calldata=seed.calldata,
+                value=seed.value,
+                agent_policy=_AGENT_POLICIES[seed.policy],
+                block=seed.block,
+            )
             trace = execute_transaction(self.base_state, tx, persist=persist)
             runs = trace.block_runs.get(self.runs_key, {})
             findings = detect_trace(trace)
-            outcome = runs, findings, trace.changes_state
+            outcome = (runs, findings, trace.changes_state, trace.reads,
+                       trace.balance_tests)
             seed.new_edges, fresh = self.coverage.add(runs, trace.transitions)
             if persist and trace.changes_state:
-                outcomes.clear()
+                self._invalidate(trace.writes)
             else:
                 if len(outcomes) >= OUTCOME_CACHE_SIZE:
                     outcomes.clear()
-                outcomes[tx] = outcome
+                outcomes[key] = outcome
         else:
-            runs, findings, _ = outcome
+            runs, findings = outcome[0], outcome[1]
             self.replayed += 1
             seed.new_edges, fresh = 0, ()
 
@@ -410,7 +433,7 @@ class _Campaign:
         if findings:
             repro = Reproducer(
                 function=seed.spec.signature,
-                calldata=tx.calldata,
+                calldata=seed.calldata,
                 value=seed.value,
                 policy=seed.policy,
                 block=seed.block,
@@ -419,18 +442,18 @@ class _Campaign:
                 self.raw_findings.append((tick, finding, repro))
                 if finding.fine in self.config.stop_classes:
                     self.stop = True
-        self._sample_coverage()
+        if (self.config.seconds is not None
+                or tick % COVERAGE_SAMPLE_INTERVAL == 0
+                or tick == self.config.budget):
+            self._sample_coverage()
         return outcome
 
     # -- cycles ------------------------------------------------------------
 
-    def _maybe_admit(self, parent: Seed, child: Seed,
+    def _maybe_admit(self, parent_score: float, child: Seed,
                      queue: list[Seed]) -> None:
-        strategy = self.config.strategy
-        if strategy is Strategy.BLACKBOX:
-            return
-        score = score_seed(strategy, child)
-        if score > score_seed(strategy, parent):
+        score = score_seed(self.config.strategy, child)
+        if score > parent_score:
             queue.append(child)
             self.queue_score += score
             self.admitted += 1
@@ -449,8 +472,10 @@ class _Campaign:
         eligible = self.target.eligible_specs()
         while self._within_budget():
             blind = self.config.strategy is Strategy.BLACKBOX
-            parent = None if blind else select_seed(
-                rng, self.config.strategy, queue, self.queue_score)
+            if not blind:
+                parent = select_seed(rng, self.config.strategy, queue,
+                                     self.queue_score)
+                parent_score = score_seed(self.config.strategy, parent)
             for lane in range(MUTANTS_PER_CYCLE + 1):
                 if not self._within_budget():
                     break
@@ -463,7 +488,7 @@ class _Campaign:
                     child = mutate_seed(rng, parent, self.target.pools)
                 self._execute(child, persist=persist)
                 if not blind:
-                    self._maybe_admit(parent, child, queue)
+                    self._maybe_admit(parent_score, child, queue)
 
         return CampaignResult(
             strategy=self.config.strategy,

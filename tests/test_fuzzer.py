@@ -12,6 +12,7 @@ from dogefuzz.abi import ValuePools, encode_call, parse_abi, selector
 from dogefuzz.asm import Assembler
 from dogefuzz.cfg import build_cfg, critical_sites, distance_map
 from dogefuzz.evm import (
+    ACCOUNT,
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
     AgentPolicy,
@@ -435,8 +436,8 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     target = _shared_return_target()
     assert target.cfg.unresolved
     # the latest trace of each transaction: a step replayed from the
-    # outcome cache maps to the run that filled its entry, since any change
-    # of the base state clears the cache
+    # outcome cache has that trace's block runs, since a kept state change
+    # drops every outcome it could alter
     traces = {}
     real_execute = fuzzer.execute_transaction
 
@@ -485,6 +486,55 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
 
 # --- outcome cache --------------------------------------------------------
 
+def _probe_target() -> FuzzTarget:
+    """Every kind of world-state read and write, on a contract holding 300
+    wei: `load(s)` branches on slot `s % 4` and `store(s, v)` writes `v`
+    there; `pay(a)` sends `a % 512` wei to its caller; `check()` branches
+    on the contract's balance and `deposit()` takes value; `spawn()`
+    creates an empty contract and `kill()` self-destructs once the balance
+    is below 100."""
+    signatures = ("load(uint256)", "store(uint256,uint256)", "pay(uint256)",
+                  "check()", "deposit()", "spawn()", "kill()")
+    a = Assembler()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    for signature in signatures:
+        sel = int.from_bytes(selector(signature), "big")
+        a.op("DUP1").push(sel, width=4).op("EQ")
+        a.push_label(signature.split("(")[0]).op("JUMPI")
+    a.op("STOP")
+    a.dest("load").push(3).push(4).op("CALLDATALOAD", "AND", "SLOAD")
+    a.push_label("set").op("JUMPI", "STOP")
+    a.dest("set").op("STOP")
+    a.dest("store").push(36).op("CALLDATALOAD")
+    a.push(3).push(4).op("CALLDATALOAD", "AND", "SSTORE", "STOP")
+    a.dest("pay").push(0).push(0).push(0).push(0)
+    a.push(0x1FF).push(4).op("CALLDATALOAD", "AND")
+    a.op("CALLER", "GAS", "CALL", "POP", "STOP")
+    a.dest("check").push(200).op("ADDRESS", "BALANCE", "LT")
+    a.push_label("poor").op("JUMPI", "STOP")
+    a.dest("poor").op("STOP")
+    a.dest("deposit").op("STOP")
+    a.dest("spawn").push(0).push(0).push(0).op("CREATE", "POP", "STOP")
+    a.dest("kill").push(100).op("ADDRESS", "BALANCE", "LT")
+    a.push_label("die").op("JUMPI", "STOP")
+    a.dest("die").op("CALLER", "SELFDESTRUCT")
+    runtime = a.assemble()
+    abi = [{"type": "function", "name": signature.split("(")[0],
+            "inputs": [{"name": f"x{i}", "type": "uint256"}
+                       for i in range(signature.count("uint256"))],
+            "outputs": [],
+            "stateMutability": ("payable" if signature == "deposit()"
+                                else "nonpayable")}
+           for signature in signatures]
+    state = WorldState()
+    state.account(AGENT_ADDRESS).balance = 10 ** 18
+    state.account(DEPLOYER_ADDRESS).balance = 10 ** 18
+    address = deploy_contract(state, runtime, endowment=300)
+    return FuzzTarget(name="probe", address=address, state=state,
+                      specs=tuple(parse_abi(abi)), cfg=build_cfg(runtime),
+                      pools=POOLS)
+
+
 @pytest.mark.parametrize("strategy", list(Strategy))
 def test_replayed_outcomes_match_fresh_executions(monkeypatch,
                                                   strategy) -> None:
@@ -492,6 +542,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
     state it started from, and leaves the same base state behind."""
     real_step = fuzzer._Campaign._execute
     checked = []
+    survivals = []      # outcomes left after each kept state change
 
     def step(campaign, seed, persist):
         before = snapshot_state(campaign.base_state)
@@ -499,7 +550,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         coverage.runs = dict(campaign.coverage.runs)
         coverage.transitions = set(campaign.coverage.transitions)
         outcome = real_step(campaign, seed, persist)
-        replayed_runs, findings, changes_state = outcome
+        replayed_runs, findings, changes_state = outcome[:3]
         tx = Transaction(target=campaign.target.address,
                          calldata=seed.calldata, value=seed.value,
                          agent_policy=AgentPolicy(seed.policy, MAX_REENTRIES),
@@ -516,19 +567,37 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
             reached = [campaign.hops[s] for s in runs if s in campaign.hops]
             assert seed.d_min == (min(reached) if reached else None)
         assert campaign.base_state == before
+        if persist and changes_state:
+            survivals.append((campaign.target.name, len(campaign.outcomes)))
         checked.append(campaign)
         return outcome
 
+    probe = _probe_target()
+    kept_writes = []    # of the probe's kept state changes
+    real_execute = fuzzer.execute_transaction
+
+    def execute(state, tx, persist=True):
+        trace = real_execute(state, tx, persist=persist)
+        if persist and trace.changes_state and tx.target == probe.address:
+            kept_writes.append(trace.writes)
+        return trace
+
     monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
+    monkeypatch.setattr(fuzzer, "execute_transaction", execute)
     executions = replayed = 0
-    for fx in all_fixtures():
+    for target in [make_target(fx) for fx in all_fixtures()] + [probe]:
         for rng_seed in (0, 1):
-            result = run_campaign(make_target(fx), CampaignConfig(
+            result = run_campaign(target, CampaignConfig(
                 strategy=strategy, budget=400, rng_seed=rng_seed))
             executions += result.executions
             replayed += result.replayed
     assert len(checked) == executions
     assert 0 < replayed < executions
+    assert any(left for name, left in survivals if name == "probe"), \
+        "some cached probe outcome outlived a kept state change"
+    assert None in kept_writes, "the probe self-destructed"
+    assert any(writes and (probe.address, ACCOUNT) in writes
+               for writes in kept_writes), "the probe created a contract"
 
 
 def _cache_target() -> FuzzTarget:
@@ -557,10 +626,11 @@ def _cache_target() -> FuzzTarget:
                       pools=POOLS)
 
 
-def _cache_campaign(monkeypatch):
-    """A GreyBox campaign on `_cache_target`, its seeds by function name,
-    and the list of interpreter runs it makes."""
-    target = _cache_target()
+def _cache_campaign(monkeypatch, target: FuzzTarget | None = None):
+    """A GreyBox campaign on `target` (by default `_cache_target`), its
+    seeds by function name and arguments, and the list of interpreter runs
+    it makes."""
+    target = target or _cache_target()
     campaign = fuzzer._Campaign(target, CampaignConfig(budget=100))
     ran = []
     real_execute = fuzzer.execute_transaction
@@ -571,9 +641,11 @@ def _cache_campaign(monkeypatch):
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
 
-    def seed(name: str, block: BlockContext = BlockContext()) -> Seed:
+    def seed(name: str, *args: int, block: BlockContext = BlockContext(),
+             value: int = 0, policy: PolicyKind = PolicyKind.BENIGN) -> Seed:
         spec = next(s for s in target.specs if s.name == name)
-        return Seed(spec=spec, calldata=encode_call(spec, ()), block=block)
+        return Seed(spec=spec, args=args, calldata=encode_call(spec, args),
+                    value=value, policy=policy, block=block)
 
     return campaign, seed, ran
 
@@ -597,7 +669,7 @@ def test_outcome_cache_replays_a_repeat(monkeypatch) -> None:
 def test_persisted_counter_write_invalidates_the_cache(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     campaign._execute(seed("keep"), persist=False)
-    _, _, changes_state = campaign._execute(seed("bump"), persist=False)
+    changes_state = campaign._execute(seed("bump"), persist=False)[2]
     assert changes_state
     assert len(campaign.outcomes) == 2 and _counter(campaign) == 0
     # the cached outcome of `bump` changes state, so a kept lane runs it
@@ -623,7 +695,7 @@ def test_persisted_success_without_writes_keeps_the_cache(monkeypatch) -> None:
 def test_reverted_persisted_lane_keeps_the_cache(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     campaign._execute(seed("bump"), persist=False)
-    _, _, changes_state = campaign._execute(seed("fail"), persist=True)
+    changes_state = campaign._execute(seed("fail"), persist=True)[2]
     assert not changes_state
     assert len(campaign.outcomes) == 2
     campaign._execute(seed("fail"), persist=True)
@@ -636,11 +708,84 @@ def test_outcome_cache_is_bounded(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     sizes = []
     for timestamp in range(3 * OUTCOME_CACHE_SIZE):
-        campaign._execute(seed("keep", BlockContext(timestamp=timestamp)),
+        campaign._execute(seed("keep", block=BlockContext(timestamp=timestamp)),
                           persist=False)
         sizes.append(len(campaign.outcomes))
     assert sizes == list(range(1, OUTCOME_CACHE_SIZE + 1)) * 3
     assert len(ran) == 3 * OUTCOME_CACHE_SIZE and campaign.replayed == 0
+
+
+def _cached_calls(campaign) -> set[bytes]:
+    return {calldata for calldata, _, _, _ in campaign.outcomes}
+
+
+def test_kept_write_keeps_outcomes_that_never_read_it(monkeypatch) -> None:
+    campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
+    campaign._execute(seed("load", 0), persist=False)
+    campaign._execute(seed("load", 1), persist=False)
+    campaign._execute(seed("store", 1, 5), persist=True)
+    assert _cached_calls(campaign) == {seed("load", 0).calldata}
+    campaign._execute(seed("load", 0), persist=False)
+    assert len(ran) == 3 and campaign.replayed == 1
+
+
+def test_kept_payout_drops_only_flipped_balance_tests(monkeypatch) -> None:
+    campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
+    address = campaign.target.address
+    for amount in (150, 250, 400):
+        campaign._execute(seed("pay", amount), persist=False)
+    campaign._execute(seed("pay", 100), persist=True)
+    assert campaign.base_state.balance_of(address) == 200
+    # 300 >= 150 and 200 >= 150; 300 < 400 and 200 < 400; 250 flips
+    assert _cached_calls(campaign) == {seed("pay", 150).calldata,
+                                       seed("pay", 400).calldata}
+    # a deposit raises the balance past 400 and flips that test
+    campaign._execute(seed("deposit", value=201), persist=True)
+    assert _cached_calls(campaign) == {seed("pay", 150).calldata}
+    campaign._execute(seed("pay", 150), persist=False)
+    assert len(ran) == 5 and campaign.replayed == 1
+
+
+def test_balance_tests_count_the_transactions_own_moves(monkeypatch) -> None:
+    """A re-entered `pay(100)` pays twice: from 300 its second test needs
+    200 to start with, not 100."""
+    campaign, seed, _ = _cache_campaign(monkeypatch, _probe_target())
+    twice = seed("pay", 100, policy=PolicyKind.REENTRANT)
+    campaign._execute(twice, persist=False)
+    campaign._execute(seed("pay", 50), persist=True)
+    assert _cached_calls(campaign) == {twice.calldata}
+    # 150 still covers one payout, but no longer the second
+    campaign._execute(seed("pay", 100), persist=True)
+    assert campaign.outcomes == {}
+
+
+def test_balance_read_is_exact(monkeypatch) -> None:
+    campaign, seed, _ = _cache_campaign(monkeypatch, _probe_target())
+    campaign._execute(seed("check"), persist=False)
+    campaign._execute(seed("load", 0), persist=False)
+    # 300 -> 299 leaves `check` on the same branch, but it read the balance
+    campaign._execute(seed("pay", 1), persist=True)
+    assert _cached_calls(campaign) == {seed("load", 0).calldata}
+    campaign._execute(seed("check"), persist=False)
+    campaign._execute(seed("deposit", value=1), persist=True)
+    assert _cached_calls(campaign) == {seed("load", 0).calldata}
+
+
+def test_kept_create_or_selfdestruct_empties_the_cache(monkeypatch) -> None:
+    campaign, seed, _ = _cache_campaign(monkeypatch, _probe_target())
+    campaign._execute(seed("load", 0), persist=False)
+    campaign._execute(seed("store", 1, 5), persist=True)
+    assert _cached_calls(campaign) == {seed("load", 0).calldata}
+    # the creator's nonce is part of the target account every run reads
+    campaign._execute(seed("spawn"), persist=True)
+    assert campaign.outcomes == {}
+
+    campaign._execute(seed("pay", 250), persist=True)
+    campaign._execute(seed("load", 0), persist=False)
+    assert _cached_calls(campaign) == {seed("load", 0).calldata}
+    campaign._execute(seed("kill"), persist=True)
+    assert campaign.outcomes == {}
+    assert campaign.base_state.code_of(campaign.target.address) == b""
 
 
 def test_campaign_replays_some_steps() -> None:
