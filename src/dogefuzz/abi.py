@@ -22,6 +22,10 @@ from .keccak import keccak256
 logger = logging.getLogger(__name__)
 
 MAX_NESTING = 3
+# the most words a fixed-length array or tuple, or a function's argument
+# list, may take, counting nested members and one word per dynamic member:
+# every execution generates, mutates and encodes that many values
+MAX_WORDS = 256
 
 _ADDRESS_BYTES = 20
 _WORD = 32
@@ -89,6 +93,17 @@ class AbiType:
         return False
 
     @property
+    def words(self) -> int:
+        """Words the value takes: the members of fixed-length arrays and
+        tuples are counted, and each scalar, `bytes`, `string` or
+        dynamic-length array is one word."""
+        if self.kind is TypeKind.ARRAY and not self.dynamic_length:
+            return self.size * self.inner.words
+        if self.kind is TypeKind.TUPLE:
+            return sum(c.words for c in self.components)
+        return 1
+
+    @property
     def depth(self) -> int:
         """Container nesting level; scalars are zero."""
         if self.kind is TypeKind.ARRAY:
@@ -112,12 +127,16 @@ def _split_top_level(text: str) -> list[str]:
     return parts
 
 
-def parse_type(text: str, components: Sequence[dict] | None = None) -> AbiType:
+def parse_type(text: str, components: Sequence[dict] | None = None, *,
+               _level: int = 0) -> AbiType:
     """Parse a declaration type string, e.g. ``uint256[2][]`` or ``(a,b)``.
 
     JSON-style tuples spell their base as ``tuple`` and carry the member
-    declarations in `components`.
+    declarations in `components`.  `_level` counts the containers around
+    `text`, so a deeply nested declaration fails before it recurses far.
     """
+    if _level > MAX_NESTING:
+        raise AbiError(f"nesting deeper than {MAX_NESTING}")
     text = text.strip()
     if not text:
         raise AbiError("empty type string")
@@ -125,7 +144,7 @@ def parse_type(text: str, components: Sequence[dict] | None = None) -> AbiType:
     if text.endswith("]"):
         bracket = text.rindex("[")
         spec = text[bracket + 1:-1]
-        inner = parse_type(text[:bracket], components)
+        inner = parse_type(text[:bracket], components, _level=_level + 1)
         if spec == "":
             parsed = AbiType(TypeKind.ARRAY, dynamic_length=True, inner=inner)
         else:
@@ -137,12 +156,12 @@ def parse_type(text: str, components: Sequence[dict] | None = None) -> AbiType:
             raise AbiError(f"unbalanced tuple in {text!r}")
         body = text[1:-1]
         members = () if body == "" else tuple(
-            parse_type(part) for part in _split_top_level(body))
+            parse_type(part, _level=_level + 1)
+            for part in _split_top_level(body))
         parsed = AbiType(TypeKind.TUPLE, components=members)
     elif text == "tuple":
         parsed = AbiType(TypeKind.TUPLE, components=tuple(
-            parse_type(c["type"], c.get("components"))
-            for c in (components or ())))
+            _parse_declaration(c, _level + 1) for c in (components or ())))
     elif text == "address":
         parsed = AbiType(TypeKind.ADDRESS)
     elif text == "bool":
@@ -166,9 +185,25 @@ def parse_type(text: str, components: Sequence[dict] | None = None) -> AbiType:
     else:
         raise AbiError(f"unsupported type {text!r}")
 
-    if parsed.depth > MAX_NESTING:
-        raise AbiError(f"nesting deeper than {MAX_NESTING} in {text!r}")
+    if parsed.kind is TypeKind.ARRAY or parsed.kind is TypeKind.TUPLE:
+        if parsed.depth > MAX_NESTING:
+            raise AbiError(f"nesting deeper than {MAX_NESTING} in {text!r}")
+        if parsed.words > MAX_WORDS:
+            raise AbiError(f"{text!r} takes more than {MAX_WORDS} words")
     return parsed
+
+
+def _parse_declaration(item: object, level: int = 0) -> AbiType:
+    """One declared input or tuple member: ``{"type": ..., "components":
+    [...]}`` as it appears in interface JSON."""
+    if not isinstance(item, dict):
+        raise AbiError("parameter declaration is not an object")
+    text, components = item.get("type"), item.get("components")
+    if not isinstance(text, str):
+        raise AbiError("parameter declaration without a type string")
+    if components is not None and not isinstance(components, list):
+        raise AbiError(f"components of {text!r} are not a list")
+    return parse_type(text, components, _level=level)
 
 
 # --- interface entries ----------------------------------------------------
@@ -234,8 +269,14 @@ def _entry_mutability(entry: dict) -> Mutability:
 
 
 def _entry_inputs(entry: dict) -> tuple[AbiType, ...]:
-    return tuple(parse_type(item["type"], item.get("components"))
-                 for item in entry.get("inputs", ()))
+    declared = entry.get("inputs", [])
+    if not isinstance(declared, list):
+        raise AbiError("inputs are not a list")
+    inputs = tuple([_parse_declaration(item) for item in declared])
+    # parse_type has checked each argument on its own
+    if len(inputs) > 1 and sum(t.words for t in inputs) > MAX_WORDS:
+        raise AbiError(f"arguments take more than {MAX_WORDS} words")
+    return inputs
 
 
 def parse_abi(entries: Iterable[dict]) -> list[FunctionSpec]:
@@ -246,7 +287,7 @@ def parse_abi(entries: Iterable[dict]) -> list[FunctionSpec]:
         kind = entry.get("type", "function")
         if kind == "function":
             name = entry.get("name")
-            if not name:
+            if not isinstance(name, str) or not name:
                 raise AbiError("function entry without a name")
             specs.append(FunctionSpec(name, _entry_inputs(entry),
                                       _entry_mutability(entry)))

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -60,8 +61,9 @@ def _parse_budget(text: str) -> tuple[int | None, float | None]:
             f"budget {text!r} is neither an iteration count nor seconds")
     if iterations is not None and iterations <= 0:
         raise argparse.ArgumentTypeError("iteration budget must be positive")
-    if seconds is not None and seconds <= 0:
-        raise argparse.ArgumentTypeError("time budget must be positive")
+    if seconds is not None and not 0 < seconds < math.inf:
+        raise argparse.ArgumentTypeError(
+            "time budget must be a positive, finite number of seconds")
     return iterations, seconds
 
 

@@ -65,6 +65,8 @@ DEPLOY_GAS = 5_000_000  # init code budget of a creation-mode deployment
 
 # cost of the agent's virtual logging fallback on any plain call into it
 AGENT_CALL_GAS = 20_000
+# times a reentrant agent re-enters its caller within one transaction
+MAX_REENTRIES = 1
 
 
 def _addr(tag: int) -> bytes:
@@ -104,13 +106,6 @@ class PolicyKind(str, Enum):
     THROWER = "Thrower"
 
 
-class AgentPolicy(NamedTuple):
-    """Behavior of the agent account when a contract calls it back."""
-
-    kind: PolicyKind = PolicyKind.BENIGN
-    max_reentries: int = 1
-
-
 class BlockContext(NamedTuple):
     number: int = 1_000_000
     timestamp: int = 1_600_000_000
@@ -132,7 +127,7 @@ class Transaction(NamedTuple):
     value: int = 0
     sender: bytes = AGENT_ADDRESS
     gas_limit: int = DEFAULT_TX_GAS
-    agent_policy: AgentPolicy = AgentPolicy()
+    agent_policy: PolicyKind = PolicyKind.BENIGN
     block: BlockContext = DEFAULT_BLOCK
 
 
@@ -264,10 +259,9 @@ def _signed(x: int) -> int:
 class _Machine:
     """One transaction's execution: frames, journal, instrumentation."""
 
-    def __init__(self, state: WorldState, tx: Transaction, track: bytes | None) -> None:
+    def __init__(self, state: WorldState, tx: Transaction) -> None:
         self.state = state
         self.tx = tx
-        self.track = track
         self.journal: list[tuple] = []
         self.events: list[ExecutionEvent] = []
         self.block_runs: dict[tuple[bytes, bytes], dict[int, int]] = {}
@@ -429,7 +423,7 @@ class _Machine:
         _, blocks, jumpdests, _, _, _ = analyze(code)
         pushes_one = op.PUSHES_ONE
         runs = self.block_runs.setdefault((code_address, code), {})
-        transitions = self.transitions if code_address == self.track else None
+        transitions = self.transitions if code_address == tx.target else None
         reads = self.reads
 
         stack: list[int] = []
@@ -838,7 +832,7 @@ class _Machine:
                    caller_calldata: bytes, static: bool) -> tuple[TxStatus, bytes, int]:
         """The agent's virtual fallback: charge the logging fee, then act."""
         policy = self.tx.agent_policy
-        if policy.kind is PolicyKind.THROWER:
+        if policy is PolicyKind.THROWER:
             # throws before doing any work
             if gas < 3:
                 return TxStatus.OUT_OF_GAS, b"", 0
@@ -846,8 +840,8 @@ class _Machine:
         gas -= AGENT_CALL_GAS
         if gas < 0:
             return TxStatus.OUT_OF_GAS, b"", 0
-        if (policy.kind is PolicyKind.REENTRANT and not static
-                and self.reentries_used < policy.max_reentries
+        if (policy is PolicyKind.REENTRANT and not static
+                and self.reentries_used < MAX_REENTRIES
                 and self.code_of(caller_address)):
             self.reentries_used += 1
             gas -= op.GAS_CALL_BASE
@@ -898,7 +892,7 @@ def execute_transaction(state: WorldState, tx: Transaction,
     if tx.value < 0:
         raise ValueError("negative transaction value")
 
-    machine = _Machine(state, tx, track=tx.target)
+    machine = _Machine(state, tx)
     mark = machine.checkpoint()
     if tx.value and not machine.transfer(tx.sender, tx.target, tx.value):
         raise ValueError("sender balance below transaction value")
@@ -959,9 +953,10 @@ def deploy_contract(state: WorldState, code: bytes, mode: str = "runtime",
             acct.balance = endowment
         return address
 
-    # a creation has no target; the deployer is its origin and its caller
+    # a creation has no target, and no code runs at the zero address; the
+    # deployer is its origin and its caller
     machine = _Machine(state, Transaction(target=ZERO_ADDRESS,
-                                          sender=DEPLOYER_ADDRESS), track=None)
+                                          sender=DEPLOYER_ADDRESS))
     status, address, _ = machine.create(DEPLOYER_ADDRESS, endowment,
                                         code + constructor_args, DEPLOY_GAS, 0)
     if status is not TxStatus.SUCCESS:

@@ -3,10 +3,11 @@
 Three strategies share one loop.  BlackBox draws fresh random inputs every
 cycle.  GreyBox keeps a seed queue, assigns each executed input an energy
 of one plus the number of previously unseen edges it exercised, admits a
-mutant only when it strictly out-scores its parent, and picks parents with
-probability proportional to energy.  DirectedGreyBox adds a proximity
-bonus of ``10 / (1 + d)`` where ``d`` is the lowest hop count, among the
-blocks the seed executed, to a money- or control-transferring instruction.
+mutant only when its energy strictly exceeds its parent's, and picks
+parents with probability proportional to energy.  DirectedGreyBox adds a
+proximity bonus of ``10 / (1 + d)`` where ``d`` is the lowest hop count,
+among the blocks the seed executed, to a money- or control-transferring
+instruction.
 Hop counts are kept per block start: computed once per campaign over the
 static graph every campaign on the code shares, and lowered incrementally
 as run-time jumps add learned edges to the campaign's own overlay of it.
@@ -64,7 +65,6 @@ from .cfg import (
     relax_distances,
 )
 from .evm import (
-    AgentPolicy,
     BlockContext,
     Location,
     PolicyKind,
@@ -73,7 +73,7 @@ from .evm import (
     execute_transaction,
     snapshot_state,
 )
-from .oracles import BugFinding, FineBugClass, dedupe_findings, detect_trace
+from .oracles import BugFinding, FineBugClass, detect_trace
 
 logger = logging.getLogger(__name__)
 
@@ -83,7 +83,6 @@ NUMBER_OFFSETS = (-256, -1, 1, 256)
 SEEDS_PER_FUNCTION = 2
 MUTANTS_PER_CYCLE = 8           # plus one mutant whose effects are kept
 COVERAGE_SAMPLE_INTERVAL = 50   # executions between coverage samples
-MAX_REENTRIES = 1               # agent re-entries per transaction
 OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 
 # what a repeat of a transaction needs: the target's block runs, the
@@ -93,12 +92,10 @@ OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 _Outcome = tuple[dict[int, int], list[BugFinding], bool, set[Location],
                  list[tuple[bytes, int, bool]]]
 # a seed's calldata, value, policy and block: with the campaign's fixed
-# target and `MAX_REENTRIES` they name the transaction
+# target they name the transaction
 _TxKey = tuple[bytes, int, PolicyKind, BlockContext]
 
 _POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
-_AGENT_POLICIES = {kind: AgentPolicy(kind, max_reentries=MAX_REENTRIES)
-                   for kind in _POLICY_CYCLE}
 # a fallback seed's raw calldata mutates as an ABI `bytes` value
 _RAW_CALLDATA = AbiType(TypeKind.BYTES)
 
@@ -117,6 +114,8 @@ class Seed:
     plus the encoded `args`, or for a fallback seed the raw bytes sent
     instead of arguments.  `generate_seed` and `mutate_seed` keep it in
     step with `args`; a seed built by hand starts with empty calldata.
+    `energy` is set once, when the seed runs; the seed that first hit a
+    finding is that finding's reproducer.
     """
 
     spec: FunctionSpec
@@ -125,9 +124,7 @@ class Seed:
     value: int = 0
     policy: PolicyKind = PolicyKind.BENIGN
     block: BlockContext = BlockContext()
-    # filled in after execution
-    new_edges: int = 0
-    d_min: int | None = None
+    energy: float = 1.0
 
 
 @dataclass(frozen=True)
@@ -154,23 +151,13 @@ class CampaignConfig:
     stop_classes: frozenset[FineBugClass] = frozenset()
 
 
-@dataclass(frozen=True)
-class Reproducer:
-    """The transaction that first exposed a finding, replayable as-is."""
-
-    function: str
-    calldata: bytes
-    value: int
-    policy: PolicyKind
-    block: BlockContext
-
-
 @dataclass
 class CampaignResult:
     strategy: Strategy
     executions: int
-    # (first hit tick, finding, reproducing transaction)
-    findings: list[tuple[int, BugFinding, Reproducer]]
+    # (first hit tick, finding, the seed that hit it), in (tick, class, pc)
+    # order
+    findings: list[tuple[int, BugFinding, Seed]]
     coverage_curve: list[tuple[int, float]]     # (tick, covered fraction)
     admitted_seeds: int
     final_coverage: float
@@ -216,15 +203,6 @@ class BlockCoverage:
 
 
 # --- seed construction ----------------------------------------------------
-
-def score_seed(strategy: Strategy, seed: Seed) -> float:
-    if strategy is Strategy.BLACKBOX:
-        return 1.0
-    energy = 1.0 + seed.new_edges
-    if strategy is Strategy.DIRECTED and seed.d_min is not None:
-        energy += DIRECTED_BONUS_WEIGHT / (1.0 + seed.d_min)
-    return energy
-
 
 def generate_seed(rng: random.Random, spec: FunctionSpec, pools: ValuePools,
                   ordinal: int = 0) -> Seed:
@@ -291,15 +269,14 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
     return child
 
 
-def select_seed(rng: random.Random, strategy: Strategy, queue: list[Seed],
-                total: float) -> Seed:
+def select_seed(rng: random.Random, queue: list[Seed], total: float) -> Seed:
     """Energy-proportional draw, scanning newest entries first.
 
-    `total` is the sum of the queue's scores, added front to back.
+    `total` is the sum of the queue's energies, added front to back.
     """
     point = rng.uniform(0.0, total)
     for seed in reversed(queue):
-        point -= score_seed(strategy, seed)
+        point -= seed.energy
         if point <= 0.0:
             return seed
     return queue[0]
@@ -330,10 +307,12 @@ class _Campaign:
         # transaction -> its outcome, valid against the current base state
         self.outcomes: dict[_TxKey, _Outcome] = {}
         self.replayed = 0
-        self.queue_score = 0.0  # sum of the queue's scores, front to back
+        self.queue_energy = 0.0  # sum of the queue's energies, front to back
         self.executions = 0
         self.admitted = 0
-        self.raw_findings: list[tuple[int, BugFinding, Reproducer]] = []
+        # each finding's first hit; ticks only grow, so the first kept is
+        # the earliest
+        self.first_hits: dict[BugFinding, tuple[int, BugFinding, Seed]] = {}
         self.coverage_rows: list[tuple[int, float]] = []
         self.started = time.monotonic()
         self.last_second_sampled = -1
@@ -395,7 +374,7 @@ class _Campaign:
                 target=self.target.address,
                 calldata=seed.calldata,
                 value=seed.value,
-                agent_policy=_AGENT_POLICIES[seed.policy],
+                agent_policy=seed.policy,
                 block=seed.block,
             )
             trace = execute_transaction(self.base_state, tx, persist=persist)
@@ -403,7 +382,7 @@ class _Campaign:
             findings = detect_trace(trace)
             outcome = (runs, findings, trace.changes_state, trace.reads,
                        trace.balance_tests)
-            seed.new_edges, fresh = self.coverage.add(runs, trace.transitions)
+            new_edges, fresh = self.coverage.add(runs, trace.transitions)
             if persist and trace.changes_state:
                 self._invalidate(trace.writes)
             else:
@@ -413,8 +392,9 @@ class _Campaign:
         else:
             runs, findings = outcome[0], outcome[1]
             self.replayed += 1
-            seed.new_edges, fresh = 0, ()
+            new_edges, fresh = 0, ()
 
+        seed.energy = 1.0 + new_edges
         if self.config.strategy is Strategy.DIRECTED:
             # only a transition can be a jump, and older ones were offered
             # to augment_edges when first seen
@@ -427,21 +407,14 @@ class _Campaign:
                 self.cfg = refined
             d_min = min(map(self.hops.get, runs, repeat(math.inf)),
                         default=math.inf)
-            seed.d_min = None if d_min == math.inf else d_min
+            if d_min != math.inf:
+                seed.energy += DIRECTED_BONUS_WEIGHT / (1.0 + d_min)
 
         tick = self.executions
-        if findings:
-            repro = Reproducer(
-                function=seed.spec.signature,
-                calldata=seed.calldata,
-                value=seed.value,
-                policy=seed.policy,
-                block=seed.block,
-            )
-            for finding in findings:
-                self.raw_findings.append((tick, finding, repro))
-                if finding.fine in self.config.stop_classes:
-                    self.stop = True
+        for finding in findings:
+            self.first_hits.setdefault(finding, (tick, finding, seed))
+            if finding.fine in self.config.stop_classes:
+                self.stop = True
         if (self.config.seconds is not None
                 or tick % COVERAGE_SAMPLE_INTERVAL == 0
                 or tick == self.config.budget):
@@ -450,12 +423,11 @@ class _Campaign:
 
     # -- cycles ------------------------------------------------------------
 
-    def _maybe_admit(self, parent_score: float, child: Seed,
+    def _maybe_admit(self, parent: Seed, child: Seed,
                      queue: list[Seed]) -> None:
-        score = score_seed(self.config.strategy, child)
-        if score > parent_score:
+        if child.energy > parent.energy:
             queue.append(child)
-            self.queue_score += score
+            self.queue_energy += child.energy
             self.admitted += 1
 
     def run(self) -> CampaignResult:
@@ -465,17 +437,15 @@ class _Campaign:
             if not self._within_budget():
                 break
             self._execute(seed, persist=False)
-        # a seed's score is fixed once it has run
+        # a seed's energy is fixed once it has run
         for seed in queue:
-            self.queue_score += score_seed(self.config.strategy, seed)
+            self.queue_energy += seed.energy
 
         eligible = self.target.eligible_specs()
         while self._within_budget():
             blind = self.config.strategy is Strategy.BLACKBOX
             if not blind:
-                parent = select_seed(rng, self.config.strategy, queue,
-                                     self.queue_score)
-                parent_score = score_seed(self.config.strategy, parent)
+                parent = select_seed(rng, queue, self.queue_energy)
             for lane in range(MUTANTS_PER_CYCLE + 1):
                 if not self._within_budget():
                     break
@@ -488,12 +458,14 @@ class _Campaign:
                     child = mutate_seed(rng, parent, self.target.pools)
                 self._execute(child, persist=persist)
                 if not blind:
-                    self._maybe_admit(parent_score, child, queue)
+                    self._maybe_admit(parent, child, queue)
 
         return CampaignResult(
             strategy=self.config.strategy,
             executions=self.executions,
-            findings=dedupe_findings(self.raw_findings),
+            findings=sorted(self.first_hits.values(),
+                            key=lambda row: (row[0], row[1].fine.value,
+                                             row[1].pc)),
             coverage_curve=self.coverage_rows,
             admitted_seeds=self.admitted,
             final_coverage=self._coverage_fraction(),

@@ -30,6 +30,7 @@ from .evm import (
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
     EOA_ADDRESS,
+    MAX_REENTRIES,
     ZERO_ADDRESS,
     DeploymentError,
     WorldState,
@@ -37,11 +38,11 @@ from .evm import (
 )
 from .fuzzer import (
     COVERAGE_SAMPLE_INTERVAL,
-    MAX_REENTRIES,
     MUTANTS_PER_CYCLE,
     CampaignConfig,
     CampaignResult,
     FuzzTarget,
+    Seed,
     run_campaign,
 )
 from .oracles import CLASSIFICATION, BugFinding, CoarseClass, FineBugClass
@@ -81,7 +82,8 @@ def _read_json(path: Path) -> object:
         raise BundleError(f"{path.name} missing")
     try:
         return json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    # unreadable, undecodable, not JSON, or nested past the recursion limit
+    except (OSError, ValueError, RecursionError) as exc:
         raise BundleError(f"{path.name}: {exc}") from exc
 
 
@@ -97,7 +99,7 @@ def load_bundle(directory: str | Path) -> TargetBundle:
         raise BundleError(f"manifest.json: unknown mode {mode!r}")
     try:
         constructor_args = bytes.fromhex(manifest.get("constructor_args", ""))
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise BundleError("manifest.json: constructor_args is not hex") from exc
     balance = manifest.get("initial_balance", 0)
     if not isinstance(balance, int) or balance < 0:
@@ -126,7 +128,8 @@ def load_bundle(directory: str | Path) -> TargetBundle:
     label_path = directory / "labels.json"
     if label_path.is_file():
         raw_labels = _read_json(label_path)
-        if not isinstance(raw_labels, dict) or "bugs" not in raw_labels:
+        if (not isinstance(raw_labels, dict)
+                or not isinstance(raw_labels.get("bugs"), list)):
             raise BundleError('labels.json: expected {"bugs": [...]}')
         for item in raw_labels["bugs"]:
             try:
@@ -306,7 +309,7 @@ def _config_document(config: CampaignConfig) -> dict:
     }
 
 
-def _finding_document(tick: int, finding, repro) -> dict:
+def _finding_document(tick: int, finding: BugFinding, seed: Seed) -> dict:
     return {
         "fine": finding.fine.value,
         "swc": finding.swc,
@@ -314,13 +317,13 @@ def _finding_document(tick: int, finding, repro) -> dict:
         "pc": finding.pc,
         "first_hit": tick,
         "reproducer": {
-            "function": repro.function,
-            "calldata": repro.calldata.hex(),
-            "value": repro.value,
-            "agent_policy": repro.policy.value,
+            "function": seed.spec.signature,
+            "calldata": seed.calldata.hex(),
+            "value": seed.value,
+            "agent_policy": seed.policy.value,
             "block": {
-                "number": repro.block.number,
-                "timestamp": repro.block.timestamp,
+                "number": seed.block.number,
+                "timestamp": seed.block.timestamp,
             },
         },
     }
@@ -340,8 +343,8 @@ def report_document(
             "config": _config_document(item.config),
             "executions": item.result.executions,
             "final_coverage": item.result.final_coverage,
-            "findings": [_finding_document(tick, finding, repro)
-                         for tick, finding, repro in item.result.findings],
+            "findings": [_finding_document(tick, finding, seed)
+                         for tick, finding, seed in item.result.findings],
         })
     document = {"campaigns": campaigns}
     if metrics is not None:

@@ -2,8 +2,8 @@
 
 Each rule inspects the events of a single transaction and reports at most
 one finding per fine-grained class, anchored at the first event that
-satisfies the rule.  Campaign-level bookkeeping collapses repeats of the
-same (class, pc) pair down to their earliest occurrence.
+satisfies the rule.  A campaign keeps only the first hit of each
+(class, pc) pair.
 """
 
 from __future__ import annotations
@@ -11,7 +11,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, TypeVar
 
 from .evm import EventKind, ExecutionEvent, ExecutionTrace, TxStatus
 
@@ -127,25 +126,3 @@ def detect(trace: ExecutionTrace) -> list[BugFinding]:
 # the name campaigns look detection up by
 detect_trace = detect
 
-
-# --- campaign aggregation -------------------------------------------------
-
-RowT = TypeVar("RowT", bound=tuple)
-
-
-def dedupe_findings(found: Iterable[RowT]) -> list[RowT]:
-    """Collapse repeats of one (fine class, pc) site to the earliest hit.
-
-    Rows start with (iteration, finding); trailing items such as a
-    reproducing transaction ride along untouched.  Output is sorted by
-    iteration, then class, then pc, to keep reports stable.
-    """
-    best: dict[tuple[FineBugClass, int], RowT] = {}
-    for row in found:
-        iteration, finding = row[0], row[1]
-        key = (finding.fine, finding.pc)
-        kept = best.get(key)
-        if kept is None or iteration < kept[0]:
-            best[key] = row
-    return sorted(best.values(),
-                  key=lambda row: (row[0], row[1].fine.value, row[1].pc))

@@ -8,9 +8,9 @@ from dogefuzz.evm import (
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
     DEFAULT_TX_GAS,
-    AgentPolicy,
     BlockContext,
     ExecutionTrace,
+    PolicyKind,
     Transaction,
     WorldState,
     deploy_contract,
@@ -44,7 +44,7 @@ RETURN_TOP = code(P(0), op.MSTORE, P(32), P(0), op.RETURN)
 
 def run(code_bytes: bytes, calldata: bytes = b"", value: int = 0,
         storage: dict[int, int] | None = None, endowment: int = 0,
-        gas: int = DEFAULT_TX_GAS, policy: AgentPolicy | None = None,
+        gas: int = DEFAULT_TX_GAS, policy: PolicyKind | None = None,
         block: BlockContext | None = None, persist: bool = True,
         ) -> tuple[ExecutionTrace, WorldState, bytes]:
     """Deploy `code_bytes` fresh and execute one transaction against it."""
@@ -59,7 +59,7 @@ def run(code_bytes: bytes, calldata: bytes = b"", value: int = 0,
         calldata=calldata,
         value=value,
         gas_limit=gas,
-        agent_policy=policy or AgentPolicy(),
+        agent_policy=policy or PolicyKind.BENIGN,
         block=block or BlockContext(),
     )
     return execute_transaction(state, tx, persist=persist), state, address

@@ -13,6 +13,7 @@ from dogefuzz.abi import (
     AbiType,
     FunctionSpec,
     MAGIC_WORDS,
+    MAX_WORDS,
     Mutability,
     TypeKind,
     ValuePools,
@@ -103,6 +104,39 @@ def test_malformed_types_rejected(text: str) -> None:
 def test_nested_tuple_beyond_limit_rejected() -> None:
     with pytest.raises(AbiError):
         parse_type("(((uint256[])))")
+
+
+def test_words_count_nested_members_and_dynamic_heads() -> None:
+    assert parse_type("uint256").words == 1
+    assert parse_type("bytes").words == 1
+    assert parse_type("uint256[8][]").words == 1
+    assert parse_type("(uint256[2][3],bytes,uint8[],bytes[2])").words == 10
+    assert parse_type(f"uint256[{MAX_WORDS}]").words == MAX_WORDS
+
+
+@pytest.mark.parametrize("text", [
+    f"uint256[{MAX_WORDS + 1}]", "uint256[1000000]", f"bytes[{MAX_WORDS + 1}]",
+    f"(uint256[{MAX_WORDS}],bool)", "uint256[16][17]", "uint256[1000000][]",
+])
+def test_fixed_size_over_word_cap_rejected(text: str) -> None:
+    with pytest.raises(AbiError, match="words"):
+        parse_type(text)
+
+
+def test_tuple_components_over_word_cap_rejected() -> None:
+    member = {"type": "uint256[200]"}
+    with pytest.raises(AbiError, match="words"):
+        parse_type("tuple", [member, member])
+
+
+def test_argument_list_over_word_cap_rejected() -> None:
+    half = {"name": "x", "type": f"uint256[{MAX_WORDS // 2}]"}
+    (spec,) = parse_abi([{"type": "function", "name": "f",
+                          "inputs": [half, half]}])
+    assert sum(t.words for t in spec.inputs) == MAX_WORDS
+    with pytest.raises(AbiError, match="words"):
+        parse_abi([{"type": "function", "name": "f",
+                    "inputs": [half, half, {"type": "bool"}]}])
 
 
 # --- interface parsing ----------------------------------------------------

@@ -35,7 +35,8 @@ def test_budget_formats(text, expected) -> None:
     assert _parse_budget(text) == expected
 
 
-@pytest.mark.parametrize("text", ["", "soon", "0", "-4", "0s", "-1.5s", "xiter"])
+@pytest.mark.parametrize("text", ["", "soon", "0", "-4", "0s", "-1.5s", "xiter",
+                                  "nans", "infs", "1e400s"])
 def test_budget_rejects_nonsense(text) -> None:
     with pytest.raises(argparse.ArgumentTypeError):
         _parse_budget(text)
@@ -117,6 +118,7 @@ def test_cfg_writes_dot_and_distances(bench_root, tmp_path, capsys) -> None:
     ["run"],
     ["run", "--bundle", "somewhere"],                      # missing --out
     ["run", "--bundle", "x", "--out", "y", "--budget", "soon"],
+    ["run", "--bundle", "x", "--out", "y", "--budget", "nans"],
     ["run", "--bundle", "x", "--out", "y", "--strategy", "psychic"],
     ["bench", "--dir", "x"],                               # missing --out
     ["mine"],

@@ -17,7 +17,6 @@ from dogefuzz.cfg import analyze, jump_edges
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     AGENT_CALL_GAS,
-    AgentPolicy,
     EventKind,
     ExecutionTrace,
     PolicyKind,
@@ -50,7 +49,7 @@ def _check_sequence(raw: bytes, runs: list[Run]) -> list[ExecutionTrace]:
     traces = []
     for policy, gas in runs:
         tx = Transaction(target=address, gas_limit=gas,
-                         agent_policy=AgentPolicy(policy))
+                         agent_policy=policy)
         reference, ref_pcs, ref_pairs = reference_coverage(
             snapshot_state(state), tx)
         trace = execute_transaction(state, tx)

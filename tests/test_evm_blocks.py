@@ -12,7 +12,6 @@ from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
     AGENT_ADDRESS,
-    AgentPolicy,
     EventKind,
     PolicyKind,
     Transaction,
@@ -185,7 +184,7 @@ def _flagged_reentry() -> tuple[bytes, dict[str, int]]:
 
 def test_reentrant_frame_adds_its_own_edges() -> None:
     raw, at = _flagged_reentry()
-    policy = AgentPolicy(PolicyKind.REENTRANT)
+    policy = PolicyKind.REENTRANT
     trace, _, address = run(raw, policy=policy)
     assert trace.status is TxStatus.SUCCESS
     assert any(e.kind is EventKind.REENTRANCY for e in trace.events)
@@ -259,7 +258,7 @@ _ATOMS = st.one_of(
 def test_random_code_coverage_is_block_consistent(raw: bytes,
                                                   policy: PolicyKind,
                                                   gas: int) -> None:
-    trace, _, address = run(raw, gas=gas, policy=AgentPolicy(policy))
+    trace, _, address = run(raw, gas=gas, policy=policy)
     starts = _instruction_starts(raw)
     executed = trace.executed_pcs.get(address, set())
     assert executed <= set(starts)

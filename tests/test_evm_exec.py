@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dogefuzz import evm
 from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     AGENT_CALL_GAS,
     DEPLOYER_ADDRESS,
-    AgentPolicy,
     DeploymentError,
     EventKind,
     PolicyKind,
@@ -79,7 +79,7 @@ def test_benign_agent_accepts_and_charges_fee() -> None:
 def test_thrower_agent_makes_checked_call_revert() -> None:
     state, vault = deploy_vault()
     execute_transaction(state, Transaction(target=vault, value=100))
-    policy = AgentPolicy(PolicyKind.THROWER)
+    policy = PolicyKind.THROWER
     withdraw = execute_transaction(
         state, Transaction(target=vault, calldata=WITHDRAW, agent_policy=policy))
     assert withdraw.status is TxStatus.REVERTED
@@ -92,7 +92,7 @@ def test_thrower_agent_makes_checked_call_revert() -> None:
 def test_reentrant_agent_drains_vault() -> None:
     state, vault = deploy_vault(extra_liquidity=1000)
     execute_transaction(state, Transaction(target=vault, value=100))
-    policy = AgentPolicy(PolicyKind.REENTRANT, max_reentries=1)
+    policy = PolicyKind.REENTRANT
     withdraw = execute_transaction(
         state, Transaction(target=vault, calldata=WITHDRAW, agent_policy=policy))
     assert withdraw.status is TxStatus.SUCCESS
@@ -112,17 +112,20 @@ def test_reentrant_agent_drains_vault() -> None:
     assert state.balance_of(AGENT_ADDRESS) == 10 ** 18 + 100
 
 
-def test_reentries_bounded_by_policy() -> None:
-    state, vault = deploy_vault(extra_liquidity=10_000)
-    execute_transaction(state, Transaction(target=vault, value=100))
-    policy = AgentPolicy(PolicyKind.REENTRANT, max_reentries=3)
-    withdraw = execute_transaction(
-        state, Transaction(target=vault, calldata=WITHDRAW, agent_policy=policy))
-    assert withdraw.status is TxStatus.SUCCESS
-    reentries = [e for e in withdraw.events
-                 if e.kind is EventKind.REENTRANCY and e.data == (vault,)]
-    assert len(reentries) == 3
-    assert state.balance_of(AGENT_ADDRESS) == 10 ** 18 + 300
+def test_reentries_bounded_by_policy(monkeypatch) -> None:
+    # the shipped cap, then a larger one to show the count follows it
+    for cap in (evm.MAX_REENTRIES, 3):
+        monkeypatch.setattr(evm, "MAX_REENTRIES", cap)
+        state, vault = deploy_vault(extra_liquidity=10_000)
+        execute_transaction(state, Transaction(target=vault, value=100))
+        withdraw = execute_transaction(
+            state, Transaction(target=vault, calldata=WITHDRAW,
+                               agent_policy=PolicyKind.REENTRANT))
+        assert withdraw.status is TxStatus.SUCCESS
+        reentries = [e for e in withdraw.events
+                     if e.kind is EventKind.REENTRANCY and e.data == (vault,)]
+        assert len(reentries) == cap
+        assert state.balance_of(AGENT_ADDRESS) == 10 ** 18 + 100 * cap
 
 
 def test_agent_under_stipend_runs_out_of_gas() -> None:
@@ -131,10 +134,10 @@ def test_agent_under_stipend_runs_out_of_gas() -> None:
     a.push(0).push(0).push(0).push(0).push(1)
     a.push_address(AGENT_ADDRESS).push(0).op("CALL", "POP", "STOP")
     for kind in (PolicyKind.BENIGN, PolicyKind.REENTRANT):
-        trace, _, _ = run(a.assemble(), endowment=5, policy=AgentPolicy(kind))
+        trace, _, _ = run(a.assemble(), endowment=5, policy=kind)
         assert trace.status is TxStatus.SUCCESS
         assert any(e.kind is EventKind.GASLESS_SEND for e in trace.events), kind
-    thrower, _, _ = run(a.assemble(), endowment=5, policy=AgentPolicy(PolicyKind.THROWER))
+    thrower, _, _ = run(a.assemble(), endowment=5, policy=PolicyKind.THROWER)
     # throws before spending the stipend: a swallowed revert, not gasless
     assert all(e.kind is not EventKind.GASLESS_SEND for e in thrower.events)
     assert any(e.kind is EventKind.EXCEPTION_DISORDER for e in thrower.events)
@@ -159,7 +162,7 @@ def test_failed_transaction_leaves_state_intact() -> None:
     snap = snapshot_state(state)
     trace = execute_transaction(
         state, Transaction(target=vault, calldata=WITHDRAW,
-                           agent_policy=AgentPolicy(PolicyKind.THROWER), value=3))
+                           agent_policy=PolicyKind.THROWER, value=3))
     assert trace.status is TxStatus.REVERTED
     assert state == snap
 
@@ -247,7 +250,7 @@ def test_balance_conservation_across_transfers() -> None:
     for _ in range(20):
         calldata = WITHDRAW if rng.random() < 0.5 else b""
         value = rng.randrange(0, 50)
-        policy = AgentPolicy(rng.choice(list(PolicyKind)))
+        policy = rng.choice(list(PolicyKind))
         execute_transaction(
             state, Transaction(target=vault, calldata=calldata, value=value,
                                agent_policy=policy))
@@ -259,7 +262,7 @@ def test_trace_is_deterministic_from_equal_states() -> None:
     execute_transaction(state, Transaction(target=vault, value=100))
     snap = snapshot_state(state)
     tx = Transaction(target=vault, calldata=WITHDRAW,
-                     agent_policy=AgentPolicy(PolicyKind.REENTRANT))
+                     agent_policy=PolicyKind.REENTRANT)
     first = execute_transaction(snapshot_state(snap), tx)
     second = execute_transaction(snapshot_state(snap), tx)
     assert first.events == second.events

@@ -367,7 +367,7 @@ def test_log_is_a_noop_consuming_operands() -> None:
 
 def test_depth_limit_refuses_frame() -> None:
     state = WorldState()
-    machine = _Machine(state, Transaction(target=b"\x00" * 20), track=None)
+    machine = _Machine(state, Transaction(target=b"\x00" * 20))
     status, _, gas_left = machine.run_frame(
         code(op.STOP), b"\x01" * 20, b"\x01" * 20, b"\x02" * 20, 0, b"",
         1000, 1025, False)

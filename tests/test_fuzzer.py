@@ -15,7 +15,6 @@ from dogefuzz.evm import (
     ACCOUNT,
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
-    AgentPolicy,
     BlockContext,
     PolicyKind,
     Transaction,
@@ -25,7 +24,7 @@ from dogefuzz.evm import (
     snapshot_state,
 )
 from dogefuzz.fuzzer import (
-    MAX_REENTRIES,
+    DIRECTED_BONUS_WEIGHT,
     OUTCOME_CACHE_SIZE,
     SEEDS_PER_FUNCTION,
     CampaignConfig,
@@ -36,7 +35,6 @@ from dogefuzz.fuzzer import (
     initial_corpus,
     mutate_seed,
     run_campaign,
-    score_seed,
     select_seed,
 )
 from dogefuzz.microbench import Fixture, GATED_GUARDS, all_fixtures, fixture
@@ -248,27 +246,14 @@ def test_mutation_is_deterministic_per_rng_seed() -> None:
 
 # --- scoring and selection ------------------------------------------------
 
-def test_score_by_strategy() -> None:
-    seed = Seed(spec=parse_abi([{"type": "fallback"}])[0])
-    seed.new_edges = 4
-    seed.d_min = 1
-    assert score_seed(Strategy.BLACKBOX, seed) == 1.0
-    assert score_seed(Strategy.GREYBOX, seed) == 5.0
-    assert score_seed(Strategy.DIRECTED, seed) == 5.0 + 10.0 / 2.0
-    seed.d_min = None
-    assert score_seed(Strategy.DIRECTED, seed) == 5.0
-
-
 def test_selection_is_energy_proportional() -> None:
     spec = parse_abi([{"type": "fallback"}])[0]
     weak = Seed(spec=spec)
     strong = Seed(spec=spec)
-    strong.new_edges = 99
+    strong.energy = 100.0
     rng = random.Random(11)
-    total = score_seed(Strategy.GREYBOX, weak) + \
-        score_seed(Strategy.GREYBOX, strong)
-    picks = [select_seed(rng, Strategy.GREYBOX, [weak, strong], total)
-             for _ in range(300)]
+    total = weak.energy + strong.energy
+    picks = [select_seed(rng, [weak, strong], total) for _ in range(300)]
     ratio = sum(1 for p in picks if p is strong) / len(picks)
     assert ratio > 0.9
 
@@ -277,7 +262,7 @@ def test_selection_covers_low_energy_seeds_eventually() -> None:
     spec = parse_abi([{"type": "fallback"}])[0]
     seeds = [Seed(spec=spec) for _ in range(3)]
     rng = random.Random(2)
-    picked = {id(select_seed(rng, Strategy.GREYBOX, seeds, 3.0))
+    picked = {id(select_seed(rng, seeds, 3.0))
               for _ in range(100)}
     assert len(picked) == 3
 
@@ -443,7 +428,7 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
 
     def execute(state, tx, persist=True):
         trace = real_execute(state, tx, persist=persist)
-        traces[tx.calldata, tx.value, tx.agent_policy.kind, tx.block] = trace
+        traces[tx.calldata, tx.value, tx.agent_policy, tx.block] = trace
         return trace
 
     steps = []
@@ -452,7 +437,9 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     def step(campaign, seed, persist):
         outcome = real_step(campaign, seed, persist)
         trace = traces[seed.calldata, seed.value, seed.policy, seed.block]
-        steps.append((campaign, seed.d_min, campaign.cfg, trace))
+        reached = [campaign.hops[s] for s in outcome[0] if s in campaign.hops]
+        d_min = min(reached) if reached else None
+        steps.append((campaign, d_min, campaign.cfg, trace))
         return outcome
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
@@ -539,10 +526,13 @@ def _probe_target() -> FuzzTarget:
 def test_replayed_outcomes_match_fresh_executions(monkeypatch,
                                                   strategy) -> None:
     """Every step, hit or miss, equals a fresh run on a copy of the base
-    state it started from, and leaves the same base state behind."""
+    state it started from, and leaves the same base state behind; each
+    seed's energy follows from the fresh run, and a campaign's findings
+    are the earliest hit of each site."""
     real_step = fuzzer._Campaign._execute
     checked = []
     survivals = []      # outcomes left after each kept state change
+    hits = []           # (tick, finding, seed) of every step's findings
 
     def step(campaign, seed, persist):
         before = snapshot_state(campaign.base_state)
@@ -553,19 +543,20 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         replayed_runs, findings, changes_state = outcome[:3]
         tx = Transaction(target=campaign.target.address,
                          calldata=seed.calldata, value=seed.value,
-                         agent_policy=AgentPolicy(seed.policy, MAX_REENTRIES),
+                         agent_policy=seed.policy,
                          block=seed.block)
         trace = execute_transaction(before, tx, persist=persist)
         runs = trace.block_runs.get(campaign.runs_key, {})
         assert replayed_runs == runs
         assert findings == detect_trace(trace)
-        assert [f for tick, f, _ in campaign.raw_findings
-                if tick == campaign.executions] == findings
+        hits.extend((campaign.executions, f, seed) for f in findings)
         assert changes_state is trace.changes_state
-        assert seed.new_edges == coverage.add(runs, trace.transitions)[0]
+        energy = 1.0 + coverage.add(runs, trace.transitions)[0]
         if strategy is Strategy.DIRECTED:
             reached = [campaign.hops[s] for s in runs if s in campaign.hops]
-            assert seed.d_min == (min(reached) if reached else None)
+            if reached:
+                energy += DIRECTED_BONUS_WEIGHT / (1.0 + min(reached))
+        assert seed.energy == energy
         assert campaign.base_state == before
         if persist and changes_state:
             survivals.append((campaign.target.name, len(campaign.outcomes)))
@@ -587,8 +578,19 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
     executions = replayed = 0
     for target in [make_target(fx) for fx in all_fixtures()] + [probe]:
         for rng_seed in (0, 1):
+            hits.clear()
             result = run_campaign(target, CampaignConfig(
                 strategy=strategy, budget=400, rng_seed=rng_seed))
+            earliest = {}
+            for tick, finding, seed in hits:
+                site = (finding.fine, finding.pc)
+                if site not in earliest or tick < earliest[site][0]:
+                    earliest[site] = (tick, finding, seed)
+            assert result.findings == sorted(
+                earliest.values(),
+                key=lambda row: (row[0], row[1].fine.value, row[1].pc))
+            assert all(row[2] is earliest[row[1].fine, row[1].pc][2]
+                       for row in result.findings)
             executions += result.executions
             replayed += result.replayed
     assert len(checked) == executions
@@ -658,10 +660,10 @@ def test_outcome_cache_replays_a_repeat(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     keep = seed("keep")
     first = campaign._execute(keep, persist=False)
-    assert keep.new_edges > 0
+    assert keep.energy > 1.0
     again = seed("keep")
     assert campaign._execute(again, persist=False) is first
-    assert again.new_edges == 0
+    assert again.energy == 1.0
     assert len(ran) == 1 and campaign.replayed == 1
     assert campaign.executions == 2
 

@@ -75,7 +75,7 @@ def _directed_campaign_digest(target) -> str:
         "the campaign learns run-time jump edges"
     outcome = {
         "findings": [
-            [tick, finding.fine.value, finding.pc, repro.function,
+            [tick, finding.fine.value, finding.pc, repro.spec.signature,
              repro.calldata.hex(), repro.value, repro.policy.value,
              repro.block.number, repro.block.timestamp]
             for tick, finding, repro in result.findings],

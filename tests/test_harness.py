@@ -11,7 +11,6 @@ from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     Transaction,
-    AgentPolicy,
     BlockContext,
     PolicyKind,
     execute_transaction,
@@ -119,6 +118,59 @@ def test_load_bundle_rejects_bad_labels(bench_root) -> None:
         load_bundle(directory)
 
 
+def _edit_json(name: str, edit):
+    """A bundle edit: load `name`, change it in place with `edit`, save."""
+    def apply(directory) -> None:
+        document = json.loads((directory / name).read_text())
+        edit(document)
+        (directory / name).write_text(json.dumps(document))
+    return apply
+
+
+def _first_input(abi: list) -> dict:
+    return abi[0]["inputs"][0]
+
+
+DEEP_TYPE = "(" * 20_000 + "uint256" + ")" * 20_000
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_json("manifest.json", lambda m: m.update(constructor_args=5)),
+    _edit_json("abi.json", lambda abi: abi[0].update(inputs=5)),
+    _edit_json("abi.json", lambda abi: _first_input(abi).pop("type")),
+    _edit_json("abi.json", lambda abi: _first_input(abi).update(type=7)),
+    _edit_json("abi.json", lambda abi: _first_input(abi).update(
+        type="tuple", components=[{"name": "member"}])),
+    _edit_json("abi.json", lambda abi: _first_input(abi).update(
+        type="tuple", components=5)),
+    _edit_json("abi.json", lambda abi: abi[0].update(name=5)),
+    _edit_json("abi.json", lambda abi: _first_input(abi).update(
+        type="uint256[1000000]")),
+    _edit_json("abi.json", lambda abi: abi[0].update(
+        inputs=[{"type": "uint256[100]"}] * 3)),
+    _edit_json("abi.json", lambda abi: _first_input(abi).update(
+        type=DEEP_TYPE)),
+    lambda directory: (directory / "abi.json").write_bytes(b"\xff["),
+    lambda directory: (directory / "abi.json").write_text("[" * 100_000),
+    _edit_json("labels.json", lambda labels: labels.update(bugs=5)),
+], ids=["constructor_args_number", "inputs_number", "input_without_type",
+        "type_number", "component_without_type", "components_number",
+        "name_number", "static_array_over_cap", "arguments_over_cap",
+        "type_nested_too_deep", "abi_not_text", "json_nested_too_deep",
+        "bugs_number"])
+def test_load_benchmark_skips_each_malformed_shape(tmp_path, edit) -> None:
+    root = write_benchmark(tmp_path / "bench", [fixture("gated_send")])
+    (root / "gated_send").rename(root / "good")
+    (root / "bad").mkdir()
+    for item in (root / "good").iterdir():
+        (root / "bad" / item.name).write_bytes(item.read_bytes())
+    edit(root / "bad")
+    skipped: list[tuple[str, str]] = []
+    bundles = load_benchmark(root, skipped)
+    assert [b.name for b in bundles] == ["gated_send"]
+    assert [name for name, _ in skipped] == ["bad"]
+
+
 def test_load_bundle_rejects_empty_code(bench_root) -> None:
     directory = bench_root / "reentrancy_fixed"
     (directory / "code.hex").write_text("\n")
@@ -210,7 +262,7 @@ def test_reproducer_replays_stateless_finding(bench_root) -> None:
         target=fresh.address,
         calldata=repro.calldata,
         value=repro.value,
-        agent_policy=AgentPolicy(repro.policy),
+        agent_policy=repro.policy,
         block=repro.block,
     ), persist=False)
     replayed = detect_trace(trace)
@@ -227,7 +279,7 @@ def test_reproducer_names_the_triggering_call(bench_root) -> None:
     assert rows
     _, found, repro = rows[0]
     assert found.fine is FineBugClass.REENTRANCY
-    assert repro.function.startswith("withdraw(")
+    assert repro.spec.signature.startswith("withdraw(")
     assert repro.policy is PolicyKind.REENTRANT
     assert repro.calldata[:4] != b"", "calldata preserved for replay"
 

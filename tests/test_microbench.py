@@ -15,7 +15,6 @@ from dogefuzz.abi import FunctionSpec, encode_call, parse_abi
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     DEPLOYER_ADDRESS,
-    AgentPolicy,
     PolicyKind,
     Transaction,
     TxStatus,
@@ -34,7 +33,7 @@ from dogefuzz.microbench import (
 from dogefuzz.oracles import FineBugClass, detect_trace
 
 
-ALL_POLICIES = tuple(AgentPolicy(kind) for kind in PolicyKind)
+ALL_POLICIES = tuple(PolicyKind)
 EOA = b"\x5e" * 20
 
 
@@ -55,7 +54,7 @@ def spec_of(fx: Fixture, name: str) -> FunctionSpec:
 
 def call(state: WorldState, address: bytes, fx: Fixture, name: str,
          args: list = (), value: int = 0,
-         policy: AgentPolicy = AgentPolicy(PolicyKind.BENIGN)):
+         policy: PolicyKind = PolicyKind.BENIGN):
     calldata = encode_call(spec_of(fx, name), list(args))
     return execute_transaction(state, Transaction(
         target=address, calldata=calldata, value=value, agent_policy=policy))
@@ -97,7 +96,7 @@ def test_reentrancy_vulnerable_drains_under_reentrant_agent() -> None:
     state, address = deploy_fixture(fx)
     assert call(state, address, fx, "deposit", value=100).status is TxStatus.SUCCESS
     trace = call(state, address, fx, "withdraw",
-                 policy=AgentPolicy(PolicyKind.REENTRANT))
+                 policy=PolicyKind.REENTRANT)
     assert trace.status is TxStatus.SUCCESS
     assert found(trace) == {FineBugClass.REENTRANCY}
     # double payout happened
@@ -122,7 +121,7 @@ def test_reentrancy_fixed_is_clean_and_pays_once() -> None:
     state, address = deploy_fixture(fx)
     call(state, address, fx, "deposit", value=100)
     trace = call(state, address, fx, "withdraw",
-                 policy=AgentPolicy(PolicyKind.REENTRANT))
+                 policy=PolicyKind.REENTRANT)
     assert trace.status is TxStatus.SUCCESS
     assert state.balance_of(AGENT_ADDRESS) == 10 ** 18
 
@@ -158,8 +157,8 @@ def test_delegate_fixed_is_clean() -> None:
 
 def test_gasless_vulnerable_flags_both_send_classes() -> None:
     fx = fixture("gasless_vulnerable")
-    for policy in (AgentPolicy(PolicyKind.BENIGN),
-                   AgentPolicy(PolicyKind.REENTRANT)):
+    for policy in (PolicyKind.BENIGN,
+                   PolicyKind.REENTRANT):
         state, address = deploy_fixture(fx)
         trace = call(state, address, fx, "pay", policy=policy)
         assert trace.status is TxStatus.SUCCESS
@@ -175,7 +174,7 @@ def test_gasless_fixed_is_clean_under_all_policies() -> None:
         state, address = deploy_fixture(fx)
         trace = call(state, address, fx, "pay", policy=policy)
         assert found(trace) == set(), policy
-        if policy.kind is PolicyKind.THROWER:
+        if policy is PolicyKind.THROWER:
             assert trace.status is TxStatus.REVERTED
         else:
             assert trace.status is TxStatus.SUCCESS

@@ -10,7 +10,6 @@ from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
     AGENT_ADDRESS,
-    AgentPolicy,
     EventKind,
     ExecutionEvent,
     ExecutionTrace,
@@ -24,7 +23,6 @@ from dogefuzz.oracles import (
     BugFinding,
     CoarseClass,
     FineBugClass,
-    dedupe_findings,
     detect,
     detect_trace,
 )
@@ -174,22 +172,6 @@ def test_one_pass_detect_matches_reference(events) -> None:
         assert detect(trace) == detect_reference(trace)
 
 
-# --- deduplication --------------------------------------------------------
-
-def test_dedupe_keeps_earliest_iteration() -> None:
-    a = BugFinding(FineBugClass.GASLESS_SEND, 12)
-    merged = dedupe_findings([(5, a), (2, a), (9, a)])
-    assert merged == [(2, a)]
-
-
-def test_dedupe_distinguishes_sites_and_classes() -> None:
-    near = BugFinding(FineBugClass.GASLESS_SEND, 12)
-    far = BugFinding(FineBugClass.GASLESS_SEND, 90)
-    other = BugFinding(FineBugClass.EXCEPTION_DISORDER, 12)
-    merged = dedupe_findings([(4, far), (1, near), (3, other)])
-    assert merged == [(1, near), (3, other), (4, far)]
-
-
 # --- live traces ----------------------------------------------------------
 
 def test_vault_drain_detected_as_reentrancy() -> None:
@@ -197,7 +179,7 @@ def test_vault_drain_detected_as_reentrancy() -> None:
     execute_transaction(state, Transaction(target=vault, value=100))
     trace = execute_transaction(
         state, Transaction(target=vault, calldata=WITHDRAW,
-                           agent_policy=AgentPolicy(PolicyKind.REENTRANT)))
+                           agent_policy=PolicyKind.REENTRANT))
     findings = detect_trace(trace)
     assert FineBugClass.REENTRANCY in classes(findings)
 
