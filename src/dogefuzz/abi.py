@@ -103,15 +103,6 @@ class AbiType:
             return sum(c.words for c in self.components)
         return 1
 
-    @property
-    def depth(self) -> int:
-        """Container nesting level; scalars are zero."""
-        if self.kind is TypeKind.ARRAY:
-            return 1 + self.inner.depth
-        if self.kind is TypeKind.TUPLE:
-            return 1 + max((c.depth for c in self.components), default=0)
-        return 0
-
 
 def _split_top_level(text: str) -> list[str]:
     parts, depth, start = [], 0, 0
@@ -133,13 +124,15 @@ def parse_type(text: str, components: Sequence[dict] | None = None, *,
 
     JSON-style tuples spell their base as ``tuple`` and carry the member
     declarations in `components`.  `_level` counts the containers around
-    `text`, so a deeply nested declaration fails before it recurses far.
+    `text`; an array or tuple inside `MAX_NESTING` of them is rejected
+    before it recurses further.
     """
-    if _level > MAX_NESTING:
-        raise AbiError(f"nesting deeper than {MAX_NESTING}")
     text = text.strip()
     if not text:
         raise AbiError("empty type string")
+    if _level >= MAX_NESTING and (text.endswith("]") or text.startswith("(")
+                                  or text == "tuple"):
+        raise AbiError(f"nesting deeper than {MAX_NESTING}")
 
     if text.endswith("]"):
         bracket = text.rindex("[")
@@ -186,8 +179,6 @@ def parse_type(text: str, components: Sequence[dict] | None = None, *,
         raise AbiError(f"unsupported type {text!r}")
 
     if parsed.kind is TypeKind.ARRAY or parsed.kind is TypeKind.TUPLE:
-        if parsed.depth > MAX_NESTING:
-            raise AbiError(f"nesting deeper than {MAX_NESTING} in {text!r}")
         if parsed.words > MAX_WORDS:
             raise AbiError(f"{text!r} takes more than {MAX_WORDS} words")
     return parsed
@@ -304,14 +295,6 @@ def selector(signature: str) -> bytes:
 
 # --- encoding -------------------------------------------------------------
 
-def _static_size(abi_type: AbiType) -> int:
-    if abi_type.kind is TypeKind.ARRAY:
-        return abi_type.size * _static_size(abi_type.inner)
-    if abi_type.kind is TypeKind.TUPLE:
-        return sum(_static_size(c) for c in abi_type.components)
-    return _WORD
-
-
 def _uint_word(value: int) -> bytes:
     return value.to_bytes(_WORD, "big")
 
@@ -372,7 +355,7 @@ def _encode_value(abi_type: AbiType, value: Any) -> bytes:
 
 def _encode_block(types: list[AbiType], values: list[Any]) -> bytes:
     """Head/tail layout for one level of a composite value."""
-    head_size = sum(_WORD if t.is_dynamic else _static_size(t) for t in types)
+    head_size = _WORD * sum(1 if t.is_dynamic else t.words for t in types)
     heads: list[bytes] = []
     tails: list[bytes] = []
     offset = head_size

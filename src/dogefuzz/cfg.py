@@ -5,27 +5,28 @@ derives from code bytes alone: one linear sweep per code, cached by code
 bytes, partitions it into basic blocks (new block at every JUMPDEST and
 after every jump, halting or undefined instruction) of pre-decoded
 (pc, opcode, PUSH operand, base gas) instructions, indexed by start pc,
-by JUMPDEST, by pc and by closing jump, and lists the critical
-instructions' pcs.  The interpreter runs on these
-blocks and records coverage once per block: the block's start and how many
-of its instructions ran, so a block's pc tuple is all it needs to turn
-coverage back into pcs.
+by JUMPDEST and by pc, and lists the critical instructions' pcs.  The
+interpreter runs on these blocks and records coverage once per block: the
+block's start and how many of its instructions ran (a block's pc tuple
+turns that back into pcs), and each transition between blocks as the
+edge it took, the same edge `build_cfg` draws.
 
 A `Cfg` is that analysis plus what `build_cfg` decides: edges between
 block starts and the blocks whose jump is unresolved.  Jump targets are
 resolved where a bounded constant-stack simulation of the block can prove
 them; everything else is marked unresolved and may later be filled in from
-edges observed at run time via `augment_edges`.  `build_cfg` is cached per
-code like `analyze`, so every target, strategy and campaign over one code
-shares one immutable static graph, and with it the predecessor map that
-its distance searches read.  What a campaign learns at run time is an
-overlay: a refined `Cfg` shares the static edges and holds only the
-learned jump edges beside them.  Distances to critical instructions are
-hop counts per block start from one reverse breadth-first search; as
-run-time edges arrive, `relax_distances` lowers only the hop counts those
-edges shorten, reading the shared static predecessors and writing only the
-campaign's own learned ones, so keeping the directed fuzzing schedule
-current costs time proportional to what changed, not to code size.
+the edges the interpreter records at run time via `augment_edges`.
+`build_cfg` is cached per code like `analyze`, so every target, strategy
+and campaign over one code shares one immutable static graph, and with it
+the predecessor map that its distance searches read.  What a campaign
+learns at run time is an overlay: a refined `Cfg` shares the static edges
+and holds only the learned jump edges beside them.  Distances to critical
+instructions are hop counts per block start from one reverse breadth-first
+search; as run-time edges arrive, `relax_distances` lowers only the hop
+counts those edges shorten, reading the shared static predecessors and
+writing only the campaign's own learned ones, so keeping the directed
+fuzzing schedule current costs time proportional to what changed, not to
+code size.
 """
 
 from __future__ import annotations
@@ -106,15 +107,13 @@ class BasicBlock:
 class CodeAnalysis(NamedTuple):
     """Every index that derives from code bytes alone: blocks by start pc,
     ascending; the JUMPDEST-led ones among them, the only valid jump
-    destinations; the block of every instruction pc; the block start
-    of every pc holding a block-ending JUMP/JUMPI; and the pcs of the
+    destinations; the block of every instruction pc; and the pcs of the
     critical (money- or control-transferring) instructions, ascending."""
 
     code: bytes
     blocks: dict[int, BasicBlock]
     jumpdests: dict[int, BasicBlock]
     block_of: dict[int, BasicBlock]
-    jump_sites: dict[int, int]
     critical: tuple[int, ...]
 
 
@@ -161,10 +160,7 @@ def analyze(code: bytes) -> CodeAnalysis:
     jumpdests = {start: block for start, block in blocks.items()
                  if block.instructions[0][1] == op.JUMPDEST}
     block_of = {pc: block for block in blocks.values() for pc in block.pcs}
-    jump_sites = {block.pcs[-1]: start for start, block in blocks.items()
-                  if block.instructions[-1][1] in (op.JUMP, op.JUMPI)}
-    return CodeAnalysis(code, blocks, jumpdests, block_of, jump_sites,
-                        tuple(critical))
+    return CodeAnalysis(code, blocks, jumpdests, block_of, tuple(critical))
 
 
 # --- control-flow graph ---------------------------------------------------
@@ -280,38 +276,19 @@ def build_cfg(code: bytes) -> Cfg:
 
 # --- dynamic refinement ---------------------------------------------------
 
-def jump_edges(analysis: CodeAnalysis,
-               observed: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    """Block edges of the run-time (from_pc, to_pc) pairs that are jumps.
-
-    A pair is a jump when its source is the JUMP/JUMPI ending a block and
-    its destination a JUMPDEST block start; it maps to the edge from that
-    block's start.  Any other pair, such as two successive instructions of
-    one block, is dropped.
-    """
-    jump_sites = analysis.jump_sites
-    jumpdests = analysis.jumpdests
-    return {
-        (jump_sites[src], dst)
-        for src, dst in observed
-        if src in jump_sites and dst in jumpdests
-    }
-
-
 def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
-    """Overlay the `jump_edges` of run-time pairs that `cfg` lacks.
+    """Overlay the run-time block edges in `observed` that `cfg` lacks.
 
-    Returns a copy sharing `cfg`'s analysis and static edges whose
-    `learned_edges` add the new ones, or `cfg` itself when nothing new was
-    learned, so callers can use identity to detect novelty.  The cost is
-    proportional to `observed` plus the learned edges, never to the static
-    graph, and callers should pass only pairs not offered before.  Feed
-    the newly learned edges to `relax_distances` to bring hop counts up to
-    date instead of recomputing `distance_map`.
+    `build_cfg` holds every fall-through, so such an edge is a taken
+    JUMP/JUMPI into a JUMPDEST.  Returns a copy sharing `cfg`'s analysis
+    and static edges whose `learned_edges` add the new ones, or `cfg`
+    itself when nothing new was learned, so callers can use identity to
+    detect novelty.  The cost is proportional to `observed` plus the
+    learned edges, never to the static graph.  Feed the newly learned
+    edges to `relax_distances` to bring hop counts up to date instead of
+    recomputing `distance_map`.
     """
-    # `-` walks the small left operand; `-=` would walk the static edges
-    extra = (jump_edges(cfg.analysis, observed) - cfg.static_edges
-             - cfg.learned_edges)
+    extra = set(observed) - cfg.static_edges - cfg.learned_edges
     if not extra:
         return cfg
     return replace(cfg, learned_edges=cfg.learned_edges | extra)

@@ -12,11 +12,12 @@ per instruction, but coverage is recorded once per block.  Per code
 address and code, a trace keeps each block start that ran with how many of
 its instructions ran: all of them, or for a block that faulted the prefix
 up to the faulting instruction, the longest run winning.  For frames of
-the fuzzed target it also keeps each transition between blocks as a
-(last pc, next block start) pair.  A block's instructions always run
-together, so the executed pcs are the covered prefixes, and the pairs of
-successive instructions within each target frame are the pairs inside
-those prefixes plus the transitions.
+the fuzzed target it also keeps each transition between blocks as the
+edge (block start, next block start) that `build_cfg` draws.  A block's
+instructions always run together, so the executed pcs are the covered
+prefixes, and the pairs of successive instructions within each target
+frame are the pairs inside those prefixes plus one pair (last pc, next
+block start) per edge.
 
 A trace also says what the transaction observed of the world state, so a
 cached outcome can outlive state changes it never read.  Storage slots
@@ -143,11 +144,10 @@ class ExecutionTrace:
     """Outcome and instrumentation of one transaction.
 
     `block_runs` maps (code address, code) to {block start: instructions
-    run}, in frame entry order; `transitions` holds the (last pc, next
-    block start) pairs of the target's frames.  `changes_state` is true
-    when the transaction succeeded with a state write left in its journal,
-    whether or not it was persisted; when false, persisting it leaves the
-    state as it was.
+    run}, in frame entry order; `transitions` holds the block edges the
+    target's frames took.  `changes_state` is true when the transaction
+    succeeded with a state write left in its journal, whether or not it
+    was persisted; when false, persisting it leaves the state as it was.
 
     `reads` holds every location the transaction read: (address, key) for
     a storage slot, (address, BALANCE) for an exact balance and
@@ -420,7 +420,7 @@ class _Machine:
                        depth: int, static: bool) -> tuple[TxStatus, bytes, int]:
         state = self.state
         tx = self.tx
-        _, blocks, jumpdests, _, _, _ = analyze(code)
+        _, blocks, jumpdests, _, _ = analyze(code)
         pushes_one = op.PUSHES_ONE
         runs = self.block_runs.setdefault((code_address, code), {})
         transitions = self.transitions if code_address == tx.target else None
@@ -740,7 +740,7 @@ class _Machine:
                 if nxt is None:  # ran off the end of the code
                     break
             if transitions is not None:
-                transitions.add((pc, nxt.start))
+                transitions.add((block.start, nxt.start))
             block = nxt
         return finish(TxStatus.SUCCESS, b"")
 

@@ -10,10 +10,10 @@ among the blocks the seed executed, to a money- or control-transferring
 instruction.
 Hop counts are kept per block start: computed once per campaign over the
 static graph every campaign on the code shares, and lowered incrementally
-as run-time jumps add learned edges to the campaign's own overlay of it.
+as run-time jumps take edges that graph lacks.
 
 An edge is a pair of successive instructions within a frame of the
-target; `BlockCoverage` counts them from the interpreter's block runs.
+target; `BlockCoverage` counts them from recorded block runs and edges.
 
 Each cycle executes `MUTANTS_PER_CYCLE` mutants against the unchanged base
 state plus one more whose effects are kept when it succeeds, so
@@ -167,7 +167,7 @@ class CampaignResult:
 
 class BlockCoverage:
     """Coverage of one code: the longest run of each block and every
-    block transition seen, with the count of covered pcs.
+    block edge taken, with the count of covered pcs.
 
     A run of `r` instructions of a block whose first `h` were covered adds
     `r - h` pcs and `r - max(h, 1)` pairs inside the block; a transition
@@ -292,12 +292,10 @@ class _Campaign:
         self.config = config
         self.rng = random.Random(config.rng_seed)
         self.base_state = snapshot_state(target.state)
-        self.cfg = target.cfg
         if config.strategy is Strategy.DIRECTED:
-            # block start -> hops to the nearest critical site, kept current
-            # by `relax_distances` as run-time jumps refine `self.cfg`; the
-            # target graph's predecessors are shared and only read, the
-            # learned edges' predecessors are this campaign's own
+            # block start -> hops to the nearest critical site, lowered by
+            # `relax_distances` as run-time jumps add edges; the learned
+            # edges' predecessors are this campaign's one record of them
             self.hops = distance_map(target.cfg, critical_sites(target.cfg))
             self.learned_predecessors: dict[int, set[int]] = {}
         # the code object the interpreter runs, so lookups match by identity
@@ -321,7 +319,7 @@ class _Campaign:
     # -- bookkeeping -------------------------------------------------------
 
     def _coverage_fraction(self) -> float:
-        total = len(self.cfg.pcs)
+        total = len(self.target.cfg.pcs)
         return self.coverage.pcs / total if total else 0.0
 
     def _within_budget(self) -> bool:
@@ -396,15 +394,14 @@ class _Campaign:
 
         seed.energy = 1.0 + new_edges
         if self.config.strategy is Strategy.DIRECTED:
-            # only a transition can be a jump, and older ones were offered
-            # to augment_edges when first seen
-            refined = augment_edges(self.cfg, fresh)
-            if refined is not self.cfg:
-                relax_distances(
-                    self.hops, self.target.cfg.predecessors,
-                    self.learned_predecessors,
-                    refined.learned_edges - self.cfg.learned_edges)
-                self.cfg = refined
+            # `fresh` holds only transitions never seen before, so the jump
+            # edges the static graph lacks among them are newly learned
+            static = self.target.cfg
+            refined = augment_edges(static, fresh)
+            if refined is not static:
+                relax_distances(self.hops, static.predecessors,
+                                self.learned_predecessors,
+                                refined.learned_edges)
             d_min = min(map(self.hops.get, runs, repeat(math.inf)),
                         default=math.inf)
             if d_min != math.inf:

@@ -102,8 +102,12 @@ def load_bundle(directory: str | Path) -> TargetBundle:
     except (TypeError, ValueError) as exc:
         raise BundleError("manifest.json: constructor_args is not hex") from exc
     balance = manifest.get("initial_balance", 0)
-    if not isinstance(balance, int) or balance < 0:
+    # a JSON boolean is a Python int too
+    if type(balance) is not int or balance < 0:
         raise BundleError("manifest.json: initial_balance must be a count")
+    name = manifest.get("name", directory.name)
+    if not isinstance(name, str) or not name:
+        raise BundleError("manifest.json: name must be a non-empty string")
 
     code_path = directory / "code.hex"
     if not code_path.is_file():
@@ -139,7 +143,7 @@ def load_bundle(directory: str | Path) -> TargetBundle:
                     f"labels.json: unknown bug class {item!r}") from exc
 
     return TargetBundle(
-        name=str(manifest.get("name", directory.name)),
+        name=name,
         code=code,
         mode=mode,
         specs=specs,
@@ -155,9 +159,10 @@ def load_benchmark(
 ) -> list[TargetBundle]:
     """Load every contract bundle under `directory`, in name order.
 
-    Malformed bundles are logged and appended to `skipped` as
-    (name, reason) when a list is supplied.  An empty benchmark directory
-    is an error; individual bad bundles are not.
+    Malformed bundles, and every bundle whose name repeats an earlier
+    one's, are logged and appended to `skipped` as (directory name,
+    reason) when a list is supplied.  An empty benchmark directory is an
+    error; individual bad bundles are not.
     """
     directory = Path(directory)
     if not directory.is_dir():
@@ -167,9 +172,15 @@ def load_benchmark(
         raise BundleError(f"no contract sub-directories under {directory}")
 
     bundles: list[TargetBundle] = []
+    first_dir: dict[str, str] = {}  # bundle name -> directory that has it
     for subdir in subdirs:
         try:
-            bundles.append(load_bundle(subdir))
+            bundle = load_bundle(subdir)
+            if bundle.name in first_dir:
+                raise BundleError(f"name {bundle.name!r} repeats the bundle "
+                                  f"in {first_dir[bundle.name]}")
+            first_dir[bundle.name] = subdir.name
+            bundles.append(bundle)
         except BundleError as exc:
             logger.warning("skipping bundle %s: %s", subdir.name, exc)
             if skipped is not None:

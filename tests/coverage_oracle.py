@@ -29,8 +29,7 @@ def per_instruction_analysis(code: bytes) -> CodeAnalysis:
     return analysis._replace(
         blocks=blocks,
         jumpdests={pc: blocks[pc] for pc in analysis.jumpdests},
-        block_of=blocks,
-        jump_sites={pc: pc for pc in analysis.jump_sites})
+        block_of=blocks)
 
 
 def reference_coverage(state: evm.WorldState, tx: evm.Transaction,

@@ -74,12 +74,15 @@ def run_top(code_bytes: bytes, **kwargs) -> int:
 
 def dynamic_edges(trace: ExecutionTrace, address: bytes) -> set[tuple[int, int]]:
     """Pairs of successive instructions run in the frames of `address`, the
-    transaction's target: the pairs inside each covered block prefix plus
-    the transitions between blocks."""
-    edges = set(trace.transitions)
+    transaction's target: the pairs inside each covered block prefix plus,
+    for each block edge taken, the pair of the block's last pc and the
+    next block's start."""
+    edges = set()
     for (code_address, code_bytes), runs in trace.block_runs.items():
         if code_address == address:
             blocks = analyze(code_bytes).blocks
+            edges.update((blocks[src].pcs[-1], dst)
+                         for src, dst in trace.transitions if src in runs)
             for start, ran in runs.items():
                 pcs = blocks[start].pcs[:ran]
                 edges.update(zip(pcs, pcs[1:]))

@@ -85,10 +85,19 @@ def test_dynamic_classification(text: str, dynamic: bool) -> None:
 
 
 def test_depth_counts_container_levels() -> None:
-    assert parse_type("uint256").depth == 0
-    assert parse_type("uint256[]").depth == 1
-    assert parse_type("uint256[2][]").depth == 2
-    assert parse_type("(uint256[2][],bool)").depth == 3
+    # three containers deep loads, a fourth is rejected, tuples and arrays
+    # alike; a scalar inside the third container is no container
+    for text in ("((()))", "(uint256[2][],bool)", "uint256[1][1][1]"):
+        assert parse_type(text).kind in (TypeKind.TUPLE, TypeKind.ARRAY)
+    for text in ("(((())))", "uint256[1][1][1][1]", "((uint256[])[])"):
+        with pytest.raises(AbiError, match="nesting deeper than 3"):
+            parse_type(text)
+    # interface JSON spells tuples through `components`: the same rule
+    assert parse_type("tuple", [{"type": "tuple[]",
+                                 "components": [{"type": "bool"}]}])
+    with pytest.raises(AbiError, match="nesting deeper than 3"):
+        parse_type("tuple", [{"type": "tuple[]",
+                              "components": [{"type": "(bool)"}]}])
 
 
 @pytest.mark.parametrize("text", [

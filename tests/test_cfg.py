@@ -24,7 +24,7 @@ from dogefuzz.cfg import (
 )
 
 from cfg_oracle import distance_fixpoint, random_block_graph
-from evm_utils import code
+from evm_utils import code, run
 
 
 P1 = op.PUSH1
@@ -279,33 +279,40 @@ def _unresolved_cfg() -> tuple[bytes, int, int]:
 
 
 def test_augment_adds_observed_jump_edge() -> None:
-    raw, jump_pc, dest_pc = _unresolved_cfg()
+    raw, _, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)
-    updated = augment_edges(cfg, [(jump_pc, dest_pc)])
+    # the interpreter records the jump as an edge between block starts
+    trace, _, _ = run(raw, calldata=dest_pc.to_bytes(32, "big"))
+    assert trace.transitions == {(0, dest_pc)}
+    updated = augment_edges(cfg, trace.transitions)
     assert updated is not cfg
     assert (0, dest_pc) in updated.edges
     assert cfg.edges == frozenset(), "augmentation does not mutate the input"
 
 
 def test_augment_rejects_non_jump_pairs() -> None:
-    raw, jump_pc, dest_pc = _unresolved_cfg()
+    # an unresolved JUMPI: its fall-through is static, its jump is not
+    raw = code(P1, 1, P1, 0, op.CALLDATALOAD, op.JUMPI, op.STOP,
+               op.JUMPDEST, op.STOP)
     cfg = build_cfg(raw)
-    noise = [(0, dest_pc), (jump_pc, 1), (jump_pc, 99), (dest_pc, dest_pc)]
-    assert augment_edges(cfg, noise) is cfg
+    assert cfg.static_edges == {(0, 6)} and cfg.unresolved == {0}
+    assert augment_edges(cfg, [(0, 6)]) is cfg
+    assert augment_edges(cfg, []) is cfg
+    assert augment_edges(cfg, [(0, 6), (0, 7)]).learned_edges == {(0, 7)}
 
 
 def test_augment_is_idempotent() -> None:
-    raw, jump_pc, dest_pc = _unresolved_cfg()
+    raw, _, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)
-    once = augment_edges(cfg, [(jump_pc, dest_pc)])
-    assert augment_edges(once, [(jump_pc, dest_pc)]) is once
+    once = augment_edges(cfg, [(0, dest_pc)])
+    assert augment_edges(once, [(0, dest_pc)]) is once
 
 
 def test_augmented_edges_extend_distances() -> None:
-    raw, jump_pc, dest_pc = _unresolved_cfg()
+    raw, _, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)
     assert distance_map(cfg, [dest_pc]) == {dest_pc: 0}
-    updated = augment_edges(cfg, [(jump_pc, dest_pc)])
+    updated = augment_edges(cfg, [(0, dest_pc)])
     distances = distance_map(updated, [dest_pc])
     assert distances[0] == 1
 
@@ -313,11 +320,10 @@ def test_augmented_edges_extend_distances() -> None:
 def test_refinement_keeps_block_indexes() -> None:
     raw, jump_pc, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)
-    assert cfg.analysis.jump_sites == {jump_pc: 0}
     assert set(cfg.analysis.jumpdests) == {dest_pc}
     assert cfg.pcs == {0, 2, 3, 4, 5}
     assert cfg.code == raw and cfg.block_at(jump_pc).start == 0
-    updated = augment_edges(cfg, [(jump_pc, dest_pc)])
+    updated = augment_edges(cfg, [(0, dest_pc)])
     assert updated == replace(cfg, learned_edges=frozenset({(0, dest_pc)}))
     # a refinement overlays learned edges on the one static edge set
     assert updated.static_edges is cfg.static_edges
@@ -344,10 +350,6 @@ def _assert_overlay(static, refined, learned, static_predecessors) -> None:
     assert not static.static_edges & refined.learned_edges
 
 
-def _jump_pc(cfg, start: int) -> int:
-    return cfg.block_at(start).pcs[-1]
-
-
 def test_relax_distances_batches_by_kind() -> None:
     a = Assembler()
     a.push(0).op("CALLDATALOAD").op("JUMP")            # entry: unresolved
@@ -371,7 +373,7 @@ def test_relax_distances_batches_by_kind() -> None:
     assert hops == {start["far"]: 2, start["mid"]: 1, start["site"]: 0}
 
     def jump(src: str, dst: str) -> tuple[int, int]:
-        return _jump_pc(cfg, start[src]), start[dst]
+        return start[src], start[dst]
 
     batches = [
         # a new edge that shortens nothing
@@ -406,12 +408,14 @@ def test_relax_distances_matches_fixpoint_oracle(rng: random.Random) -> None:
     hops = distance_map(cfg, sites)
     predecessors, learned = static.predecessors, {}
     static_before = dict(predecessors)
-    jump_sites = sorted(cfg.analysis.jump_sites)
+    # the starts of the blocks a JUMP or JUMPI ends
+    jump_blocks = sorted(block.start for block in cfg.blocks
+                         if block.instructions[-1][1] in (op.JUMP, op.JUMPI))
     targets = sorted(cfg.analysis.jumpdests)
-    if not jump_sites:
+    if not jump_blocks:
         return
     for _ in range(rng.randrange(1, 6)):
-        observed = [(rng.choice(jump_sites), rng.choice(targets))
+        observed = [(rng.choice(jump_blocks), rng.choice(targets))
                     for _ in range(rng.randrange(1, 5))]
         cfg = _refine(cfg, hops, predecessors, learned, observed)
         assert hops == distance_fixpoint(

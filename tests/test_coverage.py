@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dogefuzz import opcodes as op
-from dogefuzz.cfg import analyze, jump_edges
+from dogefuzz.cfg import analyze, augment_edges, build_cfg
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     AGENT_CALL_GAS,
@@ -43,6 +43,7 @@ def _check_sequence(raw: bytes, runs: list[Run]) -> list[ExecutionTrace]:
     state.account(AGENT_ADDRESS).balance = 10 ** 18
     address = deploy_contract(state, raw)
     analysis = analyze(raw)
+    cfg = build_cfg(raw)
     coverage = BlockCoverage()
     seen_pcs: set[int] = set()
     seen_pairs: set[tuple[int, int]] = set()
@@ -68,8 +69,14 @@ def _check_sequence(raw: bytes, runs: list[Run]) -> list[ExecutionTrace]:
         # a sequence: new pcs and pairs as the campaign counts them
         new_edges, fresh = coverage.add(block_runs, trace.transitions)
         assert new_edges == len(ref_pairs - seen_pairs)
-        assert jump_edges(analysis, fresh) == \
-            jump_edges(analysis, ref_pairs - seen_pairs)
+        # each new block edge is the new pair that leaves its block's end
+        assert {(analysis.blocks[src].pcs[-1], dst) for src, dst in fresh} \
+            == {(src, dst) for src, dst in ref_pairs - seen_pairs
+                if analysis.block_of[src].pcs[-1] == src}
+        # a new edge the static graph lacks is a jump it left unresolved
+        learned = augment_edges(cfg, fresh).learned_edges
+        assert learned == fresh - cfg.static_edges
+        assert {src for src, _ in learned} <= cfg.unresolved
         seen_pcs |= target_pcs
         seen_pairs |= ref_pairs
         assert coverage.pcs == len(seen_pcs)
@@ -108,6 +115,12 @@ CASES = {
              op.JUMPDEST, op.STOP),
         [(BENIGN, 50_000), (BENIGN, 5)],
         lambda traces: traces[0].status is TxStatus.SUCCESS),
+    # 0 CALLVALUE; 1 PUSH1 5; 3 ADD; 4 JUMP; 5 JUMPDEST; 6 STOP: the ADD
+    # hides the destination, so the jump is learned on its first run only
+    "unresolved_jump_is_learned": (
+        code(op.CALLVALUE, P(5), op.ADD, op.JUMP, op.JUMPDEST, op.STOP),
+        [(BENIGN, 50_000), (BENIGN, 50_000)],
+        lambda traces: [t.transitions for t in traces] == [{(0, 5)}] * 2),
     "reentrant_frame_takes_its_own_jump": (
         _flagged_reentry()[0],
         [(REENTRANT, 1_000_000), (BENIGN, 1_000_000)],

@@ -131,6 +131,8 @@ def test_untaken_jumpi_falls_into_plain_block() -> None:
     assert trace.status is TxStatus.SUCCESS
     assert trace.executed_pcs == {address: {0, 2, 4, 5, 7, 8}}
     assert dynamic_edges(trace, address) == _chain(0, 2, 4, 5, 7, 8)
+    # the fall-through is the block edge the static graph already has
+    assert trace.transitions == {(0, 5)}
 
 
 def test_taken_jump_records_the_site_to_jumpdest_pair() -> None:
@@ -140,6 +142,9 @@ def test_taken_jump_records_the_site_to_jumpdest_pair() -> None:
     assert trace.status is TxStatus.SUCCESS
     assert trace.executed_pcs == {address: {0, 2, 4, 9, 10}}
     assert dynamic_edges(trace, address) == _chain(0, 2, 4, 9, 10)
+    # recorded as the edge from the jumping block's start: the JUMPI at
+    # pc 4 ends the block that starts at 0
+    assert trace.transitions == {(0, 9)}
 
 
 def test_jump_into_push_data_is_rejected() -> None:
@@ -189,7 +194,10 @@ def test_reentrant_frame_adds_its_own_edges() -> None:
     assert trace.status is TxStatus.SUCCESS
     assert any(e.kind is EventKind.REENTRANCY for e in trace.events)
     edges = dynamic_edges(trace, address)
-    # only the reentrant frame takes the JUMPI into `inner`
+    # only the reentrant frame takes the JUMPI into `inner`, an edge from
+    # the entry block; the outer frame falls through to the call
+    assert (0, at["inner"]) in trace.transitions
+    assert (0, at["jumpi"] + 1) in trace.transitions
     assert (at["jumpi"], at["inner"]) in edges
     assert (at["inner"], at["inner"] + 1) in edges
     assert {at["inner"], at["inner"] + 1} <= trace.executed_pcs[address]
@@ -201,6 +209,8 @@ def test_reentrant_frame_adds_its_own_edges() -> None:
     benign_edges = dynamic_edges(benign, benign_address)
     assert (at["jumpi"], at["inner"]) not in benign_edges
     assert benign_edges < edges
+    assert benign.transitions == {(0, at["jumpi"] + 1)}
+    assert benign.transitions < trace.transitions
 
 
 def test_executed_pcs_keys_follow_frame_entry_order() -> None:
@@ -265,6 +275,11 @@ def test_random_code_coverage_is_block_consistent(raw: bytes,
     for block in _blocks(raw):
         ran = [pc in executed for pc in block]
         assert ran == sorted(ran, reverse=True), (block, executed)
+    # transitions are edges between block starts, each leaving a block
+    # that ran whole
+    blocks = {block[0]: block for block in _blocks(raw)}
+    for src, dst in trace.transitions:
+        assert dst in blocks and blocks[src][-1] in executed, (src, dst)
     following = dict(zip(starts, starts[1:]))
     for src, dst in dynamic_edges(trace, address):
         assert {src, dst} <= executed

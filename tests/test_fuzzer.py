@@ -10,7 +10,13 @@ import pytest
 from dogefuzz import fuzzer
 from dogefuzz.abi import ValuePools, encode_call, parse_abi, selector
 from dogefuzz.asm import Assembler
-from dogefuzz.cfg import build_cfg, critical_sites, distance_map
+from dogefuzz.cfg import (
+    augment_edges,
+    build_cfg,
+    critical_sites,
+    distance_map,
+    predecessor_map,
+)
 from dogefuzz.evm import (
     ACCOUNT,
     AGENT_ADDRESS,
@@ -439,7 +445,10 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
         trace = traces[seed.calldata, seed.value, seed.policy, seed.block]
         reached = [campaign.hops[s] for s in outcome[0] if s in campaign.hops]
         d_min = min(reached) if reached else None
-        steps.append((campaign, d_min, campaign.cfg, trace))
+        # the graph the campaign's learned edges refine, rebuilt from the
+        # transitions it has seen
+        cfg = augment_edges(target.cfg, campaign.coverage.transitions)
+        steps.append((campaign, d_min, cfg, trace))
         return outcome
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
@@ -451,23 +460,27 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     # the old algorithm: a full distance map per refinement, then a
     # minimum over the blocks of every executed pc
     sites = critical_sites(target.cfg)
-    full_maps: dict[int, dict[int, int]] = {}
+    full_maps: dict[frozenset, dict[int, int]] = {}
     for _, d_min, cfg, trace in steps:
-        if id(cfg) not in full_maps:
-            full_maps[id(cfg)] = distance_map(cfg, sites)
-        distances = full_maps[id(cfg)]
+        if cfg.learned_edges not in full_maps:
+            full_maps[cfg.learned_edges] = distance_map(cfg, sites)
+        distances = full_maps[cfg.learned_edges]
         starts = {cfg.block_at(pc).start
                   for pc in trace.executed_pcs.get(target.address, ())}
         reached = [distances[start] for start in starts if start in distances]
         assert d_min == (min(reached) if reached else None)
+    learned = [cfg.learned_edges for _, _, cfg, _ in steps]
     refined_at = [i for i in range(1, len(steps))
-                  if steps[i][2] is not steps[i - 1][2]]
+                  if learned[i] != learned[i - 1]]
     assert len(refined_at) >= 4 and refined_at[-1] >= 8, \
         "edges were learned in the initial corpus and after it"
     assert len({d_min for _, d_min, _, _ in steps}) > 2
 
     campaign, _, final_cfg, _ = steps[-1]
     assert campaign.hops == distance_map(final_cfg, sites)
+    # the campaign's one record of its learned edges
+    assert campaign.learned_predecessors == \
+        predecessor_map(final_cfg.learned_edges)
     assert campaign.replayed > 0, "some steps were replayed from the cache"
 
 

@@ -136,6 +136,9 @@ DEEP_TYPE = "(" * 20_000 + "uint256" + ")" * 20_000
 
 @pytest.mark.parametrize("edit", [
     _edit_json("manifest.json", lambda m: m.update(constructor_args=5)),
+    _edit_json("manifest.json", lambda m: m.update(initial_balance=True)),
+    _edit_json("manifest.json", lambda m: m.update(name=None)),
+    _edit_json("manifest.json", lambda m: m.update(name="")),
     _edit_json("abi.json", lambda abi: abi[0].update(inputs=5)),
     _edit_json("abi.json", lambda abi: _first_input(abi).pop("type")),
     _edit_json("abi.json", lambda abi: _first_input(abi).update(type=7)),
@@ -153,7 +156,8 @@ DEEP_TYPE = "(" * 20_000 + "uint256" + ")" * 20_000
     lambda directory: (directory / "abi.json").write_bytes(b"\xff["),
     lambda directory: (directory / "abi.json").write_text("[" * 100_000),
     _edit_json("labels.json", lambda labels: labels.update(bugs=5)),
-], ids=["constructor_args_number", "inputs_number", "input_without_type",
+], ids=["constructor_args_number", "balance_bool", "name_null",
+        "name_empty", "inputs_number", "input_without_type",
         "type_number", "component_without_type", "components_number",
         "name_number", "static_array_over_cap", "arguments_over_cap",
         "type_nested_too_deep", "abi_not_text", "json_nested_too_deep",
@@ -169,6 +173,21 @@ def test_load_benchmark_skips_each_malformed_shape(tmp_path, edit) -> None:
     bundles = load_benchmark(root, skipped)
     assert [b.name for b in bundles] == ["gated_send"]
     assert [name for name, _ in skipped] == ["bad"]
+
+
+def test_load_benchmark_skips_a_repeated_name(tmp_path) -> None:
+    root = write_benchmark(tmp_path / "bench", [fixture("reentrancy_fixed"),
+                                                fixture("reentrancy_vulnerable")])
+    _edit_json("manifest.json", lambda m: m.update(
+        name="reentrancy_vulnerable"))(root / "reentrancy_fixed")
+    skipped: list[tuple[str, str]] = []
+    bundles = load_benchmark(root, skipped)
+    # directories load in name order, so the first keeps the name
+    assert [b.name for b in bundles] == ["reentrancy_vulnerable"]
+    assert [b.fine_labels for b in bundles] == [()]
+    assert skipped == [("reentrancy_vulnerable",
+                        "name 'reentrancy_vulnerable' repeats the bundle "
+                        "in reentrancy_fixed")]
 
 
 def test_load_bundle_rejects_empty_code(bench_root) -> None:
