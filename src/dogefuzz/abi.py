@@ -14,7 +14,7 @@ import random
 import string as string_mod
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Any, Iterable, Sequence
 
 from .keccak import keccak256
@@ -288,7 +288,6 @@ def parse_abi(entries: Iterable[dict]) -> list[FunctionSpec]:
     return specs
 
 
-@lru_cache(maxsize=4096)
 def selector(signature: str) -> bytes:
     return keccak256(signature.encode("ascii"))[:4]
 
@@ -392,19 +391,12 @@ def _magic_words() -> tuple[int, ...]:
     return tuple(words)
 
 
+# pool constants: these words, and the addresses a target passes as `pools`
 MAGIC_WORDS = _magic_words()
 
 _TEXT_ALPHABET = string_mod.ascii_letters + string_mod.digits
 _LENGTH_ANCHORS = (0, 1, 2, 4, 8, 32)
 _POOL_BIAS = 0.5
-
-
-@dataclass(frozen=True)
-class ValuePools:
-    """Interesting constants favored by generation and mutation."""
-
-    addresses: tuple[bytes, ...]
-    words: tuple[int, ...] = MAGIC_WORDS
 
 
 def _signed_wrap(value: int, bits: int) -> int:
@@ -419,26 +411,26 @@ def _blob_length(rng: random.Random) -> int:
 
 
 def generate_value(rng: random.Random, abi_type: AbiType,
-                   pools: ValuePools) -> Any:
+                   pools: tuple[bytes, ...]) -> Any:
     """Fresh random value of the given type, biased toward pool constants."""
     kind = abi_type.kind
     if kind is TypeKind.UINT:
         if rng.random() < _POOL_BIAS:
-            return rng.choice(pools.words) & ((1 << abi_type.bits) - 1)
+            return rng.choice(MAGIC_WORDS) & ((1 << abi_type.bits) - 1)
         return rng.getrandbits(abi_type.bits)
     if kind is TypeKind.INT:
-        raw = (rng.choice(pools.words) if rng.random() < _POOL_BIAS
+        raw = (rng.choice(MAGIC_WORDS) if rng.random() < _POOL_BIAS
                else rng.getrandbits(abi_type.bits))
         return _signed_wrap(raw, abi_type.bits)
     if kind is TypeKind.ADDRESS:
-        if pools.addresses and rng.random() < _POOL_BIAS:
-            return rng.choice(pools.addresses)
+        if pools and rng.random() < _POOL_BIAS:
+            return rng.choice(pools)
         return rng.randbytes(_ADDRESS_BYTES)
     if kind is TypeKind.BOOL:
         return rng.random() < 0.5
     if kind is TypeKind.FIXED_BYTES:
         if rng.random() < _POOL_BIAS:
-            word = rng.choice(pools.words) & ((1 << (8 * abi_type.size)) - 1)
+            word = rng.choice(MAGIC_WORDS) & ((1 << (8 * abi_type.size)) - 1)
             return word.to_bytes(abi_type.size, "big")
         return rng.randbytes(abi_type.size)
     if kind is TypeKind.BYTES:
@@ -457,24 +449,24 @@ def generate_value(rng: random.Random, abi_type: AbiType,
 
 
 def mutate_value(rng: random.Random, abi_type: AbiType, value: Any,
-                 pools: ValuePools) -> Any:
+                 pools: tuple[bytes, ...]) -> Any:
     """Small random change to `value`, staying within the type's range."""
     kind = abi_type.kind
     if kind is TypeKind.UINT:
         mask = (1 << abi_type.bits) - 1
         candidates = [value + 1, value - 1, value + 16, value - 16,
                       value ^ (1 << rng.randrange(abi_type.bits)),
-                      rng.choice(pools.words)]
+                      rng.choice(MAGIC_WORDS)]
         return rng.choice(candidates) & mask
     if kind is TypeKind.INT:
         candidates = [value + 1, value - 1, value + 16, value - 16, -value,
                       value ^ (1 << rng.randrange(abi_type.bits)),
-                      rng.choice(pools.words)]
+                      rng.choice(MAGIC_WORDS)]
         return _signed_wrap(rng.choice(candidates), abi_type.bits)
     if kind is TypeKind.BOOL:
         return not value
     if kind is TypeKind.ADDRESS:
-        others = [a for a in pools.addresses if a != value]
+        others = [a for a in pools if a != value]
         if others:
             return rng.choice(others)
         return rng.randbytes(_ADDRESS_BYTES)
@@ -516,7 +508,8 @@ def _mutate_blob(rng: random.Random, abi_type: AbiType, value: Any) -> Any:
 
 
 def _mutate_sequence(rng: random.Random, abi_type: AbiType,
-                     members: list[Any], pools: ValuePools) -> list[Any]:
+                     members: list[Any],
+                     pools: tuple[bytes, ...]) -> list[Any]:
     if abi_type.dynamic_length:
         moves = ["append"]
         if members:

@@ -379,9 +379,9 @@ def _listing(code: bytes, ins: Instruction) -> str:
     return f"{text} 0x{code[pc + 1:pc + 1 + op.push_size(opcode)].hex() or '00'}"
 
 
-def to_dot(cfg: Cfg, highlight: Iterable[int] = ()) -> str:
-    """Graphviz rendering; blocks containing `highlight` pcs get a border."""
-    marked = {cfg.block_at(pc).start for pc in highlight if pc in cfg.pcs}
+def to_dot(cfg: Cfg) -> str:
+    """Graphviz rendering; blocks holding a critical site get a border."""
+    marked = {cfg.block_at(pc).start for pc in cfg.analysis.critical}
     lines = ["digraph cfg {", '    node [shape=box, fontname="monospace"];']
     for block in cfg.blocks:
         listing = "\\l".join(_listing(cfg.code, ins) for ins in block.instructions)

@@ -166,7 +166,7 @@ def _cmd_cfg(args: argparse.Namespace) -> int:
     graph = build_cfg(code)
     sites = critical_sites(graph)
     if args.dot:
-        Path(args.dot).write_text(to_dot(graph, highlight=sites))
+        Path(args.dot).write_text(to_dot(graph))
     if args.distances:
         hops = distance_map(graph, sites)
         with Path(args.distances).open("w", newline="") as handle:

@@ -35,7 +35,9 @@ Transactions originate from a built-in agent account whose behavior on being
 called back is driven by a per-transaction policy (accept, re-enter the
 caller, or throw). Every plain call into the agent pays a fixed storage-write
 scale fee first, modelling a logging fallback: a 2300-gas stipend send to the
-agent therefore always runs out of gas.
+agent therefore always runs out of gas.  The agent runs no frame, so it is
+never on the stack of live frames: its re-entry of the caller is its one
+Reentrancy event.
 """
 
 from __future__ import annotations
@@ -63,6 +65,7 @@ CALL_DEPTH_LIMIT = 1024
 STACK_LIMIT = 1024
 DEFAULT_TX_GAS = 1_000_000
 DEPLOY_GAS = 5_000_000  # init code budget of a creation-mode deployment
+BLOCK_GAS_LIMIT = 8_000_000  # what GASLIMIT pushes
 
 # cost of the agent's virtual logging fallback on any plain call into it
 AGENT_CALL_GAS = 20_000
@@ -110,7 +113,6 @@ class PolicyKind(str, Enum):
 class BlockContext(NamedTuple):
     number: int = 1_000_000
     timestamp: int = 1_600_000_000
-    gas_limit: int = 8_000_000
 
 
 DEFAULT_BLOCK = BlockContext()
@@ -275,9 +277,6 @@ class _Machine:
 
     # -- journaled state mutation --
 
-    def checkpoint(self) -> int:
-        return len(self.journal)
-
     def rollback(self, mark: int) -> None:
         accounts = self.state.accounts
         journal = self.journal
@@ -402,7 +401,7 @@ class _Machine:
         if (depth + 1 > CALL_DEPTH_LIMIT or self.code_of(address)
                 or endowment and not self.has_balance(creator, endowment)):
             return None, address, gas
-        mark = self.checkpoint()
+        mark = len(self.journal)
         self.touch_account(address)
         self.transfer(creator, address, endowment)
         status, ret, gas = self.run_frame(init_code, address, address, creator,
@@ -523,7 +522,7 @@ class _Machine:
                         elif opcode == 0x44:  # DIFFICULTY
                             stack.append(0)
                         elif opcode == 0x45:  # GASLIMIT
-                            stack.append(tx.block.gas_limit)
+                            stack.append(BLOCK_GAS_LIMIT)
                         elif opcode == 0x59:  # MSIZE
                             stack.append(mem_words << 5)
                     elif opcode == 0x56:  # JUMP
@@ -784,7 +783,7 @@ class _Machine:
             stack.append(0)
             return gas + callee_gas, b""
 
-        mark = self.checkpoint()
+        mark = len(self.journal)
         if call_value:
             # CALLCODE's value stays within the account, still an observable move
             receiver = target if opcode == op.CALL else self_address
@@ -801,8 +800,7 @@ class _Machine:
         child_static = static or opcode == op.STATICCALL
         child_code = self.code_of(target)
 
-        if (opcode == op.CALL and target in self.address_stack
-                and (target == AGENT_ADDRESS or child_code)):
+        if opcode == op.CALL and child_code and target in self.address_stack:
             self.emit(EventKind.REENTRANCY, 0, depth + 1, (target,))
         if child_self == AGENT_ADDRESS:  # CALL or STATICCALL into the agent
             status, ret, child_left = self._run_agent(
@@ -849,13 +847,11 @@ class _Machine:
                 return TxStatus.OUT_OF_GAS, b"", 0
             # the caller's frame is live below the agent: re-entering it
             self.emit(EventKind.REENTRANCY, 0, depth + 1, (caller_address,))
-            mark = self.checkpoint()
-            self.address_stack.append(AGENT_ADDRESS)
+            mark = len(self.journal)
             status, _, gas = self.run_frame(
                 self.code_of(caller_address), caller_address,
                 caller_address, AGENT_ADDRESS, 0, caller_calldata,
                 gas, depth + 1, static)
-            self.address_stack.pop()
             if status is not TxStatus.SUCCESS:
                 self.rollback(mark)
         return TxStatus.SUCCESS, b"", gas
@@ -893,7 +889,7 @@ def execute_transaction(state: WorldState, tx: Transaction,
         raise ValueError("negative transaction value")
 
     machine = _Machine(state, tx)
-    mark = machine.checkpoint()
+    mark = len(machine.journal)
     if tx.value and not machine.transfer(tx.sender, tx.target, tx.value):
         raise ValueError("sender balance below transaction value")
     code = machine.code_of(tx.target)

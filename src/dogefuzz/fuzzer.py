@@ -52,7 +52,6 @@ from .abi import (
     AbiType,
     FunctionSpec,
     TypeKind,
-    ValuePools,
     encode_call,
     generate_value,
     mutate_value,
@@ -136,7 +135,7 @@ class FuzzTarget:
     state: WorldState
     specs: tuple[FunctionSpec, ...]
     cfg: Cfg
-    pools: ValuePools
+    pools: tuple[bytes, ...]    # addresses generation and mutation favor
 
     def eligible_specs(self) -> tuple[FunctionSpec, ...]:
         return tuple(s for s in self.specs if not s.is_view)
@@ -204,8 +203,8 @@ class BlockCoverage:
 
 # --- seed construction ----------------------------------------------------
 
-def generate_seed(rng: random.Random, spec: FunctionSpec, pools: ValuePools,
-                  ordinal: int = 0) -> Seed:
+def generate_seed(rng: random.Random, spec: FunctionSpec,
+                  pools: tuple[bytes, ...], ordinal: int = 0) -> Seed:
     """Fresh input for `spec`; ordinal 1 favors a value-carrying variant."""
     if spec.is_fallback:
         raw = rng.randbytes(8) if ordinal else b""
@@ -227,7 +226,8 @@ def initial_corpus(rng: random.Random, target: FuzzTarget) -> list[Seed]:
             for ordinal in range(SEEDS_PER_FUNCTION)]
 
 
-def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
+def mutate_seed(rng: random.Random, seed: Seed,
+                pools: tuple[bytes, ...]) -> Seed:
     """Change exactly one dimension of the input.
 
     The child starts from the parent's calldata: only an argument mutation
@@ -249,16 +249,12 @@ def mutate_seed(rng: random.Random, seed: Seed, pools: ValuePools) -> Seed:
         block = seed.block
         if rng.random() < 0.5:
             offset = rng.choice(TIMESTAMP_OFFSETS)
-            child.block = BlockContext(
-                number=block.number,
-                timestamp=max(0, block.timestamp + offset),
-                gas_limit=block.gas_limit)
+            child.block = BlockContext(block.number,
+                                       max(0, block.timestamp + offset))
         else:
             offset = rng.choice(NUMBER_OFFSETS)
-            child.block = BlockContext(
-                number=max(0, block.number + offset),
-                timestamp=block.timestamp,
-                gas_limit=block.gas_limit)
+            child.block = BlockContext(max(0, block.number + offset),
+                                       block.timestamp)
     else:
         _, index = choice
         args = list(seed.args)
@@ -420,13 +416,6 @@ class _Campaign:
 
     # -- cycles ------------------------------------------------------------
 
-    def _maybe_admit(self, parent: Seed, child: Seed,
-                     queue: list[Seed]) -> None:
-        if child.energy > parent.energy:
-            queue.append(child)
-            self.queue_energy += child.energy
-            self.admitted += 1
-
     def run(self) -> CampaignResult:
         rng = self.rng
         queue = initial_corpus(rng, self.target)
@@ -454,8 +443,10 @@ class _Campaign:
                 else:
                     child = mutate_seed(rng, parent, self.target.pools)
                 self._execute(child, persist=persist)
-                if not blind:
-                    self._maybe_admit(parent, child, queue)
+                if not blind and child.energy > parent.energy:
+                    queue.append(child)
+                    self.queue_energy += child.energy
+                    self.admitted += 1
 
         return CampaignResult(
             strategy=self.config.strategy,

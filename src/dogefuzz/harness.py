@@ -24,7 +24,7 @@ import logging
 from dataclasses import dataclass
 from pathlib import Path
 
-from .abi import AbiError, FunctionSpec, ValuePools, parse_abi
+from .abi import AbiError, FunctionSpec, parse_abi
 from .cfg import build_cfg
 from .evm import (
     AGENT_ADDRESS,
@@ -208,16 +208,13 @@ def prepare_target(bundle: TargetBundle) -> FuzzTarget:
         constructor_args=bundle.constructor_args,
         endowment=bundle.initial_balance,
     )
-    cfg = build_cfg(state.code_of(address))
-    pools = ValuePools(
-        addresses=(address, AGENT_ADDRESS, EOA_ADDRESS, ZERO_ADDRESS))
     return FuzzTarget(
         name=bundle.name,
         address=address,
         state=state,
         specs=bundle.specs,
-        cfg=cfg,
-        pools=pools,
+        cfg=build_cfg(state.code_of(address)),
+        pools=(address, AGENT_ADDRESS, EOA_ADDRESS, ZERO_ADDRESS),
     )
 
 

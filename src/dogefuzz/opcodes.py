@@ -120,13 +120,9 @@ for _i in range(5):
 OPCODES: dict[str, int] = {name: byte for byte, name in MNEMONICS.items()}
 
 
-def is_push(op: int) -> bool:
-    return PUSH1 <= op <= PUSH32
-
-
 def push_size(op: int) -> int:
     """Immediate width in bytes of a PUSH opcode, 0 for anything else."""
-    return op - PUSH1 + 1 if is_push(op) else 0
+    return op - PUSH1 + 1 if PUSH1 <= op <= PUSH32 else 0
 
 
 def mnemonic(op: int) -> str:

@@ -16,7 +16,6 @@ from dogefuzz.abi import (
     MAX_WORDS,
     Mutability,
     TypeKind,
-    ValuePools,
     encode_arguments,
     encode_call,
     generate_value,
@@ -29,7 +28,7 @@ from dogefuzz.abi import (
 from keccak_oracle import keccak256_reference
 
 
-POOLS = ValuePools(addresses=(b"\xaa" * 20, b"\x5e" * 20, b"\x00" * 20))
+POOLS = (b"\xaa" * 20, b"\x5e" * 20, b"\x00" * 20)
 
 
 def w(value: int) -> str:
@@ -375,9 +374,9 @@ def test_uint_mutation_explores_neighbors() -> None:
 def test_address_mutation_prefers_other_pool_entries() -> None:
     rng = random.Random(3)
     abi_type = parse_type("address")
-    current = POOLS.addresses[0]
+    current = POOLS[0]
     outcomes = {mutate_value(rng, abi_type, current, POOLS) for _ in range(50)}
-    assert outcomes <= set(POOLS.addresses) - {current}
+    assert outcomes <= set(POOLS) - {current}
 
 
 @settings(max_examples=80, deadline=None)

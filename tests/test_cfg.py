@@ -427,7 +427,7 @@ def test_relax_distances_matches_fixpoint_oracle(rng: random.Random) -> None:
 
 def test_dot_output_lists_blocks_and_edges() -> None:
     cfg = build_cfg(_dispatcher_with_call())
-    rendered = to_dot(cfg, highlight=critical_sites(cfg))
+    rendered = to_dot(cfg)
     assert rendered.startswith("digraph cfg {")
     for block in cfg.blocks:
         assert f"b{block.start} [" in rendered

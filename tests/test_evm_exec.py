@@ -112,6 +112,19 @@ def test_reentrant_agent_drains_vault() -> None:
     assert state.balance_of(AGENT_ADDRESS) == 10 ** 18 + 100
 
 
+def test_reentrant_withdraw_emits_one_reentrancy_event() -> None:
+    # the agent is never a live frame, so the re-entered vault's call back
+    # into the agent is not a second re-entry
+    state, vault = deploy_vault()
+    execute_transaction(state, Transaction(target=vault, value=100))
+    withdraw = execute_transaction(
+        state, Transaction(target=vault, calldata=WITHDRAW,
+                           agent_policy=PolicyKind.REENTRANT))
+    reentries = [(e.depth, e.data) for e in withdraw.events
+                 if e.kind is EventKind.REENTRANCY]
+    assert reentries == [(3, (vault,))]
+
+
 def test_reentries_bounded_by_policy(monkeypatch) -> None:
     # the shipped cap, then a larger one to show the count follows it
     for cap in (evm.MAX_REENTRIES, 3):

@@ -8,6 +8,7 @@ import pytest
 from dogefuzz import opcodes as op
 from dogefuzz.evm import (
     AGENT_ADDRESS,
+    BLOCK_GAS_LIMIT,
     COINBASE_ADDRESS,
     DEFAULT_TX_GAS,
     BlockContext,
@@ -200,7 +201,7 @@ def test_number_pushes_and_emits() -> None:
 
 
 def test_gaslimit_and_coinbase_and_difficulty() -> None:
-    assert run_top(code(op.GASLIMIT)) == BlockContext().gas_limit
+    assert run_top(code(op.GASLIMIT)) == BLOCK_GAS_LIMIT
     assert run_top(code(op.COINBASE)) == int.from_bytes(COINBASE_ADDRESS, "big")
     assert run_top(code(op.DIFFICULTY)) == 0
 

@@ -8,7 +8,7 @@ import random
 import pytest
 
 from dogefuzz import fuzzer
-from dogefuzz.abi import ValuePools, encode_call, parse_abi, selector
+from dogefuzz.abi import encode_call, parse_abi, selector
 from dogefuzz.asm import Assembler
 from dogefuzz.cfg import (
     augment_edges,
@@ -61,11 +61,11 @@ def make_target(fx: Fixture) -> FuzzTarget:
         state=state,
         specs=tuple(parse_abi(list(fx.abi))),
         cfg=build_cfg(fx.runtime),
-        pools=ValuePools(addresses=(address, AGENT_ADDRESS, EOA, b"\x00" * 20)),
+        pools=(address, AGENT_ADDRESS, EOA, b"\x00" * 20),
     )
 
 
-POOLS = ValuePools(addresses=(EOA, b"\x00" * 20))
+POOLS = (EOA, b"\x00" * 20)
 
 
 def classes(result) -> set[FineBugClass]:

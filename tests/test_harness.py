@@ -217,8 +217,8 @@ def test_prepare_target_funds_and_endows(bench_root) -> None:
     assert target.state.balance_of(target.address) == bundle.initial_balance
     assert target.state.balance_of(AGENT_ADDRESS) == FUNDING
     assert target.state.code_of(target.address) == bundle.code
-    assert target.pools.addresses[0] == target.address
-    assert AGENT_ADDRESS in target.pools.addresses
+    assert target.pools[0] == target.address
+    assert AGENT_ADDRESS in target.pools
     assert len(target.cfg.blocks) > 1
 
 
