@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import random
+import re
 import string as string_mod
 from dataclasses import dataclass
 from enum import Enum
@@ -29,6 +30,8 @@ MAX_WORDS = 256
 
 _ADDRESS_BYTES = 20
 _WORD = 32
+# a function name goes into its signature, and so its selector, as ASCII
+_IDENTIFIER = re.compile(r"[A-Za-z_$][A-Za-z0-9_$]*")
 
 
 class AbiError(ValueError):
@@ -280,6 +283,8 @@ def parse_abi(entries: Iterable[dict]) -> list[FunctionSpec]:
             name = entry.get("name")
             if not isinstance(name, str) or not name:
                 raise AbiError("function entry without a name")
+            if not _IDENTIFIER.fullmatch(name):
+                raise AbiError(f"function name {name!r} is not an identifier")
             specs.append(FunctionSpec(name, _entry_inputs(entry),
                                       _entry_mutability(entry)))
         elif kind in ("fallback", "receive") and not have_fallback:

@@ -37,7 +37,8 @@ caller, or throw). Every plain call into the agent pays a fixed storage-write
 scale fee first, modelling a logging fallback: a 2300-gas stipend send to the
 agent therefore always runs out of gas.  The agent runs no frame, so it is
 never on the stack of live frames: its re-entry of the caller is its one
-Reentrancy event.
+Reentrancy event.  A Reentrancy event is anchored at the CALL that entered
+the live frame again, or at the CALL into the agent that re-entered it.
 """
 
 from __future__ import annotations
@@ -801,10 +802,10 @@ class _Machine:
         child_code = self.code_of(target)
 
         if opcode == op.CALL and child_code and target in self.address_stack:
-            self.emit(EventKind.REENTRANCY, 0, depth + 1, (target,))
+            self.emit(EventKind.REENTRANCY, pc, depth + 1, (target,))
         if child_self == AGENT_ADDRESS:  # CALL or STATICCALL into the agent
             status, ret, child_left = self._run_agent(
-                callee_gas, depth + 1, self_address, calldata, child_static)
+                callee_gas, pc, depth + 1, self_address, calldata, child_static)
         elif child_code:
             status, ret, child_left = self.run_frame(
                 child_code, target, child_self, child_caller,
@@ -826,9 +827,12 @@ class _Machine:
         stack.append(0)
         return gas, ret if status is TxStatus.REVERTED else b""
 
-    def _run_agent(self, gas: int, depth: int, caller_address: bytes,
+    def _run_agent(self, gas: int, pc: int, depth: int, caller_address: bytes,
                    caller_calldata: bytes, static: bool) -> tuple[TxStatus, bytes, int]:
-        """The agent's virtual fallback: charge the logging fee, then act."""
+        """The agent's virtual fallback: charge the logging fee, then act.
+
+        `pc` is the caller's instruction that called the agent; a re-entry
+        is anchored there."""
         policy = self.tx.agent_policy
         if policy is PolicyKind.THROWER:
             # throws before doing any work
@@ -846,7 +850,7 @@ class _Machine:
             if gas < 0:
                 return TxStatus.OUT_OF_GAS, b"", 0
             # the caller's frame is live below the agent: re-entering it
-            self.emit(EventKind.REENTRANCY, 0, depth + 1, (caller_address,))
+            self.emit(EventKind.REENTRANCY, pc, depth + 1, (caller_address,))
             mark = len(self.journal)
             status, _, gas = self.run_frame(
                 self.code_of(caller_address), caller_address,

@@ -391,13 +391,15 @@ class _Campaign:
         seed.energy = 1.0 + new_edges
         if self.config.strategy is Strategy.DIRECTED:
             # `fresh` holds only transitions never seen before, so the jump
-            # edges the static graph lacks among them are newly learned
-            static = self.target.cfg
-            refined = augment_edges(static, fresh)
-            if refined is not static:
-                relax_distances(self.hops, static.predecessors,
-                                self.learned_predecessors,
-                                refined.learned_edges)
+            # edges the static graph lacks among them are newly learned; a
+            # replay's `fresh` is empty
+            if fresh:
+                static = self.target.cfg
+                refined = augment_edges(static, fresh)
+                if refined is not static:
+                    relax_distances(self.hops, static.predecessors,
+                                    self.learned_predecessors,
+                                    refined.learned_edges)
             d_min = min(map(self.hops.get, runs, repeat(math.inf)),
                         default=math.inf)
             if d_min != math.inf:

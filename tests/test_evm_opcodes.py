@@ -714,5 +714,6 @@ def test_reentrancy_event_on_nested_self_call() -> None:
     assert trace.status is TxStatus.SUCCESS
     reentry = [e for e in trace.events if e.kind is EventKind.REENTRANCY]
     assert len(reentry) == 1
+    assert reentry[0].pc == len(program) - 5  # the CALL that re-entered
     assert reentry[0].depth == 2
     assert reentry[0].data == (address,)

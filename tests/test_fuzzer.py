@@ -484,6 +484,24 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     assert campaign.replayed > 0, "some steps were replayed from the cache"
 
 
+def test_directed_offers_augment_edges_only_fresh_transitions(
+        monkeypatch) -> None:
+    # a replay, or a run that took no new transition, cannot learn an edge
+    offered = []
+    real_augment = fuzzer.augment_edges
+
+    def augment(cfg, observed):
+        offered.append(len(observed))
+        return real_augment(cfg, observed)
+
+    monkeypatch.setattr(fuzzer, "augment_edges", augment)
+    result = run_campaign(_shared_return_target(), CampaignConfig(
+        strategy=Strategy.DIRECTED, budget=150, rng_seed=1))
+    assert result.replayed > 0
+    assert offered and 0 not in offered
+    assert len(offered) < result.executions
+
+
 # --- outcome cache --------------------------------------------------------
 
 def _probe_target() -> FuzzTarget:

@@ -147,6 +147,8 @@ DEEP_TYPE = "(" * 20_000 + "uint256" + ")" * 20_000
     _edit_json("abi.json", lambda abi: _first_input(abi).update(
         type="tuple", components=5)),
     _edit_json("abi.json", lambda abi: abi[0].update(name=5)),
+    _edit_json("abi.json", lambda abi: abi[0].update(name="h\u00fcnt")),
+    _edit_json("abi.json", lambda abi: abi[0].update(name="a b(")),
     _edit_json("abi.json", lambda abi: _first_input(abi).update(
         type="uint256[1000000]")),
     _edit_json("abi.json", lambda abi: abi[0].update(
@@ -159,7 +161,8 @@ DEEP_TYPE = "(" * 20_000 + "uint256" + ")" * 20_000
 ], ids=["constructor_args_number", "balance_bool", "name_null",
         "name_empty", "inputs_number", "input_without_type",
         "type_number", "component_without_type", "components_number",
-        "name_number", "static_array_over_cap", "arguments_over_cap",
+        "name_number", "name_not_ascii", "name_not_identifier",
+        "static_array_over_cap", "arguments_over_cap",
         "type_nested_too_deep", "abi_not_text", "json_nested_too_deep",
         "bugs_number"])
 def test_load_benchmark_skips_each_malformed_shape(tmp_path, edit) -> None:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
+from dogefuzz.cfg import analyze
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     EventKind,
@@ -16,6 +17,7 @@ from dogefuzz.evm import (
     PolicyKind,
     Transaction,
     TxStatus,
+    deploy_contract,
     execute_transaction,
 )
 from dogefuzz.oracles import (
@@ -29,7 +31,7 @@ from dogefuzz.oracles import (
 
 from detect_oracle import detect_reference
 from evm_utils import run
-from test_evm_exec import WITHDRAW, deploy_vault
+from test_evm_exec import WITHDRAW, deploy_vault, fresh_state
 
 
 def ev(kind: EventKind, pc: int = 0, depth: int = 1) -> ExecutionEvent:
@@ -182,6 +184,31 @@ def test_vault_drain_detected_as_reentrancy() -> None:
                            agent_policy=PolicyKind.REENTRANT))
     findings = detect_trace(trace)
     assert FineBugClass.REENTRANCY in classes(findings)
+
+
+def test_two_reentrant_functions_are_two_sites() -> None:
+    # each function pays its caller through its own CALL; a re-entry is
+    # anchored at the CALL that let the agent back in
+    a = Assembler()
+    a.op("CALLDATASIZE").push(2).op("EQ").push_label("second").op("JUMPI")
+    a.push(0).push(0).push(0).push(0).push(10)
+    a.op("CALLER", "GAS", "CALL", "POP", "STOP")
+    a.dest("second")
+    a.push(0).push(0).push(0).push(0).push(20)
+    a.op("CALLER", "GAS", "CALL", "POP", "STOP")
+    code = a.assemble()
+    state = fresh_state()
+    bank = deploy_contract(state, code, endowment=1000)
+    sites = set()
+    for calldata in (b"\x01", b"\x01\x02"):
+        trace = execute_transaction(
+            state, Transaction(target=bank, calldata=calldata,
+                               agent_policy=PolicyKind.REENTRANT))
+        sites |= {f.pc for f in detect_trace(trace)
+                  if f.fine is FineBugClass.REENTRANCY}
+    calls = {pc for pc in analyze(code).critical if code[pc] == op.CALL}
+    assert len(calls) == 2
+    assert sites == calls
 
 
 def test_stipend_send_to_contract_detected_as_gasless() -> None:
