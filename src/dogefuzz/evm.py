@@ -25,7 +25,9 @@ cached outcome can outlive state changes it never read.  Storage slots
 are reads of a location; so are an account's code, nonce and presence.  A
 value move only tests `balance >= amount`, and is recorded as that test
 against the balance the transaction started with.  Opcodes that do not
-touch the world state record nothing.
+touch the world state record nothing.  The journal holds each state change
+as (location, old value) in the same vocabulary, a created account as
+((address, PRESENT), None), so a kept change's write set is its locations.
 
 Every frame is entered through `_Machine.run_frame`, which keeps its address
 on the stack of live frames that the reentrancy check reads; every contract,
@@ -119,9 +121,12 @@ class BlockContext(NamedTuple):
 DEFAULT_BLOCK = BlockContext()
 
 # the second half of a world-state location: a storage slot is
-# (address, key), and these name an account's other fields
+# (address, key), and these name an account's other fields, each spelled
+# as its `Account` attribute, and whether the account exists
 BALANCE = "balance"
-ACCOUNT = "account"     # code, nonce and presence
+NONCE = "nonce"
+CODE = "code"
+PRESENT = "present"
 Location = tuple[bytes, int | str]
 
 
@@ -153,17 +158,16 @@ class ExecutionTrace:
     was persisted; when false, persisting it leaves the state as it was.
 
     `reads` holds every location the transaction read: (address, key) for
-    a storage slot, (address, BALANCE) for an exact balance and
-    (address, ACCOUNT) for an account's code, nonce or presence.  Each
-    `balance_tests` entry (address, need, passed) says a value move
-    tested the address's balance and whether it held enough: it does
-    exactly when the balance the transaction starts with is at least
-    `need`.  Rerun against a state that differs in none of its reads and
-    fails none of its tests, the transaction takes the same path with the
-    same outcome.  `writes` holds the locations a kept state change
-    wrote, empty when nothing was kept, and is None when the change
-    reaches every location: a SELFDESTRUCT clears all of an account's
-    storage.
+    a storage slot, and (address, BALANCE), (address, NONCE),
+    (address, CODE) or (address, PRESENT) for an exact balance, a nonce,
+    code or whether the account exists.  Each `balance_tests` entry
+    (address, need, passed) says a value move tested the address's balance
+    and whether it held enough: it does exactly when the balance the
+    transaction starts with is at least `need`.  Rerun against a state
+    that differs in none of its reads and fails none of its tests, the
+    transaction takes the same path with the same outcome.  `writes` holds
+    the locations of a kept state change's journal entries, empty when
+    nothing was kept.
     """
 
     status: TxStatus
@@ -175,7 +179,7 @@ class ExecutionTrace:
     changes_state: bool = False
     reads: set[Location] = field(default_factory=set)
     balance_tests: list[tuple[bytes, int, bool]] = field(default_factory=list)
-    writes: frozenset[Location] | None = frozenset()
+    writes: frozenset[Location] = frozenset()
 
     @property
     def executed_pcs(self) -> dict[bytes, set[int]]:
@@ -265,7 +269,7 @@ class _Machine:
     def __init__(self, state: WorldState, tx: Transaction) -> None:
         self.state = state
         self.tx = tx
-        self.journal: list[tuple] = []
+        self.journal: list[tuple[Location, object]] = []
         self.events: list[ExecutionEvent] = []
         self.block_runs: dict[tuple[bytes, bytes], dict[int, int]] = {}
         self.transitions: set[tuple[int, int]] = set()
@@ -282,56 +286,31 @@ class _Machine:
         accounts = self.state.accounts
         journal = self.journal
         while len(journal) > mark:
-            entry = journal.pop()
-            kind = entry[0]
-            if kind == "storage":
-                _, address, key, old = entry
+            (address, key), old = journal.pop()
+            if isinstance(key, int):
                 storage = accounts[address].storage
                 if old:
                     storage[key] = old
                 else:
                     storage.pop(key, None)
-            elif kind == "balance":
-                accounts[entry[1]].balance = entry[2]
-            elif kind == "nonce":
-                accounts[entry[1]].nonce = entry[2]
-            elif kind == "code":
-                accounts[entry[1]].code = entry[2]
-            elif kind == "created":
-                accounts.pop(entry[1], None)
-            elif kind == "destroyed":
-                _, address, acct = entry
-                accounts[address] = acct
-
-    def written(self, mark: int) -> frozenset[Location] | None:
-        """The locations the journal above `mark` wrote; None after a
-        SELFDESTRUCT, which clears every storage slot of its account."""
-        writes = set()
-        for entry in self.journal[mark:]:
-            kind = entry[0]
-            if kind == "storage":
-                writes.add((entry[1], entry[2]))
-            elif kind == "balance":
-                writes.add((entry[1], BALANCE))
-            elif kind == "destroyed":
-                return None
-            else:  # nonce, code, created
-                writes.add((entry[1], ACCOUNT))
-        return frozenset(writes)
+            elif key == PRESENT:
+                del accounts[address]
+            else:
+                setattr(accounts[address], key, old)
 
     def touch_account(self, address: bytes) -> Account:
         acct = self.state.accounts.get(address)
         if acct is None:
-            # absence is read; a present account can only go away by a
-            # SELFDESTRUCT, whose write covers every location
-            self.reads.add((address, ACCOUNT))
+            # absence is read; a present account never goes away, as a
+            # SELFDESTRUCT clears its fields instead
+            self.reads.add((address, PRESENT))
             acct = Account()
             self.state.accounts[address] = acct
-            self.journal.append(("created", address))
+            self.journal.append(((address, PRESENT), None))
         return acct
 
     def code_of(self, address: bytes) -> bytes:
-        self.reads.add((address, ACCOUNT))
+        self.reads.add((address, CODE))
         return self.state.code_of(address)
 
     def has_balance(self, address: bytes, amount: int) -> bool:
@@ -347,7 +326,7 @@ class _Machine:
     def set_balance(self, address: bytes, value: int) -> None:
         acct = self.touch_account(address)
         self.start_balances.setdefault(address, acct.balance)
-        self.journal.append(("balance", address, acct.balance))
+        self.journal.append(((address, BALANCE), acct.balance))
         acct.balance = value
 
     def transfer(self, src: bytes, dst: bytes, value: int) -> bool:
@@ -395,8 +374,8 @@ class _Machine:
         (status, address, gas left).
         """
         acct = self.touch_account(creator)
-        self.reads.add((creator, ACCOUNT))
-        self.journal.append(("nonce", creator, acct.nonce))
+        self.reads.add((creator, NONCE))
+        self.journal.append(((creator, NONCE), acct.nonce))
         address = contract_address(creator, acct.nonce)
         acct.nonce += 1
         if (depth + 1 > CALL_DEPTH_LIMIT or self.code_of(address)
@@ -409,7 +388,7 @@ class _Machine:
                                           endowment, b"", gas, depth + 1, False)
         if status is TxStatus.SUCCESS:
             created = self.state.accounts[address]
-            self.journal.append(("code", address, created.code))
+            self.journal.append(((address, CODE), created.code))
             created.code = ret
         else:
             self.rollback(mark)
@@ -544,14 +523,15 @@ class _Machine:
                         if static:
                             raise _InvalidOp
                         key, val = stack.pop(), stack.pop()
-                        reads.add((self_address, key))
+                        slot = (self_address, key)
+                        reads.add(slot)
                         acct = self.touch_account(self_address)
                         old = acct.storage.get(key, 0)
                         gas -= op.GAS_SSTORE_FRESH if (old == 0 and val != 0) else op.GAS_SSTORE_UPDATE
                         if gas < 0:
                             raise _OutOfGas
                         if val != old:
-                            self.journal.append(("storage", self_address, key, old))
+                            self.journal.append((slot, old))
                             if val:
                                 acct.storage[key] = val
                             else:
@@ -714,12 +694,14 @@ class _Machine:
                             self.emit(EventKind.ETHER_TRANSFER, pc, depth,
                                       (self_address, beneficiary, held))
                             self.transfer(self_address, beneficiary, held)
-                        acct = state.accounts.get(self_address)
-                        if acct is not None:
-                            self.journal.append(("destroyed", self_address, acct.copy()))
-                            acct.code = b""
-                            acct.storage = {}
-                            acct.balance = 0
+                            if beneficiary == self_address:  # burnt
+                                self.set_balance(self_address, 0)
+                        acct = state.accounts[self_address]  # it runs code
+                        self.journal.append(((self_address, CODE), acct.code))
+                        self.journal.extend(((self_address, key), old)
+                                            for key, old in acct.storage.items())
+                        acct.code = b""
+                        acct.storage = {}
                         return finish(TxStatus.SUCCESS, b"")
                     else:  # INVALID and undefined bytes
                         gas = 0
@@ -893,7 +875,6 @@ def execute_transaction(state: WorldState, tx: Transaction,
         raise ValueError("negative transaction value")
 
     machine = _Machine(state, tx)
-    mark = len(machine.journal)
     if tx.value and not machine.transfer(tx.sender, tx.target, tx.value):
         raise ValueError("sender balance below transaction value")
     code = machine.code_of(tx.target)
@@ -905,13 +886,13 @@ def execute_transaction(state: WorldState, tx: Transaction,
         status, ret, gas_left = TxStatus.SUCCESS, b"", tx.gas_limit
 
     # every mutation is journaled and a failed child frame pops its own
-    # entries, so what is left above the mark is what the transaction wrote
-    changes_state = status is TxStatus.SUCCESS and len(machine.journal) > mark
+    # entries, so what is left in the journal is what the transaction wrote
+    changes_state = status is TxStatus.SUCCESS and bool(machine.journal)
     writes = frozenset()
     if status is not TxStatus.SUCCESS or not persist:
-        machine.rollback(mark)
+        machine.rollback(0)
     elif changes_state:
-        writes = machine.written(mark)
+        writes = frozenset(location for location, _ in machine.journal)
 
     return ExecutionTrace(
         status=status,

@@ -340,13 +340,10 @@ class _Campaign:
             return
         self.coverage_rows.append((self.executions, self._coverage_fraction()))
 
-    def _invalidate(self, writes: frozenset[Location] | None) -> None:
+    def _invalidate(self, writes: frozenset[Location]) -> None:
         """Drop the outcomes a kept state change may alter: those that read
         a location it wrote or whose balance test now answers otherwise."""
         outcomes = self.outcomes
-        if writes is None:
-            outcomes.clear()
-            return
         balance_of = self.base_state.balance_of
         stale = [key for key, (_, _, _, reads, tests) in outcomes.items()
                  if not reads.isdisjoint(writes)

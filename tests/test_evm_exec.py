@@ -15,6 +15,8 @@ from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     AGENT_CALL_GAS,
+    BALANCE,
+    CODE,
     DEPLOYER_ADDRESS,
     DeploymentError,
     EventKind,
@@ -239,6 +241,30 @@ def test_changes_state_flags_left_journal_writes(name, changes, persist) -> None
         assert (state != snap) is changes
     else:
         assert state == snap
+
+
+@pytest.mark.parametrize("persist", [True, False])
+def test_selfdestruct_journals_each_field_it_clears(persist) -> None:
+    """A contract holding slot 3 and 50 wei writes slots 1 and 2, then
+    self-destructs to itself: the balance burns and everything rolls back
+    or is kept, and the write set names every field cleared."""
+    state = fresh_state()
+    target = deploy_contract(state, code(
+        P(7), P(1), op.SSTORE, P(8), P(2), op.SSTORE,
+        op.ADDRESS, op.SELFDESTRUCT), endowment=50)
+    state.account(target).storage[3] = 9
+    snap = snapshot_state(state)
+    trace = execute_transaction(state, Transaction(target=target),
+                                persist=persist)
+    assert trace.status is TxStatus.SUCCESS and trace.changes_state
+    if not persist:
+        assert state == snap
+        assert trace.writes == frozenset()
+        return
+    acct = state.accounts[target]
+    assert (acct.balance, acct.code, acct.storage) == (0, b"", {})
+    assert trace.writes == {(target, CODE), (target, BALANCE),
+                            (target, 1), (target, 2), (target, 3)}
 
 
 def test_value_above_sender_balance_is_rejected() -> None:

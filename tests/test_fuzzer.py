@@ -18,9 +18,10 @@ from dogefuzz.cfg import (
     predecessor_map,
 )
 from dogefuzz.evm import (
-    ACCOUNT,
     AGENT_ADDRESS,
+    CODE,
     DEPLOYER_ADDRESS,
+    NONCE,
     BlockContext,
     PolicyKind,
     Transaction,
@@ -628,8 +629,9 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
     assert 0 < replayed < executions
     assert any(left for name, left in survivals if name == "probe"), \
         "some cached probe outcome outlived a kept state change"
-    assert None in kept_writes, "the probe self-destructed"
-    assert any(writes and (probe.address, ACCOUNT) in writes
+    assert any((probe.address, CODE) in writes
+               for writes in kept_writes), "the probe self-destructed"
+    assert any((probe.address, NONCE) in writes
                for writes in kept_writes), "the probe created a contract"
 
 
@@ -804,18 +806,20 @@ def test_balance_read_is_exact(monkeypatch) -> None:
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
 
 
-def test_kept_create_or_selfdestruct_empties_the_cache(monkeypatch) -> None:
+def test_kept_create_or_selfdestruct_drops_what_read_them(monkeypatch) -> None:
     campaign, seed, _ = _cache_campaign(monkeypatch, _probe_target())
     campaign._execute(seed("load", 0), persist=False)
     campaign._execute(seed("store", 1, 5), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
-    # the creator's nonce is part of the target account every run reads
+    # a CREATE writes the creator's nonce and the new account, which
+    # only a CREATE reads
     campaign._execute(seed("spawn"), persist=True)
-    assert campaign.outcomes == {}
+    assert _cached_calls(campaign) == {seed("load", 0).calldata}
 
     campaign._execute(seed("pay", 250), persist=True)
     campaign._execute(seed("load", 0), persist=False)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
+    # a SELFDESTRUCT writes the target's code, which every run reads
     campaign._execute(seed("kill"), persist=True)
     assert campaign.outcomes == {}
     assert campaign.base_state.code_of(campaign.target.address) == b""
