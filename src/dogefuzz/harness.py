@@ -127,6 +127,8 @@ def load_bundle(directory: str | Path) -> TargetBundle:
         specs = tuple(parse_abi(raw_abi))
     except AbiError as exc:
         raise BundleError(f"abi.json: {exc}") from exc
+    if all(spec.is_view for spec in specs):
+        raise BundleError("abi.json: no state-changing entry points")
 
     fine_labels: list[FineBugClass] = []
     label_path = directory / "labels.json"
@@ -236,7 +238,7 @@ def run_benchmark(
     """Fuzz every bundle with one shared config.
 
     Returns the finished reports and a list of (name, reason) for bundles
-    that could not be deployed or fuzzed.
+    that could not be deployed; any other fault propagates.
     """
     reports: list[ContractReport] = []
     failures: list[tuple[str, str]] = []
@@ -244,7 +246,7 @@ def run_benchmark(
         try:
             target = prepare_target(bundle)
             result = run_campaign(target, config)
-        except (DeploymentError, ValueError) as exc:
+        except DeploymentError as exc:
             logger.warning("campaign on %s failed: %s", bundle.name, exc)
             failures.append((bundle.name, str(exc)))
             continue

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from dogefuzz import fuzzer
 from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
     AGENT_ADDRESS,
@@ -158,13 +159,16 @@ DEEP_TYPE = "(" * 20_000 + "uint256" + ")" * 20_000
     lambda directory: (directory / "abi.json").write_bytes(b"\xff["),
     lambda directory: (directory / "abi.json").write_text("[" * 100_000),
     _edit_json("labels.json", lambda labels: labels.update(bugs=5)),
+    _edit_json("abi.json", lambda abi: [entry.update(stateMutability="view")
+                                        for entry in abi]),
+    lambda directory: (directory / "abi.json").write_text("[]"),
 ], ids=["constructor_args_number", "balance_bool", "name_null",
         "name_empty", "inputs_number", "input_without_type",
         "type_number", "component_without_type", "components_number",
         "name_number", "name_not_ascii", "name_not_identifier",
         "static_array_over_cap", "arguments_over_cap",
         "type_nested_too_deep", "abi_not_text", "json_nested_too_deep",
-        "bugs_number"])
+        "bugs_number", "abi_view_only", "abi_empty"])
 def test_load_benchmark_skips_each_malformed_shape(tmp_path, edit) -> None:
     root = write_benchmark(tmp_path / "bench", [fixture("gated_send")])
     (root / "gated_send").rename(root / "good")
@@ -269,6 +273,19 @@ def test_run_benchmark_reports_deployment_failures(bench_root, tmp_path) -> None
     reports, failures = run_benchmark(bundles, config)
     assert [r.contract for r in reports] == ["reentrancy_fixed"]
     assert len(failures) == 1 and failures[0][0] == "reentrancy_fixed"
+
+
+def test_run_benchmark_propagates_a_fault_inside_a_campaign(
+        bench_root, monkeypatch) -> None:
+    """Only a failed deployment is a bundle's failure; a fault in the
+    fuzzer is not reported as a skipped bundle."""
+    def fault(spec, args):
+        raise UnicodeEncodeError("ascii", spec.name, 0, 1, "fault")
+
+    monkeypatch.setattr(fuzzer, "encode_call", fault)
+    config = CampaignConfig(strategy=Strategy.GREYBOX, budget=30, rng_seed=1)
+    with pytest.raises(ValueError, match="fault"):
+        run_benchmark([load_bundle(bench_root / "delegate_fixed")], config)
 
 
 def test_reproducer_replays_stateless_finding(bench_root) -> None:

@@ -224,6 +224,22 @@ def test_stipend_send_to_contract_detected_as_gasless() -> None:
     assert len(send_pc) == 1, "both findings anchor at the call site"
 
 
+def test_rolled_back_transfer_still_counts() -> None:
+    # the rule for events of rolled-back moves: the ETHER_TRANSFER is
+    # emitted before the callee runs and stays when its move is undone
+    a = Assembler()
+    a.op("TIMESTAMP", "POP")
+    a.push(0).push(0).push(0).push(0).push(1)
+    a.push_address(AGENT_ADDRESS).op("GAS", "CALL", "POP", "STOP")
+    trace, state, address = run(a.assemble(), endowment=10,
+                                policy=PolicyKind.THROWER)
+    assert state.balance_of(address) == 10
+    findings = detect_trace(trace)
+    assert {(f.fine, f.pc) for f in findings} == {
+        (FineBugClass.TIMESTAMP_DEPENDENCY, 0),
+        (FineBugClass.EXCEPTION_DISORDER, 34)}
+
+
 def test_timestamp_gated_send_detected() -> None:
     sink = b"\x00" * 19 + b"\x09"
     a = Assembler()
