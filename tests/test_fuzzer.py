@@ -811,8 +811,8 @@ def test_kept_create_or_selfdestruct_drops_what_read_them(monkeypatch) -> None:
     campaign._execute(seed("load", 0), persist=False)
     campaign._execute(seed("store", 1, 5), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
-    # a CREATE writes the creator's nonce and the new account, which
-    # only a CREATE reads
+    # a CREATE writes the creator's nonce and the new account, neither
+    # of which `load` reads
     campaign._execute(seed("spawn"), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
 
