@@ -163,9 +163,10 @@ class ExecutionTrace:
     code or whether the account exists.  Each `balance_tests` entry
     (address, need, passed) says a value move tested the address's balance
     and whether it held enough: it does exactly when the balance the
-    transaction starts with is at least `need`.  Rerun against a state
-    that differs in none of its reads and fails none of its tests, the
-    transaction takes the same path with the same outcome.  `writes` holds
+    transaction starts with is at least `need`.  SELFDESTRUCT, which moves
+    all the balance there is, reads it exactly instead.  Rerun against a
+    state that differs in none of its reads and fails none of its tests,
+    the transaction takes the same path with the same outcome.  `writes` holds
     the locations of a kept state change's journal entries, empty when
     nothing was kept.
     """
@@ -329,13 +330,16 @@ class _Machine:
         self.journal.append(((address, BALANCE), acct.balance))
         acct.balance = value
 
-    def transfer(self, src: bytes, dst: bytes, value: int) -> bool:
-        if value == 0:
-            return True
-        if not self.has_balance(src, value):
-            return False
+    def move(self, src: bytes, dst: bytes, value: int) -> None:
+        """Move `value` from `src` to `dst`; the caller tested the balance."""
         self.set_balance(src, self.state.balance_of(src) - value)
         self.set_balance(dst, self.state.balance_of(dst) + value)
+
+    def transfer(self, src: bytes, dst: bytes, value: int) -> bool:
+        """Move a nonzero `value` if `src` holds it; whether it did."""
+        if not self.has_balance(src, value):
+            return False
+        self.move(src, dst, value)
         return True
 
     def emit(self, kind: EventKind, pc: int, depth: int, data: tuple = ()) -> None:
@@ -383,7 +387,8 @@ class _Machine:
             return None, address, gas
         mark = len(self.journal)
         self.touch_account(address)
-        self.transfer(creator, address, endowment)
+        if endowment:
+            self.move(creator, address, endowment)
         status, ret, gas = self.run_frame(init_code, address, address, creator,
                                           endowment, b"", gas, depth + 1, False)
         if status is TxStatus.SUCCESS:
@@ -693,9 +698,10 @@ class _Machine:
                         if held > 0:
                             self.emit(EventKind.ETHER_TRANSFER, pc, depth,
                                       (self_address, beneficiary, held))
-                            self.transfer(self_address, beneficiary, held)
                             if beneficiary == self_address:  # burnt
                                 self.set_balance(self_address, 0)
+                            else:
+                                self.move(self_address, beneficiary, held)
                         acct = state.accounts[self_address]  # it runs code
                         self.journal.append(((self_address, CODE), acct.code))
                         self.journal.extend(((self_address, key), old)

@@ -2,22 +2,14 @@
 
 Each vulnerable fixture comes with a fixed twin of the same shape whose
 defect is repaired, so detection quality can be judged as both recall on
-the dirty half and precision on the clean half.  Balance bookkeeping uses
-the caller address directly as the storage key.  The `gated_send` fixture
-hides its bug behind three magic-constant guards with progressively larger
-code regions, which rewards strategies that can steer toward the money
-transfer at the end.
+the dirty half and precision on the clean half; `_twins` builds both from
+one body.  Balance bookkeeping uses the caller address directly as the
+storage key.  The `gated_send` fixture hides its bug behind three
+magic-constant guards with progressively larger code regions, which rewards
+strategies that can steer toward the money transfer at the end.
 
-Bundle layout written by `write_benchmark`, one sub-directory per contract:
-
-    <root>/<name>/manifest.json      {"name", "mode": "runtime"|"creation",
-                                      "constructor_args": hex, "initial_balance": int}
-    <root>/<name>/code.hex           bytecode, hex, one line
-    <root>/<name>/abi.json           standard contract interface JSON
-    <root>/<name>/labels.json        {"bugs": [fine class names]}
-
-labels.json is optional for clean contracts and records the planted defects
-by fine class; the harness folds them into taxonomy classes when scoring.
+`write_benchmark` writes the bundle layout that `dogefuzz.harness` loads;
+see its module docstring and README "Bundle format".
 """
 
 from __future__ import annotations
@@ -25,9 +17,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
-from .abi import selector
+from .abi import parse_abi, selector
 from .asm import Assembler
 from .oracles import FineBugClass
 
@@ -50,7 +44,6 @@ class Fixture:
     abi: tuple[dict, ...]
     labels: tuple[FineBugClass, ...]
     endowment: int = DEFAULT_ENDOWMENT
-    description: str = ""
 
 
 # --- assembly helpers -----------------------------------------------------
@@ -66,19 +59,14 @@ def _fn(name: str, inputs: tuple[str, ...] = (),
     }
 
 
-def _sig(entry: dict) -> str:
-    types = ",".join(item["type"] for item in entry["inputs"])
-    return f"{entry['name']}({types})"
-
-
 def _dispatcher(a: Assembler, entries: tuple[dict, ...],
                 fallback_reverts: bool) -> None:
     """Selector match chain; unmatched calldata falls through."""
     a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
-    for entry in entries:
-        sel = int.from_bytes(selector(_sig(entry)), "big")
+    for spec in parse_abi(entries):
+        sel = int.from_bytes(spec.selector_bytes, "big")
         a.op("DUP1").push(sel, width=4).op("EQ")
-        a.push_label(entry["name"]).op("JUMPI")
+        a.push_label(spec.name).op("JUMPI")
     a.op("POP")
     if fallback_reverts:
         a.push(0).push(0).op("REVERT")
@@ -91,21 +79,38 @@ def _call_out_zeros(a: Assembler) -> None:
     a.push(0).push(0).push(0).push(0)
 
 
-def _checked_tail(a: Assembler, label: str = "fail") -> None:
+def _checked_tail(a: Assembler) -> None:
     """Require the call flag on top of the stack, else revert."""
-    a.op("ISZERO").push_label(label).op("JUMPI")
+    a.op("ISZERO").push_label("fail").op("JUMPI")
     a.op("STOP")
-    a.dest(label)
+    a.dest("fail")
     a.push(0).push(0).op("REVERT")
 
 
-# --- reentrancy pair ------------------------------------------------------
+# --- vulnerable/fixed pairs ----------------------------------------------
 
-def _reentrancy(vulnerable: bool) -> Fixture:
-    entries = (_fn("deposit", (), "payable"), _fn("withdraw"))
-    a = Assembler()
-    _dispatcher(a, entries, fallback_reverts=True)
+def _twins(kind: str, entries: tuple[dict, ...], fallback_reverts: bool,
+           labels: tuple[FineBugClass, ...],
+           body: Callable[[Assembler, bool], None]) -> list[Fixture]:
+    """`<kind>_vulnerable` and `<kind>_fixed`: the same dispatcher over
+    `entries`, then `body(a, vulnerable)`; only the vulnerable twin is
+    labelled."""
+    twins = []
+    for vulnerable in (True, False):
+        a = Assembler()
+        _dispatcher(a, entries, fallback_reverts)
+        body(a, vulnerable)
+        twins.append(Fixture(
+            name=f"{kind}_{'vulnerable' if vulnerable else 'fixed'}",
+            runtime=a.assemble(),
+            abi=entries,
+            labels=labels if vulnerable else ()))
+    return twins
 
+
+def _reentrancy(a: Assembler, vulnerable: bool) -> None:
+    """Deposit/withdraw vault; the vulnerable twin updates state after the
+    payout call."""
     a.dest("deposit")
     a.op("CALLVALUE", "CALLER", "SLOAD", "ADD", "CALLER", "SSTORE", "STOP")
 
@@ -127,25 +132,10 @@ def _reentrancy(vulnerable: bool) -> Fixture:
     a.dest("fail")
     a.push(0).push(0).op("REVERT")
 
-    suffix = "vulnerable" if vulnerable else "fixed"
-    labels = (FineBugClass.REENTRANCY,) if vulnerable else ()
-    return Fixture(
-        name=f"reentrancy_{suffix}",
-        runtime=a.assemble(),
-        abi=entries,
-        labels=labels,
-        description="deposit/withdraw vault; the dirty one updates state "
-                    "after the payout call",
-    )
 
-
-# --- delegate pair --------------------------------------------------------
-
-def _delegate(vulnerable: bool) -> Fixture:
-    entries = (_fn("forward", ("address",)),)
-    a = Assembler()
-    _dispatcher(a, entries, fallback_reverts=False)
-
+def _delegate(a: Assembler, vulnerable: bool) -> None:
+    """Library forwarder; the vulnerable twin lets the caller pick the
+    delegate target."""
     a.dest("forward")
     _call_out_zeros(a)
     if vulnerable:
@@ -154,25 +144,10 @@ def _delegate(vulnerable: bool) -> Fixture:
         a.push_address(TRUSTED_LIBRARY)
     a.op("GAS", "DELEGATECALL", "POP", "STOP")
 
-    suffix = "vulnerable" if vulnerable else "fixed"
-    labels = (FineBugClass.DANGEROUS_DELEGATE_CALL,) if vulnerable else ()
-    return Fixture(
-        name=f"delegate_{suffix}",
-        runtime=a.assemble(),
-        abi=entries,
-        labels=labels,
-        description="library forwarder; the dirty one lets the caller pick "
-                    "the delegate target",
-    )
 
-
-# --- gasless send pair ----------------------------------------------------
-
-def _gasless(vulnerable: bool) -> Fixture:
-    entries = (_fn("pay"),)
-    a = Assembler()
-    _dispatcher(a, entries, fallback_reverts=False)
-
+def _gasless(a: Assembler, vulnerable: bool) -> None:
+    """One-coin refund to the caller; the vulnerable twin sends on the bare
+    stipend and ignores the outcome."""
     a.dest("pay")
     _call_out_zeros(a)
     a.push(1).op("CALLER")
@@ -184,26 +159,10 @@ def _gasless(vulnerable: bool) -> Fixture:
         a.push(25_000).op("CALL")
         _checked_tail(a)
 
-    suffix = "vulnerable" if vulnerable else "fixed"
-    labels = ((FineBugClass.GASLESS_SEND, FineBugClass.EXCEPTION_DISORDER)
-              if vulnerable else ())
-    return Fixture(
-        name=f"gasless_{suffix}",
-        runtime=a.assemble(),
-        abi=entries,
-        labels=labels,
-        description="one-coin refund to the caller; the dirty one sends on "
-                    "the bare stipend and ignores the outcome",
-    )
 
-
-# --- swallowed exception pair ---------------------------------------------
-
-def _disorder(vulnerable: bool) -> Fixture:
-    entries = (_fn("relay"), _fn("ping"))
-    a = Assembler()
-    _dispatcher(a, entries, fallback_reverts=True)
-
+def _disorder(a: Assembler, vulnerable: bool) -> None:
+    """Internal relay; the vulnerable twin ignores a child call that always
+    fails."""
     a.dest("relay")
     if vulnerable:
         # self-call with empty calldata lands in the reverting fallback;
@@ -219,28 +178,12 @@ def _disorder(vulnerable: bool) -> Fixture:
     a.dest("ping")
     a.op("STOP")
 
-    suffix = "vulnerable" if vulnerable else "fixed"
-    labels = (FineBugClass.EXCEPTION_DISORDER,) if vulnerable else ()
-    return Fixture(
-        name=f"disorder_{suffix}",
-        runtime=a.assemble(),
-        abi=entries,
-        labels=labels,
-        description="internal relay; the dirty one ignores a child call "
-                    "that always fails",
-    )
 
-
-# --- block dependency pairs -----------------------------------------------
-
-def _block_dependent(field_op: str, vulnerable: bool) -> Fixture:
-    entries = (_fn("win"),)
-    a = Assembler()
-    _dispatcher(a, entries, fallback_reverts=False)
-
+def _lottery(field_op: str, a: Assembler, vulnerable: bool) -> None:
+    """Lottery paying to a sink; the vulnerable twin pays only on the parity
+    of the block field `field_op`, the fixed twin unconditionally."""
     a.dest("win")
     if vulnerable:
-        # payout gated on parity of a block field
         a.push(2).op(field_op, "MOD")
         a.op("ISZERO").push_label("payout").op("JUMPI")
         a.op("STOP")
@@ -254,20 +197,6 @@ def _block_dependent(field_op: str, vulnerable: bool) -> Fixture:
         a.op("CALL")
         _checked_tail(a)
 
-    kind = "timestamp" if field_op == "TIMESTAMP" else "number"
-    suffix = "vulnerable" if vulnerable else "fixed"
-    fine = (FineBugClass.TIMESTAMP_DEPENDENCY if field_op == "TIMESTAMP"
-            else FineBugClass.NUMBER_DEPENDENCY)
-    labels = (fine,) if vulnerable else ()
-    return Fixture(
-        name=f"{kind}_{suffix}",
-        runtime=a.assemble(),
-        abi=entries,
-        labels=labels,
-        description=f"lottery paying on {field_op.lower()} parity; the fixed "
-                    "twin pays unconditionally",
-    )
-
 
 # --- staged guards for directed search ------------------------------------
 
@@ -276,6 +205,8 @@ _STAGE_PADDING = (30, 60, 90)
 
 
 def _gated() -> Fixture:
+    """Unchecked stipend send hidden behind three magic-word guards with
+    growing code regions."""
     entries = (_fn("hunt", ("uint256", "uint256", "uint256")),)
     a = Assembler()
     _dispatcher(a, entries, fallback_reverts=False)
@@ -298,8 +229,6 @@ def _gated() -> Fixture:
         runtime=a.assemble(),
         abi=entries,
         labels=(FineBugClass.GASLESS_SEND, FineBugClass.EXCEPTION_DISORDER),
-        description="unchecked stipend send hidden behind three magic-word "
-                    "guards with growing code regions",
     )
 
 
@@ -307,12 +236,21 @@ def _gated() -> Fixture:
 
 def all_fixtures() -> list[Fixture]:
     return [
-        _reentrancy(True), _reentrancy(False),
-        _delegate(True), _delegate(False),
-        _gasless(True), _gasless(False),
-        _disorder(True), _disorder(False),
-        _block_dependent("TIMESTAMP", True), _block_dependent("TIMESTAMP", False),
-        _block_dependent("NUMBER", True), _block_dependent("NUMBER", False),
+        *_twins("reentrancy", (_fn("deposit", (), "payable"), _fn("withdraw")),
+                True, (FineBugClass.REENTRANCY,), _reentrancy),
+        *_twins("delegate", (_fn("forward", ("address",)),), False,
+                (FineBugClass.DANGEROUS_DELEGATE_CALL,), _delegate),
+        *_twins("gasless", (_fn("pay"),), False,
+                (FineBugClass.GASLESS_SEND, FineBugClass.EXCEPTION_DISORDER),
+                _gasless),
+        *_twins("disorder", (_fn("relay"), _fn("ping")), True,
+                (FineBugClass.EXCEPTION_DISORDER,), _disorder),
+        *_twins("timestamp", (_fn("win"),), False,
+                (FineBugClass.TIMESTAMP_DEPENDENCY,),
+                partial(_lottery, "TIMESTAMP")),
+        *_twins("number", (_fn("win"),), False,
+                (FineBugClass.NUMBER_DEPENDENCY,),
+                partial(_lottery, "NUMBER")),
         _gated(),
     ]
 

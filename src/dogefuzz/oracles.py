@@ -61,7 +61,7 @@ class BugFinding:
 
 # --- detection rules ------------------------------------------------------
 
-def detect(trace: ExecutionTrace) -> list[BugFinding]:
+def detect_trace(trace: ExecutionTrace) -> list[BugFinding]:
     """All findings for one transaction, at most one per fine class.
 
     One pass over the events records the first event of each kind, the
@@ -121,8 +121,3 @@ def detect(trace: ExecutionTrace) -> list[BugFinding]:
     if findings:
         logger.debug("detected %s", [f.fine.value for f in findings])
     return findings
-
-
-# the name campaigns look detection up by
-detect_trace = detect
-

@@ -1,9 +1,11 @@
-"""Reference detection rules for cross-checking `dogefuzz.oracles.detect`.
+"""Reference detection rules for cross-checking
+`dogefuzz.oracles.detect_trace`.
 
 `detect_reference` keeps the rules in their plainest form: one scan of the
 events per rule, with the reentrancy rule re-scanning every event for each
 re-entry.  It is slow and only used by tests, which check that the
-one-pass production `detect` returns the same findings in the same order.
+one-pass production `detect_trace` returns the same findings in the same
+order.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Disassembly, block recovery, edge resolution, and distance maps."""
+"""Assembly, disassembly, block recovery, edge resolution, and distance
+maps."""
 
 from __future__ import annotations
 
@@ -28,6 +29,26 @@ from evm_utils import code, run
 
 
 P1 = op.PUSH1
+
+
+# --- assembly -------------------------------------------------------------
+
+def test_assembler_patches_labels_placed_later() -> None:
+    a = Assembler().push_label("end").op("JUMP").push(0xAB, width=2)
+    a.dest("end").op("STOP")
+    assert a.assemble() == code(op.PUSH1 + 1, 0, 7, op.JUMP,
+                                op.PUSH1 + 1, 0, 0xAB, op.JUMPDEST, op.STOP)
+
+
+def test_assembler_rejects_bad_labels_and_pushes() -> None:
+    with pytest.raises(ValueError, match="undefined label 'nowhere'"):
+        Assembler().push_label("nowhere").assemble()
+    a = Assembler().label("here")
+    with pytest.raises(ValueError, match="duplicate label 'here'"):
+        a.label("here")
+    for value, width in ((256, 1), (1 << 256, None), (1, 0), (1, 33)):
+        with pytest.raises(ValueError, match="does not fit"):
+            Assembler().push(value, width=width)
 
 
 # --- disassembly ----------------------------------------------------------
@@ -396,6 +417,45 @@ def test_relax_distances_batches_by_kind() -> None:
         changed = {pc: d for pc, d in hops.items() if before.get(pc) != d}
         assert changed == {start[name]: d for name, d in lowered.items()}
         _assert_overlay(static, cfg, learned, static_before)
+
+
+class _Visits(dict):
+    """A predecessor map that records which blocks relaxation expands."""
+
+    def __init__(self, *args) -> None:
+        super().__init__(*args)
+        self.expanded: list[int] = []
+
+    def get(self, key, default=None):
+        self.expanded.append(key)
+        return super().get(key, default)
+
+
+def test_relax_distances_skips_a_stale_heap_entry() -> None:
+    a = Assembler()
+    a.op("STOP")
+    a.dest("up").push_label("lone").op("JUMP")
+    a.dest("lone").push(0).op("CALLDATALOAD", "JUMP")   # unresolved
+    a.dest("far").push_label("mid").op("JUMP")
+    a.dest("mid").push_label("site").op("JUMP")
+    a.dest("site")
+    for _ in range(7):
+        a.push(0)
+    a.op("CALL", "POP", "STOP")
+    cfg = build_cfg(a.assemble())
+    start = {name: block.start for name, block in zip(
+        ("entry", "up", "lone", "far", "mid", "site"), cfg.blocks)}
+    sites = critical_sites(cfg)
+    hops = distance_map(cfg, sites)
+    assert hops == {start["far"]: 2, start["mid"]: 1, start["site"]: 0}
+    predecessors = _Visits(cfg.predecessors)
+    # `lone` is queued at 3 through `far`, then again at 1 through `site`
+    new_edges = [(start["lone"], start["far"]), (start["lone"], start["site"])]
+    relax_distances(hops, predecessors, {}, new_edges)
+    assert hops == distance_map(augment_edges(cfg, new_edges), sites)
+    assert hops[start["lone"]] == 1 and hops[start["up"]] == 2
+    # the entry at 3 was lowered before it was popped: expanded once
+    assert predecessors.expanded == [start["lone"], start["up"]]
 
 
 @settings(max_examples=60, deadline=None)

@@ -120,6 +120,22 @@ def test_push_past_the_stack_limit_faults_at_its_pc(name: str) -> None:
     assert all(event.pc < 1024 for event in trace.events)
 
 
+@pytest.mark.parametrize("name", ["PUSH1", "DUP1"])
+def test_push_or_dup_past_the_stack_limit_faults_at_its_pc(name: str) -> None:
+    # a PUSH1 0 first, then the opcode under test over and over
+    unit = P(0) if name == "PUSH1" else code(op.DUP1)
+    trace, _, _ = run(code(P(0), unit * 1023, op.STOP))
+    assert trace.status is TxStatus.SUCCESS, "1024 slots are allowed"
+
+    trace, _, address = run(code(P(0), unit * 1029, op.STOP), gas=50_000)
+    assert trace.status is TxStatus.INVALID_OPCODE
+    assert trace.gas_used == 50_000
+    # the instruction pushing the 1025th entry faults; nothing after it runs
+    ran = [0, *range(2, 2 + 1024 * len(unit), len(unit))]
+    assert trace.executed_pcs == {address: set(ran)}
+    assert dynamic_edges(trace, address) == _chain(*ran)
+
+
 # --- control transfer -----------------------------------------------------
 
 def test_untaken_jumpi_falls_into_plain_block() -> None:

@@ -8,7 +8,9 @@ import pytest
 from dogefuzz import opcodes as op
 from dogefuzz.evm import (
     AGENT_ADDRESS,
+    BALANCE,
     BLOCK_GAS_LIMIT,
+    CALL_DEPTH_LIMIT,
     COINBASE_ADDRESS,
     DEFAULT_TX_GAS,
     BlockContext,
@@ -45,6 +47,7 @@ STACK_CASES = [
     ("mod_by_zero", code(P(0), P(10), op.MOD), 0),
     ("smod_sign_of_dividend", code(P(3), P((-10) & MAX, 32), op.SMOD), (-1) & MAX),
     ("smod_positive_dividend", code(P((-3) & MAX, 32), P(10), op.SMOD), 1),
+    ("smod_by_zero", code(P(0), P((-5) & MAX, 32), op.SMOD), 0),
     ("addmod_full_precision", code(P(3), P(2), P(MAX, 32), op.ADDMOD), (MAX + 2) % 3),
     ("addmod_modulus_zero", code(P(0), P(2), P(1), op.ADDMOD), 0),
     ("mulmod_full_precision", code(P(97), P(1 << 200, 32), P(1 << 200, 32), op.MULMOD),
@@ -110,6 +113,22 @@ def test_dup16_and_swap16() -> None:
 def test_sha3_empty() -> None:
     got = run_top(code(P(0), P(0), op.SHA3))
     assert got == int.from_bytes(keccak256_reference(b""), "big")
+
+
+def test_sha3_charges_per_word_and_for_memory() -> None:
+    # hashing 100 words costs 6 gas each and their memory 3 gas each; one
+    # gas short of either runs out
+    words = 100
+    snippet = code(P(32 * words, 2), P(0), op.SHA3, op.STOP)
+    fixed = 2 * 3 + op.BASE_GAS[op.SHA3]
+    hashing = op.GAS_SHA3_WORD * words
+    memory = op.GAS_MEMORY_WORD * words
+    for gas, status in ((fixed + hashing - 1, TxStatus.OUT_OF_GAS),
+                        (fixed + hashing + memory - 1, TxStatus.OUT_OF_GAS),
+                        (fixed + hashing + memory, TxStatus.SUCCESS)):
+        trace, _, _ = run(snippet, gas=gas)
+        assert trace.status is status, gas
+        assert trace.gas_used == gas
 
 
 def test_sha3_of_stored_word() -> None:
@@ -280,6 +299,16 @@ def test_jump() -> None:
 def test_jump_to_non_jumpdest_fails() -> None:
     trace, _, _ = run(code(P(3), op.JUMP, op.STOP))
     assert trace.status is TxStatus.INVALID_OPCODE
+
+
+def test_taken_jumpi_to_non_jumpdest_fails() -> None:
+    # pc 6 holds a STOP, not a JUMPDEST; only a true condition checks it
+    snippet = code(P(1), P(6), op.JUMPI, op.STOP, op.STOP)
+    trace, _, _ = run(snippet, gas=10_000)
+    assert trace.status is TxStatus.INVALID_OPCODE
+    assert trace.gas_used == 10_000
+    trace, _, _ = run(code(P(0), snippet[2:]))
+    assert trace.status is TxStatus.SUCCESS
 
 
 def test_jumpdest_inside_push_immediate_is_invalid() -> None:
@@ -697,6 +726,101 @@ def test_selfdestruct_with_zero_balance_emits_nothing() -> None:
     trace, _, _ = run(code(bytes([op.PUSH1 + 19]) + sink, op.SELFDESTRUCT))
     assert trace.status is TxStatus.SUCCESS
     assert trace.events == []
+
+
+_SINK = b"\x00" * 19 + b"\x08"
+
+
+def test_one_balance_test_per_moved_value() -> None:
+    """A value CALL and an endowed CREATE test the mover's balance once
+    each; SELFDESTRUCT moves all there is and reads it exactly."""
+    trace, _, address = run(_call_args(0, _SINK, 40) + code(op.CALL, op.STOP),
+                            endowment=100)
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.balance_tests == [(address, 40, True)]
+
+    site = _create_site(code(op.STOP), endowment=5)
+    trace, state, address = run(site + code(op.CREATE, op.STOP), endowment=100)
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.balance_tests == [(address, 5, True)]
+    assert state.balance_of(contract_address(address, 0)) == 5
+
+    # to a sink, then to itself: the balance burns
+    for beneficiary, paid in ((bytes([op.PUSH1 + 19]) + _SINK, 50),
+                              (code(op.ADDRESS), 0)):
+        trace, state, address = run(code(beneficiary, op.SELFDESTRUCT),
+                                    endowment=50)
+        assert trace.status is TxStatus.SUCCESS
+        assert trace.balance_tests == []
+        assert (address, BALANCE) in trace.reads
+        assert state.balance_of(address) == 0
+        assert state.balance_of(_SINK) == paid
+
+
+def _static_call(target: bytes) -> bytes:
+    """STATICCALL `target` with no input or output; leaves the flag."""
+    return code(P(0, 2), P(0, 2), P(0, 2), P(0, 2),
+                bytes([op.PUSH1 + 19]) + target, P(200_000, 4), op.STATICCALL)
+
+
+@pytest.mark.parametrize("body", [
+    code(P(0), P(0), op.LOG0),
+    code(op.ADDRESS, op.SELFDESTRUCT),
+    _call_args(0, _SINK, 1) + code(op.CALL),
+    _create_site(code(op.STOP)) + code(op.CREATE),
+], ids=["log", "selfdestruct", "value_call", "create"])
+def test_static_frame_rejects_state_changes(body: bytes) -> None:
+    state = _fresh_state()
+    callee = deploy_contract(state, body + code(op.STOP), endowment=10)
+    # outside a static frame the same code runs
+    direct = execute_transaction(state, Transaction(target=callee),
+                                 persist=False)
+    assert direct.status is TxStatus.SUCCESS
+    user = deploy_contract(state, _static_call(callee) + RETURN_TOP)
+    trace = execute_transaction(state, Transaction(target=user))
+    assert trace.status is TxStatus.SUCCESS
+    assert int.from_bytes(trace.return_data, "big") == 0
+    callee_acct = state.account(callee)
+    assert (callee_acct.balance, callee_acct.nonce) == (10, 0)
+    assert callee_acct.code == body + code(op.STOP)
+    assert state.balance_of(_SINK) == 0
+    assert [e.kind for e in trace.events] == [EventKind.EXCEPTION_DISORDER]
+
+
+def test_static_frame_allows_a_zero_value_call() -> None:
+    state = _fresh_state()
+    callee = deploy_contract(
+        state, _call_args(0, _SINK, 0) + code(op.CALL, op.STOP))
+    user = deploy_contract(state, _static_call(callee) + RETURN_TOP)
+    trace = execute_transaction(state, Transaction(target=user))
+    assert int.from_bytes(trace.return_data, "big") == 1
+
+
+@pytest.mark.parametrize("value", [0, 7])
+def test_call_at_the_depth_limit_pushes_zero_and_keeps_callee_gas(
+        value: int) -> None:
+    """A frame at depth 1024 can call no deeper: the flag is 0, the callee
+    never runs, no value moves, and the gas meant for the callee (with the
+    stipend of a value call) comes back."""
+    state = _fresh_state()
+    writer = deploy_contract(state, STORAGE_WRITER)
+    frame = b"\x01" * 20
+    state.account(frame).balance = 100
+    snippet = (_call_args(5_000, writer, value) + code(op.CALL, op.GAS)
+               + _RETURN_CREATED_AND_GAS)
+    machine = _Machine(state, Transaction(target=frame))
+    status, ret, _ = machine.run_frame(snippet, frame, frame, AGENT_ADDRESS, 0,
+                                       b"", 100_000, CALL_DEPTH_LIMIT, False)
+    assert status is TxStatus.SUCCESS
+    assert int.from_bytes(ret[:32], "big") == 0  # the flag
+    seen = int.from_bytes(ret[32:], "big")
+    spent = 7 * 3 + op.BASE_GAS[op.CALL] + op.BASE_GAS[op.GAS]
+    if value:
+        spent += op.GAS_VALUE_SURCHARGE - op.GAS_STIPEND
+    assert seen == 100_000 - spent
+    assert state.account(writer).storage == {}
+    assert state.balance_of(frame) == 100
+    assert machine.journal == [] and machine.events == []
 
 
 def test_reentrancy_event_on_nested_self_call() -> None:

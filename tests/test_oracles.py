@@ -25,7 +25,6 @@ from dogefuzz.oracles import (
     BugFinding,
     CoarseClass,
     FineBugClass,
-    detect,
     detect_trace,
 )
 
@@ -73,15 +72,15 @@ def test_classification_table(fine, swc, coarse) -> None:
 def test_reentrancy_needs_deep_transfer_or_write() -> None:
     qualifying = snap(ev(EventKind.REENTRANCY, depth=3),
                       ev(EventKind.ETHER_TRANSFER, pc=9, depth=3))
-    assert classes(detect(qualifying)) == {FineBugClass.REENTRANCY}
+    assert classes(detect_trace(qualifying)) == {FineBugClass.REENTRANCY}
 
     shallow = snap(ev(EventKind.REENTRANCY, depth=3),
                    ev(EventKind.ETHER_TRANSFER, pc=9, depth=2))
-    assert detect(shallow) == []
+    assert detect_trace(shallow) == []
 
     via_write = snap(ev(EventKind.REENTRANCY, depth=3),
                      ev(EventKind.STORAGE_CHANGED, pc=4, depth=4))
-    assert classes(detect(via_write)) == {FineBugClass.REENTRANCY}
+    assert classes(detect_trace(via_write)) == {FineBugClass.REENTRANCY}
 
 
 def test_reentrancy_anchors_first_qualifying_event() -> None:
@@ -90,19 +89,20 @@ def test_reentrancy_anchors_first_qualifying_event() -> None:
         ev(EventKind.REENTRANCY, pc=22, depth=3),
         ev(EventKind.ETHER_TRANSFER, pc=30, depth=4),
     )
-    findings = detect(snapshot)
+    findings = detect_trace(snapshot)
     assert [f.pc for f in findings if f.fine is FineBugClass.REENTRANCY] == [22]
 
 
 def test_reentrancy_alone_is_silent() -> None:
-    assert detect(snap(ev(EventKind.REENTRANCY, depth=2))) == []
+    assert detect_trace(snap(ev(EventKind.REENTRANCY, depth=2))) == []
 
 
 # --- rule: delegate target from the outside -------------------------------
 
 def test_delegate_fires_regardless_of_status() -> None:
     for status in TxStatus:
-        findings = detect(snap(ev(EventKind.DELEGATE, pc=17), status=status))
+        findings = detect_trace(snap(ev(EventKind.DELEGATE, pc=17),
+                                     status=status))
         assert classes(findings) == {FineBugClass.DANGEROUS_DELEGATE_CALL}
         assert findings[0].pc == 17
 
@@ -110,25 +110,25 @@ def test_delegate_fires_regardless_of_status() -> None:
 # --- rules gated on success -----------------------------------------------
 
 def test_gasless_send_requires_success() -> None:
-    hit = detect(snap(ev(EventKind.GASLESS_SEND, pc=33)))
+    hit = detect_trace(snap(ev(EventKind.GASLESS_SEND, pc=33)))
     assert classes(hit) == {FineBugClass.GASLESS_SEND}
     assert hit[0].pc == 33
-    assert detect(snap(ev(EventKind.GASLESS_SEND, pc=33),
+    assert detect_trace(snap(ev(EventKind.GASLESS_SEND, pc=33),
                        status=TxStatus.REVERTED)) == []
 
 
 def test_exception_disorder_requires_success() -> None:
-    hit = detect(snap(ev(EventKind.EXCEPTION_DISORDER, pc=40)))
+    hit = detect_trace(snap(ev(EventKind.EXCEPTION_DISORDER, pc=40)))
     assert classes(hit) == {FineBugClass.EXCEPTION_DISORDER}
-    assert detect(snap(ev(EventKind.EXCEPTION_DISORDER, pc=40),
+    assert detect_trace(snap(ev(EventKind.EXCEPTION_DISORDER, pc=40),
                        status=TxStatus.OUT_OF_GAS)) == []
 
 
 # --- rules: block field reads plus a transfer -----------------------------
 
 def test_timestamp_dependency_needs_transfer() -> None:
-    assert detect(snap(ev(EventKind.TIMESTAMP, pc=2))) == []
-    findings = detect(snap(ev(EventKind.TIMESTAMP, pc=2),
+    assert detect_trace(snap(ev(EventKind.TIMESTAMP, pc=2))) == []
+    findings = detect_trace(snap(ev(EventKind.TIMESTAMP, pc=2),
                            ev(EventKind.TIMESTAMP, pc=8),
                            ev(EventKind.ETHER_TRANSFER, pc=20)))
     assert [(f.fine, f.pc) for f in findings] == [
@@ -136,8 +136,8 @@ def test_timestamp_dependency_needs_transfer() -> None:
 
 
 def test_number_dependency_needs_transfer() -> None:
-    assert detect(snap(ev(EventKind.BLOCK_NUMBER, pc=5))) == []
-    findings = detect(snap(ev(EventKind.BLOCK_NUMBER, pc=5),
+    assert detect_trace(snap(ev(EventKind.BLOCK_NUMBER, pc=5))) == []
+    findings = detect_trace(snap(ev(EventKind.BLOCK_NUMBER, pc=5),
                            ev(EventKind.ETHER_TRANSFER, pc=9)))
     assert classes(findings) == {FineBugClass.NUMBER_DEPENDENCY}
 
@@ -150,7 +150,7 @@ def test_multiple_classes_one_snapshot() -> None:
         ev(EventKind.TIMESTAMP, pc=1),
         ev(EventKind.ETHER_TRANSFER, pc=12),
     )
-    findings = detect(snapshot)
+    findings = detect_trace(snapshot)
     assert classes(findings) == {
         FineBugClass.DANGEROUS_DELEGATE_CALL,
         FineBugClass.GASLESS_SEND,
@@ -171,7 +171,7 @@ _EVENTS = st.builds(ExecutionEvent, kind=st.sampled_from(list(EventKind)),
 def test_one_pass_detect_matches_reference(events) -> None:
     for status in TxStatus:
         trace = snap(*events, status=status)
-        assert detect(trace) == detect_reference(trace)
+        assert detect_trace(trace) == detect_reference(trace)
 
 
 # --- live traces ----------------------------------------------------------
