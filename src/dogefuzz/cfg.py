@@ -6,7 +6,8 @@ bytes, partitions it into basic blocks (new block at every JUMPDEST and
 after every jump, halting or undefined instruction) of pre-decoded
 (pc, opcode, PUSH operand, base gas) instructions, indexed by start pc,
 by JUMPDEST and by pc, and lists the critical instructions' pcs.  The
-interpreter runs on these blocks and records coverage once per block: the
+interpreter runs on these blocks, paying base gas once per gas segment of
+a block (`BasicBlock.segments`), and records coverage once per block: the
 block's start and how many of its instructions ran (a block's pc tuple
 turns that back into pcs), and each transition between blocks as the
 edge it took, the same edge `build_cfg` draws.
@@ -53,6 +54,8 @@ SIM_STACK_DEPTH = 32
 
 # (pc, opcode, PUSH operand or None, base gas)
 Instruction = tuple[int, int, int | None, int]
+# (instructions, their base gas, largest stack growth over the entry height)
+Segment = tuple[tuple[Instruction, ...], int, int]
 
 # opcodes after which a new block starts: jumps, halts and undefined bytes
 _ENDS_BLOCK = frozenset(
@@ -85,10 +88,32 @@ class BasicBlock:
 
     @cached_property
     def jump_target(self) -> int | None:
-        """Constant destination of a closing JUMP/JUMPI, if provable."""
-        if self.instructions[-1][1] not in (op.JUMP, op.JUMPI):
-            return None
+        """Constant destination of the closing JUMP/JUMPI, if provable; ask
+        only of a block that ends in one."""
         return _resolve_jump_target(self.instructions)
+
+    @cached_property
+    def segments(self) -> tuple[Segment, ...]:
+        """The block cut after each instruction in `opcodes.DYNAMIC_GAS`.
+
+        Each segment is (instructions, base gas, largest stack growth): the
+        sum of its base costs, and the most its pushes raise the stack above
+        the height it was entered at.  A block with one segment shares its
+        `instructions`.
+        """
+        instructions = self.instructions
+        n = len(instructions)
+        segments: list[Segment] = []
+        start = gas = height = growth = 0
+        for end, (_, byte, _, cost) in enumerate(instructions, 1):
+            gas += cost
+            height += op.STACK_GROWTH[byte]
+            growth = max(growth, height)
+            if byte in op.DYNAMIC_GAS or end == n:
+                body = instructions[start:end] if end - start < n else instructions
+                segments.append((body, gas, growth))
+                start, gas, height, growth = end, 0, 0, 0
+        return tuple(segments)
 
     @property
     def terminator(self) -> Terminator:

@@ -7,8 +7,13 @@ Reentrancy, StorageChanged, EtherTransfer.
 
 Each frame runs over `cfg.analyze`, the one decode of its code into basic
 blocks shared with `build_cfg`: instructions come pre-decoded with their
-PUSH operands and base gas, and JUMP/JUMPI end a block.  Gas is charged
-per instruction, but coverage is recorded once per block.  Per code
+PUSH operands and base gas, and JUMP/JUMPI end a block.  A block runs as
+gas segments, each ending after an instruction whose charge depends on
+operands or state (`opcodes.DYNAMIC_GAS`).  A segment that can pay all its
+base gas and has stack room for all its pushes pays at entry, in one
+step; one that cannot runs up to the first instruction that would fault
+and faults there, so every fault keeps its exact pc.  Coverage is
+recorded once per block.  Per code
 address and code, a trace keeps each block start that ran with how many of
 its instructions ran: all of them, or for a block that faulted the prefix
 up to the faulting instruction, the longest run winning.  For frames of
@@ -52,7 +57,7 @@ from enum import Enum
 from typing import NamedTuple
 
 from . import opcodes as op
-from .cfg import analyze
+from .cfg import Instruction, analyze
 from .keccak import keccak256
 
 logger = logging.getLogger(__name__)
@@ -260,6 +265,30 @@ class _InvalidOp(Exception):
     pass
 
 
+# pseudo-opcode past the byte range: an instruction that cannot pay its gas
+_CANNOT_PAY = 0x100
+
+
+def _up_to_fault(instructions: tuple[Instruction, ...], gas: int,
+                 height: int) -> tuple[int, tuple[Instruction, ...]]:
+    """A segment refused at entry, cut at its first fault.
+
+    The first instruction that cannot pay its base gas or, having paid,
+    would push the stack past `STACK_LIMIT` is found statically, as gas and
+    stack heights within a segment are fixed relative to its entry.  The
+    instructions before it are returned with a pseudo-instruction at its pc
+    that faults as it would: out of gas, or invalid for the overflow.  The
+    gas returned has paid for the instructions before it.
+    """
+    for k, (pc, opcode, _, cost) in enumerate(instructions):
+        height += op.STACK_GROWTH[opcode]
+        if cost > gas or height > STACK_LIMIT:  # gas is checked first
+            fault = _CANNOT_PAY if cost > gas else op.INVALID
+            return gas, instructions[:k] + ((pc, fault, None, 0),)
+        gas -= cost
+    raise AssertionError("the segment fits: nothing to cut")
+
+
 def _signed(x: int) -> int:
     return x - (1 << 256) if x & SIGN_BIT else x
 
@@ -439,279 +468,279 @@ class _Machine:
         while block is not None:
             nxt = None  # a taken jump's destination block
             try:
-                # literal opcodes, most frequent first; gas is charged per
-                # instruction so a fault stops at the exact pc
-                for pc, opcode, push, cost in block.instructions:
-                    gas -= cost
-                    if gas < 0:
-                        raise _OutOfGas
-                    if push is not None:  # PUSH1..PUSH32
-                        if len(stack) >= STACK_LIMIT:
-                            raise _InvalidOp
-                        stack.append(push)
-                    elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
-                        if len(stack) >= STACK_LIMIT:
-                            raise _InvalidOp
-                        stack.append(stack[0x7F - opcode])
-                    elif opcode == 0x57:  # JUMPI
-                        dest, cond = stack.pop(), stack.pop()
-                        if cond:
-                            nxt = jumpdests.get(dest)
+                for instructions, seg_gas, growth in block.segments:
+                    # a segment pays its base gas and checks its stack room at
+                    # entry; only its last instruction may charge more, and
+                    # underflow stays an IndexError
+                    if gas >= seg_gas and len(stack) + growth <= STACK_LIMIT:
+                        gas -= seg_gas
+                    else:
+                        gas, instructions = _up_to_fault(instructions, gas, len(stack))
+                    # literal opcodes, most frequent first
+                    for pc, opcode, push, _ in instructions:
+                        if push is not None:  # PUSH1..PUSH32
+                            stack.append(push)
+                        elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
+                            stack.append(stack[0x7F - opcode])
+                        elif opcode == 0x57:  # JUMPI
+                            dest, cond = stack.pop(), stack.pop()
+                            if cond:
+                                nxt = jumpdests.get(dest)
+                                if nxt is None:
+                                    raise _InvalidOp
+                        elif opcode == 0x14:  # EQ
+                            stack.append(1 if stack.pop() == stack.pop() else 0)
+                        elif opcode == 0x5B:  # JUMPDEST
+                            pass
+                        elif opcode == 0x35:  # CALLDATALOAD
+                            offset = stack.pop()
+                            if offset >= len(calldata):
+                                stack.append(0)
+                            else:
+                                stack.append(int.from_bytes(
+                                    calldata[offset:offset + 32].ljust(32, b"\x00"), "big"))
+                        elif opcode == 0x50:  # POP
+                            stack.pop()
+                        elif opcode == 0x1C:  # SHR
+                            shift, v = stack.pop(), stack.pop()
+                            stack.append(v >> shift if shift < 256 else 0)
+                        elif opcode in pushes_one:  # the (0, 1) row: one word from context
+                            if opcode == 0x58:  # PC
+                                stack.append(pc)
+                            elif opcode == 0x33:  # CALLER
+                                stack.append(int.from_bytes(caller, "big"))
+                            elif opcode == 0x5A:  # GAS: the segment paid ahead
+                                stack.append(gas + sum(ins[3] for ins in instructions
+                                                       if ins[0] > pc))
+                            elif opcode == 0x34:  # CALLVALUE
+                                stack.append(value)
+                            elif opcode == 0x30:  # ADDRESS
+                                stack.append(int.from_bytes(self_address, "big"))
+                            elif opcode == 0x36:  # CALLDATASIZE
+                                stack.append(len(calldata))
+                            elif opcode == 0x42:  # TIMESTAMP
+                                self.emit(EventKind.TIMESTAMP, pc, depth)
+                                stack.append(tx.block.timestamp)
+                            elif opcode == 0x43:  # NUMBER
+                                self.emit(EventKind.BLOCK_NUMBER, pc, depth)
+                                stack.append(tx.block.number)
+                            elif opcode == 0x32:  # ORIGIN
+                                stack.append(int.from_bytes(tx.sender, "big"))
+                            elif opcode == 0x38:  # CODESIZE
+                                stack.append(n)
+                            elif opcode == 0x3D:  # RETURNDATASIZE
+                                stack.append(len(returndata))
+                            elif opcode == 0x41:  # COINBASE
+                                stack.append(int.from_bytes(COINBASE_ADDRESS, "big"))
+                            elif opcode == 0x44:  # DIFFICULTY
+                                stack.append(0)
+                            elif opcode == 0x45:  # GASLIMIT
+                                stack.append(BLOCK_GAS_LIMIT)
+                            elif opcode == 0x59:  # MSIZE
+                                stack.append(mem_words << 5)
+                        elif opcode == 0x56:  # JUMP
+                            nxt = jumpdests.get(stack.pop())
                             if nxt is None:
                                 raise _InvalidOp
-                    elif opcode == 0x14:  # EQ
-                        stack.append(1 if stack.pop() == stack.pop() else 0)
-                    elif opcode == 0x5B:  # JUMPDEST
-                        pass
-                    elif opcode == 0x35:  # CALLDATALOAD
-                        offset = stack.pop()
-                        if offset >= len(calldata):
-                            stack.append(0)
-                        else:
-                            stack.append(int.from_bytes(
-                                calldata[offset:offset + 32].ljust(32, b"\x00"), "big"))
-                    elif opcode == 0x50:  # POP
-                        stack.pop()
-                    elif opcode == 0x1C:  # SHR
-                        shift, v = stack.pop(), stack.pop()
-                        stack.append(v >> shift if shift < 256 else 0)
-                    elif opcode in pushes_one:  # the (0, 1) row: one word from context
-                        if len(stack) >= STACK_LIMIT:
-                            raise _InvalidOp
-                        if opcode == 0x58:  # PC
-                            stack.append(pc)
-                        elif opcode == 0x33:  # CALLER
-                            stack.append(int.from_bytes(caller, "big"))
-                        elif opcode == 0x5A:  # GAS
-                            stack.append(gas)
-                        elif opcode == 0x34:  # CALLVALUE
-                            stack.append(value)
-                        elif opcode == 0x30:  # ADDRESS
-                            stack.append(int.from_bytes(self_address, "big"))
-                        elif opcode == 0x36:  # CALLDATASIZE
-                            stack.append(len(calldata))
-                        elif opcode == 0x42:  # TIMESTAMP
-                            self.emit(EventKind.TIMESTAMP, pc, depth)
-                            stack.append(tx.block.timestamp)
-                        elif opcode == 0x43:  # NUMBER
-                            self.emit(EventKind.BLOCK_NUMBER, pc, depth)
-                            stack.append(tx.block.number)
-                        elif opcode == 0x32:  # ORIGIN
-                            stack.append(int.from_bytes(tx.sender, "big"))
-                        elif opcode == 0x38:  # CODESIZE
-                            stack.append(n)
-                        elif opcode == 0x3D:  # RETURNDATASIZE
-                            stack.append(len(returndata))
-                        elif opcode == 0x41:  # COINBASE
-                            stack.append(int.from_bytes(COINBASE_ADDRESS, "big"))
-                        elif opcode == 0x44:  # DIFFICULTY
-                            stack.append(0)
-                        elif opcode == 0x45:  # GASLIMIT
-                            stack.append(BLOCK_GAS_LIMIT)
-                        elif opcode == 0x59:  # MSIZE
-                            stack.append(mem_words << 5)
-                    elif opcode == 0x56:  # JUMP
-                        nxt = jumpdests.get(stack.pop())
-                        if nxt is None:
-                            raise _InvalidOp
-                    elif opcode == 0x00:  # STOP
-                        return finish(TxStatus.SUCCESS, b"")
-                    elif opcode == 0x52:  # MSTORE
-                        offset, val = stack.pop(), stack.pop()
-                        touch(offset, 32)
-                        mem[offset:offset + 32] = val.to_bytes(32, "big")
-                    elif opcode == 0x01:  # ADD
-                        stack.append((stack.pop() + stack.pop()) & UINT256_MASK)
-                    elif opcode == 0x15:  # ISZERO
-                        stack.append(1 if stack.pop() == 0 else 0)
-                    elif opcode == 0x55:  # SSTORE
-                        if static:
-                            raise _InvalidOp
-                        key, val = stack.pop(), stack.pop()
-                        slot = (self_address, key)
-                        reads.add(slot)
-                        acct = self.touch_account(self_address)
-                        old = acct.storage.get(key, 0)
-                        gas -= op.GAS_SSTORE_FRESH if (old == 0 and val != 0) else op.GAS_SSTORE_UPDATE
-                        if gas < 0:
-                            raise _OutOfGas
-                        if val != old:
-                            self.journal.append((slot, old))
-                            if val:
-                                acct.storage[key] = val
+                        elif opcode == 0x00:  # STOP
+                            return finish(TxStatus.SUCCESS, b"")
+                        elif opcode == 0x52:  # MSTORE
+                            offset, val = stack.pop(), stack.pop()
+                            touch(offset, 32)
+                            mem[offset:offset + 32] = val.to_bytes(32, "big")
+                        elif opcode == 0x01:  # ADD
+                            stack.append((stack.pop() + stack.pop()) & UINT256_MASK)
+                        elif opcode == 0x15:  # ISZERO
+                            stack.append(1 if stack.pop() == 0 else 0)
+                        elif opcode == 0x55:  # SSTORE
+                            if static:
+                                raise _InvalidOp
+                            key, val = stack.pop(), stack.pop()
+                            slot = (self_address, key)
+                            reads.add(slot)
+                            acct = self.touch_account(self_address)
+                            old = acct.storage.get(key, 0)
+                            gas -= (op.GAS_SSTORE_FRESH if old == 0 and val != 0
+                                    else op.GAS_SSTORE_UPDATE)
+                            if gas < 0:
+                                raise _OutOfGas
+                            if val != old:
+                                self.journal.append((slot, old))
+                                if val:
+                                    acct.storage[key] = val
+                                else:
+                                    del acct.storage[key]
+                                self.emit(EventKind.STORAGE_CHANGED, pc, depth,
+                                          (self_address, key, old, val))
+                        elif opcode == 0x54:  # SLOAD
+                            key = stack.pop()
+                            reads.add((self_address, key))
+                            acct = state.accounts.get(self_address)
+                            stack.append(acct.storage.get(key, 0) if acct is not None else 0)
+                        elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
+                            k = opcode - 0x8F
+                            stack[-1], stack[-1 - k] = stack[-1 - k], stack[-1]
+                        elif opcode == 0x20:  # SHA3
+                            offset, size = stack.pop(), stack.pop()
+                            gas -= op.GAS_SHA3_WORD * ((size + 31) >> 5)
+                            if gas < 0:
+                                raise _OutOfGas
+                            touch(offset, size)
+                            digest = keccak256(bytes(mem[offset:offset + size]))
+                            stack.append(int.from_bytes(digest, "big"))
+                        elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # the CALL family
+                            gas, returndata = self._do_call(
+                                opcode, stack, mem, touch, gas, pc, depth, static,
+                                self_address, caller, value, calldata, swallowed)
+                        elif opcode == 0x16:  # AND
+                            stack.append(stack.pop() & stack.pop())
+                        elif opcode == 0x10:  # LT
+                            a, b = stack.pop(), stack.pop()
+                            stack.append(1 if a < b else 0)
+                        elif opcode == 0x11:  # GT
+                            a, b = stack.pop(), stack.pop()
+                            stack.append(1 if a > b else 0)
+                        elif opcode == 0x03:  # SUB
+                            a, b = stack.pop(), stack.pop()
+                            stack.append((a - b) & UINT256_MASK)
+                        elif opcode == 0x51:  # MLOAD
+                            offset = stack.pop()
+                            touch(offset, 32)
+                            stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
+                        elif opcode == 0xF3:  # RETURN
+                            offset, size = stack.pop(), stack.pop()
+                            touch(offset, size)
+                            return finish(TxStatus.SUCCESS, bytes(mem[offset:offset + size]))
+                        elif opcode == 0xFD:  # REVERT
+                            offset, size = stack.pop(), stack.pop()
+                            touch(offset, size)
+                            return TxStatus.REVERTED, bytes(mem[offset:offset + size]), gas
+                        # --- the rest, by opcode value ---
+                        elif opcode == 0x02:  # MUL
+                            stack.append((stack.pop() * stack.pop()) & UINT256_MASK)
+                        elif opcode == 0x04:  # DIV
+                            a, b = stack.pop(), stack.pop()
+                            stack.append(a // b if b else 0)
+                        elif opcode == 0x05:  # SDIV
+                            a, b = _signed(stack.pop()), _signed(stack.pop())
+                            if b == 0:
+                                stack.append(0)
                             else:
-                                del acct.storage[key]
-                            self.emit(EventKind.STORAGE_CHANGED, pc, depth,
-                                      (self_address, key, old, val))
-                    elif opcode == 0x54:  # SLOAD
-                        key = stack.pop()
-                        reads.add((self_address, key))
-                        acct = state.accounts.get(self_address)
-                        stack.append(acct.storage.get(key, 0) if acct is not None else 0)
-                    elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
-                        k = opcode - 0x8F
-                        stack[-1], stack[-1 - k] = stack[-1 - k], stack[-1]
-                    elif opcode == 0x20:  # SHA3
-                        offset, size = stack.pop(), stack.pop()
-                        gas -= op.GAS_SHA3_WORD * ((size + 31) >> 5)
-                        if gas < 0:
-                            raise _OutOfGas
-                        touch(offset, size)
-                        stack.append(int.from_bytes(keccak256(bytes(mem[offset:offset + size])), "big"))
-                    elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # CALL CALLCODE DELEGATECALL STATICCALL
-                        gas, returndata = self._do_call(
-                            opcode, stack, mem, touch, gas, pc, depth, static,
-                            self_address, caller, value, calldata, swallowed)
-                    elif opcode == 0x16:  # AND
-                        stack.append(stack.pop() & stack.pop())
-                    elif opcode == 0x10:  # LT
-                        a, b = stack.pop(), stack.pop()
-                        stack.append(1 if a < b else 0)
-                    elif opcode == 0x11:  # GT
-                        a, b = stack.pop(), stack.pop()
-                        stack.append(1 if a > b else 0)
-                    elif opcode == 0x03:  # SUB
-                        a, b = stack.pop(), stack.pop()
-                        stack.append((a - b) & UINT256_MASK)
-                    elif opcode == 0x51:  # MLOAD
-                        offset = stack.pop()
-                        touch(offset, 32)
-                        stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
-                    elif opcode == 0xF3:  # RETURN
-                        offset, size = stack.pop(), stack.pop()
-                        touch(offset, size)
-                        return finish(TxStatus.SUCCESS, bytes(mem[offset:offset + size]))
-                    elif opcode == 0xFD:  # REVERT
-                        offset, size = stack.pop(), stack.pop()
-                        touch(offset, size)
-                        return TxStatus.REVERTED, bytes(mem[offset:offset + size]), gas
-                    # --- the rest, by opcode value ---
-                    elif opcode == 0x02:  # MUL
-                        stack.append((stack.pop() * stack.pop()) & UINT256_MASK)
-                    elif opcode == 0x04:  # DIV
-                        a, b = stack.pop(), stack.pop()
-                        stack.append(a // b if b else 0)
-                    elif opcode == 0x05:  # SDIV
-                        a, b = _signed(stack.pop()), _signed(stack.pop())
-                        if b == 0:
-                            stack.append(0)
-                        else:
-                            q = abs(a) // abs(b)
-                            stack.append((-q if (a < 0) != (b < 0) else q) & UINT256_MASK)
-                    elif opcode == 0x06:  # MOD
-                        a, b = stack.pop(), stack.pop()
-                        stack.append(a % b if b else 0)
-                    elif opcode == 0x07:  # SMOD
-                        a, b = _signed(stack.pop()), _signed(stack.pop())
-                        if b == 0:
-                            stack.append(0)
-                        else:
-                            r = abs(a) % abs(b)
-                            stack.append((-r if a < 0 else r) & UINT256_MASK)
-                    elif opcode == 0x08:  # ADDMOD
-                        a, b, m = stack.pop(), stack.pop(), stack.pop()
-                        stack.append((a + b) % m if m else 0)
-                    elif opcode == 0x09:  # MULMOD
-                        a, b, m = stack.pop(), stack.pop(), stack.pop()
-                        stack.append((a * b) % m if m else 0)
-                    elif opcode == 0x0A:  # EXP
-                        a, b = stack.pop(), stack.pop()
-                        stack.append(pow(a, b, 1 << 256))
-                    elif opcode == 0x0B:  # SIGNEXTEND
-                        b, x = stack.pop(), stack.pop()
-                        if b > 31:
-                            stack.append(x)
-                        else:
-                            bit = 8 * b + 7
-                            mask = (1 << (bit + 1)) - 1
-                            if x & (1 << bit):
-                                stack.append((x | ~mask) & UINT256_MASK)
+                                q = abs(a) // abs(b)
+                                stack.append((-q if (a < 0) != (b < 0) else q) & UINT256_MASK)
+                        elif opcode == 0x06:  # MOD
+                            a, b = stack.pop(), stack.pop()
+                            stack.append(a % b if b else 0)
+                        elif opcode == 0x07:  # SMOD
+                            a, b = _signed(stack.pop()), _signed(stack.pop())
+                            if b == 0:
+                                stack.append(0)
                             else:
-                                stack.append(x & mask)
-                    elif opcode == 0x12:  # SLT
-                        a, b = _signed(stack.pop()), _signed(stack.pop())
-                        stack.append(1 if a < b else 0)
-                    elif opcode == 0x13:  # SGT
-                        a, b = _signed(stack.pop()), _signed(stack.pop())
-                        stack.append(1 if a > b else 0)
-                    elif opcode == 0x17:  # OR
-                        stack.append(stack.pop() | stack.pop())
-                    elif opcode == 0x18:  # XOR
-                        stack.append(stack.pop() ^ stack.pop())
-                    elif opcode == 0x19:  # NOT
-                        stack.append(stack.pop() ^ UINT256_MASK)
-                    elif opcode == 0x1A:  # BYTE
-                        i, x = stack.pop(), stack.pop()
-                        stack.append((x >> (8 * (31 - i))) & 0xFF if i < 32 else 0)
-                    elif opcode == 0x1B:  # SHL
-                        shift, v = stack.pop(), stack.pop()
-                        stack.append((v << shift) & UINT256_MASK if shift < 256 else 0)
-                    elif opcode == 0x1D:  # SAR
-                        shift, v = stack.pop(), _signed(stack.pop())
-                        if shift > 255:
-                            stack.append(0 if v >= 0 else UINT256_MASK)
-                        else:
-                            stack.append((v >> shift) & UINT256_MASK)
-                    elif opcode == 0x31:  # BALANCE
-                        address = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
-                        reads.add((address, BALANCE))
-                        stack.append(state.balance_of(address))
-                    elif opcode == 0x37:  # CALLDATACOPY
-                        dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                        touch(dst, size)
-                        if size:
-                            chunk = calldata[src:src + size] if src < len(calldata) else b""
-                            mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-                    elif opcode == 0x39:  # CODECOPY
-                        dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                        touch(dst, size)
-                        if size:
-                            chunk = code[src:src + size] if src < n else b""
-                            mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-                    elif opcode == 0x3E:  # RETURNDATACOPY
-                        dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                        if src + size > len(returndata):
-                            raise _InvalidOp
-                        touch(dst, size)
-                        if size:
-                            mem[dst:dst + size] = returndata[src:src + size]
-                    elif opcode == 0x53:  # MSTORE8
-                        offset, val = stack.pop(), stack.pop()
-                        touch(offset, 1)
-                        mem[offset] = val & 0xFF
-                    elif 0xA0 <= opcode <= 0xA4:  # LOG0..LOG4
-                        if static:
-                            raise _InvalidOp
-                        offset, size = stack.pop(), stack.pop()
-                        touch(offset, size)
-                        for _ in range(opcode - 0xA0):
-                            stack.pop()
-                    elif opcode == 0xF0:  # CREATE
-                        gas = self._do_create(stack, mem, touch, gas, pc, depth,
-                                              static, self_address, swallowed)
-                    elif opcode == 0xFF:  # SELFDESTRUCT
-                        if static:
-                            raise _InvalidOp
-                        beneficiary = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
-                        reads.add((self_address, BALANCE))
-                        held = state.balance_of(self_address)
-                        if held > 0:
-                            self.emit(EventKind.ETHER_TRANSFER, pc, depth,
-                                      (self_address, beneficiary, held))
-                            if beneficiary == self_address:  # burnt
-                                self.set_balance(self_address, 0)
+                                r = abs(a) % abs(b)
+                                stack.append((-r if a < 0 else r) & UINT256_MASK)
+                        elif opcode == 0x08:  # ADDMOD
+                            a, b, m = stack.pop(), stack.pop(), stack.pop()
+                            stack.append((a + b) % m if m else 0)
+                        elif opcode == 0x09:  # MULMOD
+                            a, b, m = stack.pop(), stack.pop(), stack.pop()
+                            stack.append((a * b) % m if m else 0)
+                        elif opcode == 0x0A:  # EXP
+                            a, b = stack.pop(), stack.pop()
+                            stack.append(pow(a, b, 1 << 256))
+                        elif opcode == 0x0B:  # SIGNEXTEND
+                            b, x = stack.pop(), stack.pop()
+                            if b > 31:
+                                stack.append(x)
                             else:
-                                self.move(self_address, beneficiary, held)
-                        acct = state.accounts[self_address]  # it runs code
-                        self.journal.append(((self_address, CODE), acct.code))
-                        self.journal.extend(((self_address, key), old)
-                                            for key, old in acct.storage.items())
-                        acct.code = b""
-                        acct.storage = {}
-                        return finish(TxStatus.SUCCESS, b"")
-                    else:  # INVALID and undefined bytes
-                        gas = 0
-                        raise _InvalidOp
+                                bit = 8 * b + 7
+                                mask = (1 << (bit + 1)) - 1
+                                if x & (1 << bit):
+                                    stack.append((x | ~mask) & UINT256_MASK)
+                                else:
+                                    stack.append(x & mask)
+                        elif opcode == 0x12:  # SLT
+                            a, b = _signed(stack.pop()), _signed(stack.pop())
+                            stack.append(1 if a < b else 0)
+                        elif opcode == 0x13:  # SGT
+                            a, b = _signed(stack.pop()), _signed(stack.pop())
+                            stack.append(1 if a > b else 0)
+                        elif opcode == 0x17:  # OR
+                            stack.append(stack.pop() | stack.pop())
+                        elif opcode == 0x18:  # XOR
+                            stack.append(stack.pop() ^ stack.pop())
+                        elif opcode == 0x19:  # NOT
+                            stack.append(stack.pop() ^ UINT256_MASK)
+                        elif opcode == 0x1A:  # BYTE
+                            i, x = stack.pop(), stack.pop()
+                            stack.append((x >> (8 * (31 - i))) & 0xFF if i < 32 else 0)
+                        elif opcode == 0x1B:  # SHL
+                            shift, v = stack.pop(), stack.pop()
+                            stack.append((v << shift) & UINT256_MASK if shift < 256 else 0)
+                        elif opcode == 0x1D:  # SAR
+                            shift, v = stack.pop(), _signed(stack.pop())
+                            if shift > 255:
+                                stack.append(0 if v >= 0 else UINT256_MASK)
+                            else:
+                                stack.append((v >> shift) & UINT256_MASK)
+                        elif opcode == 0x31:  # BALANCE
+                            address = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
+                            reads.add((address, BALANCE))
+                            stack.append(state.balance_of(address))
+                        elif opcode == 0x37:  # CALLDATACOPY
+                            dst, src, size = stack.pop(), stack.pop(), stack.pop()
+                            touch(dst, size)
+                            if size:
+                                chunk = calldata[src:src + size] if src < len(calldata) else b""
+                                mem[dst:dst + size] = chunk.ljust(size, b"\x00")
+                        elif opcode == 0x39:  # CODECOPY
+                            dst, src, size = stack.pop(), stack.pop(), stack.pop()
+                            touch(dst, size)
+                            if size:
+                                chunk = code[src:src + size] if src < n else b""
+                                mem[dst:dst + size] = chunk.ljust(size, b"\x00")
+                        elif opcode == 0x3E:  # RETURNDATACOPY
+                            dst, src, size = stack.pop(), stack.pop(), stack.pop()
+                            if src + size > len(returndata):
+                                raise _InvalidOp
+                            touch(dst, size)
+                            if size:
+                                mem[dst:dst + size] = returndata[src:src + size]
+                        elif opcode == 0x53:  # MSTORE8
+                            offset, val = stack.pop(), stack.pop()
+                            touch(offset, 1)
+                            mem[offset] = val & 0xFF
+                        elif 0xA0 <= opcode <= 0xA4:  # LOG0..LOG4
+                            if static:
+                                raise _InvalidOp
+                            offset, size = stack.pop(), stack.pop()
+                            touch(offset, size)
+                            for _ in range(opcode - 0xA0):
+                                stack.pop()
+                        elif opcode == 0xF0:  # CREATE
+                            gas = self._do_create(stack, mem, touch, gas, pc, depth,
+                                                  static, self_address, swallowed)
+                        elif opcode == 0xFF:  # SELFDESTRUCT
+                            if static:
+                                raise _InvalidOp
+                            beneficiary = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
+                            reads.add((self_address, BALANCE))
+                            held = state.balance_of(self_address)
+                            if held > 0:
+                                self.emit(EventKind.ETHER_TRANSFER, pc, depth,
+                                          (self_address, beneficiary, held))
+                                if beneficiary == self_address:  # burnt
+                                    self.set_balance(self_address, 0)
+                                else:
+                                    self.move(self_address, beneficiary, held)
+                            acct = state.accounts[self_address]  # it runs code
+                            self.journal.append(((self_address, CODE), acct.code))
+                            self.journal.extend(((self_address, key), old)
+                                                for key, old in acct.storage.items())
+                            acct.code = b""
+                            acct.storage = {}
+                            return finish(TxStatus.SUCCESS, b"")
+                        else:  # INVALID, undefined bytes and a segment's fault
+                            raise _OutOfGas if opcode == _CANNOT_PAY else _InvalidOp
             finally:
                 # coverage once per block: how many of its instructions ran,
                 # the faulting one included; a shorter run of the block in

@@ -162,6 +162,17 @@ BASE_GAS: list[int] = [3] * 256
 for _op, _cost in _BASE_GAS.items():
     BASE_GAS[_op] = _cost
 
+# opcodes that charge more than BASE_GAS for some operands or state: memory
+# expansion, SSTORE's fresh or update price, SHA3's words, a call's value
+# surcharge and forwarded gas, CREATE's init code.  The interpreter pays a
+# run of base costs at once and ends each such run after one of these
+DYNAMIC_GAS = frozenset({
+    MLOAD, MSTORE, MSTORE8, SSTORE, SHA3,
+    CALLDATACOPY, CODECOPY, RETURNDATACOPY, RETURN, REVERT,
+    LOG0, LOG1, LOG2, LOG3, LOG4,
+    CALL, CALLCODE, DELEGATECALL, STATICCALL, CREATE,
+})
+
 # --- stack arity ----------------------------------------------------------
 
 # (pops, pushes) per opcode; PUSH, DUP and SWAP are left out because their
@@ -186,6 +197,14 @@ for _names, _effect in (
         STACK_EFFECTS[OPCODES[_name]] = _effect
 for _i in range(5):
     STACK_EFFECTS[LOG0 + _i] = (_i + 2, 0)
+
+# net stack growth per opcode byte: PUSH and DUP add one word, SWAP and
+# undefined bytes none
+STACK_GROWTH: list[int] = [0] * 256
+for _op, (_pops, _pushes) in STACK_EFFECTS.items():
+    STACK_GROWTH[_op] = _pushes - _pops
+for _op in range(PUSH1, DUP16 + 1):  # PUSH1..PUSH32, then DUP1..DUP16
+    STACK_GROWTH[_op] = 1
 
 # opcodes that push one word without popping, bar PUSH and DUP
 PUSHES_ONE = frozenset(b for b, effect in STACK_EFFECTS.items() if effect == (0, 1))

@@ -122,6 +122,36 @@ def test_blocks_tile_the_instruction_stream(raw: bytes) -> None:
         assert src in cfg.analysis.blocks and dst in cfg.analysis.blocks
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.binary(min_size=0, max_size=300))
+def test_segments_tile_each_block_and_end_after_dynamic_charges(raw: bytes) -> None:
+    for block in analyze(raw).blocks.values():
+        segments = block.segments
+        assert tuple(ins for body, _, _ in segments for ins in body) == \
+            block.instructions
+        for body, gas, growth in segments:
+            assert gas == sum(cost for _, _, _, cost in body)
+            heights = [0]
+            for _, opcode, _, _ in body:
+                heights.append(heights[-1] + op.STACK_GROWTH[opcode])
+            assert growth == max(heights)
+            assert all(opcode not in op.DYNAMIC_GAS for _, opcode, _, _ in body[:-1])
+        assert all(body[-1][1] in op.DYNAMIC_GAS for body, _, _ in segments[:-1])
+
+
+def test_segments_of_a_block() -> None:
+    # 0 PUSH1 0; 2 MLOAD; 3 PUSH1 1; 5 PUSH1 2; 7 DUP1; 8 SSTORE; 9 POP; 10 STOP
+    raw = code(P1, 0, op.MLOAD, P1, 1, P1, 2, op.DUP1, op.SSTORE, op.POP, op.STOP)
+    (block,) = analyze(raw).blocks.values()
+    assert [(tuple(ins[0] for ins in body), gas, growth)
+            for body, gas, growth in block.segments] == [
+        ((0, 2), 6, 1), ((3, 5, 7, 8), 9, 3), ((9, 10), 2, 0)]
+    # a block without a dynamic charge is one segment over its own tuple
+    (block,) = analyze(code(P1, 1, P1, 2, op.ADD, op.STOP)).blocks.values()
+    assert block.segments == ((block.instructions, 9, 2),)
+    assert block.segments[0][0] is block.instructions
+
+
 def test_leaders_at_jumpdest_and_after_terminators() -> None:
     cfg = build_cfg(code(P1, 1, op.POP, op.STOP, op.JUMPDEST, op.STOP,
                          0x0C, P1, 2))

@@ -136,6 +136,108 @@ def test_push_or_dup_past_the_stack_limit_faults_at_its_pc(name: str) -> None:
     assert dynamic_edges(trace, address) == _chain(*ran)
 
 
+# --- gas segments ---------------------------------------------------------
+# A block pays its base gas and checks its stack room once per segment, and
+# a segment ends after each instruction whose charge depends on operands or
+# state.  Each case below is one block with such a charge inside it, run at
+# gas limits on both sides of every boundary: the run stops at the exact
+# instruction where the gas runs out or the stack overflows or underflows,
+# and keeps the events before it.
+
+def _assert_stops_at(snippet: bytes, gas: int, status: TxStatus, last: int,
+                     events: list[tuple[EventKind, int]]) -> None:
+    """Running `snippet` with `gas` ends with `status` after running every
+    instruction up to pc `last`, and emits the `events` before `last`."""
+    assert len(_blocks(snippet)) == 1
+    trace, _, address = run(snippet, gas=gas)
+    assert trace.status is status
+    if status is not TxStatus.SUCCESS:
+        assert trace.gas_used == gas
+    ran = [pc for pc in _instruction_starts(snippet) if pc <= last]
+    assert trace.executed_pcs == {address: set(ran)}
+    assert dynamic_edges(trace, address) == _chain(*ran)
+    assert [(e.kind, e.pc) for e in trace.events] == \
+        [(kind, pc) for kind, pc in events if pc < last]
+
+
+# 0 TIMESTAMP; 1 PUSH1 0; 3 MLOAD, 3 gas and 3 for its new word; 4 NUMBER;
+# 5 ADD; 6 STOP
+_EVENT_MLOAD_EVENT_ADD = code(op.TIMESTAMP, P(0), op.MLOAD, op.NUMBER, op.ADD,
+                              op.STOP)
+
+
+@pytest.mark.parametrize("gas,status,last", [
+    (11, TxStatus.OUT_OF_GAS, 3),  # MLOAD's base gas fits, its word does not
+    (14, TxStatus.OUT_OF_GAS, 4),  # NUMBER
+    (17, TxStatus.OUT_OF_GAS, 5),  # the ADD, after both events
+    (18, TxStatus.SUCCESS, 6),
+])
+def test_memory_charge_mid_block_faults_where_gas_runs_out(
+        gas: int, status: TxStatus, last: int) -> None:
+    _assert_stops_at(_EVENT_MLOAD_EVENT_ADD, gas, status, last,
+                     [(EventKind.TIMESTAMP, 0), (EventKind.BLOCK_NUMBER, 4)])
+
+
+# 0 PUSH1 0; 2 MLOAD (3 + 3); 3 POP; 4 GAS; 5 PUSH1 0; 7 MSTORE, no new
+# word; 8 PUSH1 32; 10 PUSH1 0; 12 RETURN of what GAS read: 25 gas in all
+_GAS_AFTER_MLOAD = code(P(0), op.MLOAD, op.POP, op.GAS, P(0), op.MSTORE,
+                        P(32), P(0), op.RETURN)
+
+
+@pytest.mark.parametrize("gas,status,last", [
+    (22, TxStatus.OUT_OF_GAS, 10),
+    (24, TxStatus.OUT_OF_GAS, 10),
+    (25, TxStatus.SUCCESS, 12),
+    (10_000, TxStatus.SUCCESS, 12),
+])
+def test_gas_reads_what_is_left_with_the_segment_ahead_unpaid(
+        gas: int, status: TxStatus, last: int) -> None:
+    _assert_stops_at(_GAS_AFTER_MLOAD, gas, status, last, [])
+    if status is TxStatus.SUCCESS:
+        trace, _, _ = run(_GAS_AFTER_MLOAD, gas=gas)
+        assert trace.gas_used == 25
+        # PUSH1, MLOAD and its word, POP and GAS paid; the rest not yet
+        assert int.from_bytes(trace.return_data, "big") == gas - 13
+
+
+# 1021 PUSH1 0, then 2042 TIMESTAMP; 2043 PUSH1 0; 2045 MLOAD (3 + 3), the
+# 1023rd slot; 2046 NUMBER, the 1024th; 2047 PC, one too many; 2048 STOP.
+# Through NUMBER that costs 3078 gas, through PC 3080
+_OVERFLOW_AFTER_EVENTS = code(P(0) * 1021, op.TIMESTAMP, P(0), op.MLOAD,
+                              op.NUMBER, op.PC, op.STOP)
+
+
+@pytest.mark.parametrize("gas,status", [
+    (3078, TxStatus.OUT_OF_GAS),  # the memory word leaves PC unpaid
+    (3079, TxStatus.OUT_OF_GAS),
+    (3080, TxStatus.INVALID_OPCODE),
+    (50_000, TxStatus.INVALID_OPCODE),
+])
+def test_stack_overflow_mid_block_keeps_earlier_events(
+        gas: int, status: TxStatus) -> None:
+    _assert_stops_at(_OVERFLOW_AFTER_EVENTS, gas, status, 2047,
+                     [(EventKind.TIMESTAMP, 2042), (EventKind.BLOCK_NUMBER, 2046)])
+
+
+# 0 TIMESTAMP; 1 PUSH1 0; 3 MLOAD (3 + 3); 4 ADD; 5 ADD, one word short;
+# 6, 8, 10 PUSH1 1; 12 STOP.  The segment after MLOAD needs 15 gas
+_UNDERFLOW_AFTER_MLOAD = code(op.TIMESTAMP, P(0), op.MLOAD, op.ADD, op.ADD,
+                              P(1), P(1), P(1), op.STOP)
+
+
+@pytest.mark.parametrize("gas,status,last", [
+    (14, TxStatus.OUT_OF_GAS, 4),
+    (16, TxStatus.OUT_OF_GAS, 5),
+    (18, TxStatus.INVALID_OPCODE, 5),  # the segment cannot pay its PUSHes
+    (20, TxStatus.INVALID_OPCODE, 5),
+    (50_000, TxStatus.INVALID_OPCODE, 5),
+])
+def test_underflow_before_a_segment_runs_out_of_gas(
+        gas: int, status: TxStatus, last: int) -> None:
+    _assert_stops_at(_UNDERFLOW_AFTER_MLOAD, gas, status, last,
+                     [(EventKind.TIMESTAMP, 0)])
+
+
 # --- control transfer -----------------------------------------------------
 
 def test_untaken_jumpi_falls_into_plain_block() -> None:

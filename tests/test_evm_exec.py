@@ -158,6 +158,43 @@ def test_agent_under_stipend_runs_out_of_gas() -> None:
     assert any(e.kind is EventKind.EXCEPTION_DISORDER for e in thrower.events)
 
 
+def _agent_call_flag(gas_req: int) -> bytes:
+    """A CALL into the agent forwarding `gas_req`; returns its flag."""
+    a = Assembler()
+    a.push(0).push(0).push(0).push(0).push(0)
+    a.push_address(AGENT_ADDRESS).push(gas_req).op("CALL")
+    return a.assemble() + RETURN_TOP
+
+
+def _agent_call(gas_req: int, policy: PolicyKind) -> tuple[int, int, list[EventKind]]:
+    """(flag, gas used, event kinds) of a transaction making one such call."""
+    trace, _, _ = run(_agent_call_flag(gas_req), policy=policy)
+    assert trace.status is TxStatus.SUCCESS
+    return (int.from_bytes(trace.return_data, "big"), trace.gas_used,
+            [e.kind for e in trace.events])
+
+
+def test_thrower_agent_under_three_gas_runs_out_of_it() -> None:
+    _, spent_without_gas, _ = _agent_call(0, PolicyKind.THROWER)
+    # under 3 gas it cannot even throw: all 2 are gone
+    flag, used, kinds = _agent_call(2, PolicyKind.THROWER)
+    assert flag == 0 and used == spent_without_gas + 2
+    assert kinds == [EventKind.EXCEPTION_DISORDER]
+    # with 5 it throws for 3 and returns the other 2
+    flag, used, _ = _agent_call(5, PolicyKind.THROWER)
+    assert flag == 0 and used == spent_without_gas + 3
+
+
+def test_reentrant_agent_that_cannot_pay_the_reentry_call_runs_out_of_gas() -> None:
+    _, spent_without_gas, _ = _agent_call(0, PolicyKind.REENTRANT)
+    short = AGENT_CALL_GAS + op.GAS_CALL_BASE - 1
+    flag, used, kinds = _agent_call(short, PolicyKind.REENTRANT)
+    assert flag == 0 and used == spent_without_gas + short
+    assert EventKind.REENTRANCY not in kinds
+    flag, _, kinds = _agent_call(short + 50_000, PolicyKind.REENTRANT)
+    assert flag == 1 and EventKind.REENTRANCY in kinds
+
+
 # --- state lifecycle ------------------------------------------------------
 
 def test_snapshot_restore_roundtrip() -> None:
@@ -271,6 +308,14 @@ def test_value_above_sender_balance_is_rejected() -> None:
     state, vault = deploy_vault()
     with pytest.raises(ValueError):
         execute_transaction(state, Transaction(target=vault, value=10 ** 19))
+
+
+def test_negative_value_is_rejected_before_anything_runs() -> None:
+    state, vault = deploy_vault()
+    snap = snapshot_state(state)
+    with pytest.raises(ValueError, match="negative"):
+        execute_transaction(state, Transaction(target=vault, value=-1))
+    assert state == snap
 
 
 def test_transaction_to_codeless_account() -> None:
@@ -394,6 +439,15 @@ def test_failed_creation_into_empty_world_leaves_it_unchanged() -> None:
     snap = snapshot_state(state)
     with pytest.raises(DeploymentError):
         deploy_contract(state, code(P(0), P(0), op.REVERT), "creation")
+    assert state == snap
+
+
+@pytest.mark.parametrize("mode", ["runtime", "creation"])
+def test_endowment_above_deployer_balance_is_rejected(mode: str) -> None:
+    state = fresh_state()
+    snap = snapshot_state(state)
+    with pytest.raises(ValueError, match="deployer balance"):
+        deploy_contract(state, code(op.STOP), mode, endowment=10 ** 19)
     assert state == snap
 
 

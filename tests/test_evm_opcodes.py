@@ -13,6 +13,7 @@ from dogefuzz.evm import (
     CALL_DEPTH_LIMIT,
     COINBASE_ADDRESS,
     DEFAULT_TX_GAS,
+    DEPLOYER_ADDRESS,
     BlockContext,
     EventKind,
     Transaction,
@@ -388,6 +389,80 @@ def test_gas_opcode_reports_remaining() -> None:
     assert got == 10_000 - op.BASE_GAS[op.GAS]
 
 
+# --- which opcodes charge more than their base gas ------------------------
+
+def _operand_count(opcode: int) -> int:
+    """Stack words `opcode` reads: DUPn n of them, SWAPn n + 1, PUSH none."""
+    if op.DUP1 <= opcode <= op.DUP16:
+        return opcode - op.DUP1 + 1
+    if op.SWAP1 <= opcode <= op.SWAP16:
+        return opcode - op.SWAP1 + 2
+    return op.STACK_EFFECTS.get(opcode, (0, 0))[0]
+
+
+# INVALID takes all the gas there is
+@pytest.mark.parametrize("opcode", sorted(set(op.MNEMONICS) - op.DYNAMIC_GAS
+                                          - {op.INVALID}), ids=op.mnemonic)
+def test_opcode_outside_dynamic_gas_charges_its_base_gas(opcode: int) -> None:
+    pops = _operand_count(opcode)
+    if opcode == op.JUMP:  # to the JUMPDEST right after it
+        snippet = code(P(3), op.JUMP, op.JUMPDEST, op.STOP)
+        expected = 3 + op.BASE_GAS[op.JUMP] + op.BASE_GAS[op.JUMPDEST]
+    else:  # zero operands
+        snippet = code(P(0) * pops, bytes([opcode]) + bytes(op.push_size(opcode)),
+                       op.STOP)
+        expected = 3 * pops + op.BASE_GAS[opcode]
+    trace, _, _ = run(snippet)
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.gas_used == expected
+
+
+# init code that costs 6 gas: PUSH1 0, PUSH1 0, RETURN, as one memory word
+_INIT_WORD = bytes.fromhex("60006000f3").ljust(32, b"\x00")
+# the first contract deployed into a fresh state, which returns that word
+_RETURNER = contract_address(DEPLOYER_ADDRESS, 0)
+
+# operands, the first on top, for which each opcode in DYNAMIC_GAS charges
+# more than for zeros: a new memory word past the first, a fresh storage
+# slot, a word to hash, gas forwarded to code that spends it, or init code
+_DYNAMIC_OPERANDS = {
+    op.MLOAD: [32], op.MSTORE: [32, 0], op.MSTORE8: [32, 0],
+    op.SSTORE: [0, 1], op.SHA3: [0, 32],
+    op.CALLDATACOPY: [32, 0, 32], op.CODECOPY: [32, 0, 32],
+    op.RETURNDATACOPY: [32, 0, 32], op.RETURN: [32, 32], op.REVERT: [32, 32],
+    **{op.LOG0 + topics: [32, 32] + [0] * topics for topics in range(5)},
+    **{call: [1000, int.from_bytes(_RETURNER, "big")] + [0] * (5 if value else 4)
+       for call, value in ((op.CALL, True), (op.CALLCODE, True),
+                           (op.DELEGATECALL, False), (op.STATICCALL, False))},
+    op.CREATE: [0, 0, 32],
+}
+
+
+def _gas_after_return_data(opcode: int, operands: list[int]) -> int:
+    """Gas used by a call that copies `_INIT_WORD` to memory word 0 and
+    leaves it as return data, then `opcode` over `operands`, then STOP."""
+    state = WorldState()
+    returner = deploy_contract(state, code(P(int.from_bytes(_INIT_WORD, "big")),
+                                           P(0), op.MSTORE, P(32), P(0), op.RETURN))
+    assert returner == _RETURNER
+    call = code(P(32), P(0) * 3, bytes([op.PUSH1 + 19]) + returner, op.GAS,
+                op.STATICCALL, op.POP)
+    pushes = code(*(P(value) for value in reversed(operands)))
+    target = deploy_contract(state, call + pushes + code(opcode, op.STOP))
+    return execute_transaction(state, Transaction(target=target)).gas_used
+
+
+def test_dynamic_gas_lists_every_opcode_with_operand_dependent_cost() -> None:
+    assert set(_DYNAMIC_OPERANDS) == op.DYNAMIC_GAS
+
+
+@pytest.mark.parametrize("opcode", sorted(op.DYNAMIC_GAS), ids=op.mnemonic)
+def test_opcode_in_dynamic_gas_charges_more_for_some_operands(opcode: int) -> None:
+    operands = _DYNAMIC_OPERANDS[opcode]
+    assert (_gas_after_return_data(opcode, operands)
+            > _gas_after_return_data(opcode, [0] * len(operands)))
+
+
 def test_log_is_a_noop_consuming_operands() -> None:
     snippet = code(P(1), P(2), P(0), P(0), op.LOG2, P(1))
     assert run_top(snippet) == 1
@@ -417,7 +492,6 @@ def _call_args(gas_req: int, to: bytes, value: int, in_off: int = 0,
 def _fresh_state() -> WorldState:
     state = WorldState()
     state.account(AGENT_ADDRESS).balance = 10 ** 18
-    from dogefuzz.evm import DEPLOYER_ADDRESS
     state.account(DEPLOYER_ADDRESS).balance = 10 ** 18
     return state
 
