@@ -289,6 +289,22 @@ def _up_to_fault(instructions: tuple[Instruction, ...], gas: int,
     raise AssertionError("the segment fits: nothing to cut")
 
 
+def _expand(mem: bytearray, offset: int, size: int, gas: int) -> int:
+    """Charge for the words a nonempty range adds to `mem`, then zero-fill
+    them; returns the gas left.  The charge is tested before memory grows,
+    so a range no gas can pay for allocates nothing.  Every write lands in
+    a range expanded first, so `len(mem)` stays a whole number of words."""
+    if size:
+        words = (offset + size + 31) >> 5
+        grown = words - (len(mem) >> 5)
+        if grown > 0:
+            gas -= op.GAS_MEMORY_WORD * grown
+            if gas < 0:
+                raise _OutOfGas
+            mem.extend(bytes(grown << 5))
+    return gas
+
+
 def _signed(x: int) -> int:
     return x - (1 << 256) if x & SIGN_BIT else x
 
@@ -382,19 +398,27 @@ class _Machine:
         """Execute one call frame; returns (status, return data, gas left).
 
         The only way into a frame: `self_address` is on `address_stack` while
-        the frame runs, and a fault ends the frame with a status."""
+        the frame runs, and a fault ends the frame with a status.  A frame
+        that succeeds after swallowing the failure of a call or CREATE it
+        made emits one ExceptionDisorder per such site."""
         if depth > CALL_DEPTH_LIMIT:
             return TxStatus.DEPTH_EXCEEDED, b"", gas
         self.address_stack.append(self_address)
+        swallowed: list[int] = []
         try:
-            return self._dispatch_loop(code, code_address, self_address, caller,
-                                       value, calldata, gas, depth, static)
+            status, ret, gas = self._dispatch_loop(
+                code, code_address, self_address, caller, value, calldata, gas,
+                depth, static, swallowed)
         except _OutOfGas:
             return TxStatus.OUT_OF_GAS, b"", 0
         except (_InvalidOp, IndexError):
             return TxStatus.INVALID_OPCODE, b"", 0
         finally:
             self.address_stack.pop()
+        if status is TxStatus.SUCCESS:
+            for site in swallowed:
+                self.emit(EventKind.EXCEPTION_DISORDER, site, depth)
+        return status, ret, gas
 
     def create(self, creator: bytes, endowment: int, init_code: bytes, gas: int,
                depth: int) -> tuple[TxStatus | None, bytes, int]:
@@ -430,7 +454,8 @@ class _Machine:
 
     def _dispatch_loop(self, code: bytes, code_address: bytes, self_address: bytes,
                        caller: bytes, value: int, calldata: bytes, gas: int,
-                       depth: int, static: bool) -> tuple[TxStatus, bytes, int]:
+                       depth: int, static: bool,
+                       swallowed: list[int]) -> tuple[TxStatus, bytes, int]:
         state = self.state
         tx = self.tx
         _, blocks, jumpdests, _, _ = analyze(code)
@@ -441,28 +466,8 @@ class _Machine:
 
         stack: list[int] = []
         mem = bytearray()
-        mem_words = 0
         returndata = b""
-        swallowed: list[int] = []
         n = len(code)
-
-        def touch(offset: int, size: int) -> None:
-            nonlocal gas, mem_words
-            if size == 0:
-                return
-            words = (offset + size + 31) >> 5
-            if words > mem_words:
-                gas -= op.GAS_MEMORY_WORD * (words - mem_words)
-                if gas < 0:
-                    raise _OutOfGas
-                mem.extend(b"\x00" * ((words << 5) - len(mem)))
-                mem_words = words
-
-        def finish(status: TxStatus, ret: bytes) -> tuple[TxStatus, bytes, int]:
-            if status is TxStatus.SUCCESS and swallowed:
-                for site in swallowed:
-                    self.emit(EventKind.EXCEPTION_DISORDER, site, depth)
-            return status, ret, gas
 
         block = blocks.get(0)
         while block is not None:
@@ -537,16 +542,16 @@ class _Machine:
                             elif opcode == 0x45:  # GASLIMIT
                                 stack.append(BLOCK_GAS_LIMIT)
                             elif opcode == 0x59:  # MSIZE
-                                stack.append(mem_words << 5)
+                                stack.append(len(mem))
                         elif opcode == 0x56:  # JUMP
                             nxt = jumpdests.get(stack.pop())
                             if nxt is None:
                                 raise _InvalidOp
                         elif opcode == 0x00:  # STOP
-                            return finish(TxStatus.SUCCESS, b"")
+                            return TxStatus.SUCCESS, b"", gas
                         elif opcode == 0x52:  # MSTORE
                             offset, val = stack.pop(), stack.pop()
-                            touch(offset, 32)
+                            gas = _expand(mem, offset, 32, gas)
                             mem[offset:offset + 32] = val.to_bytes(32, "big")
                         elif opcode == 0x01:  # ADD
                             stack.append((stack.pop() + stack.pop()) & UINT256_MASK)
@@ -585,12 +590,12 @@ class _Machine:
                             gas -= op.GAS_SHA3_WORD * ((size + 31) >> 5)
                             if gas < 0:
                                 raise _OutOfGas
-                            touch(offset, size)
+                            gas = _expand(mem, offset, size, gas)
                             digest = keccak256(bytes(mem[offset:offset + size]))
                             stack.append(int.from_bytes(digest, "big"))
                         elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # the CALL family
                             gas, returndata = self._do_call(
-                                opcode, stack, mem, touch, gas, pc, depth, static,
+                                opcode, stack, mem, gas, pc, depth, static,
                                 self_address, caller, value, calldata, swallowed)
                         elif opcode == 0x16:  # AND
                             stack.append(stack.pop() & stack.pop())
@@ -605,15 +610,15 @@ class _Machine:
                             stack.append((a - b) & UINT256_MASK)
                         elif opcode == 0x51:  # MLOAD
                             offset = stack.pop()
-                            touch(offset, 32)
+                            gas = _expand(mem, offset, 32, gas)
                             stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
                         elif opcode == 0xF3:  # RETURN
                             offset, size = stack.pop(), stack.pop()
-                            touch(offset, size)
-                            return finish(TxStatus.SUCCESS, bytes(mem[offset:offset + size]))
+                            gas = _expand(mem, offset, size, gas)
+                            return TxStatus.SUCCESS, bytes(mem[offset:offset + size]), gas
                         elif opcode == 0xFD:  # REVERT
                             offset, size = stack.pop(), stack.pop()
-                            touch(offset, size)
+                            gas = _expand(mem, offset, size, gas)
                             return TxStatus.REVERTED, bytes(mem[offset:offset + size]), gas
                         # --- the rest, by opcode value ---
                         elif opcode == 0x02:  # MUL
@@ -688,13 +693,13 @@ class _Machine:
                             stack.append(state.balance_of(address))
                         elif opcode == 0x37:  # CALLDATACOPY
                             dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                            touch(dst, size)
+                            gas = _expand(mem, dst, size, gas)
                             if size:
                                 chunk = calldata[src:src + size] if src < len(calldata) else b""
                                 mem[dst:dst + size] = chunk.ljust(size, b"\x00")
                         elif opcode == 0x39:  # CODECOPY
                             dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                            touch(dst, size)
+                            gas = _expand(mem, dst, size, gas)
                             if size:
                                 chunk = code[src:src + size] if src < n else b""
                                 mem[dst:dst + size] = chunk.ljust(size, b"\x00")
@@ -702,23 +707,32 @@ class _Machine:
                             dst, src, size = stack.pop(), stack.pop(), stack.pop()
                             if src + size > len(returndata):
                                 raise _InvalidOp
-                            touch(dst, size)
+                            gas = _expand(mem, dst, size, gas)
                             if size:
                                 mem[dst:dst + size] = returndata[src:src + size]
                         elif opcode == 0x53:  # MSTORE8
                             offset, val = stack.pop(), stack.pop()
-                            touch(offset, 1)
+                            gas = _expand(mem, offset, 1, gas)
                             mem[offset] = val & 0xFF
                         elif 0xA0 <= opcode <= 0xA4:  # LOG0..LOG4
                             if static:
                                 raise _InvalidOp
                             offset, size = stack.pop(), stack.pop()
-                            touch(offset, size)
+                            gas = _expand(mem, offset, size, gas)
                             for _ in range(opcode - 0xA0):
                                 stack.pop()
                         elif opcode == 0xF0:  # CREATE
-                            gas = self._do_create(stack, mem, touch, gas, pc, depth,
-                                                  static, self_address, swallowed)
+                            if static:
+                                raise _InvalidOp
+                            endowment, offset, size = stack.pop(), stack.pop(), stack.pop()
+                            gas = _expand(mem, offset, size, gas)
+                            status, address, gas = self.create(
+                                self_address, endowment, bytes(mem[offset:offset + size]),
+                                gas, depth)
+                            stack.append(int.from_bytes(address, "big")
+                                         if status is TxStatus.SUCCESS else 0)
+                            if status not in (None, TxStatus.SUCCESS):  # init code failed
+                                swallowed.append(pc)
                         elif opcode == 0xFF:  # SELFDESTRUCT
                             if static:
                                 raise _InvalidOp
@@ -738,7 +752,7 @@ class _Machine:
                                                 for key, old in acct.storage.items())
                             acct.code = b""
                             acct.storage = {}
-                            return finish(TxStatus.SUCCESS, b"")
+                            return TxStatus.SUCCESS, b"", gas
                         else:  # INVALID, undefined bytes and a segment's fault
                             raise _OutOfGas if opcode == _CANNOT_PAY else _InvalidOp
             finally:
@@ -759,18 +773,21 @@ class _Machine:
             if transitions is not None:
                 transitions.add((block.start, nxt.start))
             block = nxt
-        return finish(TxStatus.SUCCESS, b"")
+        return TxStatus.SUCCESS, b"", gas
 
     # -- call-family helper --
 
-    def _do_call(self, opcode: int, stack: list[int], mem: bytearray, touch,
+    def _do_call(self, opcode: int, stack: list[int], mem: bytearray,
                  gas: int, pc: int, depth: int, static: bool,
                  self_address: bytes, caller: bytes, value: int,
                  calldata: bytes, swallowed: list[int]) -> tuple[int, bytes]:
         """Shared handler for CALL/CALLCODE/DELEGATECALL/STATICCALL.
 
-        Returns the caller's remaining gas and its new return-data buffer;
-        pushes the success flag.
+        Charges for the memory its argument and return ranges add.  Returns
+        the caller's remaining gas and its new return-data buffer; pushes
+        the success flag.  A call refused at the depth limit or for want of
+        the value it sends pushes 0 and gives back all the callee's gas,
+        stipend included.
         """
         gas_req = stack.pop()
         target = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
@@ -779,8 +796,8 @@ class _Machine:
         out_off, out_size = stack.pop(), stack.pop()
         if static and opcode == op.CALL and call_value > 0:
             raise _InvalidOp
-        touch(in_off, in_size)
-        touch(out_off, out_size)
+        gas = _expand(mem, in_off, in_size, gas)
+        gas = _expand(mem, out_off, out_size, gas)
         args = bytes(mem[in_off:in_off + in_size])
 
         if call_value:
@@ -797,17 +814,14 @@ class _Machine:
         if opcode in (op.DELEGATECALL, op.CALLCODE) and target in self.tx.calldata:
             self.emit(EventKind.DELEGATE, pc, depth, (target,))
 
-        if depth + 1 > CALL_DEPTH_LIMIT:
+        mark = len(self.journal)
+        # CALLCODE's value stays within the account, still an observable move
+        receiver = target if opcode == op.CALL else self_address
+        if (depth + 1 > CALL_DEPTH_LIMIT
+                or call_value and not self.transfer(self_address, receiver, call_value)):
             stack.append(0)
             return gas + callee_gas, b""
-
-        mark = len(self.journal)
         if call_value:
-            # CALLCODE's value stays within the account, still an observable move
-            receiver = target if opcode == op.CALL else self_address
-            if not self.transfer(self_address, receiver, call_value):
-                stack.append(0)
-                return gas + forwarded, b""
             self.emit(EventKind.ETHER_TRANSFER, pc, depth,
                       (self_address, receiver, call_value))
 
@@ -876,24 +890,6 @@ class _Machine:
             if status is not TxStatus.SUCCESS:
                 self.rollback(mark)
         return TxStatus.SUCCESS, b"", gas
-
-    def _do_create(self, stack: list[int], mem: bytearray, touch, gas: int,
-                   pc: int, depth: int, static: bool, self_address: bytes,
-                   swallowed: list[int]) -> int:
-        """CREATE over `create`: pushes the new address, or 0 on failure."""
-        if static:
-            raise _InvalidOp
-        endowment, offset, size = stack.pop(), stack.pop(), stack.pop()
-        touch(offset, size)
-        status, address, gas = self.create(
-            self_address, endowment, bytes(mem[offset:offset + size]), gas, depth)
-        if status is TxStatus.SUCCESS:
-            stack.append(int.from_bytes(address, "big"))
-            return gas
-        if status is not None:  # the init code ran and failed
-            swallowed.append(pc)
-        stack.append(0)
-        return gas
 
 
 # --- public operations ----------------------------------------------------

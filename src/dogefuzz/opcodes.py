@@ -163,9 +163,10 @@ for _op, _cost in _BASE_GAS.items():
     BASE_GAS[_op] = _cost
 
 # opcodes that charge more than BASE_GAS for some operands or state: memory
-# expansion, SSTORE's fresh or update price, SHA3's words, a call's value
-# surcharge and forwarded gas, CREATE's init code.  The interpreter pays a
-# run of base costs at once and ends each such run after one of these
+# expansion, SSTORE's fresh or update price, SHA3's words, a call's memory
+# ranges, value surcharge and forwarded gas, CREATE's init code and its
+# memory.  The interpreter pays a run of base costs at once and ends each
+# such run after one of these
 DYNAMIC_GAS = frozenset({
     MLOAD, MSTORE, MSTORE8, SSTORE, SHA3,
     CALLDATACOPY, CODECOPY, RETURNDATACOPY, RETURN, REVERT,

@@ -463,6 +463,41 @@ def test_opcode_in_dynamic_gas_charges_more_for_some_operands(opcode: int) -> No
             > _gas_after_return_data(opcode, [0] * len(operands)))
 
 
+def _range_site(opcode: int, arg_size: int, ret_size: int) -> bytes:
+    """`opcode` over ranges at memory 0: a call into an empty account with
+    an argument range of `arg_size` bytes and a return range of `ret_size`,
+    or CREATE of `arg_size` bytes of init code; leaves MSIZE on the stack."""
+    if opcode == op.CREATE:
+        operands = code(P(arg_size), P(0), P(0))
+    else:
+        value = P(0) if opcode in (op.CALL, op.CALLCODE) else b""
+        operands = code(P(ret_size), P(0), P(arg_size), P(0), value,
+                        bytes([op.PUSH1 + 19]) + _SINK, P(0))
+    return operands + code(opcode, op.POP, op.MSIZE)
+
+
+_CALLS = (op.CALL, op.CALLCODE, op.DELEGATECALL, op.STATICCALL)
+
+
+@pytest.mark.parametrize("opcode,arg_size,ret_size", [
+    *((call, 1, 0) for call in _CALLS),
+    *((call, 0, 1) for call in _CALLS),
+    (op.CREATE, 32, 0),
+], ids=[*(f"{op.mnemonic(call)}-args" for call in _CALLS),
+        *(f"{op.mnemonic(call)}-return" for call in _CALLS), "CREATE-init"])
+def test_memory_ranges_of_calls_and_create_cost_their_new_word(
+        opcode: int, arg_size: int, ret_size: int) -> None:
+    """A call's argument or return range, or CREATE's 32 bytes of init code
+    (32 STOPs), that reaches into a fresh word costs one memory word more
+    than the same site with empty ranges, and grows MSIZE by that word."""
+    empty, _, _ = run(_range_site(opcode, 0, 0) + code(op.STOP))
+    one_word, _, _ = run(_range_site(opcode, arg_size, ret_size) + code(op.STOP))
+    assert empty.status is one_word.status is TxStatus.SUCCESS
+    assert one_word.gas_used - empty.gas_used == op.GAS_MEMORY_WORD
+    assert run_top(_range_site(opcode, 0, 0)) == 0
+    assert run_top(_range_site(opcode, arg_size, ret_size)) == 32
+
+
 def test_log_is_a_noop_consuming_operands() -> None:
     snippet = code(P(1), P(2), P(0), P(0), op.LOG2, P(1))
     assert run_top(snippet) == 1
@@ -870,21 +905,26 @@ def test_static_frame_allows_a_zero_value_call() -> None:
     assert int.from_bytes(trace.return_data, "big") == 1
 
 
-@pytest.mark.parametrize("value", [0, 7])
+@pytest.mark.parametrize("value,depth,balance", [
+    (0, CALL_DEPTH_LIMIT, 100),
+    (7, CALL_DEPTH_LIMIT, 100),
+    (7, 1, 6),
+], ids=["0", "7", "7-balance-too-low"])
 def test_call_at_the_depth_limit_pushes_zero_and_keeps_callee_gas(
-        value: int) -> None:
-    """A frame at depth 1024 can call no deeper: the flag is 0, the callee
-    never runs, no value moves, and the gas meant for the callee (with the
-    stipend of a value call) comes back."""
+        value: int, depth: int, balance: int) -> None:
+    """A frame at depth 1024 can call no deeper, and a frame holding less
+    than the value it sends cannot send it: either way the flag is 0, the
+    callee never runs, no value moves, and the gas meant for the callee
+    (with the stipend of a value call) comes back."""
     state = _fresh_state()
     writer = deploy_contract(state, STORAGE_WRITER)
     frame = b"\x01" * 20
-    state.account(frame).balance = 100
+    state.account(frame).balance = balance
     snippet = (_call_args(5_000, writer, value) + code(op.CALL, op.GAS)
                + _RETURN_CREATED_AND_GAS)
     machine = _Machine(state, Transaction(target=frame))
     status, ret, _ = machine.run_frame(snippet, frame, frame, AGENT_ADDRESS, 0,
-                                       b"", 100_000, CALL_DEPTH_LIMIT, False)
+                                       b"", 100_000, depth, False)
     assert status is TxStatus.SUCCESS
     assert int.from_bytes(ret[:32], "big") == 0  # the flag
     seen = int.from_bytes(ret[32:], "big")
@@ -893,7 +933,7 @@ def test_call_at_the_depth_limit_pushes_zero_and_keeps_callee_gas(
         spent += op.GAS_VALUE_SURCHARGE - op.GAS_STIPEND
     assert seen == 100_000 - spent
     assert state.account(writer).storage == {}
-    assert state.balance_of(frame) == 100
+    assert state.balance_of(frame) == balance
     assert machine.journal == [] and machine.events == []
 
 
