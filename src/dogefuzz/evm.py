@@ -62,8 +62,9 @@ from .keccak import keccak256
 
 logger = logging.getLogger(__name__)
 
-# frame recursion consumes a few Python frames per EVM frame; the default
-# interpreter limit is below the 1024 EVM depth cap
+# an EVM frame nests two Python frames (run_frame, _dispatch_loop) below a
+# CALL-family site, three below CREATE or the agent's re-entry; the
+# default interpreter limit is below the 1024 EVM depth cap
 sys.setrecursionlimit(max(sys.getrecursionlimit(), 15000))
 
 UINT256_MASK = (1 << 256) - 1
@@ -98,7 +99,6 @@ class TxStatus(str, Enum):
     REVERTED = "Reverted"
     OUT_OF_GAS = "OutOfGas"
     INVALID_OPCODE = "InvalidOpcode"
-    DEPTH_EXCEEDED = "DepthExceeded"
 
 
 class EventKind(str, Enum):
@@ -398,11 +398,10 @@ class _Machine:
         """Execute one call frame; returns (status, return data, gas left).
 
         The only way into a frame: `self_address` is on `address_stack` while
-        the frame runs, and a fault ends the frame with a status.  A frame
-        that succeeds after swallowing the failure of a call or CREATE it
-        made emits one ExceptionDisorder per such site."""
-        if depth > CALL_DEPTH_LIMIT:
-            return TxStatus.DEPTH_EXCEEDED, b"", gas
+        the frame runs, and a fault ends the frame with a status.  Every
+        caller refuses a frame past `CALL_DEPTH_LIMIT` before entering it.  A
+        frame that succeeds after swallowing the failure of a call or CREATE
+        it made emits one ExceptionDisorder per such site."""
         self.address_stack.append(self_address)
         swallowed: list[int] = []
         try:
@@ -594,9 +593,75 @@ class _Machine:
                             digest = keccak256(bytes(mem[offset:offset + size]))
                             stack.append(int.from_bytes(digest, "big"))
                         elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # the CALL family
-                            gas, returndata = self._do_call(
-                                opcode, stack, mem, gas, pc, depth, static,
-                                self_address, caller, value, calldata, swallowed)
+                            gas_req = stack.pop()
+                            target = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
+                            call_value = stack.pop() if opcode in (op.CALL, op.CALLCODE) else 0
+                            in_off, in_size = stack.pop(), stack.pop()
+                            out_off, out_size = stack.pop(), stack.pop()
+                            if static and opcode == op.CALL and call_value > 0:
+                                raise _InvalidOp
+                            gas = _expand(mem, in_off, in_size, gas)
+                            gas = _expand(mem, out_off, out_size, gas)
+                            if call_value:
+                                gas -= op.GAS_VALUE_SURCHARGE
+                                if gas < 0:
+                                    raise _OutOfGas
+                            forwarded = gas_req if gas_req < gas else gas
+                            gas -= forwarded
+                            callee_gas = forwarded + op.GAS_STIPEND if call_value else forwarded
+                            # a delegated call whose target is spelled out in
+                            # the transaction input is attacker-controlled dispatch
+                            if opcode in (op.DELEGATECALL, op.CALLCODE) and target in tx.calldata:
+                                self.emit(EventKind.DELEGATE, pc, depth, (target,))
+                            mark = len(self.journal)
+                            # CALLCODE's value stays within the account, still
+                            # an observable move
+                            receiver = target if opcode == op.CALL else self_address
+                            if (depth + 1 > CALL_DEPTH_LIMIT or call_value
+                                    and not self.transfer(self_address, receiver, call_value)):
+                                # refused: the callee's gas comes back, stipend included
+                                stack.append(0)
+                                gas += callee_gas
+                                returndata = b""
+                                continue
+                            if call_value:
+                                self.emit(EventKind.ETHER_TRANSFER, pc, depth,
+                                          (self_address, receiver, call_value))
+                            child_self = (target if opcode in (op.CALL, op.STATICCALL)
+                                          else self_address)
+                            delegated = opcode == op.DELEGATECALL  # inherits caller and value
+                            child_static = static or opcode == op.STATICCALL
+                            child_code = self.code_of(target)
+                            if opcode == op.CALL and child_code and target in self.address_stack:
+                                self.emit(EventKind.REENTRANCY, pc, depth + 1, (target,))
+                            if child_self == AGENT_ADDRESS:  # CALL or STATICCALL into the agent
+                                status, returndata, child_left = self._run_agent(
+                                    callee_gas, pc, depth + 1, self_address, calldata,
+                                    child_static)
+                            elif child_code:
+                                status, returndata, child_left = self.run_frame(
+                                    child_code, target, child_self,
+                                    caller if delegated else self_address,
+                                    value if delegated else call_value,
+                                    bytes(mem[in_off:in_off + in_size]), callee_gas,
+                                    depth + 1, child_static)
+                            else:
+                                status, returndata, child_left = TxStatus.SUCCESS, b"", callee_gas
+                            gas += child_left
+                            if status is TxStatus.SUCCESS:
+                                stack.append(1)
+                                if out_size:
+                                    chunk = returndata[:out_size]
+                                    mem[out_off:out_off + len(chunk)] = chunk
+                            else:
+                                self.rollback(mark)
+                                swallowed.append(pc)
+                                if (status is TxStatus.OUT_OF_GAS and call_value
+                                        and opcode == op.CALL and callee_gas == op.GAS_STIPEND):
+                                    self.emit(EventKind.GASLESS_SEND, pc, depth, (target,))
+                                stack.append(0)
+                                if status is not TxStatus.REVERTED:
+                                    returndata = b""
                         elif opcode == 0x16:  # AND
                             stack.append(stack.pop() & stack.pop())
                         elif opcode == 0x10:  # LT
@@ -775,89 +840,6 @@ class _Machine:
             block = nxt
         return TxStatus.SUCCESS, b"", gas
 
-    # -- call-family helper --
-
-    def _do_call(self, opcode: int, stack: list[int], mem: bytearray,
-                 gas: int, pc: int, depth: int, static: bool,
-                 self_address: bytes, caller: bytes, value: int,
-                 calldata: bytes, swallowed: list[int]) -> tuple[int, bytes]:
-        """Shared handler for CALL/CALLCODE/DELEGATECALL/STATICCALL.
-
-        Charges for the memory its argument and return ranges add.  Returns
-        the caller's remaining gas and its new return-data buffer; pushes
-        the success flag.  A call refused at the depth limit or for want of
-        the value it sends pushes 0 and gives back all the callee's gas,
-        stipend included.
-        """
-        gas_req = stack.pop()
-        target = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
-        call_value = stack.pop() if opcode in (op.CALL, op.CALLCODE) else 0
-        in_off, in_size = stack.pop(), stack.pop()
-        out_off, out_size = stack.pop(), stack.pop()
-        if static and opcode == op.CALL and call_value > 0:
-            raise _InvalidOp
-        gas = _expand(mem, in_off, in_size, gas)
-        gas = _expand(mem, out_off, out_size, gas)
-        args = bytes(mem[in_off:in_off + in_size])
-
-        if call_value:
-            gas -= op.GAS_VALUE_SURCHARGE
-            if gas < 0:
-                raise _OutOfGas
-        forwarded = gas_req if gas_req < gas else gas
-        gas -= forwarded
-        callee_gas = forwarded + op.GAS_STIPEND if call_value else forwarded
-        is_send = opcode == op.CALL and call_value > 0 and callee_gas == op.GAS_STIPEND
-
-        # a delegated call whose target is spelled out in the transaction
-        # input is attacker-controlled dispatch
-        if opcode in (op.DELEGATECALL, op.CALLCODE) and target in self.tx.calldata:
-            self.emit(EventKind.DELEGATE, pc, depth, (target,))
-
-        mark = len(self.journal)
-        # CALLCODE's value stays within the account, still an observable move
-        receiver = target if opcode == op.CALL else self_address
-        if (depth + 1 > CALL_DEPTH_LIMIT
-                or call_value and not self.transfer(self_address, receiver, call_value)):
-            stack.append(0)
-            return gas + callee_gas, b""
-        if call_value:
-            self.emit(EventKind.ETHER_TRANSFER, pc, depth,
-                      (self_address, receiver, call_value))
-
-        child_self = target if opcode in (op.CALL, op.STATICCALL) else self_address
-        delegated = opcode == op.DELEGATECALL  # inherits caller and value
-        child_caller = caller if delegated else self_address
-        child_value = value if delegated else call_value
-        child_static = static or opcode == op.STATICCALL
-        child_code = self.code_of(target)
-
-        if opcode == op.CALL and child_code and target in self.address_stack:
-            self.emit(EventKind.REENTRANCY, pc, depth + 1, (target,))
-        if child_self == AGENT_ADDRESS:  # CALL or STATICCALL into the agent
-            status, ret, child_left = self._run_agent(
-                callee_gas, pc, depth + 1, self_address, calldata, child_static)
-        elif child_code:
-            status, ret, child_left = self.run_frame(
-                child_code, target, child_self, child_caller,
-                child_value, args, callee_gas, depth + 1, child_static)
-        else:
-            status, ret, child_left = TxStatus.SUCCESS, b"", callee_gas
-
-        gas += child_left
-        if status is TxStatus.SUCCESS:
-            stack.append(1)
-            if out_size:
-                chunk = ret[:out_size]
-                mem[out_off:out_off + len(chunk)] = chunk
-            return gas, ret
-        self.rollback(mark)
-        swallowed.append(pc)
-        if is_send and status is TxStatus.OUT_OF_GAS:
-            self.emit(EventKind.GASLESS_SEND, pc, depth, (target,))
-        stack.append(0)
-        return gas, ret if status is TxStatus.REVERTED else b""
-
     def _run_agent(self, gas: int, pc: int, depth: int, caller_address: bytes,
                    caller_calldata: bytes, static: bool) -> tuple[TxStatus, bytes, int]:
         """The agent's virtual fallback: charge the logging fee, then act.
@@ -882,13 +864,14 @@ class _Machine:
                 return TxStatus.OUT_OF_GAS, b"", 0
             # the caller's frame is live below the agent: re-entering it
             self.emit(EventKind.REENTRANCY, pc, depth + 1, (caller_address,))
-            mark = len(self.journal)
-            status, _, gas = self.run_frame(
-                self.code_of(caller_address), caller_address,
-                caller_address, AGENT_ADDRESS, 0, caller_calldata,
-                gas, depth + 1, static)
-            if status is not TxStatus.SUCCESS:
-                self.rollback(mark)
+            if depth + 1 <= CALL_DEPTH_LIMIT:  # a refused re-entry keeps its gas
+                mark = len(self.journal)
+                status, _, gas = self.run_frame(
+                    self.code_of(caller_address), caller_address,
+                    caller_address, AGENT_ADDRESS, 0, caller_calldata,
+                    gas, depth + 1, static)
+                if status is not TxStatus.SUCCESS:
+                    self.rollback(mark)
         return TxStatus.SUCCESS, b"", gas
 
 

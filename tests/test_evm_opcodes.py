@@ -8,6 +8,7 @@ import pytest
 from dogefuzz import opcodes as op
 from dogefuzz.evm import (
     AGENT_ADDRESS,
+    AGENT_CALL_GAS,
     BALANCE,
     BLOCK_GAS_LIMIT,
     CALL_DEPTH_LIMIT,
@@ -16,6 +17,7 @@ from dogefuzz.evm import (
     DEPLOYER_ADDRESS,
     BlockContext,
     EventKind,
+    PolicyKind,
     Transaction,
     TxStatus,
     WorldState,
@@ -505,16 +507,6 @@ def test_log_is_a_noop_consuming_operands() -> None:
     assert trace.status is TxStatus.SUCCESS and trace.events == []
 
 
-def test_depth_limit_refuses_frame() -> None:
-    state = WorldState()
-    machine = _Machine(state, Transaction(target=b"\x00" * 20))
-    status, _, gas_left = machine.run_frame(
-        code(op.STOP), b"\x01" * 20, b"\x01" * 20, b"\x02" * 20, 0, b"",
-        1000, 1025, False)
-    assert status is TxStatus.DEPTH_EXCEEDED
-    assert gas_left == 1000
-
-
 # --- call family ----------------------------------------------------------
 
 def _call_args(gas_req: int, to: bytes, value: int, in_off: int = 0,
@@ -935,6 +927,59 @@ def test_call_at_the_depth_limit_pushes_zero_and_keeps_callee_gas(
     assert state.account(writer).storage == {}
     assert state.balance_of(frame) == balance
     assert machine.journal == [] and machine.events == []
+
+
+@pytest.mark.parametrize("spare", [-1, 0, 50_000])
+def test_reentrant_agent_below_the_depth_limit_cannot_reenter(spare: int) -> None:
+    """A frame at depth 1023 calls a reentrant agent, whose re-entry would
+    be frame 1025: the agent pays its logging fee and the re-entry call,
+    emits the Reentrancy event and returns the rest of its gas, but the
+    caller is not entered again.  One gas short of both charges, it runs
+    out of gas before the event."""
+    state = _fresh_state()
+    frame = b"\x01" * 20
+    charge = AGENT_CALL_GAS + op.GAS_CALL_BASE
+    call_site = code(op.TIMESTAMP, op.POP) + _call_args(charge + spare, AGENT_ADDRESS, 0)
+    snippet = call_site + code(op.CALL, op.GAS) + _RETURN_CREATED_AND_GAS
+    state.account(frame).code = snippet
+    machine = _Machine(state, Transaction(target=frame,
+                                          agent_policy=PolicyKind.REENTRANT))
+    depth = CALL_DEPTH_LIMIT - 1
+    status, ret, _ = machine.run_frame(snippet, frame, frame, AGENT_ADDRESS, 0,
+                                       b"", 100_000, depth, False)
+    assert status is TxStatus.SUCCESS
+    flag = int.from_bytes(ret[:32], "big")
+    seen = int.from_bytes(ret[32:], "big")
+    spent = (op.BASE_GAS[op.TIMESTAMP] + op.BASE_GAS[op.POP] + 7 * 3
+             + op.BASE_GAS[op.CALL] + op.BASE_GAS[op.GAS])
+    events = [(e.kind, e.pc, e.depth) for e in machine.events]
+    entered = (EventKind.TIMESTAMP, 0, depth)  # once per entry of the frame
+    if spare < 0:
+        assert flag == 0
+        assert seen == 100_000 - spent - (charge + spare)
+        assert events == [entered, (EventKind.EXCEPTION_DISORDER, len(call_site), depth)]
+    else:
+        assert flag == 1
+        assert seen == 100_000 - spent - charge
+        assert events == [entered, (EventKind.REENTRANCY, len(call_site), depth + 2)]
+        assert machine.events[1].data == (frame,)
+
+
+def test_self_call_recurses_to_the_depth_limit() -> None:
+    """A contract that calls itself with all its gas nests frames down to
+    depth 1024, whose call is refused: every other call enters a live
+    frame again, and each frame pays its base gas once."""
+    body = code(P(0), P(0), P(0), P(0), P(0), op.ADDRESS, op.GAS, op.CALL,
+                op.POP, op.STOP)
+    trace, _, address = run(body)
+    assert trace.status is TxStatus.SUCCESS
+    reentries = [e for e in trace.events if e.kind is EventKind.REENTRANCY]
+    assert len(trace.events) == len(reentries) == CALL_DEPTH_LIMIT - 1
+    assert [e.depth for e in reentries] == list(range(2, CALL_DEPTH_LIMIT + 1))
+    assert all(e.data == (address,) for e in reentries)
+    assert trace.gas_used == 739_328 == CALL_DEPTH_LIMIT * sum(
+        op.BASE_GAS[opcode] for opcode in (*[op.PUSH1] * 5, op.ADDRESS, op.GAS,
+                                           op.CALL, op.POP))
 
 
 def test_reentrancy_event_on_nested_self_call() -> None:
