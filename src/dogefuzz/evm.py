@@ -158,9 +158,7 @@ class ExecutionTrace:
 
     `block_runs` maps (code address, code) to {block start: instructions
     run}, in frame entry order; `transitions` holds the block edges the
-    target's frames took.  `changes_state` is true when the transaction
-    succeeded with a state write left in its journal, whether or not it
-    was persisted; when false, persisting it leaves the state as it was.
+    target's frames took.
 
     `reads` holds every location the transaction read: (address, key) for
     a storage slot, and (address, BALANCE), (address, NONCE),
@@ -172,8 +170,9 @@ class ExecutionTrace:
     all the balance there is, reads it exactly instead.  Rerun against a
     state that differs in none of its reads and fails none of its tests,
     the transaction takes the same path with the same outcome.  `writes` holds
-    the locations of a kept state change's journal entries, empty when
-    nothing was kept.
+    the locations a successful transaction left in its journal, whether or
+    not it was persisted; it is empty for a failed one, and when it is
+    empty, persisting the transaction leaves the state as it was.
     """
 
     status: TxStatus
@@ -182,7 +181,6 @@ class ExecutionTrace:
     transitions: set[tuple[int, int]]
     events: list[ExecutionEvent]
     return_data: bytes = b""
-    changes_state: bool = False
     reads: set[Location] = field(default_factory=set)
     balance_tests: list[tuple[bytes, int, bool]] = field(default_factory=list)
     writes: frozenset[Location] = frozenset()
@@ -420,14 +418,14 @@ class _Machine:
         return status, ret, gas
 
     def create(self, creator: bytes, endowment: int, init_code: bytes, gas: int,
-               depth: int) -> tuple[TxStatus | None, bytes, int]:
+               depth: int) -> tuple[TxStatus | None, bytes, bytes, int]:
         """Create a contract at the address the creator's nonce names.
 
         Bumps the nonce, then refuses with status None and all gas kept at
         the depth limit, on an address holding code, or on a balance below
         the endowment.  Otherwise moves the endowment, runs `init_code` with
         all of `gas`, and installs the returned code or rolls back.  Returns
-        (status, address, gas left).
+        (status, address, the init frame's output, gas left).
         """
         acct = self.touch_account(creator)
         self.reads.add((creator, NONCE))
@@ -436,7 +434,7 @@ class _Machine:
         acct.nonce += 1
         if (depth + 1 > CALL_DEPTH_LIMIT or self.code_of(address)
                 or endowment and not self.has_balance(creator, endowment)):
-            return None, address, gas
+            return None, address, b"", gas
         mark = len(self.journal)
         self.touch_account(address)
         if endowment:
@@ -449,7 +447,7 @@ class _Machine:
             created.code = ret
         else:
             self.rollback(mark)
-        return status, address, gas
+        return status, address, ret, gas
 
     def _dispatch_loop(self, code: bytes, code_address: bytes, self_address: bytes,
                        caller: bytes, value: int, calldata: bytes, gas: int,
@@ -791,11 +789,13 @@ class _Machine:
                                 raise _InvalidOp
                             endowment, offset, size = stack.pop(), stack.pop(), stack.pop()
                             gas = _expand(mem, offset, size, gas)
-                            status, address, gas = self.create(
+                            status, address, ret, gas = self.create(
                                 self_address, endowment, bytes(mem[offset:offset + size]),
                                 gas, depth)
                             stack.append(int.from_bytes(address, "big")
                                          if status is TxStatus.SUCCESS else 0)
+                            # EIP-211: only a reverted init frame leaves return data
+                            returndata = ret if status is TxStatus.REVERTED else b""
                             if status not in (None, TxStatus.SUCCESS):  # init code failed
                                 swallowed.append(pc)
                         elif opcode == 0xFF:  # SELFDESTRUCT
@@ -901,12 +901,11 @@ def execute_transaction(state: WorldState, tx: Transaction,
 
     # every mutation is journaled and a failed child frame pops its own
     # entries, so what is left in the journal is what the transaction wrote
-    changes_state = status is TxStatus.SUCCESS and bool(machine.journal)
     writes = frozenset()
+    if status is TxStatus.SUCCESS:
+        writes = frozenset(location for location, _ in machine.journal)
     if status is not TxStatus.SUCCESS or not persist:
         machine.rollback(0)
-    elif changes_state:
-        writes = frozenset(location for location, _ in machine.journal)
 
     return ExecutionTrace(
         status=status,
@@ -915,7 +914,6 @@ def execute_transaction(state: WorldState, tx: Transaction,
         transitions=machine.transitions,
         events=machine.events,
         return_data=ret,
-        changes_state=changes_state,
         reads=machine.reads,
         balance_tests=machine.balance_tests,
         writes=writes,
@@ -952,8 +950,8 @@ def deploy_contract(state: WorldState, code: bytes, mode: str = "runtime",
     # deployer is its origin and its caller
     machine = _Machine(state, Transaction(target=ZERO_ADDRESS,
                                           sender=DEPLOYER_ADDRESS))
-    status, address, _ = machine.create(DEPLOYER_ADDRESS, endowment,
-                                        code + constructor_args, DEPLOY_GAS, 0)
+    status, address, _, _ = machine.create(DEPLOYER_ADDRESS, endowment,
+                                           code + constructor_args, DEPLOY_GAS, 0)
     if status is not TxStatus.SUCCESS:
         machine.rollback(0)
         raise DeploymentError(f"{address.hex()} already holds code" if status is None

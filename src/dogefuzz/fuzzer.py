@@ -371,10 +371,14 @@ class _Campaign:
             trace = execute_transaction(self.base_state, tx, persist=persist)
             runs = trace.block_runs.get(self.runs_key, {})
             findings = detect_trace(trace)
-            outcome = (runs, findings, trace.changes_state, trace.reads,
+            # only whether the transaction writes is kept: a SELFDESTRUCT
+            # journals every slot it clears, read or not, so a repeat's
+            # write set can differ from its first run's
+            changes_state = bool(trace.writes)
+            outcome = (runs, findings, changes_state, trace.reads,
                        trace.balance_tests)
             new_edges, fresh = self.coverage.add(runs, trace.transitions)
-            if persist and trace.changes_state:
+            if persist and changes_state:
                 self._invalidate(trace.writes)
             else:
                 if len(outcomes) >= OUTCOME_CACHE_SIZE:

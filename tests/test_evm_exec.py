@@ -273,7 +273,7 @@ def test_changes_state_flags_left_journal_writes(name, changes, persist) -> None
     trace = execute_transaction(state, tx, persist=persist)
     assert trace.status is (TxStatus.REVERTED if name == "revert"
                             else TxStatus.SUCCESS)
-    assert trace.changes_state is changes
+    assert bool(trace.writes) is changes
     if persist:
         assert (state != snap) is changes
     else:
@@ -293,15 +293,14 @@ def test_selfdestruct_journals_each_field_it_clears(persist) -> None:
     snap = snapshot_state(state)
     trace = execute_transaction(state, Transaction(target=target),
                                 persist=persist)
-    assert trace.status is TxStatus.SUCCESS and trace.changes_state
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.writes == {(target, CODE), (target, BALANCE),
+                            (target, 1), (target, 2), (target, 3)}
     if not persist:
         assert state == snap
-        assert trace.writes == frozenset()
         return
     acct = state.accounts[target]
     assert (acct.balance, acct.code, acct.storage) == (0, b"", {})
-    assert trace.writes == {(target, CODE), (target, BALANCE),
-                            (target, 1), (target, 2), (target, 3)}
 
 
 def test_value_above_sender_balance_is_rejected() -> None:

@@ -797,6 +797,33 @@ def test_create_refused_for_short_endowment_keeps_gas() -> None:
     assert all(e.kind is not EventKind.EXCEPTION_DISORDER for e in trace.events)
 
 
+@pytest.mark.parametrize("create", [False, True])
+def test_create_empties_the_return_data_buffer(create: bool) -> None:
+    """EIP-211: after a successful CREATE the buffer is empty, whatever
+    the call before it returned."""
+    state = _fresh_state()
+    returner = deploy_contract(
+        state, code(P(0xCAFE, 2), P(0), op.MSTORE, P(32), P(0), op.RETURN))
+    empty_create = code(P(0), P(0), P(0), op.CREATE, op.POP) if create else b""
+    user = deploy_contract(state, _static_call(returner) + code(op.POP) + empty_create
+                           + code(op.RETURNDATASIZE) + RETURN_TOP)
+    trace = execute_transaction(state, Transaction(target=user))
+    assert trace.status is TxStatus.SUCCESS
+    assert int.from_bytes(trace.return_data, "big") == (0 if create else 32)
+
+
+def test_reverted_create_leaves_its_revert_data() -> None:
+    """EIP-211: init code that reverts with 5 bytes leaves them as return
+    data, which RETURNDATACOPY can read."""
+    init = code(P(0x0102030405, 5), P(0), op.MSTORE, P(5), P(27), op.REVERT)
+    copy = code(P(5), P(0), P(64), op.RETURNDATACOPY)
+    trace, _, _ = run(_create_site(init) + code(op.CREATE, op.POP) + copy
+                      + code(op.RETURNDATASIZE, P(0), op.MSTORE, P(69), P(0), op.RETURN))
+    assert trace.status is TxStatus.SUCCESS
+    assert int.from_bytes(trace.return_data[:32], "big") == 5
+    assert trace.return_data[64:] == bytes.fromhex("0102030405")
+
+
 def test_call_from_init_code_to_its_own_address_is_not_reentrancy() -> None:
     # the init code calls its own address, which holds no code yet, then
     # returns a one-byte STOP runtime
@@ -967,8 +994,8 @@ def test_reentrant_agent_below_the_depth_limit_cannot_reenter(spare: int) -> Non
 
 def test_self_call_recurses_to_the_depth_limit() -> None:
     """A contract that calls itself with all its gas nests frames down to
-    depth 1024, whose call is refused: every other call enters a live
-    frame again, and each frame pays its base gas once."""
+    depth 1024, whose call is refused: each call before that one enters a
+    live frame again, and each frame pays its base gas once."""
     body = code(P(0), P(0), P(0), P(0), P(0), op.ADDRESS, op.GAS, op.CALL,
                 op.POP, op.STOP)
     trace, _, address = run(body)

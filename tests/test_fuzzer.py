@@ -582,7 +582,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         assert replayed_runs == runs
         assert findings == detect_trace(trace)
         hits.extend((campaign.executions, f, seed) for f in findings)
-        assert changes_state is trace.changes_state
+        assert changes_state is bool(trace.writes)
         energy = 1.0 + coverage.add(runs, trace.transitions)[0]
         if strategy is Strategy.DIRECTED:
             reached = [campaign.hops[s] for s in runs if s in campaign.hops]
@@ -601,7 +601,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
 
     def execute(state, tx, persist=True):
         trace = real_execute(state, tx, persist=persist)
-        if persist and trace.changes_state and tx.target == probe.address:
+        if persist and trace.writes and tx.target == probe.address:
             kept_writes.append(trace.writes)
         return trace
 
