@@ -4,8 +4,8 @@
 derives from code bytes alone: one linear sweep per code, cached by code
 bytes, partitions it into basic blocks (new block at every JUMPDEST and
 after every jump, halting or undefined instruction) of pre-decoded
-(pc, opcode, PUSH operand, base gas) instructions, indexed by start pc,
-by JUMPDEST and by pc, and lists the critical instructions' pcs.  The
+(pc, opcode, PUSH operand) instructions, indexed by start pc, by
+JUMPDEST and by pc, and lists the critical instructions' pcs.  The
 interpreter runs on these blocks, paying base gas once per gas segment of
 a block (`BasicBlock.segments`), and records coverage once per block: the
 block's start and how many of its instructions ran (a block's pc tuple
@@ -52,8 +52,8 @@ SIM_STACK_DEPTH = 32
 
 # --- shared decode --------------------------------------------------------
 
-# (pc, opcode, PUSH operand or None, base gas)
-Instruction = tuple[int, int, int | None, int]
+# (pc, opcode, PUSH operand or None): what the bytes say, nothing more
+Instruction = tuple[int, int, int | None]
 # (instructions, their base gas, largest stack growth over the entry height)
 Segment = tuple[tuple[Instruction, ...], int, int]
 
@@ -62,6 +62,10 @@ _ENDS_BLOCK = frozenset(
     byte for byte in range(256)
     if byte in (op.JUMP, op.JUMPI) or byte in op.HALTING
     or byte not in op.MNEMONICS)
+
+# opcodes after which a gas segment ends: the operand-dependent charges,
+# and GAS, which then reads the gas left with none of its segment paid ahead
+_ENDS_SEGMENT = op.DYNAMIC_GAS | {op.GAS}
 
 
 class Terminator(str, Enum):
@@ -94,22 +98,23 @@ class BasicBlock:
 
     @cached_property
     def segments(self) -> tuple[Segment, ...]:
-        """The block cut after each instruction in `opcodes.DYNAMIC_GAS`.
+        """The block cut after each instruction in `opcodes.DYNAMIC_GAS`
+        and after each GAS.
 
         Each segment is (instructions, base gas, largest stack growth): the
-        sum of its base costs, and the most its pushes raise the stack above
-        the height it was entered at.  A block with one segment shares its
-        `instructions`.
+        sum of its `opcodes.BASE_GAS`, and the most its pushes raise the
+        stack above the height it was entered at.  A block with one segment
+        shares its `instructions`.
         """
         instructions = self.instructions
         n = len(instructions)
         segments: list[Segment] = []
         start = gas = height = growth = 0
-        for end, (_, byte, _, cost) in enumerate(instructions, 1):
-            gas += cost
+        for end, (_, byte, _) in enumerate(instructions, 1):
+            gas += op.BASE_GAS[byte]
             height += op.STACK_GROWTH[byte]
             growth = max(growth, height)
-            if byte in op.DYNAMIC_GAS or end == n:
+            if byte in _ENDS_SEGMENT or end == n:
                 body = instructions[start:end] if end - start < n else instructions
                 segments.append((body, gas, growth))
                 start, gas, height, growth = end, 0, 0, 0
@@ -151,7 +156,6 @@ def analyze(code: bytes) -> CodeAnalysis:
     zero-padded.  The interpreter, `build_cfg` and everything that reads a
     `Cfg` share the result.
     """
-    base_gas = op.BASE_GAS
     critical_ops = op.CRITICAL
     blocks: dict[int, BasicBlock] = {}
     body: list[Instruction] = []
@@ -170,11 +174,10 @@ def analyze(code: bytes) -> CodeAnalysis:
         if op.PUSH1 <= byte <= op.PUSH32:
             width = byte - op.PUSH1 + 1
             chunk = code[pc + 1:pc + 1 + width]
-            body.append((pc, byte, int.from_bytes(chunk.ljust(width, b"\x00"), "big"),
-                         base_gas[byte]))
+            body.append((pc, byte, int.from_bytes(chunk.ljust(width, b"\x00"), "big")))
             pc += 1 + width
         else:
-            body.append((pc, byte, None, base_gas[byte]))
+            body.append((pc, byte, None))
             if byte in critical_ops:
                 critical.append(pc)
             pc += 1
@@ -248,7 +251,7 @@ def _resolve_jump_target(instructions: tuple[Instruction, ...]) -> int | None:
     clobbers per its arity.
     """
     stack: list[int | None] = []
-    for _, byte, value, _ in instructions[:-1]:
+    for _, byte, value in instructions[:-1]:
         if value is not None:
             stack.append(value)
         elif op.DUP1 <= byte <= op.DUP16:
@@ -397,7 +400,7 @@ def relax_distances(hops: dict[int, int],
 # --- export ---------------------------------------------------------------
 
 def _listing(code: bytes, ins: Instruction) -> str:
-    pc, opcode, value, _ = ins
+    pc, opcode, value = ins
     text = f"{pc:#06x} {op.mnemonic(opcode)}"
     if value is None:
         return text

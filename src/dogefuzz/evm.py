@@ -7,11 +7,11 @@ Reentrancy, StorageChanged, EtherTransfer.
 
 Each frame runs over `cfg.analyze`, the one decode of its code into basic
 blocks shared with `build_cfg`: instructions come pre-decoded with their
-PUSH operands and base gas, and JUMP/JUMPI end a block.  A block runs as
-gas segments, each ending after an instruction whose charge depends on
-operands or state (`opcodes.DYNAMIC_GAS`).  A segment that can pay all its
-base gas and has stack room for all its pushes pays at entry, in one
-step; one that cannot runs up to the first instruction that would fault
+PUSH operands, and JUMP/JUMPI end a block.  A block runs as gas segments,
+each ending after an instruction whose charge depends on operands or
+state (`opcodes.DYNAMIC_GAS`), or after GAS, which reads the gas left.  A
+segment that can pay all its base gas (`opcodes.BASE_GAS`) and has stack
+room for all its pushes pays at entry, in one step; one that cannot runs up to the first instruction that would fault
 and faults there, so every fault keeps its exact pc.  Coverage is
 recorded once per block.  Per code
 address and code, a trace keeps each block start that ran with how many of
@@ -278,11 +278,12 @@ def _up_to_fault(instructions: tuple[Instruction, ...], gas: int,
     that faults as it would: out of gas, or invalid for the overflow.  The
     gas returned has paid for the instructions before it.
     """
-    for k, (pc, opcode, _, cost) in enumerate(instructions):
+    for k, (pc, opcode, _) in enumerate(instructions):
+        cost = op.BASE_GAS[opcode]
         height += op.STACK_GROWTH[opcode]
         if cost > gas or height > STACK_LIMIT:  # gas is checked first
             fault = _CANNOT_PAY if cost > gas else op.INVALID
-            return gas, instructions[:k] + ((pc, fault, None, 0),)
+            return gas, instructions[:k] + ((pc, fault, None),)
         gas -= cost
     raise AssertionError("the segment fits: nothing to cut")
 
@@ -479,7 +480,7 @@ class _Machine:
                     else:
                         gas, instructions = _up_to_fault(instructions, gas, len(stack))
                     # literal opcodes, most frequent first
-                    for pc, opcode, push, _ in instructions:
+                    for pc, opcode, push in instructions:
                         if push is not None:  # PUSH1..PUSH32
                             stack.append(push)
                         elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
@@ -511,9 +512,8 @@ class _Machine:
                                 stack.append(pc)
                             elif opcode == 0x33:  # CALLER
                                 stack.append(int.from_bytes(caller, "big"))
-                            elif opcode == 0x5A:  # GAS: the segment paid ahead
-                                stack.append(gas + sum(ins[3] for ins in instructions
-                                                       if ins[0] > pc))
+                            elif opcode == 0x5A:  # GAS: it ends its segment
+                                stack.append(gas)
                             elif opcode == 0x34:  # CALLVALUE
                                 stack.append(value)
                             elif opcode == 0x30:  # ADDRESS

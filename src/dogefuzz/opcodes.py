@@ -89,26 +89,12 @@ SELFDESTRUCT = 0xFF
 
 # --- mnemonic table -------------------------------------------------------
 
+# the constants above are spelled as their mnemonics, and nothing else
+# defined above this table is an uppercase int, so the names are read off
+# the module; the loops below fill the ranges those constants bound
 MNEMONICS: dict[int, str] = {
-    STOP: "STOP", ADD: "ADD", MUL: "MUL", SUB: "SUB", DIV: "DIV", SDIV: "SDIV",
-    MOD: "MOD", SMOD: "SMOD", ADDMOD: "ADDMOD", MULMOD: "MULMOD", EXP: "EXP",
-    SIGNEXTEND: "SIGNEXTEND", LT: "LT", GT: "GT", SLT: "SLT", SGT: "SGT",
-    EQ: "EQ", ISZERO: "ISZERO", AND: "AND", OR: "OR", XOR: "XOR", NOT: "NOT",
-    BYTE: "BYTE", SHL: "SHL", SHR: "SHR", SAR: "SAR", SHA3: "SHA3",
-    ADDRESS: "ADDRESS", BALANCE: "BALANCE", ORIGIN: "ORIGIN", CALLER: "CALLER",
-    CALLVALUE: "CALLVALUE", CALLDATALOAD: "CALLDATALOAD",
-    CALLDATASIZE: "CALLDATASIZE", CALLDATACOPY: "CALLDATACOPY",
-    CODESIZE: "CODESIZE", CODECOPY: "CODECOPY",
-    RETURNDATASIZE: "RETURNDATASIZE", RETURNDATACOPY: "RETURNDATACOPY",
-    COINBASE: "COINBASE", TIMESTAMP: "TIMESTAMP", NUMBER: "NUMBER",
-    DIFFICULTY: "DIFFICULTY", GASLIMIT: "GASLIMIT", POP: "POP",
-    MLOAD: "MLOAD", MSTORE: "MSTORE", MSTORE8: "MSTORE8", SLOAD: "SLOAD",
-    SSTORE: "SSTORE", JUMP: "JUMP", JUMPI: "JUMPI", PC: "PC", MSIZE: "MSIZE",
-    GAS: "GAS", JUMPDEST: "JUMPDEST", CREATE: "CREATE", CALL: "CALL",
-    CALLCODE: "CALLCODE", RETURN: "RETURN", DELEGATECALL: "DELEGATECALL",
-    STATICCALL: "STATICCALL", REVERT: "REVERT", INVALID: "INVALID",
-    SELFDESTRUCT: "SELFDESTRUCT",
-}
+    byte: name for name, byte in globals().items()
+    if name.isupper() and type(byte) is int}
 for _i in range(32):
     MNEMONICS[PUSH1 + _i] = f"PUSH{_i + 1}"
 for _i in range(16):

@@ -60,9 +60,9 @@ def instructions(raw: bytes) -> list[tuple]:
 
 def test_disassemble_simple_sequence() -> None:
     decoded = instructions(code(P1, 7, op.POP, op.STOP))
-    assert [(pc, op.mnemonic(opcode)) for pc, opcode, _, _ in decoded] == [
+    assert [(pc, op.mnemonic(opcode)) for pc, opcode, _ in decoded] == [
         (0, "PUSH1"), (2, "POP"), (3, "STOP")]
-    assert decoded[0] == (0, P1, 7, op.BASE_GAS[P1])
+    assert decoded[0] == (0, P1, 7)
     assert decoded[1][2] is None
 
 
@@ -86,7 +86,7 @@ def test_disassembly_round_trips(raw: bytes) -> None:
     joined = b"".join(
         bytes([opcode]) + (b"" if value is None
                            else value.to_bytes(op.push_size(opcode), "big"))
-        for _, opcode, value, _ in decoded)
+        for _, opcode, value in decoded)
     # a PUSH cut off by end-of-code reads as zero-padded
     assert joined[:len(raw)] == raw
     assert not any(joined[len(raw):])
@@ -95,7 +95,6 @@ def test_disassembly_round_trips(raw: bytes) -> None:
     if decoded:
         last_pc, last_opcode = decoded[-1][:2]
         assert last_pc < len(raw) <= last_pc + 1 + op.push_size(last_opcode)
-    assert all(gas == op.BASE_GAS[opcode] for _, opcode, _, gas in decoded)
 
 
 # --- block partition ------------------------------------------------------
@@ -116,7 +115,7 @@ def test_blocks_tile_the_instruction_stream(raw: bytes) -> None:
         assert block.start == block.pcs[0]
         assert block.fallthrough == (following.start if following else None)
     for block in cfg.blocks:
-        for pc, opcode, _, _ in block.instructions[:-1]:
+        for pc, opcode, _ in block.instructions[:-1]:
             assert opcode != op.JUMPDEST or pc == block.start
     for src, dst in cfg.edges:
         assert src in cfg.analysis.blocks and dst in cfg.analysis.blocks
@@ -125,27 +124,32 @@ def test_blocks_tile_the_instruction_stream(raw: bytes) -> None:
 @settings(max_examples=200, deadline=None)
 @given(st.binary(min_size=0, max_size=300))
 def test_segments_tile_each_block_and_end_after_dynamic_charges(raw: bytes) -> None:
+    # GAS ends its segment too, so that it reads the gas left with nothing
+    # of its segment paid ahead
+    ends = op.DYNAMIC_GAS | {op.GAS}
     for block in analyze(raw).blocks.values():
         segments = block.segments
         assert tuple(ins for body, _, _ in segments for ins in body) == \
             block.instructions
         for body, gas, growth in segments:
-            assert gas == sum(cost for _, _, _, cost in body)
+            assert gas == sum(op.BASE_GAS[opcode] for _, opcode, _ in body)
             heights = [0]
-            for _, opcode, _, _ in body:
+            for _, opcode, _ in body:
                 heights.append(heights[-1] + op.STACK_GROWTH[opcode])
             assert growth == max(heights)
-            assert all(opcode not in op.DYNAMIC_GAS for _, opcode, _, _ in body[:-1])
-        assert all(body[-1][1] in op.DYNAMIC_GAS for body, _, _ in segments[:-1])
+            assert all(opcode not in ends for _, opcode, _ in body[:-1])
+        assert all(body[-1][1] in ends for body, _, _ in segments[:-1])
 
 
 def test_segments_of_a_block() -> None:
-    # 0 PUSH1 0; 2 MLOAD; 3 PUSH1 1; 5 PUSH1 2; 7 DUP1; 8 SSTORE; 9 POP; 10 STOP
-    raw = code(P1, 0, op.MLOAD, P1, 1, P1, 2, op.DUP1, op.SSTORE, op.POP, op.STOP)
+    # 0 PUSH1 0; 2 MLOAD; 3 PUSH1 1; 5 PUSH1 2; 7 DUP1; 8 SSTORE; 9 POP;
+    # 10 GAS; 11 PUSH1 3; 13 STOP
+    raw = code(P1, 0, op.MLOAD, P1, 1, P1, 2, op.DUP1, op.SSTORE, op.POP,
+               op.GAS, P1, 3, op.STOP)
     (block,) = analyze(raw).blocks.values()
     assert [(tuple(ins[0] for ins in body), gas, growth)
             for body, gas, growth in block.segments] == [
-        ((0, 2), 6, 1), ((3, 5, 7, 8), 9, 3), ((9, 10), 2, 0)]
+        ((0, 2), 6, 1), ((3, 5, 7, 8), 9, 3), ((9, 10), 4, 0), ((11, 13), 3, 1)]
     # a block without a dynamic charge is one segment over its own tuple
     (block,) = analyze(code(P1, 1, P1, 2, op.ADD, op.STOP)).blocks.values()
     assert block.segments == ((block.instructions, 9, 2),)
@@ -276,7 +280,7 @@ def test_critical_sites_ascending_with_counts() -> None:
                           st.integers(0, 255)), max_size=300).map(bytes))
 def test_critical_sites_match_a_full_scan(raw: bytes) -> None:
     scanned = [pc for block in analyze(raw).blocks.values()
-               for pc, opcode, _, _ in block.instructions
+               for pc, opcode, _ in block.instructions
                if opcode in op.CRITICAL]
     assert critical_sites(build_cfg(raw)) == scanned
 
