@@ -133,11 +133,13 @@ def _parse_report_findings(
 
 
 def _cmd_score(args: argparse.Namespace) -> int:
-    document = json.loads(Path(args.report).read_text())
     try:
+        document = json.loads(Path(args.report).read_text())
         by_strategy = _parse_report_findings(document)
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"error: malformed report: {exc!r}", file=sys.stderr)
+    # not UTF-8, not JSON, nested past the recursion limit, or not a report
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+        print(f"error: malformed report: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return 2
     bundles = load_benchmark(args.labels, skipped=[])
     labels = {b.name: b.labels for b in bundles}
@@ -157,10 +159,9 @@ def _cmd_score(args: argparse.Namespace) -> int:
 
 
 def _cmd_cfg(args: argparse.Namespace) -> int:
-    text = Path(args.code).read_text().strip()
     try:
-        code = bytes.fromhex(text)
-    except ValueError as exc:
+        code = bytes.fromhex(Path(args.code).read_text().strip())
+    except ValueError as exc:  # not UTF-8, or not hex
         print(f"error: {args.code}: {exc}", file=sys.stderr)
         return 2
     graph = build_cfg(code)
@@ -244,8 +245,7 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 1
     try:
         return args.handler(args)
-    except (OSError, BundleError, DeploymentError,
-            json.JSONDecodeError) as exc:
+    except (OSError, BundleError, DeploymentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

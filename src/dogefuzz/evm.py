@@ -11,9 +11,9 @@ PUSH operands, and JUMP/JUMPI end a block.  A block runs as gas segments,
 each ending after an instruction whose charge depends on operands or
 state (`opcodes.DYNAMIC_GAS`), or after GAS, which reads the gas left.  A
 segment that can pay all its base gas (`opcodes.BASE_GAS`) and has stack
-room for all its pushes pays at entry, in one step; one that cannot runs up to the first instruction that would fault
-and faults there, so every fault keeps its exact pc.  Coverage is
-recorded once per block.  Per code
+room for all its pushes pays at entry, in one step; one that cannot runs
+up to the first instruction that would fault and faults there, so every
+fault keeps its exact pc.  Coverage is recorded once per block.  Per code
 address and code, a trace keeps each block start that ran with how many of
 its instructions ran: all of them, or for a block that faulted the prefix
 up to the faulting instruction, the longest run winning.  For frames of
@@ -208,13 +208,11 @@ class Account:
         return Account(self.balance, self.code, dict(self.storage), self.nonce)
 
 
+@dataclass(slots=True)
 class WorldState:
     """Mutable account mapping; absent accounts read as empty."""
 
-    __slots__ = ("accounts",)
-
-    def __init__(self, accounts: dict[bytes, Account] | None = None) -> None:
-        self.accounts: dict[bytes, Account] = accounts if accounts is not None else {}
+    accounts: dict[bytes, Account] = field(default_factory=dict)
 
     def account(self, address: bytes) -> Account:
         acct = self.accounts.get(address)
@@ -230,11 +228,6 @@ class WorldState:
     def code_of(self, address: bytes) -> bytes:
         acct = self.accounts.get(address)
         return acct.code if acct is not None else b""
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WorldState):
-            return NotImplemented
-        return self.accounts == other.accounts
 
 
 class DeploymentError(Exception):

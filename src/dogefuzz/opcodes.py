@@ -3,7 +3,12 @@
 The schedule keeps the magnitudes that matter for bug behavior (storage writes
 dwarf the 2300 call stipend, value calls pay a surcharge) and flattens
 everything else: base ops cost 3 to 10, memory grows linearly at 3 per word,
-no refunds, no cold/warm distinction, no 1/64 forwarding rule.
+no refunds, no cold/warm distinction, no 1/64 forwarding rule.  Beyond
+that, against Istanbul (Yellow Paper, Appendix G): the context pushes
+(`PUSHES_ONE`) other than PC, MSIZE and GAS cost 3 where G_base is 2;
+CALLDATACOPY, CODECOPY and RETURNDATACOPY pay no per-word copy charge and
+EXP no per-byte charge; LOG0-LOG4 cost a flat 8 plus memory; SLOAD costs
+200 and BALANCE 10; there is no new-account or code-deposit charge.
 """
 
 from __future__ import annotations

@@ -79,6 +79,27 @@ def test_unknown_byte_gets_placeholder_mnemonic() -> None:
     assert ins[2] is None
 
 
+def test_mnemonic_table_is_read_off_the_opcode_constants() -> None:
+    assert len(op.MNEMONICS) == len(op.OPCODES) == 134
+    assert all(0 <= byte < 256 and op.OPCODES[op.mnemonic(byte)] == byte
+               for byte in op.MNEMONICS)
+    ranges = {f"{stem}{n}" for stem, first, last in (
+        ("PUSH", 1, 32), ("DUP", 1, 16), ("SWAP", 1, 16), ("LOG", 0, 4))
+        for n in range(first, last + 1)}
+    constants = {name for name, value in vars(op).items()
+                 if name.isupper() and type(value) is int}
+    # each name is an opcode constant spelled as its mnemonic or fills a
+    # range; the module's other uppercase ints are gas prices, none of them
+    # in the table
+    assert all(getattr(op, name, byte) == byte
+               and (name in constants or name in ranges)
+               for name, byte in op.OPCODES.items())
+    assert {name for name in constants if name not in op.OPCODES} == {
+        name for name in constants if name.startswith("GAS_")}
+    assert (op.mnemonic(op.SHA3), op.mnemonic(0x5A), op.mnemonic(0xFE)) == (
+        "SHA3", "GAS", "INVALID")
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.binary(min_size=0, max_size=300))
 def test_disassembly_round_trips(raw: bytes) -> None:
@@ -528,3 +549,14 @@ def test_dot_output_lists_blocks_and_edges() -> None:
     for src, dst in cfg.edges:
         assert f"b{src} -> b{dst};" in rendered
     assert "color=red" in rendered
+
+
+def test_dot_labels_a_fallthrough_block_and_one_that_runs_off_the_end() -> None:
+    # 0 PUSH1 1; 2 POP; 3 JUMPDEST; 4 PUSH1 2, then the code ends
+    cfg = build_cfg(code(P1, 1, op.POP, op.JUMPDEST, P1, 2))
+    assert to_dot(cfg).splitlines()[2:] == [
+        '    b0 [label="0x0000 PUSH1 0x01\\l0x0002 POP\\l[Fallthrough]"];',
+        '    b3 [label="0x0003 JUMPDEST\\l0x0004 PUSH1 0x02\\l[Halt]"];',
+        "    b0 -> b3;",
+        "}",
+    ]

@@ -147,6 +147,24 @@ def test_score_rejects_malformed_report(bench_root, tmp_path, capsys) -> None:
     assert "malformed report" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, name, content", [
+    pytest.param("cfg", "code.hex", b"\xff" * 4096, id="cfg-not-utf8"),
+    pytest.param("score", "report.json", b"\xff" * 4096, id="score-not-utf8"),
+    pytest.param("score", "report.json", b"[" * 100_000, id="score-too-deep"),
+])
+def test_undecodable_inputs_exit_two_on_one_line(
+        bench_root, tmp_path, capsys, command, name, content) -> None:
+    path = tmp_path / name
+    path.write_bytes(content)
+    flag = "--code" if command == "cfg" else "--report"
+    argv = [command, flag, str(path)]
+    if command == "score":
+        argv += ["--labels", str(bench_root)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200, err
+
+
 def test_help_exits_zero(capsys) -> None:
     assert main(["--help"]) == 0
     assert "run" in capsys.readouterr().out

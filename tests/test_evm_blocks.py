@@ -190,13 +190,14 @@ _GAS_AFTER_MLOAD = code(P(0), op.MLOAD, op.POP, op.GAS, P(0), op.MSTORE,
     (25, TxStatus.SUCCESS, 12),
     (10_000, TxStatus.SUCCESS, 12),
 ])
-def test_gas_reads_what_is_left_with_the_segment_ahead_unpaid(
+def test_gas_ends_its_segment_and_reads_what_is_left(
         gas: int, status: TxStatus, last: int) -> None:
     _assert_stops_at(_GAS_AFTER_MLOAD, gas, status, last, [])
     if status is TxStatus.SUCCESS:
         trace, _, _ = run(_GAS_AFTER_MLOAD, gas=gas)
         assert trace.gas_used == 25
-        # PUSH1, MLOAD and its word, POP and GAS paid; the rest not yet
+        # PUSH1, MLOAD and its word, POP and GAS paid; the rest, in the
+        # segment after GAS, not yet
         assert int.from_bytes(trace.return_data, "big") == gas - 13
 
 
