@@ -24,6 +24,12 @@ prefixes, and the pairs of successive instructions within each target
 frame are the pairs inside those prefixes plus one pair (last pc, next
 block start) per edge.
 
+An instruction's dynamic charge is tested once, in `_expand`: an
+instruction that touches memory passes it the gas less its other dynamic
+charges (SHA3's words, a value call's surcharge), and `_expand` takes the
+words the range adds and tests the gas left before memory grows.  SSTORE,
+which touches no memory, tests its own charge.
+
 A trace also says what the transaction observed of the world state, so a
 cached outcome can outlive state changes it never read.  Storage slots
 (SLOAD, and SSTORE's old value) and exact balances (BALANCE, SELFDESTRUCT)
@@ -282,18 +288,19 @@ def _up_to_fault(instructions: tuple[Instruction, ...], gas: int,
 
 
 def _expand(mem: bytearray, offset: int, size: int, gas: int) -> int:
-    """Charge for the words a nonempty range adds to `mem`, then zero-fill
-    them; returns the gas left.  The charge is tested before memory grows,
-    so a range no gas can pay for allocates nothing.  Every write lands in
-    a range expanded first, so `len(mem)` stays a whole number of words."""
-    if size:
-        words = (offset + size + 31) >> 5
-        grown = words - (len(mem) >> 5)
-        if grown > 0:
-            gas -= op.GAS_MEMORY_WORD * grown
-            if gas < 0:
-                raise _OutOfGas
-            mem.extend(bytes(grown << 5))
+    """Charge for the words a nonempty range adds to `mem`, test the gas
+    left, then zero-fill them; returns the gas left.  This is the one
+    out-of-gas test of an instruction's dynamic charge: a caller passes
+    `gas` less its other charges, so a range no gas can pay for allocates
+    nothing.  Every write lands in a range expanded first, so `len(mem)`
+    stays a whole number of words."""
+    grown = ((offset + size + 31) >> 5) - (len(mem) >> 5) if size else 0
+    if grown > 0:
+        gas -= op.GAS_MEMORY_WORD * grown
+    if gas < 0:
+        raise _OutOfGas
+    if grown > 0:
+        mem.extend(bytes(grown << 5))
     return gas
 
 
@@ -452,7 +459,8 @@ class _Machine:
         _, blocks, jumpdests, _, _ = analyze(code)
         pushes_one = op.PUSHES_ONE
         runs = self.block_runs.setdefault((code_address, code), {})
-        transitions = self.transitions if code_address == tx.target else None
+        # a frame not of the target draws its edges into a throwaway set
+        transitions = self.transitions if code_address == tx.target else set()
         reads = self.reads
 
         stack: list[int] = []
@@ -577,10 +585,8 @@ class _Machine:
                             stack[-1], stack[-1 - k] = stack[-1 - k], stack[-1]
                         elif opcode == 0x20:  # SHA3
                             offset, size = stack.pop(), stack.pop()
-                            gas -= op.GAS_SHA3_WORD * ((size + 31) >> 5)
-                            if gas < 0:
-                                raise _OutOfGas
-                            gas = _expand(mem, offset, size, gas)
+                            gas = _expand(mem, offset, size,
+                                          gas - op.GAS_SHA3_WORD * ((size + 31) >> 5))
                             digest = keccak256(bytes(mem[offset:offset + size]))
                             stack.append(int.from_bytes(digest, "big"))
                         elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # the CALL family
@@ -592,11 +598,8 @@ class _Machine:
                             if static and opcode == op.CALL and call_value > 0:
                                 raise _InvalidOp
                             gas = _expand(mem, in_off, in_size, gas)
-                            gas = _expand(mem, out_off, out_size, gas)
-                            if call_value:
-                                gas -= op.GAS_VALUE_SURCHARGE
-                                if gas < 0:
-                                    raise _OutOfGas
+                            gas = _expand(mem, out_off, out_size,
+                                          gas - op.GAS_VALUE_SURCHARGE if call_value else gas)
                             forwarded = gas_req if gas_req < gas else gas
                             gas -= forwarded
                             callee_gas = forwarded + op.GAS_STIPEND if call_value else forwarded
@@ -668,14 +671,11 @@ class _Machine:
                             offset = stack.pop()
                             gas = _expand(mem, offset, 32, gas)
                             stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
-                        elif opcode == 0xF3:  # RETURN
+                        elif opcode in (0xF3, 0xFD):  # RETURN, REVERT
                             offset, size = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, size, gas)
-                            return TxStatus.SUCCESS, bytes(mem[offset:offset + size]), gas
-                        elif opcode == 0xFD:  # REVERT
-                            offset, size = stack.pop(), stack.pop()
-                            gas = _expand(mem, offset, size, gas)
-                            return TxStatus.REVERTED, bytes(mem[offset:offset + size]), gas
+                            return (TxStatus.SUCCESS if opcode == 0xF3 else TxStatus.REVERTED,
+                                    bytes(mem[offset:offset + size]), gas)
                         # --- the rest, by opcode value ---
                         elif opcode == 0x02:  # MUL
                             stack.append((stack.pop() * stack.pop()) & UINT256_MASK)
@@ -747,25 +747,19 @@ class _Machine:
                             address = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
                             reads.add((address, BALANCE))
                             stack.append(state.balance_of(address))
-                        elif opcode == 0x37:  # CALLDATACOPY
+                        elif opcode in (0x37, 0x39, 0x3E):  # CALLDATACOPY, CODECOPY, RETURNDATACOPY
                             dst, src, size = stack.pop(), stack.pop(), stack.pop()
+                            if opcode == 0x37:
+                                source = calldata
+                            elif opcode == 0x39:
+                                source = code
+                            else:  # only the return data faults on a read past its end
+                                source = returndata
+                                if src + size > len(returndata):
+                                    raise _InvalidOp
                             gas = _expand(mem, dst, size, gas)
-                            if size:
-                                chunk = calldata[src:src + size] if src < len(calldata) else b""
-                                mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-                        elif opcode == 0x39:  # CODECOPY
-                            dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                            gas = _expand(mem, dst, size, gas)
-                            if size:
-                                chunk = code[src:src + size] if src < n else b""
-                                mem[dst:dst + size] = chunk.ljust(size, b"\x00")
-                        elif opcode == 0x3E:  # RETURNDATACOPY
-                            dst, src, size = stack.pop(), stack.pop(), stack.pop()
-                            if src + size > len(returndata):
-                                raise _InvalidOp
-                            gas = _expand(mem, dst, size, gas)
-                            if size:
-                                mem[dst:dst + size] = returndata[src:src + size]
+                            # a slice clamps any index, so a source too short zero-fills
+                            mem[dst:dst + size] = source[src:src + size].ljust(size, b"\x00")
                         elif opcode == 0x53:  # MSTORE8
                             offset, val = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, 1, gas)
@@ -828,8 +822,7 @@ class _Machine:
                 nxt = blocks.get(block.fallthrough)
                 if nxt is None:  # ran off the end of the code
                     break
-            if transitions is not None:
-                transitions.add((block.start, nxt.start))
+            transitions.add((block.start, nxt.start))
             block = nxt
         return TxStatus.SUCCESS, b"", gas
 

@@ -11,9 +11,10 @@ The programs gather what gas and stack boundaries touch: call sites of
 all four kinds (into the callee, the agent, the target itself, an empty
 account, an address read from calldata, a contract just created), CREATE
 sites whose init code returns, reverts or faults, SSTORE, SHA3 and memory
-at small and large offsets, context reads, jumps to real and bogus
-JUMPDESTs, runs of up to 1030 DUPs, truncated PUSHes at the end of the
-code, and gas limits log-uniform from 20 to 3M.
+at small and large offsets, copies of calldata and code from within and
+far past their end, context reads, jumps to real and bogus JUMPDESTs,
+runs of up to 1030 DUPs, truncated PUSHes at the end of the code, and gas
+limits log-uniform from 20 to 3M.
 """
 
 from __future__ import annotations
@@ -234,9 +235,10 @@ def _atom(c: _Code, addresses: tuple[bytes, ...], created: bool) -> bool:
             c.op("CALLDATALOAD")
         else:
             c.push(rng.randrange(80))
-            c.push(rng.randrange(40))
+            # a source offset mostly within the source, sometimes far past it
+            c.push(rng.randrange(40) if rng.random() < 0.8 else 1 << rng.randrange(6, 256))
             c.push(c.offset())
-            c.op("CALLDATACOPY")
+            c.op(rng.choice(("CALLDATACOPY", "CODECOPY")))
     else:  # balance
         c.push(int.from_bytes(rng.choice(addresses), "big"))
         c.op("BALANCE")

@@ -203,6 +203,23 @@ def test_codecopy_reads_own_bytes() -> None:
     assert run_top(snippet) == op.PUSH1 << 248
 
 
+@pytest.mark.parametrize("copy", [op.CALLDATACOPY, op.CODECOPY], ids=op.mnemonic)
+def test_copy_from_far_past_the_source_end_zero_fills(copy: int) -> None:
+    # a word of ones is overwritten with zeros read from offset 2**255
+    snippet = code(P(MAX), P(0), op.MSTORE,
+                   P(32), P(1 << 255), P(0), copy, P(0), op.MLOAD)
+    assert run_top(snippet, calldata=b"\x01" * 64) == 0
+
+
+def test_codecopy_partly_past_the_end_zero_fills_the_rest() -> None:
+    # the source offset is a PUSH2, so the program's length is known before
+    # it is chosen: copying from its last byte, RETURN, zero-fills the rest
+    head = code(P(MAX), P(0), op.MSTORE, P(32))
+    body = code(P(0), op.CODECOPY, P(0), op.MLOAD)
+    last = len(head) + 3 + len(body) + len(RETURN_TOP) - 1
+    assert run_top(head + P(last, 2) + body) == op.RETURN << 248
+
+
 def test_returndatasize_starts_at_zero() -> None:
     assert run_top(code(op.RETURNDATASIZE)) == 0
 
@@ -584,6 +601,21 @@ def test_forwarded_gas_is_min_of_requested_and_remaining() -> None:
     seen = int.from_bytes(trace.return_data, "big")
     spent_before_call = 7 * 3 + op.GAS_CALL_BASE
     assert seen == gas_limit - spent_before_call - op.BASE_GAS[op.GAS]
+
+
+def test_value_call_one_short_of_its_surcharge_runs_out_at_the_call() -> None:
+    # gas for seven pushes, the CALL, its one-word return range and the
+    # value surcharge; the empty callee hands its stipend back
+    sink = b"\x00" * 19 + b"\x09"
+    snippet = _call_args(0, sink, 1, out_size=32) + code(op.CALL, op.STOP)
+    enough = 7 * 3 + op.GAS_CALL_BASE + op.GAS_MEMORY_WORD + op.GAS_VALUE_SURCHARGE
+    trace, _, address = run(snippet, endowment=5, gas=enough - 1)
+    assert trace.status is TxStatus.OUT_OF_GAS
+    assert max(trace.executed_pcs[address]) == len(snippet) - 2  # the CALL
+    trace, state, _ = run(snippet, endowment=5, gas=enough)
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.gas_used == enough - op.GAS_STIPEND
+    assert state.balance_of(sink) == 1
 
 
 STORAGE_WRITER = code(P(7), P(1), op.SSTORE, op.STOP)
