@@ -26,9 +26,10 @@ block start) per edge.
 
 An instruction's dynamic charge is tested once, in `_expand`: an
 instruction that touches memory passes it the gas less its other dynamic
-charges (SHA3's words, a value call's surcharge), and `_expand` takes the
-words the range adds and tests the gas left before memory grows.  SSTORE,
-which touches no memory, tests its own charge.
+charges (SHA3's and the copies' words, LOG's bytes, a value call's
+surcharge), and `_expand` takes the words the range adds and tests the gas
+left before memory grows.  SSTORE and EXP, which touch no memory, test
+their own charges.
 
 A trace also says what the transaction observed of the world state, so a
 cached outcome can outlive state changes it never read.  Storage slots
@@ -707,6 +708,9 @@ class _Machine:
                             stack.append((a * b) % m if m else 0)
                         elif opcode == 0x0A:  # EXP
                             a, b = stack.pop(), stack.pop()
+                            gas -= op.GAS_EXP_BYTE * ((b.bit_length() + 7) >> 3)
+                            if gas < 0:
+                                raise _OutOfGas
                             stack.append(pow(a, b, 1 << 256))
                         elif opcode == 0x0B:  # SIGNEXTEND
                             b, x = stack.pop(), stack.pop()
@@ -757,7 +761,8 @@ class _Machine:
                                 source = returndata
                                 if src + size > len(returndata):
                                     raise _InvalidOp
-                            gas = _expand(mem, dst, size, gas)
+                            gas = _expand(mem, dst, size,
+                                          gas - op.GAS_COPY_WORD * ((size + 31) >> 5))
                             # a slice clamps any index, so a source too short zero-fills
                             mem[dst:dst + size] = source[src:src + size].ljust(size, b"\x00")
                         elif opcode == 0x53:  # MSTORE8
@@ -768,7 +773,7 @@ class _Machine:
                             if static:
                                 raise _InvalidOp
                             offset, size = stack.pop(), stack.pop()
-                            gas = _expand(mem, offset, size, gas)
+                            gas = _expand(mem, offset, size, gas - op.GAS_LOG_BYTE * size)
                             for _ in range(opcode - 0xA0):
                                 stack.pop()
                         elif opcode == 0xF0:  # CREATE

@@ -1,14 +1,11 @@
-"""Istanbul-era opcode table and the simplified gas schedule.
+"""Istanbul-era opcode table and its gas schedule.
 
-The schedule keeps the magnitudes that matter for bug behavior (storage writes
-dwarf the 2300 call stipend, value calls pay a surcharge) and flattens
-everything else: base ops cost 3 to 10, memory grows linearly at 3 per word,
-no refunds, no cold/warm distinction, no 1/64 forwarding rule.  Beyond
-that, against Istanbul (Yellow Paper, Appendix G): the context pushes
-(`PUSHES_ONE`) other than PC, MSIZE and GAS cost 3 where G_base is 2;
-CALLDATACOPY, CODECOPY and RETURNDATACOPY pay no per-word copy charge and
-EXP no per-byte charge; LOG0-LOG4 cost a flat 8 plus memory; SLOAD costs
-200 and BALANCE 10; there is no new-account or code-deposit charge.
+Base, per-word and per-byte prices are Istanbul's (Yellow Paper, Appendix G; EIP-160
+for EXP's exponent bytes, EIP-1884 for SLOAD and BALANCE).  What stays
+flattened: memory grows linearly at 3 per word, with no `words²/512` term;
+SSTORE costs 20000 for a fresh slot and 5000 otherwise, without EIP-2200's
+net metering; there are no refunds, no new-account or code-deposit charge,
+and no 63/64 forwarding rule (EIP-150).
 """
 
 from __future__ import annotations
@@ -127,6 +124,9 @@ GAS_STIPEND = 2300
 GAS_VALUE_SURCHARGE = 9000
 GAS_MEMORY_WORD = 3
 GAS_SHA3_WORD = 6
+GAS_COPY_WORD = 3
+GAS_LOG_BYTE = 8
+GAS_EXP_BYTE = 50
 GAS_SSTORE_FRESH = 20000
 GAS_SSTORE_UPDATE = 5000
 GAS_CALL_BASE = 700
@@ -134,14 +134,17 @@ GAS_CALL_BASE = 700
 _BASE_GAS: dict[int, int] = {
     STOP: 0, RETURN: 0, REVERT: 0, JUMPDEST: 1,
     POP: 2, PC: 2, MSIZE: 2, GAS: 2,
+    ADDRESS: 2, ORIGIN: 2, CALLER: 2, CALLVALUE: 2, CALLDATASIZE: 2,
+    CODESIZE: 2, RETURNDATASIZE: 2, COINBASE: 2, TIMESTAMP: 2, NUMBER: 2,
+    DIFFICULTY: 2, GASLIMIT: 2,
     MUL: 5, DIV: 5, SDIV: 5, MOD: 5, SMOD: 5, SIGNEXTEND: 5,
     ADDMOD: 8, MULMOD: 8, EXP: 10,
-    BALANCE: 10,
+    BALANCE: 700,
     SHA3: 30,
-    SLOAD: 200,
+    SLOAD: 800,
     SSTORE: 0,          # charged dynamically (fresh vs update)
     JUMP: 8, JUMPI: 10,
-    LOG0: 8, LOG1: 8, LOG2: 8, LOG3: 8, LOG4: 8,
+    LOG0: 375, LOG1: 750, LOG2: 1125, LOG3: 1500, LOG4: 1875,
     CREATE: 32000,
     CALL: GAS_CALL_BASE, CALLCODE: GAS_CALL_BASE,
     DELEGATECALL: GAS_CALL_BASE, STATICCALL: GAS_CALL_BASE,
@@ -154,12 +157,13 @@ for _op, _cost in _BASE_GAS.items():
     BASE_GAS[_op] = _cost
 
 # opcodes that charge more than BASE_GAS for some operands or state: memory
-# expansion, SSTORE's fresh or update price, SHA3's words, a call's memory
-# ranges, value surcharge and forwarded gas, CREATE's init code and its
-# memory.  The interpreter pays a run of base costs at once and ends each
-# such run after one of these
+# expansion, SSTORE's fresh or update price, EXP's exponent bytes, SHA3's
+# and the copies' words, LOG's bytes, a call's memory ranges, value
+# surcharge and forwarded gas, CREATE's init code and its memory.  The
+# interpreter pays a run of base costs at once and ends each such run after
+# one of these
 DYNAMIC_GAS = frozenset({
-    MLOAD, MSTORE, MSTORE8, SSTORE, SHA3,
+    MLOAD, MSTORE, MSTORE8, SSTORE, EXP, SHA3,
     CALLDATACOPY, CODECOPY, RETURNDATACOPY, RETURN, REVERT,
     LOG0, LOG1, LOG2, LOG3, LOG4,
     CALL, CALLCODE, DELEGATECALL, STATICCALL, CREATE,

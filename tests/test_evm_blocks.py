@@ -160,16 +160,17 @@ def _assert_stops_at(snippet: bytes, gas: int, status: TxStatus, last: int,
         [(kind, pc) for kind, pc in events if pc < last]
 
 
-# 0 TIMESTAMP; 1 PUSH1 0; 3 MLOAD, 3 gas and 3 for its new word; 4 NUMBER;
-# 5 ADD; 6 STOP
+# 0 TIMESTAMP (2 gas); 1 PUSH1 0; 3 MLOAD, 3 gas and 3 for its new word;
+# 4 NUMBER (2); 5 ADD; 6 STOP: 16 gas in all
 _EVENT_MLOAD_EVENT_ADD = code(op.TIMESTAMP, P(0), op.MLOAD, op.NUMBER, op.ADD,
                               op.STOP)
 
 
 @pytest.mark.parametrize("gas,status,last", [
-    (11, TxStatus.OUT_OF_GAS, 3),  # MLOAD's base gas fits, its word does not
-    (14, TxStatus.OUT_OF_GAS, 4),  # NUMBER
-    (17, TxStatus.OUT_OF_GAS, 5),  # the ADD, after both events
+    (10, TxStatus.OUT_OF_GAS, 3),  # MLOAD's base gas fits, its word does not
+    (12, TxStatus.OUT_OF_GAS, 4),  # NUMBER
+    (15, TxStatus.OUT_OF_GAS, 5),  # the ADD, after both events
+    (16, TxStatus.SUCCESS, 6),
     (18, TxStatus.SUCCESS, 6),
 ])
 def test_memory_charge_mid_block_faults_where_gas_runs_out(
@@ -201,16 +202,17 @@ def test_gas_ends_its_segment_and_reads_what_is_left(
         assert int.from_bytes(trace.return_data, "big") == gas - 13
 
 
-# 1021 PUSH1 0, then 2042 TIMESTAMP; 2043 PUSH1 0; 2045 MLOAD (3 + 3), the
-# 1023rd slot; 2046 NUMBER, the 1024th; 2047 PC, one too many; 2048 STOP.
-# Through NUMBER that costs 3078 gas, through PC 3080
+# 1021 PUSH1 0, then 2042 TIMESTAMP (2 gas); 2043 PUSH1 0; 2045 MLOAD
+# (3 + 3), the 1023rd slot; 2046 NUMBER (2), the 1024th; 2047 PC, one too
+# many; 2048 STOP.  Through NUMBER that costs 3076 gas, through PC 3078
 _OVERFLOW_AFTER_EVENTS = code(P(0) * 1021, op.TIMESTAMP, P(0), op.MLOAD,
                               op.NUMBER, op.PC, op.STOP)
 
 
 @pytest.mark.parametrize("gas,status", [
-    (3078, TxStatus.OUT_OF_GAS),  # the memory word leaves PC unpaid
-    (3079, TxStatus.OUT_OF_GAS),
+    (3076, TxStatus.OUT_OF_GAS),  # the memory word leaves PC unpaid
+    (3077, TxStatus.OUT_OF_GAS),
+    (3078, TxStatus.INVALID_OPCODE),
     (3080, TxStatus.INVALID_OPCODE),
     (50_000, TxStatus.INVALID_OPCODE),
 ])
@@ -220,16 +222,18 @@ def test_stack_overflow_mid_block_keeps_earlier_events(
                      [(EventKind.TIMESTAMP, 2042), (EventKind.BLOCK_NUMBER, 2046)])
 
 
-# 0 TIMESTAMP; 1 PUSH1 0; 3 MLOAD (3 + 3); 4 ADD; 5 ADD, one word short;
-# 6, 8, 10 PUSH1 1; 12 STOP.  The segment after MLOAD needs 15 gas
+# 0 TIMESTAMP (2 gas); 1 PUSH1 0; 3 MLOAD (3 + 3); 4 ADD; 5 ADD, one word
+# short; 6, 8, 10 PUSH1 1; 12 STOP.  The segment after MLOAD starts with
+# 11 gas paid and needs 15
 _UNDERFLOW_AFTER_MLOAD = code(op.TIMESTAMP, P(0), op.MLOAD, op.ADD, op.ADD,
                               P(1), P(1), P(1), op.STOP)
 
 
 @pytest.mark.parametrize("gas,status,last", [
-    (14, TxStatus.OUT_OF_GAS, 4),
+    (13, TxStatus.OUT_OF_GAS, 4),
     (16, TxStatus.OUT_OF_GAS, 5),
-    (18, TxStatus.INVALID_OPCODE, 5),  # the segment cannot pay its PUSHes
+    (17, TxStatus.INVALID_OPCODE, 5),  # the segment cannot pay its PUSHes
+    (18, TxStatus.INVALID_OPCODE, 5),
     (20, TxStatus.INVALID_OPCODE, 5),
     (50_000, TxStatus.INVALID_OPCODE, 5),
 ])

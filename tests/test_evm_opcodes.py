@@ -6,6 +6,7 @@ from __future__ import annotations
 import pytest
 
 from dogefuzz import opcodes as op
+from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     AGENT_CALL_GAS,
@@ -26,6 +27,7 @@ from dogefuzz.evm import (
     execute_transaction,
     _Machine,
 )
+from dogefuzz.oracles import FineBugClass, detect_trace
 
 from evm_utils import MAX, P, RETURN_TOP, code, run, run_top
 from keccak_oracle import keccak256_reference
@@ -443,10 +445,11 @@ _RETURNER = contract_address(DEPLOYER_ADDRESS, 0)
 
 # operands, the first on top, for which each opcode in DYNAMIC_GAS charges
 # more than for zeros: a new memory word past the first, a fresh storage
-# slot, a word to hash, gas forwarded to code that spends it, or init code
+# slot, an exponent byte, a word to hash, gas forwarded to code that spends
+# it, or init code
 _DYNAMIC_OPERANDS = {
     op.MLOAD: [32], op.MSTORE: [32, 0], op.MSTORE8: [32, 0],
-    op.SSTORE: [0, 1], op.SHA3: [0, 32],
+    op.SSTORE: [0, 1], op.EXP: [2, 1], op.SHA3: [0, 32],
     op.CALLDATACOPY: [32, 0, 32], op.CODECOPY: [32, 0, 32],
     op.RETURNDATACOPY: [32, 0, 32], op.RETURN: [32, 32], op.REVERT: [32, 32],
     **{op.LOG0 + topics: [32, 32] + [0] * topics for topics in range(5)},
@@ -515,6 +518,59 @@ def test_memory_ranges_of_calls_and_create_cost_their_new_word(
     assert one_word.gas_used - empty.gas_used == op.GAS_MEMORY_WORD
     assert run_top(_range_site(opcode, 0, 0)) == 0
     assert run_top(_range_site(opcode, arg_size, ret_size)) == 32
+
+
+# --- Istanbul prices ------------------------------------------------------
+
+_ISTANBUL_PRICES = [
+    *((push, 2) for push in (op.ADDRESS, op.ORIGIN, op.CALLER, op.CALLVALUE,
+                             op.CALLDATASIZE, op.CODESIZE, op.RETURNDATASIZE,
+                             op.COINBASE, op.TIMESTAMP, op.NUMBER, op.DIFFICULTY,
+                             op.GASLIMIT)),
+    (op.SLOAD, 800), (op.BALANCE, 700),
+    (op.LOG0, 375), (op.LOG1, 750), (op.LOG2, 1125), (op.LOG3, 1500),
+    (op.LOG4, 1875),
+]
+
+
+@pytest.mark.parametrize("opcode,price", _ISTANBUL_PRICES,
+                         ids=[op.mnemonic(opcode) for opcode, _ in _ISTANBUL_PRICES])
+def test_istanbul_base_price(opcode: int, price: int) -> None:
+    # over zero operands: no memory, no bytes logged, an absent slot or account
+    pops = _operand_count(opcode)
+    trace, _, _ = run(code(P(0) * pops, opcode, op.STOP))
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.gas_used == 3 * pops + price
+
+
+@pytest.mark.parametrize("copy", [op.CALLDATACOPY, op.CODECOPY, op.RETURNDATACOPY],
+                         ids=op.mnemonic)
+def test_copy_charges_three_gas_per_word_copied(copy: int) -> None:
+    # into memory word 0, which the call before it already grew
+    nothing = _gas_after_return_data(copy, [0, 0, 0])
+    assert _gas_after_return_data(copy, [0, 0, 1]) - nothing == 3
+    assert _gas_after_return_data(copy, [0, 0, 32]) - nothing == 3
+    assert _gas_after_return_data(copy, [32, 0, 32]) - nothing == 3 + 3  # and a new word
+
+
+def test_log_charges_eight_gas_per_byte() -> None:
+    nothing = _gas_after_return_data(op.LOG0, [0, 0])
+    assert _gas_after_return_data(op.LOG0, [0, 1]) - nothing == 8
+    assert _gas_after_return_data(op.LOG0, [0, 32]) - nothing == 256
+    assert _gas_after_return_data(op.LOG0, [0, 33]) - nothing == 264 + 3  # and a new word
+
+
+@pytest.mark.parametrize("exponent,used", [
+    (0, 16), (1, 66), (255, 66), (256, 116), (1 << 255, 1616),
+], ids=["0", "1", "255", "256", "2**255"])
+def test_exp_charges_fifty_gas_per_exponent_byte(exponent: int, used: int) -> None:
+    # two pushes and EXP's 10, then 50 per byte the exponent spans
+    snippet = code(P(exponent), P(2), op.EXP, op.STOP)
+    trace, _, _ = run(snippet)
+    assert trace.status is TxStatus.SUCCESS and trace.gas_used == used
+    trace, _, address = run(snippet, gas=used - 1)
+    assert trace.status is TxStatus.OUT_OF_GAS
+    assert max(trace.executed_pcs[address]) == len(snippet) - 2  # the EXP
 
 
 def test_log_is_a_noop_consuming_operands() -> None:
@@ -631,6 +687,25 @@ def test_gasless_send_event_on_stipend_oog() -> None:
     kinds = [e.kind for e in trace.events]
     assert EventKind.GASLESS_SEND in kinds
     assert state.account(writer).storage == {}
+
+
+def test_stipend_send_to_a_callee_of_three_sloads_is_gasless() -> None:
+    """At 800 gas each, three SLOADs overrun the 2300-gas stipend, so a
+    1-wei send on the bare stipend fails and its failure is swallowed."""
+    reader = Assembler()
+    for slot in range(3):
+        reader.push(slot).op("SLOAD", "POP")
+    state = _fresh_state()
+    callee = deploy_contract(state, reader.op("STOP").assemble())
+    # CALL(gas 0, callee, 1 wei, no input, no output), result dropped
+    sender = (Assembler().push(0).push(0).push(0).push(0).push(1)
+              .push_address(callee).push(0).op("CALL", "POP", "STOP"))
+    caller = deploy_contract(state, sender.assemble(), endowment=5)
+    trace = execute_transaction(state, Transaction(target=caller))
+    assert trace.status is TxStatus.SUCCESS
+    assert [f.fine for f in detect_trace(trace)] == [
+        FineBugClass.GASLESS_SEND, FineBugClass.EXCEPTION_DISORDER]
+    assert state.balance_of(callee) == 0
 
 
 def test_no_gasless_send_when_callee_reverts() -> None:
@@ -1036,7 +1111,7 @@ def test_self_call_recurses_to_the_depth_limit() -> None:
     assert len(trace.events) == len(reentries) == CALL_DEPTH_LIMIT - 1
     assert [e.depth for e in reentries] == list(range(2, CALL_DEPTH_LIMIT + 1))
     assert all(e.data == (address,) for e in reentries)
-    assert trace.gas_used == 739_328 == CALL_DEPTH_LIMIT * sum(
+    assert trace.gas_used == 738_304 == CALL_DEPTH_LIMIT * sum(
         op.BASE_GAS[opcode] for opcode in (*[op.PUSH1] * 5, op.ADDRESS, op.GAS,
                                            op.CALL, op.POP))
 
