@@ -138,7 +138,9 @@ def parse_type(text: str, components: Sequence[dict] | None = None, *,
         raise AbiError(f"nesting deeper than {MAX_NESTING}")
 
     if text.endswith("]"):
-        bracket = text.rindex("[")
+        bracket = text.rfind("[")
+        if bracket < 0:
+            raise AbiError(f"unbalanced array brackets in {text!r}")
         spec = text[bracket + 1:-1]
         inner = parse_type(text[:bracket], components, _level=_level + 1)
         if spec == "":

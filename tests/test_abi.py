@@ -103,6 +103,7 @@ def test_depth_counts_container_levels() -> None:
     "", "uint7", "uint0", "uint264", "bytes0", "bytes33", "int12a",
     "quux", "uint256[0]", "uint256[x]", "(uint256", "function",
     "uint256[2][][3][]",  # four container levels
+    "uint256]", "]",  # an array suffix without its opening bracket
 ])
 def test_malformed_types_rejected(text: str) -> None:
     with pytest.raises(AbiError):

@@ -182,6 +182,20 @@ def test_load_benchmark_skips_each_malformed_shape(tmp_path, edit) -> None:
     assert [name for name, _ in skipped] == ["bad"]
 
 
+@pytest.mark.parametrize("text", ["uint256]", "]", "tuple]"])
+def test_load_benchmark_skips_an_array_type_without_its_opening_bracket(
+        tmp_path, text) -> None:
+    root = write_benchmark(tmp_path / "bench", [fixture("gasless_fixed"),
+                                                fixture("gated_send")])
+    _edit_json("abi.json", lambda abi: abi[0]["inputs"].append(
+        {"type": text}))(root / "gasless_fixed")
+    skipped: list[tuple[str, str]] = []
+    bundles = load_benchmark(root, skipped)
+    assert [b.name for b in bundles] == ["gated_send"]
+    assert [name for name, _ in skipped] == ["gasless_fixed"]
+    assert skipped[0][1].startswith("abi.json: ")
+
+
 def test_load_benchmark_skips_a_repeated_name(tmp_path) -> None:
     root = write_benchmark(tmp_path / "bench", [fixture("reentrancy_fixed"),
                                                 fixture("reentrancy_vulnerable")])
