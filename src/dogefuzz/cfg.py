@@ -10,7 +10,10 @@ interpreter runs on these blocks, paying base gas once per gas segment of
 a block (`BasicBlock.segments`), and records coverage once per block: the
 block's start and how many of its instructions ran (a block's pc tuple
 turns that back into pcs), and each transition between blocks as the
-edge it took, the same edge `build_cfg` draws.
+edge it took, the same edge `build_cfg` draws.  Chains of stack-only
+blocks that the interpreter compiles also derive from code bytes alone,
+so the analysis carries their cache (`CodeAnalysis.chains`), which the
+interpreter fills lazily.
 
 A `Cfg` is that analysis plus what `build_cfg` decides: edges between
 block starts and the blocks whose jump is unresolved.  Jump targets are
@@ -40,7 +43,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Iterable, KeysView, NamedTuple, ValuesView
+from typing import Callable, Iterable, KeysView, NamedTuple, ValuesView
 
 from . import opcodes as op
 
@@ -137,14 +140,19 @@ class BasicBlock:
 class CodeAnalysis(NamedTuple):
     """Every index that derives from code bytes alone: blocks by start pc,
     ascending; the JUMPDEST-led ones among them, the only valid jump
-    destinations; the block of every instruction pc; and the pcs of the
-    critical (money- or control-transferring) instructions, ascending."""
+    destinations; the block of every instruction pc; the pcs of the
+    critical (money- or control-transferring) instructions, ascending; and
+    the interpreter's chains of stack-only blocks by entry block start,
+    None where none starts, filled in as the interpreter first lands on
+    each block and compiled when first entered.  A decode of its own needs
+    a `chains` of its own."""
 
     code: bytes
     blocks: dict[int, BasicBlock]
     jumpdests: dict[int, BasicBlock]
     block_of: dict[int, BasicBlock]
     critical: tuple[int, ...]
+    chains: dict[int, Callable | None]
 
 
 @lru_cache(maxsize=4096)
@@ -188,7 +196,7 @@ def analyze(code: bytes) -> CodeAnalysis:
     jumpdests = {start: block for start, block in blocks.items()
                  if block.instructions[0][1] == op.JUMPDEST}
     block_of = {pc: block for block in blocks.values() for pc in block.pcs}
-    return CodeAnalysis(code, blocks, jumpdests, block_of, tuple(critical))
+    return CodeAnalysis(code, blocks, jumpdests, block_of, tuple(critical), {})
 
 
 # --- control-flow graph ---------------------------------------------------

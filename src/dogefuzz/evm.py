@@ -24,6 +24,22 @@ prefixes, and the pairs of successive instructions within each target
 frame are the pairs inside those prefixes plus one pair (last pc, next
 block start) per edge.
 
+Where the loop lands on the first of a chain of stack-only blocks, the
+chain runs as one generated Python function that keeps the chain's stack
+in locals.  Its blocks hold only stack, arithmetic, comparison and bitwise
+work at fixed gas, JUMPDEST, PC, CALLDATALOAD, CALLDATASIZE and CALLVALUE
+(`_CHAINABLE`), and end in JUMP, JUMPI, STOP or a fallthrough.  A chain
+follows fallthroughs, untaken JUMPIs and every JUMP whose constant target
+(`BasicBlock.jump_target`) is a JUMPDEST, over `CHAIN_MIN_BLOCKS` to
+`CHAIN_MAX_BLOCKS` blocks.  It is entered only when the gas pays the base
+gas of all its blocks and the stack holds what it reads and has room for
+all it pushes, so nothing inside it can fault but a jump to a
+non-JUMPDEST; otherwise its blocks run in the loop.  An exit after block k
+pays the base gas of blocks 0..k, puts the stack back and records runs and
+edges for those blocks from prebuilt tables, as the loop would.  Chains
+derive from code bytes alone, so `CodeAnalysis.chains` caches them, and
+each is compiled when it is first entered.
+
 An instruction's dynamic charge is tested once, in `_expand`: an
 instruction that touches memory passes it the gas less its other dynamic
 charges (SHA3's and the copies' words, LOG's bytes, a value call's
@@ -61,10 +77,10 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import opcodes as op
-from .cfg import Instruction, analyze
+from .cfg import BasicBlock, Instruction, analyze
 from .keccak import keccak256
 
 logger = logging.getLogger(__name__)
@@ -265,6 +281,8 @@ class _InvalidOp(Exception):
 
 # pseudo-opcode past the byte range: an instruction that cannot pay its gas
 _CANNOT_PAY = 0x100
+# what `CodeAnalysis.chains` gives for a block start not yet looked at
+_UNSEEN = object()
 
 
 def _up_to_fault(instructions: tuple[Instruction, ...], gas: int,
@@ -307,6 +325,280 @@ def _expand(mem: bytearray, offset: int, size: int, gas: int) -> int:
 
 def _signed(x: int) -> int:
     return x - (1 << 256) if x & SIGN_BIT else x
+
+
+# the semantics of the opcodes that take more than one line, called by the
+# dispatch loop and by compiled chains alike; operands come top first
+
+def _sdiv(a: int, b: int) -> int:
+    a, b = _signed(a), _signed(b)
+    if b == 0:
+        return 0
+    q = abs(a) // abs(b)
+    return (-q if (a < 0) != (b < 0) else q) & UINT256_MASK
+
+
+def _smod(a: int, b: int) -> int:
+    a, b = _signed(a), _signed(b)
+    if b == 0:
+        return 0
+    r = abs(a) % abs(b)
+    return (-r if a < 0 else r) & UINT256_MASK
+
+
+def _signextend(b: int, x: int) -> int:
+    if b > 31:
+        return x
+    bit = 8 * b + 7
+    mask = (1 << (bit + 1)) - 1
+    return (x | ~mask) & UINT256_MASK if x & (1 << bit) else x & mask
+
+
+def _sar(shift: int, v: int) -> int:
+    v = _signed(v)
+    if shift > 255:
+        return 0 if v >= 0 else UINT256_MASK
+    return (v >> shift) & UINT256_MASK
+
+
+def _calldataload(calldata: bytes, offset: int) -> int:
+    if offset >= len(calldata):
+        return 0
+    return int.from_bytes(calldata[offset:offset + 32].ljust(32, b"\x00"), "big")
+
+
+# --- compiled chains ------------------------------------------------------
+
+# a compiled chain follows at most this many blocks; a shorter path than
+# the minimum is left to the dispatch loop
+CHAIN_MAX_BLOCKS = 64
+CHAIN_MIN_BLOCKS = 2
+
+# the Python expression of each stack-only opcode that computes a word,
+# over its operands `{0}`, `{1}`, `{2}` (top first) and the word mask `{M}`
+_TEMPLATES: dict[int, str] = {
+    op.ADD: "({0} + {1}) & {M}",
+    op.MUL: "({0} * {1}) & {M}",
+    op.SUB: "({0} - {1}) & {M}",
+    op.DIV: "{0} // {1} if {1} else 0",
+    op.SDIV: "_sdiv({0}, {1})",
+    op.MOD: "{0} % {1} if {1} else 0",
+    op.SMOD: "_smod({0}, {1})",
+    op.ADDMOD: "({0} + {1}) % {2} if {2} else 0",
+    op.MULMOD: "({0} * {1}) % {2} if {2} else 0",
+    op.SIGNEXTEND: "_signextend({0}, {1})",
+    op.LT: "1 if {0} < {1} else 0",
+    op.GT: "1 if {0} > {1} else 0",
+    op.SLT: "1 if _signed({0}) < _signed({1}) else 0",
+    op.SGT: "1 if _signed({0}) > _signed({1}) else 0",
+    op.EQ: "1 if {0} == {1} else 0",
+    op.ISZERO: "0 if {0} else 1",
+    op.AND: "{0} & {1}",
+    op.OR: "{0} | {1}",
+    op.XOR: "{0} ^ {1}",
+    op.NOT: "{0} ^ {M}",
+    op.BYTE: "({1} >> (248 - 8 * {0})) & 255 if {0} < 32 else 0",
+    op.SHL: "({1} << {0}) & {M} if {0} < 256 else 0",
+    op.SHR: "{1} >> {0} if {0} < 256 else 0",
+    op.SAR: "_sar({0}, {1})",
+    op.CALLDATALOAD: "_calldataload(calldata, {0})",
+    op.CALLDATASIZE: "len(calldata)",
+    op.CALLVALUE: "value",
+}
+
+# what a chain's blocks may hold: no dynamic gas, no state, no event, and
+# no fault but underflow, overflow and a jump to a non-JUMPDEST
+_CHAINABLE = frozenset(
+    set(_TEMPLATES) | set(range(op.PUSH1, op.SWAP16 + 1))
+    | {op.POP, op.JUMPDEST, op.PC, op.JUMP, op.JUMPI, op.STOP})
+
+# how deep into the stack each opcode reads: what it pops, n for DUPn and
+# n + 1 for SWAPn
+_READS = [op.STACK_EFFECTS.get(byte, (0, 0))[0] for byte in range(256)]
+for _n in range(1, 17):
+    _READS[op.DUP1 + _n - 1] = _n
+    _READS[op.SWAP1 + _n - 1] = _n + 1
+
+# what a compiled chain's source may name besides its locals and tables
+_CHAIN_GLOBALS = {"_sdiv": _sdiv, "_smod": _smod, "_signextend": _signextend,
+                  "_sar": _sar, "_signed": _signed,
+                  "_calldataload": _calldataload, "_InvalidOp": _InvalidOp}
+
+
+def _chain_path(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock],
+                start: int) -> list[BasicBlock]:
+    """The stack-only blocks a chain entered at `start` runs through.
+
+    It follows fallthroughs, a JUMPI's fallthrough and a JUMP whose
+    `jump_target` is a JUMPDEST, and stops after STOP, before a block it
+    holds already or one with an instruction outside `_CHAINABLE`, and at
+    `CHAIN_MAX_BLOCKS`.
+    """
+    path: list[BasicBlock] = []
+    seen: set[int] = set()
+    block = blocks[start]
+    while (block is not None and block.start not in seen
+           and len(path) < CHAIN_MAX_BLOCKS
+           and all(ins[1] in _CHAINABLE for ins in block.instructions)):
+        path.append(block)
+        seen.add(block.start)
+        last = block.instructions[-1][1]
+        if last == op.STOP:
+            break
+        block = (jumpdests.get(block.jump_target) if last == op.JUMP
+                 else blocks.get(block.fallthrough))
+    return path
+
+
+def _chain_gate(path: list[BasicBlock]) -> tuple[int, int, int]:
+    """The gate of a chain: the base gas of all its blocks, how many words
+    of the entry stack it reads, and the highest entry stack with room for
+    all its pushes."""
+    gas = need = height = growth = 0
+    for block in path:
+        for _, byte, push in block.instructions:
+            gas += op.BASE_GAS[byte]
+            if push is None:
+                need = max(need, _READS[byte] - height)
+            height += op.STACK_GROWTH[byte]
+            growth = max(growth, height)
+    return gas, need, STACK_LIMIT - growth
+
+
+def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock],
+                  path: list[BasicBlock], gas: int, need: int,
+                  room: int) -> tuple[str, dict[str, object]]:
+    """Python source of the chain through `path`, whose gate is `gas`,
+    `need` and `room`, and the tables it reads.
+
+    The function `chain(stack, gas, calldata, value, runs, transitions)`
+    returns None, touching nothing, unless `gas` and `stack` pass the gate.
+    Otherwise it keeps the chain's stack in locals and leaves at the first
+    taken jump or at the end of the path.  An exit at block k puts the
+    stack back once, records every block up to k as run whole and each
+    edge it took, and returns the gas less the blocks' base gas and the
+    block to go on at, None when the frame stops.  A jump to a non-JUMPDEST
+    records the same and raises `_InvalidOp`.  Only template text, local
+    and table names and decimal integers reach the source.
+    """
+    # the chain's stack, bottom first: the entry words it reads, then
+    # local names and literals
+    entry = [f"i{depth}" for depth in range(need, 0, -1)]
+    stack = list(entry)
+    lines = ["def chain(stack, gas, calldata, value, runs, transitions):",
+             f"    if gas < {gas} or not {need} <= len(stack) <= {room}:",
+             "        return None"]
+    if need == 1:
+        lines.append("    i1 = stack.pop()")
+    elif need:
+        lines.extend((f"    {', '.join(entry)} = stack[-{need}:]",
+                      f"    del stack[-{need}:]"))
+    tables: dict[str, object] = {"jumpdests": jumpdests}
+    runs: dict[int, int] = {}
+    edges: list[tuple[int, int]] = []
+    paid = temps = 0
+
+    def leave(indent: str, source: int, dest: str | None,
+              after: BasicBlock | None) -> None:
+        """An exit at the block starting at `source`: to `dest` if a jump
+        is taken, else on to `after`."""
+        x = len(tables)
+        tables[f"R{x}"] = dict(runs)
+        if dest is not None and dest.isdigit():
+            after = jumpdests.get(int(dest))
+            if after is None:
+                tables[f"T{x}"] = tuple(edges)
+                lines.extend((f"{indent}runs.update(R{x})",
+                              f"{indent}transitions.update(T{x})",
+                              f"{indent}raise _InvalidOp"))
+                return
+            dest = None
+        if dest is not None:
+            lines.append(f"{indent}nxt = jumpdests.get({dest})")
+        if (dest is not None or after is not None) and stack:  # the frame goes on
+            lines.append(f"{indent}stack.append({stack[0]})" if len(stack) == 1
+                         else f"{indent}stack.extend(({', '.join(stack)}))")
+        tables[f"T{x}"] = tuple(edges) if after is None else (
+            *edges, (source, after.start))
+        lines.extend((f"{indent}runs.update(R{x})",
+                      f"{indent}transitions.update(T{x})"))
+        if dest is not None:
+            lines.extend((f"{indent}if nxt is None:",
+                          f"{indent}    raise _InvalidOp",
+                          f"{indent}transitions.add(({source}, nxt.start))",
+                          f"{indent}return gas - {paid}, nxt"))
+        else:
+            tables[f"B{x}"] = after
+            lines.append(f"{indent}return gas - {paid}, B{x}")
+
+    for k, block in enumerate(path):
+        runs[block.start] = len(block.pcs)
+        last = k == len(path) - 1
+        for pc, byte, push in block.instructions:
+            paid += op.BASE_GAS[byte]
+            if push is not None:
+                stack.append(str(push))
+            elif op.DUP1 <= byte <= op.DUP16:
+                stack.append(stack[op.DUP1 - byte - 1])
+            elif op.SWAP1 <= byte <= op.SWAP16:
+                depth = byte - op.SWAP1 + 2
+                stack[-1], stack[-depth] = stack[-depth], stack[-1]
+            elif byte == op.POP:
+                stack.pop()
+            elif byte == op.PC:
+                stack.append(str(pc))
+            elif byte in _TEMPLATES:
+                operands = [stack.pop() for _ in range(_READS[byte])]
+                temps += 1
+                lines.append(f"    t{temps} = "
+                             + _TEMPLATES[byte].format(*operands, M=UINT256_MASK))
+                stack.append(f"t{temps}")
+            elif byte == op.JUMPI:
+                dest, cond = stack.pop(), stack.pop()
+                lines.append(f"    if {cond}:")
+                leave("        ", block.start, dest, None)
+            elif byte == op.JUMP:
+                dest = stack.pop()
+                if last:
+                    leave("    ", block.start, dest, None)
+        ending = block.instructions[-1][1]
+        if not last:
+            edges.append((block.start, path[k + 1].start))
+        elif ending != op.JUMP:  # a JUMPI not taken, STOP or a fallthrough
+            leave("    ", block.start, None,
+                  None if ending == op.STOP else blocks.get(block.fallthrough))
+    return "\n".join(lines) + "\n", tables
+
+
+def _compile_chain(source: str, tables: dict[str, object], start: int) -> Callable:
+    namespace = {**_CHAIN_GLOBALS, **tables}
+    exec(compile(source, f"<chain {start}>", "exec"), namespace)
+    return namespace["chain"]
+
+
+def _chain(chains: dict[int, Callable | None], blocks: dict[int, BasicBlock],
+           jumpdests: dict[int, BasicBlock], start: int) -> Callable | None:
+    """What `chains` holds for `start` before the chain there is first
+    entered: None where the path holds fewer than `CHAIN_MIN_BLOCKS` blocks
+    or no stack passes its gate, else a stand-in that tests the gate and,
+    the first time it passes, compiles the chain, puts it in `chains` in
+    its own place and runs it.  So a chain never entered is never
+    compiled."""
+    path = _chain_path(blocks, jumpdests, start)
+    if len(path) < CHAIN_MIN_BLOCKS:
+        return None
+    gas, need, room = _chain_gate(path)
+    if need > room:
+        return None
+
+    def enter_first(stack: list[int], gas_left: int, *frame: object):
+        if gas_left < gas or not need <= len(stack) <= room:
+            return None
+        source, tables = _chain_source(blocks, jumpdests, path, gas, need, room)
+        compiled = chains[start] = _compile_chain(source, tables, start)
+        return compiled(stack, gas_left, *frame)
+
+    return enter_first
 
 
 class _Machine:
@@ -457,7 +749,7 @@ class _Machine:
                        swallowed: list[int]) -> tuple[TxStatus, bytes, int]:
         state = self.state
         tx = self.tx
-        _, blocks, jumpdests, _, _ = analyze(code)
+        _, blocks, jumpdests, _, _, chains = analyze(code)
         pushes_one = op.PUSHES_ONE
         runs = self.block_runs.setdefault((code_address, code), {})
         # a frame not of the target draws its edges into a throwaway set
@@ -471,6 +763,17 @@ class _Machine:
 
         block = blocks.get(0)
         while block is not None:
+            # a chain of stack-only blocks from here runs compiled when it
+            # can pay all its base gas and has the stack it needs
+            chain = chains.get(block.start, _UNSEEN)
+            if chain is _UNSEEN:
+                chain = chains[block.start] = _chain(chains, blocks, jumpdests,
+                                                     block.start)
+            if chain is not None:
+                entered = chain(stack, gas, calldata, value, runs, transitions)
+                if entered is not None:
+                    gas, block = entered
+                    continue
             nxt = None  # a taken jump's destination block
             try:
                 for instructions, seg_gas, growth in block.segments:
@@ -498,12 +801,7 @@ class _Machine:
                         elif opcode == 0x5B:  # JUMPDEST
                             pass
                         elif opcode == 0x35:  # CALLDATALOAD
-                            offset = stack.pop()
-                            if offset >= len(calldata):
-                                stack.append(0)
-                            else:
-                                stack.append(int.from_bytes(
-                                    calldata[offset:offset + 32].ljust(32, b"\x00"), "big"))
+                            stack.append(_calldataload(calldata, stack.pop()))
                         elif opcode == 0x50:  # POP
                             stack.pop()
                         elif opcode == 0x1C:  # SHR
@@ -684,22 +982,12 @@ class _Machine:
                             a, b = stack.pop(), stack.pop()
                             stack.append(a // b if b else 0)
                         elif opcode == 0x05:  # SDIV
-                            a, b = _signed(stack.pop()), _signed(stack.pop())
-                            if b == 0:
-                                stack.append(0)
-                            else:
-                                q = abs(a) // abs(b)
-                                stack.append((-q if (a < 0) != (b < 0) else q) & UINT256_MASK)
+                            stack.append(_sdiv(stack.pop(), stack.pop()))
                         elif opcode == 0x06:  # MOD
                             a, b = stack.pop(), stack.pop()
                             stack.append(a % b if b else 0)
                         elif opcode == 0x07:  # SMOD
-                            a, b = _signed(stack.pop()), _signed(stack.pop())
-                            if b == 0:
-                                stack.append(0)
-                            else:
-                                r = abs(a) % abs(b)
-                                stack.append((-r if a < 0 else r) & UINT256_MASK)
+                            stack.append(_smod(stack.pop(), stack.pop()))
                         elif opcode == 0x08:  # ADDMOD
                             a, b, m = stack.pop(), stack.pop(), stack.pop()
                             stack.append((a + b) % m if m else 0)
@@ -713,16 +1001,7 @@ class _Machine:
                                 raise _OutOfGas
                             stack.append(pow(a, b, 1 << 256))
                         elif opcode == 0x0B:  # SIGNEXTEND
-                            b, x = stack.pop(), stack.pop()
-                            if b > 31:
-                                stack.append(x)
-                            else:
-                                bit = 8 * b + 7
-                                mask = (1 << (bit + 1)) - 1
-                                if x & (1 << bit):
-                                    stack.append((x | ~mask) & UINT256_MASK)
-                                else:
-                                    stack.append(x & mask)
+                            stack.append(_signextend(stack.pop(), stack.pop()))
                         elif opcode == 0x12:  # SLT
                             a, b = _signed(stack.pop()), _signed(stack.pop())
                             stack.append(1 if a < b else 0)
@@ -742,11 +1021,7 @@ class _Machine:
                             shift, v = stack.pop(), stack.pop()
                             stack.append((v << shift) & UINT256_MASK if shift < 256 else 0)
                         elif opcode == 0x1D:  # SAR
-                            shift, v = stack.pop(), _signed(stack.pop())
-                            if shift > 255:
-                                stack.append(0 if v >= 0 else UINT256_MASK)
-                            else:
-                                stack.append((v >> shift) & UINT256_MASK)
+                            stack.append(_sar(stack.pop(), stack.pop()))
                         elif opcode == 0x31:  # BALANCE
                             address = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
                             reads.add((address, BALANCE))

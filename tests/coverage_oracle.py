@@ -19,7 +19,8 @@ from dogefuzz.cfg import BasicBlock, CodeAnalysis, analyze
 
 
 def per_instruction_analysis(code: bytes) -> CodeAnalysis:
-    """`analyze(code)` with every instruction split into its own block."""
+    """`analyze(code)` with every instruction split into its own block, and
+    a chain cache of its own, since chains compile from the blocks."""
     analysis = analyze(code)
     blocks: dict[int, BasicBlock] = {}
     for block in analysis.blocks.values():
@@ -29,7 +30,8 @@ def per_instruction_analysis(code: bytes) -> CodeAnalysis:
     return analysis._replace(
         blocks=blocks,
         jumpdests={pc: blocks[pc] for pc in analysis.jumpdests},
-        block_of=blocks)
+        block_of=blocks,
+        chains={})
 
 
 def reference_coverage(state: evm.WorldState, tx: evm.Transaction,

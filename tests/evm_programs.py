@@ -14,7 +14,14 @@ sites whose init code returns, reverts or faults, SSTORE, SHA3 and memory
 at small and large offsets, copies of calldata and code from within and
 far past their end, context reads, jumps to real and bogus JUMPDESTs,
 runs of up to 1030 DUPs, truncated PUSHes at the end of the code, and gas
-limits log-uniform from 20 to 3M.
+limits log-uniform from 20 to 3M.  They also draw the shapes that the
+interpreter runs as compiled chains of stack-only blocks: a solc-like
+dispatcher of 40 or more selector compares at the head of the target,
+with calldata that often names one of its selectors and, now and then, a
+gas limit between the base gas of the compares up to the matching one and
+that of all of them; `PUSH2 JUMP` hops through shuffled JUMPDESTs, some
+ending in a constant jump to a non-JUMPDEST; and stack-only runs of the
+signed and shifting opcodes at boundary operands.
 """
 
 from __future__ import annotations
@@ -50,6 +57,14 @@ _CONTEXT = ("ADDRESS ORIGIN CALLER CALLVALUE CALLDATASIZE CODESIZE "
             "RETURNDATASIZE COINBASE TIMESTAMP NUMBER DIFFICULTY GASLIMIT "
             "PC MSIZE GAS").split()
 _CALLS = ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL")
+# boundary operands of the signed and shifting opcodes
+_EDGES = (0, 1, 2, 7, 31, 32, 255, 256, (1 << 255) - 1, 1 << 255,
+          (1 << 256) - 1)
+_EDGE_OPS = ("SDIV", "SMOD", "SIGNEXTEND", "SAR", "BYTE", "SHL")
+# base gas of the dispatcher's head (PUSH1 CALLDATALOAD PUSH1 SHR) and of
+# each compare (DUP1 PUSH4 EQ PUSH2 JUMPI)
+_HEAD_GAS = 12
+_COMPARE_GAS = 22
 
 
 class Program(NamedTuple):
@@ -74,6 +89,12 @@ class _Code:
         # bytes, a JUMPDEST label (None), or the number of the label whose
         # pc a PUSH2 pushes; a number past the last label is a bogus one
         self.items: list[bytes | int | None] = []
+        self.dests = 0  # labels placed so far
+
+    def dest(self) -> None:
+        """Place the next label's JUMPDEST."""
+        self.items.append(None)
+        self.dests += 1
 
     def op(self, *names: str) -> None:
         self.items.append(bytes(OPCODES[name] for name in names))
@@ -121,14 +142,74 @@ class _Code:
         return bytes(out)
 
 
+def _edge_arith(c: _Code) -> None:
+    """A stack-only run of signed and shifting opcodes, each on the last
+    one's result and a boundary operand."""
+    rng = c.rng
+    c.push(rng.choice(_EDGES))
+    for _ in range(rng.randrange(1, 5)):
+        c.push(rng.choice(_EDGES))
+        if rng.random() < 0.5:
+            c.op("SWAP1")
+        c.op(rng.choice(_EDGE_OPS))
+    if rng.random() < 0.5:
+        c.op("POP")
+
+
+def _hops(c: _Code) -> None:
+    """`PUSH2 JUMP` hops through JUMPDESTs laid out in shuffled order, then
+    on past them; one time in six the last hop is a constant jump, or a
+    taken JUMPI, to a pc that holds no JUMPDEST."""
+    rng = c.rng
+    hops = rng.randrange(1, 6)
+    first = c.dests  # hop `slot` is label `first + slot`, the way out the one after
+    order = rng.sample(range(hops), hops)
+    following = dict(zip(order, order[1:] + [hops]))
+    c.items.append(first + order[0])
+    c.op("JUMP")
+    for slot in range(hops):
+        c.dest()
+        if rng.random() < 0.4:
+            _edge_arith(c)
+        if following[slot] == hops and rng.random() < 1 / 6:
+            bogus = rng.choice((0, 1, 0x3FFF))  # mostly no JUMPDEST there
+            if rng.random() < 0.5:
+                c.push(bogus)
+                c.op("JUMP")
+            else:  # taken unless the input is empty
+                c.op(rng.choice(("CALLDATASIZE", "CALLVALUE")))
+                c.push(bogus)
+                c.op("JUMPI")
+        c.items.append(first + following[slot])
+        c.op("JUMP")
+    c.dest()
+
+
+def _dispatcher(c: _Code, selectors: list[int]) -> None:
+    """solc's selector load, then one `DUP1 PUSH4 EQ PUSH2 JUMPI` compare
+    per selector, each to a label, real or bogus; no match falls through
+    with the selector on the stack."""
+    c.push(0)
+    c.op("CALLDATALOAD")
+    c.push(224)
+    c.op("SHR")
+    for selector in selectors:
+        c.op("DUP1")
+        c.items.append(bytes([OPCODES["PUSH4"]]) + selector.to_bytes(4, "big"))
+        c.op("EQ")
+        c.items.append(c.rng.randrange(c.labels + 1))
+        c.op("JUMPI")
+
+
 def _atom(c: _Code, addresses: tuple[bytes, ...], created: bool) -> bool:
     """Append one random fragment; whether it left a created address on
     top of the stack, as `created` says the one before did."""
     rng = c.rng
     kind = rng.choices(
         ("binary", "memory", "sha3", "storage", "context", "call", "create",
-         "returndata", "jump", "dups", "shuffle", "log", "calldata", "balance"),
-        weights=(8, 6, 3, 4, 5, 5, 2, 2, 4, 1, 3, 1, 2, 1))[0]
+         "returndata", "jump", "dups", "shuffle", "log", "calldata", "balance",
+         "hops", "arith"),
+        weights=(8, 6, 3, 4, 5, 5, 2, 2, 4, 1, 3, 1, 2, 1, 4, 3))[0]
     if kind == "binary":
         c.push(c.word())
         c.push(c.word())
@@ -239,16 +320,22 @@ def _atom(c: _Code, addresses: tuple[bytes, ...], created: bool) -> bool:
             c.push(rng.randrange(40) if rng.random() < 0.8 else 1 << rng.randrange(6, 256))
             c.push(c.offset())
             c.op(rng.choice(("CALLDATACOPY", "CODECOPY")))
-    else:  # balance
+    elif kind == "balance":
         c.push(int.from_bytes(rng.choice(addresses), "big"))
         c.op("BALANCE")
+    elif kind == "hops":
+        _hops(c)
+    else:  # arith
+        _edge_arith(c)
     return kind == "create"
 
 
-def _contract(rng: random.Random, atoms: int,
-              addresses: tuple[bytes, ...]) -> bytes:
+def _contract(rng: random.Random, atoms: int, addresses: tuple[bytes, ...],
+              selectors: list[int]) -> bytes:
     labels = rng.randrange(4)
     c = _Code(rng, labels)
+    if selectors:
+        _dispatcher(c, selectors)
     for _ in range(rng.randrange(5)):
         c.push(c.word())
     placed = sorted(rng.sample(range(atoms + labels), labels))
@@ -256,7 +343,7 @@ def _contract(rng: random.Random, atoms: int,
     for index in range(atoms + labels):
         if placed and index == placed[0]:
             placed.pop(0)
-            c.items.append(None)
+            c.dest()
         else:
             created = _atom(c, addresses, created)
     end = rng.random()
@@ -289,12 +376,24 @@ def generate(seed: int) -> Program:
     """The program of one seed; the same bytes on every revision."""
     rng = random.Random(seed)
     addresses = (TARGET, CALLEE, AGENT, EMPTY)
-    callee = _contract(rng, rng.randrange(1, 8), addresses)
-    target = _contract(rng, rng.randrange(1, 24), addresses)
+    callee = _contract(rng, rng.randrange(1, 8), addresses, [])
+    selectors = ([rng.getrandbits(32) for _ in range(rng.randrange(40, 49))]
+                 if rng.random() < 0.45 else [])
+    target = _contract(rng, rng.randrange(1, 24), addresses, selectors)
     calldata = bytearray(rng.randbytes(rng.randrange(0, 100)))
     if len(calldata) >= 36 and rng.random() < 0.5:
         # a delegated call to an address named in the input is reported
         calldata[16:36] = rng.choice((CALLEE, TARGET))
+    gas = int(math.exp(rng.uniform(math.log(20), math.log(3_000_000))))
+    if selectors:
+        # the compares up to the matching one, or all of them when none match
+        matched = len(selectors)
+        if rng.random() < 0.7:
+            matched = rng.randrange(len(selectors)) + 1
+            calldata[:4] = selectors[matched - 1].to_bytes(4, "big")
+        if rng.random() < 0.3:
+            gas = rng.randint(_HEAD_GAS + _COMPARE_GAS * matched,
+                              _HEAD_GAS + _COMPARE_GAS * len(selectors) + 40)
     return Program(
         seed=seed,
         target_code=target,
@@ -305,7 +404,7 @@ def generate(seed: int) -> Program:
         callee_balance=rng.choice((0, 10 ** 6)),
         calldata=bytes(calldata),
         value=rng.choice((0, 0, 0, 1, 10 ** 9)),
-        gas=int(math.exp(rng.uniform(math.log(20), math.log(3_000_000)))),
+        gas=gas,
         policy=rng.choice(POLICIES),
     )
 

@@ -4,15 +4,23 @@ order of `executed_pcs` keys."""
 
 from __future__ import annotations
 
+import io
+import re
+import tokenize
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dogefuzz import evm
 from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
+from dogefuzz.cfg import analyze
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     EventKind,
+    ExecutionTrace,
     PolicyKind,
     Transaction,
     TxStatus,
@@ -22,7 +30,7 @@ from dogefuzz.evm import (
     execute_transaction,
 )
 
-from evm_utils import P, code, dynamic_edges, run
+from evm_utils import RETURN_TOP, P, code, dynamic_edges, run
 
 
 def _instruction_starts(raw: bytes) -> list[int]:
@@ -409,3 +417,263 @@ def test_random_code_coverage_is_block_consistent(raw: bytes,
         jumped = (raw[src] in (op.JUMP, op.JUMPI) and dst in starts
                   and raw[dst] == op.JUMPDEST)
         assert dst == following.get(src) or jumped, (src, dst)
+
+
+# --- compiled chains ------------------------------------------------------
+# A chain of stack-only blocks runs compiled when its gate passes.  Each
+# case runs one program twice, on a fresh decode each time: as it is, with
+# the starts of the chains it enters recorded, and with the chain lookup
+# mocked to None, so that every block runs in the loop.  The two runs must
+# agree on everything a trace and the state say.
+
+def _observed(trace: ExecutionTrace, state: WorldState) -> tuple:
+    # block runs in the order they were recorded
+    return (trace.status, trace.gas_used, trace.events,
+            [(key, list(runs.items())) for key, runs in trace.block_runs.items()],
+            trace.transitions, trace.return_data,
+            sorted((address, acct.balance, acct.code, sorted(acct.storage.items()))
+                   for address, acct in state.accounts.items()))
+
+
+def _chained(raw: bytes, **kwargs) -> tuple[ExecutionTrace, list[int]]:
+    """Run `raw` with and without chains; the trace, and the start of each
+    chain entered, once per frame."""
+    entered: list[int] = []
+    compile_chain = evm._compile_chain
+
+    def spy(source: str, tables: dict, start: int):
+        entered.append(start)
+        return compile_chain(source, tables, start)
+
+    with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
+            mock.patch.object(evm, "_compile_chain", spy):
+        trace, state, _ = run(raw, **kwargs)
+        with_chains = _observed(trace, state)
+    with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
+            mock.patch.object(evm, "_chain", return_value=None):
+        assert _observed(*run(raw, **kwargs)[:2]) == with_chains
+    return trace, entered
+
+
+_SELECTORS = (0x11111111, 0x22222222, 0x33333333)
+
+
+def _dispatcher() -> bytes:
+    """solc's selector load and three compares, a three-block chain of 78
+    gas (12 for the load, 22 per compare); each function stores its number
+    in memory, which no chain holds, and returns it."""
+    a = Assembler()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    for i, selector in enumerate(_SELECTORS):
+        a.op("DUP1").push(selector, 4).op("EQ").push_label(f"f{i}").op("JUMPI")
+    a.push(0).op("DUP1", "REVERT")
+    for i in range(len(_SELECTORS)):
+        a.dest(f"f{i}").push(i + 1).push(0).op("MSTORE")
+        a.push(32).push(0).op("RETURN")
+    return a.assemble()
+
+
+@pytest.mark.parametrize("match", [0, 1, 2, None])
+@pytest.mark.parametrize("gas", [12, 33, 34, 56, 60, 77, 78, 79, 10_000])
+def test_chain_runs_only_when_it_can_pay_for_every_block(
+        match: int | None, gas: int) -> None:
+    calldata = b"" if match is None else _SELECTORS[match].to_bytes(4, "big")
+    trace, entered = _chained(_dispatcher(), calldata=calldata, gas=gas)
+    # short of the whole chain, even with enough for the compares up to a
+    # match, the loop runs block by block
+    assert entered == ([0] if gas >= 78 else [])
+    if gas == 10_000:
+        assert trace.status is (TxStatus.REVERTED if match is None else TxStatus.SUCCESS)
+        if match is not None:  # the taken JUMPI left the chain at its block
+            assert int.from_bytes(trace.return_data, "big") == match + 1
+
+
+def _after_mload(prefix: bytes) -> bytes:
+    """`prefix` and an MLOAD in a block no chain holds, so the chain at the
+    JUMPDEST after it is entered with what `prefix` left on the stack."""
+    return code(prefix, P(0), op.MLOAD, op.POP, op.JUMPDEST)
+
+
+@pytest.mark.parametrize("words", [0, 1, 2, 3])
+def test_chain_runs_only_when_the_stack_holds_what_it_reads(words: int) -> None:
+    # a chain of two blocks that adds three words it does not push
+    a = Assembler().raw(_after_mload(P(7) * words))
+    a.push(1).push_label("next").op("JUMP")
+    a.dest("next").op("ADD", "ADD", "ADD", "STOP")
+    trace, entered = _chained(a.assemble())
+    assert entered == ([2 * words + 4] if words == 3 else [])
+    assert trace.status is (TxStatus.SUCCESS if words == 3 else TxStatus.INVALID_OPCODE)
+
+
+@pytest.mark.parametrize("height", [1019, 1020, 1021])
+def test_chain_runs_only_when_the_stack_has_room_for_its_pushes(height: int) -> None:
+    # a chain that pushes three words, then four, then pops them all
+    a = Assembler().raw(_after_mload(P(0) * height))
+    a.push(1).push(2).push(3).push_label("next").op("JUMP")
+    a.dest("next").push(4).op("POP", "POP", "POP", "POP", "STOP")
+    trace, entered = _chained(a.assemble())
+    assert entered == ([2 * height + 4] if height <= 1020 else [])
+    assert trace.status is (TxStatus.SUCCESS if height <= 1020 else TxStatus.INVALID_OPCODE)
+
+
+def _hops(last: bytes) -> bytes:
+    """Three `PUSH2 JUMP` hops, then `last` in the third hop's block."""
+    a = Assembler()
+    a.push(5).push_label("b").op("JUMP")
+    a.dest("a").push(6).push_label("c").op("JUMP")
+    a.dest("b").push(7).push_label("a").op("JUMP")
+    a.dest("c").raw(last)
+    return a.assemble()
+
+
+@pytest.mark.parametrize("last,status", [
+    (code(op.ADD, op.STOP), TxStatus.SUCCESS),
+    (code(op.ADD, op.MUL), TxStatus.SUCCESS),  # runs off the end
+    (code(op.ADD, P(3, 32)), TxStatus.SUCCESS),
+    (code(op.ADD, op.PUSH1 + 2, 0xAB), TxStatus.SUCCESS),  # a PUSH cut off
+    (code(P(0), op.JUMP), TxStatus.INVALID_OPCODE),  # no JUMPDEST at pc 0
+    (code(P(1), P(0), op.JUMPI), TxStatus.INVALID_OPCODE),
+    (code(P(0), P(0), op.JUMPI, op.STOP), TxStatus.SUCCESS),
+    (code(op.CALLDATASIZE, op.JUMP), TxStatus.INVALID_OPCODE),  # PUSH2 data
+    (code(op.PC, op.JUMP), TxStatus.INVALID_OPCODE),
+], ids=["stop", "off-the-end", "push32-off-the-end", "truncated-push",
+        "jump-to-non-jumpdest", "jumpi-to-non-jumpdest", "jumpi-not-taken",
+        "computed-jump-into-push-data", "pc-jump"])
+def test_chain_exits(last: bytes, status: TxStatus) -> None:
+    trace, entered = _chained(_hops(last), calldata=bytes(4))
+    assert entered == [0]
+    assert trace.status is status
+
+
+def test_chain_exit_by_a_computed_jump_puts_the_stack_back() -> None:
+    # `c` adds the hops' last two words and jumps to the JUMPDEST whose pc
+    # the call value names, which returns the sum
+    head = _hops(code(op.ADD, op.CALLVALUE, op.JUMP))
+    trace, entered = _chained(head + code(op.JUMPDEST, RETURN_TOP),
+                              value=len(head))
+    assert entered == [0]
+    assert trace.status is TxStatus.SUCCESS
+    assert int.from_bytes(trace.return_data, "big") == 7 + 6
+
+
+@pytest.mark.parametrize("gas", [150, 151, 152, 160, 2_000])
+def test_chain_exit_to_a_computed_jumpdest_goes_on(gas: int) -> None:
+    # CALLVALUE names hop `a`: from `c`, the chain through `a` and `c` loops
+    # until a round of 28 gas cannot be paid, and the loop runs out of gas
+    # in it
+    raw = _hops(code(op.POP, op.CALLVALUE, op.JUMP))
+    assert raw[6] == op.JUMPDEST
+    trace, entered = _chained(raw, value=6, gas=gas)
+    assert entered == [0, 6]
+    assert trace.status is TxStatus.OUT_OF_GAS
+
+
+def test_self_call_shorter_run_of_a_chain_block_keeps_the_longer() -> None:
+    # the outer frame runs `entry` whole in a chain, then calls itself with
+    # gas for only part of `entry`, whose run there stops short
+    a = Assembler()
+    a.push(1).push(2).op("ADD").push(3).op("MUL").push_label("next").op("JUMP")
+    a.dest("next").op("POP").push_label("call").op("JUMP")
+    a.dest("call").push(0).push(0).push(0).push(0).push(0)
+    a.op("ADDRESS").push(7).op("CALL", "STOP")
+    raw = a.assemble()
+    trace, entered = _chained(raw)
+    assert trace.status is TxStatus.SUCCESS
+    assert entered == [0]
+    ((_, runs),) = trace.block_runs.items()
+    assert runs[0] == 7
+    # what the call's frame runs: up to the ADD it cannot pay for
+    inner, _, _ = run(raw, gas=7)
+    assert inner.status is TxStatus.OUT_OF_GAS
+    assert next(iter(inner.block_runs.values())) == {0: 3}
+
+
+# names a compiled chain's source may hold: the fixed template text, and
+# numbered locals (entry words `i`, results `t`) and tables (runs `R`,
+# transitions `T`, blocks `B`)
+_CHAIN_VOCABULARY = frozenset(
+    "def chain stack gas calldata value runs transitions if or not len return "
+    "None pop del append extend update raise _InvalidOp nxt jumpdests get is "
+    "add start else _sdiv _smod _signextend _sar _signed _calldataload".split())
+_CHAIN_NUMBERED = re.compile(r"[itRTB][0-9]+")
+
+_CHAIN_ATOMS = st.one_of(
+    st.sampled_from(sorted(evm._CHAINABLE)).map(lambda byte: bytes([byte])),
+    st.integers(0, 80).map(lambda dest: P(dest, 2) + bytes([op.JUMP])),
+    st.integers(0, 80).map(lambda dest: P(dest, 2) + bytes([op.JUMPI])),
+    st.binary(min_size=1, max_size=4),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CHAIN_ATOMS, max_size=60).map(b"".join))
+def test_chain_source_holds_only_template_names_and_integers(raw: bytes) -> None:
+    analysis = analyze(raw)
+    for start in analysis.blocks:
+        path = evm._chain_path(analysis.blocks, analysis.jumpdests, start)
+        if len(path) < evm.CHAIN_MIN_BLOCKS:
+            continue
+        source, _ = evm._chain_source(analysis.blocks, analysis.jumpdests, path,
+                                      *evm._chain_gate(path))
+        for token in tokenize.generate_tokens(io.StringIO(source).readline):
+            if token.type == tokenize.NAME:
+                assert (token.string in _CHAIN_VOCABULARY
+                        or _CHAIN_NUMBERED.fullmatch(token.string)), token
+            elif token.type == tokenize.NUMBER:
+                assert token.string.isdigit(), token
+            else:
+                assert token.type in (tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+                                      tokenize.INDENT, tokenize.DEDENT,
+                                      tokenize.ENDMARKER), token
+        compile(source, "<chain>", "exec")
+
+
+_EDGE_WORDS = (0, 1, 2, 31, 32, 255, 256, (1 << 255) - 1, 1 << 255, (1 << 256) - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_CHAIN_ATOMS,
+                          st.sampled_from(_EDGE_WORDS).map(P),
+                          st.just(bytes([op.JUMPDEST]))), max_size=60).map(b"".join),
+       st.binary(max_size=40), st.sampled_from((0, 6, 10 ** 6)),
+       st.integers(30, 200_000))
+def test_random_chains_run_as_the_loop_runs(raw: bytes, calldata: bytes,
+                                            value: int, gas: int) -> None:
+    _chained(raw, calldata=calldata, value=value, gas=gas)
+
+
+# a stack-only instruction for the chain differential below
+_CHAIN_STEP = st.one_of(
+    st.sampled_from(_EDGE_WORDS).map(P),
+    st.sampled_from(sorted(evm._TEMPLATES)).map(lambda byte: bytes([byte])),
+    st.builds(lambda x, y, byte: P(x) + P(y) + bytes([byte]),
+              st.sampled_from(_EDGE_WORDS), st.sampled_from(_EDGE_WORDS),
+              st.sampled_from(sorted(evm._TEMPLATES))),
+    st.integers(0, 3).map(lambda n: bytes([op.DUP1 + n])),
+    st.integers(0, 3).map(lambda n: bytes([op.SWAP1 + n])),
+    st.sampled_from([op.POP, op.PC]).map(lambda byte: bytes([byte])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.lists(_CHAIN_STEP, max_size=8).map(b"".join),
+                          st.sampled_from(("fall", "hop", "branch"))),
+                min_size=1, max_size=6),
+       st.binary(max_size=40), st.sampled_from((0, 6, 10 ** 6)))
+def test_chains_compute_the_words_the_loop_computes(
+        blocks: list[tuple[bytes, str]], calldata: bytes, value: int) -> None:
+    # stack-only blocks joined by fallthroughs, hops and branches on the
+    # top word, then, like each branch, a return of the top three words
+    a = Assembler()
+    for word in _EDGE_WORDS[-4:]:
+        a.push(word)
+    for i, (body, join) in enumerate(blocks):
+        a.dest(f"b{i}").raw(body)
+        if join == "hop":
+            a.push_label(f"b{i + 1}").op("JUMP")
+        elif join == "branch":
+            a.op("DUP1").push_label("out").op("JUMPI")
+    a.dest(f"b{len(blocks)}").dest("out")
+    a.push(0).op("MSTORE").push(32).op("MSTORE").push(64).op("MSTORE")
+    a.push(96).push(0).op("RETURN")
+    _chained(a.assemble(), calldata=calldata, value=value)

@@ -3,10 +3,14 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 from pathlib import Path
+from unittest import mock
 
 import evm_programs
+from dogefuzz import evm
+from dogefuzz.cfg import analyze
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "evm_diff.py"
 _SPEC = importlib.util.spec_from_file_location("evm_diff", _PATH)
@@ -57,3 +61,20 @@ def test_compare_of_equal_hashes_reports_nothing() -> None:
     hashes = [_hashes(), _hashes(status="s")]
     assert evm_diff.compare(hashes, hashes) == {
         "programs": 2, "differing": 0, "first_differing_field": {}}
+
+
+def test_a_quarter_of_the_programs_enter_a_compiled_chain() -> None:
+    # the first entry of a chain compiles it; each program gets a decode
+    # of its own, so that no chain is compiled before the program runs
+    programs = 2000
+    entered = set()
+    compile_chain = evm._compile_chain
+    for seed in range(programs):
+        program = evm_programs.generate(seed)
+        with mock.patch.object(evm, "analyze", functools.cache(analyze.__wrapped__)), \
+                mock.patch.object(evm, "_compile_chain",
+                                  wraps=compile_chain) as compiler:
+            evm_programs.digests(program)
+        if compiler.called:
+            entered.add(seed)
+    assert len(entered) >= programs // 4
