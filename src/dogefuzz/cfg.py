@@ -160,8 +160,8 @@ def analyze(code: bytes) -> CodeAnalysis:
     """Decode `code` into basic blocks in one linear sweep, once per code.
 
     A block starts at pc 0, at every JUMPDEST and after every JUMP, JUMPI,
-    halting or undefined byte.  A PUSH cut off by end-of-code reads as
-    zero-padded.  The interpreter, `build_cfg` and everything that reads a
+    halting or undefined byte.  PUSH0 decodes as a push of 0, and a PUSH
+    cut off by end-of-code reads as zero-padded.  The interpreter, `build_cfg` and everything that reads a
     `Cfg` share the result.
     """
     critical_ops = op.CRITICAL
@@ -179,8 +179,8 @@ def analyze(code: bytes) -> CodeAnalysis:
         byte = code[pc]
         if byte == op.JUMPDEST and body:
             close(pc)
-        if op.PUSH1 <= byte <= op.PUSH32:
-            width = byte - op.PUSH1 + 1
+        if op.PUSH0 <= byte <= op.PUSH32:
+            width = byte - op.PUSH0
             chunk = code[pc + 1:pc + 1 + width]
             body.append((pc, byte, int.from_bytes(chunk.ljust(width, b"\x00"), "big")))
             pc += 1 + width
@@ -408,9 +408,9 @@ def relax_distances(hops: dict[int, int],
 # --- export ---------------------------------------------------------------
 
 def _listing(code: bytes, ins: Instruction) -> str:
-    pc, opcode, value = ins
+    pc, opcode, _ = ins
     text = f"{pc:#06x} {op.mnemonic(opcode)}"
-    if value is None:
+    if not op.push_size(opcode):
         return text
     return f"{text} 0x{code[pc + 1:pc + 1 + op.push_size(opcode)].hex() or '00'}"
 

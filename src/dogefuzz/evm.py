@@ -409,7 +409,7 @@ _TEMPLATES: dict[int, str] = {
 # what a chain's blocks may hold: no dynamic gas, no state, no event, and
 # no fault but underflow, overflow and a jump to a non-JUMPDEST
 _CHAINABLE = frozenset(
-    set(_TEMPLATES) | set(range(op.PUSH1, op.SWAP16 + 1))
+    set(_TEMPLATES) | set(range(op.PUSH0, op.SWAP16 + 1))
     | {op.POP, op.JUMPDEST, op.PC, op.JUMP, op.JUMPI, op.STOP})
 
 # how deep into the stack each opcode reads: what it pops, n for DUPn and
@@ -786,7 +786,7 @@ class _Machine:
                         gas, instructions = _up_to_fault(instructions, gas, len(stack))
                     # literal opcodes, most frequent first
                     for pc, opcode, push in instructions:
-                        if push is not None:  # PUSH1..PUSH32
+                        if push is not None:  # PUSH0..PUSH32
                             stack.append(push)
                         elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
                             stack.append(stack[0x7F - opcode])

@@ -1,4 +1,4 @@
-"""Istanbul-era opcode table and its gas schedule.
+"""Istanbul-era opcode table, plus PUSH0 (EIP-3855), and its gas schedule.
 
 Base, per-word and per-byte prices are Istanbul's (Yellow Paper, Appendix G; EIP-160
 for EXP's exponent bytes, EIP-1884 for SLOAD and BALANCE).  What stays
@@ -68,6 +68,7 @@ PC = 0x58
 MSIZE = 0x59
 GAS = 0x5A
 JUMPDEST = 0x5B
+PUSH0 = 0x5F
 PUSH1 = 0x60
 PUSH32 = 0x7F
 DUP1 = 0x80
@@ -133,7 +134,7 @@ GAS_CALL_BASE = 700
 
 _BASE_GAS: dict[int, int] = {
     STOP: 0, RETURN: 0, REVERT: 0, JUMPDEST: 1,
-    POP: 2, PC: 2, MSIZE: 2, GAS: 2,
+    POP: 2, PC: 2, MSIZE: 2, GAS: 2, PUSH0: 2,
     ADDRESS: 2, ORIGIN: 2, CALLER: 2, CALLVALUE: 2, CALLDATASIZE: 2,
     CODESIZE: 2, RETURNDATASIZE: 2, COINBASE: 2, TIMESTAMP: 2, NUMBER: 2,
     DIFFICULTY: 2, GASLIMIT: 2,
@@ -199,7 +200,7 @@ for _i in range(5):
 STACK_GROWTH: list[int] = [0] * 256
 for _op, (_pops, _pushes) in STACK_EFFECTS.items():
     STACK_GROWTH[_op] = _pushes - _pops
-for _op in range(PUSH1, DUP16 + 1):  # PUSH1..PUSH32, then DUP1..DUP16
+for _op in range(PUSH0, DUP16 + 1):  # PUSH0..PUSH32, then DUP1..DUP16
     STACK_GROWTH[_op] = 1
 
 # opcodes that push one word without popping, bar PUSH and DUP

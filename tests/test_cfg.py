@@ -66,6 +66,17 @@ def test_disassemble_simple_sequence() -> None:
     assert decoded[1][2] is None
 
 
+def test_push0_decodes_as_a_push_of_zero() -> None:
+    raw = code(op.JUMPDEST, 0x5F, 0x5F, op.JUMP)
+    (block,) = analyze(raw).blocks.values()
+    assert block.instructions == ((0, op.JUMPDEST, None), (1, 0x5F, 0),
+                                  (2, 0x5F, 0), (3, op.JUMP, None))
+    assert op.mnemonic(0x5F) == "PUSH0" and op.push_size(0x5F) == 0
+    assert block.jump_target == 0
+    assert build_cfg(raw).static_edges == {(0, 0)}
+    assert "0x0001 PUSH0\\l" in to_dot(build_cfg(raw))
+
+
 def test_truncated_push_keeps_partial_bytes_and_pads_value() -> None:
     (block,) = analyze(code(op.PUSH1 + 3, 0xAB, 0xCD)).blocks.values()
     (ins,) = block.instructions
@@ -80,7 +91,7 @@ def test_unknown_byte_gets_placeholder_mnemonic() -> None:
 
 
 def test_mnemonic_table_is_read_off_the_opcode_constants() -> None:
-    assert len(op.MNEMONICS) == len(op.OPCODES) == 134
+    assert len(op.MNEMONICS) == len(op.OPCODES) == 135
     assert all(0 <= byte < 256 and op.OPCODES[op.mnemonic(byte)] == byte
                for byte in op.MNEMONICS)
     ranges = {f"{stem}{n}" for stem, first, last in (

@@ -107,6 +107,35 @@ def test_push_widths() -> None:
         assert run_top(P(value, width)) == value
 
 
+def _selector_load() -> Assembler:
+    """solc's selector load since 0.8.20: PUSH0 CALLDATALOAD PUSH1 0xE0 SHR."""
+    return Assembler().op("PUSH0", "CALLDATALOAD").push(0xE0).op("SHR")
+
+
+def test_push0_selector_load() -> None:
+    raw = _selector_load().raw(RETURN_TOP).assemble()
+    assert raw[:5] == bytes([0x5F, op.CALLDATALOAD, op.PUSH1, 0xE0, op.SHR])
+    calldata = bytes.fromhex("a9059cbb") + bytes(64)
+    assert run_top(_selector_load().assemble(), calldata=calldata) == 0xA9059CBB
+    # PUSH0 as a JUMP and JUMPI operand: a dispatcher that jumps on a match
+    a = _selector_load().op("DUP1").push(0xA9059CBB, 4).op("EQ")
+    a.push_label("match").op("JUMPI", "PUSH0", "PUSH0", "REVERT")
+    a.dest("match").op("PUSH0", "PUSH0", "RETURN")
+    trace, _, _ = run(a.assemble(), calldata=calldata)
+    assert trace.status is TxStatus.SUCCESS
+    trace, _, _ = run(a.assemble(), calldata=bytes(4))
+    assert trace.status is TxStatus.REVERTED
+
+
+def test_push0_selector_load_gas() -> None:
+    # PUSH0 2, CALLDATALOAD 3, PUSH1 3, SHR 3
+    trace, _, _ = run(_selector_load().op("STOP").assemble(), calldata=bytes(4))
+    assert trace.status is TxStatus.SUCCESS
+    assert trace.gas_used == 11
+    trace, _, _ = run(code(0x5F, op.STOP))
+    assert trace.gas_used == 2
+
+
 def test_dup16_and_swap16() -> None:
     deep = code(*([P(9)] + [P(0)] * 15), op.DUP16)
     assert run_top(deep) == 9
