@@ -161,8 +161,8 @@ def analyze(code: bytes) -> CodeAnalysis:
 
     A block starts at pc 0, at every JUMPDEST and after every JUMP, JUMPI,
     halting or undefined byte.  PUSH0 decodes as a push of 0, and a PUSH
-    cut off by end-of-code reads as zero-padded.  The interpreter, `build_cfg` and everything that reads a
-    `Cfg` share the result.
+    cut off by end-of-code reads as zero-padded.  The interpreter,
+    `build_cfg` and everything that reads a `Cfg` share the result.
     """
     critical_ops = op.CRITICAL
     blocks: dict[int, BasicBlock] = {}

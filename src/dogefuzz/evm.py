@@ -412,13 +412,6 @@ _CHAINABLE = frozenset(
     set(_TEMPLATES) | set(range(op.PUSH0, op.SWAP16 + 1))
     | {op.POP, op.JUMPDEST, op.PC, op.JUMP, op.JUMPI, op.STOP})
 
-# how deep into the stack each opcode reads: what it pops, n for DUPn and
-# n + 1 for SWAPn
-_READS = [op.STACK_EFFECTS.get(byte, (0, 0))[0] for byte in range(256)]
-for _n in range(1, 17):
-    _READS[op.DUP1 + _n - 1] = _n
-    _READS[op.SWAP1 + _n - 1] = _n + 1
-
 # what a compiled chain's source may name besides its locals and tables
 _CHAIN_GLOBALS = {"_sdiv": _sdiv, "_smod": _smod, "_signextend": _signextend,
                   "_sar": _sar, "_signed": _signed,
@@ -459,7 +452,7 @@ def _chain_gate(path: list[BasicBlock]) -> tuple[int, int, int]:
         for _, byte, push in block.instructions:
             gas += op.BASE_GAS[byte]
             if push is None:
-                need = max(need, _READS[byte] - height)
+                need = max(need, op.STACK_READS[byte] - height)
             height += op.STACK_GROWTH[byte]
             growth = max(growth, height)
     return gas, need, STACK_LIMIT - growth
@@ -548,7 +541,7 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
             elif byte == op.PC:
                 stack.append(str(pc))
             elif byte in _TEMPLATES:
-                operands = [stack.pop() for _ in range(_READS[byte])]
+                operands = [stack.pop() for _ in range(op.STACK_READS[byte])]
                 temps += 1
                 lines.append(f"    t{temps} = "
                              + _TEMPLATES[byte].format(*operands, M=UINT256_MASK))

@@ -203,6 +203,13 @@ for _op, (_pops, _pushes) in STACK_EFFECTS.items():
 for _op in range(PUSH0, DUP16 + 1):  # PUSH0..PUSH32, then DUP1..DUP16
     STACK_GROWTH[_op] = 1
 
+# how deep into the stack each opcode byte reads: what it pops, n for DUPn
+# and n + 1 for SWAPn
+STACK_READS: list[int] = [STACK_EFFECTS.get(_op, (0, 0))[0] for _op in range(256)]
+for _i in range(16):
+    STACK_READS[DUP1 + _i] = _i + 1
+    STACK_READS[SWAP1 + _i] = _i + 2
+
 # opcodes that push one word without popping, bar PUSH and DUP
 PUSHES_ONE = frozenset(b for b, effect in STACK_EFFECTS.items() if effect == (0, 1))
 

@@ -21,7 +21,7 @@ with calldata that often names one of its selectors and, now and then, a
 gas limit between the base gas of the compares up to the matching one and
 that of all of them; `PUSH2 JUMP` hops through shuffled JUMPDESTs, some
 ending in a constant jump to a non-JUMPDEST; and stack-only runs of the
-signed and shifting opcodes at boundary operands.
+signed, shifting and modular opcodes at boundary operands.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ _CONTEXT = ("ADDRESS ORIGIN CALLER CALLVALUE CALLDATASIZE CODESIZE "
             "RETURNDATASIZE COINBASE TIMESTAMP NUMBER DIFFICULTY GASLIMIT "
             "PC MSIZE GAS").split()
 _CALLS = ("CALL", "CALLCODE", "DELEGATECALL", "STATICCALL")
-# boundary operands of the signed and shifting opcodes
+# boundary operands of the signed, shifting and modular opcodes
 _EDGES = (0, 1, 2, 7, 31, 32, 255, 256, (1 << 255) - 1, 1 << 255,
           (1 << 256) - 1)
-_EDGE_OPS = ("SDIV", "SMOD", "SIGNEXTEND", "SAR", "BYTE", "SHL")
+_EDGE_OPS = ("SDIV", "SMOD", "SIGNEXTEND", "SAR", "BYTE", "SHL", "ADDMOD",
+             "MULMOD")
 # base gas of the dispatcher's head (PUSH1 CALLDATALOAD PUSH1 SHR) and of
 # each compare (DUP1 PUSH4 EQ PUSH2 JUMPI)
 _HEAD_GAS = 12
@@ -143,15 +144,18 @@ class _Code:
 
 
 def _edge_arith(c: _Code) -> None:
-    """A stack-only run of signed and shifting opcodes, each on the last
-    one's result and a boundary operand."""
+    """A stack-only run of signed, shifting and modular opcodes, each on
+    the last one's result and boundary operands."""
     rng = c.rng
     c.push(rng.choice(_EDGES))
     for _ in range(rng.randrange(1, 5)):
+        name = rng.choice(_EDGE_OPS)
         c.push(rng.choice(_EDGES))
+        if name in ("ADDMOD", "MULMOD"):
+            c.push(rng.choice(_EDGES))
         if rng.random() < 0.5:
             c.op("SWAP1")
-        c.op(rng.choice(_EDGE_OPS))
+        c.op(name)
     if rng.random() < 0.5:
         c.op("POP")
 

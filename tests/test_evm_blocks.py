@@ -507,7 +507,7 @@ def test_chain_runs_only_when_the_stack_holds_what_it_reads(words: int) -> None:
 
 @pytest.mark.parametrize("height", [1019, 1020, 1021])
 def test_chain_runs_only_when_the_stack_has_room_for_its_pushes(height: int) -> None:
-    # a chain that pushes three words, then four, then pops them all
+    # a chain whose stack rises at most four words above its entry height
     a = Assembler().raw(_after_mload(P(0) * height))
     a.push(1).push(2).push(3).push_label("next").op("JUMP")
     a.dest("next").push(4).op("POP", "POP", "POP", "POP", "STOP")
@@ -646,8 +646,8 @@ def test_random_chains_run_as_the_loop_runs(raw: bytes, calldata: bytes,
 _CHAIN_STEP = st.one_of(
     st.sampled_from(_EDGE_WORDS).map(P),
     st.sampled_from(sorted(evm._TEMPLATES)).map(lambda byte: bytes([byte])),
-    st.builds(lambda x, y, byte: P(x) + P(y) + bytes([byte]),
-              st.sampled_from(_EDGE_WORDS), st.sampled_from(_EDGE_WORDS),
+    st.builds(lambda words, byte: b"".join(map(P, words)) + bytes([byte]),
+              st.lists(st.sampled_from(_EDGE_WORDS), min_size=3, max_size=3),
               st.sampled_from(sorted(evm._TEMPLATES))),
     st.integers(0, 3).map(lambda n: bytes([op.DUP1 + n])),
     st.integers(0, 3).map(lambda n: bytes([op.SWAP1 + n])),
