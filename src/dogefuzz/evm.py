@@ -419,43 +419,53 @@ _CHAIN_GLOBALS = {"_sdiv": _sdiv, "_smod": _smod, "_signextend": _signextend,
 
 
 def _chain_path(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock],
-                start: int) -> list[BasicBlock]:
-    """The stack-only blocks a chain entered at `start` runs through.
+                start: int) -> tuple[list[BasicBlock], int]:
+    """The stack-only blocks a chain entered at `start` runs through, and
+    how many of its first blocks each start a chain through the rest of it.
 
     It follows fallthroughs, a JUMPI's fallthrough and a JUMP whose
     `jump_target` is a JUMPDEST, and stops after STOP, before a block it
     holds already or one with an instruction outside `_CHAINABLE`, and at
-    `CHAIN_MAX_BLOCKS`.
+    `CHAIN_MAX_BLOCKS`.  Only a path cut short goes on from a later block:
+    one cut at `CHAIN_MAX_BLOCKS` from any, one cut before a block it holds
+    from those after that block.
     """
     path: list[BasicBlock] = []
-    seen: set[int] = set()
+    index: dict[int, int] = {}
     block = blocks[start]
-    while (block is not None and block.start not in seen
-           and len(path) < CHAIN_MAX_BLOCKS
-           and all(ins[1] in _CHAINABLE for ins in block.instructions)):
+    while (block is not None
+           and _CHAINABLE.issuperset([ins[1] for ins in block.instructions])):
+        if block.start in index or len(path) == CHAIN_MAX_BLOCKS:
+            return path, index.get(block.start, 0) + 1
+        index[block.start] = len(path)
         path.append(block)
-        seen.add(block.start)
         last = block.instructions[-1][1]
         if last == op.STOP:
             break
         block = (jumpdests.get(block.jump_target) if last == op.JUMP
                  else blocks.get(block.fallthrough))
-    return path
+    return path, len(path)
 
 
-def _chain_gate(path: list[BasicBlock]) -> tuple[int, int, int]:
-    """The gate of a chain: the base gas of all its blocks, how many words
-    of the entry stack it reads, and the highest entry stack with room for
-    all its pushes."""
-    gas = need = height = growth = 0
-    for block in path:
-        for _, byte, push in block.instructions:
+def _chain_gates(path: list[BasicBlock]) -> list[tuple[int, int, int]]:
+    """The gate of the chain through each suffix of `path`, longest first:
+    the base gas of all its blocks, how many words of the entry stack it
+    reads, and the highest entry stack with room for all its pushes.  Each
+    is folded from the next one and what its first block needs alone."""
+    gates = []
+    gas = need = growth = 0
+    for block in reversed(path):
+        reads = height = peak = 0
+        for _, byte, _ in block.instructions:
             gas += op.BASE_GAS[byte]
-            if push is None:
-                need = max(need, op.STACK_READS[byte] - height)
+            if op.STACK_READS[byte] - height > reads:
+                reads = op.STACK_READS[byte] - height
             height += op.STACK_GROWTH[byte]
-            growth = max(growth, height)
-    return gas, need, STACK_LIMIT - growth
+            if height > peak:
+                peak = height
+        need, growth = max(reads, need - height), max(peak, height + growth)
+        gates.append((gas, need, STACK_LIMIT - growth))
+    return gates[::-1]
 
 
 def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock],
@@ -577,17 +587,30 @@ def _chain(chains: dict[int, Callable | None], blocks: dict[int, BasicBlock],
     the first time it passes, compiles the chain, puts it in `chains` in
     its own place and runs it.  So a chain never entered is never
     compiled."""
-    path = _chain_path(blocks, jumpdests, start)
-    if len(path) < CHAIN_MIN_BLOCKS:
+    path, shared = _chain_path(blocks, jumpdests, start)
+    return _stand_in(chains, blocks, jumpdests, path, shared,
+                     _chain_gates(path), 0)
+
+
+def _stand_in(chains: dict[int, Callable | None], blocks: dict[int, BasicBlock],
+              jumpdests: dict[int, BasicBlock], path: list[BasicBlock],
+              shared: int, gates: list[tuple[int, int, int]],
+              k: int) -> Callable | None:
+    """What `_chain` gives for `path[k].start`, for k below `shared`.  A
+    stand-in refused at its gate puts the next block's in `chains`, so a
+    loop that lands on each block of a refused path in turn walks it once."""
+    if len(path) - k < CHAIN_MIN_BLOCKS or gates[k][1] > gates[k][2]:
         return None
-    gas, need, room = _chain_gate(path)
-    if need > room:
-        return None
+    gas, need, room = gates[k]
+    start = path[k].start
 
     def enter_first(stack: list[int], gas_left: int, *frame: object):
         if gas_left < gas or not need <= len(stack) <= room:
+            if k + 1 < shared and path[k + 1].start not in chains:
+                chains[path[k + 1].start] = _stand_in(
+                    chains, blocks, jumpdests, path, shared, gates, k + 1)
             return None
-        source, tables = _chain_source(blocks, jumpdests, path, gas, need, room)
+        source, tables = _chain_source(blocks, jumpdests, path[k:], gas, need, room)
         compiled = chains[start] = _compile_chain(source, tables, start)
         return compiled(stack, gas_left, *frame)
 

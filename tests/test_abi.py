@@ -13,6 +13,7 @@ from dogefuzz.abi import (
     AbiType,
     FunctionSpec,
     MAGIC_WORDS,
+    MAX_NESTING,
     MAX_WORDS,
     Mutability,
     TypeKind,
@@ -317,6 +318,113 @@ def test_out_of_range_values_rejected(text: str, value) -> None:
 def test_argument_count_must_match() -> None:
     with pytest.raises(AbiError):
         encode_arguments([parse_type("uint256")], [1, 2])
+
+
+def _encode_one(text: str, value) -> bytes:
+    return encode_arguments([parse_type(text)], [value])
+
+
+_NO_INPUTS = FunctionSpec("ping")
+
+
+# the exact message of every way an encode refuses its values
+@pytest.mark.parametrize("encode,message", [
+    (lambda: _encode_one("uint8", 256), "value 256 out of range for uint8"),
+    (lambda: _encode_one("uint8", True), "value True out of range for uint8"),
+    (lambda: _encode_one("uint8", "1"), "value '1' out of range for uint8"),
+    (lambda: _encode_one("int8", 128), "value 128 out of range for int8"),
+    (lambda: _encode_one("address", b"\x01" * 19), "address must be 20 bytes"),
+    (lambda: _encode_one("bool", 1), "bool expected"),
+    (lambda: _encode_one("bytes4", b"abc"), "expected exactly 4 bytes"),
+    (lambda: _encode_one("string", b"raw"), "str expected"),
+    (lambda: _encode_one("bytes", "text"), "bytes expected"),
+    (lambda: _encode_one("uint256[2]", [1]), "expected 2 elements, got 1"),
+    (lambda: _encode_one("(uint256,bool)", (1,)), "expected 2 members"),
+    (lambda: encode_arguments([parse_type("uint256")], [1, 2]),
+     "expected 1 values, got 2"),
+    (lambda: encode_call(FunctionSpec(""), []), "the fallback has no selector"),
+    (lambda: encode_call(_NO_INPUTS, [1]), "expected 0 values, got 1"),
+], ids=["uint8-256", "uint8-True", "uint8-str", "int8-128", "address-19",
+        "bool-1", "bytes4-3", "string-bytes", "bytes-str", "array-length",
+        "tuple-members", "value-count", "fallback", "no-inputs-one-value"])
+def test_encode_failure_messages(encode, message: str) -> None:
+    with pytest.raises(AbiError) as refused:
+        encode()
+    assert str(refused.value) == message
+
+
+def test_call_without_inputs_is_its_selector() -> None:
+    assert encode_call(_NO_INPUTS, []) == selector("ping()")
+    assert encode_call(_NO_INPUTS, ()) == _NO_INPUTS.selector_bytes
+
+
+# --- a reference encoder, for the differential below ------------------------
+# Whether a value is dynamic is read off its encoding's parts, not off the
+# type's `is_dynamic`, and head sizes off the encoded static parts, not off
+# `words`.
+
+def _reference_value(abi_type: AbiType, value) -> tuple[bytes, bool]:
+    """The encoding of `value` and whether it goes in a tail."""
+    kind = abi_type.kind
+    if kind in (TypeKind.UINT, TypeKind.INT, TypeKind.BOOL):
+        return (int(value) % (1 << 256)).to_bytes(32, "big"), False
+    if kind is TypeKind.ADDRESS:
+        return bytes(12) + value, False
+    if kind is TypeKind.FIXED_BYTES:
+        return value + bytes(32 - len(value)), False
+    if kind in (TypeKind.BYTES, TypeKind.STRING):
+        raw = value.encode() if isinstance(value, str) else value
+        return (len(raw).to_bytes(32, "big") + raw
+                + bytes(-len(raw) % 32)), True
+    if kind is TypeKind.TUPLE:
+        return _reference_block(abi_type.components, value)
+    body, dynamic = _reference_block([abi_type.inner] * len(value), value)
+    if abi_type.dynamic_length:
+        return len(value).to_bytes(32, "big") + body, True
+    return body, dynamic
+
+
+def _reference_block(types, values) -> tuple[bytes, bool]:
+    parts = [_reference_value(t, v) for t, v in zip(types, values)]
+    head, tail = b"", b""
+    offset = sum(32 if dynamic else len(part) for part, dynamic in parts)
+    for part, dynamic in parts:
+        if dynamic:
+            head += offset.to_bytes(32, "big")
+            tail += part
+            offset += len(part)
+        else:
+            head += part
+    return head + tail, any(dynamic for _, dynamic in parts)
+
+
+_SCALAR_TEXTS = st.sampled_from([
+    "uint8", "uint256", "int16", "int256", "address", "bool", "bytes1",
+    "bytes4", "bytes32", "bytes", "string"])
+
+
+def _type_texts(level: int = 0) -> st.SearchStrategy[str]:
+    """Type strings whose containers nest at most `MAX_NESTING` deep."""
+    if level == MAX_NESTING:
+        return _SCALAR_TEXTS
+    inner = _type_texts(level + 1)
+    return st.one_of(
+        _SCALAR_TEXTS,
+        inner.map(lambda text: text + "[]"),
+        st.builds(lambda text, n: f"{text}[{n}]", inner, st.integers(1, 3)),
+        st.lists(inner, max_size=3).map(lambda texts: f"({','.join(texts)})"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_type_texts(), max_size=4), st.integers(0, 2 ** 32))
+def test_encoding_matches_the_reference(texts: list[str], seed: int) -> None:
+    types = [parse_type(text) for text in texts]
+    rng = random.Random(seed)
+    values = [generate_value(rng, t, POOLS) for t in types]
+    expected, _ = _reference_block(types, values)
+    assert encode_arguments(types, values) == expected
+    fn = FunctionSpec("f", tuple(types))
+    assert encode_call(fn, values) == fn.selector_bytes + expected
 
 
 # --- generation and mutation ----------------------------------------------

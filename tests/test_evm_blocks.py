@@ -488,6 +488,18 @@ def test_chain_runs_only_when_it_can_pay_for_every_block(
             assert int.from_bytes(trace.return_data, "big") == match + 1
 
 
+@pytest.mark.parametrize("gas", [40, 60, 77])
+def test_a_refused_chain_path_is_walked_once(gas: int) -> None:
+    # short of gas for the whole chain, the loop runs the compares block by
+    # block; each refused stand-in hands the rest of the path to the next
+    # block's, so only the landing at pc 0 walks the path
+    with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
+            mock.patch.object(evm, "_chain_path", wraps=evm._chain_path) as walk:
+        trace, _, _ = run(_dispatcher(), gas=gas)
+    assert trace.status is TxStatus.OUT_OF_GAS
+    assert [call.args[2] for call in walk.call_args_list] == [0]
+
+
 def _after_mload(prefix: bytes) -> bytes:
     """`prefix` and an MLOAD in a block no chain holds, so the chain at the
     JUMPDEST after it is entered with what `prefix` left on the stack."""
@@ -610,11 +622,11 @@ _CHAIN_ATOMS = st.one_of(
 def test_chain_source_holds_only_template_names_and_integers(raw: bytes) -> None:
     analysis = analyze(raw)
     for start in analysis.blocks:
-        path = evm._chain_path(analysis.blocks, analysis.jumpdests, start)
+        path, _ = evm._chain_path(analysis.blocks, analysis.jumpdests, start)
         if len(path) < evm.CHAIN_MIN_BLOCKS:
             continue
         source, _ = evm._chain_source(analysis.blocks, analysis.jumpdests, path,
-                                      *evm._chain_gate(path))
+                                      *evm._chain_gates(path)[0])
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NAME:
                 assert (token.string in _CHAIN_VOCABULARY
@@ -640,6 +652,44 @@ _EDGE_WORDS = (0, 1, 2, 31, 32, 255, 256, (1 << 255) - 1, 1 << 255, (1 << 256) -
 def test_random_chains_run_as_the_loop_runs(raw: bytes, calldata: bytes,
                                             value: int, gas: int) -> None:
     _chained(raw, calldata=calldata, value=value, gas=gas)
+
+
+# where each op that divides has its divisor or modulus, top first
+_DIVISORS = {op.DIV: 1, op.SDIV: 1, op.MOD: 1, op.SMOD: 1,
+             op.ADDMOD: 2, op.MULMOD: 2}
+
+
+def _operand_rows(byte: int) -> list[tuple[int, ...]]:
+    """Operands for `byte`, top first: each edge word in each position,
+    and for an op that divides, three rows with a zero divisor."""
+    reads, n = op.STACK_READS[byte], len(_EDGE_WORDS)
+    rows = [tuple(_EDGE_WORDS[(i + 3 * j) % n] for j in range(reads))
+            for i in range(n)]
+    if byte in _DIVISORS:
+        at = _DIVISORS[byte]
+        rows += [row[:at] + (0,) + row[at + 1:] for row in rows[1:4]]
+    return rows
+
+
+@pytest.mark.parametrize("byte", sorted(evm._TEMPLATES),
+                         ids=lambda byte: op.MNEMONICS[byte])
+def test_every_template_runs_in_a_chain_as_in_the_loop(byte: int) -> None:
+    # a two-block chain: the operands and a hop, then the op and a hop to a
+    # block no chain holds, which returns the word the op left
+    for operands in _operand_rows(byte):
+        a = Assembler()
+        for word in reversed(operands):
+            a.push(word)
+        a.push_label("op").op("JUMP")
+        a.dest("op").raw(bytes([byte])).push_label("out").op("JUMP")
+        a.dest("out").raw(RETURN_TOP)
+        trace, entered = _chained(a.assemble(), calldata=bytes(range(1, 41)),
+                                  value=6)
+        assert entered == [0], operands
+        assert trace.status is TxStatus.SUCCESS, operands
+        word = int.from_bytes(trace.return_data, "big")
+        if byte in _DIVISORS and operands[_DIVISORS[byte]] == 0:
+            assert word == 0, operands
 
 
 # a stack-only instruction for the chain differential below
