@@ -53,6 +53,11 @@ class TypeKind(str, Enum):
     TUPLE = "tuple"
 
 
+# the kinds, unpacked in declaration order: encoding, generation and
+# mutation test them so, sparing a 110-150 ns enum class read on Python 3.11
+_UINT, _INT, _ADDRESS, _BOOL, _FIXED_BYTES, _BYTES, _STRING, _ARRAY, _TUPLE = TypeKind
+
+
 class Mutability(str, Enum):
     PURE = "pure"
     VIEW = "view"
@@ -308,9 +313,7 @@ def selector(signature: str) -> bytes:
 
 
 # --- encoding -------------------------------------------------------------
-# a check formats its message only when it fails; the kinds, unpacked in
-# declaration order, spare a 110-150 ns enum class read on Python 3.11
-_UINT, _INT, _ADDRESS, _BOOL, _FIXED_BYTES, _BYTES, _STRING, _ARRAY, _TUPLE = TypeKind
+# a check formats its message only when it fails
 
 
 def _encode_value(abi_type: AbiType, value: Any) -> bytes:
@@ -436,35 +439,35 @@ def generate_value(rng: random.Random, abi_type: AbiType,
                    pools: tuple[bytes, ...]) -> Any:
     """Fresh random value of the given type, biased toward pool constants."""
     kind = abi_type.kind
-    if kind is TypeKind.UINT:
+    if kind is _UINT:
         if rng.random() < _POOL_BIAS:
             return rng.choice(MAGIC_WORDS) & ((1 << abi_type.bits) - 1)
         return rng.getrandbits(abi_type.bits)
-    if kind is TypeKind.INT:
+    if kind is _INT:
         raw = (rng.choice(MAGIC_WORDS) if rng.random() < _POOL_BIAS
                else rng.getrandbits(abi_type.bits))
         return _signed_wrap(raw, abi_type.bits)
-    if kind is TypeKind.ADDRESS:
+    if kind is _ADDRESS:
         if pools and rng.random() < _POOL_BIAS:
             return rng.choice(pools)
         return rng.randbytes(_ADDRESS_BYTES)
-    if kind is TypeKind.BOOL:
+    if kind is _BOOL:
         return rng.random() < 0.5
-    if kind is TypeKind.FIXED_BYTES:
+    if kind is _FIXED_BYTES:
         if rng.random() < _POOL_BIAS:
             word = rng.choice(MAGIC_WORDS) & ((1 << (8 * abi_type.size)) - 1)
             return word.to_bytes(abi_type.size, "big")
         return rng.randbytes(abi_type.size)
-    if kind is TypeKind.BYTES:
+    if kind is _BYTES:
         return rng.randbytes(_blob_length(rng))
-    if kind is TypeKind.STRING:
+    if kind is _STRING:
         return "".join(rng.choice(_TEXT_ALPHABET)
                        for _ in range(_blob_length(rng)))
-    if kind is TypeKind.ARRAY:
+    if kind is _ARRAY:
         length = abi_type.size if not abi_type.dynamic_length else rng.randrange(4)
         return [generate_value(rng, abi_type.inner, pools)
                 for _ in range(length)]
-    if kind is TypeKind.TUPLE:
+    if kind is _TUPLE:
         return tuple(generate_value(rng, c, pools)
                      for c in abi_type.components)
     raise AbiError(f"cannot generate kind {kind}")
@@ -474,33 +477,33 @@ def mutate_value(rng: random.Random, abi_type: AbiType, value: Any,
                  pools: tuple[bytes, ...]) -> Any:
     """Small random change to `value`, staying within the type's range."""
     kind = abi_type.kind
-    if kind is TypeKind.UINT:
+    if kind is _UINT:
         mask = (1 << abi_type.bits) - 1
         candidates = [value + 1, value - 1, value + 16, value - 16,
                       value ^ (1 << rng.randrange(abi_type.bits)),
                       rng.choice(MAGIC_WORDS)]
         return rng.choice(candidates) & mask
-    if kind is TypeKind.INT:
+    if kind is _INT:
         candidates = [value + 1, value - 1, value + 16, value - 16, -value,
                       value ^ (1 << rng.randrange(abi_type.bits)),
                       rng.choice(MAGIC_WORDS)]
         return _signed_wrap(rng.choice(candidates), abi_type.bits)
-    if kind is TypeKind.BOOL:
+    if kind is _BOOL:
         return not value
-    if kind is TypeKind.ADDRESS:
+    if kind is _ADDRESS:
         others = [a for a in pools if a != value]
         if others:
             return rng.choice(others)
         return rng.randbytes(_ADDRESS_BYTES)
-    if kind is TypeKind.FIXED_BYTES:
+    if kind is _FIXED_BYTES:
         index = rng.randrange(abi_type.size)
         flipped = value[index] ^ rng.randrange(1, 256)
         return value[:index] + bytes([flipped]) + value[index + 1:]
-    if kind is TypeKind.BYTES or kind is TypeKind.STRING:
+    if kind is _BYTES or kind is _STRING:
         return _mutate_blob(rng, abi_type, value)
-    if kind is TypeKind.ARRAY:
+    if kind is _ARRAY:
         return _mutate_sequence(rng, abi_type, list(value), pools)
-    if kind is TypeKind.TUPLE:
+    if kind is _TUPLE:
         if not abi_type.components:
             return ()
         members = list(value)
@@ -512,7 +515,7 @@ def mutate_value(rng: random.Random, abi_type: AbiType, value: Any,
 
 
 def _mutate_blob(rng: random.Random, abi_type: AbiType, value: Any) -> Any:
-    is_text = abi_type.kind is TypeKind.STRING
+    is_text = abi_type.kind is _STRING
     moves = ["grow"]
     if len(value) > 0:
         moves += ["flip", "shrink"]

@@ -718,7 +718,14 @@ class _Machine:
                 depth, static, swallowed)
         except _OutOfGas:
             return TxStatus.OUT_OF_GAS, b"", 0
-        except (_InvalidOp, IndexError):
+        except _InvalidOp:
+            return TxStatus.INVALID_OPCODE, b"", 0
+        except IndexError as exc:
+            # a stack underflow is raised by the loop's own stack access;
+            # one from a call below it (a chain being built, compiled or
+            # run, a child frame's fault) is a fault of the interpreter
+            if exc.__traceback__.tb_next.tb_next is not None:
+                raise
             return TxStatus.INVALID_OPCODE, b"", 0
         finally:
             self.address_stack.pop()

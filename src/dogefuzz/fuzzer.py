@@ -23,14 +23,17 @@ Many mutants repeat an earlier transaction: a policy mutation of a parent
 always yields the same child, and value and block mutations draw from a
 few choices.  The interpreter is deterministic, so a campaign keeps, per
 transaction, the outcome a repeat needs: the target's block runs, the
-findings and whether it changes state, with what the run read of the
-world state.  A repeat is replayed from that outcome without running the
-interpreter or the oracles; it adds no coverage, since its first run was
-already folded in.  An outcome stays valid while the base state keeps
-what it read, so a kept state change drops the outcomes that read what it
-wrote, and those whose balance tests it flips; reaching
-`OUTCOME_CACHE_SIZE` entries clears the cache.  A kept lane whose
-outcome changes nothing is replayed too.
+findings, whether it changes state and the Directed bonus its blocks
+earned, with what the run read of the world state.  A repeat is replayed
+from that outcome without running the interpreter or the oracles, and
+takes its energy from it; it adds no coverage and records no finding,
+since its first run did both.  Its bonus is derived again only when
+learned edges, which can only lower hop counts, were folded in after it
+was.  An outcome stays valid while the base state keeps what it read, so
+a kept state change drops the outcomes that read what it wrote, and those
+whose balance tests it flips; reaching `OUTCOME_CACHE_SIZE` entries
+clears the cache.  A kept lane whose outcome changes nothing is replayed
+too.
 
 A seed carries the calldata it runs with.  It is encoded once when the
 seed is generated; a mutant inherits its parent's bytes and is re-encoded
@@ -86,10 +89,12 @@ OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 
 # what a repeat of a transaction needs: the target's block runs, the
 # findings and whether the transaction changes state, then the trace's
-# `reads` and `balance_tests` that say when the first three still hold; a
-# plain tuple, as one is built for every execution that runs
+# `reads` and `balance_tests` that say when the first three still hold,
+# then the proximity bonus the block runs earn (0.0 but for Directed) and
+# the campaign's `hops_version` it was derived at; a plain tuple, as one is
+# built for every execution that runs
 _Outcome = tuple[dict[int, int], list[BugFinding], bool, set[Location],
-                 list[tuple[bytes, int, bool]]]
+                 list[tuple[bytes, int, bool]], float, int]
 # a seed's calldata, value, policy and block: with the campaign's fixed
 # target they name the transaction
 _TxKey = tuple[bytes, int, PolicyKind, BlockContext]
@@ -288,7 +293,12 @@ class _Campaign:
         self.config = config
         self.rng = random.Random(config.rng_seed)
         self.base_state = snapshot_state(target.state)
-        if config.strategy is Strategy.DIRECTED:
+        self.directed = config.strategy is Strategy.DIRECTED
+        # goes up each time learned edges are folded into `hops`, so a
+        # cached bonus derived from older counts is derived again when it
+        # is replayed
+        self.hops_version = 0
+        if self.directed:
             # block start -> hops to the nearest critical site, lowered by
             # `relax_distances` as run-time jumps add edges; the learned
             # edges' predecessors are this campaign's one record of them
@@ -345,22 +355,43 @@ class _Campaign:
         a location it wrote or whose balance test now answers otherwise."""
         outcomes = self.outcomes
         balance_of = self.base_state.balance_of
-        stale = [key for key, (_, _, _, reads, tests) in outcomes.items()
+        stale = [key for key, (_, _, _, reads, tests, _, _) in outcomes.items()
                  if not reads.isdisjoint(writes)
                  or tests and any((balance_of(address) >= need) is not passed
                                   for address, need, passed in tests)]
         for key in stale:
             del outcomes[key]
 
+    def _bonus(self, runs: dict[int, int]) -> float:
+        """The Directed proximity bonus of a run of these blocks over the
+        current hop counts: 0.0 when none of them reaches a site."""
+        d_min = min(map(self.hops.get, runs, repeat(math.inf)),
+                    default=math.inf)
+        if d_min == math.inf:
+            return 0.0
+        return DIRECTED_BONUS_WEIGHT / (1.0 + d_min)
+
     def _execute(self, seed: Seed, persist: bool) -> _Outcome:
         """Run `seed`, or replay it from the outcome cache; returns the
         outcome the step used."""
         key = (seed.calldata, seed.value, seed.policy, seed.block)
         self.executions += 1
+        tick = self.executions
         outcomes = self.outcomes
         outcome = outcomes.get(key)
         # a kept lane must run a transaction that changes state to apply it
-        if outcome is None or persist and outcome[2]:
+        if outcome is not None and not (persist and outcome[2]):
+            # a replay adds no coverage and records no finding: its first
+            # run did both, and called any stop its findings asked for
+            self.replayed += 1
+            # learned edges were folded into the hop counts since its
+            # bonus was derived
+            if outcome[6] != self.hops_version:
+                outcome = outcomes[key] = (*outcome[:5],
+                                           self._bonus(outcome[0]),
+                                           self.hops_version)
+            seed.energy = 1.0 + outcome[5]
+        else:
             tx = Transaction(
                 target=self.target.address,
                 calldata=seed.calldata,
@@ -371,46 +402,39 @@ class _Campaign:
             trace = execute_transaction(self.base_state, tx, persist=persist)
             runs = trace.block_runs.get(self.runs_key, {})
             findings = detect_trace(trace)
+            new_edges, fresh = self.coverage.add(runs, trace.transitions)
+            bonus = 0.0
+            if self.directed:
+                # `fresh` holds only transitions never seen before, so the
+                # jump edges the static graph lacks among them are newly
+                # learned
+                if fresh:
+                    static = self.target.cfg
+                    refined = augment_edges(static, fresh)
+                    if refined is not static:
+                        relax_distances(self.hops, static.predecessors,
+                                        self.learned_predecessors,
+                                        refined.learned_edges)
+                        self.hops_version += 1
+                bonus = self._bonus(runs)
             # only whether the transaction writes is kept: a SELFDESTRUCT
             # journals every slot it clears, read or not, so a repeat's
             # write set can differ from its first run's
             changes_state = bool(trace.writes)
             outcome = (runs, findings, changes_state, trace.reads,
-                       trace.balance_tests)
-            new_edges, fresh = self.coverage.add(runs, trace.transitions)
+                       trace.balance_tests, bonus, self.hops_version)
             if persist and changes_state:
                 self._invalidate(trace.writes)
             else:
                 if len(outcomes) >= OUTCOME_CACHE_SIZE:
                     outcomes.clear()
                 outcomes[key] = outcome
-        else:
-            runs, findings = outcome[0], outcome[1]
-            self.replayed += 1
-            new_edges, fresh = 0, ()
+            seed.energy = 1.0 + new_edges + bonus
+            for finding in findings:
+                self.first_hits.setdefault(finding, (tick, finding, seed))
+                if finding.fine in self.config.stop_classes:
+                    self.stop = True
 
-        seed.energy = 1.0 + new_edges
-        if self.config.strategy is Strategy.DIRECTED:
-            # `fresh` holds only transitions never seen before, so the jump
-            # edges the static graph lacks among them are newly learned; a
-            # replay's `fresh` is empty
-            if fresh:
-                static = self.target.cfg
-                refined = augment_edges(static, fresh)
-                if refined is not static:
-                    relax_distances(self.hops, static.predecessors,
-                                    self.learned_predecessors,
-                                    refined.learned_edges)
-            d_min = min(map(self.hops.get, runs, repeat(math.inf)),
-                        default=math.inf)
-            if d_min != math.inf:
-                seed.energy += DIRECTED_BONUS_WEIGHT / (1.0 + d_min)
-
-        tick = self.executions
-        for finding in findings:
-            self.first_hits.setdefault(finding, (tick, finding, seed))
-            if finding.fine in self.config.stop_classes:
-                self.stop = True
         if (self.config.seconds is not None
                 or tick % COVERAGE_SAMPLE_INTERVAL == 0
                 or tick == self.config.budget):
@@ -431,8 +455,8 @@ class _Campaign:
             self.queue_energy += seed.energy
 
         eligible = self.target.eligible_specs()
+        blind = self.config.strategy is Strategy.BLACKBOX
         while self._within_budget():
-            blind = self.config.strategy is Strategy.BLACKBOX
             if not blind:
                 parent = select_seed(rng, queue, self.queue_energy)
             for lane in range(MUTANTS_PER_CYCLE + 1):

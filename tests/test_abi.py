@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -463,6 +464,28 @@ def test_mutation_chains_stay_in_type(text: str) -> None:
     for _ in range(40):
         value = mutate_value(rng, abi_type, value, POOLS)
         encode_arguments([abi_type], [value])  # raises on any type break
+
+
+# every kind, nested ones and the empty tuple included
+DRAW_CORPUS = TYPE_CORPUS + ["(string,int8[])[2]", "bool[][]",
+                             "(bytes1,string[],int256)[]", "()"]
+# the digest of `test_value_draws_are_pinned`'s 2,000 draws
+VALUE_DRAWS_SHA256 = \
+    "a60aad28f51000b5a2847eff2deb52372e78e94d30c04f445ae4872d65ba3fdb"
+
+
+def test_value_draws_are_pinned() -> None:
+    """Generation and mutation draw the same values from the same rng, so a
+    campaign's seeds, and its report, stay as they were."""
+    types = [parse_type(text) for text in DRAW_CORPUS]
+    rng = random.Random(2024)
+    drawn = []
+    for i in range(2000):
+        abi_type = types[i % len(types)]
+        value = generate_value(rng, abi_type, POOLS)
+        drawn.append(repr((value, mutate_value(rng, abi_type, value, POOLS))))
+    digest = hashlib.sha256("\n".join(drawn).encode()).hexdigest()
+    assert digest == VALUE_DRAWS_SHA256
 
 
 def test_generation_is_deterministic_per_seed() -> None:

@@ -528,6 +528,70 @@ def test_chain_runs_only_when_the_stack_has_room_for_its_pushes(height: int) -> 
     assert trace.status is (TxStatus.SUCCESS if height <= 1020 else TxStatus.INVALID_OPCODE)
 
 
+# A frame ends InvalidOpcode on an IndexError only when the loop's own stack
+# access raised it.  A fault in building, compiling or running a chain is a
+# fault of the interpreter: it escapes `execute_transaction`, also from a
+# called frame, where it would otherwise read as the callee's underflow.
+
+def _two_block_chain() -> bytes:
+    a = Assembler().push(1).push(2).push_label("next").op("JUMP")
+    a.dest("next").op("ADD", "STOP")
+    return a.assemble()
+
+
+def _caller_of(callee: bytes) -> bytes:
+    """CALLs `callee` with all its gas, then stops."""
+    a = Assembler().push(0).push(0).push(0).push(0).push(0)
+    a.push(int.from_bytes(callee, "big"), width=20).op("GAS", "CALL", "STOP")
+    return a.assemble()
+
+
+_FAULT = IndexError("a fault of the interpreter")
+
+
+def _broken_chain(*frame: object) -> None:
+    raise _FAULT
+
+
+@pytest.mark.parametrize("called", [False, True], ids=["top", "called"])
+@pytest.mark.parametrize("patched,fault", [
+    ("_chain_source", {"side_effect": _FAULT}),
+    ("_compile_chain", {"side_effect": _FAULT}),
+    ("_compile_chain", {"return_value": _broken_chain}),
+], ids=["build", "compile", "run"])
+def test_a_chain_fault_escapes_execute_transaction(
+        patched: str, fault: dict, called: bool) -> None:
+    state = WorldState()
+    target = deploy_contract(state, _two_block_chain())
+    if called:
+        target = deploy_contract(state, _caller_of(target))
+    with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
+            mock.patch.object(evm, patched, **fault), \
+            pytest.raises(IndexError) as raised:
+        execute_transaction(state, Transaction(target=target))
+    assert raised.value is _FAULT
+
+
+def _underflow_behind_a_refused_gate() -> bytes:
+    # a two-block chain reading three words, entered with two
+    a = Assembler().raw(_after_mload(P(7) * 2))
+    a.push(1).push_label("next").op("JUMP")
+    a.dest("next").op("ADD", "ADD", "ADD", "STOP")
+    return a.assemble()
+
+
+@pytest.mark.parametrize("raw", [code(P(1), op.ADD),
+                                 _underflow_behind_a_refused_gate()],
+                         ids=["loop", "refused-gate"])
+def test_a_stack_underflow_still_ends_invalid_opcode(raw: bytes) -> None:
+    # no chain is built: the faulty source builder is never reached
+    with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
+            mock.patch.object(evm, "_chain_source", side_effect=_FAULT):
+        trace, _, _ = run(raw)
+    assert trace.status is TxStatus.INVALID_OPCODE
+    assert trace.gas_used == evm.DEFAULT_TX_GAS
+
+
 def _hops(last: bytes) -> bytes:
     """Three `PUSH2 JUMP` hops, then `last` in the third hop's block."""
     a = Assembler()

@@ -503,6 +503,54 @@ def test_directed_offers_augment_edges_only_fresh_transitions(
     assert len(offered) < result.executions
 
 
+def test_a_replay_re_derives_a_bonus_that_learned_edges_made_stale(
+        monkeypatch) -> None:
+    """A replay's energy is its blocks' bonus over the hop counts at that
+    step, also after learned edges lowered them; it records no finding.
+    At seed 1 the one refinement after the initial corpus lowers counts
+    only on blocks that no later replay runs; seed 3 replays outcomes whose
+    counts it lowered."""
+    ran = []
+    real_execute = fuzzer.execute_transaction
+
+    def execute(state, tx, persist=True):
+        ran.append(tx)
+        return real_execute(state, tx, persist=persist)
+
+    derived = {}        # transaction -> the counts over its blocks at its run
+    stale = hits = 0    # replays after a lowered count; steps adding a hit
+    real_step = fuzzer._Campaign._execute
+
+    def step(campaign, seed, persist):
+        nonlocal stale, hits
+        key = (seed.calldata, seed.value, seed.policy, seed.block)
+        runs_before, hits_before = len(ran), dict(campaign.first_hits)
+        outcome = real_step(campaign, seed, persist)
+        counts = {start: campaign.hops.get(start, math.inf)
+                  for start in outcome[0]}
+        if len(ran) > runs_before:
+            derived[key] = counts
+            hits += campaign.first_hits != hits_before
+            return outcome
+        assert campaign.first_hits == hits_before
+        stale += any(counts[start] < derived[key][start] for start in counts)
+        d_min = min(counts.values(), default=math.inf)
+        assert seed.energy == (1.0 if d_min == math.inf else
+                               1.0 + DIRECTED_BONUS_WEIGHT / (1.0 + d_min))
+        return outcome
+
+    monkeypatch.setattr(fuzzer, "execute_transaction", execute)
+    monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
+    for rng_seed in (1, 3):
+        ran.clear()
+        derived.clear()
+        result = run_campaign(_shared_return_target(), CampaignConfig(
+            strategy=Strategy.DIRECTED, budget=150, rng_seed=rng_seed))
+        assert result.replayed == 150 - len(ran) > 0
+    assert stale >= 1, "some replay followed a lowered count on its blocks"
+    assert hits >= 1, "some interpreter run added a first hit"
+
+
 # --- outcome cache --------------------------------------------------------
 
 def _probe_target() -> FuzzTarget:
