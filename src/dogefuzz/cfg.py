@@ -371,8 +371,9 @@ def predecessor_map(edges: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
 def relax_distances(hops: dict[int, int],
                     predecessors: dict[int, tuple[int, ...]],
                     learned: dict[int, set[int]],
-                    new_edges: Iterable[tuple[int, int]]) -> None:
-    """Fold new block edges into block-level hop counts, in place.
+                    new_edges: Iterable[tuple[int, int]]) -> bool:
+    """Fold new block edges into block-level hop counts, in place; returns
+    whether any count went down.
 
     `hops` maps block starts to their hop count to the nearest site, as
     `distance_map` returns it for the graph whose `predecessors` are
@@ -393,6 +394,8 @@ def relax_distances(hops: dict[int, int],
             if candidate < hops.get(src, math.inf):
                 hops[src] = candidate
                 frontier.append((candidate, src))
+    # every count lowered below is lowered from one of these
+    lowered = bool(frontier)
     heapq.heapify(frontier)
     while frontier:
         dist, current = heapq.heappop(frontier)
@@ -403,6 +406,7 @@ def relax_distances(hops: dict[int, int],
             if dist + 1 < hops.get(pred, math.inf):
                 hops[pred] = dist + 1
                 heapq.heappush(frontier, (dist + 1, pred))
+    return lowered
 
 
 # --- export ---------------------------------------------------------------

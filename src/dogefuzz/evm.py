@@ -35,10 +35,14 @@ follows fallthroughs, untaken JUMPIs and every JUMP whose constant target
 gas of all its blocks and the stack holds what it reads and has room for
 all it pushes, so nothing inside it can fault but a jump to a
 non-JUMPDEST; otherwise its blocks run in the loop.  An exit after block k
-pays the base gas of blocks 0..k, puts the stack back and records runs and
-edges for those blocks from prebuilt tables, as the loop would.  Chains
-derive from code bytes alone, so `CodeAnalysis.chains` caches them, and
-each is compiled when it is first entered.
+pays the base gas of blocks 0..k, puts the stack back and records itself:
+each exit is one prebuilt `ChainExit` holding blocks 0..k, all run whole,
+and the edges between them, which the frame appends to its record beside
+the runs the loop recorded.  A trace derives its complete block runs and
+edges from those records only when they are read, and a campaign folds
+each exit into its coverage once.  Chains derive from code bytes alone,
+so `CodeAnalysis.chains` caches them, and each is compiled when it is
+first entered.
 
 An instruction's dynamic charge is tested once, in `_expand`: an
 instruction that touches memory passes it the gas less its other dynamic
@@ -77,6 +81,7 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import opcodes as op
@@ -141,6 +146,14 @@ class PolicyKind(str, Enum):
     THROWER = "Thrower"
 
 
+# the members, unpacked in declaration order: the interpreter tests them
+# so, sparing an enum class read (about 150 ns on Python 3.11) on every run
+_SUCCESS, _REVERTED, _OUT_OF_GAS, _INVALID_OPCODE = TxStatus
+(_DELEGATE, _GASLESS_SEND, _EXCEPTION_DISORDER, _BLOCK_NUMBER, _TIMESTAMP,
+ _REENTRANCY, _STORAGE_CHANGED, _ETHER_TRANSFER) = EventKind
+_REENTRANT, _THROWER = PolicyKind.REENTRANT, PolicyKind.THROWER
+
+
 class BlockContext(NamedTuple):
     number: int = 1_000_000
     timestamp: int = 1_600_000_000
@@ -175,13 +188,58 @@ class ExecutionEvent(NamedTuple):
     data: tuple = ()
 
 
+class ChainExit:
+    """One exit of a compiled chain: the blocks it runs, every one whole,
+    as {block start: instructions}, and the block edges it takes, in path
+    order.
+
+    Each is built once, with its chain, and a frame that leaves the chain
+    there records the object itself, so an exit costs a run one append and
+    a campaign that has folded it into its coverage can skip it after.
+    The edges are a tuple, not a set: a campaign reads them once, and a
+    set takes several times the memory (216 against 64 bytes for three).
+    """
+
+    __slots__ = ("runs", "edges")
+
+    def __init__(self, runs: dict[int, int],
+                 edges: tuple[tuple[int, int], ...]) -> None:
+        self.runs = runs
+        self.edges = edges
+
+
+# what the frames of one code record: the block runs the loop recorded, and
+# the chain exits taken, in order
+FrameRecord = tuple[dict[int, int], list[ChainExit]]
+
+
+def merge_runs(runs: dict[int, int],
+               exits: list[ChainExit]) -> dict[int, int]:
+    """{block start: instructions run} over a frame record, in ascending
+    block start: each block's longest run, in the loop or in an exit."""
+    merged: dict[int, int] = {}
+    for chain_exit in exits:
+        merged.update(chain_exit.runs)
+    for start, ran in runs.items():
+        if ran > merged.get(start, 0):
+            merged[start] = ran
+    return dict(sorted(merged.items()))
+
+
 @dataclass
 class ExecutionTrace:
     """Outcome and instrumentation of one transaction.
 
-    `block_runs` maps (code address, code) to {block start: instructions
-    run}, in frame entry order; `transitions` holds the block edges the
-    target's frames took.
+    `records` maps (code address, code), in frame entry order, to what the
+    frames running that code recorded: block runs from the loop, and the
+    chain exits they took.  `edges` holds the block edges the target's
+    frames took outside those exits: in the loop, and by a computed jump
+    out of a chain.  A campaign folds these as they are.  `block_runs` and
+    `transitions` are the complete record, derived from them on first
+    read: `block_runs` maps each (code address, code), in the same order,
+    to {block start: instructions run}, in ascending block start, so that
+    it reads the same whether a block ran in a chain or in the loop;
+    `transitions` holds every block edge the target's frames took.
 
     `reads` holds every location the transaction read: (address, key) for
     a storage slot, and (address, BALANCE), (address, NONCE),
@@ -200,13 +258,28 @@ class ExecutionTrace:
 
     status: TxStatus
     gas_used: int
-    block_runs: dict[tuple[bytes, bytes], dict[int, int]]
-    transitions: set[tuple[int, int]]
     events: list[ExecutionEvent]
     return_data: bytes = b""
     reads: set[Location] = field(default_factory=set)
     balance_tests: list[tuple[bytes, int, bool]] = field(default_factory=list)
     writes: frozenset[Location] = frozenset()
+    target: bytes = ZERO_ADDRESS
+    records: dict[tuple[bytes, bytes], FrameRecord] = field(default_factory=dict)
+    edges: set[tuple[int, int]] = field(default_factory=set)
+
+    @cached_property
+    def block_runs(self) -> dict[tuple[bytes, bytes], dict[int, int]]:
+        return {key: merge_runs(runs, exits)
+                for key, (runs, exits) in self.records.items()}
+
+    @cached_property
+    def transitions(self) -> set[tuple[int, int]]:
+        transitions = set(self.edges)
+        for (address, _), (_, exits) in self.records.items():
+            if address == self.target:
+                for chain_exit in exits:
+                    transitions.update(chain_exit.edges)
+        return transitions
 
     @property
     def executed_pcs(self) -> dict[bytes, set[int]]:
@@ -474,21 +547,23 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
     """Python source of the chain through `path`, whose gate is `gas`,
     `need` and `room`, and the tables it reads.
 
-    The function `chain(stack, gas, calldata, value, runs, transitions)`
+    The function `chain(stack, gas, calldata, value, exits, transitions)`
     returns None, touching nothing, unless `gas` and `stack` pass the gate.
     Otherwise it keeps the chain's stack in locals and leaves at the first
     taken jump or at the end of the path.  An exit at block k puts the
-    stack back once, records every block up to k as run whole and each
-    edge it took, and returns the gas less the blocks' base gas and the
-    block to go on at, None when the frame stops.  A jump to a non-JUMPDEST
-    records the same and raises `_InvalidOp`.  Only template text, local
-    and table names and decimal integers reach the source.
+    stack back once, appends to `exits` its `ChainExit`, which holds every
+    block up to k as run whole and each edge it took, and returns the gas
+    less the blocks' base gas and the block to go on at, None when the
+    frame stops; a computed jump's one edge goes to `transitions`.  A jump
+    to a non-JUMPDEST records the same exit and raises `_InvalidOp`.  Only
+    template text, local and table names and decimal integers reach the
+    source.
     """
     # the chain's stack, bottom first: the entry words it reads, then
     # local names and literals
     entry = [f"i{depth}" for depth in range(need, 0, -1)]
     stack = list(entry)
-    lines = ["def chain(stack, gas, calldata, value, runs, transitions):",
+    lines = ["def chain(stack, gas, calldata, value, exits, transitions):",
              f"    if gas < {gas} or not {need} <= len(stack) <= {room}:",
              "        return None"]
     if need == 1:
@@ -506,13 +581,11 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
         """An exit at the block starting at `source`: to `dest` if a jump
         is taken, else on to `after`."""
         x = len(tables)
-        tables[f"R{x}"] = dict(runs)
         if dest is not None and dest.isdigit():
             after = jumpdests.get(int(dest))
             if after is None:
-                tables[f"T{x}"] = tuple(edges)
-                lines.extend((f"{indent}runs.update(R{x})",
-                              f"{indent}transitions.update(T{x})",
+                tables[f"X{x}"] = ChainExit(dict(runs), tuple(edges))
+                lines.extend((f"{indent}exits.append(X{x})",
                               f"{indent}raise _InvalidOp"))
                 return
             dest = None
@@ -521,10 +594,9 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
         if (dest is not None or after is not None) and stack:  # the frame goes on
             lines.append(f"{indent}stack.append({stack[0]})" if len(stack) == 1
                          else f"{indent}stack.extend(({', '.join(stack)}))")
-        tables[f"T{x}"] = tuple(edges) if after is None else (
-            *edges, (source, after.start))
-        lines.extend((f"{indent}runs.update(R{x})",
-                      f"{indent}transitions.update(T{x})"))
+        tables[f"X{x}"] = ChainExit(dict(runs), tuple(edges) if after is None
+                                    else (*edges, (source, after.start)))
+        lines.append(f"{indent}exits.append(X{x})")
         if dest is not None:
             lines.extend((f"{indent}if nxt is None:",
                           f"{indent}    raise _InvalidOp",
@@ -625,8 +697,8 @@ class _Machine:
         self.tx = tx
         self.journal: list[tuple[Location, object]] = []
         self.events: list[ExecutionEvent] = []
-        self.block_runs: dict[tuple[bytes, bytes], dict[int, int]] = {}
-        self.transitions: set[tuple[int, int]] = set()
+        self.records: dict[tuple[bytes, bytes], FrameRecord] = {}
+        self.edges: set[tuple[int, int]] = set()
         self.address_stack: list[bytes] = []
         self.reentries_used = 0
         self.reads: set[Location] = set()
@@ -717,21 +789,21 @@ class _Machine:
                 code, code_address, self_address, caller, value, calldata, gas,
                 depth, static, swallowed)
         except _OutOfGas:
-            return TxStatus.OUT_OF_GAS, b"", 0
+            return _OUT_OF_GAS, b"", 0
         except _InvalidOp:
-            return TxStatus.INVALID_OPCODE, b"", 0
+            return _INVALID_OPCODE, b"", 0
         except IndexError as exc:
             # a stack underflow is raised by the loop's own stack access;
             # one from a call below it (a chain being built, compiled or
             # run, a child frame's fault) is a fault of the interpreter
             if exc.__traceback__.tb_next.tb_next is not None:
                 raise
-            return TxStatus.INVALID_OPCODE, b"", 0
+            return _INVALID_OPCODE, b"", 0
         finally:
             self.address_stack.pop()
-        if status is TxStatus.SUCCESS:
+        if status is _SUCCESS:
             for site in swallowed:
-                self.emit(EventKind.EXCEPTION_DISORDER, site, depth)
+                self.emit(_EXCEPTION_DISORDER, site, depth)
         return status, ret, gas
 
     def create(self, creator: bytes, endowment: int, init_code: bytes, gas: int,
@@ -758,7 +830,7 @@ class _Machine:
             self.move(creator, address, endowment)
         status, ret, gas = self.run_frame(init_code, address, address, creator,
                                           endowment, b"", gas, depth + 1, False)
-        if status is TxStatus.SUCCESS:
+        if status is _SUCCESS:
             created = self.state.accounts[address]
             self.journal.append(((address, CODE), created.code))
             created.code = ret
@@ -774,9 +846,10 @@ class _Machine:
         tx = self.tx
         _, blocks, jumpdests, _, _, chains = analyze(code)
         pushes_one = op.PUSHES_ONE
-        runs = self.block_runs.setdefault((code_address, code), {})
-        # a frame not of the target draws its edges into a throwaway set
-        transitions = self.transitions if code_address == tx.target else set()
+        runs, exits = self.records.setdefault((code_address, code), ({}, []))
+        # a frame not of the target draws its edges into a throwaway set;
+        # its exits' edges are left out of `ExecutionTrace.transitions`
+        transitions = self.edges if code_address == tx.target else set()
         reads = self.reads
 
         stack: list[int] = []
@@ -793,7 +866,7 @@ class _Machine:
                 chain = chains[block.start] = _chain(chains, blocks, jumpdests,
                                                      block.start)
             if chain is not None:
-                entered = chain(stack, gas, calldata, value, runs, transitions)
+                entered = chain(stack, gas, calldata, value, exits, transitions)
                 if entered is not None:
                     gas, block = entered
                     continue
@@ -844,10 +917,10 @@ class _Machine:
                             elif opcode == 0x36:  # CALLDATASIZE
                                 stack.append(len(calldata))
                             elif opcode == 0x42:  # TIMESTAMP
-                                self.emit(EventKind.TIMESTAMP, pc, depth)
+                                self.emit(_TIMESTAMP, pc, depth)
                                 stack.append(tx.block.timestamp)
                             elif opcode == 0x43:  # NUMBER
-                                self.emit(EventKind.BLOCK_NUMBER, pc, depth)
+                                self.emit(_BLOCK_NUMBER, pc, depth)
                                 stack.append(tx.block.number)
                             elif opcode == 0x32:  # ORIGIN
                                 stack.append(int.from_bytes(tx.sender, "big"))
@@ -868,7 +941,7 @@ class _Machine:
                             if nxt is None:
                                 raise _InvalidOp
                         elif opcode == 0x00:  # STOP
-                            return TxStatus.SUCCESS, b"", gas
+                            return _SUCCESS, b"", gas
                         elif opcode == 0x52:  # MSTORE
                             offset, val = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, 32, gas)
@@ -895,7 +968,7 @@ class _Machine:
                                     acct.storage[key] = val
                                 else:
                                     del acct.storage[key]
-                                self.emit(EventKind.STORAGE_CHANGED, pc, depth,
+                                self.emit(_STORAGE_CHANGED, pc, depth,
                                           (self_address, key, old, val))
                         elif opcode == 0x54:  # SLOAD
                             key = stack.pop()
@@ -928,7 +1001,7 @@ class _Machine:
                             # a delegated call whose target is spelled out in
                             # the transaction input is attacker-controlled dispatch
                             if opcode in (op.DELEGATECALL, op.CALLCODE) and target in tx.calldata:
-                                self.emit(EventKind.DELEGATE, pc, depth, (target,))
+                                self.emit(_DELEGATE, pc, depth, (target,))
                             mark = len(self.journal)
                             # CALLCODE's value stays within the account, still
                             # an observable move
@@ -941,7 +1014,7 @@ class _Machine:
                                 returndata = b""
                                 continue
                             if call_value:
-                                self.emit(EventKind.ETHER_TRANSFER, pc, depth,
+                                self.emit(_ETHER_TRANSFER, pc, depth,
                                           (self_address, receiver, call_value))
                             child_self = (target if opcode in (op.CALL, op.STATICCALL)
                                           else self_address)
@@ -949,7 +1022,7 @@ class _Machine:
                             child_static = static or opcode == op.STATICCALL
                             child_code = self.code_of(target)
                             if opcode == op.CALL and child_code and target in self.address_stack:
-                                self.emit(EventKind.REENTRANCY, pc, depth + 1, (target,))
+                                self.emit(_REENTRANCY, pc, depth + 1, (target,))
                             if child_self == AGENT_ADDRESS:  # CALL or STATICCALL into the agent
                                 status, returndata, child_left = self._run_agent(
                                     callee_gas, pc, depth + 1, self_address, calldata,
@@ -962,9 +1035,9 @@ class _Machine:
                                     bytes(mem[in_off:in_off + in_size]), callee_gas,
                                     depth + 1, child_static)
                             else:
-                                status, returndata, child_left = TxStatus.SUCCESS, b"", callee_gas
+                                status, returndata, child_left = _SUCCESS, b"", callee_gas
                             gas += child_left
-                            if status is TxStatus.SUCCESS:
+                            if status is _SUCCESS:
                                 stack.append(1)
                                 if out_size:
                                     chunk = returndata[:out_size]
@@ -972,11 +1045,11 @@ class _Machine:
                             else:
                                 self.rollback(mark)
                                 swallowed.append(pc)
-                                if (status is TxStatus.OUT_OF_GAS and call_value
+                                if (status is _OUT_OF_GAS and call_value
                                         and opcode == op.CALL and callee_gas == op.GAS_STIPEND):
-                                    self.emit(EventKind.GASLESS_SEND, pc, depth, (target,))
+                                    self.emit(_GASLESS_SEND, pc, depth, (target,))
                                 stack.append(0)
-                                if status is not TxStatus.REVERTED:
+                                if status is not _REVERTED:
                                     returndata = b""
                         elif opcode == 0x16:  # AND
                             stack.append(stack.pop() & stack.pop())
@@ -996,7 +1069,7 @@ class _Machine:
                         elif opcode in (0xF3, 0xFD):  # RETURN, REVERT
                             offset, size = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, size, gas)
-                            return (TxStatus.SUCCESS if opcode == 0xF3 else TxStatus.REVERTED,
+                            return (_SUCCESS if opcode == 0xF3 else _REVERTED,
                                     bytes(mem[offset:offset + size]), gas)
                         # --- the rest, by opcode value ---
                         elif opcode == 0x02:  # MUL
@@ -1083,10 +1156,10 @@ class _Machine:
                                 self_address, endowment, bytes(mem[offset:offset + size]),
                                 gas, depth)
                             stack.append(int.from_bytes(address, "big")
-                                         if status is TxStatus.SUCCESS else 0)
+                                         if status is _SUCCESS else 0)
                             # EIP-211: only a reverted init frame leaves return data
-                            returndata = ret if status is TxStatus.REVERTED else b""
-                            if status not in (None, TxStatus.SUCCESS):  # init code failed
+                            returndata = ret if status is _REVERTED else b""
+                            if status not in (None, _SUCCESS):  # init code failed
                                 swallowed.append(pc)
                         elif opcode == 0xFF:  # SELFDESTRUCT
                             if static:
@@ -1095,7 +1168,7 @@ class _Machine:
                             reads.add((self_address, BALANCE))
                             held = state.balance_of(self_address)
                             if held > 0:
-                                self.emit(EventKind.ETHER_TRANSFER, pc, depth,
+                                self.emit(_ETHER_TRANSFER, pc, depth,
                                           (self_address, beneficiary, held))
                                 if beneficiary == self_address:  # burnt
                                     self.set_balance(self_address, 0)
@@ -1107,7 +1180,7 @@ class _Machine:
                                                 for key, old in acct.storage.items())
                             acct.code = b""
                             acct.storage = {}
-                            return TxStatus.SUCCESS, b"", gas
+                            return _SUCCESS, b"", gas
                         else:  # INVALID, undefined bytes and a segment's fault
                             raise _OutOfGas if opcode == _CANNOT_PAY else _InvalidOp
             finally:
@@ -1127,7 +1200,7 @@ class _Machine:
                     break
             transitions.add((block.start, nxt.start))
             block = nxt
-        return TxStatus.SUCCESS, b"", gas
+        return _SUCCESS, b"", gas
 
     def _run_agent(self, gas: int, pc: int, depth: int, caller_address: bytes,
                    caller_calldata: bytes, static: bool) -> tuple[TxStatus, bytes, int]:
@@ -1136,32 +1209,32 @@ class _Machine:
         `pc` is the caller's instruction that called the agent; a re-entry
         is anchored there."""
         policy = self.tx.agent_policy
-        if policy is PolicyKind.THROWER:
+        if policy is _THROWER:
             # throws before doing any work
             if gas < 3:
-                return TxStatus.OUT_OF_GAS, b"", 0
-            return TxStatus.REVERTED, b"", gas - 3
+                return _OUT_OF_GAS, b"", 0
+            return _REVERTED, b"", gas - 3
         gas -= AGENT_CALL_GAS
         if gas < 0:
-            return TxStatus.OUT_OF_GAS, b"", 0
-        if (policy is PolicyKind.REENTRANT and not static
+            return _OUT_OF_GAS, b"", 0
+        if (policy is _REENTRANT and not static
                 and self.reentries_used < MAX_REENTRIES
                 and self.code_of(caller_address)):
             self.reentries_used += 1
             gas -= op.GAS_CALL_BASE
             if gas < 0:
-                return TxStatus.OUT_OF_GAS, b"", 0
+                return _OUT_OF_GAS, b"", 0
             # the caller's frame is live below the agent: re-entering it
-            self.emit(EventKind.REENTRANCY, pc, depth + 1, (caller_address,))
+            self.emit(_REENTRANCY, pc, depth + 1, (caller_address,))
             if depth + 1 <= CALL_DEPTH_LIMIT:  # a refused re-entry keeps its gas
                 mark = len(self.journal)
                 status, _, gas = self.run_frame(
                     self.code_of(caller_address), caller_address,
                     caller_address, AGENT_ADDRESS, 0, caller_calldata,
                     gas, depth + 1, static)
-                if status is not TxStatus.SUCCESS:
+                if status is not _SUCCESS:
                     self.rollback(mark)
-        return TxStatus.SUCCESS, b"", gas
+        return _SUCCESS, b"", gas
 
 
 # --- public operations ----------------------------------------------------
@@ -1186,27 +1259,21 @@ def execute_transaction(state: WorldState, tx: Transaction,
             code, tx.target, tx.target, tx.sender, tx.value, tx.calldata,
             tx.gas_limit, 1, False)
     else:
-        status, ret, gas_left = TxStatus.SUCCESS, b"", tx.gas_limit
+        status, ret, gas_left = _SUCCESS, b"", tx.gas_limit
 
     # every mutation is journaled and a failed child frame pops its own
     # entries, so what is left in the journal is what the transaction wrote
     writes = frozenset()
-    if status is TxStatus.SUCCESS:
-        writes = frozenset(location for location, _ in machine.journal)
-    if status is not TxStatus.SUCCESS or not persist:
-        machine.rollback(0)
+    if machine.journal:
+        if status is _SUCCESS:
+            writes = frozenset(location for location, _ in machine.journal)
+        if status is not _SUCCESS or not persist:
+            machine.rollback(0)
 
-    return ExecutionTrace(
-        status=status,
-        gas_used=tx.gas_limit - gas_left,
-        block_runs=machine.block_runs,
-        transitions=machine.transitions,
-        events=machine.events,
-        return_data=ret,
-        reads=machine.reads,
-        balance_tests=machine.balance_tests,
-        writes=writes,
-    )
+    # by position, in field order: cheaper than by keyword on every run
+    return ExecutionTrace(status, tx.gas_limit - gas_left, machine.events, ret,
+                          machine.reads, machine.balance_tests, writes,
+                          tx.target, machine.records, machine.edges)
 
 
 def deploy_contract(state: WorldState, code: bytes, mode: str = "runtime",
@@ -1241,7 +1308,7 @@ def deploy_contract(state: WorldState, code: bytes, mode: str = "runtime",
                                           sender=DEPLOYER_ADDRESS))
     status, address, _, _ = machine.create(DEPLOYER_ADDRESS, endowment,
                                            code + constructor_args, DEPLOY_GAS, 0)
-    if status is not TxStatus.SUCCESS:
+    if status is not _SUCCESS:
         machine.rollback(0)
         raise DeploymentError(f"{address.hex()} already holds code" if status is None
                               else f"init code halted with {status.value}")

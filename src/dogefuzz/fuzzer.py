@@ -14,6 +14,10 @@ as run-time jumps take edges that graph lacks.
 
 An edge is a pair of successive instructions within a frame of the
 target; `BlockCoverage` counts them from recorded block runs and edges.
+Most of a run is recorded as exits of compiled chains (`evm.ChainExit`),
+each an object shared by every run that takes it and holding only whole
+blocks, so a campaign folds each exit into its coverage once, and the
+Directed bonus keeps each exit's lowest hop count until the counts drop.
 
 Each cycle executes `MUTANTS_PER_CYCLE` mutants against the unchanged base
 state plus one more whose effects are kept when it succeeds, so
@@ -22,18 +26,17 @@ storage-dependent bugs stay reachable without giving up reproducibility.
 Many mutants repeat an earlier transaction: a policy mutation of a parent
 always yields the same child, and value and block mutations draw from a
 few choices.  The interpreter is deterministic, so a campaign keeps, per
-transaction, the outcome a repeat needs: the target's block runs, the
-findings, whether it changes state and the Directed bonus its blocks
-earned, with what the run read of the world state.  A repeat is replayed
-from that outcome without running the interpreter or the oracles, and
-takes its energy from it; it adds no coverage and records no finding,
-since its first run did both.  Its bonus is derived again only when
-learned edges, which can only lower hop counts, were folded in after it
-was.  An outcome stays valid while the base state keeps what it read, so
-a kept state change drops the outcomes that read what it wrote, and those
-whose balance tests it flips; reaching `OUTCOME_CACHE_SIZE` entries
-clears the cache.  A kept lane whose outcome changes nothing is replayed
-too.
+transaction, the outcome a repeat needs: the target's block runs and
+chain exits, the findings, whether it changes state and the Directed
+bonus its blocks earned, with what the run read of the world state.  A
+repeat is replayed from that outcome without running the interpreter or
+the oracles, and takes its energy from it; it adds no coverage and
+records no finding, since its first run did both.  Its bonus is derived
+again only when learned edges lowered a hop count after it was.  An
+outcome stays valid while the base state keeps what it read, so a kept
+state change drops the outcomes that read what it wrote, and those whose
+balance tests it flips; reaching `OUTCOME_CACHE_SIZE` entries clears the
+cache.  A kept lane whose outcome changes nothing is replayed too.
 
 A seed carries the calldata it runs with.  It is encoded once when the
 seed is generated; a mutant inherits its parent's bytes and is re-encoded
@@ -50,6 +53,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
+from typing import Iterable
 
 from .abi import (
     AbiType,
@@ -67,7 +71,10 @@ from .cfg import (
     relax_distances,
 )
 from .evm import (
+    AGENT_ADDRESS,
+    DEFAULT_TX_GAS,
     BlockContext,
+    ChainExit,
     Location,
     PolicyKind,
     Transaction,
@@ -87,19 +94,22 @@ MUTANTS_PER_CYCLE = 8           # plus one mutant whose effects are kept
 COVERAGE_SAMPLE_INTERVAL = 50   # executions between coverage samples
 OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 
-# what a repeat of a transaction needs: the target's block runs, the
-# findings and whether the transaction changes state, then the trace's
-# `reads` and `balance_tests` that say when the first three still hold,
-# then the proximity bonus the block runs earn (0.0 but for Directed) and
-# the campaign's `hops_version` it was derived at; a plain tuple, as one is
-# built for every execution that runs
+# what a repeat of a transaction needs: the block runs the loop recorded in
+# the target, the findings and whether the transaction changes state, then
+# the trace's `reads` and `balance_tests` that say when the first three
+# still hold, then the proximity bonus the blocks earn (0.0 but for
+# Directed) and the campaign's `hops_version` it was derived at, and last
+# the chain exits the target took; a plain tuple, as one is built for
+# every execution that runs
 _Outcome = tuple[dict[int, int], list[BugFinding], bool, set[Location],
-                 list[tuple[bytes, int, bool]], float, int]
+                 list[tuple[bytes, int, bool]], float, int, list[ChainExit]]
 # a seed's calldata, value, policy and block: with the campaign's fixed
 # target they name the transaction
 _TxKey = tuple[bytes, int, PolicyKind, BlockContext]
 
 _POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
+# the record of a target no frame ran
+_NO_RECORD: tuple[dict[int, int], tuple[ChainExit, ...]] = ({}, ())
 # a fallback seed's raw calldata mutates as an ABI `bytes` value
 _RAW_CALLDATA = AbiType(TypeKind.BYTES)
 
@@ -171,38 +181,61 @@ class CampaignResult:
 
 class BlockCoverage:
     """Coverage of one code: the longest run of each block and every
-    block edge taken, with the count of covered pcs.
+    block edge taken, with the count of covered pcs, and the chain exits
+    folded in so far.
 
     A run of `r` instructions of a block whose first `h` were covered adds
     `r - h` pcs and `r - max(h, 1)` pairs inside the block; a transition
     not seen before adds one more edge.
     """
 
-    __slots__ = ("runs", "transitions", "pcs")
+    __slots__ = ("runs", "transitions", "pcs", "folded")
 
     def __init__(self) -> None:
         self.runs: dict[int, int] = {}
         self.transitions: set[tuple[int, int]] = set()
         self.pcs = 0
+        self.folded: set[ChainExit] = set()
 
     def add(self, runs: dict[int, int], transitions: set[tuple[int, int]],
+            exits: Iterable[ChainExit] = (),
             ) -> tuple[int, set[tuple[int, int]]]:
-        """Fold in one trace's block runs and transitions of the code.
+        """Fold in one trace's block runs, transitions and chain exits of
+        the code.
 
-        Returns the number of edges not seen before and the transitions
-        among them.
+        An exit is folded once: its runs are whole blocks, which no later
+        run lengthens, and its edges stay seen, so a second fold of it
+        would add nothing.  Returns the number of edges not seen before and
+        the transitions among them, as a fold of the merged record would.
         """
-        fresh = transitions - self.transitions
-        self.transitions |= fresh
-        new_edges = len(fresh)
+        seen = self.transitions
+        fresh = transitions - seen
         covered = self.runs
+        new_edges = pcs = 0
+        folded = self.folded
+        for chain_exit in exits:
+            if chain_exit in folded:
+                continue
+            folded.add(chain_exit)
+            for edge in chain_exit.edges:
+                if edge not in seen:
+                    fresh.add(edge)
+            for start, ran in chain_exit.runs.items():
+                had = covered.get(start, 0)
+                if ran > had:
+                    covered[start] = ran
+                    pcs += ran - had
+                    new_edges += ran - (had or 1)
+        seen |= fresh
+        new_edges += len(fresh)
         if not runs.items() <= covered.items():
             for start, ran in runs.items():
                 had = covered.get(start, 0)
                 if ran > had:
                     covered[start] = ran
-                    self.pcs += ran - had
+                    pcs += ran - had
                     new_edges += ran - (had or 1)
+        self.pcs += pcs
         return new_edges, fresh
 
 
@@ -294,7 +327,7 @@ class _Campaign:
         self.rng = random.Random(config.rng_seed)
         self.base_state = snapshot_state(target.state)
         self.directed = config.strategy is Strategy.DIRECTED
-        # goes up each time learned edges are folded into `hops`, so a
+        # goes up each time learned edges lower a count in `hops`, so a
         # cached bonus derived from older counts is derived again when it
         # is replayed
         self.hops_version = 0
@@ -304,6 +337,8 @@ class _Campaign:
             # edges' predecessors are this campaign's one record of them
             self.hops = distance_map(target.cfg, critical_sites(target.cfg))
             self.learned_predecessors: dict[int, set[int]] = {}
+            # chain exit -> the lowest count over its blocks, at this version
+            self.exit_hops: dict[ChainExit, float] = {}
         # the code object the interpreter runs, so lookups match by identity
         self.runs_key = (target.address,
                          self.base_state.code_of(target.address))
@@ -355,18 +390,28 @@ class _Campaign:
         a location it wrote or whose balance test now answers otherwise."""
         outcomes = self.outcomes
         balance_of = self.base_state.balance_of
-        stale = [key for key, (_, _, _, reads, tests, _, _) in outcomes.items()
+        stale = [key for key, (_, _, _, reads, tests, _, _, _) in outcomes.items()
                  if not reads.isdisjoint(writes)
                  or tests and any((balance_of(address) >= need) is not passed
                                   for address, need, passed in tests)]
         for key in stale:
             del outcomes[key]
 
-    def _bonus(self, runs: dict[int, int]) -> float:
-        """The Directed proximity bonus of a run of these blocks over the
-        current hop counts: 0.0 when none of them reaches a site."""
-        d_min = min(map(self.hops.get, runs, repeat(math.inf)),
+    def _bonus(self, runs: dict[int, int], exits: list[ChainExit]) -> float:
+        """The Directed proximity bonus of a run of these blocks and exits
+        over the current hop counts: 0.0 when none of them reaches a
+        site."""
+        hops = self.hops
+        d_min = min(map(hops.get, runs, repeat(math.inf)), default=math.inf)
+        exit_hops = self.exit_hops
+        for chain_exit in exits:
+            d_exit = exit_hops.get(chain_exit)
+            if d_exit is None:
+                d_exit = exit_hops[chain_exit] = min(
+                    map(hops.get, chain_exit.runs, repeat(math.inf)),
                     default=math.inf)
+            if d_exit < d_min:
+                d_min = d_exit
         if d_min == math.inf:
             return 0.0
         return DIRECTED_BONUS_WEIGHT / (1.0 + d_min)
@@ -384,25 +429,21 @@ class _Campaign:
             # a replay adds no coverage and records no finding: its first
             # run did both, and called any stop its findings asked for
             self.replayed += 1
-            # learned edges were folded into the hop counts since its
-            # bonus was derived
+            # learned edges lowered hop counts since its bonus was derived
             if outcome[6] != self.hops_version:
                 outcome = outcomes[key] = (*outcome[:5],
-                                           self._bonus(outcome[0]),
-                                           self.hops_version)
+                                           self._bonus(outcome[0], outcome[7]),
+                                           self.hops_version, outcome[7])
             seed.energy = 1.0 + outcome[5]
         else:
-            tx = Transaction(
-                target=self.target.address,
-                calldata=seed.calldata,
-                value=seed.value,
-                agent_policy=seed.policy,
-                block=seed.block,
-            )
+            # by position, in field order: cheaper than by keyword
+            tx = Transaction(self.target.address, seed.calldata, seed.value,
+                             AGENT_ADDRESS, DEFAULT_TX_GAS, seed.policy,
+                             seed.block)
             trace = execute_transaction(self.base_state, tx, persist=persist)
-            runs = trace.block_runs.get(self.runs_key, {})
+            runs, exits = trace.records.get(self.runs_key, _NO_RECORD)
             findings = detect_trace(trace)
-            new_edges, fresh = self.coverage.add(runs, trace.transitions)
+            new_edges, fresh = self.coverage.add(runs, trace.edges, exits)
             bonus = 0.0
             if self.directed:
                 # `fresh` holds only transitions never seen before, so the
@@ -411,18 +452,18 @@ class _Campaign:
                 if fresh:
                     static = self.target.cfg
                     refined = augment_edges(static, fresh)
-                    if refined is not static:
-                        relax_distances(self.hops, static.predecessors,
-                                        self.learned_predecessors,
-                                        refined.learned_edges)
+                    if refined is not static and relax_distances(
+                            self.hops, static.predecessors,
+                            self.learned_predecessors, refined.learned_edges):
                         self.hops_version += 1
-                bonus = self._bonus(runs)
+                        self.exit_hops.clear()
+                bonus = self._bonus(runs, exits)
             # only whether the transaction writes is kept: a SELFDESTRUCT
             # journals every slot it clears, read or not, so a repeat's
             # write set can differ from its first run's
             changes_state = bool(trace.writes)
             outcome = (runs, findings, changes_state, trace.reads,
-                       trace.balance_tests, bonus, self.hops_version)
+                       trace.balance_tests, bonus, self.hops_version, exits)
             if persist and changes_state:
                 self._invalidate(trace.writes)
             else:

@@ -423,8 +423,11 @@ def test_refinement_keeps_block_indexes() -> None:
 
 def _refine(cfg, hops, predecessors, learned, observed):
     refined = augment_edges(cfg, observed)
-    relax_distances(hops, predecessors, learned,
-                    refined.learned_edges - cfg.learned_edges)
+    before = dict(hops)
+    # it says whether any count went down
+    assert relax_distances(hops, predecessors, learned,
+                           refined.learned_edges - cfg.learned_edges) \
+        is (hops != before)
     return refined
 
 
@@ -517,7 +520,7 @@ def test_relax_distances_skips_a_stale_heap_entry() -> None:
     predecessors = _Visits(cfg.predecessors)
     # `lone` is queued at 3 through `far`, then again at 1 through `site`
     new_edges = [(start["lone"], start["far"]), (start["lone"], start["site"])]
-    relax_distances(hops, predecessors, {}, new_edges)
+    assert relax_distances(hops, predecessors, {}, new_edges) is True
     assert hops == distance_map(augment_edges(cfg, new_edges), sites)
     assert hops[start["lone"]] == 1 and hops[start["up"]] == 2
     # the entry at 3 was lowered before it was popped: expanded once

@@ -31,7 +31,13 @@ from dogefuzz.fuzzer import BlockCoverage
 
 from coverage_oracle import reference_coverage
 from evm_utils import P, code, dynamic_edges
-from test_evm_blocks import _flagged_reentry
+from test_evm_blocks import (
+    _CHAIN_ATOMS,
+    _EDGE_WORDS,
+    _SELECTORS,
+    _dispatcher,
+    _flagged_reentry,
+)
 
 Run = tuple[PolicyKind, int]  # agent policy and gas limit of one transaction
 
@@ -45,6 +51,7 @@ def _check_sequence(raw: bytes, runs: list[Run]) -> list[ExecutionTrace]:
     analysis = analyze(raw)
     cfg = build_cfg(raw)
     coverage = BlockCoverage()
+    by_exits = BlockCoverage()  # folds each trace as a campaign does
     seen_pcs: set[int] = set()
     seen_pairs: set[tuple[int, int]] = set()
     traces = []
@@ -69,6 +76,8 @@ def _check_sequence(raw: bytes, runs: list[Run]) -> list[ExecutionTrace]:
         # a sequence: new pcs and pairs as the campaign counts them
         new_edges, fresh = coverage.add(block_runs, trace.transitions)
         assert new_edges == len(ref_pairs - seen_pairs)
+        loop_runs, exits = trace.records.get((address, raw), ({}, []))
+        assert by_exits.add(loop_runs, trace.edges, exits) == (new_edges, fresh)
         # each new block edge is the new pair that leaves its block's end
         assert {(analysis.blocks[src].pcs[-1], dst) for src, dst in fresh} \
             == {(src, dst) for src, dst in ref_pairs - seen_pairs
@@ -170,3 +179,53 @@ _ATOMS = st.one_of(
 def test_random_code_block_coverage_matches_reference(raw: bytes,
                                                       runs: list[Run]) -> None:
     _check_sequence(raw, runs)
+
+
+# --- folding chain exits --------------------------------------------------
+
+def _fold_both_ways(raw: bytes, txs: list[tuple[bytes, int, int]],
+                    ) -> tuple[int, int]:
+    """Run each (calldata, value, gas) transaction in turn on one state and
+    fold each trace into two coverages: one takes the target's chain
+    exits, the loop's runs and the other edges, as a campaign does, the
+    other the complete record.  They agree trace after trace.  Returns how
+    many exits the traces took and how many of those were folded already."""
+    state = WorldState()
+    state.account(AGENT_ADDRESS).balance = 10 ** 18
+    address = deploy_contract(state, raw)
+    by_exits, by_record = BlockCoverage(), BlockCoverage()
+    taken = skipped = 0
+    for calldata, value, gas in txs:
+        trace = execute_transaction(state, Transaction(
+            target=address, calldata=calldata, value=value, gas_limit=gas))
+        loop_runs, exits = trace.records.get((address, raw), ({}, []))
+        taken += len(exits)
+        skipped += sum(chain_exit in by_exits.folded for chain_exit in exits)
+        folded = by_exits.add(loop_runs, trace.edges, exits)
+        assert folded == by_record.add(
+            trace.block_runs.get((address, raw), {}), trace.transitions)
+        assert by_exits.runs == by_record.runs
+        assert by_exits.transitions == by_record.transitions
+        assert by_exits.pcs == by_record.pcs
+    return taken, skipped
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_CHAIN_ATOMS,
+                          st.sampled_from(_EDGE_WORDS).map(P),
+                          st.just(bytes([op.JUMPDEST]))), max_size=60).map(b"".join),
+       st.lists(st.tuples(st.binary(max_size=40), st.sampled_from((0, 6, 10 ** 6)),
+                          st.integers(30, 200_000)),
+                min_size=1, max_size=5))
+def test_folding_exits_once_matches_folding_the_complete_record(
+        raw: bytes, txs: list[tuple[bytes, int, int]]) -> None:
+    _fold_both_ways(raw, txs)
+
+
+def test_a_repeated_dispatch_folds_each_exit_once() -> None:
+    # each function once, then again: the second round's chain exits were
+    # all folded in the first
+    calls = [(selector.to_bytes(4, "big"), 0, 100_000)
+             for selector in (*_SELECTORS, 0)]
+    taken, skipped = _fold_both_ways(_dispatcher(), calls + calls)
+    assert taken == 2 * skipped > 0

@@ -427,7 +427,7 @@ def test_random_code_coverage_is_block_consistent(raw: bytes,
 # agree on everything a trace and the state say.
 
 def _observed(trace: ExecutionTrace, state: WorldState) -> tuple:
-    # block runs in the order they were recorded
+    # block runs in the order the trace gives them
     return (trace.status, trace.gas_used, trace.events,
             [(key, list(runs.items())) for key, runs in trace.block_runs.items()],
             trace.transitions, trace.return_data,
@@ -665,13 +665,13 @@ def test_self_call_shorter_run_of_a_chain_block_keeps_the_longer() -> None:
 
 
 # names a compiled chain's source may hold: the fixed template text, and
-# numbered locals (entry words `i`, results `t`) and tables (runs `R`,
-# transitions `T`, blocks `B`)
+# numbered locals (entry words `i`, results `t`) and tables (exits `X`,
+# blocks `B`)
 _CHAIN_VOCABULARY = frozenset(
-    "def chain stack gas calldata value runs transitions if or not len return "
-    "None pop del append extend update raise _InvalidOp nxt jumpdests get is "
+    "def chain stack gas calldata value exits transitions if or not len return "
+    "None pop del append extend raise _InvalidOp nxt jumpdests get is "
     "add start else _sdiv _smod _signextend _sar _signed _calldataload".split())
-_CHAIN_NUMBERED = re.compile(r"[itRTB][0-9]+")
+_CHAIN_NUMBERED = re.compile(r"[itXB][0-9]+")
 
 _CHAIN_ATOMS = st.one_of(
     st.sampled_from(sorted(evm._CHAINABLE)).map(lambda byte: bytes([byte])),

@@ -28,6 +28,7 @@ from dogefuzz.evm import (
     WorldState,
     deploy_contract,
     execute_transaction,
+    merge_runs,
     snapshot_state,
 )
 from dogefuzz.fuzzer import (
@@ -444,7 +445,10 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     def step(campaign, seed, persist):
         outcome = real_step(campaign, seed, persist)
         trace = traces[seed.calldata, seed.value, seed.policy, seed.block]
-        reached = [campaign.hops[s] for s in outcome[0] if s in campaign.hops]
+        # the outcome's merged record: the loop's runs and the chain exits'
+        runs = merge_runs(outcome[0], outcome[7])
+        assert runs == trace.block_runs.get(campaign.runs_key, {})
+        reached = [campaign.hops[s] for s in runs if s in campaign.hops]
         d_min = min(reached) if reached else None
         # the graph the campaign's learned edges refine, rebuilt from the
         # transitions it has seen
@@ -503,6 +507,25 @@ def test_directed_offers_augment_edges_only_fresh_transitions(
     assert len(offered) < result.executions
 
 
+def test_hops_version_moves_only_when_learned_edges_lower_a_count(
+        monkeypatch) -> None:
+    # seed 1 refines the graph five times, and two of those refinements
+    # lower no count: cached bonuses and exit counts stay current over them
+    lowered = []
+    real_relax = fuzzer.relax_distances
+
+    def relax(*args):
+        lowered.append(real_relax(*args))
+        return lowered[-1]
+
+    monkeypatch.setattr(fuzzer, "relax_distances", relax)
+    campaign = fuzzer._Campaign(_shared_return_target(), CampaignConfig(
+        strategy=Strategy.DIRECTED, budget=150, rng_seed=1))
+    campaign.run()
+    assert len(lowered) == 5 and lowered.count(False) == 2
+    assert campaign.hops_version == 3
+
+
 def test_a_replay_re_derives_a_bonus_that_learned_edges_made_stale(
         monkeypatch) -> None:
     """A replay's energy is its blocks' bonus over the hop counts at that
@@ -527,7 +550,7 @@ def test_a_replay_re_derives_a_bonus_that_learned_edges_made_stale(
         runs_before, hits_before = len(ran), dict(campaign.first_hits)
         outcome = real_step(campaign, seed, persist)
         counts = {start: campaign.hops.get(start, math.inf)
-                  for start in outcome[0]}
+                  for start in merge_runs(outcome[0], outcome[7])}
         if len(ran) > runs_before:
             derived[key] = counts
             hits += campaign.first_hits != hits_before
@@ -620,14 +643,15 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         coverage.runs = dict(campaign.coverage.runs)
         coverage.transitions = set(campaign.coverage.transitions)
         outcome = real_step(campaign, seed, persist)
-        replayed_runs, findings, changes_state = outcome[:3]
+        findings, changes_state = outcome[1:3]
+        replayed_runs = merge_runs(outcome[0], outcome[7])
         tx = Transaction(target=campaign.target.address,
                          calldata=seed.calldata, value=seed.value,
                          agent_policy=seed.policy,
                          block=seed.block)
         trace = execute_transaction(before, tx, persist=persist)
         runs = trace.block_runs.get(campaign.runs_key, {})
-        assert replayed_runs == runs
+        assert list(replayed_runs.items()) == list(runs.items())
         assert findings == detect_trace(trace)
         hits.extend((campaign.executions, f, seed) for f in findings)
         assert changes_state is bool(trace.writes)
