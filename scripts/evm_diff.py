@@ -12,6 +12,10 @@ hashed field by field.  The summary counts the programs whose hashes
 differ, grouped by their first differing field, with example seeds; it is
 printed as the last line and written to `--out` when given.  The exit code
 is 1 when some program differs.
+
+The digests rebuild block runs and transitions from a trace's `records`
+and `edges` (`tests/evm_utils.py`), so the earliest base they can read is
+7d3dce1, the first revision whose traces carry both.
 """
 
 from __future__ import annotations

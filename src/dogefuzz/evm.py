@@ -13,16 +13,11 @@ state (`opcodes.DYNAMIC_GAS`), or after GAS, which reads the gas left.  A
 segment that can pay all its base gas (`opcodes.BASE_GAS`) and has stack
 room for all its pushes pays at entry, in one step; one that cannot runs
 up to the first instruction that would fault and faults there, so every
-fault keeps its exact pc.  Coverage is recorded once per block.  Per code
-address and code, a trace keeps each block start that ran with how many of
-its instructions ran: all of them, or for a block that faulted the prefix
-up to the faulting instruction, the longest run winning.  For frames of
-the fuzzed target it also keeps each transition between blocks as the
-edge (block start, next block start) that `build_cfg` draws.  A block's
-instructions always run together, so the executed pcs are the covered
-prefixes, and the pairs of successive instructions within each target
-frame are the pairs inside those prefixes plus one pair (last pc, next
-block start) per edge.
+fault keeps its exact pc.  Coverage is recorded once per block: per code
+address and code, a trace keeps how many instructions of each block ran
+(for a block that faulted, the prefix up to the fault; the longest run
+wins), and for frames of the fuzzed target each edge (block start, next
+block start) that `build_cfg` draws.
 
 Where the loop lands on the first of a chain of stack-only blocks, the
 chain runs as one generated Python function that keeps the chain's stack
@@ -38,11 +33,9 @@ non-JUMPDEST; otherwise its blocks run in the loop.  An exit after block k
 pays the base gas of blocks 0..k, puts the stack back and records itself:
 each exit is one prebuilt `ChainExit` holding blocks 0..k, all run whole,
 and the edges between them, which the frame appends to its record beside
-the runs the loop recorded.  A trace derives its complete block runs and
-edges from those records only when they are read, and a campaign folds
-each exit into its coverage once.  Chains derive from code bytes alone,
-so `CodeAnalysis.chains` caches them, and each is compiled when it is
-first entered.
+the runs the loop recorded, and which a campaign folds into its coverage
+once.  Chains derive from code bytes alone, so `CodeAnalysis.chains`
+caches them, and each is compiled when it is first entered.
 
 An instruction's dynamic charge is tested once, in `_expand`: an
 instruction that touches memory passes it the gas less its other dynamic
@@ -81,7 +74,6 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Callable, NamedTuple
 
 from . import opcodes as op
@@ -213,19 +205,6 @@ class ChainExit:
 FrameRecord = tuple[dict[int, int], list[ChainExit]]
 
 
-def merge_runs(runs: dict[int, int],
-               exits: list[ChainExit]) -> dict[int, int]:
-    """{block start: instructions run} over a frame record, in ascending
-    block start: each block's longest run, in the loop or in an exit."""
-    merged: dict[int, int] = {}
-    for chain_exit in exits:
-        merged.update(chain_exit.runs)
-    for start, ran in runs.items():
-        if ran > merged.get(start, 0):
-            merged[start] = ran
-    return dict(sorted(merged.items()))
-
-
 @dataclass
 class ExecutionTrace:
     """Outcome and instrumentation of one transaction.
@@ -234,12 +213,7 @@ class ExecutionTrace:
     frames running that code recorded: block runs from the loop, and the
     chain exits they took.  `edges` holds the block edges the target's
     frames took outside those exits: in the loop, and by a computed jump
-    out of a chain.  A campaign folds these as they are.  `block_runs` and
-    `transitions` are the complete record, derived from them on first
-    read: `block_runs` maps each (code address, code), in the same order,
-    to {block start: instructions run}, in ascending block start, so that
-    it reads the same whether a block ran in a chain or in the loop;
-    `transitions` holds every block edge the target's frames took.
+    out of a chain.
 
     `reads` holds every location the transaction read: (address, key) for
     a storage slot, and (address, BALANCE), (address, NONCE),
@@ -263,33 +237,23 @@ class ExecutionTrace:
     reads: set[Location] = field(default_factory=set)
     balance_tests: list[tuple[bytes, int, bool]] = field(default_factory=list)
     writes: frozenset[Location] = frozenset()
-    target: bytes = ZERO_ADDRESS
     records: dict[tuple[bytes, bytes], FrameRecord] = field(default_factory=dict)
     edges: set[tuple[int, int]] = field(default_factory=set)
 
-    @cached_property
-    def block_runs(self) -> dict[tuple[bytes, bytes], dict[int, int]]:
-        return {key: merge_runs(runs, exits)
-                for key, (runs, exits) in self.records.items()}
-
-    @cached_property
-    def transitions(self) -> set[tuple[int, int]]:
-        transitions = set(self.edges)
-        for (address, _), (_, exits) in self.records.items():
-            if address == self.target:
-                for chain_exit in exits:
-                    transitions.update(chain_exit.edges)
-        return transitions
-
     @property
     def executed_pcs(self) -> dict[bytes, set[int]]:
-        """Code address -> executed instruction pcs, derived from the runs."""
+        """Code address -> executed instruction pcs, read off the records:
+        every run is a prefix of its block, so the union of a block's runs
+        is its longest."""
         executed: dict[bytes, set[int]] = {}
-        for (address, code), runs in self.block_runs.items():
+        for (address, code), (runs, exits) in self.records.items():
             pcs = executed.setdefault(address, set())
             blocks = analyze(code).blocks
             for start, ran in runs.items():
                 pcs.update(blocks[start].pcs[:ran])
+            for chain_exit in exits:
+                for start in chain_exit.runs:  # a chain's blocks run whole
+                    pcs.update(blocks[start].pcs)
         return executed
 
 
@@ -847,8 +811,7 @@ class _Machine:
         _, blocks, jumpdests, _, _, chains = analyze(code)
         pushes_one = op.PUSHES_ONE
         runs, exits = self.records.setdefault((code_address, code), ({}, []))
-        # a frame not of the target draws its edges into a throwaway set;
-        # its exits' edges are left out of `ExecutionTrace.transitions`
+        # a frame not of the target draws its edges into a throwaway set
         transitions = self.edges if code_address == tx.target else set()
         reads = self.reads
 
@@ -1273,7 +1236,7 @@ def execute_transaction(state: WorldState, tx: Transaction,
     # by position, in field order: cheaper than by keyword on every run
     return ExecutionTrace(status, tx.gas_limit - gas_left, machine.events, ret,
                           machine.reads, machine.balance_tests, writes,
-                          tx.target, machine.records, machine.edges)
+                          machine.records, machine.edges)
 
 
 def deploy_contract(state: WorldState, code: bytes, mode: str = "runtime",

@@ -198,15 +198,14 @@ class BlockCoverage:
         self.folded: set[ChainExit] = set()
 
     def add(self, runs: dict[int, int], transitions: set[tuple[int, int]],
-            exits: Iterable[ChainExit] = (),
-            ) -> tuple[int, set[tuple[int, int]]]:
+            exits: Iterable[ChainExit]) -> tuple[int, set[tuple[int, int]]]:
         """Fold in one trace's block runs, transitions and chain exits of
         the code.
 
         An exit is folded once: its runs are whole blocks, which no later
         run lengthens, and its edges stay seen, so a second fold of it
         would add nothing.  Returns the number of edges not seen before and
-        the transitions among them, as a fold of the merged record would.
+        the transitions among them, as a fold of the complete record would.
         """
         seen = self.transitions
         fresh = transitions - seen

@@ -16,6 +16,7 @@ from unittest import mock
 
 from dogefuzz import evm
 from dogefuzz.cfg import BasicBlock, CodeAnalysis, analyze
+from evm_utils import block_runs, transitions
 
 
 def per_instruction_analysis(code: bytes) -> CodeAnalysis:
@@ -46,7 +47,7 @@ def reference_coverage(state: evm.WorldState, tx: evm.Transaction,
     with mock.patch.object(evm, "analyze", per_instruction_analysis):
         trace = evm.execute_transaction(state, tx, persist=persist)
     executed: dict[bytes, set[int]] = {}
-    for (address, _), runs in trace.block_runs.items():
+    for (address, _), runs in block_runs(trace).items():
         assert set(runs.values()) <= {1}, "a one-instruction block runs whole"
         executed.setdefault(address, set()).update(runs)
-    return trace, executed, set(trace.transitions)
+    return trace, executed, transitions(trace, tx.target)

@@ -416,6 +416,7 @@ def generate(seed: int) -> Program:
 def digests(program: Program) -> dict[str, str]:
     """Run `program` once; a short sha256 per field of `FIELDS`."""
     from dogefuzz import evm
+    from evm_utils import block_runs, transitions
 
     state = evm.WorldState()
     state.account(AGENT).balance = 10 ** 18
@@ -439,10 +440,10 @@ def digests(program: Program) -> dict[str, str]:
             "gas_used": trace.gas_used,
             "events": [(e.kind.value, e.pc, e.depth, e.data)
                        for e in trace.events],
-            "block_runs": [(address, hashlib.sha256(code).hexdigest(),
-                            sorted(runs.items()))
-                           for (address, code), runs in trace.block_runs.items()],
-            "transitions": sorted(trace.transitions),
+            "block_runs": [
+                (address, hashlib.sha256(code).hexdigest(), sorted(runs.items()))
+                for (address, code), runs in block_runs(trace).items()],
+            "transitions": sorted(transitions(trace, TARGET)),
             "return_data": trace.return_data,
             "state": sorted((address, acct.balance, acct.nonce, acct.code,
                              sorted(acct.storage.items()))

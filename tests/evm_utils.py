@@ -9,6 +9,7 @@ from dogefuzz.evm import (
     DEPLOYER_ADDRESS,
     DEFAULT_TX_GAS,
     BlockContext,
+    ChainExit,
     ExecutionTrace,
     PolicyKind,
     Transaction,
@@ -72,17 +73,56 @@ def run_top(code_bytes: bytes, **kwargs) -> int:
     return int.from_bytes(trace.return_data, "big")
 
 
+# --- the complete record of a trace ---------------------------------------
+# A trace keeps what the frames recorded: per code, the loop's block runs
+# and the chain exits taken, and the target's other edges.  These rebuild
+# the complete record from them, as the tests compare it.
+
+def merge_runs(runs: dict[int, int],
+               exits: list[ChainExit]) -> dict[int, int]:
+    """{block start: instructions run} over a frame record, in ascending
+    block start: each block's longest run, in the loop or in an exit."""
+    merged: dict[int, int] = {}
+    for chain_exit in exits:
+        merged.update(chain_exit.runs)
+    for start, ran in runs.items():
+        if ran > merged.get(start, 0):
+            merged[start] = ran
+    return dict(sorted(merged.items()))
+
+
+def block_runs(trace: ExecutionTrace) -> dict[tuple[bytes, bytes], dict[int, int]]:
+    """(code address, code), in frame entry order, -> {block start:
+    instructions run}, the same whether a block ran in a chain or in the
+    loop."""
+    return {key: merge_runs(runs, exits)
+            for key, (runs, exits) in trace.records.items()}
+
+
+def transitions(trace: ExecutionTrace, target: bytes) -> set[tuple[int, int]]:
+    """Every block edge that the frames of `target`, the transaction's
+    target, took: in the loop, by a computed jump out of a chain, or
+    inside a chain exit."""
+    edges = set(trace.edges)
+    for (address, _), (_, exits) in trace.records.items():
+        if address == target:
+            for chain_exit in exits:
+                edges.update(chain_exit.edges)
+    return edges
+
+
 def dynamic_edges(trace: ExecutionTrace, address: bytes) -> set[tuple[int, int]]:
     """Pairs of successive instructions run in the frames of `address`, the
     transaction's target: the pairs inside each covered block prefix plus,
     for each block edge taken, the pair of the block's last pc and the
     next block's start."""
     edges = set()
-    for (code_address, code_bytes), runs in trace.block_runs.items():
+    taken = transitions(trace, address)
+    for (code_address, code_bytes), runs in block_runs(trace).items():
         if code_address == address:
             blocks = analyze(code_bytes).blocks
             edges.update((blocks[src].pcs[-1], dst)
-                         for src, dst in trace.transitions if src in runs)
+                         for src, dst in taken if src in runs)
             for start, ran in runs.items():
                 pcs = blocks[start].pcs[:ran]
                 edges.update(zip(pcs, pcs[1:]))

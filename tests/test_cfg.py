@@ -25,7 +25,7 @@ from dogefuzz.cfg import (
 )
 
 from cfg_oracle import distance_fixpoint, random_block_graph
-from evm_utils import code, run
+from evm_utils import code, run, transitions
 
 
 P1 = op.PUSH1
@@ -369,9 +369,10 @@ def test_augment_adds_observed_jump_edge() -> None:
     raw, _, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)
     # the interpreter records the jump as an edge between block starts
-    trace, _, _ = run(raw, calldata=dest_pc.to_bytes(32, "big"))
-    assert trace.transitions == {(0, dest_pc)}
-    updated = augment_edges(cfg, trace.transitions)
+    trace, _, address = run(raw, calldata=dest_pc.to_bytes(32, "big"))
+    taken = transitions(trace, address)
+    assert taken == {(0, dest_pc)}
+    updated = augment_edges(cfg, taken)
     assert updated is not cfg
     assert (0, dest_pc) in updated.edges
     assert cfg.edges == frozenset(), "augmentation does not mutate the input"

@@ -17,12 +17,14 @@ from dogefuzz.cfg import analyze, augment_edges, build_cfg
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     AGENT_CALL_GAS,
+    DEPLOYER_ADDRESS,
     EventKind,
     ExecutionTrace,
     PolicyKind,
     Transaction,
     TxStatus,
     WorldState,
+    contract_address,
     deploy_contract,
     execute_transaction,
     snapshot_state,
@@ -30,7 +32,7 @@ from dogefuzz.evm import (
 from dogefuzz.fuzzer import BlockCoverage
 
 from coverage_oracle import reference_coverage
-from evm_utils import P, code, dynamic_edges
+from evm_utils import P, block_runs, code, dynamic_edges, transitions
 from test_evm_blocks import (
     _CHAIN_ATOMS,
     _EDGE_WORDS,
@@ -68,13 +70,14 @@ def _check_sequence(raw: bytes, runs: list[Run]) -> list[ExecutionTrace]:
         assert trace.executed_pcs == ref_pcs
         assert list(trace.executed_pcs) == list(ref_pcs)
         assert dynamic_edges(trace, address) == ref_pairs
-        block_runs = trace.block_runs.get((address, raw), {})
+        target_runs = block_runs(trace).get((address, raw), {})
         target_pcs = ref_pcs.get(address, set())
-        assert set(block_runs) == {analysis.block_of[pc].start
-                                   for pc in target_pcs}
+        assert set(target_runs) == {analysis.block_of[pc].start
+                                    for pc in target_pcs}
 
         # a sequence: new pcs and pairs as the campaign counts them
-        new_edges, fresh = coverage.add(block_runs, trace.transitions)
+        new_edges, fresh = coverage.add(target_runs,
+                                        transitions(trace, address), ())
         assert new_edges == len(ref_pairs - seen_pairs)
         loop_runs, exits = trace.records.get((address, raw), ({}, []))
         assert by_exits.add(loop_runs, trace.edges, exits) == (new_edges, fresh)
@@ -105,6 +108,8 @@ def _reentry_faults_in_a_whole_block() -> bytes:
 
 
 BENIGN, REENTRANT = PolicyKind.BENIGN, PolicyKind.REENTRANT
+# the first contract deployed on a fresh state: every case's target
+TARGET = contract_address(DEPLOYER_ADDRESS, 0)
 CASES = {
     "out_of_gas_mid_block": (
         code(P(1), P(2), op.ADD, op.POP, op.STOP),
@@ -129,7 +134,7 @@ CASES = {
     "unresolved_jump_is_learned": (
         code(op.CALLVALUE, P(5), op.ADD, op.JUMP, op.JUMPDEST, op.STOP),
         [(BENIGN, 50_000), (BENIGN, 50_000)],
-        lambda traces: [t.transitions for t in traces] == [{(0, 5)}] * 2),
+        lambda traces: [transitions(t, TARGET) for t in traces] == [{(0, 5)}] * 2),
     "reentrant_frame_takes_its_own_jump": (
         _flagged_reentry()[0],
         [(REENTRANT, 1_000_000), (BENIGN, 1_000_000)],
@@ -153,7 +158,7 @@ def test_a_shorter_reentrant_run_keeps_the_whole_block() -> None:
     raw = _reentry_faults_in_a_whole_block()
     trace, = _check_sequence(raw, [(REENTRANT, 1_000_000)])
     first = analyze(raw).blocks[0]
-    ((_, runs),) = trace.block_runs.items()
+    ((_, runs),) = block_runs(trace).items()
     assert runs[0] == len(first.pcs) == 4
 
 
@@ -203,7 +208,8 @@ def _fold_both_ways(raw: bytes, txs: list[tuple[bytes, int, int]],
         skipped += sum(chain_exit in by_exits.folded for chain_exit in exits)
         folded = by_exits.add(loop_runs, trace.edges, exits)
         assert folded == by_record.add(
-            trace.block_runs.get((address, raw), {}), trace.transitions)
+            block_runs(trace).get((address, raw), {}),
+            transitions(trace, address), ())
         assert by_exits.runs == by_record.runs
         assert by_exits.transitions == by_record.transitions
         assert by_exits.pcs == by_record.pcs

@@ -30,7 +30,15 @@ from dogefuzz.evm import (
     execute_transaction,
 )
 
-from evm_utils import RETURN_TOP, P, code, dynamic_edges, run
+from evm_utils import (
+    RETURN_TOP,
+    P,
+    block_runs,
+    code,
+    dynamic_edges,
+    run,
+    transitions,
+)
 
 
 def _instruction_starts(raw: bytes) -> list[int]:
@@ -263,7 +271,7 @@ def test_untaken_jumpi_falls_into_plain_block() -> None:
     assert trace.executed_pcs == {address: {0, 2, 4, 5, 7, 8}}
     assert dynamic_edges(trace, address) == _chain(0, 2, 4, 5, 7, 8)
     # the fall-through is the block edge the static graph already has
-    assert trace.transitions == {(0, 5)}
+    assert transitions(trace, address) == {(0, 5)}
 
 
 def test_taken_jump_records_the_site_to_jumpdest_pair() -> None:
@@ -275,7 +283,7 @@ def test_taken_jump_records_the_site_to_jumpdest_pair() -> None:
     assert dynamic_edges(trace, address) == _chain(0, 2, 4, 9, 10)
     # recorded as the edge from the jumping block's start: the JUMPI at
     # pc 4 ends the block that starts at 0
-    assert trace.transitions == {(0, 9)}
+    assert transitions(trace, address) == {(0, 9)}
 
 
 def test_jump_into_push_data_is_rejected() -> None:
@@ -327,8 +335,9 @@ def test_reentrant_frame_adds_its_own_edges() -> None:
     edges = dynamic_edges(trace, address)
     # only the reentrant frame takes the JUMPI into `inner`, an edge from
     # the entry block; the outer frame falls through to the call
-    assert (0, at["inner"]) in trace.transitions
-    assert (0, at["jumpi"] + 1) in trace.transitions
+    taken = transitions(trace, address)
+    assert (0, at["inner"]) in taken
+    assert (0, at["jumpi"] + 1) in taken
     assert (at["jumpi"], at["inner"]) in edges
     assert (at["inner"], at["inner"] + 1) in edges
     assert {at["inner"], at["inner"] + 1} <= trace.executed_pcs[address]
@@ -340,8 +349,8 @@ def test_reentrant_frame_adds_its_own_edges() -> None:
     benign_edges = dynamic_edges(benign, benign_address)
     assert (at["jumpi"], at["inner"]) not in benign_edges
     assert benign_edges < edges
-    assert benign.transitions == {(0, at["jumpi"] + 1)}
-    assert benign.transitions < trace.transitions
+    assert transitions(benign, benign_address) == {(0, at["jumpi"] + 1)}
+    assert transitions(benign, benign_address) < taken
 
 
 def test_executed_pcs_keys_follow_frame_entry_order() -> None:
@@ -409,7 +418,7 @@ def test_random_code_coverage_is_block_consistent(raw: bytes,
     # transitions are edges between block starts, each leaving a block
     # that ran whole
     blocks = {block[0]: block for block in _blocks(raw)}
-    for src, dst in trace.transitions:
+    for src, dst in transitions(trace, address):
         assert dst in blocks and blocks[src][-1] in executed, (src, dst)
     following = dict(zip(starts, starts[1:]))
     for src, dst in dynamic_edges(trace, address):
@@ -426,11 +435,11 @@ def test_random_code_coverage_is_block_consistent(raw: bytes,
 # mocked to None, so that every block runs in the loop.  The two runs must
 # agree on everything a trace and the state say.
 
-def _observed(trace: ExecutionTrace, state: WorldState) -> tuple:
+def _observed(trace: ExecutionTrace, state: WorldState, address: bytes) -> tuple:
     # block runs in the order the trace gives them
     return (trace.status, trace.gas_used, trace.events,
-            [(key, list(runs.items())) for key, runs in trace.block_runs.items()],
-            trace.transitions, trace.return_data,
+            [(key, list(runs.items())) for key, runs in block_runs(trace).items()],
+            transitions(trace, address), trace.return_data,
             sorted((address, acct.balance, acct.code, sorted(acct.storage.items()))
                    for address, acct in state.accounts.items()))
 
@@ -447,11 +456,11 @@ def _chained(raw: bytes, **kwargs) -> tuple[ExecutionTrace, list[int]]:
 
     with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
             mock.patch.object(evm, "_compile_chain", spy):
-        trace, state, _ = run(raw, **kwargs)
-        with_chains = _observed(trace, state)
+        trace, state, address = run(raw, **kwargs)
+        with_chains = _observed(trace, state, address)
     with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
             mock.patch.object(evm, "_chain", return_value=None):
-        assert _observed(*run(raw, **kwargs)[:2]) == with_chains
+        assert _observed(*run(raw, **kwargs)) == with_chains
     return trace, entered
 
 
@@ -656,12 +665,12 @@ def test_self_call_shorter_run_of_a_chain_block_keeps_the_longer() -> None:
     trace, entered = _chained(raw)
     assert trace.status is TxStatus.SUCCESS
     assert entered == [0]
-    ((_, runs),) = trace.block_runs.items()
+    ((_, runs),) = block_runs(trace).items()
     assert runs[0] == 7
     # what the call's frame runs: up to the ADD it cannot pay for
     inner, _, _ = run(raw, gas=7)
     assert inner.status is TxStatus.OUT_OF_GAS
-    assert next(iter(inner.block_runs.values())) == {0: 3}
+    assert next(iter(block_runs(inner).values())) == {0: 3}
 
 
 # names a compiled chain's source may hold: the fixed template text, and

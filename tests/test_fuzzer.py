@@ -28,7 +28,6 @@ from dogefuzz.evm import (
     WorldState,
     deploy_contract,
     execute_transaction,
-    merge_runs,
     snapshot_state,
 )
 from dogefuzz.fuzzer import (
@@ -47,6 +46,8 @@ from dogefuzz.fuzzer import (
 )
 from dogefuzz.microbench import Fixture, GATED_GUARDS, all_fixtures, fixture
 from dogefuzz.oracles import FineBugClass, detect_trace
+
+from evm_utils import block_runs, merge_runs, transitions
 
 
 EOA = b"\x5e" * 20
@@ -447,7 +448,7 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
         trace = traces[seed.calldata, seed.value, seed.policy, seed.block]
         # the outcome's merged record: the loop's runs and the chain exits'
         runs = merge_runs(outcome[0], outcome[7])
-        assert runs == trace.block_runs.get(campaign.runs_key, {})
+        assert runs == block_runs(trace).get(campaign.runs_key, {})
         reached = [campaign.hops[s] for s in runs if s in campaign.hops]
         d_min = min(reached) if reached else None
         # the graph the campaign's learned edges refine, rebuilt from the
@@ -650,12 +651,12 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
                          agent_policy=seed.policy,
                          block=seed.block)
         trace = execute_transaction(before, tx, persist=persist)
-        runs = trace.block_runs.get(campaign.runs_key, {})
+        runs = block_runs(trace).get(campaign.runs_key, {})
         assert list(replayed_runs.items()) == list(runs.items())
         assert findings == detect_trace(trace)
         hits.extend((campaign.executions, f, seed) for f in findings)
         assert changes_state is bool(trace.writes)
-        energy = 1.0 + coverage.add(runs, trace.transitions)[0]
+        energy = 1.0 + coverage.add(runs, transitions(trace, tx.target), ())[0]
         if strategy is Strategy.DIRECTED:
             reached = [campaign.hops[s] for s in runs if s in campaign.hops]
             if reached:
