@@ -52,7 +52,10 @@ value move only tests `balance >= amount`, and is recorded as that test
 against the balance the transaction started with.  Opcodes that do not
 touch the world state record nothing.  The journal holds each state change
 as (location, old value) in the same vocabulary, a created account as
-((address, PRESENT), None), so a kept change's write set is its locations.
+((address, PRESENT), None).  A successful run's journal gives its net
+changes: per location, the end value less the first entry's old value, or
+the new code, or None for a created account.  `reapply` adds them to a
+state a cached outcome is still valid against, as a rerun would.
 
 Every frame is entered through `_Machine.run_frame`, which keeps its address
 on the stack of live frames that the reentrancy check reads; every contract,
@@ -74,7 +77,8 @@ import logging
 import sys
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, NamedTuple
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple
 
 from . import opcodes as op
 from .cfg import BasicBlock, Instruction, analyze
@@ -224,10 +228,12 @@ class ExecutionTrace:
     transaction starts with is at least `need`.  SELFDESTRUCT, which moves
     all the balance there is, reads it exactly instead.  Rerun against a
     state that differs in none of its reads and fails none of its tests,
-    the transaction takes the same path with the same outcome.  `writes` holds
-    the locations a successful transaction left in its journal, whether or
-    not it was persisted; it is empty for a failed one, and when it is
-    empty, persisting the transaction leaves the state as it was.
+    the transaction takes the same path with the same outcome.  `writes` maps
+    each location a successful transaction left in its journal, whether or
+    not it was persisted, to its net change: the amount added to a slot, a
+    balance or a nonce, the new code, or None for a created account.  It is
+    empty for a failed transaction, and when it is empty, persisting the
+    transaction leaves the state as it was.
     """
 
     status: TxStatus
@@ -236,7 +242,7 @@ class ExecutionTrace:
     return_data: bytes = b""
     reads: set[Location] = field(default_factory=set)
     balance_tests: list[tuple[bytes, int, bool]] = field(default_factory=list)
-    writes: frozenset[Location] = frozenset()
+    writes: Mapping[Location, int | bytes | None] = field(default_factory=dict)
     records: dict[tuple[bytes, bytes], FrameRecord] = field(default_factory=dict)
     edges: set[tuple[int, int]] = field(default_factory=set)
 
@@ -1200,6 +1206,60 @@ class _Machine:
         return _SUCCESS, b"", gas
 
 
+# --- net changes ----------------------------------------------------------
+
+# the `writes` of every run that leaves its journal empty, shared
+_NO_WRITES: Mapping[Location, int | bytes | None] = MappingProxyType({})
+
+
+def _net_changes(state: WorldState, journal: list[tuple[Location, object]]
+                 ) -> dict[Location, int | bytes | None]:
+    """Each journaled location's net change, read before any rollback: a
+    location's first entry holds its value before the transaction, as
+    every earlier write to it was rolled back."""
+    accounts = state.accounts
+    changes: dict[Location, int | bytes | None] = {}
+    # reversed, each location keeps its first entry's old value
+    for location, old in dict(reversed(journal)).items():
+        address, key = location
+        if isinstance(key, int):
+            changes[location] = accounts[address].storage.get(key, 0) - old
+        elif key == PRESENT:
+            changes[location] = None
+        elif key == CODE:
+            changes[location] = accounts[address].code
+        else:
+            changes[location] = getattr(accounts[address], key) - old
+    return changes
+
+
+def reapply(state: WorldState, writes: Mapping[Location, int | bytes | None]
+            ) -> bool:
+    """Add a successful run's net changes `writes` to `state`, leaving it as
+    a rerun would; whether it did.
+
+    A cached outcome is still valid against `state`, so every slot and
+    nonce it wrote, which its run also read, holds the value that run
+    started from.  A balance may not: a value move records only a balance
+    test, so each change is added rather than the end value set.  Refuses,
+    touching nothing, when the run wrote code: a SELFDESTRUCT clears slots
+    the run never read, so its net changes may not hold for this state.
+    """
+    if any(key == CODE for _, key in writes):
+        return False
+    for (address, key), change in writes.items():
+        acct = state.account(address)
+        if isinstance(key, int):
+            value = acct.storage.get(key, 0) + change
+            if value:
+                acct.storage[key] = value
+            else:
+                acct.storage.pop(key, None)
+        elif key != PRESENT:
+            setattr(acct, key, getattr(acct, key) + change)
+    return True
+
+
 # --- public operations ----------------------------------------------------
 
 def execute_transaction(state: WorldState, tx: Transaction,
@@ -1226,10 +1286,10 @@ def execute_transaction(state: WorldState, tx: Transaction,
 
     # every mutation is journaled and a failed child frame pops its own
     # entries, so what is left in the journal is what the transaction wrote
-    writes = frozenset()
+    writes = _NO_WRITES
     if machine.journal:
         if status is _SUCCESS:
-            writes = frozenset(location for location, _ in machine.journal)
+            writes = _net_changes(state, machine.journal)
         if status is not _SUCCESS or not persist:
             machine.rollback(0)
 

@@ -27,7 +27,7 @@ Many mutants repeat an earlier transaction: a policy mutation of a parent
 always yields the same child, and value and block mutations draw from a
 few choices.  The interpreter is deterministic, so a campaign keeps, per
 transaction, the outcome a repeat needs: the target's block runs and
-chain exits, the findings, whether it changes state and the Directed
+chain exits, the findings, the net changes it writes and the Directed
 bonus its blocks earned, with what the run read of the world state.  A
 repeat is replayed from that outcome without running the interpreter or
 the oracles, and takes its energy from it; it adds no coverage and
@@ -36,7 +36,10 @@ again only when learned edges lowered a hop count after it was.  An
 outcome stays valid while the base state keeps what it read, so a kept
 state change drops the outcomes that read what it wrote, and those whose
 balance tests it flips; reaching `OUTCOME_CACHE_SIZE` entries clears the
-cache.  A kept lane whose outcome changes nothing is replayed too.
+cache.  A kept lane is replayed too: it adds its outcome's net changes to
+the base state (`evm.reapply`) and drops outcomes as a run would.  Only
+an outcome that wrote code is run again, since a SELFDESTRUCT clears
+slots its run never read.
 
 A seed carries the calldata it runs with.  It is encoded once when the
 seed is generated; a mutant inherits its parent's bytes and is re-encoded
@@ -53,7 +56,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .abi import (
     AbiType,
@@ -80,6 +83,7 @@ from .evm import (
     Transaction,
     WorldState,
     execute_transaction,
+    reapply,
     snapshot_state,
 )
 from .oracles import BugFinding, FineBugClass, detect_trace
@@ -95,13 +99,14 @@ COVERAGE_SAMPLE_INTERVAL = 50   # executions between coverage samples
 OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 
 # what a repeat of a transaction needs: the block runs the loop recorded in
-# the target, the findings and whether the transaction changes state, then
-# the trace's `reads` and `balance_tests` that say when the first three
-# still hold, then the proximity bonus the blocks earn (0.0 but for
-# Directed) and the campaign's `hops_version` it was derived at, and last
-# the chain exits the target took; a plain tuple, as one is built for
-# every execution that runs
-_Outcome = tuple[dict[int, int], list[BugFinding], bool, set[Location],
+# the target, the findings and the trace's `writes`, the net changes a kept
+# repeat re-applies, then the trace's `reads` and `balance_tests` that say
+# when the first three still hold, then the proximity bonus the blocks
+# earn (0.0 but for Directed) and the campaign's `hops_version` it was
+# derived at, and last the chain exits the target took; a plain tuple, as
+# one is built for every execution that runs
+_Outcome = tuple[dict[int, int], list[BugFinding],
+                 Mapping[Location, int | bytes | None], set[Location],
                  list[tuple[bytes, int, bool]], float, int, list[ChainExit]]
 # a seed's calldata, value, policy and block: with the campaign's fixed
 # target they name the transaction
@@ -384,7 +389,7 @@ class _Campaign:
             return
         self.coverage_rows.append((self.executions, self._coverage_fraction()))
 
-    def _invalidate(self, writes: frozenset[Location]) -> None:
+    def _invalidate(self, writes: Mapping[Location, object]) -> None:
         """Drop the outcomes a kept state change may alter: those that read
         a location it wrote or whose balance test now answers otherwise."""
         outcomes = self.outcomes
@@ -423,8 +428,10 @@ class _Campaign:
         tick = self.executions
         outcomes = self.outcomes
         outcome = outcomes.get(key)
-        # a kept lane must run a transaction that changes state to apply it
-        if outcome is not None and not (persist and outcome[2]):
+        # what a kept lane adds to the base state from a cached outcome; it
+        # runs the transaction instead where `reapply` refuses
+        kept = outcome[2] if persist and outcome is not None else None
+        if outcome is not None and (not kept or reapply(self.base_state, kept)):
             # a replay adds no coverage and records no finding: its first
             # run did both, and called any stop its findings asked for
             self.replayed += 1
@@ -434,6 +441,8 @@ class _Campaign:
                                            self._bonus(outcome[0], outcome[7]),
                                            self.hops_version, outcome[7])
             seed.energy = 1.0 + outcome[5]
+            if kept:
+                self._invalidate(kept)
         else:
             # by position, in field order: cheaper than by keyword
             tx = Transaction(self.target.address, seed.calldata, seed.value,
@@ -457,14 +466,11 @@ class _Campaign:
                         self.hops_version += 1
                         self.exit_hops.clear()
                 bonus = self._bonus(runs, exits)
-            # only whether the transaction writes is kept: a SELFDESTRUCT
-            # journals every slot it clears, read or not, so a repeat's
-            # write set can differ from its first run's
-            changes_state = bool(trace.writes)
-            outcome = (runs, findings, changes_state, trace.reads,
+            writes = trace.writes
+            outcome = (runs, findings, writes, trace.reads,
                        trace.balance_tests, bonus, self.hops_version, exits)
-            if persist and changes_state:
-                self._invalidate(trace.writes)
+            if persist and writes:
+                self._invalidate(writes)
             else:
                 if len(outcomes) >= OUTCOME_CACHE_SIZE:
                     outcomes.clear()

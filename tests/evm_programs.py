@@ -413,10 +413,9 @@ def generate(seed: int) -> Program:
     )
 
 
-def digests(program: Program) -> dict[str, str]:
-    """Run `program` once; a short sha256 per field of `FIELDS`."""
+def world(program: Program) -> tuple:
+    """The world state `program` starts from and its transaction."""
     from dogefuzz import evm
-    from evm_utils import block_runs, transitions
 
     state = evm.WorldState()
     state.account(AGENT).balance = 10 ** 18
@@ -430,6 +429,15 @@ def digests(program: Program) -> dict[str, str]:
     tx = evm.Transaction(
         target=TARGET, calldata=program.calldata, value=program.value,
         gas_limit=program.gas, agent_policy=evm.PolicyKind(program.policy))
+    return state, tx
+
+
+def digests(program: Program) -> dict[str, str]:
+    """Run `program` once; a short sha256 per field of `FIELDS`."""
+    from dogefuzz import evm
+    from evm_utils import block_runs, transitions
+
+    state, tx = world(program)
     try:
         trace = evm.execute_transaction(state, tx)
     except Exception as exc:  # a crash is an outcome to compare too

@@ -40,6 +40,26 @@ def test_digests_hash_every_field_and_repeat() -> None:
     assert evm_programs.digests(program) == first
 
 
+def test_reapplied_net_changes_leave_what_a_persisted_run_leaves() -> None:
+    """Each successful program's net changes, added to the state it started
+    from, leave the state its persisted run leaves; a program that wrote
+    code is refused and its state left as it was."""
+    reapplied = refused = 0
+    for seed in range(300):
+        state, tx = evm_programs.world(evm_programs.generate(seed))
+        persisted = evm.snapshot_state(state)
+        trace = evm.execute_transaction(state, tx, persist=False)
+        evm.execute_transaction(persisted, tx)
+        start = evm.snapshot_state(state)
+        if evm.reapply(state, trace.writes):
+            assert state == persisted, seed
+            reapplied += bool(trace.writes)
+        else:
+            assert state == start, seed
+            refused += 1
+    assert reapplied >= 15 and refused >= 3
+
+
 def _hashes(**fields: str) -> dict[str, str]:
     return {name: fields.get(name, "h") for name in evm_programs.FIELDS}
 

@@ -18,6 +18,8 @@ from dogefuzz.evm import (
     BALANCE,
     CODE,
     DEPLOYER_ADDRESS,
+    NONCE,
+    PRESENT,
     DeploymentError,
     EventKind,
     PolicyKind,
@@ -27,6 +29,7 @@ from dogefuzz.evm import (
     contract_address,
     deploy_contract,
     execute_transaction,
+    reapply,
     snapshot_state,
 )
 
@@ -274,17 +277,33 @@ def test_changes_state_flags_left_journal_writes(name, changes, persist) -> None
     assert trace.status is (TxStatus.REVERTED if name == "revert"
                             else TxStatus.SUCCESS)
     assert bool(trace.writes) is changes
+    # each location's net change: an amount added, new code, or None for a
+    # created account
+    created = contract_address(tx.target, 0)
+    assert trace.writes == {
+        "transfer": {(AGENT_ADDRESS, BALANCE): -7, (tx.target, BALANCE): 7},
+        "new_value": {(tx.target, 0): 1},
+        "create": {(tx.target, NONCE): 1, (created, PRESENT): None,
+                   (created, CODE): b""},
+    }.get(name, {})
     if persist:
         assert (state != snap) is changes
-    else:
-        assert state == snap
+        return
+    assert state == snap
+    # the net changes leave what the persisted run leaves, but those of a
+    # run that wrote code are refused, touching nothing
+    persisted = snapshot_state(snap)
+    execute_transaction(persisted, tx)
+    applied = reapply(state, trace.writes)
+    assert applied is (name != "create")
+    assert state == (persisted if applied else snap)
 
 
 @pytest.mark.parametrize("persist", [True, False])
 def test_selfdestruct_journals_each_field_it_clears(persist) -> None:
     """A contract holding slot 3 and 50 wei writes slots 1 and 2, then
     self-destructs to itself: the balance burns and everything rolls back
-    or is kept, and the write set names every field cleared."""
+    or is kept, and the net changes name every field cleared."""
     state = fresh_state()
     target = deploy_contract(state, code(
         P(7), P(1), op.SSTORE, P(8), P(2), op.SSTORE,
@@ -294,8 +313,11 @@ def test_selfdestruct_journals_each_field_it_clears(persist) -> None:
     trace = execute_transaction(state, Transaction(target=target),
                                 persist=persist)
     assert trace.status is TxStatus.SUCCESS
-    assert trace.writes == {(target, CODE), (target, BALANCE),
-                            (target, 1), (target, 2), (target, 3)}
+    assert trace.writes.keys() == {(target, CODE), (target, BALANCE),
+                                   (target, 1), (target, 2), (target, 3)}
+    # slots 1 and 2 were set and cleared; slot 3 lost 9, the balance 50
+    assert trace.writes == {(target, 1): 0, (target, 2): 0, (target, 3): -9,
+                            (target, BALANCE): -50, (target, CODE): b""}
     if not persist:
         assert state == snap
         return

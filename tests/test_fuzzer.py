@@ -637,14 +637,16 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
     checked = []
     survivals = []      # outcomes left after each kept state change
     hits = []           # (tick, finding, seed) of every step's findings
+    reapplied = []      # kept lanes served from the cache that wrote
 
     def step(campaign, seed, persist):
         before = snapshot_state(campaign.base_state)
         coverage = fuzzer.BlockCoverage()
         coverage.runs = dict(campaign.coverage.runs)
         coverage.transitions = set(campaign.coverage.transitions)
+        replayed = campaign.replayed
         outcome = real_step(campaign, seed, persist)
-        findings, changes_state = outcome[1:3]
+        findings, writes = outcome[1:3]
         replayed_runs = merge_runs(outcome[0], outcome[7])
         tx = Transaction(target=campaign.target.address,
                          calldata=seed.calldata, value=seed.value,
@@ -655,7 +657,12 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         assert list(replayed_runs.items()) == list(runs.items())
         assert findings == detect_trace(trace)
         hits.extend((campaign.executions, f, seed) for f in findings)
-        assert changes_state is bool(trace.writes)
+        # a SELFDESTRUCT clears slots its run never read, so only the net
+        # changes of runs that wrote no code must repeat exactly
+        if any(key == CODE for _, key in (*writes, *trace.writes)):
+            assert bool(writes) is bool(trace.writes)
+        else:
+            assert writes == trace.writes
         energy = 1.0 + coverage.add(runs, transitions(trace, tx.target), ())[0]
         if strategy is Strategy.DIRECTED:
             reached = [campaign.hops[s] for s in runs if s in campaign.hops]
@@ -663,8 +670,10 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
                 energy += DIRECTED_BONUS_WEIGHT / (1.0 + min(reached))
         assert seed.energy == energy
         assert campaign.base_state == before
-        if persist and changes_state:
+        if persist and writes:
             survivals.append((campaign.target.name, len(campaign.outcomes)))
+            if campaign.replayed > replayed:
+                reapplied.append(campaign.target.name)
         checked.append(campaign)
         return outcome
 
@@ -700,6 +709,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
             replayed += result.replayed
     assert len(checked) == executions
     assert 0 < replayed < executions
+    assert reapplied, "some kept lane re-applied a cached outcome's writes"
     assert any(left for name, left in survivals if name == "probe"), \
         "some cached probe outcome outlived a kept state change"
     assert any((probe.address, CODE) in writes
@@ -777,16 +787,19 @@ def test_outcome_cache_replays_a_repeat(monkeypatch) -> None:
 def test_persisted_counter_write_invalidates_the_cache(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     campaign._execute(seed("keep"), persist=False)
-    changes_state = campaign._execute(seed("bump"), persist=False)[2]
-    assert changes_state
+    writes = campaign._execute(seed("bump"), persist=False)[2]
+    assert writes == {(campaign.target.address, 0): 1}
     assert len(campaign.outcomes) == 2 and _counter(campaign) == 0
-    # the cached outcome of `bump` changes state, so a kept lane runs it
+    # a kept lane re-applies the cached `bump`, whose write drops both
+    # outcomes, as a run of it would
     campaign._execute(seed("bump"), persist=True)
     assert _counter(campaign) == 1 and campaign.outcomes == {}
+    assert len(ran) == 2 and campaign.replayed == 1
+    # nothing is cached now, so the next kept `bump` runs
     campaign._execute(seed("bump"), persist=True)
     assert _counter(campaign) == 2 and campaign.outcomes == {}
     campaign._execute(seed("keep"), persist=False)
-    assert len(ran) == 5 and campaign.replayed == 0
+    assert len(ran) == 4 and campaign.replayed == 1
 
 
 def test_persisted_success_without_writes_keeps_the_cache(monkeypatch) -> None:
@@ -803,8 +816,8 @@ def test_persisted_success_without_writes_keeps_the_cache(monkeypatch) -> None:
 def test_reverted_persisted_lane_keeps_the_cache(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     campaign._execute(seed("bump"), persist=False)
-    changes_state = campaign._execute(seed("fail"), persist=True)[2]
-    assert not changes_state
+    writes = campaign._execute(seed("fail"), persist=True)[2]
+    assert not writes
     assert len(campaign.outcomes) == 2
     campaign._execute(seed("fail"), persist=True)
     campaign._execute(seed("bump"), persist=False)
@@ -896,6 +909,41 @@ def test_kept_create_or_selfdestruct_drops_what_read_them(monkeypatch) -> None:
     campaign._execute(seed("kill"), persist=True)
     assert campaign.outcomes == {}
     assert campaign.base_state.code_of(campaign.target.address) == b""
+
+
+def test_kept_lane_adds_a_cached_payout_to_a_moved_balance(monkeypatch) -> None:
+    """`pay(5)` tests only that the balance covers 5, so its outcome
+    outlives a kept deposit of 1; a kept `pay(5)` then takes 5 from 301,
+    as a run does, not back to the 295 its first run ended at."""
+    campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
+    address = campaign.target.address
+    campaign._execute(seed("pay", 5), persist=False)
+    campaign._execute(seed("deposit", value=1), persist=True)
+    assert campaign.base_state.balance_of(address) == 301
+    assert _cached_calls(campaign) >= {seed("pay", 5).calldata}
+    fresh = snapshot_state(campaign.base_state)
+    execute_transaction(fresh, Transaction(target=address,
+                                           calldata=seed("pay", 5).calldata))
+    campaign._execute(seed("pay", 5), persist=True)
+    assert campaign.base_state.balance_of(address) == 296
+    assert campaign.base_state == fresh
+    assert len(ran) == 2 and campaign.replayed == 1
+
+
+@pytest.mark.parametrize("name", ["spawn", "kill"])
+def test_kept_lane_runs_a_cached_outcome_that_wrote_code(monkeypatch,
+                                                         name) -> None:
+    """A CREATE installs code and a SELFDESTRUCT clears it, so a kept lane
+    runs them again even when their outcome is cached."""
+    campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
+    if name == "kill":  # below 100 wei, `kill` self-destructs
+        campaign._execute(seed("pay", 250), persist=True)
+    writes = campaign._execute(seed(name), persist=False)[2]
+    assert (any(key == CODE for _, key in writes)
+            and seed(name).calldata in _cached_calls(campaign))
+    runs = len(ran)
+    campaign._execute(seed(name), persist=True)
+    assert len(ran) == runs + 1 and campaign.replayed == 0
 
 
 def test_campaign_replays_some_steps() -> None:
