@@ -6,14 +6,14 @@ bytes, partitions it into basic blocks (new block at every JUMPDEST and
 after every jump, halting or undefined instruction) of pre-decoded
 (pc, opcode, PUSH operand) instructions, indexed by start pc, by
 JUMPDEST and by pc, and lists the critical instructions' pcs.  The
-interpreter runs on these blocks, paying base gas once per gas segment of
-a block (`BasicBlock.segments`), and records coverage once per block: the
-block's start and how many of its instructions ran (a block's pc tuple
-turns that back into pcs), and each transition between blocks as the
-edge it took, the same edge `build_cfg` draws.  Chains of stack-only
-blocks that the interpreter compiles also derive from code bytes alone,
-so the analysis carries their cache (`CodeAnalysis.chains`), which the
-interpreter fills lazily.
+interpreter runs on these blocks, checking gas and stack once per gas
+segment of a block, at the segment's static gate (`BasicBlock.segments`),
+and records coverage once per block: the block's start and how many of
+its instructions ran (a block's pc tuple turns that back into pcs), and
+each transition between blocks as the edge it took, the same edge
+`build_cfg` draws.  Chains of stack-only blocks that the interpreter
+compiles also derive from code bytes alone, so the analysis carries their
+cache (`CodeAnalysis.chains`), which the interpreter fills lazily.
 
 A `Cfg` is that analysis plus what `build_cfg` decides: edges between
 block starts and the blocks whose jump is unresolved.  Jump targets are
@@ -51,14 +51,16 @@ logger = logging.getLogger(__name__)
 
 # Constant-stack simulation keeps at most this many slots per block.
 SIM_STACK_DEPTH = 32
+# most words an EVM stack holds
+STACK_LIMIT = 1024
 
 
 # --- shared decode --------------------------------------------------------
 
 # (pc, opcode, PUSH operand or None): what the bytes say, nothing more
 Instruction = tuple[int, int, int | None]
-# (instructions, their base gas, largest stack growth over the entry height)
-Segment = tuple[tuple[Instruction, ...], int, int]
+# (instructions, their base gas, entry words read, highest entry height)
+Segment = tuple[tuple[Instruction, ...], int, int, int]
 
 # opcodes after which a new block starts: jumps, halts and undefined bytes
 _ENDS_BLOCK = frozenset(
@@ -104,23 +106,24 @@ class BasicBlock:
         """The block cut after each instruction in `opcodes.DYNAMIC_GAS`
         and after each GAS.
 
-        Each segment is (instructions, base gas, largest stack growth): the
-        sum of its `opcodes.BASE_GAS`, and the most its pushes raise the
-        stack above the height it was entered at.  A block with one segment
-        shares its `instructions`.
+        Each segment is (instructions, base gas, need, room), its gate: the
+        sum of its `opcodes.BASE_GAS`, how many words of the entry stack it
+        reads, and the highest entry height at which its pushes stay within
+        `STACK_LIMIT`.  A block with one segment shares its `instructions`.
         """
         instructions = self.instructions
         n = len(instructions)
         segments: list[Segment] = []
-        start = gas = height = growth = 0
+        start = gas = height = need = growth = 0
         for end, (_, byte, _) in enumerate(instructions, 1):
             gas += op.BASE_GAS[byte]
+            need = max(need, op.STACK_READS[byte] - height)
             height += op.STACK_GROWTH[byte]
             growth = max(growth, height)
             if byte in _ENDS_SEGMENT or end == n:
                 body = instructions[start:end] if end - start < n else instructions
-                segments.append((body, gas, growth))
-                start, gas, height, growth = end, 0, 0, 0
+                segments.append((body, gas, need, STACK_LIMIT - growth))
+                start, gas, height, need, growth = end, 0, 0, 0, 0
         return tuple(segments)
 
     @property

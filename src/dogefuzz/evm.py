@@ -9,15 +9,18 @@ Each frame runs over `cfg.analyze`, the one decode of its code into basic
 blocks shared with `build_cfg`: instructions come pre-decoded with their
 PUSH operands, and JUMP/JUMPI end a block.  A block runs as gas segments,
 each ending after an instruction whose charge depends on operands or
-state (`opcodes.DYNAMIC_GAS`), or after GAS, which reads the gas left.  A
-segment that can pay all its base gas (`opcodes.BASE_GAS`) and has stack
-room for all its pushes pays at entry, in one step; one that cannot runs
-up to the first instruction that would fault and faults there, so every
-fault keeps its exact pc.  Coverage is recorded once per block: per code
-address and code, a trace keeps how many instructions of each block ran
-(for a block that faulted, the prefix up to the fault; the longest run
-wins), and for frames of the fuzzed target each edge (block start, next
-block start) that `build_cfg` draws.
+state (`opcodes.DYNAMIC_GAS`), or after GAS, which reads the gas left.
+Each segment has one static gate (`BasicBlock.segments`): its base gas
+(`opcodes.BASE_GAS`), how many words of the entry stack it reads, and the
+highest entry height with room for all its pushes.  A segment whose gate
+passes pays at entry, in one step, and cannot underflow or overflow the
+stack; one whose gate fails runs up to the first instruction that would
+fault and faults there, out of gas or, for a stack underflow or overflow,
+invalid, so every fault keeps its exact pc.  Coverage is recorded once
+per block: per code address and code, a trace keeps how many instructions
+of each block ran (for a block that faulted, the prefix up to the fault;
+the longest run wins), and for frames of the fuzzed target each edge
+(block start, next block start) that `build_cfg` draws.
 
 Where the loop lands on the first of a chain of stack-only blocks, the
 chain runs as one generated Python function that keeps the chain's stack
@@ -26,10 +29,11 @@ work at fixed gas, JUMPDEST, PC, CALLDATALOAD, CALLDATASIZE and CALLVALUE
 (`_CHAINABLE`), and end in JUMP, JUMPI, STOP or a fallthrough.  A chain
 follows fallthroughs, untaken JUMPIs and every JUMP whose constant target
 (`BasicBlock.jump_target`) is a JUMPDEST, over `CHAIN_MIN_BLOCKS` to
-`CHAIN_MAX_BLOCKS` blocks.  It is entered only when the gas pays the base
-gas of all its blocks and the stack holds what it reads and has room for
-all it pushes, so nothing inside it can fault but a jump to a
-non-JUMPDEST; otherwise its blocks run in the loop.  An exit after block k
+`CHAIN_MAX_BLOCKS` blocks.  Its gate is folded from its blocks' segment
+gates: it is entered only when the gas pays the base gas of all its blocks
+and the stack holds what it reads and has room for all it pushes, so
+nothing inside it can fault but a jump to a non-JUMPDEST; otherwise its
+blocks run in the loop.  An exit after block k
 pays the base gas of blocks 0..k, puts the stack back and records itself:
 each exit is one prebuilt `ChainExit` holding blocks 0..k, all run whole,
 and the edges between them, which the frame appends to its record beside
@@ -81,7 +85,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from . import opcodes as op
-from .cfg import BasicBlock, Instruction, analyze
+from .cfg import STACK_LIMIT, BasicBlock, Instruction, analyze
 from .keccak import keccak256
 
 logger = logging.getLogger(__name__)
@@ -95,7 +99,6 @@ UINT256_MASK = (1 << 256) - 1
 SIGN_BIT = 1 << 255
 ADDRESS_MASK = (1 << 160) - 1
 CALL_DEPTH_LIMIT = 1024
-STACK_LIMIT = 1024
 DEFAULT_TX_GAS = 1_000_000
 DEPLOY_GAS = 5_000_000  # init code budget of a creation-mode deployment
 BLOCK_GAS_LIMIT = 8_000_000  # what GASLIMIT pushes
@@ -330,22 +333,24 @@ _UNSEEN = object()
 
 def _up_to_fault(instructions: tuple[Instruction, ...], gas: int,
                  height: int) -> tuple[int, tuple[Instruction, ...]]:
-    """A segment refused at entry, cut at its first fault.
+    """A segment refused at its gate, cut at its first fault.
 
     The first instruction that cannot pay its base gas or, having paid,
-    would push the stack past `STACK_LIMIT` is found statically, as gas and
-    stack heights within a segment are fixed relative to its entry.  The
-    instructions before it are returned with a pseudo-instruction at its pc
-    that faults as it would: out of gas, or invalid for the overflow.  The
-    gas returned has paid for the instructions before it.
+    would read below the stack or push it past `STACK_LIMIT` is found
+    statically, as gas and stack heights within a segment are fixed
+    relative to its entry.  The instructions before it are returned with a
+    pseudo-instruction at its pc that faults as it would: out of gas, or
+    invalid for the underflow or overflow.  The gas returned has paid for
+    the instructions before it.
     """
     for k, (pc, opcode, _) in enumerate(instructions):
         cost = op.BASE_GAS[opcode]
-        height += op.STACK_GROWTH[opcode]
-        if cost > gas or height > STACK_LIMIT:  # gas is checked first
+        if (cost > gas or height < op.STACK_READS[opcode]  # gas is checked first
+                or height + op.STACK_GROWTH[opcode] > STACK_LIMIT):
             fault = _CANNOT_PAY if cost > gas else op.INVALID
             return gas, instructions[:k] + ((pc, fault, None),)
         gas -= cost
+        height += op.STACK_GROWTH[opcode]
     raise AssertionError("the segment fits: nothing to cut")
 
 
@@ -494,20 +499,16 @@ def _chain_gates(path: list[BasicBlock]) -> list[tuple[int, int, int]]:
     """The gate of the chain through each suffix of `path`, longest first:
     the base gas of all its blocks, how many words of the entry stack it
     reads, and the highest entry stack with room for all its pushes.  Each
-    is folded from the next one and what its first block needs alone."""
+    is folded from the next one and its first block's one segment gate,
+    shifted by that block's net stack growth `height`."""
     gates = []
-    gas = need = growth = 0
+    gas, need, room = 0, 0, STACK_LIMIT
     for block in reversed(path):
-        reads = height = peak = 0
-        for _, byte, _ in block.instructions:
-            gas += op.BASE_GAS[byte]
-            if op.STACK_READS[byte] - height > reads:
-                reads = op.STACK_READS[byte] - height
-            height += op.STACK_GROWTH[byte]
-            if height > peak:
-                peak = height
-        need, growth = max(reads, need - height), max(peak, height + growth)
-        gates.append((gas, need, STACK_LIMIT - growth))
+        ((instructions, seg_gas, reads, space),) = block.segments
+        height = sum(op.STACK_GROWTH[byte] for _, byte, _ in instructions)
+        gas, need, room = (gas + seg_gas, max(reads, need - height),
+                           min(space, room - height))
+        gates.append((gas, need, room))
     return gates[::-1]
 
 
@@ -621,26 +622,18 @@ def _compile_chain(source: str, tables: dict[str, object], start: int) -> Callab
     return namespace["chain"]
 
 
-def _chain(chains: dict[int, Callable | None], blocks: dict[int, BasicBlock],
-           jumpdests: dict[int, BasicBlock], start: int) -> Callable | None:
-    """What `chains` holds for `start` before the chain there is first
-    entered: None where the path holds fewer than `CHAIN_MIN_BLOCKS` blocks
-    or no stack passes its gate, else a stand-in that tests the gate and,
-    the first time it passes, compiles the chain, puts it in `chains` in
-    its own place and runs it.  So a chain never entered is never
-    compiled."""
-    path, shared = _chain_path(blocks, jumpdests, start)
-    return _stand_in(chains, blocks, jumpdests, path, shared,
-                     _chain_gates(path), 0)
-
-
 def _stand_in(chains: dict[int, Callable | None], blocks: dict[int, BasicBlock],
               jumpdests: dict[int, BasicBlock], path: list[BasicBlock],
               shared: int, gates: list[tuple[int, int, int]],
               k: int) -> Callable | None:
-    """What `_chain` gives for `path[k].start`, for k below `shared`.  A
-    stand-in refused at its gate puts the next block's in `chains`, so a
-    loop that lands on each block of a refused path in turn walks it once."""
+    """What `chains` holds for `path[k].start`, for k below `shared`, before
+    the chain there is first entered: None where the rest of the path holds
+    fewer than `CHAIN_MIN_BLOCKS` blocks or no stack passes its gate, else a
+    stand-in that tests the gate and, the first time it passes, compiles
+    the chain, puts it in `chains` in its own place and runs it.  So a
+    chain never entered is never compiled.  A stand-in refused at its gate
+    puts the next block's in `chains`, so a loop that lands on each block
+    of a refused path in turn walks it once."""
     if len(path) - k < CHAIN_MIN_BLOCKS or gates[k][1] > gates[k][2]:
         return None
     gas, need, room = gates[k]
@@ -751,7 +744,9 @@ class _Machine:
         the frame runs, and a fault ends the frame with a status.  Every
         caller refuses a frame past `CALL_DEPTH_LIMIT` before entering it.  A
         frame that succeeds after swallowing the failure of a call or CREATE
-        it made emits one ExceptionDisorder per such site."""
+        it made emits one ExceptionDisorder per such site.  Stack faults are
+        found at segment gates, so any other exception, an IndexError
+        included, is a fault of the interpreter and escapes."""
         self.address_stack.append(self_address)
         swallowed: list[int] = []
         try:
@@ -761,13 +756,6 @@ class _Machine:
         except _OutOfGas:
             return _OUT_OF_GAS, b"", 0
         except _InvalidOp:
-            return _INVALID_OPCODE, b"", 0
-        except IndexError as exc:
-            # a stack underflow is raised by the loop's own stack access;
-            # one from a call below it (a chain being built, compiled or
-            # run, a child frame's fault) is a fault of the interpreter
-            if exc.__traceback__.tb_next.tb_next is not None:
-                raise
             return _INVALID_OPCODE, b"", 0
         finally:
             self.address_stack.pop()
@@ -832,8 +820,9 @@ class _Machine:
             # can pay all its base gas and has the stack it needs
             chain = chains.get(block.start, _UNSEEN)
             if chain is _UNSEEN:
-                chain = chains[block.start] = _chain(chains, blocks, jumpdests,
-                                                     block.start)
+                path, shared = _chain_path(blocks, jumpdests, block.start)
+                chain = chains[block.start] = _stand_in(
+                    chains, blocks, jumpdests, path, shared, _chain_gates(path), 0)
             if chain is not None:
                 entered = chain(stack, gas, calldata, value, exits, transitions)
                 if entered is not None:
@@ -841,11 +830,10 @@ class _Machine:
                     continue
             nxt = None  # a taken jump's destination block
             try:
-                for instructions, seg_gas, growth in block.segments:
-                    # a segment pays its base gas and checks its stack room at
-                    # entry; only its last instruction may charge more, and
-                    # underflow stays an IndexError
-                    if gas >= seg_gas and len(stack) + growth <= STACK_LIMIT:
+                for instructions, seg_gas, need, room in block.segments:
+                    # a segment pays its base gas and checks its stack at
+                    # entry; only its last instruction may charge more
+                    if gas >= seg_gas and need <= len(stack) <= room:
                         gas -= seg_gas
                     else:
                         gas, instructions = _up_to_fault(instructions, gas, len(stack))

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
 from dogefuzz.cfg import (
+    STACK_LIMIT,
     Terminator,
     analyze,
     augment_edges,
@@ -161,30 +162,38 @@ def test_segments_tile_each_block_and_end_after_dynamic_charges(raw: bytes) -> N
     ends = op.DYNAMIC_GAS | {op.GAS}
     for block in analyze(raw).blocks.values():
         segments = block.segments
-        assert tuple(ins for body, _, _ in segments for ins in body) == \
+        assert tuple(ins for body, *_ in segments for ins in body) == \
             block.instructions
-        for body, gas, growth in segments:
+        for body, gas, need, room in segments:
             assert gas == sum(op.BASE_GAS[opcode] for _, opcode, _ in body)
+            # stack heights over the entry height, before each instruction
+            # and after the last
             heights = [0]
             for _, opcode, _ in body:
                 heights.append(heights[-1] + op.STACK_GROWTH[opcode])
-            assert growth == max(heights)
+            assert need == max(0, *(op.STACK_READS[opcode] - height
+                                    for (_, opcode, _), height in zip(body, heights)))
+            assert room == STACK_LIMIT - max(heights)
             assert all(opcode not in ends for _, opcode, _ in body[:-1])
-        assert all(body[-1][1] in ends for body, _, _ in segments[:-1])
+        assert all(body[-1][1] in ends for body, *_ in segments[:-1])
 
 
 def test_segments_of_a_block() -> None:
     # 0 PUSH1 0; 2 MLOAD; 3 PUSH1 1; 5 PUSH1 2; 7 DUP1; 8 SSTORE; 9 POP;
-    # 10 GAS; 11 PUSH1 3; 13 STOP
+    # 10 GAS; 11 PUSH1 3; 13 SWAP1; 14 STOP.  Heights over each segment's
+    # entry, before each instruction: 0 1 | 0 1 2 3 | 0 -1 | 0 1 1; MLOAD,
+    # DUP1 and SSTORE read only words their segment pushed, POP reads one
+    # entry word, and SWAP1 reads two, one of them an entry word
     raw = code(P1, 0, op.MLOAD, P1, 1, P1, 2, op.DUP1, op.SSTORE, op.POP,
-               op.GAS, P1, 3, op.STOP)
+               op.GAS, P1, 3, op.SWAP1, op.STOP)
     (block,) = analyze(raw).blocks.values()
-    assert [(tuple(ins[0] for ins in body), gas, growth)
-            for body, gas, growth in block.segments] == [
-        ((0, 2), 6, 1), ((3, 5, 7, 8), 9, 3), ((9, 10), 4, 0), ((11, 13), 3, 1)]
+    assert [(tuple(ins[0] for ins in body), gas, need, room)
+            for body, gas, need, room in block.segments] == [
+        ((0, 2), 6, 0, STACK_LIMIT - 1), ((3, 5, 7, 8), 9, 0, STACK_LIMIT - 3),
+        ((9, 10), 4, 1, STACK_LIMIT), ((11, 13, 14), 6, 1, STACK_LIMIT - 1)]
     # a block without a dynamic charge is one segment over its own tuple
     (block,) = analyze(code(P1, 1, P1, 2, op.ADD, op.STOP)).blocks.values()
-    assert block.segments == ((block.instructions, 9, 2),)
+    assert block.segments == ((block.instructions, 9, 0, STACK_LIMIT - 2),)
     assert block.segments[0][0] is block.instructions
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from dogefuzz import evm
 from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
-from dogefuzz.cfg import analyze
+from dogefuzz.cfg import STACK_LIMIT, analyze
 from dogefuzz.evm import (
     AGENT_ADDRESS,
     EventKind,
@@ -459,7 +459,7 @@ def _chained(raw: bytes, **kwargs) -> tuple[ExecutionTrace, list[int]]:
         trace, state, address = run(raw, **kwargs)
         with_chains = _observed(trace, state, address)
     with mock.patch.object(evm, "analyze", analyze.__wrapped__), \
-            mock.patch.object(evm, "_chain", return_value=None):
+            mock.patch.object(evm, "_stand_in", return_value=None):
         assert _observed(*run(raw, **kwargs)) == with_chains
     return trace, entered
 
@@ -537,10 +537,12 @@ def test_chain_runs_only_when_the_stack_has_room_for_its_pushes(height: int) -> 
     assert trace.status is (TxStatus.SUCCESS if height <= 1020 else TxStatus.INVALID_OPCODE)
 
 
-# A frame ends InvalidOpcode on an IndexError only when the loop's own stack
-# access raised it.  A fault in building, compiling or running a chain is a
-# fault of the interpreter: it escapes `execute_transaction`, also from a
-# called frame, where it would otherwise read as the callee's underflow.
+# A stack underflow is found at a segment's gate, as an overflow is, so no
+# frame ends on an IndexError.  One raised in building, compiling or running
+# a chain, or by the loop's own stack access past a gate that let it
+# through, is a fault of the interpreter: it escapes `execute_transaction`,
+# also from a called frame, where it would otherwise read as the callee's
+# underflow.
 
 def _two_block_chain() -> bytes:
     a = Assembler().push(1).push(2).push_label("next").op("JUMP")
@@ -579,6 +581,27 @@ def test_a_chain_fault_escapes_execute_transaction(
             pytest.raises(IndexError) as raised:
         execute_transaction(state, Transaction(target=target))
     assert raised.value is _FAULT
+
+
+@pytest.mark.parametrize("called", [False, True], ids=["top", "called"])
+def test_a_gate_that_under_reports_need_lets_the_index_error_escape(
+        called: bool) -> None:
+    # ADD's segment claims to read no entry word, so its gate passes an
+    # empty stack and the loop's own pop raises
+    raw = code(op.ADD, op.STOP)
+    analysis = analyze.__wrapped__(raw)
+    (block,) = analysis.blocks.values()
+    ((body, gas, need, room),) = block.segments
+    assert need == 2
+    block.__dict__["segments"] = ((body, gas, 0, room),)
+    state = WorldState()
+    target = deploy_contract(state, raw)
+    if called:
+        target = deploy_contract(state, _caller_of(target))
+    with mock.patch.object(evm, "analyze", lambda code_bytes: analysis
+                           if code_bytes == raw else analyze(code_bytes)), \
+            pytest.raises(IndexError):
+        execute_transaction(state, Transaction(target=target))
 
 
 def _underflow_behind_a_refused_gate() -> bytes:
@@ -711,6 +734,27 @@ def test_chain_source_holds_only_template_names_and_integers(raw: bytes) -> None
                                       tokenize.INDENT, tokenize.DEDENT,
                                       tokenize.ENDMARKER), token
         compile(source, "<chain>", "exec")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CHAIN_ATOMS, max_size=60).map(b"".join))
+def test_chain_gates_are_the_gates_of_one_walk_over_each_suffix(raw: bytes) -> None:
+    # the gate of the chain through `path[k:]`, folded from its blocks'
+    # segment gates, is what one walk over its instructions gives
+    analysis = analyze(raw)
+    for start in analysis.blocks:
+        path, _ = evm._chain_path(analysis.blocks, analysis.jumpdests, start)
+        gates = evm._chain_gates(path)
+        assert len(gates) == len(path)
+        for k in range(len(path)):
+            gas = need = height = growth = 0
+            for block in path[k:]:
+                for _, byte, _ in block.instructions:
+                    gas += op.BASE_GAS[byte]
+                    need = max(need, op.STACK_READS[byte] - height)
+                    height += op.STACK_GROWTH[byte]
+                    growth = max(growth, height)
+            assert gates[k] == (gas, need, STACK_LIMIT - growth)
 
 
 _EDGE_WORDS = (0, 1, 2, 31, 32, 255, 256, (1 << 255) - 1, 1 << 255, (1 << 256) - 1)

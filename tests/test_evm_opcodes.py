@@ -412,9 +412,27 @@ def test_unassigned_byte_is_invalid() -> None:
     assert trace.status is TxStatus.INVALID_OPCODE
 
 
-def test_stack_underflow_fails_frame() -> None:
-    trace, _, _ = run(code(op.ADD))
-    assert trace.status is TxStatus.INVALID_OPCODE
+@pytest.mark.parametrize("byte", [byte for byte in range(256) if op.STACK_READS[byte]],
+                         ids=op.mnemonic)
+def test_stack_underflow_fails_frame(byte: int) -> None:
+    # one word too few: the segment's gate refuses the stack, and the byte
+    # faults at its own pc, invalid when it can pay its base price and out
+    # of gas when it cannot, with all gas used either way.  With every word
+    # it reads, it passes the gate; were its read depth in `opcodes` too
+    # low, the loop's own pop would raise out of `execute_transaction`
+    reads = op.STACK_READS[byte]
+    run(code(P(0) * reads, byte))
+    snippet = code(P(0) * (reads - 1), byte)
+    pcs = set(range(0, len(snippet), 2))  # the PUSH1s, then the byte
+    pushes = op.BASE_GAS[op.PUSH1] * (reads - 1)
+    cases = [(DEFAULT_TX_GAS, TxStatus.INVALID_OPCODE)]
+    if op.BASE_GAS[byte]:
+        cases.append((pushes + op.BASE_GAS[byte] - 1, TxStatus.OUT_OF_GAS))
+    for gas, status in cases:
+        trace, _, address = run(snippet, gas=gas)
+        assert trace.status is status
+        assert trace.gas_used == gas
+        assert trace.executed_pcs == {address: pcs}
 
 
 def test_out_of_gas() -> None:
