@@ -446,8 +446,10 @@ def _magic_words() -> tuple[int, ...]:
 
 # pool constants: these words, and the addresses a target passes as `pools`
 MAGIC_WORDS = _magic_words()
+_MAGIC_COUNT = len(MAGIC_WORDS)
 
 _TEXT_ALPHABET = string_mod.ascii_letters + string_mod.digits
+_TEXT_COUNT = len(_TEXT_ALPHABET)
 _LENGTH_ANCHORS = (0, 1, 2, 4, 8, 32)
 _POOL_BIAS = 0.5
 
@@ -457,42 +459,61 @@ def _signed_wrap(value: int, bits: int) -> int:
     return (value + half) % (1 << bits) - half
 
 
+def _below(getrandbits: Callable[[int], int], n: int) -> int:
+    """A draw from `range(n)` made as `Random.choice` and
+    `Random.randrange` make it on Python 3.10-3.13: `n.bit_length()` bits,
+    drawn again while they are not below `n`.  So a campaign's stream does
+    not depend on which of the three draws it; this one skips their
+    argument checks and method lookups, a quarter of a `choice`'s cost.
+    `n` must be at least 1: no draw is below 0, and the loop would not
+    end, where `choice` and `randrange` raise."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _blob_length(rng: random.Random) -> int:
     if rng.random() < _POOL_BIAS:
-        return rng.choice(_LENGTH_ANCHORS)
-    return rng.randrange(65)
+        return _LENGTH_ANCHORS[_below(rng.getrandbits, len(_LENGTH_ANCHORS))]
+    return _below(rng.getrandbits, 65)
 
 
 def generate_value(rng: random.Random, abi_type: AbiType,
                    pools: tuple[bytes, ...]) -> Any:
     """Fresh random value of the given type, biased toward pool constants."""
     kind = abi_type.kind
+    getrandbits = rng.getrandbits
     if kind is _UINT:
         if rng.random() < _POOL_BIAS:
-            return rng.choice(MAGIC_WORDS) & ((1 << abi_type.bits) - 1)
-        return rng.getrandbits(abi_type.bits)
+            return (MAGIC_WORDS[_below(getrandbits, _MAGIC_COUNT)]
+                    & ((1 << abi_type.bits) - 1))
+        return getrandbits(abi_type.bits)
     if kind is _INT:
-        raw = (rng.choice(MAGIC_WORDS) if rng.random() < _POOL_BIAS
-               else rng.getrandbits(abi_type.bits))
+        raw = (MAGIC_WORDS[_below(getrandbits, _MAGIC_COUNT)]
+               if rng.random() < _POOL_BIAS else getrandbits(abi_type.bits))
         return _signed_wrap(raw, abi_type.bits)
     if kind is _ADDRESS:
         if pools and rng.random() < _POOL_BIAS:
-            return rng.choice(pools)
+            return pools[_below(getrandbits, len(pools))]
         return rng.randbytes(_ADDRESS_BYTES)
     if kind is _BOOL:
         return rng.random() < 0.5
     if kind is _FIXED_BYTES:
         if rng.random() < _POOL_BIAS:
-            word = rng.choice(MAGIC_WORDS) & ((1 << (8 * abi_type.size)) - 1)
+            word = (MAGIC_WORDS[_below(getrandbits, _MAGIC_COUNT)]
+                    & ((1 << (8 * abi_type.size)) - 1))
             return word.to_bytes(abi_type.size, "big")
         return rng.randbytes(abi_type.size)
     if kind is _BYTES:
         return rng.randbytes(_blob_length(rng))
     if kind is _STRING:
-        return "".join(rng.choice(_TEXT_ALPHABET)
-                       for _ in range(_blob_length(rng)))
+        return "".join([_TEXT_ALPHABET[_below(getrandbits, _TEXT_COUNT)]
+                        for _ in range(_blob_length(rng))])
     if kind is _ARRAY:
-        length = abi_type.size if not abi_type.dynamic_length else rng.randrange(4)
+        length = (abi_type.size if not abi_type.dynamic_length
+                  else _below(getrandbits, 4))
         return [generate_value(rng, abi_type.inner, pools)
                 for _ in range(length)]
     if kind is _TUPLE:
@@ -501,31 +522,48 @@ def generate_value(rng: random.Random, abi_type: AbiType,
     raise AbiError(f"cannot generate kind {kind}")
 
 
+# the steps a `uint` or `int` mutation adds, its first four candidates
+_STEPS = (1, -1, 16, -16)
+
+
 def mutate_value(rng: random.Random, abi_type: AbiType, value: Any,
                  pools: tuple[bytes, ...]) -> Any:
-    """Small random change to `value`, staying within the type's range."""
+    """Small random change to `value`, staying within the type's range.
+
+    A `uint` or `int` mutation draws a bit to flip and a magic word, then
+    which candidate to take, in this order: `value` plus each of `_STEPS`,
+    `-value` (`int` only), `value` with the bit flipped, and the word.
+    Only the drawn candidate is computed."""
     kind = abi_type.kind
-    if kind is _UINT:
-        mask = (1 << abi_type.bits) - 1
-        candidates = [value + 1, value - 1, value + 16, value - 16,
-                      value ^ (1 << rng.randrange(abi_type.bits)),
-                      rng.choice(MAGIC_WORDS)]
-        return rng.choice(candidates) & mask
-    if kind is _INT:
-        candidates = [value + 1, value - 1, value + 16, value - 16, -value,
-                      value ^ (1 << rng.randrange(abi_type.bits)),
-                      rng.choice(MAGIC_WORDS)]
-        return _signed_wrap(rng.choice(candidates), abi_type.bits)
+    getrandbits = rng.getrandbits
+    if kind is _UINT or kind is _INT:
+        bit = _below(getrandbits, abi_type.bits)
+        word = MAGIC_WORDS[_below(getrandbits, _MAGIC_COUNT)]
+        signed = kind is _INT
+        pick = _below(getrandbits, 7 if signed else 6)
+        if not signed and pick >= 4:
+            pick += 1  # a `uint` has no `-value` candidate
+        if pick < 4:
+            value += _STEPS[pick]
+        elif pick == 4:
+            value = -value
+        elif pick == 5:
+            value ^= 1 << bit
+        else:
+            value = word
+        if signed:
+            return _signed_wrap(value, abi_type.bits)
+        return value & ((1 << abi_type.bits) - 1)
     if kind is _BOOL:
         return not value
     if kind is _ADDRESS:
         others = [a for a in pools if a != value]
         if others:
-            return rng.choice(others)
+            return others[_below(getrandbits, len(others))]
         return rng.randbytes(_ADDRESS_BYTES)
     if kind is _FIXED_BYTES:
-        index = rng.randrange(abi_type.size)
-        flipped = value[index] ^ rng.randrange(1, 256)
+        index = _below(getrandbits, abi_type.size)
+        flipped = value[index] ^ (1 + _below(getrandbits, 255))
         return value[:index] + bytes([flipped]) + value[index + 1:]
     if kind is _BYTES or kind is _STRING:
         return _mutate_blob(rng, abi_type, value)
@@ -535,7 +573,7 @@ def mutate_value(rng: random.Random, abi_type: AbiType, value: Any,
         if not abi_type.components:
             return ()
         members = list(value)
-        index = rng.randrange(len(members))
+        index = _below(getrandbits, len(members))
         members[index] = mutate_value(rng, abi_type.components[index],
                                       members[index], pools)
         return tuple(members)
@@ -543,37 +581,40 @@ def mutate_value(rng: random.Random, abi_type: AbiType, value: Any,
 
 
 def _mutate_blob(rng: random.Random, abi_type: AbiType, value: Any) -> Any:
+    """Grow `value` by one character or byte, or, when it is not empty,
+    also flip one or drop the last, the three moves drawn alike."""
+    getrandbits = rng.getrandbits
     is_text = abi_type.kind is _STRING
-    moves = ["grow"]
-    if len(value) > 0:
-        moves += ["flip", "shrink"]
-    move = rng.choice(moves)
-    if move == "grow":
-        extra = rng.choice(_TEXT_ALPHABET) if is_text else rng.randbytes(1)
+    move = _below(getrandbits, 3 if value else 1)
+    if move == 0:
+        extra = (_TEXT_ALPHABET[_below(getrandbits, _TEXT_COUNT)] if is_text
+                 else rng.randbytes(1))
         return value + extra
-    if move == "shrink":
+    if move == 2:
         return value[:-1]
-    index = rng.randrange(len(value))
+    index = _below(getrandbits, len(value))
     if is_text:
-        return value[:index] + rng.choice(_TEXT_ALPHABET) + value[index + 1:]
-    return value[:index] + bytes([value[index] ^ rng.randrange(1, 256)]) \
-        + value[index + 1:]
+        return (value[:index] + _TEXT_ALPHABET[_below(getrandbits, _TEXT_COUNT)]
+                + value[index + 1:])
+    flipped = value[index] ^ (1 + _below(getrandbits, 255))
+    return value[:index] + bytes([flipped]) + value[index + 1:]
 
 
 def _mutate_sequence(rng: random.Random, abi_type: AbiType,
                      members: list[Any],
                      pools: tuple[bytes, ...]) -> list[Any]:
+    """Mutate one member; a dynamic-length array may instead append a
+    fresh member or, when it is not empty, drop the last, the three moves
+    drawn alike."""
+    getrandbits = rng.getrandbits
     if abi_type.dynamic_length:
-        moves = ["append"]
-        if members:
-            moves += ["drop", "mutate"]
-        move = rng.choice(moves)
-        if move == "append":
+        move = _below(getrandbits, 3 if members else 1)
+        if move == 0:
             return members + [generate_value(rng, abi_type.inner, pools)]
-        if move == "drop":
+        if move == 1:
             return members[:-1]
     if not members:
         return members
-    index = rng.randrange(len(members))
+    index = _below(getrandbits, len(members))
     members[index] = mutate_value(rng, abi_type.inner, members[index], pools)
     return members

@@ -73,6 +73,21 @@ _ENDS_BLOCK = frozenset(
 _ENDS_SEGMENT = op.DYNAMIC_GAS | {op.GAS}
 
 
+def segment_gate(instructions: Iterable[Instruction]
+                 ) -> tuple[int, int, int, int]:
+    """The gate of a straight run of instructions, and its net stack
+    growth: the sum of their `opcodes.BASE_GAS`, how many words of the
+    entry stack they read, the highest entry height at which their pushes
+    stay within `STACK_LIMIT`, and the height they leave over the entry."""
+    gas = height = need = growth = 0
+    for _, byte, _ in instructions:
+        gas += op.BASE_GAS[byte]
+        need = max(need, op.STACK_READS[byte] - height)
+        height += op.STACK_GROWTH[byte]
+        growth = max(growth, height)
+    return gas, need, STACK_LIMIT - growth, height
+
+
 class Terminator(str, Enum):
     JUMP = "Jump"
     JUMPI = "JumpI"
@@ -106,24 +121,19 @@ class BasicBlock:
         """The block cut after each instruction in `opcodes.DYNAMIC_GAS`
         and after each GAS.
 
-        Each segment is (instructions, base gas, need, room), its gate: the
-        sum of its `opcodes.BASE_GAS`, how many words of the entry stack it
-        reads, and the highest entry height at which its pushes stay within
-        `STACK_LIMIT`.  A block with one segment shares its `instructions`.
+        Each segment is (instructions, base gas, need, room), its gate as
+        `segment_gate` gives it.  A block with one segment shares its
+        `instructions`.
         """
         instructions = self.instructions
         n = len(instructions)
         segments: list[Segment] = []
-        start = gas = height = need = growth = 0
+        start = 0
         for end, (_, byte, _) in enumerate(instructions, 1):
-            gas += op.BASE_GAS[byte]
-            need = max(need, op.STACK_READS[byte] - height)
-            height += op.STACK_GROWTH[byte]
-            growth = max(growth, height)
             if byte in _ENDS_SEGMENT or end == n:
                 body = instructions[start:end] if end - start < n else instructions
-                segments.append((body, gas, need, STACK_LIMIT - growth))
-                start, gas, height, need, growth = end, 0, 0, 0, 0
+                segments.append((body, *segment_gate(body)[:3]))
+                start = end
         return tuple(segments)
 
     @property

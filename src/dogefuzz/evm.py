@@ -85,7 +85,7 @@ from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple
 
 from . import opcodes as op
-from .cfg import STACK_LIMIT, BasicBlock, Instruction, analyze
+from .cfg import STACK_LIMIT, BasicBlock, Instruction, analyze, segment_gate
 from .keccak import keccak256
 
 logger = logging.getLogger(__name__)
@@ -499,13 +499,15 @@ def _chain_gates(path: list[BasicBlock]) -> list[tuple[int, int, int]]:
     """The gate of the chain through each suffix of `path`, longest first:
     the base gas of all its blocks, how many words of the entry stack it
     reads, and the highest entry stack with room for all its pushes.  Each
-    is folded from the next one and its first block's one segment gate,
-    shifted by that block's net stack growth `height`."""
+    is folded from the next one and its first block's gate, shifted by
+    that block's net stack growth `height`.  A chain's block holds no
+    dynamic charge and no GAS, so its gate is its one segment's; it is
+    walked here rather than read from `BasicBlock.segments`, which would
+    keep a segment tuple on every block that only ever runs in a chain."""
     gates = []
     gas, need, room = 0, 0, STACK_LIMIT
     for block in reversed(path):
-        ((instructions, seg_gas, reads, space),) = block.segments
-        height = sum(op.STACK_GROWTH[byte] for _, byte, _ in instructions)
+        seg_gas, reads, space, height = segment_gate(block.instructions)
         gas, need, room = (gas + seg_gas, max(reads, need - height),
                            min(space, room - height))
         gates.append((gas, need, room))
@@ -513,10 +515,10 @@ def _chain_gates(path: list[BasicBlock]) -> list[tuple[int, int, int]]:
 
 
 def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock],
-                  path: list[BasicBlock], gas: int, need: int,
-                  room: int) -> tuple[str, dict[str, object]]:
-    """Python source of the chain through `path`, whose gate is `gas`,
-    `need` and `room`, and the tables it reads.
+                  path: list[BasicBlock], gates: list[tuple[int, int, int]]
+                  ) -> tuple[str, dict[str, object]]:
+    """Python source of the chain through `path`, whose suffixes' gates
+    `_chain_gates` gives as `gates`, and the tables it reads.
 
     The function `chain(stack, gas, calldata, value, exits, transitions)`
     returns None, touching nothing, unless `gas` and `stack` pass the gate.
@@ -530,6 +532,7 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
     template text, local and table names and decimal integers reach the
     source.
     """
+    gas, need, room = gates[0]
     # the chain's stack, bottom first: the entry words it reads, then
     # local names and literals
     entry = [f"i{depth}" for depth in range(need, 0, -1)]
@@ -545,7 +548,7 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
     tables: dict[str, object] = {"jumpdests": jumpdests}
     runs: dict[int, int] = {}
     edges: list[tuple[int, int]] = []
-    paid = temps = 0
+    temps = 0
 
     def leave(indent: str, source: int, dest: str | None,
               after: BasicBlock | None) -> None:
@@ -580,8 +583,10 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
     for k, block in enumerate(path):
         runs[block.start] = len(block.pcs)
         last = k == len(path) - 1
+        # an exit comes only at a block's end, having paid the base gas of
+        # every block up to it: all but the gate of the path after it
+        paid = gas - (0 if last else gates[k + 1][0])
         for pc, byte, push in block.instructions:
-            paid += op.BASE_GAS[byte]
             if push is not None:
                 stack.append(str(push))
             elif op.DUP1 <= byte <= op.DUP16:
@@ -645,7 +650,7 @@ def _stand_in(chains: dict[int, Callable | None], blocks: dict[int, BasicBlock],
                 chains[path[k + 1].start] = _stand_in(
                     chains, blocks, jumpdests, path, shared, gates, k + 1)
             return None
-        source, tables = _chain_source(blocks, jumpdests, path[k:], gas, need, room)
+        source, tables = _chain_source(blocks, jumpdests, path[k:], gates[k:])
         compiled = chains[start] = _compile_chain(source, tables, start)
         return compiled(stack, gas_left, *frame)
 

@@ -35,16 +35,26 @@ records no finding, since its first run did both.  Its bonus is derived
 again only when learned edges lowered a hop count after it was.  An
 outcome stays valid while the base state keeps what it read, so a kept
 state change drops the outcomes that read what it wrote, and those whose
-balance tests it flips; reaching `OUTCOME_CACHE_SIZE` entries clears the
-cache.  A kept lane is replayed too: it adds its outcome's net changes to
-the base state (`evm.reapply`) and drops outcomes as a run would.  Only
-an outcome that wrote code is run again, since a SELFDESTRUCT clears
-slots its run never read.
+balance tests it flips, found through an index from each location to the
+outcomes that read it and from each address to the tests of its balance;
+reaching `OUTCOME_CACHE_SIZE` entries clears the cache.  A kept lane is
+replayed too: it adds its outcome's net changes to the base state
+(`evm.reapply`) and drops outcomes as a run would.  Only an outcome that
+wrote code is run again, since a SELFDESTRUCT clears slots its run never
+read.
 
 A seed carries the calldata it runs with.  It is encoded once when the
-seed is generated; a mutant inherits its parent's bytes and is re-encoded
-only when the mutation changed an argument, so mutants that vary the
-value, the agent policy or the block cost no ABI work.
+seed is generated, and a function without arguments sends its selector
+alone; a mutant inherits its parent's bytes and is re-encoded only when
+the mutation changed an argument, so mutants that vary the value, the
+agent policy or the block cost no ABI work.
+
+A campaign draws everything from one `random.Random` seeded with its
+`rng_seed`.  A draw among `n` choices goes through `abi._below`, which
+asks `getrandbits` for the same bits `Random.choice` and
+`Random.randrange` would, at a quarter of their cost; so a seed, a
+mutant and every report stay what those methods made them, and
+`tests/test_draws.py` pins the streams.
 """
 
 from __future__ import annotations
@@ -62,6 +72,7 @@ from .abi import (
     AbiType,
     FunctionSpec,
     TypeKind,
+    _below,
     encode_call,
     generate_value,
     mutate_value,
@@ -75,6 +86,7 @@ from .cfg import (
 )
 from .evm import (
     AGENT_ADDRESS,
+    BALANCE,
     DEFAULT_TX_GAS,
     BlockContext,
     ChainExit,
@@ -112,7 +124,11 @@ _Outcome = tuple[dict[int, int], list[BugFinding],
 # target they name the transaction
 _TxKey = tuple[bytes, int, PolicyKind, BlockContext]
 
-_POLICY_CYCLE = (PolicyKind.BENIGN, PolicyKind.REENTRANT, PolicyKind.THROWER)
+# the policy a policy mutation moves to from each: benign, reentrant,
+# thrower and round again
+_NEXT_POLICY = {PolicyKind.BENIGN: PolicyKind.REENTRANT,
+                PolicyKind.REENTRANT: PolicyKind.THROWER,
+                PolicyKind.THROWER: PolicyKind.BENIGN}
 # the record of a target no frame ran
 _NO_RECORD: tuple[dict[int, int], tuple[ChainExit, ...]] = ({}, ())
 # a fallback seed's raw calldata mutates as an ABI `bytes` value
@@ -247,15 +263,17 @@ class BlockCoverage:
 
 def generate_seed(rng: random.Random, spec: FunctionSpec,
                   pools: tuple[bytes, ...], ordinal: int = 0) -> Seed:
-    """Fresh input for `spec`; ordinal 1 favors a value-carrying variant."""
-    if spec.is_fallback:
-        raw = rng.randbytes(8) if ordinal else b""
-        return Seed(spec=spec, calldata=raw,
-                    value=ordinal if spec.is_payable else 0)
-    args = tuple(generate_value(rng, t, pools) for t in spec.inputs)
+    """Fresh input for `spec`; ordinal 1 favors a value-carrying variant.
+
+    Built by position, in field order: cheaper than by keyword on every
+    BlackBox execution."""
     value = ordinal if spec.is_payable else 0
-    return Seed(spec=spec, args=args, calldata=encode_call(spec, args),
-                value=value)
+    if spec.is_fallback:
+        return Seed(spec, (), rng.randbytes(8) if ordinal else b"", value)
+    if not spec.inputs:
+        return Seed(spec, (), spec.selector_bytes, value)
+    args = tuple([generate_value(rng, t, pools) for t in spec.inputs])
+    return Seed(spec, args, encode_call(spec, args), value)
 
 
 def initial_corpus(rng: random.Random, target: FuzzTarget) -> list[Seed]:
@@ -274,37 +292,44 @@ def mutate_seed(rng: random.Random, seed: Seed,
 
     The child starts from the parent's calldata: only an argument mutation
     re-encodes it, and only a raw-bytes mutation of a fallback seed edits it.
+    A draw among a few candidates computes only the one drawn.
     """
-    choice = rng.choice(seed.spec.mutation_dims)
-
-    child = Seed(seed.spec, seed.args, seed.calldata, seed.value, seed.policy,
-                 seed.block)
+    getrandbits = rng.getrandbits
+    spec, args, calldata = seed.spec, seed.args, seed.calldata
+    value, policy, block = seed.value, seed.policy, seed.block
+    dims = spec.mutation_dims
+    choice = dims[_below(getrandbits, len(dims))]
     if choice == "raw":
-        child.calldata = mutate_value(rng, _RAW_CALLDATA, seed.calldata, pools)
+        calldata = mutate_value(rng, _RAW_CALLDATA, calldata, pools)
     elif choice == "value":
-        child.value = rng.choice((0, 1, 2, seed.value + 1,
-                                  max(seed.value - 1, 0), seed.value * 2))
-    elif choice == "policy":
-        index = _POLICY_CYCLE.index(seed.policy)
-        child.policy = _POLICY_CYCLE[(index + 1) % len(_POLICY_CYCLE)]
-    elif choice == "block":
-        block = seed.block
-        if rng.random() < 0.5:
-            offset = rng.choice(TIMESTAMP_OFFSETS)
-            child.block = BlockContext(block.number,
-                                       max(0, block.timestamp + offset))
+        # of 0, 1, 2, value + 1, value - 1 (not below 0) and value * 2
+        pick = _below(getrandbits, 6)
+        if pick < 3:
+            value = pick
+        elif pick == 3:
+            value += 1
+        elif pick == 4:
+            value = max(value - 1, 0)
         else:
-            offset = rng.choice(NUMBER_OFFSETS)
-            child.block = BlockContext(max(0, block.number + offset),
-                                       block.timestamp)
+            value *= 2
+    elif choice == "policy":
+        policy = _NEXT_POLICY[policy]
+    elif choice == "block":
+        if rng.random() < 0.5:
+            offset = TIMESTAMP_OFFSETS[
+                _below(getrandbits, len(TIMESTAMP_OFFSETS))]
+            block = BlockContext(block.number, max(0, block.timestamp + offset))
+        else:
+            offset = NUMBER_OFFSETS[_below(getrandbits, len(NUMBER_OFFSETS))]
+            block = BlockContext(max(0, block.number + offset), block.timestamp)
     else:
         _, index = choice
-        args = list(seed.args)
-        args[index] = mutate_value(rng, seed.spec.inputs[index], args[index],
-                                   pools)
-        child.args = tuple(args)
-        child.calldata = encode_call(seed.spec, child.args)
-    return child
+        mutated = list(args)
+        mutated[index] = mutate_value(rng, spec.inputs[index], mutated[index],
+                                      pools)
+        args = tuple(mutated)
+        calldata = encode_call(spec, args)
+    return Seed(spec, args, calldata, value, policy, block)
 
 
 def select_seed(rng: random.Random, queue: list[Seed], total: float) -> Seed:
@@ -349,6 +374,18 @@ class _Campaign:
         self.coverage = BlockCoverage()
         # transaction -> its outcome, valid against the current base state
         self.outcomes: dict[_TxKey, _Outcome] = {}
+        # what a kept state change looks up to find the outcomes it may
+        # alter: location -> keys of cached outcomes that read it, and
+        # address -> (key, need, passed) of each balance test a cached
+        # outcome made of it.  The outcomes cached since the last kept
+        # change (`unindexed`) join it only when the next one has tested
+        # them (`_invalidate`).  A dropped outcome's entries stay until they
+        # are looked up or the index is rebuilt, once `dropped` outcomes
+        # reach `OUTCOME_CACHE_SIZE`
+        self.readers: dict[Location, list[_TxKey]] = {}
+        self.testers: dict[bytes, list[tuple[_TxKey, int, bool]]] = {}
+        self.unindexed: list[_TxKey] = []
+        self.dropped = 0
         self.replayed = 0
         self.queue_energy = 0.0  # sum of the queue's energies, front to back
         self.executions = 0
@@ -391,15 +428,75 @@ class _Campaign:
 
     def _invalidate(self, writes: Mapping[Location, object]) -> None:
         """Drop the outcomes a kept state change may alter: those that read
-        a location it wrote or whose balance test now answers otherwise."""
+        a location it wrote or whose balance test now answers otherwise.
+
+        The outcomes cached since the last kept change are tested as a
+        scan tests them, and those kept join the index.  Every change of a
+        balance is a write of it, so of the indexed outcomes only those
+        that read a written location or tested a written balance can be
+        altered: the index names them, and maybe some no longer cached or
+        cached again since, and each named one is tested as a scan would
+        test it.  So exactly the outcomes a scan of the whole cache would
+        drop are dropped.  No outcome left reads a written location, so
+        those entries go."""
         outcomes = self.outcomes
+        readers, testers = self.readers, self.testers
         balance_of = self.base_state.balance_of
-        stale = [key for key, (_, _, _, reads, tests, _, _, _) in outcomes.items()
-                 if not reads.isdisjoint(writes)
-                 or tests and any((balance_of(address) >= need) is not passed
-                                  for address, need, passed in tests)]
-        for key in stale:
-            del outcomes[key]
+
+        def altered(outcome: _Outcome) -> bool:
+            tests = outcome[4]
+            return (not outcome[3].isdisjoint(writes)
+                    or tests and any((balance_of(address) >= need) is not passed
+                                     for address, need, passed in tests))
+
+        if self.dropped >= OUTCOME_CACHE_SIZE:
+            readers.clear()
+            testers.clear()
+            self.unindexed = list(outcomes)
+            self.dropped = 0
+        # not `setdefault`, which builds a list to throw away on each hit
+        for key in self.unindexed:
+            outcome = outcomes.get(key)
+            if outcome is None:
+                continue
+            if altered(outcome):
+                del outcomes[key]
+                self.dropped += 1
+                continue
+            for location in outcome[3]:
+                keys = readers.get(location)
+                if keys is None:
+                    readers[location] = [key]
+                else:
+                    keys.append(key)
+            for address, need, passed in outcome[4]:
+                entries = testers.get(address)
+                if entries is None:
+                    testers[address] = [(key, need, passed)]
+                else:
+                    entries.append((key, need, passed))
+        self.unindexed.clear()
+
+        named: list[_TxKey] = []
+        for location in writes:
+            keys = readers.pop(location, None)
+            if keys:
+                named += keys
+            address, field = location
+            entries = testers.get(address) if field == BALANCE else None
+            if entries:
+                balance = balance_of(address)
+                flipped = [key for key, need, passed in entries
+                           if (balance >= need) is not passed]
+                if flipped:
+                    named += flipped
+                    testers[address] = [entry for entry in entries
+                                        if (balance >= entry[1]) is entry[2]]
+        for key in named:
+            outcome = outcomes.get(key)
+            if outcome is not None and altered(outcome):
+                del outcomes[key]
+                self.dropped += 1
 
     def _bonus(self, runs: dict[int, int], exits: list[ChainExit]) -> float:
         """The Directed proximity bonus of a run of these blocks and exits
@@ -474,7 +571,12 @@ class _Campaign:
             else:
                 if len(outcomes) >= OUTCOME_CACHE_SIZE:
                     outcomes.clear()
+                    self.readers.clear()
+                    self.testers.clear()
+                    self.unindexed.clear()
+                    self.dropped = 0
                 outcomes[key] = outcome
+                self.unindexed.append(key)
             seed.energy = 1.0 + new_edges + bonus
             for finding in findings:
                 self.first_hits.setdefault(finding, (tick, finding, seed))
@@ -501,6 +603,8 @@ class _Campaign:
             self.queue_energy += seed.energy
 
         eligible = self.target.eligible_specs()
+        pools = self.target.pools
+        getrandbits = rng.getrandbits
         blind = self.config.strategy is Strategy.BLACKBOX
         while self._within_budget():
             if not blind:
@@ -510,11 +614,13 @@ class _Campaign:
                     break
                 persist = lane == MUTANTS_PER_CYCLE
                 if blind:
-                    child = generate_seed(rng, rng.choice(eligible),
-                                          self.target.pools,
-                                          ordinal=rng.randrange(2))
+                    # a function, then an ordinal, each drawn as
+                    # `rng.choice` and `rng.randrange` would draw it
+                    child = generate_seed(
+                        rng, eligible[_below(getrandbits, len(eligible))],
+                        pools, _below(getrandbits, 2))
                 else:
-                    child = mutate_seed(rng, parent, self.target.pools)
+                    child = mutate_seed(rng, parent, pools)
                 self._execute(child, persist=persist)
                 if not blind and child.energy > parent.energy:
                     queue.append(child)

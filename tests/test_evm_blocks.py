@@ -604,6 +604,21 @@ def test_a_gate_that_under_reports_need_lets_the_index_error_escape(
         execute_transaction(state, Transaction(target=target))
 
 
+def test_blocks_run_only_in_a_chain_keep_no_segments() -> None:
+    # a chain's gates are walked, not read from `BasicBlock.segments`, so
+    # the blocks only a compiled chain runs keep no segment tuple
+    raw = _two_block_chain()
+    analysis = analyze.__wrapped__(raw)
+    with mock.patch.object(evm, "analyze", lambda code_bytes: analysis
+                           if code_bytes == raw else analyze(code_bytes)):
+        trace, _, address = run(raw)
+    assert trace.status is TxStatus.SUCCESS
+    runs, exits = trace.records[(address, raw)]
+    assert runs == {} and len(exits) == 1
+    assert all("segments" not in block.__dict__
+               for block in analysis.blocks.values())
+
+
 def _underflow_behind_a_refused_gate() -> bytes:
     # a two-block chain reading three words, entered with two
     a = Assembler().raw(_after_mload(P(7) * 2))
@@ -722,7 +737,7 @@ def test_chain_source_holds_only_template_names_and_integers(raw: bytes) -> None
         if len(path) < evm.CHAIN_MIN_BLOCKS:
             continue
         source, _ = evm._chain_source(analysis.blocks, analysis.jumpdests, path,
-                                      *evm._chain_gates(path)[0])
+                                      evm._chain_gates(path))
         for token in tokenize.generate_tokens(io.StringIO(source).readline):
             if token.type == tokenize.NAME:
                 assert (token.string in _CHAIN_VOCABULARY

@@ -694,7 +694,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         for rng_seed in (0, 1):
             hits.clear()
             result = run_campaign(target, CampaignConfig(
-                strategy=strategy, budget=400, rng_seed=rng_seed))
+                strategy=strategy, budget=3000, rng_seed=rng_seed))
             earliest = {}
             for tick, finding, seed in hits:
                 site = (finding.fine, finding.pc)
@@ -944,6 +944,125 @@ def test_kept_lane_runs_a_cached_outcome_that_wrote_code(monkeypatch,
     runs = len(ran)
     campaign._execute(seed(name), persist=True)
     assert len(ran) == runs + 1 and campaign.replayed == 0
+
+
+def _gated_pay_target() -> FuzzTarget:
+    """`gate()` sends its caller 150 wei when slot 0 is set, `set(v)`
+    stores `v` in slot 0 and `pay(a)` sends its caller `a` wei, from a
+    contract holding 300 wei."""
+    signatures = ("gate()", "set(uint256)", "pay(uint256)")
+    a = Assembler()
+    a.push(0).op("CALLDATALOAD").push(0xE0).op("SHR")
+    for signature in signatures:
+        sel = int.from_bytes(selector(signature), "big")
+        a.op("DUP1").push(sel, width=4).op("EQ")
+        a.push_label(signature.split("(")[0]).op("JUMPI")
+    a.op("STOP")
+    a.dest("gate").push(0).op("SLOAD").push_label("send").op("JUMPI", "STOP")
+    a.dest("send").push(0).push(0).push(0).push(0).push(150)
+    a.op("CALLER", "GAS", "CALL", "POP", "STOP")
+    a.dest("set").push(4).op("CALLDATALOAD").push(0).op("SSTORE", "STOP")
+    a.dest("pay").push(0).push(0).push(0).push(0).push(4).op("CALLDATALOAD")
+    a.op("CALLER", "GAS", "CALL", "POP", "STOP")
+    runtime = a.assemble()
+    abi = [{"type": "function", "name": signature.split("(")[0],
+            "inputs": [{"name": "x", "type": "uint256"}
+                       for _ in range(signature.count("uint256"))],
+            "outputs": [], "stateMutability": "nonpayable"}
+           for signature in signatures]
+    state = WorldState()
+    state.account(AGENT_ADDRESS).balance = 10 ** 18
+    state.account(DEPLOYER_ADDRESS).balance = 10 ** 18
+    address = deploy_contract(state, runtime, endowment=300)
+    return FuzzTarget(name="gated-pay", address=address, state=state,
+                      specs=tuple(parse_abi(abi)), cfg=build_cfg(runtime),
+                      pools=POOLS)
+
+
+def test_a_stale_index_entry_drops_nothing(monkeypatch) -> None:
+    """`gate()` cached while slot 0 was set tested the balance, and a kept
+    payout of 1 wei that left the test standing indexed it; dropped by a
+    kept `set(0)` and cached again, it tests nothing, but the index still
+    holds the first test.  A payout that flips that test keeps `gate()`,
+    as a scan of the cache would."""
+    campaign, seed, ran = _cache_campaign(monkeypatch, _gated_pay_target())
+    gate = seed("gate").calldata
+    campaign._execute(seed("set", 1), persist=True)
+    assert campaign._execute(seed("gate"), persist=False)[4]
+    campaign._execute(seed("pay", 1), persist=True)
+    assert gate in _cached_calls(campaign)
+    campaign._execute(seed("set", 0), persist=True)
+    assert gate not in _cached_calls(campaign)
+    assert not campaign._execute(seed("gate"), persist=False)[4]
+    campaign._execute(seed("pay", 200), persist=True)
+    assert campaign.base_state.balance_of(campaign.target.address) == 99
+    assert gate in _cached_calls(campaign)
+    campaign._execute(seed("gate"), persist=False)
+    assert len(ran) == 6 and campaign.replayed == 1
+
+
+def _scan_survivors(campaign, writes) -> list:
+    """The cached keys a scan of every outcome keeps after the kept state
+    change `writes`, in cache order: those that read none of it and whose
+    balance tests all answer as they did."""
+    balance_of = campaign.base_state.balance_of
+    return [key for key, (_, _, _, reads, tests, _, _, _)
+            in campaign.outcomes.items()
+            if reads.isdisjoint(writes)
+            and all((balance_of(address) >= need) is passed
+                    for address, need, passed in tests)]
+
+
+def _assert_index_covers(campaign) -> None:
+    """Each cached outcome not waiting in `unindexed` is listed under every
+    location it read and with every balance test it made, and the index
+    names at most `2 * OUTCOME_CACHE_SIZE` keys no longer cached."""
+    waiting = set(campaign.unindexed)
+    for key, (_, _, _, reads, tests, _, _, _) in campaign.outcomes.items():
+        if key not in waiting:
+            assert all(key in campaign.readers[at] for at in reads)
+            assert all((key, need, passed) in campaign.testers[at]
+                       for at, need, passed in tests)
+    named = {key for keys in campaign.readers.values() for key in keys}
+    named |= {entry[0] for entries in campaign.testers.values()
+              for entry in entries}
+    assert len(named - campaign.outcomes.keys()) <= 2 * OUTCOME_CACHE_SIZE
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_invalidation_index_drops_what_a_scan_drops(monkeypatch,
+                                                   strategy) -> None:
+    """Over micro-corpus campaigns and the probe's, every kept state change
+    leaves the cache holding the keys a scan of all outcomes keeps, in
+    order, and the index covers the cache after it and at the end; the
+    index is rebuilt along the way."""
+    real = fuzzer._Campaign._invalidate
+    changes = dropped = flipped = rebuilt = 0
+
+    def checked(campaign, writes) -> None:
+        nonlocal changes, dropped, flipped, rebuilt
+        survivors = _scan_survivors(campaign, writes)
+        rebuilt += campaign.dropped >= OUTCOME_CACHE_SIZE
+        # dropped for a balance test alone
+        flipped += sum(outcome[3].isdisjoint(writes) and key not in survivors
+                       for key, outcome in campaign.outcomes.items())
+        dropped += len(campaign.outcomes) - len(survivors)
+        real(campaign, writes)
+        assert list(campaign.outcomes) == survivors
+        assert campaign.unindexed == []
+        _assert_index_covers(campaign)
+        changes += 1
+
+    monkeypatch.setattr(fuzzer._Campaign, "_invalidate", checked)
+    # the probe's payouts flip balance tests, which no fixture's do
+    targets = [make_target(fx) for fx in all_fixtures()] + [_probe_target()]
+    for target in targets:
+        for rng_seed in (1000, 1001):
+            campaign = fuzzer._Campaign(target, CampaignConfig(
+                strategy=strategy, budget=2000, rng_seed=rng_seed))
+            campaign.run()
+            _assert_index_covers(campaign)
+    assert changes > 1000 and dropped > 1000 and flipped > 0 and rebuilt > 0
 
 
 def test_campaign_replays_some_steps() -> None:
