@@ -6,9 +6,10 @@ byte), not the later standardized variant shipped in hashlib, which pads with
 provides it, so the permutation lives here. Known-answer vectors are pinned in
 the test suite against an independently written reference.
 
-The permutation is unrolled: the 25 lanes live in local variables for all 24
-rounds, and each round's theta, rho, pi, chi and iota steps are written out
-lane by lane. Fuzzing hashes the same short inputs over and over (a mapping
+The permutation works on whole planes, as SIMD Keccak implementations lay
+out the state: each plane of five lanes is one int for all 24 rounds, its
+lanes doubled (v | v << 64) while theta and rho run, so that a rotation is a
+single shift. Fuzzing hashes the same short inputs over and over (a mapping
 slot is keccak256(key . slot)), so `keccak256` memoizes digests of inputs that
 fit in one rate block (at most 136 bytes) in an LRU of 512 entries. Longer
 inputs bypass the memo, so it never holds more than 512 * 136 bytes of keys.
@@ -19,7 +20,12 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 
-_MASK = (1 << 64) - 1
+# The state as five plane ints: lane (x, y) sits in the low half of the
+# 128-bit slot x of plane y, and the high half is free for a doubled copy.
+_SLOTS = tuple(((1 << 64) - 1) << 128 * x for x in range(5))
+_LANES = sum(_SLOTS)
+_M640 = (1 << 640) - 1
+_PLANES = struct.Struct("<" + "Q8x" * 25)
 
 # Precomputed iota round constants for keccak-f[1600] (24 rounds).
 _ROUND_CONSTANTS = (
@@ -38,79 +44,41 @@ _DIGEST = struct.Struct("<4Q")
 
 def _keccak_f1600(state: list[int]) -> None:
     """Apply the 24-round permutation in place. Lanes are 64-bit ints, index x + 5*y."""
-    (a00, a01, a02, a03, a04, a05, a06, a07, a08, a09, a10, a11, a12,
-     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = state
+    m0, m1, m2, m3, m4 = _SLOTS
+    lanes, m640 = _LANES, _M640
+    packed = _PLANES.pack(*state)
+    a0, a1, a2, a3, a4 = [int.from_bytes(packed[i:i + 80], "little")
+                          for i in range(0, 400, 80)]
     for rc in _ROUND_CONSTANTS:
-        # theta
-        c0 = a00 ^ a05 ^ a10 ^ a15 ^ a20
-        c1 = a01 ^ a06 ^ a11 ^ a16 ^ a21
-        c2 = a02 ^ a07 ^ a12 ^ a17 ^ a22
-        c3 = a03 ^ a08 ^ a13 ^ a18 ^ a23
-        c4 = a04 ^ a09 ^ a14 ^ a19 ^ a24
-        d = c4 ^ (((c1 << 1) | (c1 >> 63)) & _MASK)
-        a00, a05, a10, a15, a20 = a00 ^ d, a05 ^ d, a10 ^ d, a15 ^ d, a20 ^ d
-        d = c0 ^ (((c2 << 1) | (c2 >> 63)) & _MASK)
-        a01, a06, a11, a16, a21 = a01 ^ d, a06 ^ d, a11 ^ d, a16 ^ d, a21 ^ d
-        d = c1 ^ (((c3 << 1) | (c3 >> 63)) & _MASK)
-        a02, a07, a12, a17, a22 = a02 ^ d, a07 ^ d, a12 ^ d, a17 ^ d, a22 ^ d
-        d = c2 ^ (((c4 << 1) | (c4 >> 63)) & _MASK)
-        a03, a08, a13, a18, a23 = a03 ^ d, a08 ^ d, a13 ^ d, a18 ^ d, a23 ^ d
-        d = c3 ^ (((c0 << 1) | (c0 >> 63)) & _MASK)
-        a04, a09, a14, a19, a24 = a04 ^ d, a09 ^ d, a14 ^ d, a19 ^ d, a24 ^ d
-        # rho and pi: b[y + 5 * ((2x + 3y) % 5)] = rotl(a[x + 5y], r[x + 5y])
-        b00 = a00
-        b01 = ((a06 << 44) | (a06 >> 20)) & _MASK
-        b02 = ((a12 << 43) | (a12 >> 21)) & _MASK
-        b03 = ((a18 << 21) | (a18 >> 43)) & _MASK
-        b04 = ((a24 << 14) | (a24 >> 50)) & _MASK
-        b05 = ((a03 << 28) | (a03 >> 36)) & _MASK
-        b06 = ((a09 << 20) | (a09 >> 44)) & _MASK
-        b07 = ((a10 << 3) | (a10 >> 61)) & _MASK
-        b08 = ((a16 << 45) | (a16 >> 19)) & _MASK
-        b09 = ((a22 << 61) | (a22 >> 3)) & _MASK
-        b10 = ((a01 << 1) | (a01 >> 63)) & _MASK
-        b11 = ((a07 << 6) | (a07 >> 58)) & _MASK
-        b12 = ((a13 << 25) | (a13 >> 39)) & _MASK
-        b13 = ((a19 << 8) | (a19 >> 56)) & _MASK
-        b14 = ((a20 << 18) | (a20 >> 46)) & _MASK
-        b15 = ((a04 << 27) | (a04 >> 37)) & _MASK
-        b16 = ((a05 << 36) | (a05 >> 28)) & _MASK
-        b17 = ((a11 << 10) | (a11 >> 54)) & _MASK
-        b18 = ((a17 << 15) | (a17 >> 49)) & _MASK
-        b19 = ((a23 << 56) | (a23 >> 8)) & _MASK
-        b20 = ((a02 << 62) | (a02 >> 2)) & _MASK
-        b21 = ((a08 << 55) | (a08 >> 9)) & _MASK
-        b22 = ((a14 << 39) | (a14 >> 25)) & _MASK
-        b23 = ((a15 << 41) | (a15 >> 23)) & _MASK
-        b24 = ((a21 << 2) | (a21 >> 62)) & _MASK
-        # chi, with iota folded into lane 0
-        a00 = b00 ^ (~b01 & b02) ^ rc
-        a01 = b01 ^ (~b02 & b03)
-        a02 = b02 ^ (~b03 & b04)
-        a03 = b03 ^ (~b04 & b00)
-        a04 = b04 ^ (~b00 & b01)
-        a05 = b05 ^ (~b06 & b07)
-        a06 = b06 ^ (~b07 & b08)
-        a07 = b07 ^ (~b08 & b09)
-        a08 = b08 ^ (~b09 & b05)
-        a09 = b09 ^ (~b05 & b06)
-        a10 = b10 ^ (~b11 & b12)
-        a11 = b11 ^ (~b12 & b13)
-        a12 = b12 ^ (~b13 & b14)
-        a13 = b13 ^ (~b14 & b10)
-        a14 = b14 ^ (~b10 & b11)
-        a15 = b15 ^ (~b16 & b17)
-        a16 = b16 ^ (~b17 & b18)
-        a17 = b17 ^ (~b18 & b19)
-        a18 = b18 ^ (~b19 & b15)
-        a19 = b19 ^ (~b15 & b16)
-        a20 = b20 ^ (~b21 & b22)
-        a21 = b21 ^ (~b22 & b23)
-        a22 = b22 ^ (~b23 & b24)
-        a23 = b23 ^ (~b24 & b20)
-        a24 = b24 ^ (~b20 & b21)
-    state[:] = (a00, a01, a02, a03, a04, a05, a06, a07, a08, a09, a10, a11, a12,
-                a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24)
+        # double each lane: slot x of a plane holds v | v << 64
+        q0, q1, q2, q3 = a0 << 64 | a0, a1 << 64 | a1, a2 << 64 | a2, a3 << 64 | a3
+        q4 = a4 << 64 | a4
+        # theta: slot x of d is c[x-1] ^ rotl(c[x+1], 1).  A shift rotates
+        # a doubled lane except in bit 0 of its slot, which rho never reads
+        c = q0 ^ q1 ^ q2 ^ q3 ^ q4
+        d = ((c << 128 | c >> 512) ^ (c >> 127 | c << 513)) & m640
+        q0, q1, q2, q3, q4 = q0 ^ d, q1 ^ d, q2 ^ d, q3 ^ d, q4 ^ d
+        # rho and pi: lane (x, y) moves to slot y of plane (2x + 3y) % 5,
+        # rotated by r: a shift by 128 * (x - y) + 64 - r puts bits 64 - r
+        # to 127 - r of its doubled slot there (left when negative)
+        p0 = ((q0 >> 64 & m0) | (q1 >> 20 & m1) | (q2 >> 21 & m2)
+              | (q3 >> 43 & m3) | (q4 >> 50 & m4))
+        p1 = ((q0 >> 420 & m0) | (q1 >> 428 & m1) | (q2 << 195 & m2)
+              | (q3 << 237 & m3) | (q4 << 253 & m4))
+        p2 = ((q0 >> 191 & m0) | (q1 >> 186 & m1) | (q2 >> 167 & m2)
+              | (q3 >> 184 & m3) | (q4 << 466 & m4))
+        p3 = ((q0 >> 549 & m0) | (q1 << 100 & m1) | (q2 << 74 & m2)
+              | (q3 << 79 & m3) | (q4 << 120 & m4))
+        p4 = ((q0 >> 258 & m0) | (q1 >> 265 & m1) | (q2 >> 281 & m2)
+              | (q3 << 361 & m3) | (q4 << 322 & m4))
+        # chi on whole planes, slot x against slots x+1 and x+2; iota
+        a0 = p0 ^ ((p0 >> 128 | p0 << 512) ^ lanes) & (p0 >> 256 | p0 << 384) & m640 ^ rc
+        a1 = p1 ^ ((p1 >> 128 | p1 << 512) ^ lanes) & (p1 >> 256 | p1 << 384) & m640
+        a2 = p2 ^ ((p2 >> 128 | p2 << 512) ^ lanes) & (p2 >> 256 | p2 << 384) & m640
+        a3 = p3 ^ ((p3 >> 128 | p3 << 512) ^ lanes) & (p3 >> 256 | p3 << 384) & m640
+        a4 = p4 ^ ((p4 >> 128 | p4 << 512) ^ lanes) & (p4 >> 256 | p4 << 384) & m640
+    state[:] = _PLANES.unpack(b"".join(
+        a.to_bytes(80, "little") for a in (a0, a1, a2, a3, a4)))
 
 
 def _sponge(data: bytes | bytearray | memoryview) -> bytes:
@@ -119,7 +87,7 @@ def _sponge(data: bytes | bytearray | memoryview) -> bytes:
     padded = bytearray(data)
     pad_len = _RATE - (len(padded) % _RATE)
     padded.extend(b"\x00" * pad_len)
-    padded[len(data)] ^= 0x01
+    padded[-pad_len] ^= 0x01
     padded[-1] ^= 0x80
     for block_start in range(0, len(padded), _RATE):
         state[:17] = [s ^ b for s, b in
@@ -136,9 +104,11 @@ def keccak256(data: bytes | bytearray | memoryview) -> bytes:
 
     Digests of inputs of at most `_RATE` bytes come from a 512-entry LRU;
     longer inputs are hashed every time, so the memo holds no large keys.
+    Lengths count bytes, also for a memoryview of wider items.
     """
+    data = bytes(data)
     if len(data) <= _RATE:
-        return _memo(bytes(data))
+        return _memo(data)
     return _sponge(data)
 
 

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import random
+from array import array
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dogefuzz.keccak import keccak256
 
-from keccak_oracle import keccak256_reference
+from keccak_oracle import _permute, keccak256_reference
 
 # Frozen known-answer vectors for the EVM's hash (0x01 padding). These are
 # external anchors; they must never be regenerated from either implementation.
@@ -72,6 +73,25 @@ def test_permutation_reproduces_hashlib_under_nist_padding() -> None:
         assert sponge_with_domain(message, 0x06) == hashlib.sha3_256(message).digest()
 
 
+def test_permutation_matches_the_reference() -> None:
+    # single bits 0 and 63 of each lane sit at the edges of its slot in a
+    # packed plane and are the bits theta's rotation by one wraps
+    from dogefuzz.keccak import _keccak_f1600
+
+    mask = (1 << 64) - 1
+    states = [[0] * 25, [mask] * 25]
+    for lane in range(25):
+        for bit in (0, 63):
+            states.append([1 << bit if i == lane else 0 for i in range(25)])
+    rng = random.Random(1600)
+    states += [[rng.getrandbits(64) for _ in range(25)] for _ in range(200)]
+    for state in states:
+        expected = _permute({(i % 5, i // 5): lane for i, lane in enumerate(state)})
+        permuted = list(state)
+        _keccak_f1600(permuted)
+        assert permuted == [expected[(i % 5, i // 5)] for i in range(25)], state
+
+
 def test_rate_boundary_lengths() -> None:
     # padding edge cases: exactly one block, one short of the rate, one over
     for n in (0, 1, 135, 136, 137, 271, 272, 273):
@@ -115,6 +135,16 @@ def test_buffer_types_hash_like_bytes() -> None:
         digest = keccak256(message)
         assert keccak256(bytearray(message)) == digest
         assert keccak256(memoryview(message)) == digest
+    # a view of 4-byte items is padded and memoized by its byte length, on
+    # both sides of the 136-byte bound (34 items) and the 136-item bound
+    for items in (33, 34, 35, 135, 136, 137):
+        view = memoryview(array("I", range(items)))
+        message = view.tobytes()
+        before = keccak256.cache_info()
+        assert keccak256(view) == keccak256(message) == keccak256_reference(message)
+        after = keccak256.cache_info()
+        memo_calls = after.hits + after.misses - before.hits - before.misses
+        assert memo_calls == (2 if len(message) <= 136 else 0), items
 
 
 def test_memo_stays_within_maxsize() -> None:
