@@ -43,11 +43,16 @@ replayed too: it adds its outcome's net changes to the base state
 wrote code is run again, since a SELFDESTRUCT clears slots its run never
 read.
 
-A seed carries the calldata it runs with.  It is encoded once when the
-seed is generated, and a function without arguments sends its selector
-alone; a mutant inherits its parent's bytes and is re-encoded only when
-the mutation changed an argument, so mutants that vary the value, the
-agent policy or the block cost no ABI work.
+A lane hands around only its arguments and its transaction key: the
+calldata, value, agent policy and block that, with the campaign's fixed
+target, name the transaction and its cached outcome.  The calldata is
+encoded once when an input is generated, and a function without
+arguments sends its selector alone; a mutant inherits its parent's bytes
+and is re-encoded only when the mutation changed an argument, so mutants
+that vary the value, the agent policy or the block cost no ABI work.  A
+`Seed` is what the queue keeps, and a finding's reproducer: one is built
+for each initial-corpus input, each admitted child and each run that
+first hit a finding, so a replay builds none.
 
 A campaign draws everything from one `random.Random` seeded with its
 `rng_seed`.  A draw among `n` choices goes through `abi._below`, which
@@ -87,6 +92,7 @@ from .cfg import (
 from .evm import (
     AGENT_ADDRESS,
     BALANCE,
+    DEFAULT_BLOCK,
     DEFAULT_TX_GAS,
     BlockContext,
     ChainExit,
@@ -120,7 +126,7 @@ OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 _Outcome = tuple[dict[int, int], list[BugFinding],
                  Mapping[Location, int | bytes | None], set[Location],
                  list[tuple[bytes, int, bool]], float, int, list[ChainExit]]
-# a seed's calldata, value, policy and block: with the campaign's fixed
+# an input's calldata, value, policy and block: with the campaign's fixed
 # target they name the transaction
 _TxKey = tuple[bytes, int, PolicyKind, BlockContext]
 
@@ -145,12 +151,13 @@ class Strategy(str, Enum):
 class Seed:
     """One input point: function, arguments, and transaction context.
 
+    A seed is what the queue keeps, and a finding's reproducer; a lane
+    that is neither stays its arguments and transaction key.
     `calldata` is the transaction input the seed runs with: the selector
     plus the encoded `args`, or for a fallback seed the raw bytes sent
     instead of arguments.  `generate_seed` and `mutate_seed` keep it in
     step with `args`; a seed built by hand starts with empty calldata.
-    `energy` is set once, when the seed runs; the seed that first hit a
-    finding is that finding's reproducer.
+    `energy` is what the input earned when it ran.
     """
 
     spec: FunctionSpec
@@ -158,7 +165,7 @@ class Seed:
     calldata: bytes = b""
     value: int = 0
     policy: PolicyKind = PolicyKind.BENIGN
-    block: BlockContext = BlockContext()
+    block: BlockContext = DEFAULT_BLOCK
     energy: float = 1.0
 
 
@@ -262,18 +269,20 @@ class BlockCoverage:
 # --- seed construction ----------------------------------------------------
 
 def generate_seed(rng: random.Random, spec: FunctionSpec,
-                  pools: tuple[bytes, ...], ordinal: int = 0) -> Seed:
-    """Fresh input for `spec`; ordinal 1 favors a value-carrying variant.
-
-    Built by position, in field order: cheaper than by keyword on every
-    BlackBox execution."""
+                  pools: tuple[bytes, ...],
+                  ordinal: int = 0) -> tuple[tuple, _TxKey]:
+    """Fresh input for `spec`, its arguments and transaction key; ordinal
+    1 favors a value-carrying variant."""
     value = ordinal if spec.is_payable else 0
     if spec.is_fallback:
-        return Seed(spec, (), rng.randbytes(8) if ordinal else b"", value)
+        return (), (rng.randbytes(8) if ordinal else b"", value,
+                    PolicyKind.BENIGN, DEFAULT_BLOCK)
     if not spec.inputs:
-        return Seed(spec, (), spec.selector_bytes, value)
+        return (), (spec.selector_bytes, value, PolicyKind.BENIGN,
+                    DEFAULT_BLOCK)
     args = tuple([generate_value(rng, t, pools) for t in spec.inputs])
-    return Seed(spec, args, encode_call(spec, args), value)
+    return args, (encode_call(spec, args), value, PolicyKind.BENIGN,
+                  DEFAULT_BLOCK)
 
 
 def initial_corpus(rng: random.Random, target: FuzzTarget) -> list[Seed]:
@@ -281,14 +290,18 @@ def initial_corpus(rng: random.Random, target: FuzzTarget) -> list[Seed]:
     eligible = target.eligible_specs()
     if not eligible:
         raise ValueError(f"{target.name}: no state-changing entry points")
-    return [generate_seed(rng, spec, target.pools, ordinal)
-            for spec in eligible
-            for ordinal in range(SEEDS_PER_FUNCTION)]
+    seeds = []
+    for spec in eligible:
+        for ordinal in range(SEEDS_PER_FUNCTION):
+            args, key = generate_seed(rng, spec, target.pools, ordinal)
+            seeds.append(Seed(spec, args, *key))
+    return seeds
 
 
 def mutate_seed(rng: random.Random, seed: Seed,
-                pools: tuple[bytes, ...]) -> Seed:
-    """Change exactly one dimension of the input.
+                pools: tuple[bytes, ...]) -> tuple[tuple, _TxKey]:
+    """Change exactly one dimension of the input; returns the child's
+    arguments and transaction key.
 
     The child starts from the parent's calldata: only an argument mutation
     re-encodes it, and only a raw-bytes mutation of a fallback seed edits it.
@@ -315,13 +328,18 @@ def mutate_seed(rng: random.Random, seed: Seed,
     elif choice == "policy":
         policy = _NEXT_POLICY[policy]
     elif choice == "block":
+        number, timestamp = block
         if rng.random() < 0.5:
-            offset = TIMESTAMP_OFFSETS[
+            timestamp += TIMESTAMP_OFFSETS[
                 _below(getrandbits, len(TIMESTAMP_OFFSETS))]
-            block = BlockContext(block.number, max(0, block.timestamp + offset))
+            if timestamp < 0:
+                timestamp = 0
         else:
-            offset = NUMBER_OFFSETS[_below(getrandbits, len(NUMBER_OFFSETS))]
-            block = BlockContext(max(0, block.number + offset), block.timestamp)
+            number += NUMBER_OFFSETS[_below(getrandbits, len(NUMBER_OFFSETS))]
+            if number < 0:
+                number = 0
+        # `_make` skips the Python-level `__new__` a NamedTuple call runs
+        block = BlockContext._make((number, timestamp))
     else:
         _, index = choice
         mutated = list(args)
@@ -329,7 +347,7 @@ def mutate_seed(rng: random.Random, seed: Seed,
                                       pools)
         args = tuple(mutated)
         calldata = encode_call(spec, args)
-    return Seed(spec, args, calldata, value, policy, block)
+    return args, (calldata, value, policy, block)
 
 
 def select_seed(rng: random.Random, queue: list[Seed], total: float) -> Seed:
@@ -353,6 +371,9 @@ class _Campaign:
             raise ValueError("campaign needs an execution or time budget")
         self.target = target
         self.config = config
+        # read on every execution, so kept off `config`
+        self.budget = config.budget
+        self.seconds = config.seconds
         self.rng = random.Random(config.rng_seed)
         self.base_state = snapshot_state(target.state)
         self.directed = config.strategy is Strategy.DIRECTED
@@ -390,8 +411,8 @@ class _Campaign:
         self.queue_energy = 0.0  # sum of the queue's energies, front to back
         self.executions = 0
         self.admitted = 0
-        # each finding's first hit; ticks only grow, so the first kept is
-        # the earliest
+        # each finding's first hit, with a seed built as its reproducer;
+        # ticks only grow, so the first kept is the earliest
         self.first_hits: dict[BugFinding, tuple[int, BugFinding, Seed]] = {}
         self.coverage_rows: list[tuple[int, float]] = []
         self.started = time.monotonic()
@@ -407,18 +428,17 @@ class _Campaign:
     def _within_budget(self) -> bool:
         if self.stop:
             return False
-        if self.config.budget is not None:
-            if self.executions >= self.config.budget:
-                return False
-        if self.config.seconds is not None:
-            if time.monotonic() - self.started >= self.config.seconds:
-                return False
+        if self.budget is not None and self.executions >= self.budget:
+            return False
+        if (self.seconds is not None
+                and time.monotonic() - self.started >= self.seconds):
+            return False
         return True
 
     def _sample_coverage(self) -> None:
         """Add a coverage row at this tick, or in seconds mode at most one
         per second; called when a row may be due."""
-        if self.config.seconds is not None:
+        if self.seconds is not None:
             second = int(time.monotonic() - self.started)
             if second > self.last_second_sampled:
                 self.last_second_sampled = second
@@ -517,10 +537,12 @@ class _Campaign:
             return 0.0
         return DIRECTED_BONUS_WEIGHT / (1.0 + d_min)
 
-    def _execute(self, seed: Seed, persist: bool) -> _Outcome:
-        """Run `seed`, or replay it from the outcome cache; returns the
-        outcome the step used."""
-        key = (seed.calldata, seed.value, seed.policy, seed.block)
+    def _execute(self, spec: FunctionSpec, args: tuple, key: _TxKey,
+                 persist: bool) -> tuple[float, _Outcome]:
+        """Run the input `spec`, `args` and `key` name, or replay it from
+        the outcome cache; returns the energy it earned and the outcome the
+        step used.  Only a run that first hits a finding builds a `Seed`,
+        the finding's reproducer."""
         self.executions += 1
         tick = self.executions
         outcomes = self.outcomes
@@ -537,14 +559,14 @@ class _Campaign:
                 outcome = outcomes[key] = (*outcome[:5],
                                            self._bonus(outcome[0], outcome[7]),
                                            self.hops_version, outcome[7])
-            seed.energy = 1.0 + outcome[5]
+            energy = 1.0 + outcome[5]
             if kept:
                 self._invalidate(kept)
         else:
+            calldata, value, policy, block = key
             # by position, in field order: cheaper than by keyword
-            tx = Transaction(self.target.address, seed.calldata, seed.value,
-                             AGENT_ADDRESS, DEFAULT_TX_GAS, seed.policy,
-                             seed.block)
+            tx = Transaction(self.target.address, calldata, value,
+                             AGENT_ADDRESS, DEFAULT_TX_GAS, policy, block)
             trace = execute_transaction(self.base_state, tx, persist=persist)
             runs, exits = trace.records.get(self.runs_key, _NO_RECORD)
             findings = detect_trace(trace)
@@ -577,17 +599,23 @@ class _Campaign:
                     self.dropped = 0
                 outcomes[key] = outcome
                 self.unindexed.append(key)
-            seed.energy = 1.0 + new_edges + bonus
-            for finding in findings:
-                self.first_hits.setdefault(finding, (tick, finding, seed))
-                if finding.fine in self.config.stop_classes:
-                    self.stop = True
+            energy = 1.0 + new_edges + bonus
+            if findings:
+                first_hits = self.first_hits
+                reproducer = None
+                for finding in findings:
+                    if finding not in first_hits:
+                        if reproducer is None:
+                            reproducer = Seed(spec, args, *key, energy)
+                        first_hits[finding] = (tick, finding, reproducer)
+                    if finding.fine in self.config.stop_classes:
+                        self.stop = True
 
-        if (self.config.seconds is not None
+        if (self.seconds is not None
                 or tick % COVERAGE_SAMPLE_INTERVAL == 0
-                or tick == self.config.budget):
+                or tick == self.budget):
             self._sample_coverage()
-        return outcome
+        return energy, outcome
 
     # -- cycles ------------------------------------------------------------
 
@@ -597,8 +625,9 @@ class _Campaign:
         for seed in queue:
             if not self._within_budget():
                 break
-            self._execute(seed, persist=False)
-        # a seed's energy is fixed once it has run
+            seed.energy = self._execute(
+                seed.spec, seed.args,
+                (seed.calldata, seed.value, seed.policy, seed.block), False)[0]
         for seed in queue:
             self.queue_energy += seed.energy
 
@@ -609,22 +638,23 @@ class _Campaign:
         while self._within_budget():
             if not blind:
                 parent = select_seed(rng, queue, self.queue_energy)
+                spec = parent.spec
             for lane in range(MUTANTS_PER_CYCLE + 1):
                 if not self._within_budget():
                     break
-                persist = lane == MUTANTS_PER_CYCLE
                 if blind:
                     # a function, then an ordinal, each drawn as
                     # `rng.choice` and `rng.randrange` would draw it
-                    child = generate_seed(
-                        rng, eligible[_below(getrandbits, len(eligible))],
-                        pools, _below(getrandbits, 2))
+                    spec = eligible[_below(getrandbits, len(eligible))]
+                    args, key = generate_seed(rng, spec, pools,
+                                              _below(getrandbits, 2))
                 else:
-                    child = mutate_seed(rng, parent, pools)
-                self._execute(child, persist=persist)
-                if not blind and child.energy > parent.energy:
-                    queue.append(child)
-                    self.queue_energy += child.energy
+                    args, key = mutate_seed(rng, parent, pools)
+                energy = self._execute(spec, args, key,
+                                       lane == MUTANTS_PER_CYCLE)[0]
+                if not blind and energy > parent.energy:
+                    queue.append(Seed(spec, args, *key, energy))
+                    self.queue_energy += energy
                     self.admitted += 1
 
         return CampaignResult(

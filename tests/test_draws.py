@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from dogefuzz.abi import FunctionSpec, Mutability, _below, parse_type
-from dogefuzz.fuzzer import generate_seed, mutate_seed
+from dogefuzz.fuzzer import Seed, generate_seed, mutate_seed
 
 POOLS = (b"\xaa" * 20, b"\x5e" * 20)
 CHILDREN = 2000
@@ -78,9 +78,9 @@ DIGESTS = {
 }
 
 
-def _row(seed) -> bytes:
-    return repr((seed.args, seed.calldata, seed.value, seed.policy.value,
-                 tuple(seed.block))).encode()
+def _row(args: tuple, key: tuple) -> bytes:
+    calldata, value, policy, block = key
+    return repr((args, calldata, value, policy.value, tuple(block))).encode()
 
 
 def _children(spec: FunctionSpec) -> str:
@@ -89,11 +89,11 @@ def _children(spec: FunctionSpec) -> str:
     rng = random.Random(7)
     digest = hashlib.sha256()
     for i in range(CHILDREN):
-        digest.update(_row(generate_seed(rng, spec, POOLS, i % 2)))
-    parent = generate_seed(rng, spec, POOLS, 1)
+        digest.update(_row(*generate_seed(rng, spec, POOLS, i % 2)))
+    args, key = generate_seed(rng, spec, POOLS, 1)
     for _ in range(CHILDREN):
-        parent = mutate_seed(rng, parent, POOLS)
-        digest.update(_row(parent))
+        args, key = mutate_seed(rng, Seed(spec, args, *key), POOLS)
+        digest.update(_row(args, key))
     digest.update(rng.getrandbits(64).to_bytes(8, "big"))
     return digest.hexdigest()
 

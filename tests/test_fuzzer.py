@@ -75,6 +75,32 @@ def classes(result) -> set[FineBugClass]:
     return {row[1].fine for row in result.findings}
 
 
+def _key(seed: Seed) -> tuple:
+    """The transaction key a seed names: its calldata, value, policy and
+    block."""
+    return seed.calldata, seed.value, seed.policy, seed.block
+
+
+def _generated(rng: random.Random, spec, ordinal: int = 0) -> Seed:
+    """`generate_seed`'s input for `spec`, as a seed."""
+    args, key = generate_seed(rng, spec, POOLS, ordinal)
+    return Seed(spec, args, *key)
+
+
+def _mutant(rng: random.Random, seed: Seed) -> Seed:
+    """`mutate_seed`'s child of `seed`, as a seed."""
+    args, key = mutate_seed(rng, seed, POOLS)
+    return Seed(seed.spec, args, *key)
+
+
+def _run(campaign, seed: Seed, persist: bool):
+    """One step of `campaign` on `seed`, as the loop runs a queued seed:
+    sets the seed's energy and returns the step's outcome."""
+    seed.energy, outcome = campaign._execute(seed.spec, seed.args, _key(seed),
+                                             persist)
+    return outcome
+
+
 # --- corpus ---------------------------------------------------------------
 
 def test_initial_corpus_two_seeds_per_function() -> None:
@@ -117,8 +143,8 @@ def test_initial_corpus_requires_entry_points() -> None:
 
 def test_fallback_seeds_use_raw_calldata() -> None:
     specs = parse_abi([{"type": "fallback", "stateMutability": "payable"}])
-    first = generate_seed(random.Random(1), specs[0], POOLS, ordinal=0)
-    second = generate_seed(random.Random(1), specs[0], POOLS, ordinal=1)
+    first = _generated(random.Random(1), specs[0], ordinal=0)
+    second = _generated(random.Random(1), specs[0], ordinal=1)
     assert first.calldata == b"" and first.value == 0
     assert len(second.calldata) == 8 and second.value == 1
 
@@ -157,11 +183,11 @@ def test_mutant_calldata_is_never_stale() -> None:
     for spec in _stale_check_specs():
         changed = 0
         for ordinal in range(SEEDS_PER_FUNCTION):
-            seed = generate_seed(rng, spec, POOLS, ordinal)
+            seed = _generated(rng, spec, ordinal)
             if not spec.is_fallback:
                 assert seed.calldata == encode_call(spec, seed.args)
             for _ in range(40):
-                child = mutate_seed(rng, seed, POOLS)
+                child = _mutant(rng, seed)
                 changed += child.calldata != seed.calldata
                 if spec.is_fallback:
                     # the raw bytes are the calldata: when they change,
@@ -189,10 +215,10 @@ FALLBACK_WALK = (["86dd57786e49842e"] * 7 + ["86dd57786e4984"] * 4
 def test_fallback_raw_mutation_walk_is_pinned() -> None:
     spec = parse_abi([{"type": "fallback", "stateMutability": "payable"}])[0]
     rng = random.Random(2024)
-    seed = generate_seed(rng, spec, POOLS, ordinal=1)
+    seed = _generated(rng, spec, ordinal=1)
     walk = []
     for _ in range(50):
-        seed = mutate_seed(rng, seed, POOLS)
+        seed = _mutant(rng, seed)
         walk.append(seed.calldata.hex())
     assert walk == FALLBACK_WALK
 
@@ -206,7 +232,7 @@ def test_mutation_changes_one_dimension() -> None:
     rng = random.Random(7)
     seed = _withdraw_seed()
     for _ in range(60):
-        child = mutate_seed(rng, seed, POOLS)
+        child = _mutant(rng, seed)
         changed = [
             child.policy is not seed.policy,
             child.block != seed.block,
@@ -222,7 +248,7 @@ def test_policy_mutation_walks_the_cycle() -> None:
     seen = set()
     current = seed
     for _ in range(50):
-        child = mutate_seed(rng, current, POOLS)
+        child = _mutant(rng, current)
         if child.policy is not current.policy:
             seen.add((current.policy, child.policy))
             current = child
@@ -237,7 +263,7 @@ def test_block_mutation_uses_fixed_offsets() -> None:
     rng = random.Random(3)
     ts_deltas, num_deltas = set(), set()
     for _ in range(300):
-        child = mutate_seed(rng, seed, POOLS)
+        child = _mutant(rng, seed)
         if child.block != seed.block:
             ts_deltas.add(child.block.timestamp - base.timestamp)
             num_deltas.add(child.block.number - base.number)
@@ -246,10 +272,34 @@ def test_block_mutation_uses_fixed_offsets() -> None:
     assert len(ts_deltas) > 3 and len(num_deltas) > 2
 
 
+def test_a_mutated_block_is_keyed_as_a_called_block_context() -> None:
+    """A block mutation builds its `BlockContext` without calling the
+    NamedTuple, yet the result is one, equal to and hashed as the one the
+    call builds, so cache keys built either way match; a block never goes
+    below zero."""
+    seed = _withdraw_seed()
+    seed.block = BlockContext(number=100, timestamp=10)
+    rng = random.Random(3)
+    clamped = mutated = 0
+    for _ in range(300):
+        _, key = mutate_seed(rng, seed, POOLS)
+        block = key[3]
+        if block == seed.block:
+            continue
+        mutated += 1
+        called = BlockContext(block.number, block.timestamp)
+        assert type(block) is BlockContext
+        assert block == called and hash(block) == hash(called)
+        assert (*key[:3], called) in {key: None}
+        assert block.number >= 0 and block.timestamp >= 0
+        clamped += 0 in block
+    assert mutated > 100 and clamped > 0
+
+
 def test_mutation_is_deterministic_per_rng_seed() -> None:
     seed = _withdraw_seed()
-    a = [mutate_seed(random.Random(5), seed, POOLS) for _ in range(3)]
-    b = [mutate_seed(random.Random(5), seed, POOLS) for _ in range(3)]
+    a = [_mutant(random.Random(5), seed) for _ in range(3)]
+    b = [_mutant(random.Random(5), seed) for _ in range(3)]
     assert a == b
 
 
@@ -326,6 +376,42 @@ def test_config_requires_some_budget() -> None:
     target = make_target(fixture("number_fixed"))
     with pytest.raises(ValueError):
         run_campaign(target, CampaignConfig(budget=None, seconds=None))
+
+
+@pytest.mark.parametrize("strategy,name", [
+    (Strategy.GREYBOX, "gated_send"),
+    # two findings first hit in one run, which builds one reproducer
+    (Strategy.BLACKBOX, "gasless_vulnerable"),
+])
+def test_only_queued_inputs_and_reproducers_build_seeds(monkeypatch,
+                                                        strategy,
+                                                        name) -> None:
+    """A campaign builds a `Seed` for each initial-corpus input, each
+    admitted child and each run that first hit a finding, the findings'
+    reproducer; no other lane, and so no replay, builds one."""
+    built = []
+
+    class Counted(Seed):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs) -> None:
+            built.append(None)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fuzzer, "Seed", Counted)
+    target = make_target(fixture(name))
+    result = run_campaign(target, CampaignConfig(strategy=strategy,
+                                                 budget=1000, rng_seed=1))
+    corpus = len(target.eligible_specs()) * SEEDS_PER_FUNCTION
+    first_hit_runs = len({tick for tick, _, _ in result.findings})
+    assert len(built) == corpus + result.admitted_seeds + first_hit_runs
+    assert all(type(row[2]) is Counted for row in result.findings)
+    assert first_hit_runs and result.replayed > 0
+    if strategy is Strategy.BLACKBOX:
+        assert result.admitted_seeds == 0
+        assert len(result.findings) > first_hit_runs
+    else:
+        assert result.admitted_seeds > 0
 
 
 def test_greybox_admits_strictly_improving_children() -> None:
@@ -443,9 +529,9 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
     steps = []
     real_step = fuzzer._Campaign._execute
 
-    def step(campaign, seed, persist):
-        outcome = real_step(campaign, seed, persist)
-        trace = traces[seed.calldata, seed.value, seed.policy, seed.block]
+    def step(campaign, spec, args, key, persist):
+        energy, outcome = real_step(campaign, spec, args, key, persist)
+        trace = traces[key]
         # the outcome's merged record: the loop's runs and the chain exits'
         runs = merge_runs(outcome[0], outcome[7])
         assert runs == block_runs(trace).get(campaign.runs_key, {})
@@ -455,7 +541,7 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
         # transitions it has seen
         cfg = augment_edges(target.cfg, campaign.coverage.transitions)
         steps.append((campaign, d_min, cfg, trace))
-        return outcome
+        return energy, outcome
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
     monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
@@ -545,23 +631,22 @@ def test_a_replay_re_derives_a_bonus_that_learned_edges_made_stale(
     stale = hits = 0    # replays after a lowered count; steps adding a hit
     real_step = fuzzer._Campaign._execute
 
-    def step(campaign, seed, persist):
+    def step(campaign, spec, args, key, persist):
         nonlocal stale, hits
-        key = (seed.calldata, seed.value, seed.policy, seed.block)
         runs_before, hits_before = len(ran), dict(campaign.first_hits)
-        outcome = real_step(campaign, seed, persist)
+        energy, outcome = real_step(campaign, spec, args, key, persist)
         counts = {start: campaign.hops.get(start, math.inf)
                   for start in merge_runs(outcome[0], outcome[7])}
         if len(ran) > runs_before:
             derived[key] = counts
             hits += campaign.first_hits != hits_before
-            return outcome
+            return energy, outcome
         assert campaign.first_hits == hits_before
         stale += any(counts[start] < derived[key][start] for start in counts)
         d_min = min(counts.values(), default=math.inf)
-        assert seed.energy == (1.0 if d_min == math.inf else
-                               1.0 + DIRECTED_BONUS_WEIGHT / (1.0 + d_min))
-        return outcome
+        assert energy == (1.0 if d_min == math.inf else
+                          1.0 + DIRECTED_BONUS_WEIGHT / (1.0 + d_min))
+        return energy, outcome
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
     monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
@@ -636,27 +721,29 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
     real_step = fuzzer._Campaign._execute
     checked = []
     survivals = []      # outcomes left after each kept state change
-    hits = []           # (tick, finding, seed) of every step's findings
+    hits = []           # (tick, finding, input as a seed) of each finding
     reapplied = []      # kept lanes served from the cache that wrote
 
-    def step(campaign, seed, persist):
+    def step(campaign, spec, args, key, persist):
         before = snapshot_state(campaign.base_state)
         coverage = fuzzer.BlockCoverage()
         coverage.runs = dict(campaign.coverage.runs)
         coverage.transitions = set(campaign.coverage.transitions)
         replayed = campaign.replayed
-        outcome = real_step(campaign, seed, persist)
+        step_energy, outcome = real_step(campaign, spec, args, key, persist)
         findings, writes = outcome[1:3]
         replayed_runs = merge_runs(outcome[0], outcome[7])
+        calldata, value, policy, block = key
         tx = Transaction(target=campaign.target.address,
-                         calldata=seed.calldata, value=seed.value,
-                         agent_policy=seed.policy,
-                         block=seed.block)
+                         calldata=calldata, value=value,
+                         agent_policy=policy,
+                         block=block)
         trace = execute_transaction(before, tx, persist=persist)
         runs = block_runs(trace).get(campaign.runs_key, {})
         assert list(replayed_runs.items()) == list(runs.items())
         assert findings == detect_trace(trace)
-        hits.extend((campaign.executions, f, seed) for f in findings)
+        hits.extend((campaign.executions, f,
+                     Seed(spec, args, *key, step_energy)) for f in findings)
         # a SELFDESTRUCT clears slots its run never read, so only the net
         # changes of runs that wrote no code must repeat exactly
         if any(key == CODE for _, key in (*writes, *trace.writes)):
@@ -668,14 +755,14 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
             reached = [campaign.hops[s] for s in runs if s in campaign.hops]
             if reached:
                 energy += DIRECTED_BONUS_WEIGHT / (1.0 + min(reached))
-        assert seed.energy == energy
+        assert step_energy == energy
         assert campaign.base_state == before
         if persist and writes:
             survivals.append((campaign.target.name, len(campaign.outcomes)))
             if campaign.replayed > replayed:
                 reapplied.append(campaign.target.name)
         checked.append(campaign)
-        return outcome
+        return step_energy, outcome
 
     probe = _probe_target()
     kept_writes = []    # of the probe's kept state changes
@@ -703,7 +790,8 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
             assert result.findings == sorted(
                 earliest.values(),
                 key=lambda row: (row[0], row[1].fine.value, row[1].pc))
-            assert all(row[2] is earliest[row[1].fine, row[1].pc][2]
+            # a reproducer is the input of the finding's earliest hit
+            assert all(row[2] == earliest[row[1].fine, row[1].pc][2]
                        for row in result.findings)
             executions += result.executions
             replayed += result.replayed
@@ -775,10 +863,10 @@ def _counter(campaign) -> int:
 def test_outcome_cache_replays_a_repeat(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     keep = seed("keep")
-    first = campaign._execute(keep, persist=False)
+    first = _run(campaign, keep, persist=False)
     assert keep.energy > 1.0
     again = seed("keep")
-    assert campaign._execute(again, persist=False) is first
+    assert _run(campaign, again, persist=False) is first
     assert again.energy == 1.0
     assert len(ran) == 1 and campaign.replayed == 1
     assert campaign.executions == 2
@@ -786,41 +874,41 @@ def test_outcome_cache_replays_a_repeat(monkeypatch) -> None:
 
 def test_persisted_counter_write_invalidates_the_cache(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
-    campaign._execute(seed("keep"), persist=False)
-    writes = campaign._execute(seed("bump"), persist=False)[2]
+    _run(campaign, seed("keep"), persist=False)
+    writes = _run(campaign, seed("bump"), persist=False)[2]
     assert writes == {(campaign.target.address, 0): 1}
     assert len(campaign.outcomes) == 2 and _counter(campaign) == 0
     # a kept lane re-applies the cached `bump`, whose write drops both
     # outcomes, as a run of it would
-    campaign._execute(seed("bump"), persist=True)
+    _run(campaign, seed("bump"), persist=True)
     assert _counter(campaign) == 1 and campaign.outcomes == {}
     assert len(ran) == 2 and campaign.replayed == 1
     # nothing is cached now, so the next kept `bump` runs
-    campaign._execute(seed("bump"), persist=True)
+    _run(campaign, seed("bump"), persist=True)
     assert _counter(campaign) == 2 and campaign.outcomes == {}
-    campaign._execute(seed("keep"), persist=False)
+    _run(campaign, seed("keep"), persist=False)
     assert len(ran) == 4 and campaign.replayed == 1
 
 
 def test_persisted_success_without_writes_keeps_the_cache(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
-    campaign._execute(seed("bump"), persist=False)
-    campaign._execute(seed("keep"), persist=True)
+    _run(campaign, seed("bump"), persist=False)
+    _run(campaign, seed("keep"), persist=True)
     assert len(campaign.outcomes) == 2
-    campaign._execute(seed("keep"), persist=True)
-    campaign._execute(seed("bump"), persist=False)
+    _run(campaign, seed("keep"), persist=True)
+    _run(campaign, seed("bump"), persist=False)
     assert len(ran) == 2 and campaign.replayed == 2
     assert _counter(campaign) == 0
 
 
 def test_reverted_persisted_lane_keeps_the_cache(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
-    campaign._execute(seed("bump"), persist=False)
-    writes = campaign._execute(seed("fail"), persist=True)[2]
+    _run(campaign, seed("bump"), persist=False)
+    writes = _run(campaign, seed("fail"), persist=True)[2]
     assert not writes
     assert len(campaign.outcomes) == 2
-    campaign._execute(seed("fail"), persist=True)
-    campaign._execute(seed("bump"), persist=False)
+    _run(campaign, seed("fail"), persist=True)
+    _run(campaign, seed("bump"), persist=False)
     assert len(ran) == 2 and campaign.replayed == 2
     assert campaign.base_state.account(campaign.target.address).storage == {}
 
@@ -829,8 +917,8 @@ def test_outcome_cache_is_bounded(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch)
     sizes = []
     for timestamp in range(3 * OUTCOME_CACHE_SIZE):
-        campaign._execute(seed("keep", block=BlockContext(timestamp=timestamp)),
-                          persist=False)
+        _run(campaign, seed("keep", block=BlockContext(timestamp=timestamp)),
+             persist=False)
         sizes.append(len(campaign.outcomes))
     assert sizes == list(range(1, OUTCOME_CACHE_SIZE + 1)) * 3
     assert len(ran) == 3 * OUTCOME_CACHE_SIZE and campaign.replayed == 0
@@ -842,11 +930,11 @@ def _cached_calls(campaign) -> set[bytes]:
 
 def test_kept_write_keeps_outcomes_that_never_read_it(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
-    campaign._execute(seed("load", 0), persist=False)
-    campaign._execute(seed("load", 1), persist=False)
-    campaign._execute(seed("store", 1, 5), persist=True)
+    _run(campaign, seed("load", 0), persist=False)
+    _run(campaign, seed("load", 1), persist=False)
+    _run(campaign, seed("store", 1, 5), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
-    campaign._execute(seed("load", 0), persist=False)
+    _run(campaign, seed("load", 0), persist=False)
     assert len(ran) == 3 and campaign.replayed == 1
 
 
@@ -854,16 +942,16 @@ def test_kept_payout_drops_only_flipped_balance_tests(monkeypatch) -> None:
     campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
     address = campaign.target.address
     for amount in (150, 250, 400):
-        campaign._execute(seed("pay", amount), persist=False)
-    campaign._execute(seed("pay", 100), persist=True)
+        _run(campaign, seed("pay", amount), persist=False)
+    _run(campaign, seed("pay", 100), persist=True)
     assert campaign.base_state.balance_of(address) == 200
     # 300 >= 150 and 200 >= 150; 300 < 400 and 200 < 400; 250 flips
     assert _cached_calls(campaign) == {seed("pay", 150).calldata,
                                        seed("pay", 400).calldata}
     # a deposit raises the balance past 400 and flips that test
-    campaign._execute(seed("deposit", value=201), persist=True)
+    _run(campaign, seed("deposit", value=201), persist=True)
     assert _cached_calls(campaign) == {seed("pay", 150).calldata}
-    campaign._execute(seed("pay", 150), persist=False)
+    _run(campaign, seed("pay", 150), persist=False)
     assert len(ran) == 5 and campaign.replayed == 1
 
 
@@ -872,41 +960,41 @@ def test_balance_tests_count_the_transactions_own_moves(monkeypatch) -> None:
     200 to start with, not 100."""
     campaign, seed, _ = _cache_campaign(monkeypatch, _probe_target())
     twice = seed("pay", 100, policy=PolicyKind.REENTRANT)
-    campaign._execute(twice, persist=False)
-    campaign._execute(seed("pay", 50), persist=True)
+    _run(campaign, twice, persist=False)
+    _run(campaign, seed("pay", 50), persist=True)
     assert _cached_calls(campaign) == {twice.calldata}
     # 150 still covers one payout, but no longer the second
-    campaign._execute(seed("pay", 100), persist=True)
+    _run(campaign, seed("pay", 100), persist=True)
     assert campaign.outcomes == {}
 
 
 def test_balance_read_is_exact(monkeypatch) -> None:
     campaign, seed, _ = _cache_campaign(monkeypatch, _probe_target())
-    campaign._execute(seed("check"), persist=False)
-    campaign._execute(seed("load", 0), persist=False)
+    _run(campaign, seed("check"), persist=False)
+    _run(campaign, seed("load", 0), persist=False)
     # 300 -> 299 leaves `check` on the same branch, but it read the balance
-    campaign._execute(seed("pay", 1), persist=True)
+    _run(campaign, seed("pay", 1), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
-    campaign._execute(seed("check"), persist=False)
-    campaign._execute(seed("deposit", value=1), persist=True)
+    _run(campaign, seed("check"), persist=False)
+    _run(campaign, seed("deposit", value=1), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
 
 
 def test_kept_create_or_selfdestruct_drops_what_read_them(monkeypatch) -> None:
     campaign, seed, _ = _cache_campaign(monkeypatch, _probe_target())
-    campaign._execute(seed("load", 0), persist=False)
-    campaign._execute(seed("store", 1, 5), persist=True)
+    _run(campaign, seed("load", 0), persist=False)
+    _run(campaign, seed("store", 1, 5), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
     # a CREATE writes the creator's nonce and the new account, neither
     # of which `load` reads
-    campaign._execute(seed("spawn"), persist=True)
+    _run(campaign, seed("spawn"), persist=True)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
 
-    campaign._execute(seed("pay", 250), persist=True)
-    campaign._execute(seed("load", 0), persist=False)
+    _run(campaign, seed("pay", 250), persist=True)
+    _run(campaign, seed("load", 0), persist=False)
     assert _cached_calls(campaign) == {seed("load", 0).calldata}
     # a SELFDESTRUCT writes the target's code, which every run reads
-    campaign._execute(seed("kill"), persist=True)
+    _run(campaign, seed("kill"), persist=True)
     assert campaign.outcomes == {}
     assert campaign.base_state.code_of(campaign.target.address) == b""
 
@@ -917,14 +1005,14 @@ def test_kept_lane_adds_a_cached_payout_to_a_moved_balance(monkeypatch) -> None:
     as a run does, not back to the 295 its first run ended at."""
     campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
     address = campaign.target.address
-    campaign._execute(seed("pay", 5), persist=False)
-    campaign._execute(seed("deposit", value=1), persist=True)
+    _run(campaign, seed("pay", 5), persist=False)
+    _run(campaign, seed("deposit", value=1), persist=True)
     assert campaign.base_state.balance_of(address) == 301
     assert _cached_calls(campaign) >= {seed("pay", 5).calldata}
     fresh = snapshot_state(campaign.base_state)
     execute_transaction(fresh, Transaction(target=address,
                                            calldata=seed("pay", 5).calldata))
-    campaign._execute(seed("pay", 5), persist=True)
+    _run(campaign, seed("pay", 5), persist=True)
     assert campaign.base_state.balance_of(address) == 296
     assert campaign.base_state == fresh
     assert len(ran) == 2 and campaign.replayed == 1
@@ -937,12 +1025,12 @@ def test_kept_lane_runs_a_cached_outcome_that_wrote_code(monkeypatch,
     runs them again even when their outcome is cached."""
     campaign, seed, ran = _cache_campaign(monkeypatch, _probe_target())
     if name == "kill":  # below 100 wei, `kill` self-destructs
-        campaign._execute(seed("pay", 250), persist=True)
-    writes = campaign._execute(seed(name), persist=False)[2]
+        _run(campaign, seed("pay", 250), persist=True)
+    writes = _run(campaign, seed(name), persist=False)[2]
     assert (any(key == CODE for _, key in writes)
             and seed(name).calldata in _cached_calls(campaign))
     runs = len(ran)
-    campaign._execute(seed(name), persist=True)
+    _run(campaign, seed(name), persist=True)
     assert len(ran) == runs + 1 and campaign.replayed == 0
 
 
@@ -987,17 +1075,17 @@ def test_a_stale_index_entry_drops_nothing(monkeypatch) -> None:
     as a scan of the cache would."""
     campaign, seed, ran = _cache_campaign(monkeypatch, _gated_pay_target())
     gate = seed("gate").calldata
-    campaign._execute(seed("set", 1), persist=True)
-    assert campaign._execute(seed("gate"), persist=False)[4]
-    campaign._execute(seed("pay", 1), persist=True)
+    _run(campaign, seed("set", 1), persist=True)
+    assert _run(campaign, seed("gate"), persist=False)[4]
+    _run(campaign, seed("pay", 1), persist=True)
     assert gate in _cached_calls(campaign)
-    campaign._execute(seed("set", 0), persist=True)
+    _run(campaign, seed("set", 0), persist=True)
     assert gate not in _cached_calls(campaign)
-    assert not campaign._execute(seed("gate"), persist=False)[4]
-    campaign._execute(seed("pay", 200), persist=True)
+    assert not _run(campaign, seed("gate"), persist=False)[4]
+    _run(campaign, seed("pay", 200), persist=True)
     assert campaign.base_state.balance_of(campaign.target.address) == 99
     assert gate in _cached_calls(campaign)
-    campaign._execute(seed("gate"), persist=False)
+    _run(campaign, seed("gate"), persist=False)
     assert len(ran) == 6 and campaign.replayed == 1
 
 
