@@ -41,6 +41,12 @@ the runs the loop recorded, and which a campaign folds into its coverage
 once.  Chains derive from code bytes alone, so `CodeAnalysis.chains`
 caches them, and each is compiled when it is first entered.
 
+Each opcode that computes a word from the stack alone, ADD to SAR, is
+spelled once, as a Python expression in `_TEMPLATES`: a chain inlines it
+over its locals, and the dispatch loop calls the function compiled from
+it at import (`_WORDS`).  EXP, whose gas depends on its operand, runs in
+the loop only.
+
 An instruction's dynamic charge is tested once, in `_expand`: an
 instruction that touches memory passes it the gas less its other dynamic
 charges (SHA3's and the copies' words, LOG's bytes, a value call's
@@ -375,8 +381,9 @@ def _signed(x: int) -> int:
     return x - (1 << 256) if x & SIGN_BIT else x
 
 
-# the semantics of the opcodes that take more than one line, called by the
-# dispatch loop and by compiled chains alike; operands come top first
+# the semantics of the opcodes that take more than one line, called from
+# their templates (and CALLDATALOAD's by the dispatch loop too); operands
+# come top first
 
 def _sdiv(a: int, b: int) -> int:
     a, b = _signed(a), _signed(b)
@@ -423,7 +430,9 @@ CHAIN_MAX_BLOCKS = 64
 CHAIN_MIN_BLOCKS = 2
 
 # the Python expression of each stack-only opcode that computes a word,
-# over its operands `{0}`, `{1}`, `{2}` (top first) and the word mask `{M}`
+# over its operands `{0}`, `{1}`, `{2}` (top first) and the word mask `{M}`:
+# the one spelling of each, which compiled chains inline and the dispatch
+# loop runs as `_WORDS`
 _TEMPLATES: dict[int, str] = {
     op.ADD: "({0} + {1}) & {M}",
     op.MUL: "({0} * {1}) & {M}",
@@ -460,10 +469,34 @@ _CHAINABLE = frozenset(
     set(_TEMPLATES) | set(range(op.PUSH0, op.SWAP16 + 1))
     | {op.POP, op.JUMPDEST, op.PC, op.JUMP, op.JUMPI, op.STOP})
 
-# what a compiled chain's source may name besides its locals and tables
-_CHAIN_GLOBALS = {"_sdiv": _sdiv, "_smod": _smod, "_signextend": _signextend,
-                  "_sar": _sar, "_signed": _signed,
-                  "_calldataload": _calldataload, "_InvalidOp": _InvalidOp}
+# what compiled source may name besides its locals and tables
+_COMPILED_GLOBALS = {"_sdiv": _sdiv, "_smod": _smod, "_signextend": _signextend,
+                     "_sar": _sar, "_signed": _signed,
+                     "_calldataload": _calldataload, "_InvalidOp": _InvalidOp}
+
+
+def _compiled(source: str, tables: dict[str, object], label: str) -> dict:
+    """The names `source` defines, compiled as `label` and run over
+    `_COMPILED_GLOBALS` and `tables`: how chains and `_WORDS` are built."""
+    namespace = {**_COMPILED_GLOBALS, **tables}
+    exec(compile(source, label, "exec"), namespace)
+    return namespace
+
+
+def _word(byte: int) -> Callable[[list[int]], None]:
+    """The function that pops the operands of `byte`, top first, and
+    pushes the word its template computes."""
+    operands = [f"x{j}" for j in range(op.STACK_READS[byte])]
+    source = "\n    ".join(
+        ["def word(stack):", *(f"{x} = stack.pop()" for x in operands),
+         f"stack.append({_TEMPLATES[byte].format(*operands, M=UINT256_MASK)})\n"])
+    return _compiled(source, {}, f"<{op.MNEMONICS[byte]}>")["word"]
+
+
+# what the dispatch loop runs for each template that reads only the stack;
+# the other three read the frame, which the loop holds in its own locals
+_WORDS = {byte: _word(byte) for byte in _TEMPLATES
+          if byte not in (op.CALLDATALOAD, op.CALLDATASIZE, op.CALLVALUE)}
 
 
 def _chain_path(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock],
@@ -622,9 +655,7 @@ def _chain_source(blocks: dict[int, BasicBlock], jumpdests: dict[int, BasicBlock
 
 
 def _compile_chain(source: str, tables: dict[str, object], start: int) -> Callable:
-    namespace = {**_CHAIN_GLOBALS, **tables}
-    exec(compile(source, f"<chain {start}>", "exec"), namespace)
-    return namespace["chain"]
+    return _compiled(source, tables, f"<chain {start}>")["chain"]
 
 
 def _stand_in(chains: dict[int, Callable | None], blocks: dict[int, BasicBlock],
@@ -809,6 +840,7 @@ class _Machine:
         tx = self.tx
         _, blocks, jumpdests, _, _, chains = analyze(code)
         pushes_one = op.PUSHES_ONE
+        words = _WORDS
         runs, exits = self.records.setdefault((code_address, code), ({}, []))
         # a frame not of the target draws its edges into a throwaway set
         transitions = self.edges if code_address == tx.target else set()
@@ -842,33 +874,15 @@ class _Machine:
                         gas -= seg_gas
                     else:
                         gas, instructions = _up_to_fault(instructions, gas, len(stack))
-                    # literal opcodes, most frequent first
+                    # literal opcodes, most frequent first by the loop's
+                    # counts over the bench workloads, but the CALL family
+                    # after the cheap ones: its work dwarfs the tests ahead
+                    # of it, and its own test would slow each one after it
                     for pc, opcode, push in instructions:
                         if push is not None:  # PUSH0..PUSH32
                             stack.append(push)
-                        elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
-                            stack.append(stack[0x7F - opcode])
-                        elif opcode == 0x57:  # JUMPI
-                            dest, cond = stack.pop(), stack.pop()
-                            if cond:
-                                nxt = jumpdests.get(dest)
-                                if nxt is None:
-                                    raise _InvalidOp
-                        elif opcode == 0x14:  # EQ
-                            stack.append(1 if stack.pop() == stack.pop() else 0)
-                        elif opcode == 0x5B:  # JUMPDEST
-                            pass
-                        elif opcode == 0x35:  # CALLDATALOAD
-                            stack.append(_calldataload(calldata, stack.pop()))
-                        elif opcode == 0x50:  # POP
-                            stack.pop()
-                        elif opcode == 0x1C:  # SHR
-                            shift, v = stack.pop(), stack.pop()
-                            stack.append(v >> shift if shift < 256 else 0)
                         elif opcode in pushes_one:  # the (0, 1) row: one word from context
-                            if opcode == 0x58:  # PC
-                                stack.append(pc)
-                            elif opcode == 0x33:  # CALLER
+                            if opcode == 0x33:  # CALLER
                                 stack.append(int.from_bytes(caller, "big"))
                             elif opcode == 0x5A:  # GAS: it ends its segment
                                 stack.append(gas)
@@ -876,14 +890,16 @@ class _Machine:
                                 stack.append(value)
                             elif opcode == 0x30:  # ADDRESS
                                 stack.append(int.from_bytes(self_address, "big"))
-                            elif opcode == 0x36:  # CALLDATASIZE
-                                stack.append(len(calldata))
                             elif opcode == 0x42:  # TIMESTAMP
                                 self.emit(_TIMESTAMP, pc, depth)
                                 stack.append(tx.block.timestamp)
                             elif opcode == 0x43:  # NUMBER
                                 self.emit(_BLOCK_NUMBER, pc, depth)
                                 stack.append(tx.block.number)
+                            elif opcode == 0x58:  # PC
+                                stack.append(pc)
+                            elif opcode == 0x36:  # CALLDATASIZE
+                                stack.append(len(calldata))
                             elif opcode == 0x32:  # ORIGIN
                                 stack.append(int.from_bytes(tx.sender, "big"))
                             elif opcode == 0x38:  # CODESIZE
@@ -898,20 +914,18 @@ class _Machine:
                                 stack.append(BLOCK_GAS_LIMIT)
                             elif opcode == 0x59:  # MSIZE
                                 stack.append(len(mem))
-                        elif opcode == 0x56:  # JUMP
-                            nxt = jumpdests.get(stack.pop())
-                            if nxt is None:
-                                raise _InvalidOp
+                        elif opcode == 0x5B:  # JUMPDEST
+                            pass
+                        elif opcode in words:  # the word ops: ADD .. SAR
+                            words[opcode](stack)
                         elif opcode == 0x00:  # STOP
                             return _SUCCESS, b"", gas
                         elif opcode == 0x52:  # MSTORE
                             offset, val = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, 32, gas)
                             mem[offset:offset + 32] = val.to_bytes(32, "big")
-                        elif opcode == 0x01:  # ADD
-                            stack.append((stack.pop() + stack.pop()) & UINT256_MASK)
-                        elif opcode == 0x15:  # ISZERO
-                            stack.append(1 if stack.pop() == 0 else 0)
+                        elif 0x80 <= opcode <= 0x8F:  # DUP1..DUP16
+                            stack.append(stack[0x7F - opcode])
                         elif opcode == 0x55:  # SSTORE
                             if static:
                                 raise _InvalidOp
@@ -937,15 +951,25 @@ class _Machine:
                             reads.add((self_address, key))
                             acct = state.accounts.get(self_address)
                             stack.append(acct.storage.get(key, 0) if acct is not None else 0)
-                        elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
-                            k = opcode - 0x8F
-                            stack[-1], stack[-1 - k] = stack[-1 - k], stack[-1]
+                        elif opcode == 0x57:  # JUMPI
+                            dest, cond = stack.pop(), stack.pop()
+                            if cond:
+                                nxt = jumpdests.get(dest)
+                                if nxt is None:
+                                    raise _InvalidOp
+                        elif opcode == 0x50:  # POP
+                            stack.pop()
+                        elif opcode == 0x35:  # CALLDATALOAD
+                            stack.append(_calldataload(calldata, stack.pop()))
                         elif opcode == 0x20:  # SHA3
                             offset, size = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, size,
                                           gas - op.GAS_SHA3_WORD * ((size + 31) >> 5))
                             digest = keccak256(bytes(mem[offset:offset + size]))
                             stack.append(int.from_bytes(digest, "big"))
+                        elif 0x90 <= opcode <= 0x9F:  # SWAP1..SWAP16
+                            k = opcode - 0x8F
+                            stack[-1], stack[-1 - k] = stack[-1 - k], stack[-1]
                         elif opcode in (0xF1, 0xF2, 0xF4, 0xFA):  # the CALL family
                             gas_req = stack.pop()
                             target = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
@@ -1013,73 +1037,22 @@ class _Machine:
                                 stack.append(0)
                                 if status is not _REVERTED:
                                     returndata = b""
-                        elif opcode == 0x16:  # AND
-                            stack.append(stack.pop() & stack.pop())
-                        elif opcode == 0x10:  # LT
-                            a, b = stack.pop(), stack.pop()
-                            stack.append(1 if a < b else 0)
-                        elif opcode == 0x11:  # GT
-                            a, b = stack.pop(), stack.pop()
-                            stack.append(1 if a > b else 0)
-                        elif opcode == 0x03:  # SUB
-                            a, b = stack.pop(), stack.pop()
-                            stack.append((a - b) & UINT256_MASK)
-                        elif opcode == 0x51:  # MLOAD
-                            offset = stack.pop()
-                            gas = _expand(mem, offset, 32, gas)
-                            stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
                         elif opcode in (0xF3, 0xFD):  # RETURN, REVERT
                             offset, size = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, size, gas)
                             return (_SUCCESS if opcode == 0xF3 else _REVERTED,
                                     bytes(mem[offset:offset + size]), gas)
+                        elif opcode == 0x56:  # JUMP
+                            nxt = jumpdests.get(stack.pop())
+                            if nxt is None:
+                                raise _InvalidOp
                         # --- the rest, by opcode value ---
-                        elif opcode == 0x02:  # MUL
-                            stack.append((stack.pop() * stack.pop()) & UINT256_MASK)
-                        elif opcode == 0x04:  # DIV
-                            a, b = stack.pop(), stack.pop()
-                            stack.append(a // b if b else 0)
-                        elif opcode == 0x05:  # SDIV
-                            stack.append(_sdiv(stack.pop(), stack.pop()))
-                        elif opcode == 0x06:  # MOD
-                            a, b = stack.pop(), stack.pop()
-                            stack.append(a % b if b else 0)
-                        elif opcode == 0x07:  # SMOD
-                            stack.append(_smod(stack.pop(), stack.pop()))
-                        elif opcode == 0x08:  # ADDMOD
-                            a, b, m = stack.pop(), stack.pop(), stack.pop()
-                            stack.append((a + b) % m if m else 0)
-                        elif opcode == 0x09:  # MULMOD
-                            a, b, m = stack.pop(), stack.pop(), stack.pop()
-                            stack.append((a * b) % m if m else 0)
                         elif opcode == 0x0A:  # EXP
                             a, b = stack.pop(), stack.pop()
                             gas -= op.GAS_EXP_BYTE * ((b.bit_length() + 7) >> 3)
                             if gas < 0:
                                 raise _OutOfGas
                             stack.append(pow(a, b, 1 << 256))
-                        elif opcode == 0x0B:  # SIGNEXTEND
-                            stack.append(_signextend(stack.pop(), stack.pop()))
-                        elif opcode == 0x12:  # SLT
-                            a, b = _signed(stack.pop()), _signed(stack.pop())
-                            stack.append(1 if a < b else 0)
-                        elif opcode == 0x13:  # SGT
-                            a, b = _signed(stack.pop()), _signed(stack.pop())
-                            stack.append(1 if a > b else 0)
-                        elif opcode == 0x17:  # OR
-                            stack.append(stack.pop() | stack.pop())
-                        elif opcode == 0x18:  # XOR
-                            stack.append(stack.pop() ^ stack.pop())
-                        elif opcode == 0x19:  # NOT
-                            stack.append(stack.pop() ^ UINT256_MASK)
-                        elif opcode == 0x1A:  # BYTE
-                            i, x = stack.pop(), stack.pop()
-                            stack.append((x >> (8 * (31 - i))) & 0xFF if i < 32 else 0)
-                        elif opcode == 0x1B:  # SHL
-                            shift, v = stack.pop(), stack.pop()
-                            stack.append((v << shift) & UINT256_MASK if shift < 256 else 0)
-                        elif opcode == 0x1D:  # SAR
-                            stack.append(_sar(stack.pop(), stack.pop()))
                         elif opcode == 0x31:  # BALANCE
                             address = (stack.pop() & ADDRESS_MASK).to_bytes(20, "big")
                             reads.add((address, BALANCE))
@@ -1098,6 +1071,10 @@ class _Machine:
                                           gas - op.GAS_COPY_WORD * ((size + 31) >> 5))
                             # a slice clamps any index, so a source too short zero-fills
                             mem[dst:dst + size] = source[src:src + size].ljust(size, b"\x00")
+                        elif opcode == 0x51:  # MLOAD
+                            offset = stack.pop()
+                            gas = _expand(mem, offset, 32, gas)
+                            stack.append(int.from_bytes(mem[offset:offset + 32], "big"))
                         elif opcode == 0x53:  # MSTORE8
                             offset, val = stack.pop(), stack.pop()
                             gas = _expand(mem, offset, 1, gas)

@@ -31,14 +31,14 @@ chain exits, the findings, the net changes it writes and the Directed
 bonus its blocks earned, with what the run read of the world state.  A
 repeat is replayed from that outcome without running the interpreter or
 the oracles, and takes its energy from it; it adds no coverage and
-records no finding, since its first run did both.  Its bonus is derived
-again only when learned edges lowered a hop count after it was.  An
-outcome stays valid while the base state keeps what it read, so a kept
-state change drops the outcomes that read what it wrote, and those whose
-balance tests it flips, found through an index from each location to the
-outcomes that read it and from each address to the tests of its balance;
-reaching `OUTCOME_CACHE_SIZE` entries clears the cache.  A kept lane is
-replayed too: it adds its outcome's net changes to the base state
+records no finding, since its first run did both.  An outcome stays
+valid while the base state keeps what it read, so a kept state change
+drops the outcomes that read what it wrote, and those whose balance tests
+it flips, found through an index from each location to the outcomes that
+read it and from each address to the tests of its balance.  Reaching
+`OUTCOME_CACHE_SIZE` entries clears the cache, and so do learned edges
+that lower a hop count, since a cached bonus may then be too low.  A kept
+lane is replayed too: it adds its outcome's net changes to the base state
 (`evm.reapply`) and drops outcomes as a run would.  Only an outcome that
 wrote code is run again, since a SELFDESTRUCT clears slots its run never
 read.
@@ -120,12 +120,11 @@ OUTCOME_CACHE_SIZE = 64         # outcomes kept before the cache is cleared
 # the target, the findings and the trace's `writes`, the net changes a kept
 # repeat re-applies, then the trace's `reads` and `balance_tests` that say
 # when the first three still hold, then the proximity bonus the blocks
-# earn (0.0 but for Directed) and the campaign's `hops_version` it was
-# derived at, and last the chain exits the target took; a plain tuple, as
-# one is built for every execution that runs
+# earn (0.0 but for Directed), and last the chain exits the target took; a
+# plain tuple, as one is built for every execution that runs
 _Outcome = tuple[dict[int, int], list[BugFinding],
                  Mapping[Location, int | bytes | None], set[Location],
-                 list[tuple[bytes, int, bool]], float, int, list[ChainExit]]
+                 list[tuple[bytes, int, bool]], float, list[ChainExit]]
 # an input's calldata, value, policy and block: with the campaign's fixed
 # target they name the transaction
 _TxKey = tuple[bytes, int, PolicyKind, BlockContext]
@@ -377,23 +376,21 @@ class _Campaign:
         self.rng = random.Random(config.rng_seed)
         self.base_state = snapshot_state(target.state)
         self.directed = config.strategy is Strategy.DIRECTED
-        # goes up each time learned edges lower a count in `hops`, so a
-        # cached bonus derived from older counts is derived again when it
-        # is replayed
-        self.hops_version = 0
         if self.directed:
             # block start -> hops to the nearest critical site, lowered by
             # `relax_distances` as run-time jumps add edges; the learned
             # edges' predecessors are this campaign's one record of them
             self.hops = distance_map(target.cfg, critical_sites(target.cfg))
             self.learned_predecessors: dict[int, set[int]] = {}
-            # chain exit -> the lowest count over its blocks, at this version
+            # chain exit -> the lowest count over its blocks, until a count
+            # is lowered
             self.exit_hops: dict[ChainExit, float] = {}
         # the code object the interpreter runs, so lookups match by identity
         self.runs_key = (target.address,
                          self.base_state.code_of(target.address))
         self.coverage = BlockCoverage()
         # transaction -> its outcome, valid against the current base state
+        # and, for a bonus, the current hop counts
         self.outcomes: dict[_TxKey, _Outcome] = {}
         # what a kept state change looks up to find the outcomes it may
         # alter: location -> keys of cached outcomes that read it, and
@@ -445,6 +442,14 @@ class _Campaign:
                 self.coverage_rows.append((second, self._coverage_fraction()))
             return
         self.coverage_rows.append((self.executions, self._coverage_fraction()))
+
+    def _clear_outcomes(self) -> None:
+        """Empty the outcome cache and its index."""
+        self.outcomes.clear()
+        self.readers.clear()
+        self.testers.clear()
+        self.unindexed.clear()
+        self.dropped = 0
 
     def _invalidate(self, writes: Mapping[Location, object]) -> None:
         """Drop the outcomes a kept state change may alter: those that read
@@ -554,11 +559,6 @@ class _Campaign:
             # a replay adds no coverage and records no finding: its first
             # run did both, and called any stop its findings asked for
             self.replayed += 1
-            # learned edges lowered hop counts since its bonus was derived
-            if outcome[6] != self.hops_version:
-                outcome = outcomes[key] = (*outcome[:5],
-                                           self._bonus(outcome[0], outcome[7]),
-                                           self.hops_version, outcome[7])
             energy = 1.0 + outcome[5]
             if kept:
                 self._invalidate(kept)
@@ -582,21 +582,18 @@ class _Campaign:
                     if refined is not static and relax_distances(
                             self.hops, static.predecessors,
                             self.learned_predecessors, refined.learned_edges):
-                        self.hops_version += 1
+                        # every cached bonus may now be too low
+                        self._clear_outcomes()
                         self.exit_hops.clear()
                 bonus = self._bonus(runs, exits)
             writes = trace.writes
             outcome = (runs, findings, writes, trace.reads,
-                       trace.balance_tests, bonus, self.hops_version, exits)
+                       trace.balance_tests, bonus, exits)
             if persist and writes:
                 self._invalidate(writes)
             else:
                 if len(outcomes) >= OUTCOME_CACHE_SIZE:
-                    outcomes.clear()
-                    self.readers.clear()
-                    self.testers.clear()
-                    self.unindexed.clear()
-                    self.dropped = 0
+                    self._clear_outcomes()
                 outcomes[key] = outcome
                 self.unindexed.append(key)
             energy = 1.0 + new_edges + bonus

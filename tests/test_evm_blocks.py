@@ -806,7 +806,11 @@ def _operand_rows(byte: int) -> list[tuple[int, ...]]:
 @pytest.mark.parametrize("byte", sorted(evm._TEMPLATES),
                          ids=lambda byte: op.MNEMONICS[byte])
 def test_every_template_runs_in_a_chain_as_in_the_loop(byte: int) -> None:
-    # a two-block chain: the operands and a hop, then the op and a hop to a
+    # the chain and the loop take the op's word from one template, so this
+    # checks what the chain adds around it: the order it hands the
+    # operands in, its stack bookkeeping, its exit and its gas; the words
+    # themselves are `STACK_CASES`'s (tests/test_evm_opcodes.py).  A
+    # two-block chain: the operands and a hop, then the op and a hop to a
     # block no chain holds, which returns the word the op left
     for operands in _operand_rows(byte):
         a = Assembler()
@@ -844,8 +848,11 @@ _CHAIN_STEP = st.one_of(
        st.binary(max_size=40), st.sampled_from((0, 6, 10 ** 6)))
 def test_chains_compute_the_words_the_loop_computes(
         blocks: list[tuple[bytes, str]], calldata: bytes, value: int) -> None:
-    # stack-only blocks joined by fallthroughs, hops and branches on the
-    # top word, then, like each branch, a return of the top three words
+    # chain and loop compute each word from the same template, so what this
+    # compares is the operand order, the chain's stack bookkeeping across
+    # blocks, the exits it takes and the gas they pay.  Stack-only blocks
+    # joined by fallthroughs, hops and branches on the top word, then, like
+    # each branch, a return of the top three words
     a = Assembler()
     for word in _EDGE_WORDS[-4:]:
         a.push(word)

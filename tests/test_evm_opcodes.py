@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from dogefuzz import evm
 from dogefuzz import opcodes as op
 from dogefuzz.asm import Assembler
 from dogefuzz.evm import (
@@ -63,12 +64,24 @@ STACK_CASES = [
     ("signextend_negative_byte", code(P(0xFF), P(0), op.SIGNEXTEND), MAX),
     ("signextend_positive_byte", code(P(0x7F), P(0), op.SIGNEXTEND), 0x7F),
     ("signextend_out_of_range", code(P(0xFF), P(32), op.SIGNEXTEND), 0xFF),
+    ("signextend_byte_31_unchanged",
+     code(P((1 << 255) | 0x80, 32), P(31), op.SIGNEXTEND), (1 << 255) | 0x80),
+    ("signextend_byte_30_negative",
+     code(P((0x12 << 248) | (0x80 << 240) | 0x1234, 32), P(30), op.SIGNEXTEND),
+     (0xFF << 248) | (0x80 << 240) | 0x1234),
     ("lt_true", code(P(2), P(1), op.LT), 1),
     ("lt_false", code(P(1), P(2), op.LT), 0),
     ("lt_is_unsigned", code(P(1), P(MAX, 32), op.LT), 0),
+    ("lt_equal", code(P(5), P(5), op.LT), 0),
     ("gt", code(P(1), P(2), op.GT), 1),
+    ("gt_false", code(P(2), P(1), op.GT), 0),
+    ("gt_equal", code(P(5), P(5), op.GT), 0),
     ("slt_signed", code(P(0), P(MAX, 32), op.SLT), 1),
+    ("slt_false_signed", code(P(MAX, 32), P(1), op.SLT), 0),
+    ("slt_equal", code(P(MAX, 32), P(MAX, 32), op.SLT), 0),
     ("sgt_signed", code(P(MAX, 32), P(0), op.SGT), 1),
+    ("sgt_false_signed", code(P(1), P(MAX, 32), op.SGT), 0),
+    ("sgt_equal", code(P(MAX, 32), P(MAX, 32), op.SGT), 0),
     ("eq_true", code(P(5), P(5), op.EQ), 1),
     ("eq_false", code(P(5), P(6), op.EQ), 0),
     ("iszero_zero", code(P(0), op.ISZERO), 1),
@@ -81,12 +94,14 @@ STACK_CASES = [
     ("byte_highest", code(P(1 << 248, 32), P(0), op.BYTE), 1),
     ("byte_out_of_range", code(P(0xFF), P(32), op.BYTE), 0),
     ("shl", code(P(1), P(4), op.SHL), 16),
+    ("shl_by_255", code(P(3), P(255), op.SHL), 1 << 255),
     ("shl_overflow", code(P(1), P(256, 2), op.SHL), 0),
     ("shr", code(P(16), P(4), op.SHR), 1),
     ("shr_overflow", code(P(MAX, 32), P(256, 2), op.SHR), 0),
     ("sar_negative", code(P((-16) & MAX, 32), P(2), op.SAR), (-4) & MAX),
     ("sar_negative_big_shift", code(P((-1) & MAX, 32), P(300, 2), op.SAR), MAX),
     ("sar_positive", code(P(16), P(2), op.SAR), 4),
+    ("sar_positive_big_shift", code(P((1 << 255) - 1, 32), P(256, 2), op.SAR), 0),
     ("pc", code(op.JUMPDEST, op.PC), 1),
     ("msize_initial", code(op.MSIZE), 0),
     ("pop", code(P(7), P(9), op.POP), 7),
@@ -99,6 +114,14 @@ STACK_CASES = [
                          ids=[c[0] for c in STACK_CASES])
 def test_stack_op(name: str, snippet: bytes, expected: int) -> None:
     assert run_top(snippet) == expected
+
+
+def test_every_word_op_of_the_loop_has_a_stack_case() -> None:
+    # the loop runs these ops from the templates compiled chains inline,
+    # so no second spelling checks their words: each needs a row above,
+    # keyed by the opcode that ends its code
+    covered = {snippet[-1] for _, snippet, _ in STACK_CASES}
+    assert [op.MNEMONICS[byte] for byte in evm._WORDS if byte not in covered] == []
 
 
 def test_push_widths() -> None:

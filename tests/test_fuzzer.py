@@ -533,7 +533,7 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
         energy, outcome = real_step(campaign, spec, args, key, persist)
         trace = traces[key]
         # the outcome's merged record: the loop's runs and the chain exits'
-        runs = merge_runs(outcome[0], outcome[7])
+        runs = merge_runs(outcome[0], outcome[6])
         assert runs == block_runs(trace).get(campaign.runs_key, {})
         reached = [campaign.hops[s] for s in runs if s in campaign.hops]
         d_min = min(reached) if reached else None
@@ -594,10 +594,11 @@ def test_directed_offers_augment_edges_only_fresh_transitions(
     assert len(offered) < result.executions
 
 
-def test_hops_version_moves_only_when_learned_edges_lower_a_count(
-        monkeypatch) -> None:
+def test_only_a_lowered_count_empties_the_outcome_cache(monkeypatch) -> None:
     # seed 1 refines the graph five times, and two of those refinements
-    # lower no count: cached bonuses and exit counts stay current over them
+    # lower no count: the outcomes cached before them stay, while each of
+    # the other three empties the cache, which then holds at most the
+    # outcome of the step that lowered
     lowered = []
     real_relax = fuzzer.relax_distances
 
@@ -605,21 +606,39 @@ def test_hops_version_moves_only_when_learned_edges_lower_a_count(
         lowered.append(real_relax(*args))
         return lowered[-1]
 
+    emptied, kept = [], []  # outcomes cached before each such step
+    real_step = fuzzer._Campaign._execute
+
+    def step(campaign, spec, args, key, persist):
+        relaxed = len(lowered)
+        cached = set(campaign.outcomes)
+        energy, outcome = real_step(campaign, spec, args, key, persist)
+        if any(lowered[relaxed:]):
+            assert set(campaign.outcomes) <= {key}
+            emptied.append(len(cached - {key}))
+        elif lowered[relaxed:]:
+            assert not persist and len(cached) < OUTCOME_CACHE_SIZE
+            assert cached <= set(campaign.outcomes)
+            kept.append(len(cached))
+        return energy, outcome
+
     monkeypatch.setattr(fuzzer, "relax_distances", relax)
-    campaign = fuzzer._Campaign(_shared_return_target(), CampaignConfig(
+    monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
+    run_campaign(_shared_return_target(), CampaignConfig(
         strategy=Strategy.DIRECTED, budget=150, rng_seed=1))
-    campaign.run()
     assert len(lowered) == 5 and lowered.count(False) == 2
-    assert campaign.hops_version == 3
+    assert len(emptied) == 3 and max(emptied) > 0
+    assert len(kept) == 2 and max(kept) > 0
 
 
-def test_a_replay_re_derives_a_bonus_that_learned_edges_made_stale(
-        monkeypatch) -> None:
-    """A replay's energy is its blocks' bonus over the hop counts at that
-    step, also after learned edges lowered them; it records no finding.
-    At seed 1 the one refinement after the initial corpus lowers counts
-    only on blocks that no later replay runs; seed 3 replays outcomes whose
-    counts it lowered."""
+def test_a_key_cached_before_a_lowered_count_runs_again(monkeypatch) -> None:
+    """Every step's energy is its new edges plus its blocks' bonus over the
+    hop counts at that step, also after learned edges lowered them; a
+    replay records no finding and adds no edge.  A lowered count empties
+    the outcome cache, so no replay follows a lowering of its counts, and
+    the key runs again instead.  At seed 1 the one refinement after the
+    initial corpus lowers counts only on blocks that no later step runs
+    again; seed 3 runs again keys whose counts it lowered."""
     ran = []
     real_execute = fuzzer.execute_transaction
 
@@ -627,28 +646,45 @@ def test_a_replay_re_derives_a_bonus_that_learned_edges_made_stale(
         ran.append(tx)
         return real_execute(state, tx, persist=persist)
 
+    added = []          # the new edges of each coverage fold
+    real_add = fuzzer.BlockCoverage.add
+
+    def add(coverage, *args):
+        result = real_add(coverage, *args)
+        added.append(result[0])
+        return result
+
     derived = {}        # transaction -> the counts over its blocks at its run
-    stale = hits = 0    # replays after a lowered count; steps adding a hit
+    rerun = hits = 0    # runs after a lowered count; steps adding a hit
     real_step = fuzzer._Campaign._execute
 
     def step(campaign, spec, args, key, persist):
-        nonlocal stale, hits
+        nonlocal rerun, hits
         runs_before, hits_before = len(ran), dict(campaign.first_hits)
+        folds_before = len(added)
         energy, outcome = real_step(campaign, spec, args, key, persist)
         counts = {start: campaign.hops.get(start, math.inf)
-                  for start in merge_runs(outcome[0], outcome[7])}
+                  for start in merge_runs(outcome[0], outcome[6])}
+        d_min = min(counts.values(), default=math.inf)
+        bonus = 0.0 if d_min == math.inf else \
+            DIRECTED_BONUS_WEIGHT / (1.0 + d_min)
         if len(ran) > runs_before:
+            (new_edges,) = added[folds_before:]
+            assert energy == 1.0 + new_edges + bonus
+            if key in derived:
+                rerun += any(counts[start] < derived[key][start]
+                             for start in counts)
             derived[key] = counts
             hits += campaign.first_hits != hits_before
             return energy, outcome
+        assert len(added) == folds_before
         assert campaign.first_hits == hits_before
-        stale += any(counts[start] < derived[key][start] for start in counts)
-        d_min = min(counts.values(), default=math.inf)
-        assert energy == (1.0 if d_min == math.inf else
-                          1.0 + DIRECTED_BONUS_WEIGHT / (1.0 + d_min))
+        assert counts == derived[key]
+        assert energy == 1.0 + bonus
         return energy, outcome
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
+    monkeypatch.setattr(fuzzer.BlockCoverage, "add", add)
     monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
     for rng_seed in (1, 3):
         ran.clear()
@@ -656,7 +692,7 @@ def test_a_replay_re_derives_a_bonus_that_learned_edges_made_stale(
         result = run_campaign(_shared_return_target(), CampaignConfig(
             strategy=Strategy.DIRECTED, budget=150, rng_seed=rng_seed))
         assert result.replayed == 150 - len(ran) > 0
-    assert stale >= 1, "some replay followed a lowered count on its blocks"
+    assert rerun >= 1, "some key ran again after a lowered count on its blocks"
     assert hits >= 1, "some interpreter run added a first hit"
 
 
@@ -732,7 +768,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         replayed = campaign.replayed
         step_energy, outcome = real_step(campaign, spec, args, key, persist)
         findings, writes = outcome[1:3]
-        replayed_runs = merge_runs(outcome[0], outcome[7])
+        replayed_runs = merge_runs(outcome[0], outcome[6])
         calldata, value, policy, block = key
         tx = Transaction(target=campaign.target.address,
                          calldata=calldata, value=value,
@@ -1094,7 +1130,7 @@ def _scan_survivors(campaign, writes) -> list:
     change `writes`, in cache order: those that read none of it and whose
     balance tests all answer as they did."""
     balance_of = campaign.base_state.balance_of
-    return [key for key, (_, _, _, reads, tests, _, _, _)
+    return [key for key, (_, _, _, reads, tests, _, _)
             in campaign.outcomes.items()
             if reads.isdisjoint(writes)
             and all((balance_of(address) >= need) is passed
@@ -1106,7 +1142,7 @@ def _assert_index_covers(campaign) -> None:
     location it read and with every balance test it made, and the index
     names at most `2 * OUTCOME_CACHE_SIZE` keys no longer cached."""
     waiting = set(campaign.unindexed)
-    for key, (_, _, _, reads, tests, _, _, _) in campaign.outcomes.items():
+    for key, (_, _, _, reads, tests, _, _) in campaign.outcomes.items():
         if key not in waiting:
             assert all(key in campaign.readers[at] for at in reads)
             assert all((key, need, passed) in campaign.testers[at]
