@@ -11,7 +11,8 @@ does not favour one side.  Each run's end-to-end metrics come from the
 last JSON line it prints, its report digest from the `results.json` it
 writes.  The summary gives, per metric, the base and change medians, the
 base quartiles and how many pairs the change won (strictly better, in the
-direction `BENCHMARK.json` gives); it is printed as the last line and
+direction `BENCHMARK.json` gives) and the Python version, since timings
+compare only within one version; it is printed as the last line and
 written to `--out` when given.  The exit code is 1 when a run failed a
 correctness check or the two sides' reports differ on some seed.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import platform
 import statistics
 import subprocess
 import sys
@@ -132,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
             pairs.append(pair)
             print(f"seed {seed} done, {order[0]} first", file=sys.stderr)
 
-    summary = {"base": revision, "workload": args.workload,
+    summary = {"base": revision, "python": platform.python_version(),
+               "workload": args.workload,
                "seconds": args.seconds,
                **summarize(pairs, _directions(ROOT)), "runs": pairs}
     if args.out:

@@ -39,7 +39,7 @@ import heapq
 import logging
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -337,10 +337,13 @@ def augment_edges(cfg: Cfg, observed: Iterable[tuple[int, int]]) -> Cfg:
     edges to `relax_distances` to bring hop counts up to date instead of
     recomputing `distance_map`.
     """
-    extra = set(observed) - cfg.static_edges - cfg.learned_edges
+    if not isinstance(observed, (set, frozenset)):
+        observed = set(observed)
+    extra = observed - cfg.static_edges - cfg.learned_edges
     if not extra:
         return cfg
-    return replace(cfg, learned_edges=cfg.learned_edges | extra)
+    return Cfg(cfg.analysis, cfg.static_edges, cfg.unresolved,
+               cfg.learned_edges | extra)
 
 
 # --- critical instructions and distances ----------------------------------

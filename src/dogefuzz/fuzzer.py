@@ -47,12 +47,14 @@ A lane hands around only its arguments and its transaction key: the
 calldata, value, agent policy and block that, with the campaign's fixed
 target, name the transaction and its cached outcome.  The calldata is
 encoded once when an input is generated, and a function without
-arguments sends its selector alone; a mutant inherits its parent's bytes
-and is re-encoded only when the mutation changed an argument, so mutants
-that vary the value, the agent policy or the block cost no ABI work.  A
-`Seed` is what the queue keeps, and a finding's reproducer: one is built
-for each initial-corpus input, each admitted child and each run that
-first hit a finding, so a replay builds none.
+arguments sends its selector alone; its two inputs depend only on the
+ordinal and draw no bits, so a BlackBox campaign builds them once and
+its lanes only draw the function and the ordinal.  A mutant inherits its
+parent's bytes and is re-encoded only when the mutation changed an
+argument, so mutants that vary the value, the agent policy or the block
+cost no ABI work.  A `Seed` is what the queue keeps, and a finding's
+reproducer: one is built for each initial-corpus input, each admitted
+child and each run that first hit a finding, so a replay builds none.
 
 A campaign draws everything from one `random.Random` seeded with its
 `rng_seed`.  A draw among `n` choices goes through `abi._below`, which
@@ -528,7 +530,9 @@ class _Campaign:
         over the current hop counts: 0.0 when none of them reaches a
         site."""
         hops = self.hops
-        d_min = min(map(hops.get, runs, repeat(math.inf)), default=math.inf)
+        # most runs are chains alone, and record no block the loop ran
+        d_min = (min(map(hops.get, runs, repeat(math.inf))) if runs
+                 else math.inf)
         exit_hops = self.exit_hops
         for chain_exit in exits:
             d_exit = exit_hops.get(chain_exit)
@@ -632,19 +636,38 @@ class _Campaign:
         pools = self.target.pools
         getrandbits = rng.getrandbits
         blind = self.config.strategy is Strategy.BLACKBOX
+        if blind:
+            # per eligible function, its inputs at ordinals 0 and 1 when
+            # building them draws no bits: it takes no arguments and is not
+            # the fallback, whose ordinal 1 draws random bytes
+            built = [None if spec.inputs or spec.is_fallback else
+                     (generate_seed(rng, spec, pools, 0),
+                      generate_seed(rng, spec, pools, 1))
+                     for spec in eligible]
+        # without a time budget a lane need not read the clock
+        timed = self.seconds is not None
+        budget = self.budget
         while self._within_budget():
             if not blind:
                 parent = select_seed(rng, queue, self.queue_energy)
                 spec = parent.spec
             for lane in range(MUTANTS_PER_CYCLE + 1):
-                if not self._within_budget():
+                if timed:
+                    if not self._within_budget():
+                        break
+                elif self.stop or self.executions >= budget:
                     break
                 if blind:
                     # a function, then an ordinal, each drawn as
                     # `rng.choice` and `rng.randrange` would draw it
-                    spec = eligible[_below(getrandbits, len(eligible))]
-                    args, key = generate_seed(rng, spec, pools,
-                                              _below(getrandbits, 2))
+                    index = _below(getrandbits, len(eligible))
+                    spec = eligible[index]
+                    inputs = built[index]
+                    if inputs is None:
+                        args, key = generate_seed(rng, spec, pools,
+                                                  _below(getrandbits, 2))
+                    else:
+                        args, key = inputs[_below(getrandbits, 2)]
                 else:
                     args, key = mutate_seed(rng, parent, pools)
                 energy = self._execute(spec, args, key,

@@ -124,6 +124,7 @@ def detect_trace(trace: ExecutionTrace) -> list[BugFinding]:
             findings.append(
                 BugFinding(FineBugClass.NUMBER_DEPENDENCY, number.pc))
 
-    if findings:
+    # the list is built only for a log that keeps it
+    if findings and logger.isEnabledFor(logging.DEBUG):
         logger.debug("detected %s", [f.fine.value for f in findings])
     return findings

@@ -398,6 +398,19 @@ def test_augment_rejects_non_jump_pairs() -> None:
     assert augment_edges(cfg, [(0, 6), (0, 7)]).learned_edges == {(0, 7)}
 
 
+def test_augment_leaves_an_observed_set_unchanged() -> None:
+    raw, _, dest_pc = _unresolved_cfg()
+    cfg = build_cfg(raw)
+    for observed in ({(0, dest_pc)}, frozenset({(0, dest_pc)})):
+        before = set(observed)
+        updated = augment_edges(cfg, observed)
+        assert updated.learned_edges == {(0, dest_pc)}
+        assert observed == before
+    learned = {(0, dest_pc)}
+    assert augment_edges(updated, learned) is updated
+    assert learned == {(0, dest_pc)}
+
+
 def test_augment_is_idempotent() -> None:
     raw, _, dest_pc = _unresolved_cfg()
     cfg = build_cfg(raw)

@@ -101,3 +101,21 @@ def _children(spec: FunctionSpec) -> str:
 @pytest.mark.parametrize("shape", SHAPES)
 def test_children_draw_as_recorded(shape: str) -> None:
     assert _children(SHAPES[shape]) == DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", ["no-args", "payable"])
+def test_argument_less_inputs_draw_nothing(shape: str) -> None:
+    """A BlackBox campaign builds these inputs once, before its first
+    cycle, and indexes them by the ordinal a lane draws: that leaves the
+    stream where building them in the lane would."""
+    spec = SHAPES[shape]
+    rng = random.Random(7)
+    state = rng.getstate()
+    built = [generate_seed(rng, spec, POOLS, ordinal) for ordinal in (0, 1)]
+    assert rng.getstate() == state
+    for ordinal, inputs in enumerate(built):
+        # the same at any point of any stream
+        assert generate_seed(random.Random(ordinal), spec, POOLS,
+                             ordinal) == inputs
+    assert built[0][1][1] == 0
+    assert built[1][1][1] == (1 if spec.is_payable else 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
@@ -353,13 +354,34 @@ def test_campaign_budget_and_sampling_grid() -> None:
 
 
 def test_stop_classes_ends_campaign_early() -> None:
-    target = make_target(fixture("gasless_vulnerable"))
-    config = CampaignConfig(
-        strategy=Strategy.GREYBOX, budget=500, rng_seed=0,
-        stop_classes=frozenset({FineBugClass.GASLESS_SEND}))
-    result = run_campaign(target, config)
-    assert FineBugClass.GASLESS_SEND in classes(result)
-    assert result.executions < 500
+    for strategy, name, rng_seed, fine in [
+            # first hit by the initial corpus
+            (Strategy.GREYBOX, "gasless_vulnerable", 0,
+             FineBugClass.GASLESS_SEND),
+            (Strategy.BLACKBOX, "gasless_vulnerable", 0,
+             FineBugClass.GASLESS_SEND),
+            # first hit by a lane inside a cycle, at ticks 42 and 341
+            (Strategy.GREYBOX, "reentrancy_vulnerable", 1,
+             FineBugClass.REENTRANCY),
+            (Strategy.BLACKBOX, "gated_send", 4, FineBugClass.GASLESS_SEND)]:
+        target = make_target(fixture(name))
+        config = CampaignConfig(strategy=strategy, budget=500,
+                                rng_seed=rng_seed,
+                                stop_classes=frozenset({fine}))
+        result = run_campaign(target, config)
+        ticks = [tick for tick, finding, _ in result.findings
+                 if finding.fine is fine]
+        assert ticks, (strategy, name)
+        # no execution follows the one that first hit the class
+        assert result.executions == ticks[0] < 500, (strategy, name)
+
+
+def test_an_execution_budget_binds_a_timed_campaign() -> None:
+    target = make_target(fixture("number_fixed"))
+    for strategy in Strategy:
+        result = run_campaign(target, CampaignConfig(
+            strategy=strategy, budget=100, seconds=60, rng_seed=2))
+        assert result.executions == 100, strategy
 
 
 def test_time_budget_smoke() -> None:
@@ -412,6 +434,72 @@ def test_only_queued_inputs_and_reproducers_build_seeds(monkeypatch,
         assert len(result.findings) > first_hit_runs
     else:
         assert result.admitted_seeds > 0
+
+
+@pytest.mark.parametrize("name,per_lane", [
+    # `pay` takes no arguments: its two inputs are built once
+    ("gasless_vulnerable", False),
+    # `hunt` takes three, drawn afresh in every lane
+    ("gated_send", True),
+])
+def test_blackbox_generates_argument_less_inputs_once(monkeypatch, name,
+                                                      per_lane) -> None:
+    """A BlackBox lane calls `generate_seed` only for a function whose
+    inputs draw bits; the others' are built once per campaign."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return generate_seed(*args, **kwargs)
+
+    monkeypatch.setattr(fuzzer, "generate_seed", counted)
+    target = make_target(fixture(name))
+    result = run_campaign(target, CampaignConfig(strategy=Strategy.BLACKBOX,
+                                                 budget=1000, rng_seed=1))
+    corpus = len(target.eligible_specs()) * SEEDS_PER_FUNCTION
+    assert result.executions == 1000
+    if per_lane:
+        assert len(calls) == result.executions
+    else:
+        # the initial corpus, then the table of both ordinals
+        assert len(calls) == corpus + 2
+
+
+@pytest.mark.parametrize("name,fallback", [
+    # `deposit` is payable, so its two inputs differ
+    ("reentrancy_vulnerable", False),
+    ("gated_send", False),
+    # a fallback's second input is random bytes, drawn in its lane
+    ("gasless_vulnerable", True),
+])
+def test_blackbox_lanes_run_freshly_generated_inputs(monkeypatch, name,
+                                                     fallback) -> None:
+    """Each BlackBox lane runs what drawing a function and an ordinal and
+    then calling `generate_seed` gives: the table of argument-less inputs
+    changes neither the inputs nor the stream."""
+    ran = []
+    execute = fuzzer._Campaign._execute
+
+    def recorded(self, spec, args, key, persist):
+        ran.append((spec.name, args, key))
+        return execute(self, spec, args, key, persist)
+
+    monkeypatch.setattr(fuzzer._Campaign, "_execute", recorded)
+    target = make_target(fixture(name))
+    if fallback:
+        target = dataclasses.replace(target, specs=target.specs + tuple(
+            parse_abi([{"type": "fallback", "stateMutability": "payable"}])))
+    run_campaign(target, CampaignConfig(strategy=Strategy.BLACKBOX,
+                                        budget=300, rng_seed=1))
+    rng = random.Random(1)
+    expected = [(seed.spec.name, seed.args, _key(seed))
+                for seed in initial_corpus(rng, target)]
+    eligible = target.eligible_specs()
+    while len(expected) < 300:
+        spec = eligible[rng.randrange(len(eligible))]
+        args, key = generate_seed(rng, spec, target.pools, rng.randrange(2))
+        expected.append((spec.name, args, key))
+    assert ran == expected
 
 
 def test_greybox_admits_strictly_improving_children() -> None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,6 +159,18 @@ def test_multiple_classes_one_snapshot() -> None:
     }
     gasless = [f for f in findings if f.fine is FineBugClass.GASLESS_SEND]
     assert [f.pc for f in gasless] == [10]
+
+
+def test_findings_are_logged_at_debug(caplog) -> None:
+    snapshot = snap(ev(EventKind.DELEGATE, pc=3),
+                    ev(EventKind.GASLESS_SEND, pc=10))
+    with caplog.at_level(logging.INFO, logger="dogefuzz.oracles"):
+        detect_trace(snapshot)
+    assert not caplog.records
+    with caplog.at_level(logging.DEBUG, logger="dogefuzz.oracles"):
+        detect_trace(snapshot)
+    assert [r.getMessage() for r in caplog.records] == [
+        "detected ['DangerousDelegateCall', 'GaslessSend']"]
 
 
 # --- one pass agrees with the per-rule reference --------------------------
