@@ -10,10 +10,15 @@ seed, alternating which side runs first so that slow drift of the host
 does not favour one side.  Each run's end-to-end metrics come from the
 last JSON line it prints, its report digest from the `results.json` it
 writes.  The summary gives, per metric, the base and change medians, the
-base quartiles and how many pairs the change won (strictly better, in the
-direction `BENCHMARK.json` gives) and the Python version, since timings
-compare only within one version; it is printed as the last line and
-written to `--out` when given.  The exit code is 1 when a run failed a
+base quartiles, how many pairs the change won (strictly better, in the
+direction `BENCHMARK.json` gives) and a verdict, and the Python version,
+since timings compare only within one version; it is printed as the last
+line and written to `--out` when given.  A metric's verdict is `gain` when
+the change won at least nine tenths of the pairs and its median is better
+than the base median by more than the base's interquartile range, `worse`
+when its median is worse than the base median by more than the metric's
+`bound` in `BENCHMARK.json` (a fraction of the base median), and `flat`
+otherwise.  The exit code is 1 when a run failed a
 correctness check or the two sides' reports differ on some seed.
 """
 
@@ -66,13 +71,31 @@ def _quartiles(values: list[float]) -> tuple[float, float]:
     return q1, q3
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per-metric medians, base quartiles and win counts over the pairs.
+def verdict(sign: int, base_median: float, change_median: float,
+            spread: float, wins: int, pairs: int,
+            bound: float | None) -> str:
+    """`gain`, `worse` or `flat` for one metric; `sign` is 1 when higher
+    is better and -1 when lower is, and `spread` the base's q3 - q1."""
+    gain = sign * (change_median - base_median)
+    if 10 * wins >= 9 * pairs and gain > spread:
+        return "gain"
+    if bound is not None and -gain > bound * abs(base_median):
+        return "worse"
+    return "flat"
+
+
+def summarize(pairs: list[dict], better: dict[str, str],
+              bounds: dict[str, float] | None = None) -> dict:
+    """Per-metric medians, base quartiles, win counts and verdicts over
+    the pairs.
 
     Each pair holds a `base` and a `change` run as `run_bench` returns
     them.  `better` maps a metric name to "higher" or "lower"; a metric
-    without a direction gets no win count.
+    without a direction gets no win count and no verdict.  `bounds` maps
+    a metric name to the fraction of its base median by which the change
+    median may be worse; a metric without one is never `worse`.
     """
+    bounds = bounds or {}
     metrics = {}
     for name in pairs[0]["base"]["metrics"]:
         base = [p["base"]["metrics"][name] for p in pairs]
@@ -80,14 +103,20 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         q1, q3 = _quartiles(base)
         direction = better.get(name)
         sign = {"higher": 1, "lower": -1}.get(direction)
+        base_median = statistics.median(base)
+        change_median = statistics.median(change)
+        wins = None if sign is None else sum(
+            sign * (c - b) > 0 for b, c in zip(base, change))
         metrics[name] = {
             "better": direction,
-            "base_median": statistics.median(base),
-            "change_median": statistics.median(change),
+            "base_median": base_median,
+            "change_median": change_median,
             "base_q1": q1,
             "base_q3": q3,
-            "wins": None if sign is None else sum(
-                sign * (c - b) > 0 for b, c in zip(base, change)),
+            "wins": wins,
+            "verdict": None if sign is None else verdict(
+                sign, base_median, change_median, q3 - q1, wins,
+                len(pairs), bounds.get(name)),
         }
     return {
         "pairs": len(pairs),
@@ -99,9 +128,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     }
 
 
-def _directions(root: Path) -> dict[str, str]:
-    declared = json.loads((root / "BENCHMARK.json").read_text())
-    return {m["name"]: m["better"] for m in declared["end_to_end"]}
+def _declared(root: Path) -> tuple[dict[str, str], dict[str, float]]:
+    """Each end-to-end metric's direction and bound in `BENCHMARK.json`."""
+    declared = json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]
+    return ({m["name"]: m["better"] for m in declared},
+            {m["name"]: m["bound"] for m in declared if "bound" in m})
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -137,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
     summary = {"base": revision, "python": platform.python_version(),
                "workload": args.workload,
                "seconds": args.seconds,
-               **summarize(pairs, _directions(ROOT)), "runs": pairs}
+               **summarize(pairs, *_declared(ROOT)), "runs": pairs}
     if args.out:
         args.out.write_text(json.dumps(summary, indent=2) + "\n")
     print(json.dumps({k: v for k, v in summary.items() if k != "runs"}))

@@ -52,7 +52,12 @@ ordinal and draw no bits, so a BlackBox campaign builds them once and
 its lanes only draw the function and the ordinal.  A mutant inherits its
 parent's bytes and is re-encoded only when the mutation changed an
 argument, so mutants that vary the value, the agent policy or the block
-cost no ABI work.  A `Seed` is what the queue keeps, and a finding's
+cost no ABI work.  Those mutations can make only 17 children of a parent
+(six value picks, the next policy, six timestamp and four number
+offsets), so a parent keeps each one it has made in its `children`
+table, by draw: the draws are made as before, and a repeated draw hands
+back the same arguments and key objects without building them again.
+A `Seed` is what the queue keeps, and a finding's
 reproducer: one is built for each initial-corpus input, each admitted
 child and each run that first hit a finding, so a replay builds none.
 
@@ -70,7 +75,7 @@ import logging
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import repeat
 from typing import Iterable, Mapping
@@ -136,6 +141,13 @@ _TxKey = tuple[bytes, int, PolicyKind, BlockContext]
 _NEXT_POLICY = {PolicyKind.BENIGN: PolicyKind.REENTRANT,
                 PolicyKind.REENTRANT: PolicyKind.THROWER,
                 PolicyKind.THROWER: PolicyKind.BENIGN}
+# the draws that name a value, policy or block child in a parent's
+# `children` table: value picks 0-5, then the policy, then an index into
+# `TIMESTAMP_OFFSETS` and one into `NUMBER_OFFSETS`
+_POLICY_DRAW = 6
+_TIMESTAMP_DRAWS = _POLICY_DRAW + 1
+_NUMBER_DRAWS = _TIMESTAMP_DRAWS + len(TIMESTAMP_OFFSETS)
+_KEPT_CHILDREN = _NUMBER_DRAWS + len(NUMBER_OFFSETS)
 # the record of a target no frame ran
 _NO_RECORD: tuple[dict[int, int], tuple[ChainExit, ...]] = ({}, ())
 # a fallback seed's raw calldata mutates as an ABI `bytes` value
@@ -159,6 +171,10 @@ class Seed:
     instead of arguments.  `generate_seed` and `mutate_seed` keep it in
     step with `args`; a seed built by hand starts with empty calldata.
     `energy` is what the input earned when it ran.
+    `children` is the table of the value, policy and block children
+    `mutate_seed` has made of the seed, by draw: it takes no part in
+    comparison or `repr`, and holds while the fields it was built from
+    stay as they are.
     """
 
     spec: FunctionSpec
@@ -168,6 +184,8 @@ class Seed:
     policy: PolicyKind = PolicyKind.BENIGN
     block: BlockContext = DEFAULT_BLOCK
     energy: float = 1.0
+    children: dict[int, tuple[tuple, _TxKey]] | None = field(
+        default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -306,49 +324,69 @@ def mutate_seed(rng: random.Random, seed: Seed,
 
     The child starts from the parent's calldata: only an argument mutation
     re-encodes it, and only a raw-bytes mutation of a fallback seed edits it.
-    A draw among a few candidates computes only the one drawn.
+    A value, policy or block mutation draws one of `_KEPT_CHILDREN`
+    children, which the parent's `children` table builds on its first draw
+    and hands out again after.
     """
     getrandbits = rng.getrandbits
-    spec, args, calldata = seed.spec, seed.args, seed.calldata
-    value, policy, block = seed.value, seed.policy, seed.block
-    dims = spec.mutation_dims
+    dims = seed.spec.mutation_dims
     choice = dims[_below(getrandbits, len(dims))]
-    if choice == "raw":
-        calldata = mutate_value(rng, _RAW_CALLDATA, calldata, pools)
-    elif choice == "value":
+    if choice == "value":
         # of 0, 1, 2, value + 1, value - 1 (not below 0) and value * 2
-        pick = _below(getrandbits, 6)
-        if pick < 3:
-            value = pick
-        elif pick == 3:
+        draw = _below(getrandbits, 6)
+    elif choice == "policy":
+        draw = _POLICY_DRAW
+    elif choice == "block":
+        if rng.random() < 0.5:
+            draw = _TIMESTAMP_DRAWS + _below(getrandbits,
+                                             len(TIMESTAMP_OFFSETS))
+        else:
+            draw = _NUMBER_DRAWS + _below(getrandbits, len(NUMBER_OFFSETS))
+    elif choice == "raw":
+        return (), (mutate_value(rng, _RAW_CALLDATA, seed.calldata, pools),
+                    seed.value, seed.policy, seed.block)
+    else:
+        _, index = choice
+        spec = seed.spec
+        args = list(seed.args)
+        args[index] = mutate_value(rng, spec.inputs[index], args[index],
+                                   pools)
+        args = tuple(args)
+        return args, (encode_call(spec, args), seed.value, seed.policy,
+                      seed.block)
+    children = seed.children
+    if children is None:
+        children = seed.children = {}
+    child = children.get(draw)
+    if child is None:
+        child = children[draw] = _child(seed, draw)
+    return child
+
+
+def _child(seed: Seed, draw: int) -> tuple[tuple, _TxKey]:
+    """The child of `seed` that value, policy or block draw `draw` names."""
+    value, policy, block = seed.value, seed.policy, seed.block
+    if draw < _POLICY_DRAW:
+        if draw < 3:
+            value = draw
+        elif draw == 3:
             value += 1
-        elif pick == 4:
+        elif draw == 4:
             value = max(value - 1, 0)
         else:
             value *= 2
-    elif choice == "policy":
+    elif draw == _POLICY_DRAW:
         policy = _NEXT_POLICY[policy]
-    elif choice == "block":
+    else:
         number, timestamp = block
-        if rng.random() < 0.5:
-            timestamp += TIMESTAMP_OFFSETS[
-                _below(getrandbits, len(TIMESTAMP_OFFSETS))]
-            if timestamp < 0:
-                timestamp = 0
+        if draw < _NUMBER_DRAWS:
+            timestamp = max(
+                timestamp + TIMESTAMP_OFFSETS[draw - _TIMESTAMP_DRAWS], 0)
         else:
-            number += NUMBER_OFFSETS[_below(getrandbits, len(NUMBER_OFFSETS))]
-            if number < 0:
-                number = 0
+            number = max(number + NUMBER_OFFSETS[draw - _NUMBER_DRAWS], 0)
         # `_make` skips the Python-level `__new__` a NamedTuple call runs
         block = BlockContext._make((number, timestamp))
-    else:
-        _, index = choice
-        mutated = list(args)
-        mutated[index] = mutate_value(rng, spec.inputs[index], mutated[index],
-                                      pools)
-        args = tuple(mutated)
-        calldata = encode_call(spec, args)
-    return args, (calldata, value, policy, block)
+    return seed.args, (seed.calldata, value, policy, block)
 
 
 def select_seed(rng: random.Random, queue: list[Seed], total: float) -> Seed:
@@ -547,11 +585,10 @@ class _Campaign:
         return DIRECTED_BONUS_WEIGHT / (1.0 + d_min)
 
     def _execute(self, spec: FunctionSpec, args: tuple, key: _TxKey,
-                 persist: bool) -> tuple[float, _Outcome]:
+                 persist: bool) -> float:
         """Run the input `spec`, `args` and `key` name, or replay it from
-        the outcome cache; returns the energy it earned and the outcome the
-        step used.  Only a run that first hits a finding builds a `Seed`,
-        the finding's reproducer."""
+        the outcome cache; returns the energy it earned.  Only a run that
+        first hits a finding builds a `Seed`, the finding's reproducer."""
         self.executions += 1
         tick = self.executions
         outcomes = self.outcomes
@@ -616,7 +653,7 @@ class _Campaign:
                 or tick % COVERAGE_SAMPLE_INTERVAL == 0
                 or tick == self.budget):
             self._sample_coverage()
-        return energy, outcome
+        return energy
 
     # -- cycles ------------------------------------------------------------
 
@@ -628,7 +665,7 @@ class _Campaign:
                 break
             seed.energy = self._execute(
                 seed.spec, seed.args,
-                (seed.calldata, seed.value, seed.policy, seed.block), False)[0]
+                (seed.calldata, seed.value, seed.policy, seed.block), False)
         for seed in queue:
             self.queue_energy += seed.energy
 
@@ -671,7 +708,7 @@ class _Campaign:
                 else:
                     args, key = mutate_seed(rng, parent, pools)
                 energy = self._execute(spec, args, key,
-                                       lane == MUTANTS_PER_CYCLE)[0]
+                                       lane == MUTANTS_PER_CYCLE)
                 if not blind and energy > parent.energy:
                     queue.append(Seed(spec, args, *key, energy))
                     self.queue_energy += energy

@@ -65,3 +65,55 @@ def test_single_pair_quartiles_collapse_to_the_value() -> None:
 def test_parse_seeds_rejects_non_numbers(text: str) -> None:
     with pytest.raises(ValueError):
         bench_pairs.parse_seeds(text)
+
+
+def _verdicts(base: list[float], change: list[float], better: str,
+              bound: float | None = None) -> str:
+    pairs = _pairs([_run(x=v) for v in base], [_run(x=v) for v in change])
+    bounds = {} if bound is None else {"x": bound}
+    return bench_pairs.summarize(pairs, {"x": better}, bounds)["metrics"]["x"][
+        "verdict"]
+
+
+BASE = [100.0, 101.0, 102.0, 103.0, 104.0, 105.0, 106.0, 107.0, 108.0, 109.0]
+
+
+def test_gain_needs_nine_tenths_of_the_pairs_and_more_than_the_spread() -> None:
+    # base q1 102.25, q3 106.75: a spread of 4.5 around a median of 104.5
+    assert _verdicts(BASE, [v + 5 for v in BASE], "higher") == "gain"
+    # one pair lost of ten is still nine tenths
+    assert _verdicts(BASE, [v + 10 for v in BASE[:9]] + [100.0],
+                     "higher") == "gain"
+    # two lost is not
+    assert _verdicts(BASE, [v + 10 for v in BASE[:8]] + [100.0, 100.0],
+                     "higher") == "flat"
+    # every pair won, by less than the spread
+    assert _verdicts(BASE, [v + 4 for v in BASE], "higher") == "flat"
+    # lower is better: the same runs read the other way
+    assert _verdicts([v + 5 for v in BASE], BASE, "lower") == "gain"
+    assert _verdicts(BASE, [v + 5 for v in BASE], "lower") == "flat"
+
+
+def test_worse_is_a_median_past_the_bound() -> None:
+    # medians 104.5 and 78.0: 25.4% lower
+    slower = [v - 26.5 for v in BASE]
+    assert _verdicts(BASE, slower, "higher", bound=0.25) == "worse"
+    assert _verdicts(BASE, slower, "higher", bound=0.30) == "flat"
+    # without a bound a metric is never worse
+    assert _verdicts(BASE, slower, "higher") == "flat"
+    # 9% slower where lower is better, against a 0.1 bound and a 0.05 one
+    assert _verdicts(BASE, [v * 1.09 for v in BASE], "lower", 0.1) == "flat"
+    assert _verdicts(BASE, [v * 1.09 for v in BASE], "lower", 0.05) == "worse"
+
+
+def test_a_metric_without_a_direction_gets_no_verdict() -> None:
+    summary = bench_pairs.summarize(_pairs([_run(x=1)], [_run(x=2)]), {},
+                                    {"x": 0.1})
+    assert summary["metrics"]["x"]["verdict"] is None
+
+
+def test_bounds_come_from_the_declared_end_to_end_metrics() -> None:
+    better, bounds = bench_pairs._declared(_PATH.parents[1])
+    assert better["exec_per_s.greybox"] == "higher"
+    assert better["wall_s"] == "lower"
+    assert bounds["peak_rss_mb"] == 0.1 and set(bounds) <= set(better)

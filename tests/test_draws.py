@@ -18,7 +18,7 @@ import sys
 import pytest
 
 from dogefuzz.abi import FunctionSpec, Mutability, _below, parse_type
-from dogefuzz.fuzzer import Seed, generate_seed, mutate_seed
+from dogefuzz.fuzzer import _KEPT_CHILDREN, Seed, generate_seed, mutate_seed
 
 POOLS = (b"\xaa" * 20, b"\x5e" * 20)
 CHILDREN = 2000
@@ -101,6 +101,39 @@ def _children(spec: FunctionSpec) -> str:
 @pytest.mark.parametrize("shape", SHAPES)
 def test_children_draw_as_recorded(shape: str) -> None:
     assert _children(SHAPES[shape]) == DIGESTS[shape]
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_a_parent_hands_out_the_children_it_keeps(shape: str) -> None:
+    """`CHILDREN` mutants of one parent, whose `children` table fills and
+    is then read, are the mutants of as many fresh copies of it, drawn
+    from a second stream: the same rows, and the streams end at the same
+    place.  The table holds at most `_KEPT_CHILDREN` entries, an entry is
+    never rebuilt, and a repeated draw hands back the same key object."""
+    spec = SHAPES[shape]
+    rng, fresh_rng = random.Random(7), random.Random(7)
+    args, key = generate_seed(rng, spec, POOLS, 1)
+    assert generate_seed(fresh_rng, spec, POOLS, 1) == (args, key)
+    parent = Seed(spec, args, *key)
+    kept = {}           # draw -> the child first kept under it
+    handed_out = 0      # mutants served from the table
+    keys = set()        # the ids of the key objects among them
+    for _ in range(CHILDREN):
+        child = mutate_seed(rng, parent, POOLS)
+        fresh = mutate_seed(fresh_rng, Seed(spec, args, *key), POOLS)
+        assert _row(*child) == _row(*fresh)
+        table = parent.children or {}
+        assert len(table) <= _KEPT_CHILDREN
+        for draw, entry in table.items():
+            assert kept.setdefault(draw, entry) is entry
+        if any(child is entry for entry in table.values()):
+            handed_out += 1
+            keys.add(id(child[1]))
+    assert rng.getrandbits(64) == fresh_rng.getrandbits(64)
+    # every value pick when payable, the policy, and every block offset
+    assert len(kept) == (_KEPT_CHILDREN if spec.is_payable
+                         else _KEPT_CHILDREN - 6)
+    assert handed_out > len(kept) == len(keys)
 
 
 @pytest.mark.parametrize("shape", ["no-args", "payable"])

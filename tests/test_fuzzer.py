@@ -96,10 +96,42 @@ def _mutant(rng: random.Random, seed: Seed) -> Seed:
 
 def _run(campaign, seed: Seed, persist: bool):
     """One step of `campaign` on `seed`, as the loop runs a queued seed:
-    sets the seed's energy and returns the step's outcome."""
-    seed.energy, outcome = campaign._execute(seed.spec, seed.args, _key(seed),
-                                             persist)
-    return outcome
+    sets the seed's energy and returns the outcome cached under its key
+    after the step, if any."""
+    key = _key(seed)
+    seed.energy = campaign._execute(seed.spec, seed.args, key, persist)
+    return campaign.outcomes.get(key)
+
+
+def _outcome_steps(monkeypatch):
+    """A function that runs one `_Campaign._execute` step as the loop runs
+    it and returns its energy with the outcome the step used: the cached
+    outcome a replay read, or the one a run built from its trace."""
+    real_step = fuzzer._Campaign._execute
+    real_detect = fuzzer.detect_trace
+    detected = []       # (trace, findings) of the step's run
+
+    def detect(trace):
+        findings = real_detect(trace)
+        detected.append((trace, findings))
+        return findings
+
+    monkeypatch.setattr(fuzzer, "detect_trace", detect)
+
+    def stepped(campaign, spec, args, key, persist):
+        cached = campaign.outcomes.get(key)
+        replayed = campaign.replayed
+        detected.clear()
+        energy = real_step(campaign, spec, args, key, persist)
+        if campaign.replayed > replayed:
+            return energy, cached
+        ((trace, findings),) = detected
+        runs, exits = trace.records.get(campaign.runs_key, ({}, ()))
+        bonus = campaign._bonus(runs, exits) if campaign.directed else 0.0
+        return energy, (runs, findings, trace.writes, trace.reads,
+                        trace.balance_tests, bonus, exits)
+
+    return stepped
 
 
 # --- corpus ---------------------------------------------------------------
@@ -302,6 +334,20 @@ def test_mutation_is_deterministic_per_rng_seed() -> None:
     a = [_mutant(random.Random(5), seed) for _ in range(3)]
     b = [_mutant(random.Random(5), seed) for _ in range(3)]
     assert a == b
+
+
+def test_a_seed_with_kept_children_compares_and_prints_as_its_fields() -> None:
+    """The `children` table takes no part in a seed's equality or `repr`,
+    so queue seeds and reproducers read as before."""
+    seed = _withdraw_seed()
+    rng = random.Random(7)
+    for _ in range(200):
+        mutate_seed(rng, seed, POOLS)
+    assert seed.children
+    twin = Seed(seed.spec, seed.args, *_key(seed), seed.energy)
+    assert twin.children is None
+    assert seed == twin and repr(seed) == repr(twin)
+    assert "children" not in repr(seed)
 
 
 # --- scoring and selection ------------------------------------------------
@@ -615,10 +661,10 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
         return trace
 
     steps = []
-    real_step = fuzzer._Campaign._execute
+    stepped = _outcome_steps(monkeypatch)
 
     def step(campaign, spec, args, key, persist):
-        energy, outcome = real_step(campaign, spec, args, key, persist)
+        energy, outcome = stepped(campaign, spec, args, key, persist)
         trace = traces[key]
         # the outcome's merged record: the loop's runs and the chain exits'
         runs = merge_runs(outcome[0], outcome[6])
@@ -629,7 +675,7 @@ def test_incremental_distances_match_full_recomputation(monkeypatch) -> None:
         # transitions it has seen
         cfg = augment_edges(target.cfg, campaign.coverage.transitions)
         steps.append((campaign, d_min, cfg, trace))
-        return energy, outcome
+        return energy
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
     monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
@@ -700,7 +746,7 @@ def test_only_a_lowered_count_empties_the_outcome_cache(monkeypatch) -> None:
     def step(campaign, spec, args, key, persist):
         relaxed = len(lowered)
         cached = set(campaign.outcomes)
-        energy, outcome = real_step(campaign, spec, args, key, persist)
+        energy = real_step(campaign, spec, args, key, persist)
         if any(lowered[relaxed:]):
             assert set(campaign.outcomes) <= {key}
             emptied.append(len(cached - {key}))
@@ -708,7 +754,7 @@ def test_only_a_lowered_count_empties_the_outcome_cache(monkeypatch) -> None:
             assert not persist and len(cached) < OUTCOME_CACHE_SIZE
             assert cached <= set(campaign.outcomes)
             kept.append(len(cached))
-        return energy, outcome
+        return energy
 
     monkeypatch.setattr(fuzzer, "relax_distances", relax)
     monkeypatch.setattr(fuzzer._Campaign, "_execute", step)
@@ -744,13 +790,13 @@ def test_a_key_cached_before_a_lowered_count_runs_again(monkeypatch) -> None:
 
     derived = {}        # transaction -> the counts over its blocks at its run
     rerun = hits = 0    # runs after a lowered count; steps adding a hit
-    real_step = fuzzer._Campaign._execute
+    stepped = _outcome_steps(monkeypatch)
 
     def step(campaign, spec, args, key, persist):
         nonlocal rerun, hits
         runs_before, hits_before = len(ran), dict(campaign.first_hits)
         folds_before = len(added)
-        energy, outcome = real_step(campaign, spec, args, key, persist)
+        energy, outcome = stepped(campaign, spec, args, key, persist)
         counts = {start: campaign.hops.get(start, math.inf)
                   for start in merge_runs(outcome[0], outcome[6])}
         d_min = min(counts.values(), default=math.inf)
@@ -764,12 +810,12 @@ def test_a_key_cached_before_a_lowered_count_runs_again(monkeypatch) -> None:
                              for start in counts)
             derived[key] = counts
             hits += campaign.first_hits != hits_before
-            return energy, outcome
+            return energy
         assert len(added) == folds_before
         assert campaign.first_hits == hits_before
         assert counts == derived[key]
         assert energy == 1.0 + bonus
-        return energy, outcome
+        return energy
 
     monkeypatch.setattr(fuzzer, "execute_transaction", execute)
     monkeypatch.setattr(fuzzer.BlockCoverage, "add", add)
@@ -842,7 +888,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
     state it started from, and leaves the same base state behind; each
     seed's energy follows from the fresh run, and a campaign's findings
     are the earliest hit of each site."""
-    real_step = fuzzer._Campaign._execute
+    stepped = _outcome_steps(monkeypatch)
     checked = []
     survivals = []      # outcomes left after each kept state change
     hits = []           # (tick, finding, input as a seed) of each finding
@@ -854,7 +900,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
         coverage.runs = dict(campaign.coverage.runs)
         coverage.transitions = set(campaign.coverage.transitions)
         replayed = campaign.replayed
-        step_energy, outcome = real_step(campaign, spec, args, key, persist)
+        step_energy, outcome = stepped(campaign, spec, args, key, persist)
         findings, writes = outcome[1:3]
         replayed_runs = merge_runs(outcome[0], outcome[6])
         calldata, value, policy, block = key
@@ -886,7 +932,7 @@ def test_replayed_outcomes_match_fresh_executions(monkeypatch,
             if campaign.replayed > replayed:
                 reapplied.append(campaign.target.name)
         checked.append(campaign)
-        return step_energy, outcome
+        return step_energy
 
     probe = _probe_target()
     kept_writes = []    # of the probe's kept state changes
