@@ -8,6 +8,13 @@ region relative to the start of the enclosing block.  A function computes
 its selector and its argument layout (head size, and which inputs are
 dynamic) once, at its first encode; a call then checks the value count and
 each value against its type, and formats a message only for a refusal.
+A function whose inputs are all one-word scalars (`uint<N>`, `int<N>`,
+`address`, `bool`, `bytes<N>`) has no tail and no offsets: its call is
+the selector followed by one 32-byte word per argument, so it is encoded
+word by word, and a new value of one argument replaces only its word
+(`patch_argument`).  An integer or fixed-bytes type keeps the bound of its
+values (`limit`), which encoding checks against and generation and
+mutation reduce by.
 """
 
 from __future__ import annotations
@@ -62,6 +69,10 @@ class Mutability(str, Enum):
     VIEW = "view"
     NONPAYABLE = "nonpayable"
     PAYABLE = "payable"
+
+
+# the kinds whose every value is one static word
+_ONE_WORD_KINDS = frozenset((_UINT, _INT, _ADDRESS, _BOOL, _FIXED_BYTES))
 
 
 # --- types ----------------------------------------------------------------
@@ -126,6 +137,20 @@ class AbiType:
         if self.kind is _TUPLE:
             return any(c.is_dynamic for c in self.components)
         return False
+
+    @_cached
+    def limit(self) -> int:
+        """The exclusive upper bound of a `uint`, `int` or `bytes<N>`
+        type's values as integers: `2**bits` for a `uint`, `2**(bits-1)`
+        for an `int`, whose values start at its negation, and
+        `2**(8*size)` for fixed bytes; 0 for any other kind."""
+        if self.kind is _UINT:
+            return 1 << self.bits
+        if self.kind is _INT:
+            return 1 << (self.bits - 1)
+        if self.kind is _FIXED_BYTES:
+            return 1 << (8 * self.size)
+        return 0
 
     @_cached
     def words(self) -> int:
@@ -262,6 +287,13 @@ class FunctionSpec:
         return _layout(self.inputs)
 
     @_cached
+    def one_word_inputs(self) -> bool:
+        """Whether the function has inputs and each is a one-word scalar,
+        so its calldata is the selector and one word per argument."""
+        return bool(self.inputs) and all(
+            t.kind in _ONE_WORD_KINDS for t in self.inputs)
+
+    @_cached
     def mutation_dims(self) -> tuple:
         """What one mutation of a call may change, in draw order: each
         argument (the raw calldata for the fallback), the value when
@@ -344,11 +376,11 @@ def _encode_value(abi_type: AbiType, value: Any) -> bytes:
     kind = abi_type.kind
     if kind is _UINT:
         if (isinstance(value, int) and not isinstance(value, bool)
-                and 0 <= value < (1 << abi_type.bits)):
+                and 0 <= value < abi_type.limit):
             return value.to_bytes(_WORD, "big")
         raise AbiError(f"value {value!r} out of range for {abi_type.canonical}")
     if kind is _INT:
-        half = 1 << (abi_type.bits - 1)
+        half = abi_type.limit
         if (isinstance(value, int) and not isinstance(value, bool)
                 and -half <= value < half):
             return value.to_bytes(_WORD, "big", signed=True)
@@ -428,9 +460,23 @@ def encode_arguments(types: Sequence[AbiType], values: Sequence[Any]) -> bytes:
 
 def encode_call(fn: FunctionSpec, values: Sequence[Any]) -> bytes:
     """Selector plus encoded arguments, ready to use as calldata."""
+    if fn.one_word_inputs and len(values) == len(fn.inputs):
+        return fn.selector_bytes + b"".join(map(_encode_value, fn.inputs,
+                                                values))
     if not (fn.inputs or values):
         return fn.selector_bytes
     return fn.selector_bytes + _encode_block(fn.inputs, values, *fn.layout)
+
+
+def patch_argument(calldata: bytes, index: int, abi_type: AbiType,
+                   value: Any) -> bytes:
+    """`calldata`, a call of a function whose inputs are one word each
+    (`FunctionSpec.one_word_inputs`), with argument `index`, of type
+    `abi_type`, encoded as `value`: the bytes `encode_call` gives the
+    arguments with that one replaced."""
+    start = 4 + _WORD * index
+    return (calldata[:start] + _encode_value(abi_type, value)
+            + calldata[start + _WORD:])
 
 
 # --- value generation -----------------------------------------------------
@@ -454,9 +500,9 @@ _LENGTH_ANCHORS = (0, 1, 2, 4, 8, 32)
 _POOL_BIAS = 0.5
 
 
-def _signed_wrap(value: int, bits: int) -> int:
-    half = 1 << (bits - 1)
-    return (value + half) % (1 << bits) - half
+def _signed_wrap(value: int, half: int) -> int:
+    """`value` wrapped into an `int` type's range, `[-half, half)`."""
+    return (value + half) % (half << 1) - half
 
 
 def _below(getrandbits: Callable[[int], int], n: int) -> int:
@@ -488,12 +534,12 @@ def generate_value(rng: random.Random, abi_type: AbiType,
     if kind is _UINT:
         if rng.random() < _POOL_BIAS:
             return (MAGIC_WORDS[_below(getrandbits, _MAGIC_COUNT)]
-                    & ((1 << abi_type.bits) - 1))
+                    % abi_type.limit)
         return getrandbits(abi_type.bits)
     if kind is _INT:
         raw = (MAGIC_WORDS[_below(getrandbits, _MAGIC_COUNT)]
                if rng.random() < _POOL_BIAS else getrandbits(abi_type.bits))
-        return _signed_wrap(raw, abi_type.bits)
+        return _signed_wrap(raw, abi_type.limit)
     if kind is _ADDRESS:
         if pools and rng.random() < _POOL_BIAS:
             return pools[_below(getrandbits, len(pools))]
@@ -503,7 +549,7 @@ def generate_value(rng: random.Random, abi_type: AbiType,
     if kind is _FIXED_BYTES:
         if rng.random() < _POOL_BIAS:
             word = (MAGIC_WORDS[_below(getrandbits, _MAGIC_COUNT)]
-                    & ((1 << (8 * abi_type.size)) - 1))
+                    % abi_type.limit)
             return word.to_bytes(abi_type.size, "big")
         return rng.randbytes(abi_type.size)
     if kind is _BYTES:
@@ -552,8 +598,8 @@ def mutate_value(rng: random.Random, abi_type: AbiType, value: Any,
         else:
             value = word
         if signed:
-            return _signed_wrap(value, abi_type.bits)
-        return value & ((1 << abi_type.bits) - 1)
+            return _signed_wrap(value, abi_type.limit)
+        return value % abi_type.limit
     if kind is _BOOL:
         return not value
     if kind is _ADDRESS:

@@ -50,9 +50,12 @@ encoded once when an input is generated, and a function without
 arguments sends its selector alone; its two inputs depend only on the
 ordinal and draw no bits, so a BlackBox campaign builds them once and
 its lanes only draw the function and the ordinal.  A mutant inherits its
-parent's bytes and is re-encoded only when the mutation changed an
-argument, so mutants that vary the value, the agent policy or the block
-cost no ABI work.  Those mutations can make only 17 children of a parent
+parent's bytes, so mutants that vary the value, the agent policy or the
+block cost no ABI work.  An argument mutation of a function whose inputs
+are all one word (`FunctionSpec.one_word_inputs`) replaces only the
+mutated argument's word, which gives the bytes `encode_call` would; only
+the argument mutations of other functions re-encode the call.  The value,
+policy and block mutations can make only 17 children of a parent
 (six value picks, the next policy, six timestamp and four number
 offsets), so a parent keeps each one it has made in its `children`
 table, by draw: the draws are made as before, and a repeated draw hands
@@ -88,6 +91,7 @@ from .abi import (
     encode_call,
     generate_value,
     mutate_value,
+    patch_argument,
 )
 from .cfg import (
     Cfg,
@@ -169,7 +173,9 @@ class Seed:
     `calldata` is the transaction input the seed runs with: the selector
     plus the encoded `args`, or for a fallback seed the raw bytes sent
     instead of arguments.  `generate_seed` and `mutate_seed` keep it in
-    step with `args`; a seed built by hand starts with empty calldata.
+    step with `args`; a seed built by hand starts with empty calldata, and
+    needs its encoded calldata before it is mutated, since a mutation may
+    patch one argument's word in place.
     `energy` is what the input earned when it ran.
     `children` is the table of the value, policy and block children
     `mutate_seed` has made of the seed, by draw: it takes no part in
@@ -299,7 +305,12 @@ def generate_seed(rng: random.Random, spec: FunctionSpec,
     if not spec.inputs:
         return (), (spec.selector_bytes, value, PolicyKind.BENIGN,
                     DEFAULT_BLOCK)
-    args = tuple([generate_value(rng, t, pools) for t in spec.inputs])
+    # a loop: on Python 3.10 and 3.11 a comprehension builds a function
+    # object on every call
+    args = []
+    for abi_type in spec.inputs:
+        args.append(generate_value(rng, abi_type, pools))
+    args = tuple(args)
     return args, (encode_call(spec, args), value, PolicyKind.BENIGN,
                   DEFAULT_BLOCK)
 
@@ -322,8 +333,10 @@ def mutate_seed(rng: random.Random, seed: Seed,
     """Change exactly one dimension of the input; returns the child's
     arguments and transaction key.
 
-    The child starts from the parent's calldata: only an argument mutation
-    re-encodes it, and only a raw-bytes mutation of a fallback seed edits it.
+    The child starts from the parent's calldata, which it keeps unless an
+    argument or the raw bytes of a fallback seed change.  When every input
+    is one word (`FunctionSpec.one_word_inputs`), an argument mutation
+    replaces only that argument's word; otherwise it re-encodes the call.
     A value, policy or block mutation draws one of `_KEPT_CHILDREN`
     children, which the parent's `children` table builds on its first draw
     and hands out again after.
@@ -348,12 +361,15 @@ def mutate_seed(rng: random.Random, seed: Seed,
     else:
         _, index = choice
         spec = seed.spec
+        abi_type = spec.inputs[index]
         args = list(seed.args)
-        args[index] = mutate_value(rng, spec.inputs[index], args[index],
-                                   pools)
+        mutated = args[index] = mutate_value(rng, abi_type, args[index], pools)
         args = tuple(args)
-        return args, (encode_call(spec, args), seed.value, seed.policy,
-                      seed.block)
+        if spec.one_word_inputs:
+            calldata = patch_argument(seed.calldata, index, abi_type, mutated)
+        else:
+            calldata = encode_call(spec, args)
+        return args, (calldata, seed.value, seed.policy, seed.block)
     children = seed.children
     if children is None:
         children = seed.children = {}

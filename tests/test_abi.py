@@ -24,6 +24,7 @@ from dogefuzz.abi import (
     mutate_value,
     parse_abi,
     parse_type,
+    patch_argument,
     selector,
 )
 
@@ -327,6 +328,21 @@ def _encode_one(text: str, value) -> bytes:
 
 _NO_INPUTS = FunctionSpec("ping")
 
+# every one-word kind, once each, and values each of them accepts
+ONE_WORD_TEXTS = ("uint8", "uint256", "int16", "int256", "address", "bool",
+                  "bytes1", "bytes4", "bytes32")
+_ONE_WORD = FunctionSpec("every", tuple(parse_type(t) for t in ONE_WORD_TEXTS))
+_ONE_WORD_VALUES = (255, 2 ** 256 - 1, -(2 ** 15), -1, b"\x01" * 20, True,
+                    b"\x7f", b"abcd", b"\xff" * 32)
+
+
+def _encode_one_word(text: str, value) -> bytes:
+    """`encode_call` on `_ONE_WORD` with the argument of type `text`
+    replaced by `value`."""
+    values = list(_ONE_WORD_VALUES)
+    values[ONE_WORD_TEXTS.index(text)] = value
+    return encode_call(_ONE_WORD, values)
+
 
 # the exact message of every way an encode refuses its values
 @pytest.mark.parametrize("encode,message", [
@@ -345,9 +361,24 @@ _NO_INPUTS = FunctionSpec("ping")
      "expected 1 values, got 2"),
     (lambda: encode_call(FunctionSpec(""), []), "the fallback has no selector"),
     (lambda: encode_call(_NO_INPUTS, [1]), "expected 0 values, got 1"),
+    # a call whose inputs are one word each is encoded word by word
+    (lambda: _encode_one_word("uint8", 256),
+     "value 256 out of range for uint8"),
+    (lambda: _encode_one_word("uint8", True),
+     "value True out of range for uint8"),
+    (lambda: _encode_one_word("address", b"\x01" * 19),
+     "address must be 20 bytes"),
+    (lambda: _encode_one_word("bool", 1), "bool expected"),
+    (lambda: _encode_one_word("bytes4", b"abc"), "expected exactly 4 bytes"),
+    (lambda: encode_call(_ONE_WORD, _ONE_WORD_VALUES[:-1]),
+     "expected 9 values, got 8"),
+    (lambda: encode_call(_ONE_WORD, [*_ONE_WORD_VALUES, 1]),
+     "expected 9 values, got 10"),
 ], ids=["uint8-256", "uint8-True", "uint8-str", "int8-128", "address-19",
         "bool-1", "bytes4-3", "string-bytes", "bytes-str", "array-length",
-        "tuple-members", "value-count", "fallback", "no-inputs-one-value"])
+        "tuple-members", "value-count", "fallback", "no-inputs-one-value",
+        "words-uint8-256", "words-uint8-True", "words-address-19",
+        "words-bool-1", "words-bytes4-3", "words-too-few", "words-too-many"])
 def test_encode_failure_messages(encode, message: str) -> None:
     with pytest.raises(AbiError) as refused:
         encode()
@@ -426,6 +457,84 @@ def test_encoding_matches_the_reference(texts: list[str], seed: int) -> None:
     assert encode_arguments(types, values) == expected
     fn = FunctionSpec("f", tuple(types))
     assert encode_call(fn, values) == fn.selector_bytes + expected
+
+
+@pytest.mark.parametrize("text", ONE_WORD_TEXTS)
+def test_one_word_calls_match_the_reference(text: str) -> None:
+    """A call whose inputs are one word each is encoded word by word: the
+    selector, then each argument's word, as the head/tail reference lays
+    them out; the edges of each range and generated values alike."""
+    abi_type = parse_type(text)
+    fn = FunctionSpec("f", (abi_type,) * 3)
+    assert fn.one_word_inputs
+    edges = {
+        TypeKind.UINT: [0, 1, abi_type.limit - 1],
+        TypeKind.INT: [-abi_type.limit, -1, 0, abi_type.limit - 1],
+        TypeKind.ADDRESS: [bytes(20), b"\xff" * 20],
+        TypeKind.BOOL: [False, True],
+        TypeKind.FIXED_BYTES: [bytes(abi_type.size), b"\xff" * abi_type.size],
+    }[abi_type.kind]
+    rng = random.Random(31)
+    # each edge in each position
+    rows = [[edges[(i + j) % len(edges)] for j in range(3)]
+            for i in range(len(edges))]
+    rows += [[generate_value(rng, abi_type, POOLS) for _ in range(3)]
+             for _ in range(50)]
+    for values in rows:
+        expected, dynamic = _reference_block(fn.inputs, values)
+        assert not dynamic
+        assert encode_call(fn, values) == fn.selector_bytes + expected
+        assert encode_call(fn, tuple(values)) == fn.selector_bytes + expected
+
+
+def test_patching_an_argument_replaces_only_its_word() -> None:
+    """A call of every one-word kind matches the reference, and so does
+    each call made from it by patching one argument."""
+    base = encode_call(_ONE_WORD, _ONE_WORD_VALUES)
+    expected, _ = _reference_block(_ONE_WORD.inputs, _ONE_WORD_VALUES)
+    assert base == _ONE_WORD.selector_bytes + expected
+    assert len(expected) == 32 * len(ONE_WORD_TEXTS)
+    rng = random.Random(5)
+    for index, abi_type in enumerate(_ONE_WORD.inputs):
+        for _ in range(20):
+            value = generate_value(rng, abi_type, POOLS)
+            values = list(_ONE_WORD_VALUES)
+            values[index] = value
+            assert (patch_argument(base, index, abi_type, value)
+                    == encode_call(_ONE_WORD, values))
+    bool_index = ONE_WORD_TEXTS.index("bool")
+    with pytest.raises(AbiError, match="^bool expected$"):
+        patch_argument(base, bool_index, _ONE_WORD.inputs[bool_index], 1)
+
+
+@pytest.mark.parametrize("spec,one_word", [
+    (FunctionSpec(""), False),
+    (FunctionSpec("", mutability=Mutability.PAYABLE), False),
+    (_NO_INPUTS, False),
+    (_ONE_WORD, True),
+    *[(FunctionSpec("f", (parse_type(text),)), True)
+      for text in ONE_WORD_TEXTS],
+    # a dynamic or composite input, alone or beside one-word inputs
+    *[(FunctionSpec("f", (parse_type(text),)), False)
+      for text in ("bytes", "string", "uint8[1]", "uint256[]", "(uint8)",
+                   "(uint256,bool)", "()")],
+    (FunctionSpec("f", (parse_type("uint256"), parse_type("bytes"))), False),
+    (FunctionSpec("f", (parse_type("uint256[2]"), parse_type("bool"))),
+     False),
+    (FunctionSpec("f", (parse_type("address"), parse_type("(address)"))),
+     False),
+])
+def test_one_word_inputs_flag(spec: FunctionSpec, one_word: bool) -> None:
+    assert spec.one_word_inputs is one_word
+
+
+@pytest.mark.parametrize("text,limit", [
+    ("uint8", 1 << 8), ("uint256", 1 << 256), ("int8", 1 << 7),
+    ("int256", 1 << 255), ("bytes1", 1 << 8), ("bytes32", 1 << 256),
+    ("address", 0), ("bool", 0), ("bytes", 0), ("uint8[2]", 0),
+])
+def test_limit_bounds_each_integer_kind(text: str, limit: int) -> None:
+    assert parse_type(text).limit == limit
 
 
 # --- generation and mutation ----------------------------------------------

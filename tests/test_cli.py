@@ -7,6 +7,7 @@ import json
 import os
 import shutil
 import subprocess
+import sys
 
 import pytest
 
@@ -184,8 +185,8 @@ def test_console_script_help() -> None:
 def test_log_verbosity_env_var(bench_root, tmp_path) -> None:
     env = dict(os.environ, DOGE_LOG="info")
     proc = subprocess.run(
-        ["python3", "-m", "dogefuzz.cli", "bench", "--dir", str(bench_root),
-         "--budget", "60", "--out", str(tmp_path / "out")],
+        [sys.executable, "-m", "dogefuzz.cli", "bench", "--dir",
+         str(bench_root), "--budget", "60", "--out", str(tmp_path / "out")],
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "INFO" in proc.stderr

@@ -17,7 +17,13 @@ import sys
 
 import pytest
 
-from dogefuzz.abi import FunctionSpec, Mutability, _below, parse_type
+from dogefuzz.abi import (
+    FunctionSpec,
+    Mutability,
+    _below,
+    encode_call,
+    parse_type,
+)
 from dogefuzz.fuzzer import _KEPT_CHILDREN, Seed, generate_seed, mutate_seed
 
 POOLS = (b"\xaa" * 20, b"\x5e" * 20)
@@ -152,3 +158,43 @@ def test_argument_less_inputs_draw_nothing(shape: str) -> None:
                              ordinal) == inputs
     assert built[0][1][1] == 0
     assert built[1][1][1] == (1 if spec.is_payable else 0)
+
+
+# a payable function with one argument of each one-word kind
+ONE_WORD = _spec("every", "uint8", "uint256", "int16", "int256", "address",
+                 "bool", "bytes1", "bytes32", mutability=Mutability.PAYABLE)
+
+
+def test_an_argument_mutant_patches_one_word() -> None:
+    """An argument mutant of a function whose inputs are one word each
+    replaces only that argument's word in its parent's calldata.
+    `CHILDREN` argument mutants of one parent carry the calldata
+    `encode_call` gives their arguments, and each is the mutant a twin of
+    the function makes on a second stream when it re-encodes every
+    argument mutant: the same rows, and the streams end at the same
+    place."""
+    spec = ONE_WORD
+    assert spec.one_word_inputs
+    encoding = FunctionSpec(spec.name, spec.inputs, spec.mutability)
+    encoding.__dict__["one_word_inputs"] = False
+    rng, encoding_rng = random.Random(7), random.Random(7)
+    args, key = generate_seed(rng, spec, POOLS, 1)
+    assert generate_seed(encoding_rng, encoding, POOLS, 1) == (args, key)
+    parent, twin = Seed(spec, args, *key), Seed(encoding, args, *key)
+    words = [key[0][4 + 32 * i:36 + 32 * i] for i in range(len(args))]
+    mutants = 0
+    patched = set()     # the arguments whose word some mutant changed
+    while mutants < CHILDREN:
+        child = mutate_seed(rng, parent, POOLS)
+        assert _row(*child) == _row(*mutate_seed(encoding_rng, twin, POOLS))
+        child_args, (calldata, *_) = child
+        if child_args is args:
+            continue    # a value, policy or block child
+        mutants += 1
+        assert calldata == encode_call(spec, child_args)
+        changed = {i for i, word in enumerate(words)
+                   if calldata[4 + 32 * i:36 + 32 * i] != word}
+        assert len(changed) <= 1
+        patched |= changed
+    assert patched == set(range(len(args)))
+    assert rng.getrandbits(64) == encoding_rng.getrandbits(64)
