@@ -12,9 +12,9 @@ A function whose inputs are all one-word scalars (`uint<N>`, `int<N>`,
 `address`, `bool`, `bytes<N>`) has no tail and no offsets: its call is
 the selector followed by one 32-byte word per argument, so it is encoded
 word by word, and a new value of one argument replaces only its word
-(`patch_argument`).  An integer or fixed-bytes type keeps the bound of its
-values (`limit`), which encoding checks against and generation and
-mutation reduce by.
+(`patch_argument`, which declines calldata of any other length).  An
+integer or fixed-bytes type keeps the bound of its values (`limit`),
+which encoding checks against and generation and mutation reduce by.
 """
 
 from __future__ import annotations
@@ -468,14 +468,18 @@ def encode_call(fn: FunctionSpec, values: Sequence[Any]) -> bytes:
     return fn.selector_bytes + _encode_block(fn.inputs, values, *fn.layout)
 
 
-def patch_argument(calldata: bytes, index: int, abi_type: AbiType,
-                   value: Any) -> bytes:
-    """`calldata`, a call of a function whose inputs are one word each
-    (`FunctionSpec.one_word_inputs`), with argument `index`, of type
-    `abi_type`, encoded as `value`: the bytes `encode_call` gives the
-    arguments with that one replaced."""
+def patch_argument(fn: FunctionSpec, calldata: bytes, values: Sequence[Any],
+                   index: int) -> bytes | None:
+    """The call of `fn` with `values`, made from `calldata`, its call with
+    only argument `index` different, by replacing that argument's word:
+    the bytes `encode_call(fn, values)` gives.  None when an input of `fn`
+    is not one word (`FunctionSpec.one_word_inputs`) or `calldata` is not
+    one word per input long; such a call must be encoded."""
+    inputs = fn.inputs
+    if not fn.one_word_inputs or len(calldata) != 4 + _WORD * len(inputs):
+        return None
     start = 4 + _WORD * index
-    return (calldata[:start] + _encode_value(abi_type, value)
+    return (calldata[:start] + _encode_value(inputs[index], values[index])
             + calldata[start + _WORD:])
 
 

@@ -173,9 +173,7 @@ class Seed:
     `calldata` is the transaction input the seed runs with: the selector
     plus the encoded `args`, or for a fallback seed the raw bytes sent
     instead of arguments.  `generate_seed` and `mutate_seed` keep it in
-    step with `args`; a seed built by hand starts with empty calldata, and
-    needs its encoded calldata before it is mutated, since a mutation may
-    patch one argument's word in place.
+    step with `args`; a seed built by hand starts with empty calldata.
     `energy` is what the input earned when it ran.
     `children` is the table of the value, policy and block children
     `mutate_seed` has made of the seed, by draw: it takes no part in
@@ -334,9 +332,9 @@ def mutate_seed(rng: random.Random, seed: Seed,
     arguments and transaction key.
 
     The child starts from the parent's calldata, which it keeps unless an
-    argument or the raw bytes of a fallback seed change.  When every input
-    is one word (`FunctionSpec.one_word_inputs`), an argument mutation
-    replaces only that argument's word; otherwise it re-encodes the call.
+    argument or the raw bytes of a fallback seed change.  An argument
+    mutation replaces only that argument's word when `patch_argument` can
+    (every input one word); otherwise it re-encodes the call.
     A value, policy or block mutation draws one of `_KEPT_CHILDREN`
     children, which the parent's `children` table builds on its first draw
     and hands out again after.
@@ -361,13 +359,12 @@ def mutate_seed(rng: random.Random, seed: Seed,
     else:
         _, index = choice
         spec = seed.spec
-        abi_type = spec.inputs[index]
         args = list(seed.args)
-        mutated = args[index] = mutate_value(rng, abi_type, args[index], pools)
+        args[index] = mutate_value(rng, spec.inputs[index], args[index],
+                                   pools)
         args = tuple(args)
-        if spec.one_word_inputs:
-            calldata = patch_argument(seed.calldata, index, abi_type, mutated)
-        else:
+        calldata = patch_argument(spec, seed.calldata, args, index)
+        if calldata is None:
             calldata = encode_call(spec, args)
         return args, (calldata, seed.value, seed.policy, seed.block)
     children = seed.children

@@ -500,11 +500,38 @@ def test_patching_an_argument_replaces_only_its_word() -> None:
             value = generate_value(rng, abi_type, POOLS)
             values = list(_ONE_WORD_VALUES)
             values[index] = value
-            assert (patch_argument(base, index, abi_type, value)
+            assert (patch_argument(_ONE_WORD, base, values, index)
                     == encode_call(_ONE_WORD, values))
     bool_index = ONE_WORD_TEXTS.index("bool")
+    values = list(_ONE_WORD_VALUES)
+    values[bool_index] = 1
     with pytest.raises(AbiError, match="^bool expected$"):
-        patch_argument(base, bool_index, _ONE_WORD.inputs[bool_index], 1)
+        patch_argument(_ONE_WORD, base, values, bool_index)
+
+
+@pytest.mark.parametrize("spec,calldata", [
+    # calldata that is not one word per input long: a seed built by hand,
+    # a word short, a byte over
+    pytest.param(_ONE_WORD, b"", id="empty"),
+    pytest.param(_ONE_WORD, encode_call(_ONE_WORD, _ONE_WORD_VALUES)[:-32],
+                 id="word-short"),
+    pytest.param(_ONE_WORD,
+                 encode_call(_ONE_WORD, _ONE_WORD_VALUES) + b"\x00",
+                 id="byte-over"),
+    # an input of more than one word
+    pytest.param(FunctionSpec("f", (parse_type("uint256"),
+                                    parse_type("uint256[1]"))),
+                 b"\x00" * 68, id="array"),
+    pytest.param(FunctionSpec("f", (parse_type("uint256"),
+                                    parse_type("bytes"))),
+                 b"\x00" * 68, id="bytes"),
+])
+def test_patching_declines_what_it_cannot_patch(spec: FunctionSpec,
+                                                calldata: bytes) -> None:
+    """`patch_argument` returns None, so the call is encoded, unless every
+    input is one word and the calldata is one word per input long."""
+    values = [generate_value(random.Random(3), t, POOLS) for t in spec.inputs]
+    assert patch_argument(spec, calldata, values, 0) is None
 
 
 @pytest.mark.parametrize("spec,one_word", [

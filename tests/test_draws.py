@@ -198,3 +198,19 @@ def test_an_argument_mutant_patches_one_word() -> None:
         patched |= changed
     assert patched == set(range(len(args)))
     assert rng.getrandbits(64) == encoding_rng.getrandbits(64)
+
+
+def test_a_seed_built_by_hand_is_encoded_when_mutated() -> None:
+    """A seed built by hand has no calldata to patch, so its argument
+    mutants are encoded whole."""
+    rng = random.Random(9)
+    args, _ = generate_seed(rng, ONE_WORD, POOLS, 0)
+    seed = Seed(ONE_WORD, args)
+    assert seed.calldata == b""
+    mutants = 0
+    while mutants < 200:
+        child_args, (calldata, *_) = mutate_seed(rng, seed, POOLS)
+        if child_args is args:
+            continue    # a value, policy or block child
+        mutants += 1
+        assert calldata == encode_call(ONE_WORD, child_args)
